@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 from .errors import DimensionError, IntegrityError, SpinhomError
 from .laurent import LaurentPoly
@@ -298,10 +299,14 @@ class _UnionFind:
 @dataclass(frozen=True)
 class GlueStructure:
     """Term-independent part of a gluing: connected components with their
-    Euler characteristics, member pieces and output boundary circles."""
+    Euler characteristics, member pieces and output boundary circles.
+
+    `reduced` memoises reduce_structure per dot pattern; it takes no part in
+    equality or hashing."""
 
     components: tuple[tuple[tuple[int, ...], int, tuple[int, ...]], ...]
     n_out: int
+    reduced: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 @functools.lru_cache(maxsize=1 << 15)
@@ -338,7 +343,7 @@ def glue_structure(
 
 
 def reduce_structure(
-    st: GlueStructure, piece_dots: list[int]
+    st: GlueStructure, piece_dots: Sequence[int]
 ) -> dict[tuple[int, ...], AlphaPoly]:
     """Canonical combination for one dot pattern on a glued surface."""
     factors: list[tuple] = []
@@ -367,6 +372,15 @@ def reduce_structure(
         key = tuple(assign)
         out[key] = out.get(key, AlphaPoly()) + AlphaPoly({aexp: coeff})
     return {k: v for k, v in out.items() if v}
+
+
+def _reduced_terms(st: GlueStructure, piece_dots: tuple[int, ...]) -> dict[tuple[int, ...], AlphaPoly]:
+    """reduce_structure, memoised on the structure; callers must not mutate
+    the returned dict."""
+    out = st.reduced.get(piece_dots)
+    if out is None:
+        out = st.reduced[piece_dots] = reduce_structure(st, piece_dots)
+    return out
 
 
 def reduce_glued(
@@ -475,8 +489,6 @@ class CanonicalCobordism:
         return self + (-other)
 
     def scale(self, c: AlphaPoly | int) -> "CanonicalCobordism":
-        if isinstance(c, int):
-            c = AlphaPoly({0: c})
         return CanonicalCobordism(
             self.source, self.target, {a: p * c for a, p in self.terms.items()}
         )
@@ -508,9 +520,9 @@ class CanonicalCobordism:
         (assign, poly), = self.terms.items()
         if any(assign):
             return None
-        if poly == AlphaPoly({0: 1}):
+        if poly.coeffs == {0: 1}:
             return 1
-        if poly == AlphaPoly({0: -1}):
+        if poly.coeffs == {0: -1}:
             return -1
         return None
 
@@ -595,27 +607,25 @@ def dot_at_point(obj: ShiftedObject, p: int, dots: int = 1) -> CanonicalCobordis
 # The four gluing operations on morphisms
 
 
-def _glue_terms(
-    f: CanonicalCobordism,
-    g: CanonicalCobordism,
-    nF: int,
-    nG: int,
-    n_extra: int,
+def _disk_structure(
+    n_pieces: int,
     cells: list[tuple[int, int, int]],
     circle_nodes: list[list[int]],
-) -> dict[tuple[int, ...], AlphaPoly]:
-    """Shared core: pieces are f's disks, g's disks, then undotted strips."""
-    out: dict[tuple[int, ...], AlphaPoly] = {}
-    st = glue_structure(
-        (1,) * (nF + nG + n_extra),
-        tuple(cells),
-        tuple(tuple(ns) for ns in circle_nodes),
+) -> GlueStructure:
+    """Glue structure of a surface whose pieces are all disks."""
+    return glue_structure(
+        (1,) * n_pieces, tuple(cells), tuple(tuple(ns) for ns in circle_nodes)
     )
-    extra = [0] * n_extra
+
+
+def _glue_terms(
+    f: CanonicalCobordism, g: CanonicalCobordism, st: GlueStructure
+) -> dict[tuple[int, ...], AlphaPoly]:
+    """Shared core: the pieces of st are f's disks, then g's disks."""
+    out: dict[tuple[int, ...], AlphaPoly] = {}
     for af, pf in f.terms.items():
         for ag, pg in g.terms.items():
-            dots = list(af) + list(ag) + extra
-            reduced = reduce_structure(st, dots)
+            reduced = _reduced_terms(st, af + ag)
             if not reduced:
                 continue
             scalar = pf * pg
@@ -643,6 +653,21 @@ def _nodes_for(cons, cF: ClosureData, cG: ClosureData, nF: int) -> list[int]:
     return nodes
 
 
+@functools.lru_cache(maxsize=1 << 15)
+def _compose_structure(a: FlatTangle, b: FlatTangle, c: FlatTangle) -> GlueStructure:
+    """Gluing of a -> b disks onto b -> c disks along the whole of b."""
+    cF = closure_data(a, b)
+    cG = closure_data(b, c)
+    cOut = closure_data(a, c)
+    cells: list[tuple[int, int, int]] = []
+    for arc in b.arcs():
+        cells.append((cF.tgt_arc[arc], cF.n + cG.src_arc[arc], 1))
+    for j in range(b.circles):
+        cells.append((cF.tgt_circ[j], cF.n + cG.src_circ[j], 0))
+    circle_nodes = [_nodes_for(cons, cF, cG, cF.n) for cons in cOut.constituents]
+    return _disk_structure(cF.n + cG.n, cells, circle_nodes)
+
+
 def compose(g: CanonicalCobordism, f: CanonicalCobordism) -> CanonicalCobordism:
     """g after f: glue along the full middle object (arcs and circles)."""
     if f.target != g.source:
@@ -654,18 +679,8 @@ def compose(g: CanonicalCobordism, f: CanonicalCobordism) -> CanonicalCobordism:
     s = f.is_identity_iso()
     if s is not None:
         return g if s == 1 else g.scale(-1)
-    a, b, c = f.source.tangle, f.target.tangle, g.target.tangle
-    cF = closure_data(a, b)
-    cG = closure_data(b, c)
-    cOut = closure_data(a, c)
-    cells: list[tuple[int, int, int]] = []
-    for arc in b.arcs():
-        cells.append((cF.tgt_arc[arc], cF.n + cG.src_arc[arc], 1))
-    for j in range(b.circles):
-        cells.append((cF.tgt_circ[j], cF.n + cG.src_circ[j], 0))
-    circle_nodes = [_nodes_for(cons, cF, cG, cF.n) for cons in cOut.constituents]
-    terms = _glue_terms(f, g, cF.n, cG.n, 0, cells, circle_nodes)
-    return CanonicalCobordism(f.source, g.target, terms)
+    st = _compose_structure(f.source.tangle, f.target.tangle, g.target.tangle)
+    return CanonicalCobordism(f.source, g.target, _glue_terms(f, g, st))
 
 
 # -- planar stacking of objects, with provenance ----------------------------
@@ -804,7 +819,7 @@ def stack(f: CanonicalCobordism, g: CanonicalCobordism) -> CanonicalCobordism:
     sd_src = stack_ob(at, bt)
     sd_tgt = stack_ob(a2t, b2t)
     circle_nodes = _stacked_circle_nodes(sd_src, sd_tgt, cF, cG, cF.n)
-    terms = _glue_terms(f, g, cF.n, cG.n, 0, cells, circle_nodes)
+    terms = _glue_terms(f, g, _disk_structure(cF.n + cG.n, cells, circle_nodes))
     return CanonicalCobordism(
         ShiftedObject(sd_src.tangle, f.source.qshift + g.source.qshift),
         ShiftedObject(sd_tgt.tangle, f.target.qshift + g.target.qshift),
@@ -866,7 +881,7 @@ def beside(f: CanonicalCobordism, g: CanonicalCobordism) -> CanonicalCobordism:
     circle_nodes = []
     for cons in cOut.constituents:
         circle_nodes.append([map_constituent(*c) for c in cons])
-    terms = _glue_terms(f, g, cF.n, cG.n, 0, [], circle_nodes)
+    terms = _glue_terms(f, g, _disk_structure(cF.n + cG.n, [], circle_nodes))
     return CanonicalCobordism(
         ShiftedObject(src, f.source.qshift + g.source.qshift),
         ShiftedObject(tgt, f.target.qshift + g.target.qshift),
@@ -956,10 +971,10 @@ def trace(f: CanonicalCobordism) -> CanonicalCobordism:
         circle_nodes.append(nodes)
 
     out: dict[tuple[int, ...], AlphaPoly] = {}
-    chi = [1] * (cF.n + n)
+    st = _disk_structure(cF.n + n, cells, circle_nodes)
+    strips = (0,) * n
     for af, pf in f.terms.items():
-        dots = list(af) + [0] * n
-        reduced = reduce_glued(chi, dots, cells, circle_nodes)
+        reduced = _reduced_terms(st, af + strips)
         for assign, poly in reduced.items():
             s = out.get(assign, AlphaPoly()) + poly * pf
             if s:
@@ -1269,38 +1284,6 @@ def merge_trace_saddle(a: FlatTangle, b: FlatTangle) -> CanonicalCobordism:
         circle_nodes.append(nodes)
     terms = reduce_glued(piece_chi, piece_dots, cells, circle_nodes)
     return CanonicalCobordism(ShiftedObject(source), ShiftedObject(target), terms)
-
-
-def glue_planar(pattern: str, *args):
-    """Planar gluing dispatcher over the primitive patterns.
-
-    pattern "beside": two objects or cobordisms side by side;
-    pattern "stack": vertical stacking (on objects this is the monoidal
-    pairing, on morphisms the planar functor);
-    pattern "trace": Markov closure of a square object or cobordism.
-    """
-    if pattern == "beside":
-        a, b = args
-        if isinstance(a, CanonicalCobordism):
-            return beside(a, b)
-        if isinstance(a, ShiftedObject):
-            return beside_objects(a, b)
-        return beside_ob(a, b)
-    if pattern == "stack":
-        a, b = args
-        if isinstance(a, CanonicalCobordism):
-            return stack(a, b)
-        if isinstance(a, ShiftedObject):
-            return stack_objects(a, b)
-        return stack_ob(a, b).tangle
-    if pattern == "trace":
-        (a,) = args
-        if isinstance(a, CanonicalCobordism):
-            return trace(a)
-        if isinstance(a, ShiftedObject):
-            return trace_object(a)
-        return trace_ob(a).tangle
-    raise SpinhomError(f"unknown planar pattern {pattern!r}")
 
 
 # spec-facing operation aliases

@@ -301,11 +301,6 @@ def commutator_with_d(f: ChainMap) -> ChainMap:
     return ChainMap(A, B, f.hdeg + 1, f.qdeg, mats)
 
 
-def is_chain_map(f: ChainMap, lo: float = NEG_INF, hi: float = POS_INF) -> bool:
-    c = commutator_with_d(f)
-    return all(not mat for k, mat in c.mats.items() if lo <= k <= hi)
-
-
 # ---------------------------------------------------------------------------
 # Strong deformation retract data
 
@@ -978,13 +973,13 @@ def _pivot_sweep(work: _Work) -> list[tuple[int, int]]:
     smallest target position.  Entries are re-validated before use."""
     out = []
     for k in sorted(work.order):
-        for spos, src in enumerate(work.order[k]):
+        tgt_order = {t: p for p, t in enumerate(work.order.get(k + 1, []))}
+        for src in work.order[k]:
             if src in work.protected:
                 continue
             outs = work.out_edges.get(src)
             if not outs:
                 continue
-            tgt_order = {t: p for p, t in enumerate(work.order.get(k + 1, []))}
             found = []
             for tgt, f in outs.items():
                 if tgt in work.protected:
@@ -1245,10 +1240,6 @@ def hom_complex(A: ChainComplex, B: ChainComplex) -> ModuleComplex:
     T, _ = stack_complexes(B, dual_complex(A), mode="product")
     M = tautological(trace_complex(T))
     return M.shift_q((A.m + A.n) // 2)
-
-
-def end_complex(A: ChainComplex) -> ModuleComplex:
-    return hom_complex(A, A)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,10 @@ from .laurent import LaurentPoly
 
 MAX_SWEEPS = 64
 
+#: chain degrees kept below the window while a sweep product is simplified;
+#: see build_projector
+SWEEP_MARGIN = 1
+
 #: sheet-algebra elements are chain maps on a projector complex (cycles of
 #: the corresponding module complex are plain coordinate dictionaries)
 SheetAlgebraElement = ChainMap
@@ -258,6 +262,23 @@ def build_projector(n: int, window: Window) -> ProjectorComplex:
     each step, until the canonical form in degrees >= window.lo + n stops
     changing between sweeps.  The returned projector carries a passing
     certificate or the construction raises.
+
+    Each sweep product is clipped to [window.lo - SWEEP_MARGIN, 0] before it
+    is simplified, and to the window after.  Simplification is local in
+    degree: delooping an object of degree k rewrites only the differential
+    entries at that object, and cancelling an isomorphism from degree k to
+    k+1 removes those two objects and corrects only d_k.  So degrees at or
+    above window.lo change only through cancellations from degree
+    window.lo - 1 into window.lo, and with SWEEP_MARGIN = 1 every such
+    pivot is still present.  What degree window.lo - 2 could still decide
+    is whether a degree-(window.lo - 1) object is cancelled downward first,
+    so the argument is not a proof: byte-identity with the unclipped build
+    (simplify everything, then clip) is checked by a differential test on
+    P3 at depths 4-8, P4 at 3-5 and P5 at 3, not assumed.  Margin 0 drops
+    those pivots and changes the answer: the certificate rejects it at
+    P3@-8 (the Euler series no longer matches Jones-Wenzl), but P3@-7 and
+    shallower still pass, and at P3@-6 the change sits in degree window.lo,
+    below the reliable band, where only the differential test sees it.
     """
     if n < 0:
         raise SpinhomError("projector label must be non-negative")
@@ -277,12 +298,13 @@ def build_projector(n: int, window: Window) -> ProjectorComplex:
         blk = _p2_block(i, n, win)
         T, _ = cx.stack_complexes(current, blk)
         current, _ = cx.simplify(T)
+    margin_win = Window(win.lo - SWEEP_MARGIN, 0)
     prev_form = None
     for sweep in range(MAX_SWEEPS):
         for i in range(n - 1):
             blk = _p2_block(i, n, win)
             T, _ = cx.stack_complexes(blk, current)
-            current, _ = cx.simplify(T)
+            current, _ = cx.simplify(_clip(T, margin_win))
             current = _clip(current, win)
         form = _canonical_form(current, win.lo + n)
         if form == prev_form:

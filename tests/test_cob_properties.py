@@ -15,6 +15,7 @@ from spinhom.cob import (
     compose,
     degree,
     identity_cob,
+    reduce_glued,
 )
 
 _TANGLES = {
@@ -24,20 +25,22 @@ _TANGLES = {
 
 @st.composite
 def composable_triple(draw):
+    """Three composable cobordisms between tangles that may carry closed
+    circles, with Z[alpha] coefficients of alpha-degree up to 2."""
     n = draw(st.sampled_from([1, 2]))
-    a, b, c, d = (draw(st.sampled_from(_TANGLES[n])) for _ in range(4))
-    objs = [ShiftedObject(t, 0) for t in (a, b, c, d)]
+    objs = []
+    for _ in range(4):
+        t = draw(st.sampled_from(_TANGLES[n]))
+        circles = draw(st.integers(0, 1))
+        objs.append(ShiftedObject(FlatTangle(t.m, t.n, t.pairs, circles), 0))
 
     def rand_mor(src, tgt):
         cd = closure_data(src.tangle, tgt.tangle)
         terms = {}
         for assign in itertools.product((0, 1), repeat=cd.n):
-            coeff = draw(st.integers(-2, 2))
-            if coeff:
-                terms[assign] = coeff
-        return CanonicalCobordism(
-            src, tgt, {a2: AlphaPoly({0: c2}) for a2, c2 in terms.items()}
-        )
+            coeffs = draw(st.dictionaries(st.integers(0, 2), st.integers(-2, 2), max_size=2))
+            terms[assign] = AlphaPoly(coeffs)
+        return CanonicalCobordism(src, tgt, terms)
 
     f = rand_mor(objs[0], objs[1])
     g = rand_mor(objs[1], objs[2])
@@ -80,3 +83,37 @@ def test_degree_additive_when_defined(triple):
     df, dg, dfg = degree(f), degree(g), degree(fg)
     if df is not None and dg is not None and not fg.is_zero():
         assert dfg == df + dg
+
+
+def _reference_compose(g: CanonicalCobordism, f: CanonicalCobordism) -> CanonicalCobordism:
+    """g after f, glued term by term through reduce_glued: f's closure disks,
+    then g's, sewn along the middle object's arcs (intervals) and circles."""
+    a, b, c = f.source.tangle, f.target.tangle, g.target.tangle
+    cF, cG, cOut = closure_data(a, b), closure_data(b, c), closure_data(a, c)
+    cells = [(cF.tgt_arc[arc], cF.n + cG.src_arc[arc], 1) for arc in b.arcs()]
+    cells += [(cF.tgt_circ[j], cF.n + cG.src_circ[j], 0) for j in range(b.circles)]
+
+    def piece(side, kind, key):
+        if side == "s":
+            return cF.src_arc[key] if kind == "arc" else cF.src_circ[key]
+        return cF.n + (cG.tgt_arc[key] if kind == "arc" else cG.tgt_circ[key])
+
+    circle_nodes = [[piece(*con) for con in cons] for cons in cOut.constituents]
+    chi = [1] * (cF.n + cG.n)
+    out = CanonicalCobordism.zero(f.source, g.target)
+    for af, pf in f.terms.items():
+        for ag, pg in g.terms.items():
+            reduced = reduce_glued(chi, list(af + ag), cells, circle_nodes)
+            terms = {assign: poly * pf * pg for assign, poly in reduced.items()}
+            out = out + CanonicalCobordism(f.source, g.target, terms)
+    return out
+
+
+@given(composable_triple())
+@settings(max_examples=80, deadline=None)
+def test_compose_matches_reference_gluing(triple):
+    f, g, h = triple
+    assert compose(g, f) == _reference_compose(g, f)
+    # a second call is answered from the per-structure memo
+    assert compose(h, g) == _reference_compose(h, g)
+    assert compose(h, g) == _reference_compose(h, g)
