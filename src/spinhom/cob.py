@@ -68,6 +68,24 @@ class FlatTangle:
             raise SpinhomError("pairing is not a fixed-point-free involution")
         if not _check_planar_pairs(self.m, self.n, p):
             raise SpinhomError("pairing is not planar")
+        object.__setattr__(self, "_hash", hash((self.m, self.n, p, self.circles)))
+
+    # Tangles key every gluing cache, so the hash is computed once, with the
+    # value the generated dataclass hash would give.
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not FlatTangle:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.pairs == other.pairs
+            and self.circles == other.circles
+            and self.m == other.m
+        )
 
     @staticmethod
     def identity(n: int) -> "FlatTangle":
@@ -151,6 +169,23 @@ class ShiftedObject:
 
     tangle: FlatTangle
     qshift: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.tangle, self.qshift)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not ShiftedObject:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.qshift == other.qshift
+            and self.tangle == other.tangle
+        )
 
     def shifted(self, k: int) -> "ShiftedObject":
         return ShiftedObject(self.tangle, self.qshift + k)
@@ -370,7 +405,9 @@ def reduce_structure(
             aexp += ae
             coeff *= co
         key = tuple(assign)
-        out[key] = out.get(key, AlphaPoly()) + AlphaPoly({aexp: coeff})
+        mono = AlphaPoly._raw({aexp: coeff})
+        cur = out.get(key)
+        out[key] = mono if cur is None else cur + mono
     return {k: v for k, v in out.items() if v}
 
 
@@ -407,6 +444,8 @@ def reduce_glued(
 # ---------------------------------------------------------------------------
 # Canonical morphisms
 
+_BITS = frozenset((0, 1))
+
 
 class CanonicalCobordism:
     """A morphism in canonical dotted-disk form with Z[alpha] coefficients."""
@@ -427,7 +466,7 @@ class CanonicalCobordism:
         nc = closure_data(st, tt).n
         self.terms: dict[tuple[int, ...], AlphaPoly] = {}
         for assign, poly in (terms or {}).items():
-            if len(assign) != nc or any(v not in (0, 1) for v in assign):
+            if len(assign) != nc or not _BITS.issuperset(assign):
                 raise SpinhomError("bad dot assignment")
             if poly:
                 self.terms[assign] = poly
@@ -473,11 +512,15 @@ class CanonicalCobordism:
             raise DimensionError("adding cobordisms with different endpoints")
         acc = dict(self.terms)
         for a, p in other.terms.items():
-            s = acc.get(a, AlphaPoly()) + p
+            cur = acc.get(a)
+            if cur is None:
+                acc[a] = p
+                continue
+            s = cur + p
             if s:
                 acc[a] = s
             else:
-                acc.pop(a, None)
+                del acc[a]
         return CanonicalCobordism(self.source, self.target, acc)
 
     def __neg__(self) -> "CanonicalCobordism":
@@ -630,11 +673,15 @@ def _glue_terms(
                 continue
             scalar = pf * pg
             for assign, poly in reduced.items():
-                s = out.get(assign, AlphaPoly()) + poly * scalar
+                cur = out.get(assign)
+                if cur is None:
+                    out[assign] = poly * scalar
+                    continue
+                s = cur + poly * scalar
                 if s:
                     out[assign] = s
                 else:
-                    out.pop(assign, None)
+                    del out[assign]
     return out
 
 
@@ -805,6 +852,21 @@ def _stacked_circle_nodes(
 
 
 @functools.lru_cache(maxsize=1 << 15)
+def _stack_structure(
+    at: FlatTangle, bt: FlatTangle, a2t: FlatTangle, b2t: FlatTangle
+) -> GlueStructure:
+    """Gluing of at -> a2t disks over bt -> b2t disks along the k vertical
+    boundary lines between them."""
+    cF = closure_data(at, a2t)
+    cG = closure_data(bt, b2t)
+    cells = [(cF.point[at.m + i], cF.n + cG.point[i], 1) for i in range(at.n)]
+    circle_nodes = _stacked_circle_nodes(
+        stack_ob(at, bt), stack_ob(a2t, b2t), cF, cG, cF.n
+    )
+    return _disk_structure(cF.n + cG.n, cells, circle_nodes)
+
+
+@functools.lru_cache(maxsize=1 << 15)
 def stack(f: CanonicalCobordism, g: CanonicalCobordism) -> CanonicalCobordism:
     """Planar vertical stacking of morphisms: f over g, glued along the
     k vertical boundary lines between them."""
@@ -812,17 +874,10 @@ def stack(f: CanonicalCobordism, g: CanonicalCobordism) -> CanonicalCobordism:
     if at.n != bt.m:
         raise DimensionError("stacking with mismatched middle boundary")
     a2t, b2t = f.target.tangle, g.target.tangle
-    cF = closure_data(at, a2t)
-    cG = closure_data(bt, b2t)
-    k = at.n
-    cells = [(cF.point[at.m + i], cF.n + cG.point[i], 1) for i in range(k)]
-    sd_src = stack_ob(at, bt)
-    sd_tgt = stack_ob(a2t, b2t)
-    circle_nodes = _stacked_circle_nodes(sd_src, sd_tgt, cF, cG, cF.n)
-    terms = _glue_terms(f, g, _disk_structure(cF.n + cG.n, cells, circle_nodes))
+    terms = _glue_terms(f, g, _stack_structure(at, bt, a2t, b2t))
     return CanonicalCobordism(
-        ShiftedObject(sd_src.tangle, f.source.qshift + g.source.qshift),
-        ShiftedObject(sd_tgt.tangle, f.target.qshift + g.target.qshift),
+        ShiftedObject(stack_ob(at, bt).tangle, f.source.qshift + g.source.qshift),
+        ShiftedObject(stack_ob(a2t, b2t).tangle, f.target.qshift + g.target.qshift),
         terms,
     )
 
@@ -844,10 +899,12 @@ def beside_ob(a: FlatTangle, b: FlatTangle) -> FlatTangle:
     return FlatTangle(m, n, tuple(new), a.circles + b.circles)
 
 
-def beside(f: CanonicalCobordism, g: CanonicalCobordism) -> CanonicalCobordism:
-    """Horizontal juxtaposition: f to the left of g (no gluing)."""
-    at, bt = f.source.tangle, g.source.tangle
-    a2t, b2t = f.target.tangle, g.target.tangle
+@functools.lru_cache(maxsize=1 << 15)
+def _beside_structure(
+    at: FlatTangle, bt: FlatTangle, a2t: FlatTangle, b2t: FlatTangle
+) -> GlueStructure:
+    """at -> a2t disks beside bt -> b2t disks: no cells, only the output
+    circles of the juxtaposed closure."""
     src = beside_ob(at, bt)
     tgt = beside_ob(a2t, b2t)
     cF = closure_data(at, a2t)
@@ -881,10 +938,17 @@ def beside(f: CanonicalCobordism, g: CanonicalCobordism) -> CanonicalCobordism:
     circle_nodes = []
     for cons in cOut.constituents:
         circle_nodes.append([map_constituent(*c) for c in cons])
-    terms = _glue_terms(f, g, _disk_structure(cF.n + cG.n, [], circle_nodes))
+    return _disk_structure(cF.n + cG.n, [], circle_nodes)
+
+
+def beside(f: CanonicalCobordism, g: CanonicalCobordism) -> CanonicalCobordism:
+    """Horizontal juxtaposition: f to the left of g (no gluing)."""
+    at, bt = f.source.tangle, g.source.tangle
+    a2t, b2t = f.target.tangle, g.target.tangle
+    terms = _glue_terms(f, g, _beside_structure(at, bt, a2t, b2t))
     return CanonicalCobordism(
-        ShiftedObject(src, f.source.qshift + g.source.qshift),
-        ShiftedObject(tgt, f.target.qshift + g.target.qshift),
+        ShiftedObject(beside_ob(at, bt), f.source.qshift + g.source.qshift),
+        ShiftedObject(beside_ob(a2t, b2t), f.target.qshift + g.target.qshift),
         terms,
     )
 
@@ -934,11 +998,9 @@ def trace_object(a: ShiftedObject) -> ShiftedObject:
     return ShiftedObject(trace_ob(a.tangle).tangle, a.qshift)
 
 
-def trace(f: CanonicalCobordism) -> CanonicalCobordism:
-    """The Markov trace of a morphism: glue closure strips on both sides."""
-    at, bt = f.source.tangle, f.target.tangle
-    if at.m != at.n:
-        raise DimensionError("trace needs a square morphism")
+@functools.lru_cache(maxsize=1 << 15)
+def _trace_structure(at: FlatTangle, bt: FlatTangle) -> GlueStructure:
+    """Gluing of at -> bt disks onto n closure strips, one per strand."""
     n = at.n
     cF = closure_data(at, bt)
     ta = trace_ob(at)
@@ -969,21 +1031,31 @@ def trace(f: CanonicalCobordism) -> CanonicalCobordism:
         for side, kind, key in cons:
             nodes.extend(nodes_of(side, key))
         circle_nodes.append(nodes)
+    return _disk_structure(cF.n + n, cells, circle_nodes)
 
+
+def trace(f: CanonicalCobordism) -> CanonicalCobordism:
+    """The Markov trace of a morphism: glue closure strips on both sides."""
+    at, bt = f.source.tangle, f.target.tangle
+    if at.m != at.n:
+        raise DimensionError("trace needs a square morphism")
+    st = _trace_structure(at, bt)
+    strips = (0,) * at.n
     out: dict[tuple[int, ...], AlphaPoly] = {}
-    st = _disk_structure(cF.n + n, cells, circle_nodes)
-    strips = (0,) * n
     for af, pf in f.terms.items():
-        reduced = _reduced_terms(st, af + strips)
-        for assign, poly in reduced.items():
-            s = out.get(assign, AlphaPoly()) + poly * pf
+        for assign, poly in _reduced_terms(st, af + strips).items():
+            cur = out.get(assign)
+            if cur is None:
+                out[assign] = poly * pf
+                continue
+            s = cur + poly * pf
             if s:
                 out[assign] = s
             else:
-                out.pop(assign, None)
+                del out[assign]
     return CanonicalCobordism(
-        ShiftedObject(ta.tangle, f.source.qshift),
-        ShiftedObject(tb.tangle, f.target.qshift),
+        ShiftedObject(trace_ob(at).tangle, f.source.qshift),
+        ShiftedObject(trace_ob(bt).tangle, f.target.qshift),
         out,
     )
 

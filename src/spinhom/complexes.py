@@ -14,6 +14,7 @@ convention that the shifted complex carries -d.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -418,22 +419,28 @@ def _binary_planar(
         mat = diff.setdefault(k, {})
         mat[(r, c)] = mat[(r, c)] + f if (r, c) in mat else f
 
+    def by_column(diffs: dict[int, Matrix]) -> dict[int, dict[int, list]]:
+        """Per degree, column -> [(row, entry)], each in the matrix's order."""
+        cols: dict[int, dict[int, list]] = {}
+        for deg, mat in diffs.items():
+            per = cols[deg] = {}
+            for (r, c), f in mat.items():
+                per.setdefault(c, []).append((r, f))
+        return cols
+
+    colsA, colsB = by_column(A.diff), by_column(B.diff)
     for k, lay in layout.items():
         for cpos, (i, j, pa, pb) in enumerate(lay):
             oa = A.groups[i][pa]
             ob = B.groups[j][pb]
             # T(d_A, 1)
-            for (r2, c2), f in A.diff.get(i, {}).items():
-                if c2 != pa:
-                    continue
+            for r2, f in colsA.get(i, {}).get(pa, ()):
                 key = (i + 1, j, r2, pb)
                 if key in index:
                     add_entry(k, index[key], cpos, mor_op(f, cob.identity_cob(ob)))
             # (-1)^i T(1, d_B)
             sign = -1 if i % 2 else 1
-            for (r2, c2), g in B.diff.get(j, {}).items():
-                if c2 != pb:
-                    continue
+            for r2, g in colsB.get(j, {}).get(pb, ()):
                 key = (i, j + 1, pa, r2)
                 if key in index:
                     add_entry(
@@ -768,17 +775,65 @@ class _Work:
         return C, pos
 
 
+def _birth_death(dotted: bool, src_obj: ShiftedObject, tgt_obj: ShiftedObject) -> CanonicalCobordism:
+    """Identity product on the components src_obj and tgt_obj share, while
+    the one unmatched circle is a (possibly dotted) birth/death disk."""
+    s_t, t_t = src_obj.tangle, tgt_obj.tangle
+    cdx = closure_data(s_t, t_t)
+    pieces = []
+    dots = []
+    owner = {}
+    for arc in s_t.arcs():
+        owner[("s_arc", arc)] = len(pieces)
+        pieces.append(1)
+        dots.append(0)
+    # shared kept circles: annuli between source copy i and target copy i
+    kept = min(s_t.circles, t_t.circles)
+    for jj in range(kept):
+        owner[("pair", jj)] = len(pieces)
+        pieces.append(0)
+        dots.append(0)
+    # the unmatched circle (on source or target) is a disk
+    disk = len(pieces)
+    pieces.append(1)
+    dots.append(1 if dotted else 0)
+    circle_nodes = []
+    for cons in cdx.constituents:
+        nodes = []
+        for side, kind, key in cons:
+            if kind == "arc":
+                nodes.append(owner[("s_arc", key)])
+            elif key < kept:
+                nodes.append(owner[("pair", key)])
+            else:
+                nodes.append(disk)
+        circle_nodes.append(nodes)
+    terms = cob.reduce_glued(pieces, dots, [], circle_nodes)
+    return CanonicalCobordism(src_obj, tgt_obj, terms)
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _deloop_maps(big: ShiftedObject) -> tuple:
+    """(up, dn, phi_up, phi_dn, psi_up, psi_dn) for delooping the last circle
+    of big into q^{+1} and q^{-1} copies; callers must not mutate the maps."""
+    base = big.tangle.drop_circle()
+    up = ShiftedObject(base, big.qshift + 1)
+    dn = ShiftedObject(base, big.qshift - 1)
+    return (
+        up,
+        dn,
+        _birth_death(False, big, up),  # phi_up: plain counit -> q+1
+        _birth_death(True, big, dn),  # phi_dn: dotted counit -> q-1
+        _birth_death(True, up, big),  # psi_up: dotted cap
+        _birth_death(False, dn, big),  # psi_dn: plain cap
+    )
+
+
 def _deloop_one(work: _Work, oid: int) -> tuple[list[tuple], list[tuple]]:
     """Replace object oid (with >= 1 circle) by two circle-less-by-one
     copies; returns (phi rows, psi cols) as (new_id, cobordism) pairs for
     SDR bookkeeping by the caller."""
-    o = work.obj[oid]
-    t = o.tangle
-    base = t.drop_circle()
-    # the dropped circle is the last one (index t.circles - 1)
-    j = t.circles - 1
-    up = ShiftedObject(base, o.qshift + 1)
-    dn = ShiftedObject(base, o.qshift - 1)
+    up, dn, phi_up, phi_dn, psi_up, psi_dn = _deloop_maps(work.obj[oid])
     id_up = work.next_id
     id_dn = work.next_id + 1
     work.next_id += 2
@@ -787,50 +842,6 @@ def _deloop_one(work: _Work, oid: int) -> tuple[list[tuple], list[tuple]]:
     work.order[k][idx : idx + 1] = [id_up, id_dn]
     work.obj[id_up], work.obj[id_dn] = up, dn
     work.deg[id_up], work.deg[id_dn] = k, k
-
-    big = ShiftedObject(t, o.qshift)
-
-    # Build phi/psi honestly: identity product on the shared components,
-    # while the unmatched circle is a (possibly dotted) birth/death disk.
-    def birth_death(dotted: bool, src_obj, tgt_obj):
-        s_t, t_t = src_obj.tangle, tgt_obj.tangle
-        cdx = closure_data(s_t, t_t)
-        pieces = []
-        dots = []
-        owner = {}
-        for arc in s_t.arcs():
-            owner[("s_arc", arc)] = len(pieces)
-            pieces.append(1)
-            dots.append(0)
-        # shared kept circles: annuli between source copy i and target copy i
-        kept = min(s_t.circles, t_t.circles)
-        for jj in range(kept):
-            owner[("pair", jj)] = len(pieces)
-            pieces.append(0)
-            dots.append(0)
-        # the unmatched circle (on source or target) is a disk
-        disk = len(pieces)
-        pieces.append(1)
-        dots.append(1 if dotted else 0)
-        circle_nodes = []
-        for cons in cdx.constituents:
-            nodes = []
-            for side, kind, key in cons:
-                if kind == "arc":
-                    nodes.append(owner[("s_arc", key if side == "s" else key)])
-                else:
-                    if key < kept:
-                        nodes.append(owner[("pair", key)])
-                    else:
-                        nodes.append(disk)
-            circle_nodes.append(nodes)
-        terms = cob.reduce_glued(pieces, dots, [], circle_nodes)
-        return CanonicalCobordism(src_obj, tgt_obj, terms)
-
-    phi_up = birth_death(False, big, up)      # plain counit -> q+1
-    phi_dn = birth_death(True, big, dn)       # dotted counit -> q-1
-    psi_up = birth_death(True, up, big)       # dotted cap
-    psi_dn = birth_death(False, dn, big)      # plain cap
 
     # rewire differentials: d' = phi . d . psi on affected entries; the
     # order slot was already replaced above, so drop edges and maps by hand

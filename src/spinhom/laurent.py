@@ -98,9 +98,18 @@ class LaurentPoly:
             if other == 0:
                 return LaurentPoly()
             return LaurentPoly._raw({e: c * other for e, c in self.coeffs.items()})
+        a, b = self.coeffs, other.coeffs
+        # A single term times anything has no cancellation to collect; the
+        # result lists its exponents in the order the general loop would.
+        if len(a) == 1:
+            (e1, c1), = a.items()
+            return LaurentPoly._raw({e1 + e2: c1 * c2 for e2, c2 in b.items()})
+        if len(b) == 1:
+            (e2, c2), = b.items()
+            return LaurentPoly._raw({e1 + e2: c1 * c2 for e1, c1 in a.items()})
         acc: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 acc[e] = acc.get(e, 0) + c1 * c2
         return LaurentPoly._raw({e: c for e, c in acc.items() if c})

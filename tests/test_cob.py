@@ -1,11 +1,13 @@
 """The cobordism category: canonical forms, relations, duality, eta/saddle."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from helpers import all_square_tangles, tangles_with_boundary
+from spinhom import tl
 from spinhom.cob import (
     AlphaPoly,
     CanonicalCobordism,
@@ -291,3 +293,27 @@ def test_is_identity_iso():
     assert dot_at_point(o, 0).is_identity_iso() is None
     circ = ShiftedObject(FlatTangle.empty(1))
     assert identity_cob(circ).is_identity_iso() is None
+
+
+def test_tangle_and_object_hash_equality():
+    t = FlatTangle.e(0, 3)
+    o = ShiftedObject(t, 2)
+    # the cached hash is the one the generated dataclass hash gave
+    assert hash(t) == hash((t.m, t.n, t.pairs, t.circles))
+    assert hash(o) == hash((o.tangle, o.qshift))
+    t2 = FlatTangle(t.m, t.n, tuple(list(t.pairs)), t.circles)
+    o2 = ShiftedObject(t2, 2)
+    assert t2 is not t and t2 == t and not (t2 != t) and hash(t2) == hash(t)
+    assert o2 is not o and o2 == o and hash(o2) == hash(o)
+    assert {t: 1}[t2] == 1 and {o: 1}[o2] == 1
+    assert FlatTangle(t.m, t.n, t.pairs, 1) != t
+    assert ShiftedObject(t, 1) != o
+    assert ShiftedObject(FlatTangle(t.m, t.n, t.pairs, 1), 2) != o
+    assert FlatTangle(0, 4, (1, 0, 3, 2)) != FlatTangle(2, 2, (1, 0, 3, 2))
+    assert t != tl.Matching(t.m, t.n, t.pairs)
+    assert tl.Matching(t.m, t.n, t.pairs) != t
+    assert o != t and t != o
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        t.circles = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        o.qshift = 0

@@ -16,11 +16,37 @@ from spinhom.cob import (
     degree,
     identity_cob,
     reduce_glued,
+    stack,
+    stack_ob,
+    trace,
+    trace_ob,
 )
 
 _TANGLES = {
     n: [FlatTangle(n, n, m.pairs) for m in tl.all_matchings(n, n)] for n in (1, 2)
 }
+
+
+def _rand_mor(draw, src, tgt):
+    """A cobordism src -> tgt with a Z[alpha] coefficient of alpha-degree up
+    to 2 on each dot assignment (possibly zero)."""
+    cd = closure_data(src.tangle, tgt.tangle)
+    terms = {}
+    for assign in itertools.product((0, 1), repeat=cd.n):
+        coeffs = draw(st.dictionaries(st.integers(0, 2), st.integers(-2, 2), max_size=2))
+        terms[assign] = AlphaPoly(coeffs)
+    return CanonicalCobordism(src, tgt, terms)
+
+
+def _rand_objects(draw, m, n, count):
+    """count shifted tangles in Cob^m_n with 0-1 closed circles each."""
+    objs = []
+    for _ in range(count):
+        t = draw(st.sampled_from(tl.all_matchings(m, n)))
+        circles = draw(st.integers(0, 1))
+        qshift = draw(st.integers(-2, 2))
+        objs.append(ShiftedObject(FlatTangle(m, n, t.pairs, circles), qshift))
+    return objs
 
 
 @st.composite
@@ -34,17 +60,9 @@ def composable_triple(draw):
         circles = draw(st.integers(0, 1))
         objs.append(ShiftedObject(FlatTangle(t.m, t.n, t.pairs, circles), 0))
 
-    def rand_mor(src, tgt):
-        cd = closure_data(src.tangle, tgt.tangle)
-        terms = {}
-        for assign in itertools.product((0, 1), repeat=cd.n):
-            coeffs = draw(st.dictionaries(st.integers(0, 2), st.integers(-2, 2), max_size=2))
-            terms[assign] = AlphaPoly(coeffs)
-        return CanonicalCobordism(src, tgt, terms)
-
-    f = rand_mor(objs[0], objs[1])
-    g = rand_mor(objs[1], objs[2])
-    h = rand_mor(objs[2], objs[3])
+    f = _rand_mor(draw, objs[0], objs[1])
+    g = _rand_mor(draw, objs[1], objs[2])
+    h = _rand_mor(draw, objs[2], objs[3])
     return f, g, h
 
 
@@ -117,3 +135,162 @@ def test_compose_matches_reference_gluing(triple):
     # a second call is answered from the per-structure memo
     assert compose(h, g) == _reference_compose(h, g)
     assert compose(h, g) == _reference_compose(h, g)
+
+
+class _Components:
+    """Union-find over hashable labels; each edge carries a surface piece."""
+
+    def __init__(self):
+        self.parent = {}
+        self.pieces = []  # (label, piece)
+
+    def find(self, x):
+        self.parent.setdefault(x, x)
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def edge(self, x, y, piece):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[ry] = rx
+        self.pieces.append((x, piece))
+
+    def circles(self):
+        """root -> (labels, pieces) of each closed boundary circle."""
+        out = {}
+        for x in list(self.parent):
+            out.setdefault(self.find(x), (set(), set()))[0].add(x)
+        for x, piece in self.pieces:
+            out[self.find(x)][1].add(piece)
+        return out
+
+
+def _glue_reference(patterns, src, tgt, chi, cells, circle_nodes):
+    """Sum of reduce_glued over (piece dots, coefficient) patterns."""
+    out = CanonicalCobordism.zero(src, tgt)
+    for dots, coeff in patterns:
+        reduced = reduce_glued(chi, list(dots), cells, circle_nodes)
+        terms = {assign: poly * coeff for assign, poly in reduced.items()}
+        out = out + CanonicalCobordism(src, tgt, terms)
+    return out
+
+
+def _reference_stack(f: CanonicalCobordism, g: CanonicalCobordism) -> CanonicalCobordism:
+    """f over g, glued term by term through reduce_glued.  The output circles
+    are found by walking the boundary: each arc of the four tangles is an
+    edge between labelled points, and a middle point joins an arc of f's
+    tangle to one of g's on the same side (source or target)."""
+    at, a2t, bt, b2t = f.source.tangle, f.target.tangle, g.source.tangle, g.target.tangle
+    m, k = at.m, at.n
+    cF, cG = closure_data(at, a2t), closure_data(bt, b2t)
+    src = ShiftedObject(stack_ob(at, bt).tangle, f.source.qshift + g.source.qshift)
+    tgt = ShiftedObject(stack_ob(a2t, b2t).tangle, f.target.qshift + g.target.qshift)
+    cOut = closure_data(src.tangle, tgt.tangle)
+
+    def upper(side, p):
+        return ("top", p) if p < m else (side + "mid", p - m)
+
+    def lower(side, p):
+        return (side + "mid", p) if p < k else ("bot", p - k)
+
+    walk = _Components()
+    for tangle, label, arc_piece in (
+        (at, lambda p: upper("s", p), lambda arc: cF.src_arc[arc]),
+        (a2t, lambda p: upper("t", p), lambda arc: cF.tgt_arc[arc]),
+        (bt, lambda p: lower("s", p), lambda arc: cF.n + cG.src_arc[arc]),
+        (b2t, lambda p: lower("t", p), lambda arc: cF.n + cG.tgt_arc[arc]),
+    ):
+        for arc in tangle.arcs():
+            walk.edge(label(arc[0]), label(arc[1]), arc_piece(arc))
+    circle_nodes = [None] * cOut.n
+    loops = {"smid": [], "tmid": []}
+    for labels, pieces in walk.circles().values():
+        outer = [m + p if kind == "bot" else p for kind, p in labels if kind in ("top", "bot")]
+        if outer:
+            circle_nodes[cOut.point[outer[0]]] = sorted(pieces)
+        else:
+            (kind,) = {kind for kind, _ in labels}
+            loops[kind].append((min(p for _, p in labels), sorted(pieces)))
+    # free circles of the stacked objects: a's, then b's, then the new loops
+    # in order of their first middle point (stack_ob's numbering)
+    for out_circ, f_circ, g_circ, mid in (
+        (cOut.src_circ, cF.src_circ, cG.src_circ, "smid"),
+        (cOut.tgt_circ, cF.tgt_circ, cG.tgt_circ, "tmid"),
+    ):
+        free = [[x] for x in f_circ] + [[cF.n + x] for x in g_circ]
+        free += [pieces for _, pieces in sorted(loops[mid])]
+        for j, pieces in enumerate(free):
+            circle_nodes[out_circ[j]] = pieces
+    cells = [(cF.point[m + i], cF.n + cG.point[i], 1) for i in range(k)]
+    patterns = [(af + ag, pf * pg) for af, pf in f.terms.items() for ag, pg in g.terms.items()]
+    return _glue_reference(patterns, src, tgt, [1] * (cF.n + cG.n), cells, circle_nodes)
+
+
+def _reference_trace(f: CanonicalCobordism) -> CanonicalCobordism:
+    """Markov trace glued term by term through reduce_glued: f's closure
+    disks, then one strip per strand joining top point i to bottom point i
+    on both sides.  The traced circles are found by walking the boundary."""
+    at, bt = f.source.tangle, f.target.tangle
+    n = at.n
+    cF = closure_data(at, bt)
+    src = ShiftedObject(trace_ob(at).tangle, f.source.qshift)
+    tgt = ShiftedObject(trace_ob(bt).tangle, f.target.qshift)
+    cOut = closure_data(src.tangle, tgt.tangle)
+    circle_nodes = [None] * cOut.n
+    for tangle, arc_of, circ_of, out_circ in (
+        (at, cF.src_arc, cF.src_circ, cOut.src_circ),
+        (bt, cF.tgt_arc, cF.tgt_circ, cOut.tgt_circ),
+    ):
+        walk = _Components()
+        for arc in tangle.arcs():
+            walk.edge(arc[0], arc[1], arc_of[arc])
+        for i in range(n):
+            walk.edge(i, n + i, cF.n + i)
+        # old circles first, then the loops in order of their smallest point
+        loops = sorted((min(labels), sorted(pieces)) for labels, pieces in walk.circles().values())
+        free = [[x] for x in circ_of] + [pieces for _, pieces in loops]
+        for j, pieces in enumerate(free):
+            circle_nodes[out_circ[j]] = pieces
+    cells = [(cF.point[i], cF.n + i, 1) for i in range(n)]
+    cells += [(cF.point[n + i], cF.n + i, 1) for i in range(n)]
+    patterns = [(af + (0,) * n, pf) for af, pf in f.terms.items()]
+    return _glue_reference(patterns, src, tgt, [1] * (cF.n + n), cells, circle_nodes)
+
+
+@st.composite
+def stackable_pair(draw):
+    """f in Cob^m_k over g in Cob^k_n, on up to three strands, with circles."""
+    parity = draw(st.integers(0, 1))
+    m, k, n = (draw(st.sampled_from([parity, parity + 2])) for _ in range(3))
+    a, a2 = _rand_objects(draw, m, k, 2)
+    b, b2 = _rand_objects(draw, k, n, 2)
+    return _rand_mor(draw, a, a2), _rand_mor(draw, b, b2)
+
+
+@given(stackable_pair())
+@settings(max_examples=80, deadline=None)
+def test_stack_matches_reference_gluing(pair):
+    f, g = pair
+    expected = _reference_stack(f, g)
+    assert stack(f, g) == expected
+    # stack.__wrapped__ skips the morphism-level cache, so this call is
+    # answered from the memoised glue structure and its per-pattern terms
+    assert stack.__wrapped__(f, g) == expected
+
+
+@st.composite
+def traceable(draw):
+    """A square cobordism on up to three strands, with circles."""
+    n = draw(st.integers(1, 3))
+    a, b = _rand_objects(draw, n, n, 2)
+    return _rand_mor(draw, a, b)
+
+
+@given(traceable())
+@settings(max_examples=80, deadline=None)
+def test_trace_matches_reference_gluing(f):
+    expected = _reference_trace(f)
+    assert trace(f) == expected
+    # a second call is answered from the memoised glue structure
+    assert trace(f) == expected

@@ -414,3 +414,53 @@ def test_planar_compose_dispatcher():
     assert out.graded_objects() == A.graded_objects()
     tr = planar_compose("trace", identity_complex(2))
     assert tr.objects(0)[0].tangle.circles == 2
+
+
+def _circled_complex(rng):
+    """A random complex over BN^2_2 capped above and below by e_0, so that
+    some of its objects carry closed circles, often several."""
+    while True:
+        C = random_complex(rng, 2, 2, Window(-3, 2), pieces=3)
+        C, _ = stack_complexes(from_tangle(E), C)
+        C, _ = stack_complexes(C, from_tangle(E))
+        if any(o.tangle.circles for objs in C.groups.values() for o in objs):
+            return C
+
+
+def test_deloop_maps_shared_and_pure():
+    from spinhom import complexes as cx
+
+    rng = random.Random(31)
+    for _ in range(4):
+        C = _circled_complex(rng)
+        S1, eq1 = simplify(C, want_equivalence=True)
+        info = cx._deloop_maps.cache_info()
+        S2, eq2 = simplify(C, want_equivalence=True)
+        after = cx._deloop_maps.cache_info()
+        # every delooping of the second call is served from the memo
+        assert after.misses == info.misses and after.hits > info.hits
+        assert S1 == S2 and eq1 == eq2
+        for S, eq in ((S1, eq1), (S2, eq2)):
+            S.validate()
+            assert compose_maps(eq.r, eq.i).mats == ChainMap.identity(S).mats
+            lhs = ChainMap.identity(C) - compose_maps(eq.i, eq.r)
+            assert lhs.mats == commutator_with_d(eq.h).mats
+            assert compose_maps(eq.r, eq.h).is_zero()
+            assert compose_maps(eq.h, eq.i).is_zero()
+            assert compose_maps(eq.h, eq.h).is_zero()
+        # no caller mutated the shared maps: they still equal a fresh build
+        todo = [o for objs in C.groups.values() for o in objs if o.tangle.circles]
+        while todo:
+            big = todo.pop()
+            up, dn, *maps = cx._deloop_maps(big)
+            fresh = [
+                cx._birth_death(False, big, up),
+                cx._birth_death(True, big, dn),
+                cx._birth_death(True, up, big),
+                cx._birth_death(False, dn, big),
+            ]
+            assert [(f.source, f.target, f.terms) for f in maps] == [
+                (f.source, f.target, f.terms) for f in fresh
+            ]
+            if up.tangle.circles:
+                todo += [up, dn]

@@ -37,6 +37,38 @@ def test_poly_arithmetic():
     assert (a ** 3) == a * a * a
 
 
+# Biased toward the products the cobordism layer makes: single terms,
+# negative exponents and unit coefficients.
+_exp = st.integers(-6, 6)
+_coeff = st.one_of(st.sampled_from([1, -1]), st.integers(-7, 7))
+product_factor = st.one_of(
+    st.builds(LaurentPoly.monomial, _exp, st.sampled_from([1, -1])),
+    st.dictionaries(_exp, _coeff, max_size=1).map(LaurentPoly),
+    st.dictionaries(_exp, _coeff, max_size=5).map(LaurentPoly),
+)
+
+
+def _schoolbook(a: LaurentPoly, b: LaurentPoly) -> dict[int, int]:
+    acc: dict[int, int] = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in acc.items() if c}
+
+
+@given(product_factor, product_factor)
+@settings(max_examples=300, deadline=None)
+def test_poly_mul_matches_schoolbook(a, b):
+    expected = _schoolbook(a, b)
+    prod = a * b
+    assert prod.coeffs == expected
+    # exponents are listed in the schoolbook order too, so code that
+    # iterates a product's coefficients sees one order whichever path ran
+    assert list(prod.coeffs) == list(expected)
+    assert all(prod.coeffs.values())
+    assert (b * a).coeffs == expected
+
+
 @given(small_poly, small_poly, small_poly)
 @settings(max_examples=150, deadline=None)
 def test_poly_ring_axioms(a, b, c):
