@@ -12,7 +12,9 @@ degree only.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from math import gcd
 
 from .errors import IntegrityError
 from .laurent import LaurentPoly
@@ -184,30 +186,56 @@ def smith_normal_form(M: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix]:
 
 
 def rank_over_q(M: IntMatrix) -> int:
-    """Rank over Q by fraction-free Gaussian elimination (Bareiss)."""
-    A = [row[:] for row in M.dense()]
-    rows, cols = M.rows, M.cols
+    """Rank over Q by sparse fraction-free elimination.
+
+    Rows are dicts {col: value}.  Each step pivots on an entry of least
+    absolute value (in the shortest such row) and replaces every other row
+    meeting the pivot column by p*row - a*pivot_row, with the multipliers
+    divided by gcd(p, a), and then by its content.  Neither step changes the
+    row space over Q, so the rank stays exact; the content division limits
+    coefficient growth.
+    """
+    by_row: dict[int, dict[int, int]] = {}
+    for (r, c), v in M.entries.items():
+        if v:
+            by_row.setdefault(r, {})[c] = v
+    active = list(by_row.values())
     rank = 0
-    prev = 1
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if A[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        A[r], A[pr] = A[pr], A[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                A[i][j] = (A[r][c] * A[i][j] - A[i][c] * A[r][j]) // prev
-            A[i][c] = 0
-        prev = A[r][c]
-        r += 1
+    while active:
+        best = None
+        for i, row in enumerate(active):
+            key = (min(map(abs, row.values())), len(row))
+            if best is None or key < best:
+                best, at = key, i
+                if key == (1, 1):
+                    break
+        pivot_row = active.pop(at)
+        least = best[0]
+        c, p = next((c, v) for c, v in pivot_row.items() if abs(v) == least)
         rank += 1
-        if r == rows:
-            break
+        rest = []
+        for row in active:
+            a = row.get(c)
+            if a is not None:
+                if a % p:
+                    g = gcd(p, a)
+                    s, m = p // g, a // g
+                    row = {k: s * v for k, v in row.items()}
+                else:
+                    m = a // p
+                for k, v in pivot_row.items():
+                    w = row.get(k, 0) - m * v
+                    if w:
+                        row[k] = w
+                    else:
+                        del row[k]
+                if not row:
+                    continue
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {k: v // g for k, v in row.items()}
+            rest.append(row)
+        active = rest
     return rank
 
 
@@ -223,11 +251,22 @@ def solve_integer(M: IntMatrix, b: list[int]) -> list[int] | None:
             y[i] = Ub[i] // factors[i]
         elif Ub[i] != 0:
             return None
-    return [sum(V[(r, c)] * y[c] for c in range(M.cols)) for r in range(M.rows * 0 + M.cols)]
+    return [sum(V[(r, c)] * y[c] for c in range(M.cols)) for r in range(M.cols)]
 
 
 # ---------------------------------------------------------------------------
 # Module complexes
+
+
+def _positions_by_q(basis: list[tuple[object, int]]) -> tuple[list[int], Counter]:
+    """Position of each basis element among those of its q-degree, and the
+    number of elements of each q-degree."""
+    seen: Counter = Counter()
+    pos = []
+    for _, q in basis:
+        pos.append(seen[q])
+        seen[q] += 1
+    return pos, seen
 
 
 @dataclass
@@ -271,30 +310,38 @@ class ModuleComplex:
             if k + 1 not in self.diff:
                 continue
             d0, d1 = self.diff[k], self.diff[k + 1]
-            by_col: dict[int, list[tuple[int, AlphaPoly]]] = {}
+            by_col: dict[int, list[tuple[int, dict[int, int]]]] = {}
             for (r, c), v in d1.items():
-                by_col.setdefault(c, []).append((r, v))
-            acc: dict[tuple[int, int], AlphaPoly] = {}
+                by_col.setdefault(c, []).append((r, v.coeffs))
+            # (row, col, alpha exponent) -> integer coefficient of d1.d0
+            acc: dict[tuple[int, int, int], int] = {}
             for (r, c), v in d0.items():
+                terms = v.coeffs.items()
                 for r2, w in by_col.get(r, ()):
-                    acc[(r2, c)] = acc.get((r2, c), AlphaPoly()) + w * v
-            if any(p for p in acc.values()):
+                    for e1, c1 in w.items():
+                        for e2, c2 in terms:
+                            key = (r2, c, e1 + e2)
+                            acc[key] = acc.get(key, 0) + c1 * c2
+            if any(acc.values()):
                 raise IntegrityError(f"d.d != 0 between degrees {k} and {k + 2}")
 
-    def matrix_at_alpha0(self, k: int, q: int) -> tuple[IntMatrix, list[int], list[int]]:
-        """Integer matrix of d restricted to q-degree q at alpha=0.
+    def blocks_at_alpha0(self, k: int) -> dict[int, IntMatrix]:
+        """d: C^k -> C^{k+1} at alpha=0, split into its q-degree blocks.
 
-        Returns (matrix, column basis indices, row basis indices)."""
-        cols = [i for i, (_, qq) in enumerate(self.gens.get(k, [])) if qq == q]
-        rows = [i for i, (_, qq) in enumerate(self.gens.get(k + 1, [])) if qq == q]
-        col_pos = {i: p for p, i in enumerate(cols)}
-        row_pos = {i: p for p, i in enumerate(rows)}
-        entries = {}
+        One scan of the differential.  Block q has the basis elements of
+        q-degree q as columns and rows, in basis order; blocks without a
+        nonzero entry are left out.  At alpha=0 a q-homogeneous d (see
+        check) only connects equal q-degrees."""
+        src, tgt = self.gens.get(k, []), self.gens.get(k + 1, [])
+        col_pos, n_cols = _positions_by_q(src)
+        row_pos, n_rows = _positions_by_q(tgt)
+        entries: dict[int, dict[tuple[int, int], int]] = {}
         for (r, c), poly in self.diff.get(k, {}).items():
-            v = poly.coeffs.get(0, 0)
-            if v and c in col_pos and r in row_pos:
-                entries[(row_pos[r], col_pos[c])] = v
-        return IntMatrix(len(rows), len(cols), entries), cols, rows
+            v = poly.coeffs.get(0)
+            if v:
+                q = src[c][1]
+                entries.setdefault(q, {})[(row_pos[r], col_pos[c])] = v
+        return {q: IntMatrix(n_rows[q], n_cols[q], e) for q, e in entries.items()}
 
     def matrix_at_alpha1(self, k: int) -> IntMatrix:
         """Full integer matrix of d at alpha=1 (q-grading collapsed)."""
@@ -356,26 +403,27 @@ def homology_table(C: ModuleComplex, specialization: str = "alpha0") -> Homology
     unreliable: set = set()
     lo, hi = C.reliable
     if specialization == "alpha0":
+        # One Smith normal form per q-block of each d^k: its factors give
+        # both the rank leaving C^k and the image entering C^{k+1}.
+        factors = {
+            k: {q: smith_normal_form(M)[0] for q, M in C.blocks_at_alpha0(k).items()}
+            for k in C.diff
+        }
         for k in degrees:
-            for q in sorted(set(C.qdegs(k))):
-                n_gens = sum(1 for qq in C.qdegs(k) if qq == q)
-                d_out, _, _ = C.matrix_at_alpha0(k, q)
-                d_in, _, _ = C.matrix_at_alpha0(k - 1, q)
-                rank_out = rank_over_q(d_out)
-                factors, _, _ = smith_normal_form(d_in)
-                rank_in = len(factors)
-                free = n_gens - rank_out - rank_in
-                tors = tuple(f for f in factors if f not in (0, 1))
+            f_out, f_in = factors.get(k, {}), factors.get(k - 1, {})
+            counts = Counter(C.qdegs(k))
+            for q in sorted(counts):
+                entering = f_in.get(q, ())
+                free = counts[q] - len(f_out.get(q, ())) - len(entering)
+                tors = tuple(f for f in entering if f not in (0, 1))
                 if free or tors:
                     out[(k, q)] = (free, tors)
                     if not (lo <= k <= hi):
                         unreliable.add((k, q))
     elif specialization == "alpha1":
+        ranks = {k: rank_over_q(C.matrix_at_alpha1(k)) for k in C.diff}
         for k in degrees:
-            n_gens = len(C.gens.get(k, []))
-            rank_out = rank_over_q(C.matrix_at_alpha1(k))
-            rank_in = rank_over_q(C.matrix_at_alpha1(k - 1))
-            free = n_gens - rank_out - rank_in
+            free = len(C.gens.get(k, [])) - ranks.get(k, 0) - ranks.get(k - 1, 0)
             if free:
                 out[(k, None)] = (free, ())
                 if not (lo <= k <= hi):

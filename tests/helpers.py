@@ -127,3 +127,191 @@ def tables_equal(t1, t2, lo=float("-inf"), hi=float("inf")) -> bool:
             if t1.entries.get(kq, (0, ())) != t2.entries.get(kq, (0, ())):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Reference linear algebra for the homology layer: the dense algorithms that
+# spinhom.homology replaced, kept here as independent oracles.
+
+
+def dense_rank_over_q(M) -> int:
+    """Rank over Q by dense fraction-free Gaussian elimination (Bareiss)."""
+    A = [row[:] for row in M.dense()]
+    rows, cols = M.rows, M.cols
+    rank = 0
+    prev = 1
+    r = 0
+    for c in range(cols):
+        pr = None
+        for i in range(r, rows):
+            if A[i][c]:
+                pr = i
+                break
+        if pr is None:
+            continue
+        A[r], A[pr] = A[pr], A[r]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                A[i][j] = (A[r][c] * A[i][j] - A[i][c] * A[r][j]) // prev
+            A[i][c] = 0
+        prev = A[r][c]
+        r += 1
+        rank += 1
+        if r == rows:
+            break
+    return rank
+
+
+def reference_dd_is_zero(C) -> bool:
+    """d.d = 0 over Z[alpha], summed as LaurentPoly objects."""
+    from spinhom.laurent import LaurentPoly
+
+    for k in sorted(C.diff):
+        if k + 1 not in C.diff:
+            continue
+        d0, d1 = C.diff[k], C.diff[k + 1]
+        acc: dict[tuple[int, int], LaurentPoly] = {}
+        for (r, c), v in d0.items():
+            for (r2, c2), w in d1.items():
+                if c2 == r:
+                    acc[(r2, c)] = acc.get((r2, c), LaurentPoly()) + w * v
+        if any(p for p in acc.values()):
+            return False
+    return True
+
+
+def reference_matrix_at_alpha0(C, k: int, q: int):
+    """Integer matrix of d: C^k -> C^{k+1} restricted to q-degree q at
+    alpha=0, built by scanning the whole differential for this q."""
+    from spinhom.homology import IntMatrix
+
+    cols = [i for i, (_, qq) in enumerate(C.gens.get(k, [])) if qq == q]
+    rows = [i for i, (_, qq) in enumerate(C.gens.get(k + 1, [])) if qq == q]
+    col_pos = {i: p for p, i in enumerate(cols)}
+    row_pos = {i: p for p, i in enumerate(rows)}
+    entries = {}
+    for (r, c), poly in C.diff.get(k, {}).items():
+        v = poly.coeffs.get(0, 0)
+        if v and c in col_pos and r in row_pos:
+            entries[(row_pos[r], col_pos[c])] = v
+    return IntMatrix(len(rows), len(cols), entries)
+
+
+def reference_homology_table(C, specialization: str = "alpha0"):
+    """The per-bidegree homology table: every bidegree ranks its outgoing
+    block and takes the Smith normal form of its incoming block afresh."""
+    from spinhom.homology import HomologyTable, smith_normal_form
+
+    out = {}
+    unreliable = set()
+    lo, hi = C.reliable
+    for k in C.degrees():
+        if specialization == "alpha0":
+            for q in sorted(set(C.qdegs(k))):
+                n_gens = sum(1 for qq in C.qdegs(k) if qq == q)
+                rank_out = dense_rank_over_q(reference_matrix_at_alpha0(C, k, q))
+                factors, _, _ = smith_normal_form(reference_matrix_at_alpha0(C, k - 1, q))
+                free = n_gens - rank_out - len(factors)
+                tors = tuple(f for f in factors if f not in (0, 1))
+                if free or tors:
+                    out[(k, q)] = (free, tors)
+                    if not (lo <= k <= hi):
+                        unreliable.add((k, q))
+        else:
+            n_gens = len(C.gens.get(k, []))
+            free = (n_gens - dense_rank_over_q(C.matrix_at_alpha1(k))
+                    - dense_rank_over_q(C.matrix_at_alpha1(k - 1)))
+            if free:
+                out[(k, None)] = (free, ())
+                if not (lo <= k <= hi):
+                    unreliable.add((k, None))
+    return HomologyTable(specialization, out, unreliable)
+
+
+def random_module_complex(rng: random.Random):
+    """A random q-homogeneous ModuleComplex with d.d = 0 over Z[alpha].
+
+    A direct sum of isolated generators, two-term pieces x --c alpha^t--> y
+    and Koszul squares x --(a, b alpha^t)--> (y1, y2) --(b alpha^t, -a)--> z
+    (torsion at alpha=0 when |a| > 1), at random homological and q-degrees,
+    so degrees can have gaps and a q-degree can be missing next door.  The
+    basis is then changed by random elementary q-homogeneous operations and
+    shuffled within each degree, which mixes the pieces."""
+    from spinhom.homology import ModuleComplex
+    from spinhom.laurent import LaurentPoly
+
+    gens: dict[int, list[list]] = {}
+    diff: dict[int, dict[tuple[int, int], dict[int, int]]] = {}
+
+    def gen(k: int, q: int) -> int:
+        gens.setdefault(k, []).append([("g", k, len(gens.get(k, []))), q])
+        return len(gens[k]) - 1
+
+    def entry(k: int, r: int, c: int, coeff: int, t: int) -> None:
+        diff.setdefault(k, {})[(r, c)] = {t: coeff}
+
+    coeffs = [1, -1, 2, -2, 3, 6]
+    for _ in range(rng.randint(0, 7)):
+        k = rng.randint(-3, 3)
+        q = 2 * rng.randint(-3, 3)
+        kind = rng.random()
+        if kind < 0.25:
+            gen(k, q)
+        elif kind < 0.7:
+            t = rng.choice([0, 0, 1, 2])
+            x, y = gen(k, q), gen(k + 1, q - 4 * t)
+            entry(k, y, x, rng.choice(coeffs), t)
+        else:
+            t = rng.choice([0, 1])
+            a, b = rng.choice(coeffs), rng.choice(coeffs)
+            x, y1, y2 = gen(k, q), gen(k + 1, q), gen(k + 1, q - 4 * t)
+            z = gen(k + 2, q - 4 * t)
+            entry(k, y1, x, a, 0)
+            entry(k, y2, x, b, t)
+            entry(k + 1, z, y1, b, t)
+            entry(k + 1, z, y2, -a, 0)
+
+    def change_basis(m: int, i: int, j: int, lam: int, t: int) -> None:
+        # E = 1 + lam alpha^t E_ij on C^m: d^{m-1} := E d^{m-1} and
+        # d^m := d^m E^-1.  q-homogeneous when q_j = q_i + 4t.
+        for (r, c), p in list(diff.get(m - 1, {}).items()):
+            if r == j:
+                tgt = diff[m - 1].setdefault((i, c), {})
+                for e, v in p.items():
+                    tgt[e + t] = tgt.get(e + t, 0) + lam * v
+        for (r, c), p in list(diff.get(m, {}).items()):
+            if c == i:
+                tgt = diff[m].setdefault((r, j), {})
+                for e, v in p.items():
+                    tgt[e + t] = tgt.get(e + t, 0) - lam * v
+
+    for _ in range(rng.randint(0, 8)):
+        if not gens:
+            break
+        m = rng.choice(sorted(gens))
+        if len(gens[m]) < 2:
+            continue
+        i, j = rng.sample(range(len(gens[m])), 2)
+        dq = gens[m][j][1] - gens[m][i][1]
+        if dq >= 0 and dq % 4 == 0:
+            change_basis(m, i, j, rng.choice([1, -1, 2]), dq // 4)
+
+    out_gens = {}
+    perm = {}
+    for k, gs in gens.items():
+        order = list(range(len(gs)))
+        rng.shuffle(order)
+        perm[k] = {old: new for new, old in enumerate(order)}
+        out_gens[k] = [tuple(gs[old]) for old in order]
+    out_diff = {}
+    for k, mat in diff.items():
+        entries = {}
+        for (r, c), p in mat.items():
+            poly = LaurentPoly(p)
+            if poly:
+                entries[(perm[k + 1][r], perm[k][c])] = poly
+        if entries or rng.random() < 0.5:
+            out_diff[k] = entries
+    lo = rng.choice([float("-inf"), -1, 0])
+    hi = rng.choice([float("inf"), 1, 2])
+    return ModuleComplex(out_gens, out_diff, (lo, hi))
