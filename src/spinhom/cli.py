@@ -333,30 +333,36 @@ def _max_label(e: ex.NetworkExpr) -> int:
     return 0
 
 
-def _closed_module(e: ex.NetworkExpr, window: Window, rewrite: bool):
+def _projectors(args):
+    """The projector source of every pipeline: the persistent cache."""
+    return lambda n, w: cached_projector(n, w, args.cache_dir)
+
+
+def _closed_module(e: ex.NetworkExpr, window: Window, rewrite: bool, projector):
     if not ex.is_closed(e):
         raise ArityError("homology/euler need a closed network")
     e2 = pj.rewrite_network(e) if rewrite else pj.expand_vertices(e)
-    C = pj.instantiate(e2, window, reduce=True)
+    C = pj.instantiate(e2, window, reduce=True, projector=projector)
     S, _ = cx.simplify(C)
     return cx.tautological(S)
 
 
-def _homology_of_query(text: str, window: Window, spec: str, rewrite: bool):
+def _homology_of_query(text: str, window: Window, spec: str, rewrite: bool, projector):
     kind, args = parse_query(text)
     if kind == "hom":
-        M = pj.hom_of_networks(args[0], args[1], window, rewrite=rewrite)
+        M = pj.hom_of_networks(args[0], args[1], window, rewrite, projector)
     else:
-        M = _closed_module(args[0], window, rewrite)
+        M = _closed_module(args[0], window, rewrite, projector)
     return homology_table(M, spec), M
 
 
 def cmd_homology(args) -> dict:
     window = Window(-args.window, 0)
-    T, M = _homology_of_query(args.expr, window, args.spec, rewrite=True)
+    projector = _projectors(args)
+    T, M = _homology_of_query(args.expr, window, args.spec, True, projector)
     data = {"query": args.expr, "window": args.window, "table": _table_data(T)}
     if args.verify:
-        T2, M2 = _homology_of_query(args.expr, window, args.spec, rewrite=False)
+        T2, M2 = _homology_of_query(args.expr, window, args.spec, False, projector)
         lo1, hi1 = M.reliable
         lo2, hi2 = M2.reliable
         lo, hi = max(lo1, lo2), min(hi1, hi2)
@@ -392,7 +398,8 @@ def cmd_homology(args) -> dict:
 def cmd_hom(args) -> dict:
     window = Window(-args.window, 0)
     M = pj.hom_of_networks(
-        parse_network(args.source), parse_network(args.target), window
+        parse_network(args.source), parse_network(args.target), window,
+        projector=_projectors(args),
     )
     T = homology_table(M, args.spec)
     return {
@@ -406,10 +413,10 @@ def cmd_euler(args) -> dict:
     window = Window(-args.window, 0)
     kind, qargs = parse_query(args.expr)
     if kind == "hom":
-        M = pj.hom_of_networks(qargs[0], qargs[1], window)
+        M = pj.hom_of_networks(qargs[0], qargs[1], window, projector=_projectors(args))
         decat = None
     else:
-        M = _closed_module(qargs[0], window, rewrite=True)
+        M = _closed_module(qargs[0], window, True, _projectors(args))
         decat = tl.evaluate_network(qargs[0])
     chi = euler_characteristic(M)
     data = {
@@ -549,9 +556,6 @@ EXIT_CODES = [
 def main(argv: list[str] | None = None) -> int:
     ap = build_arg_parser()
     args = ap.parse_args(argv)
-    pj.set_projector_provider(
-        lambda n, w: cached_projector(n, w, getattr(args, "cache_dir", None))
-    )
     try:
         data = args.func(args)
     except SpinhomError as err:

@@ -1,7 +1,12 @@
 """The Bar-Natan cobordism category of flat tangles and dotted cobordisms.
 
 Objects are flat tangles: planar matchings of m top and n bottom points
-(same index convention as spinhom.tl) plus a count of closed circles.
+plus a count of closed circles.  Point convention: indices 0..m-1 run along
+the top from left to right, indices m..m+n-1 along the bottom from left to
+right.  Walking the boundary circularly (top left to right, then bottom
+right to left) a planar matching is exactly a balanced bracket sequence,
+which is checked by a stack scan.  The Temperley-Lieb oracle (spinhom.tl)
+keys its elements by circle-free flat tangles.
 Morphisms are kept in canonical form throughout: neck-cutting and the
 sphere/handle relations reduce any dotted cobordism to a Z[alpha]-linear
 combination of unions of disks, one disk per closure circle of the glued
@@ -153,6 +158,9 @@ class FlatTangle:
         for i, j in enumerate(self.pairs):
             new[remap(i)] = remap(j)
         return FlatTangle(m, n, tuple(new), self.circles)
+
+    def through_strands(self) -> int:
+        return sum(1 for i in range(self.m) if self.pairs[i] >= self.m)
 
     def drop_circle(self) -> "FlatTangle":
         if self.circles == 0:
@@ -740,13 +748,18 @@ class StackedObject:
     circ_prov: tuple  # per result circle: ("a", j) | ("b", j) | ("new", tuple of ("a"/"b", Arc))
 
 
-@functools.lru_cache(maxsize=1 << 14)
-def stack_ob(a: FlatTangle, b: FlatTangle) -> StackedObject:
-    """Vertical stacking: a over b, gluing a's bottom to b's top."""
+def stack_walk(a: FlatTangle, b: FlatTangle) -> tuple[tuple[int, ...], dict, list]:
+    """Walk a over b, gluing a's bottom to b's top.
+
+    Returns the result's pairs, the provenance of each result arc (Arc ->
+    list of ("a"/"b", Arc)) and the members of each loop closed in the middle
+    (tuples of ("a"/"b", Arc)).  The circles of a and b are not touched.
+    """
     if a.n != b.m:
         raise DimensionError(f"cannot stack ({a.m},{a.n}) over ({b.m},{b.n})")
     k = a.n
     m, n = a.m, b.n
+    ap, bp = a.pairs, b.pairs
     result = [-1] * (m + n)
     seen_mid = [False] * k
     arc_prov: dict = {}
@@ -755,20 +768,16 @@ def stack_ob(a: FlatTangle, b: FlatTangle) -> StackedObject:
         """From free endpoint v (diagram-local index) to the other end."""
         trail = []
         while True:
-            diag = a if side == "a" else b
-            w = diag.pairs[v]
-            lo, hi = (v, w) if v < w else (w, v)
-            key = (side, (lo, hi))
-            if key not in trail:
-                trail.append(key)
-            if side == "a" and w < m:
-                return w, trail
-            if side == "b" and w >= k:
-                return m + (w - k), trail
+            w = (ap if side == "a" else bp)[v]
+            trail.append((side, (v, w) if v < w else (w, v)))
             if side == "a":
+                if w < m:
+                    return w, trail
                 seen_mid[w - m] = True
                 side, v = "b", w - m
             else:
+                if w >= k:
+                    return m + (w - k), trail
                 seen_mid[w] = True
                 side, v = "a", m + w
 
@@ -778,23 +787,17 @@ def stack_ob(a: FlatTangle, b: FlatTangle) -> StackedObject:
             continue
         other, trail = follow(side, local)
         result[res], result[other] = other, res
-        arc = (res, other) if res < other else (other, res)
-        arc_prov[arc] = trail
+        arc_prov[(res, other) if res < other else (other, res)] = trail
 
-    circ_prov: list = [("a", j) for j in range(a.circles)]
-    circ_prov += [("b", j) for j in range(b.circles)]
-    loops = 0
+    loops: list = []
     for i in range(k):
         if seen_mid[i]:
             continue
-        loops += 1
         members: list = []
         side, v = "a", m + i
         while True:
-            diag = a if side == "a" else b
-            w = diag.pairs[v]
-            lo, hi = (v, w) if v < w else (w, v)
-            members.append((side, (lo, hi)))
+            w = (ap if side == "a" else bp)[v]
+            members.append((side, (v, w) if v < w else (w, v)))
             if side == "a":
                 seen_mid[w - m] = True
                 side, v = "b", w - m
@@ -803,8 +806,18 @@ def stack_ob(a: FlatTangle, b: FlatTangle) -> StackedObject:
                 side, v = "a", m + w
             if (side, v) == ("a", m + i):
                 break
-        circ_prov.append(("new", tuple(members)))
-    tangle = FlatTangle(m, n, tuple(result), a.circles + b.circles + loops)
+        loops.append(tuple(members))
+    return tuple(result), arc_prov, loops
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def stack_ob(a: FlatTangle, b: FlatTangle) -> StackedObject:
+    """Vertical stacking: a over b, gluing a's bottom to b's top."""
+    pairs, arc_prov, loops = stack_walk(a, b)
+    circ_prov: list = [("a", j) for j in range(a.circles)]
+    circ_prov += [("b", j) for j in range(b.circles)]
+    circ_prov += [("new", members) for members in loops]
+    tangle = FlatTangle(a.m, b.n, pairs, a.circles + b.circles + len(loops))
     return StackedObject(tangle, arc_prov, tuple(circ_prov))
 
 

@@ -94,20 +94,11 @@ class ChainComplex:
     def min_degree(self) -> float:
         return min(self.groups) if self.groups else POS_INF
 
-    def total_objects(self) -> int:
-        return sum(len(v) for v in self.groups.values())
-
     def graded_objects(self) -> dict[int, list[tuple]]:
         """Canonical multiset description of the chain groups."""
         return {
             k: sorted(o.sort_key() for o in objs) for k, objs in self.groups.items()
         }
-
-    def support_in(self, lo: float, hi: float) -> bool:
-        return all(lo <= k <= hi for k in self.groups)
-
-    def is_empty_in(self, lo: float, hi: float) -> bool:
-        return all(not (lo <= k <= hi) for k in self.groups)
 
     def validate(self) -> None:
         """Check consistency: endpoints, q-degree-0 homogeneity, d.d = 0."""
@@ -130,9 +121,6 @@ class ChainComplex:
             for rc, f in prod.items():
                 if not f.is_zero():
                     raise IntegrityError(f"d.d != 0 at degree {k}, entry {rc}")
-
-    def shifted_window(self, window: Window) -> "ChainComplex":
-        return replace(self, window=window)
 
 
 def _mat_mul(g_mat: Matrix, f_mat: Matrix) -> Matrix:
@@ -250,18 +238,6 @@ class ChainMap:
             {k: {rc: f.scale(c) for rc, f in mat.items()} for k, mat in self.mats.items()},
         )
 
-    def same_mats(self, other: "ChainMap") -> bool:
-        return self.mats == other.mats
-
-    def restrict_degrees(self, lo: float, hi: float) -> "ChainMap":
-        return ChainMap(
-            self.source,
-            self.target,
-            self.hdeg,
-            self.qdeg,
-            {k: m for k, m in self.mats.items() if lo <= k <= hi},
-        )
-
 
 def compose_maps(g: ChainMap, f: ChainMap) -> ChainMap:
     """Plain composition g.f (no Koszul sign)."""
@@ -321,13 +297,6 @@ class Equivalence:
     def identity(C: ChainComplex) -> "Equivalence":
         one = ChainMap.identity(C)
         return Equivalence(C, C, one, one, ChainMap.zero(C, C, -1, 0))
-
-    def then(self, nxt: "Equivalence") -> "Equivalence":
-        """Compose with a further reduction of self.small."""
-        r = compose_maps(nxt.r, self.r)
-        i = compose_maps(self.i, nxt.i)
-        h = self.h + compose_maps(self.i, compose_maps(nxt.h, self.r))
-        return Equivalence(self.big, nxt.small, r, i, h)
 
 
 # ---------------------------------------------------------------------------
@@ -683,9 +652,17 @@ def reflect_y_complex(A: ChainComplex) -> ChainComplex:
 
 
 class _Work:
-    """Mutable id-based copy of a complex used by simplify."""
+    """The elimination engine: a mutable id-based copy of a complex, reduced
+    in place by its two steps, delooping (deloop) and Gaussian elimination
+    (eliminate).  With track=True it also keeps the running strong
+    deformation retraction from the original complex, which finish returns.
+    """
 
-    def __init__(self, C: ChainComplex, protected: set[tuple[int, int]] | None = None):
+    def __init__(
+        self, C: ChainComplex, protected: set[tuple[int, int]] | None = None,
+        track: bool = False,
+    ):
+        self.source = C
         self.m, self.n = C.m, C.n
         self.window = C.window
         self.mode = C.mode
@@ -718,6 +695,7 @@ class _Work:
                 tgt = self.order[k + 1][r]
                 self.out_edges.setdefault(src, {})[tgt] = f
                 self.in_edges.setdefault(tgt, {})[src] = f
+        self.tracker = _SDRTracker(self) if track else None
 
     def set_edge(self, src: int, tgt: int, f: CanonicalCobordism) -> None:
         if f.is_zero():
@@ -741,8 +719,61 @@ class _Work:
         self.order[self.deg[oid]].remove(oid)
         del self.obj[oid], self.deg[oid]
 
-    def to_complex(self, sort_objects: bool = True) -> tuple[ChainComplex, dict[int, tuple[int, int]]]:
-        """Rebuild an immutable complex; returns also id -> (degree, pos)."""
+    def circled(self) -> list[int]:
+        """Unprotected objects with circles, in (degree, position) order."""
+        return [
+            oid
+            for k in sorted(self.order)
+            for oid in self.order[k]
+            if self.obj[oid].tangle.circles > 0 and oid not in self.protected
+        ]
+
+    def deloop(self, oid: int) -> None:
+        """Replace object oid (with >= 1 circle) by its q^{+1} and q^{-1}
+        copies with one circle fewer; d' = phi . d . psi on its entries."""
+        up, dn, phi_up, phi_dn, psi_up, psi_dn = _deloop_maps(self.obj[oid])
+        id_up, id_dn = self.next_id, self.next_id + 1
+        self.next_id += 2
+        k = self.deg[oid]
+        ids = self.order[k]
+        idx = ids.index(oid)
+        outs = self.out_edges.get(oid, {})
+        ins = self.in_edges.get(oid, {})
+        self.remove_object(oid)
+        ids[idx:idx] = [id_up, id_dn]
+        self.obj[id_up], self.obj[id_dn] = up, dn
+        self.deg[id_up], self.deg[id_dn] = k, k
+        for tgt, f in outs.items():
+            self.add_edge(id_up, tgt, cob.compose(f, psi_up))
+            self.add_edge(id_dn, tgt, cob.compose(f, psi_dn))
+        for src, f in ins.items():
+            self.add_edge(src, id_up, cob.compose(phi_up, f))
+            self.add_edge(src, id_dn, cob.compose(phi_dn, f))
+        if self.tracker is not None:
+            self.tracker.deloop_step(
+                oid, [(id_up, phi_up), (id_dn, phi_dn)], [(id_up, psi_up), (id_dn, psi_dn)]
+            )
+
+    def eliminate(self, src: int, tgt: int, sign: int) -> None:
+        """Gaussian elimination of the isomorphism src -> tgt (sign times an
+        identity): both objects go, and every path u -> tgt, src -> v
+        leaves the correction -(v <- src) . inv . (tgt <- u)."""
+        inv = cob.identity_cob(self.obj[src]).scale(sign)
+        ins_alpha = {u: f for u, f in self.in_edges.get(tgt, {}).items() if u != src}
+        outs_beta = {v: f for v, f in self.out_edges.get(src, {}).items() if v != tgt}
+        if self.tracker is not None:
+            r_corr = [(v, cob.compose(f, inv).scale(-1)) for v, f in outs_beta.items()]
+            i_corr = [(u, cob.compose(inv, f).scale(-1)) for u, f in ins_alpha.items()]
+            self.tracker.gauss_step(src, tgt, inv, r_corr, i_corr)
+        for u, fu in ins_alpha.items():
+            left = cob.compose(inv, fu)
+            for v, fv in outs_beta.items():
+                self.add_edge(u, v, cob.compose(fv, left).scale(-1))
+        self.remove_object(src)
+        self.remove_object(tgt)
+
+    def finish(self, sort_objects: bool = True) -> tuple[ChainComplex, Equivalence | None]:
+        """Rebuild an immutable complex; with tracking also the SDR to it."""
         groups: dict[int, list[ShiftedObject]] = {}
         pos: dict[int, tuple[int, int]] = {}
         for k in sorted(self.order):
@@ -772,7 +803,9 @@ class _Work:
             self.m, self.n, self.window, groups, diff, self.mode,
             self.tail_lo, self.tail_hi, self.reliable, labels,
         )
-        return C, pos
+        if self.tracker is None:
+            return C, None
+        return C, self.tracker.finish(self.source, C, pos)
 
 
 def _birth_death(dotted: bool, src_obj: ShiftedObject, tgt_obj: ShiftedObject) -> CanonicalCobordism:
@@ -829,51 +862,15 @@ def _deloop_maps(big: ShiftedObject) -> tuple:
     )
 
 
-def _deloop_one(work: _Work, oid: int) -> tuple[list[tuple], list[tuple]]:
-    """Replace object oid (with >= 1 circle) by two circle-less-by-one
-    copies; returns (phi rows, psi cols) as (new_id, cobordism) pairs for
-    SDR bookkeeping by the caller."""
-    up, dn, phi_up, phi_dn, psi_up, psi_dn = _deloop_maps(work.obj[oid])
-    id_up = work.next_id
-    id_dn = work.next_id + 1
-    work.next_id += 2
-    k = work.deg[oid]
-    idx = work.order[k].index(oid)
-    work.order[k][idx : idx + 1] = [id_up, id_dn]
-    work.obj[id_up], work.obj[id_dn] = up, dn
-    work.deg[id_up], work.deg[id_dn] = k, k
-
-    # rewire differentials: d' = phi . d . psi on affected entries; the
-    # order slot was already replaced above, so drop edges and maps by hand
-    outs = dict(work.out_edges.get(oid, {}))
-    ins = dict(work.in_edges.get(oid, {}))
-    for tgt in outs:
-        work.in_edges.get(tgt, {}).pop(oid, None)
-    for src in ins:
-        work.out_edges.get(src, {}).pop(oid, None)
-    work.out_edges.pop(oid, None)
-    work.in_edges.pop(oid, None)
-    del work.obj[oid], work.deg[oid]
-    for tgt, f in outs.items():
-        work.add_edge(id_up, tgt, cob.compose(f, psi_up))
-        work.add_edge(id_dn, tgt, cob.compose(f, psi_dn))
-    for src, f in ins.items():
-        work.add_edge(src, id_up, cob.compose(phi_up, f))
-        work.add_edge(src, id_dn, cob.compose(phi_dn, f))
-    return (
-        [(id_up, phi_up), (id_dn, phi_dn)],
-        [(id_up, psi_up), (id_dn, psi_dn)],
-    )
-
-
 class _SDRTracker:
     """Running SDR maps in object-id space while a _Work is being reduced."""
 
     def __init__(self, work: _Work):
-        self.work = work
         self.orig_ids = list(work.obj)
-        self.orig_deg = dict(work.deg)
-        self.orig_obj = dict(work.obj)
+        # orig id -> (degree, position) in the original complex
+        self.orig_pos = {
+            oid: (k, p) for k, ids in work.order.items() for p, oid in enumerate(ids)
+        }
         # r[cur][orig], i[orig][cur], h[orig_tgt][orig_src]
         self.r: dict[int, dict[int, CanonicalCobordism]] = {
             oid: {oid: cob.identity_cob(work.obj[oid])} for oid in work.obj
@@ -945,8 +942,9 @@ class _SDRTracker:
                 row = self.h.setdefault(orig_t, {})
                 row[orig_s] = row[orig_s] + term if orig_s in row else term
 
-    def finish(self, big: ChainComplex, orig_pos: dict[int, tuple[int, int]],
-               small: ChainComplex, new_pos: dict[int, tuple[int, int]]) -> Equivalence:
+    def finish(self, big: ChainComplex, small: ChainComplex,
+               new_pos: dict[int, tuple[int, int]]) -> Equivalence:
+        orig_pos = self.orig_pos
         r_mats: dict[int, Matrix] = {}
         for cur, row in self.r.items():
             if cur not in new_pos:
@@ -1003,21 +1001,21 @@ def _pivot_sweep(work: _Work) -> list[tuple[int, int]]:
     return out
 
 
-def _eliminate(work: _Work, tracker: _SDRTracker | None, src: int, tgt: int, sign: int) -> None:
-    inv = cob.identity_cob(work.obj[src]).scale(sign)
-    ins_alpha = {u: f for u, f in work.in_edges.get(tgt, {}).items() if u != src}
-    outs_beta = {v: f for v, f in work.out_edges.get(src, {}).items() if v != tgt}
-    if tracker is not None:
-        r_corr = [(v, cob.compose(f, inv).scale(-1)) for v, f in outs_beta.items()]
-        i_corr = [(u, cob.compose(inv, f).scale(-1)) for u, f in ins_alpha.items()]
-        tracker.gauss_step(src, tgt, inv, r_corr, i_corr)
-    for u, fu in ins_alpha.items():
-        left = cob.compose(inv, fu)
-        for v, fv in outs_beta.items():
-            corr = cob.compose(fv, left).scale(-1)
-            work.add_edge(u, v, corr)
-    work.remove_object(src)
-    work.remove_object(tgt)
+def _reduce(
+    C: ChainComplex, run, protected: set[tuple[int, int]] | None = None,
+    track: bool = False, sort_objects: bool = True,
+) -> tuple[ChainComplex, Equivalence | None]:
+    """The one entry to the engine: copy C into a _Work, let run(work) take
+    its steps, and rebuild the result (and the SDR when tracked)."""
+    work = _Work(C, protected, track)
+    run(work)
+    return work.finish(sort_objects)
+
+
+def _deloop_all(work: _Work) -> None:
+    while circled := work.circled():
+        for oid in circled:
+            work.deloop(oid)
 
 
 def deloop(C: ChainComplex) -> tuple[ChainComplex, ChainMap, ChainMap]:
@@ -1026,18 +1024,7 @@ def deloop(C: ChainComplex) -> tuple[ChainComplex, ChainMap, ChainMap]:
     Returns (delooped complex, iso to it, iso from it); the isos compose to
     identities on the nose.
     """
-    work = _Work(C)
-    tracker = _SDRTracker(work)
-    orig, orig_pos = work.to_complex(sort_objects=False)
-    changed = True
-    while changed:
-        changed = False
-        for oid in [o for o in work.obj if work.obj[o].tangle.circles > 0]:
-            phis, psis = _deloop_one(work, oid)
-            tracker.deloop_step(oid, phis, psis)
-            changed = True
-    small, new_pos = work.to_complex(sort_objects=False)
-    eq = tracker.finish(C, orig_pos, small, new_pos)
+    small, eq = _reduce(C, _deloop_all, track=True, sort_objects=False)
     return small, eq.r, eq.i
 
 
@@ -1056,14 +1043,11 @@ def gaussian_eliminate(
     sign = f.is_identity_iso()
     if sign is None:
         raise SpinhomError(f"entry at {entry} is not an isomorphism")
-    work = _Work(C)
-    tracker = _SDRTracker(work)
-    _, orig_pos = work.to_complex(sort_objects=False)
-    src = work.order[k][c]
-    tgt = work.order[k + 1][r]
-    _eliminate(work, tracker, src, tgt, sign)
-    small, new_pos = work.to_complex(sort_objects=False)
-    eq = tracker.finish(C, orig_pos, small, new_pos)
+
+    def run(work: _Work) -> None:
+        work.eliminate(work.order[k][c], work.order[k + 1][r], sign)
+
+    small, eq = _reduce(C, run, track=True, sort_objects=False)
     return small, eq.r, eq.i, eq.h
 
 
@@ -1079,49 +1063,30 @@ def simplify(
     Deterministic: circles are removed first, then pivots are taken in
     (degree, source position, target position) order.
     """
-    work = _Work(C, protected)
-    tracker = _SDRTracker(work) if want_equivalence else None
-    orig_pos = None
-    if tracker is not None:
-        _, orig_pos = work.to_complex(sort_objects=False)
-    steps = 0
-    while True:
-        changed = False
-        circled = [
-            oid
-            for k in sorted(work.order)
-            for oid in list(work.order[k])
-            if work.obj[oid].tangle.circles > 0 and oid not in work.protected
-        ]
-        for oid in circled:
-            phis, psis = _deloop_one(work, oid)
-            if tracker is not None:
-                tracker.deloop_step(oid, phis, psis)
-            changed = True
-            steps += 1
-            if steps > max_steps:
-                raise ResourceError("simplify exceeded the step cap")
-        for src, tgt in _pivot_sweep(work):
-            if src not in work.obj or tgt not in work.obj:
-                continue
-            f = work.out_edges.get(src, {}).get(tgt)
-            if f is None:
-                continue
-            sign = f.is_identity_iso()
-            if sign is None:
-                continue
-            _eliminate(work, tracker, src, tgt, sign)
-            changed = True
-            steps += 1
-            if steps > max_steps:
-                raise ResourceError("simplify exceeded the step cap")
-        if not changed:
-            break
-    small, new_pos = work.to_complex(sort_objects=(protected is None))
-    eq = None
-    if tracker is not None:
-        eq = tracker.finish(C, orig_pos, small, new_pos)
-    return small, eq
+
+    def run(work: _Work) -> None:
+        steps = 0
+        while True:
+            before = steps
+            for oid in work.circled():
+                work.deloop(oid)
+                steps += 1
+                if steps > max_steps:
+                    raise ResourceError("simplify exceeded the step cap")
+            for src, tgt in _pivot_sweep(work):
+                # an earlier elimination may have removed or changed the entry
+                f = work.out_edges.get(src, {}).get(tgt)
+                sign = None if f is None else f.is_identity_iso()
+                if sign is None:
+                    continue
+                work.eliminate(src, tgt, sign)
+                steps += 1
+                if steps > max_steps:
+                    raise ResourceError("simplify exceeded the step cap")
+            if steps == before:
+                return
+
+    return _reduce(C, run, protected, want_equivalence, sort_objects=protected is None)
 
 
 # ---------------------------------------------------------------------------

@@ -377,13 +377,6 @@ class HomologyTable:
     def nonzero(self) -> dict[tuple[int, int | None], tuple[int, tuple[int, ...]]]:
         return {k: v for k, v in self.entries.items() if v[0] or v[1]}
 
-    def restricted(self, lo: float, hi: float) -> "HomologyTable":
-        return HomologyTable(
-            self.specialization,
-            {kq: v for kq, v in self.entries.items() if lo <= kq[0] <= hi},
-            {kq for kq in self.unreliable if lo <= kq[0] <= hi},
-        )
-
     def poincare(self) -> LaurentPoly:
         """Graded rank generating function (alpha=0 only), ranks as
         coefficients of (-1)^k q^j."""

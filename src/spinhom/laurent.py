@@ -146,13 +146,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no maximal exponent")
         return max(self.coeffs)
 
-    def content(self) -> int:
-        return math.gcd(*self.coeffs.values()) if self.coeffs else 0
-
-    def leading(self) -> int:
-        """Coefficient of the highest power of q."""
-        return self.coeffs[self.max_exp()]
-
     def truncate(self, below: int | None = None, above: int | None = None) -> "LaurentPoly":
         """Keep only exponents e with below <= e <= above (bounds optional)."""
         out = {
@@ -181,8 +174,6 @@ class LaurentPoly:
             parts.append(mono)
         return " + ".join(parts).replace("+ -", "- ")
 
-    def to_sorted_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.coeffs.items())
 
 
 def quantum_integer(n: int) -> LaurentPoly:
@@ -201,17 +192,6 @@ def _trim(p: list[int]) -> list[int]:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _pmul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
 
 
 def _pcontent(p: list[int]) -> int:

@@ -196,17 +196,18 @@ def check_projector_axioms(
     return cert
 
 
-def tl_euler_characteristic(C: ChainComplex) -> dict[tl.Matching, LaurentPoly]:
-    """Graded Euler characteristic as a Laurent combination of matchings;
-    circles contribute factors of q + q^-1."""
-    acc: dict[tl.Matching, LaurentPoly] = {}
+def tl_euler_characteristic(C: ChainComplex) -> dict[FlatTangle, LaurentPoly]:
+    """Graded Euler characteristic as a Laurent combination of circle-free
+    matchings; circles contribute factors of q + q^-1."""
+    acc: dict[FlatTangle, LaurentPoly] = {}
     for k, objs in C.groups.items():
         sign = (-1) ** (k % 2)
         for o in objs:
             mono = LaurentPoly({o.qshift: sign})
             for _ in range(o.tangle.circles):
                 mono = mono * tl.LOOP
-            d = tl.Matching(o.tangle.m, o.tangle.n, o.tangle.pairs)
+            t = o.tangle
+            d = FlatTangle(t.m, t.n, t.pairs) if t.circles else t
             acc[d] = acc.get(d, LaurentPoly()) + mono
     return {d: v for d, v in acc.items() if v}
 
@@ -327,22 +328,6 @@ def build_projector(n: int, window: Window) -> ProjectorComplex:
     return ProjectorComplex(n, win, current, cert)
 
 
-#: indirection so the CLI can route projector construction through its
-#: persistent cache; library use defaults to the in-process builder
-_projector_provider = None
-
-
-def set_projector_provider(fn) -> None:
-    global _projector_provider
-    _projector_provider = fn
-
-
-def get_projector(n: int, window: Window) -> ProjectorComplex:
-    if _projector_provider is not None:
-        return _projector_provider(n, window)
-    return build_projector(n, window)
-
-
 def _clip(C: ChainComplex, window: Window) -> ChainComplex:
     """Drop chain groups outside the window (truncation by brute force)."""
     groups = {k: v for k, v in C.groups.items() if window.contains(k)}
@@ -360,20 +345,22 @@ def _clip(C: ChainComplex, window: Window) -> ChainComplex:
 # Spin networks
 
 
-def spin_vertex(a: int, b: int, c: int, window: Window, deepen: bool = False) -> ChainComplex:
+def spin_vertex(
+    a: int, b: int, c: int, window: Window, deepen: bool = False,
+    projector=build_projector,
+) -> ChainComplex:
     """Projectors on all three edges of the trivalent vertex, glued by the
-    unique planar matching; an element of Ch(BN^a_{b+c})."""
+    unique planar matching; an element of Ch(BN^a_{b+c}).  `projector(n,
+    window)` supplies each edge projector."""
     ex.check_vertex(a, b, c)
-    core = cx.from_tangle(
-        FlatTangle(a, b + c, tl.vertex_matching(a, b, c).pairs)
-    )
+    core = cx.from_tangle(tl.vertex_matching(a, b, c))
 
     def pw(n: int) -> Window:
         return Window(window.lo - n, 0) if deepen else window
 
-    Pa = get_projector(a, pw(a)).complex
-    Pb = get_projector(b, pw(b)).complex
-    Pc = get_projector(c, pw(c)).complex
+    Pa = projector(a, pw(a)).complex
+    Pb = projector(b, pw(b)).complex
+    Pc = projector(c, pw(c)).complex
     bottom, _ = cx.beside_complexes(Pb, Pc)
     T, _ = cx.stack_complexes(core, bottom)
     T, _ = cx.stack_complexes(Pa, T)
@@ -381,7 +368,8 @@ def spin_vertex(a: int, b: int, c: int, window: Window, deepen: bool = False) ->
 
 
 def instantiate(
-    e: ex.NetworkExpr, window: Window, reduce: bool = False, deepen: bool = False
+    e: ex.NetworkExpr, window: Window, reduce: bool = False, deepen: bool = False,
+    projector=build_projector,
 ) -> ChainComplex:
     """Interpret a network expression as a window-truncated chain complex.
 
@@ -391,6 +379,8 @@ def instantiate(
     deepen=True each projector is built n degrees deeper than the ambient
     window, compensating the q-degrees lost when closures cross the
     truncation cut (Euler tails then start at |q| >= 2 window - 4).
+    `projector(n, window)` supplies each P_n: the in-process builder by
+    default, the persistent cache from the CLI.
     """
 
     def proj_window(n: int) -> Window:
@@ -401,31 +391,28 @@ def instantiate(
             C, _ = cx.simplify(C)
         return C
 
+    def sub(inner: ex.NetworkExpr) -> ChainComplex:
+        return instantiate(inner, window, reduce, deepen, projector)
+
     match e:
         case ex.Strand(k):
             return cx.identity_complex(k)
         case ex.Proj(n):
-            return get_projector(n, proj_window(n)).complex
+            return projector(n, proj_window(n)).complex
         case ex.DualProj(n):
-            return cx.dual_complex(get_projector(n, proj_window(n)).complex)
+            return cx.dual_complex(projector(n, proj_window(n)).complex)
         case ex.Vertex(a, b, c):
-            return post(spin_vertex(a, b, c, window, deepen=deepen))
+            return post(spin_vertex(a, b, c, window, deepen, projector))
         case ex.Stack(top, bottom):
-            T, _ = cx.stack_complexes(
-                instantiate(top, window, reduce, deepen),
-                instantiate(bottom, window, reduce, deepen),
-            )
+            T, _ = cx.stack_complexes(sub(top), sub(bottom))
             return post(T)
         case ex.Beside(left, right):
-            T, _ = cx.beside_complexes(
-                instantiate(left, window, reduce, deepen),
-                instantiate(right, window, reduce, deepen),
-            )
+            T, _ = cx.beside_complexes(sub(left), sub(right))
             return T
         case ex.Trace(inner):
-            return post(cx.trace_complex(instantiate(inner, window, reduce, deepen)))
+            return post(cx.trace_complex(sub(inner)))
         case ex.Dual(inner):
-            return cx.dual_complex(instantiate(inner, window, reduce, deepen))
+            return cx.dual_complex(sub(inner))
         case ex.Zero():
             return ChainComplex(0, 0, Window(0, 0), {}, {})
         case ex.Diagram(m, n, pairs):
@@ -442,8 +429,7 @@ def expand_vertices(e: ex.NetworkExpr) -> ex.NetworkExpr:
     rules can reach the edge projectors."""
     match e:
         case ex.Vertex(a, b, c):
-            d = tl.vertex_matching(a, b, c)
-            core = ex.Diagram(a, b + c, d.pairs)
+            core = ex.Diagram(a, b + c, tl.vertex_matching(a, b, c).pairs)
             return ex.Stack(
                 ex.Proj(a), ex.Stack(core, ex.Beside(ex.Proj(b), ex.Proj(c)))
             )
@@ -826,7 +812,8 @@ def _canonical_rotation(e: ex.NetworkExpr) -> ex.NetworkExpr:
 
 
 def hom_of_networks(
-    M: ex.NetworkExpr, N: ex.NetworkExpr, window: Window, rewrite: bool = True
+    M: ex.NetworkExpr, N: ex.NetworkExpr, window: Window, rewrite: bool = True,
+    projector=build_projector,
 ) -> ModuleComplex:
     """Hom^*(M, N) via the duality theorem: reflect M, replace white boxes
     by black ones, glue onto N, close up, rewrite, instantiate, simplify,
@@ -840,7 +827,7 @@ def hom_of_networks(
     closed = ex.Trace(ex.Stack(N, ex.Dual(M)))
     if rewrite:
         closed = rewrite_network(closed, mode="product")
-    C = instantiate(closed, window, reduce=True)
+    C = instantiate(closed, window, reduce=True, projector=projector)
     S, _ = cx.simplify(C)
     return cx.tautological(S).shift_q((m + n) // 2)
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import random
 
 from spinhom import complexes as cx
+from spinhom import tl
 from spinhom.cob import (
-    FlatTangle,
     ShiftedObject,
     degree as cob_degree,
     identity_cob,
@@ -15,23 +15,11 @@ from spinhom.cob import (
 from spinhom.complexes import ChainComplex, Window
 
 
-def all_square_tangles(n: int) -> list[FlatTangle]:
-    from spinhom import tl
-
-    return [FlatTangle(n, n, m.pairs) for m in tl.all_matchings(n, n)]
-
-
-def tangles_with_boundary(m: int, n: int) -> list[FlatTangle]:
-    from spinhom import tl
-
-    return [FlatTangle(m, n, mm.pairs) for mm in tl.all_matchings(m, n)]
-
-
 def two_term_piece(rng: random.Random, n: int, degree: int, qshift: int,
                    iso: bool = False) -> ChainComplex:
     """A two-term complex over bn_n: identity-iso entries or single saddles,
     placed homogeneously (differential q-degree 0)."""
-    tangles = all_square_tangles(n)
+    tangles = tl.all_matchings(n, n)
     t = rng.choice(tangles)
     src = ShiftedObject(t, qshift)
     if iso:
@@ -75,7 +63,7 @@ def random_complex(
 ) -> ChainComplex:
     """A random honest complex over BN^m_n built by planar-stacking small
     exact pieces around a base diagram; d.d = 0 holds by construction."""
-    base_tangles = tangles_with_boundary(m, n)
+    base_tangles = tl.all_matchings(m, n)
     base = cx.from_tangle(
         rng.choice(base_tangles), rng.randint(-1, 1)
     )
@@ -315,3 +303,81 @@ def random_module_complex(rng: random.Random):
     lo = rng.choice([float("-inf"), -1, 0])
     hi = rng.choice([float("inf"), 1, 2])
     return ModuleComplex(out_gens, out_diff, (lo, hi))
+
+
+# ---------------------------------------------------------------------------
+# Reference planar-matching walks: the Temperley-Lieb oracle's own stacking
+# and juxtaposition from before it was keyed by cob.FlatTangle, kept here as
+# independent oracles for cob.stack_walk and cob.beside_ob.  Both read only
+# .m, .n and .pairs, and return plain pairs.
+
+
+def reference_compose_matchings(a, b) -> tuple[tuple[int, ...], int]:
+    """Stack a over b, gluing a's bottom to b's top; (result pairs, circles)."""
+    assert a.n == b.m
+    k = a.n
+    m, n = a.m, b.n
+    result = [-1] * (m + n)
+    seen_mid = [False] * k
+
+    def res_index(side: str, i: int) -> int:
+        return i if side == "a" else m + (i - k)
+
+    for start_side, start in [("a", i) for i in range(m)] + [("b", k + j) for j in range(n)]:
+        ri = res_index(start_side, start)
+        if result[ri] != -1:
+            continue
+        side, v = start_side, start
+        while True:
+            v2 = (a if side == "a" else b).pairs[v]
+            if side == "a" and v2 < m:
+                result[ri], result[v2] = v2, ri
+                break
+            if side == "b" and v2 >= k:
+                rj = m + (v2 - k)
+                result[ri], result[rj] = rj, ri
+                break
+            if side == "a":
+                mid = v2 - m
+                seen_mid[mid] = True
+                side, v = "b", mid
+            else:
+                mid = v2
+                seen_mid[mid] = True
+                side, v = "a", m + mid
+    circles = 0
+    for i in range(k):
+        if seen_mid[i]:
+            continue
+        circles += 1
+        side, v = "a", m + i
+        while True:
+            if side == "a":
+                seen_mid[v - m] = True
+                v2 = a.pairs[v]
+                side, v = "b", v2 - m
+            else:
+                seen_mid[v] = True
+                v2 = b.pairs[v]
+                side, v = "a", m + v2
+            if side == "a" and seen_mid[v - m]:
+                break
+    return tuple(result), circles
+
+
+def reference_beside_matchings(a, b) -> tuple[int, ...]:
+    """Place a to the left of b; the result's pairs."""
+    m, n = a.m + b.m, a.n + b.n
+
+    def remap_a(i: int) -> int:
+        return i if i < a.m else i + b.m
+
+    def remap_b(i: int) -> int:
+        return a.m + i if i < b.m else a.m + a.n + i
+
+    new = [0] * (m + n)
+    for i, j in enumerate(a.pairs):
+        new[remap_a(i)] = remap_a(j)
+    for i, j in enumerate(b.pairs):
+        new[remap_b(i)] = remap_b(j)
+    return tuple(new)

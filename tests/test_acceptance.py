@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from helpers import random_complex, tables_equal, tangles_with_boundary
+from helpers import random_complex, tables_equal
 from spinhom import complexes as cx
 from spinhom import expr as ex
 from spinhom import projector as pj
@@ -189,7 +189,7 @@ def test_ac07_graphical_calculus_rules():
     ]
     for x, y, z in triples:
         a = x + y + z
-        P_a = pj.get_projector(a, W).complex
+        P_a = pj.build_projector(a, W).complex
         bundle = ex.Beside(ex.Beside(ex.Strand(x), ex.Proj(y)), ex.Strand(z))
         for e in (
             ex.Stack(bundle, ex.Proj(a)),
@@ -205,7 +205,7 @@ def test_ac07_graphical_calculus_rules():
         # way it is proved: the black box's tail columns all kill into P_a
         # at margin support, and the bicomplex support satisfies the
         # product-mode quadrant condition (columns extend upward only).
-        Pyv = cx.dual_complex(pj.get_projector(y, W).complex)
+        Pyv = cx.dual_complex(pj.build_projector(y, W).complex)
         # quadrant-II-freeness with P_a (trivial for the strand projector)
         assert y < 2 or (Pyv.tail_hi and not Pyv.tail_lo)
         for kk, objs in Pyv.groups.items():
@@ -228,7 +228,7 @@ def test_ac07_graphical_calculus_rules():
                            max_objects_per_degree=2)
         if not A.groups:
             continue
-        P2 = pj.get_projector(2, W).complex
+        P2 = pj.build_projector(2, W).complex
         X, _ = stack_complexes(P2, A)
         Y, _ = stack_complexes(A, P2)
         SX, _ = simplify(X)
@@ -240,12 +240,12 @@ def test_ac07_graphical_calculus_rules():
         done += 1
     # --- semi-orthogonality: Proj(j) ... DualProj(i), i < j, product mode
     for (i, j) in [(0, 1), (0, 2), (1, 2), (1, 3)]:
-        mids = tangles_with_boundary(j, i)
+        mids = tl.all_matchings(j, i)
         if (i + j) % 2 == 1:
             assert not mids  # no diagrams with odd boundary: vacuously zero
             continue
-        Pj = pj.get_projector(j, W).complex
-        Piv = cx.dual_complex(pj.get_projector(i, W).complex)
+        Pj = pj.build_projector(j, W).complex
+        Piv = cx.dual_complex(pj.build_projector(i, W).complex)
         for mid in mids:
             T, _ = stack_complexes(Pj, cx.from_tangle(mid))
             T, _ = stack_complexes(T, Piv)
@@ -415,7 +415,7 @@ def test_ac11_eta_saddle_layer(p2_w8):
     t0 = time.time()
     # Prop (1)-(3) exhaustively for 2n <= 8
     for n2 in (2, 4, 6, 8):
-        diagrams = tangles_with_boundary(0, n2)
+        diagrams = tl.all_matchings(0, n2)
         for t in diagrams:
             a = ShiftedObject(t)
             av = dualize_ob(a)

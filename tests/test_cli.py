@@ -12,12 +12,6 @@ from spinhom.complexes import Window
 from spinhom.errors import ParseError
 
 
-@pytest.fixture(autouse=True)
-def _reset_provider():
-    yield
-    pj.set_projector_provider(None)
-
-
 def test_parse_basics():
     assert cli.parse_network("tr(p(2))") == ex.Trace(ex.Proj(2))
     assert cli.parse_network("stack(p(3), dual(p(3)))") == ex.Stack(

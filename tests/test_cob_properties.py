@@ -23,7 +23,7 @@ from spinhom.cob import (
 )
 
 _TANGLES = {
-    n: [FlatTangle(n, n, m.pairs) for m in tl.all_matchings(n, n)] for n in (1, 2)
+    n: tl.all_matchings(n, n) for n in (1, 2)
 }
 
 

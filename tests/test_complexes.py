@@ -174,6 +174,17 @@ def test_simplify_full_sdr():
         )
 
 
+def test_simplify_leaves_protected_objects():
+    circ = ShiftedObject(FlatTangle.empty(1))
+    C = ChainComplex(0, 0, Window(0, 0), {0: [circ, circ]}, {})
+    S, eq = simplify(C, want_equivalence=True, protected={(0, 0)})
+    up, dn = ShiftedObject(FlatTangle.empty(), 1), ShiftedObject(FlatTangle.empty(), -1)
+    assert S.objects(0) == [circ, up, dn]
+    assert S.labels == {0: [(0, 0), None, None]}
+    assert compose_maps(eq.r, eq.i).mats == ChainMap.identity(S).mats
+    assert compose_maps(eq.i, eq.r).mats == ChainMap.identity(C).mats
+
+
 def test_simplify_preserves_closed_homology():
     rng = random.Random(21)
     for _ in range(10):

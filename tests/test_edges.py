@@ -3,10 +3,10 @@ alpha=1 (Lee-type) specialization, and both directions of ordinary duality."""
 
 import itertools
 
-from helpers import tangles_with_boundary
 from spinhom import complexes as cx
 from spinhom import expr as ex
 from spinhom import projector as pj
+from spinhom import tl
 from spinhom.cob import (
     AlphaPoly,
     CanonicalCobordism,
@@ -81,7 +81,7 @@ def test_dualize_with_free_circles():
 def test_ordinary_duality_phi_of_psi():
     # the other composition: phi(psi(zeta)) = zeta on the full module basis
     for n2 in (2, 4):
-        ms = tangles_with_boundary(0, n2)
+        ms = tl.all_matchings(0, n2)
         for ta in ms:
             for tb in ms:
                 a, b = ShiftedObject(ta), ShiftedObject(tb)

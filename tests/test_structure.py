@@ -1,5 +1,12 @@
 """Structural consequences: degree-zero endomorphism rings for n = 3,
-graded commutativity on odd classes, divergence reporting, serialization."""
+graded commutativity on odd classes, divergence reporting, serialization;
+and the code's own structure: no function the repository never names."""
+
+import ast
+import io
+import tokenize
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -73,7 +80,6 @@ def test_certificate_cache_payload_faithful(tmp_path):
     assert Q.certificate.degree_zero_ok == P.certificate.degree_zero_ok
     assert Q.certificate.turnbacks == P.certificate.turnbacks
     assert Q.certificate.euler_ok == P.certificate.euler_ok
-    pj.set_projector_provider(None)
 
 
 def test_end_p3_matches_extrapolated_dga(w8):
@@ -101,3 +107,34 @@ def test_end_p3_matches_extrapolated_dga(w8):
         for q in range(0, 41):
             assert T.rank(k, q) == H.get((k, q), 0), (k, q)
     assert T.torsion(-2, 6) == (2,)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def unreferenced_functions(root: Path) -> list[str]:
+    """Functions and methods defined under src/spinhom (dunders exempt)
+    whose name occurs as a Python name token in src/, tests/ and perfbench/
+    only at definitions."""
+    names: Counter = Counter()
+    defs: Counter = Counter()
+    defined = []
+    for path in sorted(p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py")):
+        text = path.read_text()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME:
+                names[tok.string] += 1
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs[node.name] += 1
+                if path.is_relative_to(root / "src" / "spinhom"):
+                    defined.append((path.relative_to(root), node.lineno, node.name))
+    return [
+        f"{p}:{line} {name}"
+        for p, line, name in defined
+        if not (name.startswith("__") and name.endswith("__")) and names[name] <= defs[name]
+    ]
+
+
+def test_no_unreferenced_functions():
+    assert unreferenced_functions(ROOT) == []

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from helpers import reference_beside_matchings, reference_compose_matchings
 from spinhom import expr as ex
 from spinhom import tl
+from spinhom.cob import FlatTangle, beside_ob, stack_ob
 from spinhom.errors import AdmissibilityError, ArityError, DimensionError, SpinhomError
 from spinhom.laurent import RatFunc, quantum_integer
 
@@ -12,12 +14,17 @@ LOOP = RatFunc.from_laurent(tl.LOOP)
 
 def test_matching_validation():
     with pytest.raises(SpinhomError):
-        tl.Matching(2, 2, (3, 2, 1, 0))  # crossing
+        FlatTangle(2, 2, (3, 2, 1, 0))  # crossing
     with pytest.raises(DimensionError):
-        tl.Matching(1, 2, (1, 0, 2))
-    m = tl.Matching.e(0, 2)
-    assert m.through_strands() == 0
-    assert tl.Matching.identity(3).through_strands() == 3
+        FlatTangle(1, 2, (1, 0, 2))
+    assert FlatTangle.e(0, 2).through_strands() == 0
+    assert FlatTangle.identity(3).through_strands() == 3
+    assert FlatTangle.turnback_above(0, 3).through_strands() == 1
+    # terms are circle-free matchings on the element's boundary
+    with pytest.raises(DimensionError):
+        tl.TLElement.from_matching(FlatTangle(2, 2, (1, 0, 3, 2), circles=1))
+    with pytest.raises(DimensionError):
+        tl.TLElement(2, 2, {FlatTangle.e(0, 3): RatFunc.one()})
 
 
 def test_matching_counts():
@@ -26,6 +33,40 @@ def test_matching_counts():
     assert len(tl.all_matchings(4, 4)) == 14
     assert len(tl.all_matchings(0, 6)) == 5
     assert len(tl.all_matchings(1, 3)) == 2
+
+
+#: every boundary (m, n) with at most 4 points on each side
+SMALL = [(m, n) for m in range(5) for n in range(5) if (m + n) % 2 == 0]
+
+
+def test_compose_matchings_against_reference():
+    checked = 0
+    for m, k in SMALL:
+        for n in range(5):
+            if (k + n) % 2:
+                continue
+            for a in tl.all_matchings(m, k):
+                for b in tl.all_matchings(k, n):
+                    pairs, circles = reference_compose_matchings(a, b)
+                    d, c = tl.compose_matchings(a, b)
+                    assert (d, c) == (FlatTangle(m, n, pairs), circles), (a, b)
+                    assert stack_ob(a, b).tangle == FlatTangle(m, n, pairs, circles)
+                    a1 = FlatTangle(a.m, a.n, a.pairs, 1)
+                    b2 = FlatTangle(b.m, b.n, b.pairs, 2)
+                    assert stack_ob(a1, b2).tangle == FlatTangle(m, n, pairs, circles + 3)
+                    checked += 1
+    assert checked == 579
+
+
+def test_beside_ob_against_reference():
+    small = [t for m, n in SMALL for t in tl.all_matchings(m, n)]
+    assert len(small) == 43
+    for a in small:
+        for b in small:
+            expect = FlatTangle(a.m + b.m, a.n + b.n, reference_beside_matchings(a, b))
+            assert beside_ob(a, b) == expect, (a, b)
+            a1 = FlatTangle(a.m, a.n, a.pairs, 1)
+            assert beside_ob(a1, b) == FlatTangle(expect.m, expect.n, expect.pairs, 1)
 
 
 def test_compose_circle_rule():
