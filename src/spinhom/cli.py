@@ -40,7 +40,6 @@ from .errors import (
     SpinhomError,
 )
 from .homology import HomologyTable, euler_characteristic, homology_table
-from .laurent import LaurentPoly
 
 CACHE_ENV = "SPINHOM_CACHE_DIR"
 DEFAULT_CACHE = ".spinhom-cache"
@@ -174,7 +173,7 @@ def parse_network(text: str) -> ex.NetworkExpr:
     p = _Parser(text)
     e = p.expr()
     p.finish()
-    a = ex.arity(e)  # surfaces admissibility/arity problems early
+    ex.arity(e)  # surfaces admissibility/arity problems early
     return e
 
 
@@ -278,10 +277,6 @@ def cached_projector(n: int, window: Window, cdir: str | None) -> pj.ProjectorCo
 
 # ---------------------------------------------------------------------------
 # Reports
-
-
-def _poly_str(p: LaurentPoly) -> str:
-    return repr(p)
 
 
 def _table_data(T: HomologyTable) -> dict:
@@ -422,7 +417,7 @@ def cmd_euler(args) -> dict:
     data = {
         "query": args.expr,
         "window": args.window,
-        "categorified": _poly_str(chi),
+        "categorified": repr(chi),
     }
     if decat is not None:
         data["tl_oracle"] = repr(decat)
@@ -432,7 +427,7 @@ def cmd_euler(args) -> dict:
         except ArithmeticError:
             series = decat.series(max(chi.coeffs) if chi.coeffs else 0)
             tail = chi - series
-        data["difference"] = _poly_str(tail)
+        data["difference"] = repr(tail)
         # tails certified per projector up to 2 (window - n) - 1
         threshold = 2 * (args.window - _max_label(qargs[0])) - 1
         low = [e for e in tail.coeffs if abs(e) < threshold]

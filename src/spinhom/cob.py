@@ -13,19 +13,25 @@ combination of unions of disks, one disk per closure circle of the glued
 pair (source, target), each disk carrying 0 or 1 dots.  A morphism is a
 map {dot assignment -> alpha-polynomial}.
 
-All geometric operations (composition, planar stacking, Markov trace,
-surgery saddles) funnel through one reduction routine: glue surface pieces
-along interval or circle cells, find connected components by union-find,
-read off Euler characteristic and genus, and split each component into
-per-circle disks using the Frobenius structure X^2 = alpha,
-Delta(1) = 1 (x) X + X (x) 1, Delta(X) = X (x) X + alpha 1 (x) 1.
+All geometric operations (composition, planar stacking, juxtaposition,
+Markov trace, surgery saddles, dotted identities) funnel through one
+reduction routine: glue surface pieces along interval or circle cells, find
+connected components by union-find, read off Euler characteristic and
+genus, and split each component into per-circle disks using the Frobenius
+structure X^2 = alpha, Delta(1) = 1 (x) X + X (x) 1,
+Delta(X) = X (x) X + alpha 1 (x) 1.  Every one of them tells the routine
+which component each output circle lies on by the same boundary-point
+rule (_circle_nodes): the pieces at both ends of each arc of the output
+closure, and one piece for each free circle, a loop closed by stacking or
+tracing being named by one of its points.  Duality and the reflections
+move dot assignments along a boundary-point bijection in the same way.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 from .errors import DimensionError, IntegrityError, SpinhomError
@@ -602,6 +608,39 @@ def degree(f: CanonicalCobordism) -> int | None:
 
 
 # ---------------------------------------------------------------------------
+# The boundary-point rule
+
+
+def _circle_nodes(
+    src: FlatTangle,
+    tgt: FlatTangle,
+    src_at: Sequence[int],
+    tgt_at: Sequence[int],
+    src_circ: Sequence[int],
+    tgt_circ: Sequence[int],
+) -> tuple[tuple[int, ...], ...]:
+    """Output circles of a gluing with closure (src, tgt), as glue_structure
+    takes them.
+
+    Each closure circle gets the pieces at both ends of each of its arcs
+    (src_at[p] / tgt_at[p]: the piece carrying the source / target arc at
+    boundary point p) and the one piece carrying each of its free circles
+    (src_circ[j] / tgt_circ[j]).  An output circle lies on a single surface
+    component, so these pieces name that component as well as every piece
+    the circle runs over would.
+    """
+    cd = closure_data(src, tgt)
+    nodes: list[list[int]] = [[] for _ in range(cd.n)]
+    for p, ci in enumerate(cd.point):
+        nodes[ci] += (src_at[p], tgt_at[p])
+    for ci, piece in zip(cd.src_circ, src_circ, strict=True):
+        nodes[ci].append(piece)
+    for ci, piece in zip(cd.tgt_circ, tgt_circ, strict=True):
+        nodes[ci].append(piece)
+    return tuple(map(tuple, nodes))
+
+
+# ---------------------------------------------------------------------------
 # Identity-like constructors
 
 
@@ -620,32 +659,19 @@ def dotted_identity(
     annuli and neck-cut into comultiplication sums.
     """
     t = obj.tangle
-    cd = closure_data(t, t)
-    pieces: list[int] = []
-    piece_dots: list[int] = []
-    owner: dict[tuple[str, object], int] = {}
-    for arc in t.arcs():
-        owner[("arc", arc)] = len(pieces)
-        pieces.append(1)
-        piece_dots.append(0)
-    for j in range(t.circles):
-        owner[("circ", j)] = len(pieces)
-        pieces.append(0)
-        piece_dots.append(0)
+    arcs = t.arcs()
+    owner: dict[tuple[str, object], int] = {("arc", arc): i for i, arc in enumerate(arcs)}
+    circs = range(len(arcs), len(arcs) + t.circles)
+    owner.update((("circ", j), i) for j, i in enumerate(circs))
+    pieces = [1] * len(arcs) + [0] * t.circles
+    piece_dots = [0] * len(pieces)
     for key, d in dots.items():
         if key not in owner:
             raise SpinhomError(f"no component {key} on the object")
         piece_dots[owner[key]] += d
-    circle_nodes: list[list[int]] = []
-    for cons in cd.constituents:
-        nodes = []
-        for side, kind, key in cons:
-            if kind == "arc":
-                nodes.append(owner[("arc", key)])
-            else:
-                nodes.append(owner[("circ", key)])
-        circle_nodes.append(nodes)
-    terms = reduce_glued(pieces, piece_dots, [], circle_nodes)
+    point_piece = [owner[("arc", t.arc_at(p))] for p in range(t.m + t.n)]
+    nodes = _circle_nodes(t, t, point_piece, point_piece, circs, circs)
+    terms = reduce_glued(pieces, piece_dots, [], nodes)
     return CanonicalCobordism(obj, obj, terms)
 
 
@@ -656,17 +682,6 @@ def dot_at_point(obj: ShiftedObject, p: int, dots: int = 1) -> CanonicalCobordis
 
 # ---------------------------------------------------------------------------
 # The four gluing operations on morphisms
-
-
-def _disk_structure(
-    n_pieces: int,
-    cells: list[tuple[int, int, int]],
-    circle_nodes: list[list[int]],
-) -> GlueStructure:
-    """Glue structure of a surface whose pieces are all disks."""
-    return glue_structure(
-        (1,) * n_pieces, tuple(cells), tuple(tuple(ns) for ns in circle_nodes)
-    )
 
 
 def _glue_terms(
@@ -693,19 +708,8 @@ def _glue_terms(
     return out
 
 
-def _nodes_for(cons, cF: ClosureData, cG: ClosureData, nF: int) -> list[int]:
-    """Map output-circle constituents to piece indices for `compose`.
-
-    The output closure pairs the outer source object (f's source, its "s"
-    side in cF) with the outer target object (g's target, "t" side in cG).
-    """
-    nodes = []
-    for side, kind, key in cons:
-        if side == "s":
-            nodes.append((cF.src_arc[key] if kind == "arc" else cF.src_circ[key]))
-        else:
-            nodes.append(nF + (cG.tgt_arc[key] if kind == "arc" else cG.tgt_circ[key]))
-    return nodes
+def _offset(pieces: Sequence[int], k: int) -> tuple[int, ...]:
+    return tuple(k + x for x in pieces)
 
 
 @functools.lru_cache(maxsize=1 << 15)
@@ -713,14 +717,15 @@ def _compose_structure(a: FlatTangle, b: FlatTangle, c: FlatTangle) -> GlueStruc
     """Gluing of a -> b disks onto b -> c disks along the whole of b."""
     cF = closure_data(a, b)
     cG = closure_data(b, c)
-    cOut = closure_data(a, c)
     cells: list[tuple[int, int, int]] = []
     for arc in b.arcs():
         cells.append((cF.tgt_arc[arc], cF.n + cG.src_arc[arc], 1))
     for j in range(b.circles):
         cells.append((cF.tgt_circ[j], cF.n + cG.src_circ[j], 0))
-    circle_nodes = [_nodes_for(cons, cF, cG, cF.n) for cons in cOut.constituents]
-    return _disk_structure(cF.n + cG.n, cells, circle_nodes)
+    nodes = _circle_nodes(
+        a, c, cF.point, _offset(cG.point, cF.n), cF.src_circ, _offset(cG.tgt_circ, cF.n)
+    )
+    return glue_structure((1,) * (cF.n + cG.n), tuple(cells), nodes)
 
 
 def compose(g: CanonicalCobordism, f: CanonicalCobordism) -> CanonicalCobordism:
@@ -738,22 +743,23 @@ def compose(g: CanonicalCobordism, f: CanonicalCobordism) -> CanonicalCobordism:
     return CanonicalCobordism(f.source, g.target, _glue_terms(f, g, st))
 
 
-# -- planar stacking of objects, with provenance ----------------------------
+# -- planar stacking of objects ----------------------------------------------
 
 
 @dataclass(frozen=True)
 class StackedObject:
     tangle: FlatTangle
-    arc_prov: dict  # result Arc -> list of ("a"/"b", Arc)
-    circ_prov: tuple  # per result circle: ("a", j) | ("b", j) | ("new", tuple of ("a"/"b", Arc))
+    loops: tuple[int, ...]  # first middle point of each loop closed in the middle
 
 
-def stack_walk(a: FlatTangle, b: FlatTangle) -> tuple[tuple[int, ...], dict, list]:
+def stack_walk(a: FlatTangle, b: FlatTangle) -> tuple[tuple[int, ...], list[int]]:
     """Walk a over b, gluing a's bottom to b's top.
 
-    Returns the result's pairs, the provenance of each result arc (Arc ->
-    list of ("a"/"b", Arc)) and the members of each loop closed in the middle
-    (tuples of ("a"/"b", Arc)).  The circles of a and b are not touched.
+    Returns the result's pairs and the first middle point of each loop
+    closed in the middle, in increasing order; middle point i is a's bottom
+    point a.m + i and b's top point i.  The circles of a and b are not
+    touched.  A loop is named by one of its points, the boundary-point rule
+    every gluing in this module follows.
     """
     if a.n != b.m:
         raise DimensionError(f"cannot stack ({a.m},{a.n}) over ({b.m},{b.n})")
@@ -762,106 +768,57 @@ def stack_walk(a: FlatTangle, b: FlatTangle) -> tuple[tuple[int, ...], dict, lis
     ap, bp = a.pairs, b.pairs
     result = [-1] * (m + n)
     seen_mid = [False] * k
-    arc_prov: dict = {}
 
-    def follow(side: str, v: int) -> tuple[int, list]:
+    def follow(side: str, v: int) -> int:
         """From free endpoint v (diagram-local index) to the other end."""
-        trail = []
         while True:
-            w = (ap if side == "a" else bp)[v]
-            trail.append((side, (v, w) if v < w else (w, v)))
             if side == "a":
+                w = ap[v]
                 if w < m:
-                    return w, trail
+                    return w
                 seen_mid[w - m] = True
                 side, v = "b", w - m
             else:
+                w = bp[v]
                 if w >= k:
-                    return m + (w - k), trail
+                    return m + (w - k)
                 seen_mid[w] = True
                 side, v = "a", m + w
 
     starts = [("a", i, i) for i in range(m)] + [("b", k + j, m + j) for j in range(n)]
     for side, local, res in starts:
-        if result[res] != -1:
-            continue
-        other, trail = follow(side, local)
-        result[res], result[other] = other, res
-        arc_prov[(res, other) if res < other else (other, res)] = trail
+        if result[res] == -1:
+            other = follow(side, local)
+            result[res], result[other] = other, res
 
-    loops: list = []
+    loops: list[int] = []
     for i in range(k):
         if seen_mid[i]:
             continue
-        members: list = []
-        side, v = "a", m + i
+        loops.append(i)
+        j = i
         while True:
-            w = (ap if side == "a" else bp)[v]
-            members.append((side, (v, w) if v < w else (w, v)))
-            if side == "a":
-                seen_mid[w - m] = True
-                side, v = "b", w - m
-            else:
-                seen_mid[w] = True
-                side, v = "a", m + w
-            if (side, v) == ("a", m + i):
+            seen_mid[j] = True
+            j = ap[m + j] - m
+            seen_mid[j] = True
+            j = bp[j]
+            if j == i:
                 break
-        loops.append(tuple(members))
-    return tuple(result), arc_prov, loops
+    return tuple(result), loops
 
 
 @functools.lru_cache(maxsize=1 << 14)
 def stack_ob(a: FlatTangle, b: FlatTangle) -> StackedObject:
-    """Vertical stacking: a over b, gluing a's bottom to b's top."""
-    pairs, arc_prov, loops = stack_walk(a, b)
-    circ_prov: list = [("a", j) for j in range(a.circles)]
-    circ_prov += [("b", j) for j in range(b.circles)]
-    circ_prov += [("new", members) for members in loops]
+    """Vertical stacking: a over b, gluing a's bottom to b's top.  The
+    result's circles are a's, then b's, then the loops closed in the
+    middle."""
+    pairs, loops = stack_walk(a, b)
     tangle = FlatTangle(a.m, b.n, pairs, a.circles + b.circles + len(loops))
-    return StackedObject(tangle, arc_prov, tuple(circ_prov))
+    return StackedObject(tangle, tuple(loops))
 
 
 def stack_objects(a: ShiftedObject, b: ShiftedObject) -> ShiftedObject:
     return ShiftedObject(stack_ob(a.tangle, b.tangle).tangle, a.qshift + b.qshift)
-
-
-def _stacked_circle_nodes(
-    sd_src: StackedObject,
-    sd_tgt: StackedObject,
-    cF: ClosureData,
-    cG: ClosureData,
-    nF: int,
-) -> list[list[int]]:
-    cOut = closure_data(sd_src.tangle, sd_tgt.tangle)
-
-    def node_of(side: str, kind: str, key) -> list[int]:
-        sd = sd_src if side == "s" else sd_tgt
-        nodes = []
-        if kind == "arc":
-            for which, orig in sd.arc_prov[key]:
-                cd = cF if which == "a" else cG
-                off = 0 if which == "a" else nF
-                nodes.append(off + (cd.src_arc[orig] if side == "s" else cd.tgt_arc[orig]))
-        else:
-            prov = sd.circ_prov[key]
-            if prov[0] == "a":
-                nodes.append(cF.src_circ[prov[1]] if side == "s" else cF.tgt_circ[prov[1]])
-            elif prov[0] == "b":
-                nodes.append(nF + (cG.src_circ[prov[1]] if side == "s" else cG.tgt_circ[prov[1]]))
-            else:
-                for which, orig in prov[1]:
-                    cd = cF if which == "a" else cG
-                    off = 0 if which == "a" else nF
-                    nodes.append(off + (cd.src_arc[orig] if side == "s" else cd.tgt_arc[orig]))
-        return nodes
-
-    circle_nodes = []
-    for cons in cOut.constituents:
-        nodes: list[int] = []
-        for side, kind, key in cons:
-            nodes.extend(node_of(side, kind, key))
-        circle_nodes.append(nodes)
-    return circle_nodes
 
 
 @functools.lru_cache(maxsize=1 << 15)
@@ -872,11 +829,23 @@ def _stack_structure(
     boundary lines between them."""
     cF = closure_data(at, a2t)
     cG = closure_data(bt, b2t)
-    cells = [(cF.point[at.m + i], cF.n + cG.point[i], 1) for i in range(at.n)]
-    circle_nodes = _stacked_circle_nodes(
-        stack_ob(at, bt), stack_ob(a2t, b2t), cF, cG, cF.n
+    m, k = at.m, at.n
+    cells = tuple((cF.point[m + i], cF.n + cG.point[i], 1) for i in range(k))
+    point_piece = cF.point[:m] + _offset(cG.point[k:], cF.n)
+    src, tgt = stack_ob(at, bt), stack_ob(a2t, b2t)
+
+    def free(sd: StackedObject, f_circ: tuple, g_circ: tuple) -> tuple[int, ...]:
+        return f_circ + _offset(g_circ, cF.n) + tuple(cF.point[m + i] for i in sd.loops)
+
+    nodes = _circle_nodes(
+        src.tangle,
+        tgt.tangle,
+        point_piece,
+        point_piece,
+        free(src, cF.src_circ, cG.src_circ),
+        free(tgt, cF.tgt_circ, cG.tgt_circ),
     )
-    return _disk_structure(cF.n + cG.n, cells, circle_nodes)
+    return glue_structure((1,) * (cF.n + cG.n), cells, nodes)
 
 
 @functools.lru_cache(maxsize=1 << 15)
@@ -918,40 +887,20 @@ def _beside_structure(
 ) -> GlueStructure:
     """at -> a2t disks beside bt -> b2t disks: no cells, only the output
     circles of the juxtaposed closure."""
-    src = beside_ob(at, bt)
-    tgt = beside_ob(a2t, b2t)
     cF = closure_data(at, a2t)
     cG = closure_data(bt, b2t)
-    cOut = closure_data(src, tgt)
-    mm = src.m
-
-    def map_constituent(side: str, kind: str, key) -> int:
-        fran, gran = (at, bt) if side == "s" else (a2t, b2t)
-        cdf, cdg = (cF, cG)
-        if kind == "arc":
-            p = key[0]
-            left = p < fran.m or (mm <= p < mm + fran.n)
-
-            def back(i: int) -> int:
-                if left:
-                    return i if i < fran.m else i - gran.m
-                return i - fran.m if i < mm else i - fran.m - fran.n
-
-            x, y = back(key[0]), back(key[1])
-            orig = (x, y) if x < y else (y, x)
-            if left:
-                return cdf.src_arc[orig] if side == "s" else cdf.tgt_arc[orig]
-            return cF.n + (cdg.src_arc[orig] if side == "s" else cdg.tgt_arc[orig])
-        j = key
-        if j < fran.circles:
-            return cdf.src_circ[j] if side == "s" else cdf.tgt_circ[j]
-        j -= fran.circles
-        return cF.n + (cdg.src_circ[j] if side == "s" else cdg.tgt_circ[j])
-
-    circle_nodes = []
-    for cons in cOut.constituents:
-        circle_nodes.append([map_constituent(*c) for c in cons])
-    return _disk_structure(cF.n + cG.n, [], circle_nodes)
+    g_points = _offset(cG.point, cF.n)
+    # beside_ob's point order: a's top, b's top, a's bottom, b's bottom
+    point_piece = cF.point[: at.m] + g_points[: bt.m] + cF.point[at.m :] + g_points[bt.m :]
+    nodes = _circle_nodes(
+        beside_ob(at, bt),
+        beside_ob(a2t, b2t),
+        point_piece,
+        point_piece,
+        cF.src_circ + _offset(cG.src_circ, cF.n),
+        cF.tgt_circ + _offset(cG.tgt_circ, cF.n),
+    )
+    return glue_structure((1,) * (cF.n + cG.n), (), nodes)
 
 
 def beside(f: CanonicalCobordism, g: CanonicalCobordism) -> CanonicalCobordism:
@@ -976,35 +925,28 @@ def beside_objects(a: ShiftedObject, b: ShiftedObject) -> ShiftedObject:
 @dataclass(frozen=True)
 class TracedObject:
     tangle: FlatTangle
-    circ_prov: tuple  # per result circle: ("old", j) | ("new", tuple of ("arc",(p,q))|("closure",i))
+    circle_at: tuple[int, ...]  # per boundary point of a: the traced circle through it
 
 
 @functools.lru_cache(maxsize=1 << 14)
 def trace_ob(a: FlatTangle) -> TracedObject:
-    """Close top point i to bottom point i around the side."""
+    """Close top point i to bottom point i around the side.  The result's
+    circles are a's, then the new loops in order of their smallest point."""
     if a.m != a.n:
         raise DimensionError("trace needs equal boundary counts")
     n = a.n
-    prov: list = [("old", j) for j in range(a.circles)]
-    seen = [False] * (2 * n)
-    loops_members = []
+    circle_at = [-1] * (2 * n)
+    count = a.circles
     for start in range(2 * n):
-        if seen[start]:
+        if circle_at[start] != -1:
             continue
-        members = []
         v = start
-        while not seen[v]:
-            seen[v] = True
+        while circle_at[v] == -1:
             w = a.pairs[v]
-            seen[w] = True
-            lo, hi = (v, w) if v < w else (w, v)
-            members.append(("arc", (lo, hi)))
-            closure_i = w % n
-            members.append(("closure", closure_i))
+            circle_at[v] = circle_at[w] = count
             v = (w + n) % (2 * n)
-        loops_members.append(tuple(members))
-    prov += [("new", ms) for ms in loops_members]
-    return TracedObject(FlatTangle(0, 0, (), len(prov)), tuple(prov))
+        count += 1
+    return TracedObject(FlatTangle(0, 0, (), count), tuple(circle_at))
 
 
 def trace_object(a: ShiftedObject) -> ShiftedObject:
@@ -1016,35 +958,21 @@ def _trace_structure(at: FlatTangle, bt: FlatTangle) -> GlueStructure:
     """Gluing of at -> bt disks onto n closure strips, one per strand."""
     n = at.n
     cF = closure_data(at, bt)
-    ta = trace_ob(at)
-    tb = trace_ob(bt)
     # pieces: cF.n disks from f, then n closure strips
-    strip = lambda i: cF.n + i
     cells = []
     for i in range(n):
-        cells.append((cF.point[i], strip(i), 1))
-        cells.append((cF.point[n + i], strip(i), 1))
-    cOut = closure_data(ta.tangle, tb.tangle)
+        cells.append((cF.point[i], cF.n + i, 1))
+        cells.append((cF.point[n + i], cF.n + i, 1))
 
-    def nodes_of(side: str, j: int) -> list[int]:
-        prov = (ta if side == "s" else tb).circ_prov[j]
-        if prov[0] == "old":
-            return [cF.src_circ[prov[1]] if side == "s" else cF.tgt_circ[prov[1]]]
-        nodes = []
-        for kind, key in prov[1]:
-            if kind == "arc":
-                nodes.append(cF.src_arc[key] if side == "s" else cF.tgt_arc[key])
-            else:
-                nodes.append(strip(key))
-        return nodes
+    def free(tr: TracedObject, f_circ: tuple) -> tuple[int, ...]:
+        loops: dict[int, int] = {}
+        for p, ci in enumerate(tr.circle_at):
+            loops.setdefault(ci, cF.point[p])
+        return f_circ + tuple(loops.values())
 
-    circle_nodes = []
-    for cons in cOut.constituents:
-        nodes = []
-        for side, kind, key in cons:
-            nodes.extend(nodes_of(side, key))
-        circle_nodes.append(nodes)
-    return _disk_structure(cF.n + n, cells, circle_nodes)
+    ta, tb = trace_ob(at), trace_ob(bt)
+    nodes = _circle_nodes(ta.tangle, tb.tangle, (), (), free(ta, cF.src_circ), free(tb, cF.tgt_circ))
+    return glue_structure((1,) * (cF.n + n), tuple(cells), nodes)
 
 
 def trace(f: CanonicalCobordism) -> CanonicalCobordism:
@@ -1076,27 +1004,43 @@ def trace(f: CanonicalCobordism) -> CanonicalCobordism:
 # -- duality and reflections -------------------------------------------------
 
 
+def _transport(
+    f: CanonicalCobordism,
+    source: ShiftedObject,
+    target: ShiftedObject,
+    point_map: Callable[[int], int],
+    swap: bool,
+) -> CanonicalCobordism:
+    """f carried to source -> target along the boundary-point bijection
+    point_map.  Each closure circle goes where one of its points goes; free
+    circles keep their index, on the other side when swap is set."""
+    old = closure_data(f.source.tangle, f.target.tangle)
+    new = closure_data(source.tangle, target.tangle)
+    circle_map = [0] * old.n
+    for p, ci in enumerate(old.point):
+        circle_map[ci] = new.point[point_map(p)]
+    src_circ, tgt_circ = (new.tgt_circ, new.src_circ) if swap else (new.src_circ, new.tgt_circ)
+    for ci, cj in zip(old.src_circ, src_circ, strict=True):
+        circle_map[ci] = cj
+    for ci, cj in zip(old.tgt_circ, tgt_circ, strict=True):
+        circle_map[ci] = cj
+    terms = {}
+    for assign, poly in f.terms.items():
+        new_assign = [0] * new.n
+        for i, v in enumerate(assign):
+            new_assign[circle_map[i]] = v
+        terms[tuple(new_assign)] = poly
+    return CanonicalCobordism(source, target, terms)
+
+
+def _flip_point(t: FlatTangle) -> Callable[[int], int]:
+    """Boundary-point map of FlatTangle.flip."""
+    return lambda p: p + t.n if p < t.m else p - t.m
+
+
 def dualize_ob(a: ShiftedObject) -> ShiftedObject:
     """Reflect about the x-axis and negate the q-shift."""
     return ShiftedObject(a.tangle.flip(), -a.qshift)
-
-
-def _transport_terms(
-    f: CanonicalCobordism,
-    new_src: FlatTangle,
-    new_tgt: FlatTangle,
-    circle_map: list[int],
-) -> dict[tuple[int, ...], AlphaPoly]:
-    """Permute dot assignments along a bijection old circle i -> new circle
-    circle_map[i]."""
-    n_new = closure_data(new_src, new_tgt).n
-    out = {}
-    for assign, poly in f.terms.items():
-        new_assign = [0] * n_new
-        for i, v in enumerate(assign):
-            new_assign[circle_map[i]] = v
-        out[tuple(new_assign)] = poly
-    return out
 
 
 def dualize_cob(f: CanonicalCobordism) -> CanonicalCobordism:
@@ -1105,26 +1049,9 @@ def dualize_cob(f: CanonicalCobordism) -> CanonicalCobordism:
     Swaps source and target, reflects every generator, keeps coefficients.
     Complex-level signs are applied by the caller (spinhom.complexes).
     """
-    a, b = f.source.tangle, f.target.tangle
-    av, bv = a.flip(), b.flip()
-    cd_old = closure_data(a, b)
-    cd_new = closure_data(bv, av)
-    total = a.m + a.n
-
-    def flip_pt(p: int) -> int:
-        return p + a.n if p < a.m else p - a.m
-
-    circle_map = []
-    for ci in range(cd_old.n):
-        side, kind, key = cd_old.constituents[ci][0]
-        if kind == "arc":
-            p = flip_pt(key[0])
-            circle_map.append(cd_new.point[p])
-        else:
-            j = key
-            circle_map.append(cd_new.tgt_circ[j] if side == "s" else cd_new.src_circ[j])
-    terms = _transport_terms(f, bv, av, circle_map)
-    return CanonicalCobordism(dualize_ob(f.target), dualize_ob(f.source), terms)
+    return _transport(
+        f, dualize_ob(f.target), dualize_ob(f.source), _flip_point(f.source.tangle), True
+    )
 
 
 def reflect_x_ob(a: ShiftedObject) -> ShiftedObject:
@@ -1133,23 +1060,9 @@ def reflect_x_ob(a: ShiftedObject) -> ShiftedObject:
 
 
 def reflect_x_cob(f: CanonicalCobordism) -> CanonicalCobordism:
-    a, b = f.source.tangle, f.target.tangle
-    af, bf = a.flip(), b.flip()
-    cd_old = closure_data(a, b)
-    cd_new = closure_data(af, bf)
-
-    def flip_pt(p: int) -> int:
-        return p + a.n if p < a.m else p - a.m
-
-    circle_map = []
-    for ci in range(cd_old.n):
-        side, kind, key = cd_old.constituents[ci][0]
-        if kind == "arc":
-            circle_map.append(cd_new.point[flip_pt(key[0])])
-        else:
-            circle_map.append(cd_new.src_circ[key] if side == "s" else cd_new.tgt_circ[key])
-    terms = _transport_terms(f, af, bf, circle_map)
-    return CanonicalCobordism(reflect_x_ob(f.source), reflect_x_ob(f.target), terms)
+    return _transport(
+        f, reflect_x_ob(f.source), reflect_x_ob(f.target), _flip_point(f.source.tangle), False
+    )
 
 
 def reflect_y_ob(a: ShiftedObject) -> ShiftedObject:
@@ -1157,23 +1070,14 @@ def reflect_y_ob(a: ShiftedObject) -> ShiftedObject:
 
 
 def reflect_y_cob(f: CanonicalCobordism) -> CanonicalCobordism:
-    a, b = f.source.tangle, f.target.tangle
-    af, bf = a.mirror(), b.mirror()
-    cd_old = closure_data(a, b)
-    cd_new = closure_data(af, bf)
-
-    def mirror_pt(p: int) -> int:
-        return a.m - 1 - p if p < a.m else a.m + (a.m + a.n - 1 - p)
-
-    circle_map = []
-    for ci in range(cd_old.n):
-        side, kind, key = cd_old.constituents[ci][0]
-        if kind == "arc":
-            circle_map.append(cd_new.point[mirror_pt(key[0])])
-        else:
-            circle_map.append(cd_new.src_circ[key] if side == "s" else cd_new.tgt_circ[key])
-    terms = _transport_terms(f, af, bf, circle_map)
-    return CanonicalCobordism(reflect_y_ob(f.source), reflect_y_ob(f.target), terms)
+    m, n = f.source.tangle.m, f.source.tangle.n
+    return _transport(
+        f,
+        reflect_y_ob(f.source),
+        reflect_y_ob(f.target),
+        lambda p: m - 1 - p if p < m else m + (m + n - 1 - p),
+        False,
+    )
 
 
 # -- surgery (elementary saddle) ----------------------------------------------
@@ -1201,7 +1105,8 @@ def surgery(source: ShiftedObject, x: int, y: int, target_shift: int | None = No
     tgt = ShiftedObject(tgt_tangle, source.qshift if target_shift is None else target_shift)
 
     # pieces: one strip per source arc, one annulus per source circle, one
-    # handle square
+    # handle square.  Target arcs share their boundary points with source
+    # arcs; the circle split off by self-surgery sits on the handle.
     arcs = t.arcs()
     arc_index = {arc: i for i, arc in enumerate(arcs)}
     n_arcs = len(arcs)
@@ -1212,29 +1117,12 @@ def surgery(source: ShiftedObject, x: int, y: int, target_shift: int | None = No
         (arc_index[t.arc_at(x)], handle, 1),
         (arc_index[t.arc_at(y)], handle, 1),
     ]
-    cOut = closure_data(t, tgt_tangle)
-
-    def nodes_of(side: str, kind: str, key) -> list[int]:
-        if side == "s":
-            if kind == "arc":
-                return [arc_index[key]]
-            return [n_arcs + key]
-        # target side: arcs attach through shared boundary points; new
-        # circles (from self-surgery) sit on the handle
-        if kind == "arc":
-            return [arc_index[t.arc_at(key[0])], arc_index[t.arc_at(key[1])]]
-        j = key
-        if j < t.circles:
-            return [n_arcs + j]
-        return [handle]
-
-    circle_nodes = []
-    for cons in cOut.constituents:
-        nodes = []
-        for side, kind, key in cons:
-            nodes.extend(nodes_of(side, kind, key))
-        circle_nodes.append(nodes)
-    terms = reduce_glued(piece_chi, piece_dots, cells, circle_nodes)
+    point_piece = [arc_index[t.arc_at(p)] for p in range(t.m + t.n)]
+    circs = list(range(n_arcs, handle))
+    nodes = _circle_nodes(
+        t, tgt_tangle, point_piece, point_piece, circs, circs + [handle] * extra_circle
+    )
+    terms = reduce_glued(piece_chi, piece_dots, cells, nodes)
     return CanonicalCobordism(source, tgt, terms)
 
 
@@ -1301,79 +1189,28 @@ def merge_trace_saddle(a: FlatTangle, b: FlatTangle) -> CanonicalCobordism:
     ta = trace_ob(a)
     source = beside_ob(ta.tangle, b)
     sd = stack_ob(a, b)
-    target = sd.tangle
 
     # pieces: strips per source arc (= b's arcs), annuli per source circle
-    # (Tr(a)'s circles then b's), then n handles
+    # (Tr(a)'s circles then b's), then n handles.  Handle i joins the Tr(a)
+    # circle through strand i to b's arc at top point i.
     arcs = source.arcs()
     arc_index = {arc: i for i, arc in enumerate(arcs)}
     n_arcs = len(arcs)
-    n_tra_circ = ta.tangle.circles
+    handle = n_arcs + source.circles
     piece_chi = [1] * n_arcs + [0] * source.circles + [1] * n
     piece_dots = [0] * len(piece_chi)
-
-    def tra_circle_node(j: int) -> int:
-        return n_arcs + j
-
-    def b_circle_node(j: int) -> int:
-        return n_arcs + n_tra_circ + j
-
-    def handle_node(i: int) -> int:
-        return n_arcs + source.circles + i
-
-    # which Tr(a) circle contains closure arc i / an arc of a
-    closure_circle = {}
-    a_arc_circle = {}
-    for j, prov in enumerate(ta.circ_prov):
-        if prov[0] == "new":
-            for kind, key in prov[1]:
-                if kind == "closure":
-                    closure_circle[key] = j
-                else:
-                    a_arc_circle[key] = j
-
     cells = []
     for i in range(n):
-        cells.append((handle_node(i), tra_circle_node(closure_circle[i]), 1))
-        cells.append((handle_node(i), arc_index[b.arc_at(i)], 1))
+        cells.append((handle + i, n_arcs + ta.circle_at[i], 1))
+        cells.append((handle + i, arc_index[b.arc_at(i)], 1))
 
-    cOut = closure_data(source, target)
-
-    def nodes_of(side: str, kind: str, key) -> list[int]:
-        if side == "s":
-            if kind == "arc":
-                return [arc_index[key]]
-            j = key
-            return [tra_circle_node(j)] if j < n_tra_circ else [b_circle_node(j - n_tra_circ)]
-        if kind == "arc":
-            # target arcs share the boundary points with source arcs
-            return [arc_index[source.arc_at(key[0])], arc_index[source.arc_at(key[1])]]
-        prov = sd.circ_prov[key]
-        if prov[0] == "a":
-            return [tra_circle_node(ta.circ_prov.index(("old", prov[1])))]
-        if prov[0] == "b":
-            return [b_circle_node(prov[1])]
-        nodes = []
-        for which, orig in prov[1]:
-            if which == "b":
-                nodes.append(arc_index[orig])
-            else:
-                nodes.append(tra_circle_node(a_arc_circle[orig]))
-        return nodes
-
-    circle_nodes = []
-    for cons in cOut.constituents:
-        nodes = []
-        for side, kind, key in cons:
-            nodes.extend(nodes_of(side, kind, key))
-        circle_nodes.append(nodes)
-    terms = reduce_glued(piece_chi, piece_dots, cells, circle_nodes)
-    return CanonicalCobordism(ShiftedObject(source), ShiftedObject(target), terms)
-
-
-# spec-facing operation aliases
-compose_cob = compose
-stack_cob = stack
-beside_cob = beside
-trace_cob = trace
-saddle = saddle_to_identity
+    # target arcs share their boundary points with source arcs; the target's
+    # circles are a's (Tr(a)'s first circles), b's, then the loops closed in
+    # the middle, each of which runs over b's arc at its first middle point
+    point_piece = [arc_index[source.arc_at(p)] for p in range(source.m + source.n)]
+    src_circ = list(range(n_arcs, handle))
+    tgt_circ = src_circ[: a.circles] + src_circ[ta.tangle.circles :]
+    tgt_circ += [point_piece[i] for i in sd.loops]
+    nodes = _circle_nodes(source, sd.tangle, point_piece, point_piece, src_circ, tgt_circ)
+    terms = reduce_glued(piece_chi, piece_dots, cells, nodes)
+    return CanonicalCobordism(ShiftedObject(source), ShiftedObject(sd.tangle), terms)

@@ -495,8 +495,6 @@ def stack_chain_maps(F: ChainMap, G: ChainMap) -> ChainMap:
                         term = cob.stack(f, g).scale(sign)
                         rc = (tgt_index[tk][key], cpos)
                         mat[rc] = mat[rc] + term if rc in mat else term
-            if F.hdeg == 0 and G.hdeg == 0:
-                continue
         mat = {rc: v for rc, v in mat.items() if not v.is_zero()}
         if mat:
             mats[k] = mat
@@ -1576,8 +1574,3 @@ def planar_compose(pattern: str, *complexes: ChainComplex, mode: str | None = No
     for nxt in complexes[1:]:
         out, _ = op(out, nxt, mode)
     return out
-
-
-# spec-facing aliases
-dual_map = dual_chain_map
-Homotopy = ChainMap

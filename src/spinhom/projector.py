@@ -36,11 +36,6 @@ MAX_SWEEPS = 64
 #: see build_projector
 SWEEP_MARGIN = 1
 
-#: sheet-algebra elements are chain maps on a projector complex (cycles of
-#: the corresponding module complex are plain coordinate dictionaries)
-SheetAlgebraElement = ChainMap
-
-
 # ---------------------------------------------------------------------------
 # P_2 and its structure maps
 

@@ -27,7 +27,7 @@ def compose_matchings(a: FlatTangle, b: FlatTangle) -> tuple[FlatTangle, int]:
 
     Uncached: the oracle meets thousands of distinct pairs once each.
     """
-    pairs, _, loops = stack_walk(a, b)
+    pairs, loops = stack_walk(a, b)
     return FlatTangle(a.m, b.n, pairs), len(loops)
 
 

@@ -11,6 +11,8 @@ from spinhom.cob import (
     CanonicalCobordism,
     FlatTangle,
     ShiftedObject,
+    beside,
+    beside_ob,
     closure_data,
     compose,
     degree,
@@ -227,6 +229,47 @@ def _reference_stack(f: CanonicalCobordism, g: CanonicalCobordism) -> CanonicalC
     return _glue_reference(patterns, src, tgt, [1] * (cF.n + cG.n), cells, circle_nodes)
 
 
+def _reference_beside(f: CanonicalCobordism, g: CanonicalCobordism) -> CanonicalCobordism:
+    """f beside g, glued term by term through reduce_glued with no cells.
+    The output circles are found by walking the boundary: each arc of the
+    four tangles is an edge between the output boundary points it ends at
+    (f's points first on each side, then g's)."""
+    at, a2t, bt, b2t = f.source.tangle, f.target.tangle, g.source.tangle, g.target.tangle
+    cF, cG = closure_data(at, a2t), closure_data(bt, b2t)
+    src = ShiftedObject(beside_ob(at, bt), f.source.qshift + g.source.qshift)
+    tgt = ShiftedObject(beside_ob(a2t, b2t), f.target.qshift + g.target.qshift)
+    cOut = closure_data(src.tangle, tgt.tangle)
+    top = at.m + bt.m
+
+    def left(p):
+        return p if p < at.m else top + (p - at.m)
+
+    def right(p):
+        return at.m + p if p < bt.m else top + at.n + (p - bt.m)
+
+    walk = _Components()
+    for tangle, label, arc_piece in (
+        (at, left, lambda arc: cF.src_arc[arc]),
+        (a2t, left, lambda arc: cF.tgt_arc[arc]),
+        (bt, right, lambda arc: cF.n + cG.src_arc[arc]),
+        (b2t, right, lambda arc: cF.n + cG.tgt_arc[arc]),
+    ):
+        for arc in tangle.arcs():
+            walk.edge(label(arc[0]), label(arc[1]), arc_piece(arc))
+    circle_nodes = [None] * cOut.n
+    for labels, pieces in walk.circles().values():
+        circle_nodes[cOut.point[min(labels)]] = sorted(pieces)
+    # free circles of the juxtaposed objects: f's, then g's
+    for out_circ, f_circ, g_circ in (
+        (cOut.src_circ, cF.src_circ, cG.src_circ),
+        (cOut.tgt_circ, cF.tgt_circ, cG.tgt_circ),
+    ):
+        for j, pieces in enumerate([[x] for x in f_circ] + [[cF.n + x] for x in g_circ]):
+            circle_nodes[out_circ[j]] = pieces
+    patterns = [(af + ag, pf * pg) for af, pf in f.terms.items() for ag, pg in g.terms.items()]
+    return _glue_reference(patterns, src, tgt, [1] * (cF.n + cG.n), [], circle_nodes)
+
+
 def _reference_trace(f: CanonicalCobordism) -> CanonicalCobordism:
     """Markov trace glued term by term through reduce_glued: f's closure
     disks, then one strip per strand joining top point i to bottom point i
@@ -294,3 +337,24 @@ def test_trace_matches_reference_gluing(f):
     assert trace(f) == expected
     # a second call is answered from the memoised glue structure
     assert trace(f) == expected
+
+
+@st.composite
+def besideable_pair(draw):
+    """f beside g, each on up to three points a side, with circles."""
+    morphisms = []
+    for _ in range(2):
+        parity = draw(st.integers(0, 1))
+        m, n = (draw(st.sampled_from([parity, parity + 2])) for _ in range(2))
+        morphisms.append(_rand_mor(draw, *_rand_objects(draw, m, n, 2)))
+    return tuple(morphisms)
+
+
+@given(besideable_pair())
+@settings(max_examples=80, deadline=None)
+def test_beside_matches_reference_gluing(pair):
+    f, g = pair
+    expected = _reference_beside(f, g)
+    assert beside(f, g) == expected
+    # a second call is answered from the memoised glue structure
+    assert beside(f, g) == expected

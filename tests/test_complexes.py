@@ -8,16 +8,12 @@ import pytest
 from helpers import random_complex, tables_equal, two_term_piece
 from spinhom import projector as pj
 from spinhom.cob import (
-    AlphaPoly,
     FlatTangle,
     ShiftedObject,
-    dot_at_point,
     identity_cob,
     stack as stack_cob,
-    surgery,
 )
 from spinhom.complexes import (
-    Bicomplex,
     ChainComplex,
     ChainMap,
     Window,

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import pytest
 
-from spinhom import complexes as cx
 from spinhom import expr as ex
 from spinhom import projector as pj
 from spinhom import serialize as ser
@@ -113,22 +112,44 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def unreferenced_functions(root: Path) -> list[str]:
-    """Functions and methods defined under src/spinhom (dunders exempt)
-    whose name occurs as a Python name token in src/, tests/ and perfbench/
-    only at definitions."""
+    """Functions and methods defined under src/spinhom (dunders exempt), and
+    module-level `name = other_name` aliases there, whose name occurs as a
+    Python name token in src/, tests/ and perfbench/ only at definitions.
+    A name a file binds by `import ... as name` is that file's own, so its
+    tokens there are not uses."""
     names: Counter = Counter()
     defs: Counter = Counter()
     defined = []
     for path in sorted(p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py")):
         text = path.read_text()
+        tree = ast.parse(text)
+        local = {
+            a.asname
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for a in node.names
+            if a.asname
+        }
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-            if tok.type == tokenize.NAME:
+            if tok.type == tokenize.NAME and tok.string not in local:
                 names[tok.string] += 1
-        for node in ast.walk(ast.parse(text)):
+        in_src = path.is_relative_to(root / "src" / "spinhom")
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defs[node.name] += 1
-                if path.is_relative_to(root / "src" / "spinhom"):
+                if in_src:
                     defined.append((path.relative_to(root), node.lineno, node.name))
+        for node in tree.body:
+            if (
+                in_src
+                and isinstance(node, ast.Assign)
+                and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Name)
+            ):
+                name = node.targets[0].id
+                defs[name] += 1
+                defined.append((path.relative_to(root), node.lineno, name))
     return [
         f"{p}:{line} {name}"
         for p, line, name in defined
