@@ -217,14 +217,12 @@ class ClosureData:
     """Circles of the 1-manifold obtained by gluing source to reflected
     target along all shared boundary points.
 
-    Constituents of each circle are recorded as ("s"/"t", "arc", (p,q)) or
-    ("s"/"t", "circ", j).  Circles through boundary points come first,
-    ordered by their smallest point; then source free circles, then target
-    free circles, each in index order.
+    Circles through boundary points come first, ordered by their smallest
+    point; then source free circles, then target free circles, each in
+    index order.
     """
 
     n: int
-    constituents: tuple[tuple[tuple[str, str, object], ...], ...]
     src_arc: dict  # Arc -> circle index
     tgt_arc: dict
     src_circ: tuple[int, ...]
@@ -236,55 +234,30 @@ class ClosureData:
 def closure_data(a: FlatTangle, b: FlatTangle) -> ClosureData:
     if (a.m, a.n) != (b.m, b.n):
         raise DimensionError("closure requires matching boundary counts")
-    total = a.m + a.n
-    seen = [False] * total
-    circles: list[list[tuple[str, str, object]]] = []
-    point_map = [0] * total
+    point_map = [-1] * (a.m + a.n)
     src_arc: dict = {}
     tgt_arc: dict = {}
-    for start in range(total):
-        if seen[start]:
+    n = 0
+    for start in range(len(point_map)):
+        if point_map[start] >= 0:
             continue
-        idx = len(circles)
-        cons: list[tuple[str, str, object]] = []
         p = start
         # alternate: source arc, then target arc, until back at start
-        while not seen[p]:
-            seen[p] = True
-            point_map[p] = idx
-            arc_s = a.arc_at(p)
-            src_arc[arc_s] = idx
-            cons.append(("s", "arc", arc_s))
+        while point_map[p] < 0:
             q = a.pairs[p]
-            seen[q] = True
-            point_map[q] = idx
-            arc_t = b.arc_at(q)
-            tgt_arc[arc_t] = idx
-            cons.append(("t", "arc", arc_t))
+            point_map[p] = point_map[q] = n
+            src_arc[a.arc_at(p)] = n
+            tgt_arc[b.arc_at(q)] = n
             p = b.pairs[q]
-        circles.append(cons)
-    src_circ = []
-    for j in range(a.circles):
-        src_circ.append(len(circles))
-        circles.append([("s", "circ", j)])
-    tgt_circ = []
-    for j in range(b.circles):
-        tgt_circ.append(len(circles))
-        circles.append([("t", "circ", j)])
+        n += 1
     return ClosureData(
-        n=len(circles),
-        constituents=tuple(tuple(c) for c in circles),
+        n=n + a.circles + b.circles,
         src_arc=src_arc,
         tgt_arc=tgt_arc,
-        src_circ=tuple(src_circ),
-        tgt_circ=tuple(tgt_circ),
+        src_circ=tuple(range(n, n + a.circles)),
+        tgt_circ=tuple(range(n + a.circles, n + a.circles + b.circles)),
         point=tuple(point_map),
     )
-
-
-def closure_circles(a: FlatTangle, b: FlatTangle) -> list[tuple]:
-    """Ordered list of closure circles (constituent tuples); see ClosureData."""
-    return list(closure_data(a, b).constituents)
 
 
 # ---------------------------------------------------------------------------

@@ -123,12 +123,18 @@ class ChainComplex:
                     raise IntegrityError(f"d.d != 0 at degree {k}, entry {rc}")
 
 
+def _by_column(mat: Matrix) -> dict[int, list[tuple[int, CanonicalCobordism]]]:
+    """Column -> [(row, entry)] of a matrix, each list in the matrix's order."""
+    cols: dict[int, list[tuple[int, CanonicalCobordism]]] = {}
+    for (r, c), f in mat.items():
+        cols.setdefault(c, []).append((r, f))
+    return cols
+
+
 def _mat_mul(g_mat: Matrix, f_mat: Matrix) -> Matrix:
     """(g.f)[r, c] = sum_j g[r, j] f[j, c], f applied first."""
     acc: Matrix = {}
-    g_by_col: dict[int, list[tuple[int, CanonicalCobordism]]] = {}
-    for (r, c), g in g_mat.items():
-        g_by_col.setdefault(c, []).append((r, g))
+    g_by_col = _by_column(g_mat)
     for (j, c), f in f_mat.items():
         for r, g in g_by_col.get(j, ()):
             term = cob.compose(g, f)
@@ -388,16 +394,8 @@ def _binary_planar(
         mat = diff.setdefault(k, {})
         mat[(r, c)] = mat[(r, c)] + f if (r, c) in mat else f
 
-    def by_column(diffs: dict[int, Matrix]) -> dict[int, dict[int, list]]:
-        """Per degree, column -> [(row, entry)], each in the matrix's order."""
-        cols: dict[int, dict[int, list]] = {}
-        for deg, mat in diffs.items():
-            per = cols[deg] = {}
-            for (r, c), f in mat.items():
-                per.setdefault(c, []).append((r, f))
-        return cols
-
-    colsA, colsB = by_column(A.diff), by_column(B.diff)
+    colsA = {deg: _by_column(mat) for deg, mat in A.diff.items()}
+    colsB = {deg: _by_column(mat) for deg, mat in B.diff.items()}
     for k, lay in layout.items():
         for cpos, (i, j, pa, pb) in enumerate(lay):
             oa = A.groups[i][pa]
@@ -473,21 +471,15 @@ def stack_chain_maps(F: ChainMap, G: ChainMap) -> ChainMap:
     tgt_index = {
         k: {prov: p for p, prov in enumerate(lay)} for k, lay in tgt_layout.items()
     }
+    f_cols = {k: _by_column(mat) for k, mat in F.mats.items()}
+    g_cols = {k: _by_column(mat) for k, mat in G.mats.items()}
     mats: dict[int, Matrix] = {}
     for k, lay in src_layout.items():
         mat: Matrix = {}
         for cpos, (i, j, pa, pb) in enumerate(lay):
-            oa = A.groups[i][pa]
-            ob = B.groups[j][pb]
-            fmat = F.mats.get(i, {})
-            gmat = G.mats.get(j, {})
             # F (x) 1 then 1 (x) G expanded: T(F,G) = T(F,1) . T(1,G) with signs
-            for (r2, c2), f in fmat.items():
-                if c2 != pa:
-                    continue
-                for (r3, c3), g in gmat.items():
-                    if c3 != pb:
-                        continue
+            for r2, f in f_cols.get(i, {}).get(pa, ()):
+                for r3, g in g_cols.get(j, {}).get(pb, ()):
                     key = (i + F.hdeg, j + G.hdeg, r2, r3)
                     tk = k + F.hdeg + G.hdeg
                     if tk in tgt_index and key in tgt_index[tk]:
@@ -808,39 +800,24 @@ class _Work:
 
 def _birth_death(dotted: bool, src_obj: ShiftedObject, tgt_obj: ShiftedObject) -> CanonicalCobordism:
     """Identity product on the components src_obj and tgt_obj share, while
-    the one unmatched circle is a (possibly dotted) birth/death disk."""
+    the one unmatched circle is a (possibly dotted) birth/death disk.
+
+    Pieces: a disk per arc, an annulus per shared circle, then the disk;
+    output circles are named by cob's boundary-point rule."""
     s_t, t_t = src_obj.tangle, tgt_obj.tangle
-    cdx = closure_data(s_t, t_t)
-    pieces = []
-    dots = []
-    owner = {}
-    for arc in s_t.arcs():
-        owner[("s_arc", arc)] = len(pieces)
-        pieces.append(1)
-        dots.append(0)
-    # shared kept circles: annuli between source copy i and target copy i
+    arcs = s_t.arcs()
     kept = min(s_t.circles, t_t.circles)
-    for jj in range(kept):
-        owner[("pair", jj)] = len(pieces)
-        pieces.append(0)
-        dots.append(0)
-    # the unmatched circle (on source or target) is a disk
-    disk = len(pieces)
-    pieces.append(1)
-    dots.append(1 if dotted else 0)
-    circle_nodes = []
-    for cons in cdx.constituents:
-        nodes = []
-        for side, kind, key in cons:
-            if kind == "arc":
-                nodes.append(owner[("s_arc", key)])
-            elif key < kept:
-                nodes.append(owner[("pair", key)])
-            else:
-                nodes.append(disk)
-        circle_nodes.append(nodes)
-    terms = cob.reduce_glued(pieces, dots, [], circle_nodes)
-    return CanonicalCobordism(src_obj, tgt_obj, terms)
+    disk = len(arcs) + kept
+    arc_piece = {arc: x for x, arc in enumerate(arcs)}
+    at = [arc_piece[s_t.arc_at(p)] for p in range(s_t.m + s_t.n)]
+
+    def circ(count: int) -> list[int]:
+        return [len(arcs) + j if j < kept else disk for j in range(count)]
+
+    nodes = cob._circle_nodes(s_t, t_t, at, at, circ(s_t.circles), circ(t_t.circles))
+    pieces = [1] * len(arcs) + [0] * kept + [1]
+    dots = [0] * disk + [1 if dotted else 0]
+    return CanonicalCobordism(src_obj, tgt_obj, cob.reduce_glued(pieces, dots, [], nodes))
 
 
 @functools.lru_cache(maxsize=1 << 14)
@@ -1101,114 +1078,93 @@ def _basis_generators(a: ShiftedObject, b: ShiftedObject):
     return out
 
 
+def _hom_basis(A: ChainComplex, B: ChainComplex, t: int) -> list[tuple[tuple, int]]:
+    """Generators of Hom^t(A, B), the canonical cobordisms A^i -> B^{i+t}:
+    (((i, pa), (i+t, pb), assign), qdeg) in (i, pa, pb, assign) order."""
+    out = []
+    for i in sorted(A.groups):
+        j = i + t
+        if j not in B.groups:
+            continue
+        for pa, oa in enumerate(A.groups[i]):
+            for pb, ob in enumerate(B.groups[j]):
+                for assign, qdeg in _basis_generators(oa, ob):
+                    out.append((((i, pa), (j, pb), assign), qdeg))
+    return out
+
+
+def _hom_d(
+    A: ChainComplex, B: ChainComplex, t: int, basis: list[tuple], rows: dict[tuple, int]
+) -> dict[tuple[int, int], AlphaPoly]:
+    """The Hom engine: the matrix of f -> [d, f] = d_B . f - (-1)^t f . d_A
+    from the generators `basis` of Hom^t(A, B) into the generators of
+    Hom^{t+1} that `rows` numbers (label -> row); images on other generators
+    are dropped.  Each generator meets only its own column of d_B and its
+    own row of d_A."""
+    col_b = functools.cache(lambda j: _by_column(B.diff.get(j, {})))
+    row_a = functools.cache(
+        lambda i: _by_column({(c, r): f for (r, c), f in A.diff.get(i, {}).items()})
+    )
+    negate = t % 2 == 0
+    out: dict[tuple[int, int], AlphaPoly] = {}
+
+    def add(label: tuple, c: int, img: CanonicalCobordism, neg: bool) -> None:
+        for t_assign, poly in img.terms.items():
+            r = rows.get((*label, t_assign))
+            if r is None:
+                continue
+            term = -poly if neg else poly
+            out[(r, c)] = out[(r, c)] + term if (r, c) in out else term
+
+    for c, ((i, pa), (j, pb), assign) in enumerate(basis):
+        col, row = col_b(j).get(pb, ()), row_a(i - 1).get(pa, ())
+        if not (col or row):
+            continue
+        gen = CanonicalCobordism.generator(A.groups[i][pa], B.groups[j][pb], assign)
+        for r2, g in col:
+            add(((i, pa), (j + 1, r2)), c, cob.compose(g, gen), False)
+        for c2, g in row:
+            add(((i - 1, c2), (j, pb)), c, cob.compose(gen, g), negate)
+    return {rc: v for rc, v in out.items() if v}
+
+
+def _hom_module(A: ChainComplex, B: ChainComplex, reliable: tuple[float, float]) -> ModuleComplex:
+    """The Hom engine over every degree t: Hom^t(A, B) with [d, -]."""
+    gens = {}
+    for t in sorted({j - i for i in A.groups for j in B.groups}):
+        if basis := _hom_basis(A, B, t):
+            gens[t] = basis
+    diff = {}
+    for t, basis in gens.items():
+        rows = {label: r for r, (label, _q) in enumerate(gens.get(t + 1, ()))}
+        if mat := _hom_d(A, B, t, [label for label, _q in basis], rows):
+            diff[t] = mat
+    return ModuleComplex(gens, diff, reliable)
+
+
 def tautological(C: ChainComplex) -> ModuleComplex:
     """Hom(empty, -) applied to a closed complex: free Z[alpha]-modules on
-    dot assignments, differential transported by composition."""
+    dot assignments, differential transported by composition.  This is the
+    Hom engine with the empty object in degree 0 as source."""
     if C.m or C.n:
         raise DimensionError("tautological functor needs a closed complex")
-    empty = ShiftedObject(FlatTangle.empty(), 0)
-    gens: dict[int, list[tuple[object, int]]] = {}
-    pos: dict[tuple[int, int, tuple], int] = {}
-    for k in sorted(C.groups):
-        lst = []
-        for p, o in enumerate(C.groups[k]):
-            for assign, qdeg in _basis_generators(empty, o):
-                pos[(k, p, assign)] = len(lst)
-                lst.append(((k, p, assign), qdeg))
-        if lst:
-            gens[k] = lst
-    diff: dict[int, dict[tuple[int, int], AlphaPoly]] = {}
-    for k, mat in C.diff.items():
-        dm: dict[tuple[int, int], AlphaPoly] = {}
-        for (r, c), f in mat.items():
-            src_obj = C.groups[k][c]
-            for assign, _q in _basis_generators(empty, src_obj):
-                gen = CanonicalCobordism.generator(empty, src_obj, assign)
-                img = cob.compose(f, gen)
-                for t_assign, poly in img.terms.items():
-                    key = (pos[(k, c, assign)], pos[(k + 1, r, t_assign)])
-                    rr, cc = key[1], key[0]
-                    dm[(rr, cc)] = dm.get((rr, cc), AlphaPoly()) + poly
-        dm = {rc: v for rc, v in dm.items() if v}
-        if dm:
-            diff[k] = dm
-    return ModuleComplex(gens, diff, C.reliable)
+    point = single_object(ShiftedObject(FlatTangle.empty(), 0), 0, 0)
+    return _hom_module(point, C, C.reliable)
 
 
 def hom_complex_direct(A: ChainComplex, B: ChainComplex) -> ModuleComplex:
     """Hom-complex built from the definition: generators are canonical
     cobordisms A^i -> B^{i+t}, differential the supercommutator
-    [d, f] = d_B . f - (-1)^t f . d_A."""
+    [d, f] = d_B . f - (-1)^t f . d_A, both from the one Hom engine."""
     if (A.m, A.n) != (B.m, B.n):
         raise DimensionError("hom complex needs matching boundaries")
-    gens: dict[int, list[tuple[object, int]]] = {}
-    pos: dict[tuple, int] = {}
-    degs_a = sorted(A.groups)
-    degs_b = sorted(B.groups)
-    tmin = min(j - i for i in degs_a for j in degs_b) if degs_a and degs_b else 0
-    tmax = max(j - i for i in degs_a for j in degs_b) if degs_a and degs_b else 0
-    for t in range(tmin, tmax + 1):
-        lst = []
-        for i in degs_a:
-            j = i + t
-            if j not in B.groups:
-                continue
-            for pa, oa in enumerate(A.groups[i]):
-                for pb, ob in enumerate(B.groups[j]):
-                    for assign, qdeg in _basis_generators(oa, ob):
-                        pos[(t, i, pa, pb, assign)] = len(lst)
-                        lst.append((((i, pa), (j, pb), assign), qdeg))
-        if lst:
-            gens[t] = lst
-    diff: dict[int, dict[tuple[int, int], AlphaPoly]] = {}
-
-    def add(t: int, row_key, col_key, poly: AlphaPoly, sign: int = 1) -> None:
-        if row_key not in pos or col_key not in pos:
-            return
-        rc = (pos[row_key], pos[col_key])
-        dm = diff.setdefault(t, {})
-        add_poly = poly if sign == 1 else -poly
-        dm[rc] = dm.get(rc, AlphaPoly()) + add_poly
-
-    for t in range(tmin, tmax + 1):
-        if t not in gens:
-            continue
-        for i in degs_a:
-            j = i + t
-            if j not in B.groups:
-                continue
-            for pa, oa in enumerate(A.groups[i]):
-                for pb, ob in enumerate(B.groups[j]):
-                    for assign, _q in _basis_generators(oa, ob):
-                        gen = CanonicalCobordism.generator(oa, ob, assign)
-                        col_key = (t, i, pa, pb, assign)
-                        # d_B . f
-                        for (r2, c2), g in B.diff.get(j, {}).items():
-                            if c2 != pb:
-                                continue
-                            img = cob.compose(g, gen)
-                            for t_assign, poly in img.terms.items():
-                                add(t, (t + 1, i, pa, r2, t_assign), col_key, poly)
-                        # -(-1)^t f . d_A
-                        sgn = -1 if t % 2 == 0 else 1
-                        for (r2, c2), g in A.diff.get(i - 1, {}).items():
-                            if r2 != pa:
-                                continue
-                            img = cob.compose(gen, g)
-                            for t_assign, poly in img.terms.items():
-                                add(t, (t + 1, i - 1, c2, pb, t_assign), col_key,
-                                    poly, sgn)
-    for t in list(diff):
-        diff[t] = {rc: v for rc, v in diff[t].items() if v}
-        if not diff[t]:
-            del diff[t]
-    rel = _combine_reliability(B, dual_complex(A))
-    return ModuleComplex(gens, diff, rel)
+    return _hom_module(A, B, _combine_reliability(B, dual_complex(A)))
 
 
 def hom_complex(A: ChainComplex, B: ChainComplex) -> ModuleComplex:
     """Hom-complex via the duality theorem: q^{(m+n)/2} <Tr(B stacked over
-    A-dual)>, built with no reference to the supercommutator."""
+    A-dual)>, built with no reference to the supercommutator: the Hom
+    engine runs only as tautological, where there is no d_A."""
     if (A.m, A.n) != (B.m, B.n):
         raise DimensionError("hom complex needs matching boundaries")
     T, _ = stack_complexes(B, dual_complex(A), mode="product")
@@ -1251,9 +1207,7 @@ class Bicomplex:
             b = _mat_mul(self.dv.get((i, j + 1), {}), self.dv.get((i, j), {}))
             if any(not f.is_zero() for f in b.values()):
                 raise IntegrityError("dv.dv != 0")
-            anti: Matrix = {}
-            for rc, f in _mat_mul(self.dv.get((i + 1, j), {}), self.dh.get((i, j), {})).items():
-                anti[rc] = f
+            anti = _mat_mul(self.dv.get((i + 1, j), {}), self.dh.get((i, j), {}))
             for rc, f in _mat_mul(self.dh.get((i, j + 1), {}), self.dv.get((i, j), {})).items():
                 anti[rc] = anti[rc] + f if rc in anti else f
             if any(not f.is_zero() for f in anti.values()):
@@ -1452,19 +1406,6 @@ def bicomplex_contraction(
 # Homotopy detection at alpha = 0
 
 
-def _map_coords_alpha0(F: ChainMap) -> dict[tuple, int]:
-    """Coordinates of a chain map in the canonical-generator basis of the
-    direct Hom-complex, keeping only the alpha-degree-0 part."""
-    out: dict[tuple, int] = {}
-    for k, mat in F.mats.items():
-        for (r, c), f in mat.items():
-            for assign, poly in f.terms.items():
-                v = poly.coeffs.get(0, 0)
-                if v:
-                    out[(k, c, r, assign)] = out.get((k, c, r, assign), 0) + v
-    return {k: v for k, v in out.items() if v}
-
-
 def homotopy_witness(
     F: ChainMap, G: ChainMap, eq_lo: float = NEG_INF, eq_hi: float = POS_INF
 ) -> dict | None:
@@ -1473,8 +1414,10 @@ def homotopy_witness(
     The equation is imposed only on components whose source degree lies in
     [eq_lo, eq_hi]; the candidate homotopy ranges over all degrees.  This
     is the honest window-interior statement of "F and G are homotopic".
-    The witness is returned as {(degree, posA, posB, assign): coeff} for a
-    map of homological degree hdeg - 1.
+    [d, -] is the Hom engine's, from the q-degree F.qdeg generators of
+    Hom^{h-1} to those of Hom^h, h = hdeg, at alpha^0.  The witness is
+    returned as {(degree, posA, posB, assign): coeff} for a map of
+    homological degree hdeg - 1.
     """
     from .homology import IntMatrix, solve_integer
 
@@ -1482,68 +1425,37 @@ def homotopy_witness(
         raise DimensionError("homotopy comparison needs equal bidegrees")
     A, B = F.source, F.target
     h = F.hdeg
-    target_coords = _map_coords_alpha0(F - G)
 
-    def basis(hd: int, lo: float, hi: float) -> list[tuple]:
-        out = []
-        for i in sorted(A.groups):
-            if not lo <= i <= hi:
-                continue
-            j = i + hd
-            if j not in B.groups:
-                continue
-            for pa, oa in enumerate(A.groups[i]):
-                for pb, ob in enumerate(B.groups[j]):
-                    for assign, qd in _basis_generators(oa, ob):
-                        if qd == F.qdeg:
-                            out.append((i, pa, pb, assign))
-        return out
+    def basis(t: int, lo: float, hi: float) -> list[tuple]:
+        return [
+            label for label, q in _hom_basis(A, B, t)
+            if q == F.qdeg and lo <= label[0][0] <= hi
+        ]
 
     src_basis = basis(h - 1, NEG_INF, POS_INF)
-    tgt_basis = basis(h, eq_lo, eq_hi)
-    tgt_index = {b: i for i, b in enumerate(tgt_basis)}
-    entries: dict[tuple[int, int], int] = {}
-    sign = -1 if (h - 1) % 2 == 0 else 1
-    for cpos, (i, pa, pb, assign) in enumerate(src_basis):
-        gen = CanonicalCobordism.generator(
-            A.groups[i][pa], B.groups[i + h - 1][pb], assign
-        )
-        for (r2, c2), g in B.diff.get(i + h - 1, {}).items():
-            if c2 != pb:
-                continue
-            img = cob.compose(g, gen)
-            for t_assign, poly in img.terms.items():
+    rows = {label: r for r, label in enumerate(basis(h, eq_lo, eq_hi))}
+    entries = {
+        rc: poly.coeffs.get(0, 0) for rc, poly in _hom_d(A, B, h - 1, src_basis, rows).items()
+    }
+    # F - G in the same generators, alpha-degree 0 part
+    vec = [0] * len(rows)
+    for k, mat in (F - G).mats.items():
+        for (r, c), f in mat.items():
+            for assign, poly in f.terms.items():
                 v = poly.coeffs.get(0, 0)
-                key = (i, pa, r2, t_assign)
-                if v and key in tgt_index:
-                    entries[(tgt_index[key], cpos)] = (
-                        entries.get((tgt_index[key], cpos), 0) + v
-                    )
-        for (r2, c2), g in A.diff.get(i - 1, {}).items():
-            if r2 != pa:
-                continue
-            img = cob.compose(gen, g)
-            for t_assign, poly in img.terms.items():
-                v = poly.coeffs.get(0, 0)
-                key = (i - 1, c2, pb, t_assign)
-                if v and key in tgt_index:
-                    entries[(tgt_index[key], cpos)] = (
-                        entries.get((tgt_index[key], cpos), 0) + sign * v
-                    )
-    vec = [0] * len(tgt_basis)
-    for (k, c, r, assign), v in target_coords.items():
-        key = (k, c, r, assign)
-        if key in tgt_index:
-            vec[tgt_index[key]] = v
-        elif eq_lo <= k <= eq_hi:
-            return None
-    M = IntMatrix(len(tgt_basis), len(src_basis), entries)
-    x = solve_integer(M, vec)
+                if not v:
+                    continue
+                label = ((k, c), (k + h, r), assign)
+                if label in rows:
+                    vec[rows[label]] = v
+                elif eq_lo <= k <= eq_hi:
+                    return None
+    x = solve_integer(IntMatrix(len(rows), len(src_basis), entries), vec)
     if x is None:
         return None
     return {
         (i, pa, pb, assign): x[p]
-        for p, (i, pa, pb, assign) in enumerate(src_basis)
+        for p, ((i, pa), (_j, pb), assign) in enumerate(src_basis)
         if x[p]
     }
 

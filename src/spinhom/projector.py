@@ -709,7 +709,14 @@ def rewrite_network(e: ex.NetworkExpr, mode: str = "product") -> ex.NetworkExpr:
 
     A homotopy-equivalence-preserving preprocessor: the instantiated
     complexes before and after agree in the window interior (checked by the
-    test suite, and re-checkable via the CLI --verify flag).
+    test suite).  The CLI `homology --verify` flag recomputes the query
+    without rewriting and compares the two homology tables on their common
+    reliable band and the low-order terms of the two Euler series.  On a
+    two-sided network (a projector against a dual projector, as in a
+    hom(...) query between networks with projectors, or any theta) the
+    un-rewritten route has an empty reliable band, so --verify fails there
+    (exit 6) whatever the answer, until it compares against a one-sided
+    second route instead.
     """
     e = _structural(ex.push_duals(expand_vertices(e)))
     for _ in range(300):

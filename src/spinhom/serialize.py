@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .cob import AlphaPoly, CanonicalCobordism, FlatTangle, ShiftedObject
+from .cob import AlphaPoly, CanonicalCobordism, FlatTangle, ShiftedObject, closure_data
 from .complexes import ChainComplex, Window
 from .errors import IntegrityError
 
@@ -54,26 +54,27 @@ def _unmask(mask: int, width: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(width))
 
 
+def _terms_to_data(f: CanonicalCobordism) -> list:
+    return sorted([[_mask(a), poly_to_data(p)] for a, p in f.terms.items()])
+
+
+def _terms_from_data(src: ShiftedObject, tgt: ShiftedObject, terms: list) -> CanonicalCobordism:
+    width = closure_data(src.tangle, tgt.tangle).n
+    return CanonicalCobordism(
+        src, tgt, {_unmask(mask, width): poly_from_data(p) for mask, p in terms}
+    )
+
+
 def cobordism_to_data(f: CanonicalCobordism) -> dict[str, Any]:
     return {
         "src": object_to_data(f.source),
         "tgt": object_to_data(f.target),
-        "terms": sorted(
-            [[_mask(a), poly_to_data(p)] for a, p in f.terms.items()]
-        ),
+        "terms": _terms_to_data(f),
     }
 
 
 def cobordism_from_data(d: dict[str, Any]) -> CanonicalCobordism:
-    from .cob import closure_data
-
-    src = object_from_data(d["src"])
-    tgt = object_from_data(d["tgt"])
-    width = closure_data(src.tangle, tgt.tangle).n
-    terms = {
-        _unmask(mask, width): poly_from_data(p) for mask, p in d["terms"]
-    }
-    return CanonicalCobordism(src, tgt, terms)
+    return _terms_from_data(object_from_data(d["src"]), object_from_data(d["tgt"]), d["terms"])
 
 
 def complex_to_data(C: ChainComplex) -> dict[str, Any]:
@@ -81,14 +82,10 @@ def complex_to_data(C: ChainComplex) -> dict[str, Any]:
         str(k): [object_to_data(o) for o in objs]
         for k, objs in sorted(C.groups.items())
     }
-    diff = {}
-    for k, mat in sorted(C.diff.items()):
-        entries = []
-        for (r, c), f in sorted(mat.items()):
-            entries.append(
-                [r, c, sorted([[_mask(a), poly_to_data(p)] for a, p in f.terms.items()])]
-            )
-        diff[str(k)] = entries
+    diff = {
+        str(k): [[r, c, _terms_to_data(f)] for (r, c), f in sorted(mat.items())]
+        for k, mat in sorted(C.diff.items())
+    }
     return {
         "version": FORMAT_VERSION,
         "m": C.m,
@@ -102,25 +99,18 @@ def complex_to_data(C: ChainComplex) -> dict[str, Any]:
 
 
 def complex_from_data(d: dict[str, Any]) -> ChainComplex:
-    from .cob import closure_data
-
     if d.get("version") != FORMAT_VERSION:
         raise IntegrityError(f"unsupported complex format version {d.get('version')}")
     groups = {
         int(k): [object_from_data(o) for o in objs] for k, objs in d["groups"].items()
     }
-    diff = {}
-    for k, entries in d["diff"].items():
-        kk = int(k)
-        mat = {}
-        for r, c, terms in entries:
-            src = groups[kk][c]
-            tgt = groups[kk + 1][r]
-            width = closure_data(src.tangle, tgt.tangle).n
-            mat[(r, c)] = CanonicalCobordism(
-                src, tgt, {_unmask(m, width): poly_from_data(p) for m, p in terms}
-            )
-        diff[kk] = mat
+    diff = {
+        int(k): {
+            (r, c): _terms_from_data(groups[int(k)][c], groups[int(k) + 1][r], terms)
+            for r, c, terms in entries
+        }
+        for k, entries in d["diff"].items()
+    }
     return ChainComplex(
         d["m"],
         d["n"],

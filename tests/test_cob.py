@@ -14,7 +14,6 @@ from spinhom.cob import (
     ShiftedObject,
     beside,
     cap_off_circles,
-    closure_circles,
     closure_data,
     compose,
     degree,
@@ -49,9 +48,10 @@ def test_closure_circles_counts():
 
 def test_closure_circles_listing():
     # deterministic order: smallest boundary point first, then free circles
-    circles = closure_circles(E, E)
-    assert circles[0][0] == ("s", "arc", (0, 1))
-    assert circles[1][0] == ("s", "arc", (2, 3))
+    assert closure_data(E, E).point == (0, 0, 1, 1)
+    cd = closure_data(FlatTangle(2, 2, E.pairs, 1), FlatTangle(2, 2, E.pairs, 2))
+    assert cd.point == (0, 0, 1, 1)
+    assert (cd.src_circ, cd.tgt_circ, cd.n) == ((2,), (3, 4), 5)
 
 
 def test_reduce_component_table():

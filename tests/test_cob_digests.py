@@ -5,7 +5,10 @@ cobordisms, that one operation gives on every tangle with at most three
 points a side and at most one closed circle (for stack and beside, every
 input and output tangle).  They were recorded from the per-operation circle
 bookkeeping that the single boundary-point rule replaced; any change to a
-structure or an answer changes a digest.
+structure or an answer changes a digest.  The delooping maps of
+spinhom.complexes (birth and death disks) are pinned the same way, on every
+tangle with at most four points a side, one to three circles and q-shifts
+-1, 0 and 2.
 """
 
 import hashlib
@@ -15,6 +18,7 @@ import json
 import pytest
 
 from spinhom import cob, tl
+from spinhom import complexes as cx
 from spinhom.cob import CanonicalCobordism, FlatTangle, ShiftedObject
 from spinhom.errors import SpinhomError
 from spinhom.serialize import cobordism_to_data
@@ -22,6 +26,7 @@ from spinhom.serialize import cobordism_to_data
 PINNED_SHA256 = {
     "beside_structure": "82afef7d54c62172cf468daf47f39c403786750af1f8764b194f65b11a4bcf87",
     "compose_structure": "46f1aacd173b8b29785e05d82519cec5b90e9c4f5d871c90a63569bdc229735a",
+    "deloop_maps": "d3410ae1db160ef4358e2f0da7290176379c37efdbf573e876d9456d51f48628",
     "dotted_identity": "c4d220fe79c0f01c944fde5ee7ff89efe6eba9f3c054dd18a1388adebcd07f01",
     "dualize_reflect": "0da31135d194daa859ac16476dd98ac27b5de811e22e4c521406d91da1137334",
     "merge_trace_saddle": "7fd8049be8064079099908742043cac2c80d8a8ec2b8abc341935c2070f7018b",
@@ -97,6 +102,15 @@ def _records(name: str):
                 keys = [("arc", arc) for arc in t.arcs()] + [("circ", j) for j in range(t.circles)]
                 for key in keys:
                     yield _cobordism(cob.dotted_identity(ShiftedObject(t, 1), {key: 1}))
+    elif name == "deloop_maps":
+        for m, n in itertools.product(range(5), repeat=2):
+            if (m + n) % 2:
+                continue
+            for t in tl.all_matchings(m, n):
+                for circles, q in itertools.product((1, 2, 3), (-1, 0, 2)):
+                    big = ShiftedObject(FlatTangle(m, n, t.pairs, circles), q)
+                    for f in cx._deloop_maps.__wrapped__(big)[2:]:
+                        yield _cobordism(f)
     elif name == "dualize_reflect":
         for ts in TANGLES.values():
             for a, b in itertools.product(ts, repeat=2):
