@@ -720,10 +720,25 @@ class _Work:
 
     def deloop(self, oid: int) -> None:
         """Replace object oid (with >= 1 circle) by its q^{+1} and q^{-1}
-        copies with one circle fewer; d' = phi . d . psi on its entries."""
-        up, dn, phi_up, phi_dn, psi_up, psi_dn = _deloop_maps(self.obj[oid])
+        copies with one circle fewer; d' = phi . d . psi on its entries.
+
+        The maps are birth/death disks on oid's last free circle: psi_up a
+        dotted and psi_dn a plain birth, phi_up a plain and phi_dn a dotted
+        death.  That circle is its own closure circle, at src_circ[-1] of
+        closure_data(big, tgt) and at tgt_circ[-1] of closure_data(src, big).
+        A term's disk on it, capped by one of these, makes a sphere with 0, 1
+        or 2 dots, which evaluates to 0, 1 or 0.  So each composite keeps the
+        terms with the other dot value there and drops the circle's
+        coordinate: f.psi_up keeps dot 0, f.psi_dn dot 1, phi_up.f dot 1 and
+        phi_dn.f dot 0 (_cap_source, _cap_target)."""
+        big = self.obj[oid]
+        base = big.tangle.drop_circle()
+        up = ShiftedObject(base, big.qshift + 1)
+        dn = ShiftedObject(base, big.qshift - 1)
         id_up, id_dn = self.next_id, self.next_id + 1
         self.next_id += 2
+        # (new id, object, dot f.psi keeps); phi.f keeps the other one
+        copies = ((id_up, up, 0), (id_dn, dn, 1))
         k = self.deg[oid]
         ids = self.order[k]
         idx = ids.index(oid)
@@ -734,15 +749,13 @@ class _Work:
         self.obj[id_up], self.obj[id_dn] = up, dn
         self.deg[id_up], self.deg[id_dn] = k, k
         for tgt, f in outs.items():
-            self.add_edge(id_up, tgt, cob.compose(f, psi_up))
-            self.add_edge(id_dn, tgt, cob.compose(f, psi_dn))
+            for new_id, obj, dot in copies:
+                self.add_edge(new_id, tgt, _cap_source(f, obj, dot))
         for src, f in ins.items():
-            self.add_edge(src, id_up, cob.compose(phi_up, f))
-            self.add_edge(src, id_dn, cob.compose(phi_dn, f))
+            for new_id, obj, dot in copies:
+                self.add_edge(src, new_id, _cap_target(f, obj, 1 - dot))
         if self.tracker is not None:
-            self.tracker.deloop_step(
-                oid, [(id_up, phi_up), (id_dn, phi_dn)], [(id_up, psi_up), (id_dn, psi_dn)]
-            )
+            self.tracker.deloop_step(oid, copies)
 
     def eliminate(self, src: int, tgt: int, sign: int) -> None:
         """Gaussian elimination of the isomorphism src -> tgt (sign times an
@@ -751,14 +764,15 @@ class _Work:
         inv = cob.identity_cob(self.obj[src]).scale(sign)
         ins_alpha = {u: f for u, f in self.in_edges.get(tgt, {}).items() if u != src}
         outs_beta = {v: f for v, f in self.out_edges.get(src, {}).items() if v != tgt}
+        # inv is sign times an identity, so -(g . inv . f) = g . f.scale(-sign)
         if self.tracker is not None:
-            r_corr = [(v, cob.compose(f, inv).scale(-1)) for v, f in outs_beta.items()]
-            i_corr = [(u, cob.compose(inv, f).scale(-1)) for u, f in ins_alpha.items()]
+            r_corr = [(v, f.scale(-sign)) for v, f in outs_beta.items()]
+            i_corr = [(u, f.scale(-sign)) for u, f in ins_alpha.items()]
             self.tracker.gauss_step(src, tgt, inv, r_corr, i_corr)
         for u, fu in ins_alpha.items():
-            left = cob.compose(inv, fu)
+            left = fu.scale(-sign)
             for v, fv in outs_beta.items():
-                self.add_edge(u, v, cob.compose(fv, left).scale(-1))
+                self.add_edge(u, v, cob.compose(fv, left))
         self.remove_object(src)
         self.remove_object(tgt)
 
@@ -798,42 +812,24 @@ class _Work:
         return C, self.tracker.finish(self.source, C, pos)
 
 
-def _birth_death(dotted: bool, src_obj: ShiftedObject, tgt_obj: ShiftedObject) -> CanonicalCobordism:
-    """Identity product on the components src_obj and tgt_obj share, while
-    the one unmatched circle is a (possibly dotted) birth/death disk.
-
-    Pieces: a disk per arc, an annulus per shared circle, then the disk;
-    output circles are named by cob's boundary-point rule."""
-    s_t, t_t = src_obj.tangle, tgt_obj.tangle
-    arcs = s_t.arcs()
-    kept = min(s_t.circles, t_t.circles)
-    disk = len(arcs) + kept
-    arc_piece = {arc: x for x, arc in enumerate(arcs)}
-    at = [arc_piece[s_t.arc_at(p)] for p in range(s_t.m + s_t.n)]
-
-    def circ(count: int) -> list[int]:
-        return [len(arcs) + j if j < kept else disk for j in range(count)]
-
-    nodes = cob._circle_nodes(s_t, t_t, at, at, circ(s_t.circles), circ(t_t.circles))
-    pieces = [1] * len(arcs) + [0] * kept + [1]
-    dots = [0] * disk + [1 if dotted else 0]
-    return CanonicalCobordism(src_obj, tgt_obj, cob.reduce_glued(pieces, dots, [], nodes))
+def _cap_source(f: CanonicalCobordism, source: ShiftedObject, dot: int) -> CanonicalCobordism:
+    """f after a birth disk with 1 - dot dots from `source` (f.source less
+    its last free circle) onto that circle: f's terms with `dot` dots on
+    the circle, its coordinate dropped and their coefficients unchanged."""
+    c = closure_data(f.source.tangle, f.target.tangle).src_circ[-1]
+    return CanonicalCobordism(
+        source, f.target, {a[:c] + a[c + 1:]: p for a, p in f.terms.items() if a[c] == dot}
+    )
 
 
-@functools.lru_cache(maxsize=1 << 14)
-def _deloop_maps(big: ShiftedObject) -> tuple:
-    """(up, dn, phi_up, phi_dn, psi_up, psi_dn) for delooping the last circle
-    of big into q^{+1} and q^{-1} copies; callers must not mutate the maps."""
-    base = big.tangle.drop_circle()
-    up = ShiftedObject(base, big.qshift + 1)
-    dn = ShiftedObject(base, big.qshift - 1)
-    return (
-        up,
-        dn,
-        _birth_death(False, big, up),  # phi_up: plain counit -> q+1
-        _birth_death(True, big, dn),  # phi_dn: dotted counit -> q-1
-        _birth_death(True, up, big),  # psi_up: dotted cap
-        _birth_death(False, dn, big),  # psi_dn: plain cap
+def _cap_target(f: CanonicalCobordism, target: ShiftedObject, dot: int) -> CanonicalCobordism:
+    """A death disk with 1 - dot dots on the last free circle of f.target,
+    to `target` (f.target less that circle), after f: f's terms with `dot`
+    dots on the circle, its coordinate dropped and their coefficients
+    unchanged."""
+    c = closure_data(f.source.tangle, f.target.tangle).tgt_circ[-1]
+    return CanonicalCobordism(
+        f.source, target, {a[:c] + a[c + 1:]: p for a, p in f.terms.items() if a[c] == dot}
     )
 
 
@@ -858,12 +854,13 @@ class _SDRTracker:
     def _r_into(self, cur: int) -> dict[int, CanonicalCobordism]:
         return self.r.setdefault(cur, {})
 
-    def deloop_step(self, old_id: int, phis, psis) -> None:
+    def deloop_step(self, old_id: int, copies) -> None:
+        """r <- phi . r and i <- i . psi for _Work.deloop's copies."""
         row_old = self.r.pop(old_id, {})
-        for new_id, phi in phis:
+        for new_id, obj, dot in copies:
             row = {}
             for orig, f in row_old.items():
-                g = cob.compose(phi, f)
+                g = _cap_target(f, obj, 1 - dot)
                 if not g.is_zero():
                     row[orig] = g
             self.r[new_id] = row
@@ -872,10 +869,10 @@ class _SDRTracker:
             f = col.pop(old_id, None)
             if f is None:
                 continue
-            for new_id, psi in psis:
-                g = cob.compose(f, psi)
+            for new_id, obj, dot in copies:
+                g = _cap_source(f, obj, dot)
                 if not g.is_zero():
-                    col[new_id] = col[new_id] + g if new_id in col else g
+                    col[new_id] = g
 
     def gauss_step(self, beta: int, alpha: int, inv: CanonicalCobordism,
                    r_corr: list[tuple[int, CanonicalCobordism]],

@@ -381,3 +381,90 @@ def reference_beside_matchings(a, b) -> tuple[int, ...]:
     for i, j in enumerate(b.pairs):
         new[remap_b(i)] = remap_b(j)
     return tuple(new)
+
+
+# ---------------------------------------------------------------------------
+# Reference delooping: the birth and death cobordisms that
+# spinhom.complexes._Work.deloop composed with before it restricted on the
+# delooped circle's dot, kept here as the slow path the restriction must equal.
+
+
+def reference_birth_death(dotted: bool, src_obj, tgt_obj):
+    """Identity product on the components src_obj and tgt_obj share, while
+    the one unmatched circle is a (possibly dotted) birth/death disk.
+
+    Pieces: a disk per arc, an annulus per shared circle, then the disk;
+    output circles are named by cob's boundary-point rule."""
+    from spinhom import cob
+
+    s_t, t_t = src_obj.tangle, tgt_obj.tangle
+    arcs = s_t.arcs()
+    kept = min(s_t.circles, t_t.circles)
+    disk = len(arcs) + kept
+    arc_piece = {arc: x for x, arc in enumerate(arcs)}
+    at = [arc_piece[s_t.arc_at(p)] for p in range(s_t.m + s_t.n)]
+
+    def circ(count: int) -> list[int]:
+        return [len(arcs) + j if j < kept else disk for j in range(count)]
+
+    nodes = cob._circle_nodes(s_t, t_t, at, at, circ(s_t.circles), circ(t_t.circles))
+    pieces = [1] * len(arcs) + [0] * kept + [1]
+    dots = [0] * disk + [1 if dotted else 0]
+    return cob.CanonicalCobordism(src_obj, tgt_obj, cob.reduce_glued(pieces, dots, [], nodes))
+
+
+def reference_deloop_maps(big) -> tuple:
+    """(up, dn, phi_up, phi_dn, psi_up, psi_dn) for delooping the last circle
+    of big into q^{+1} and q^{-1} copies."""
+    base = big.tangle.drop_circle()
+    up = ShiftedObject(base, big.qshift + 1)
+    dn = ShiftedObject(base, big.qshift - 1)
+    return (
+        up,
+        dn,
+        reference_birth_death(False, big, up),  # phi_up: plain counit -> q+1
+        reference_birth_death(True, big, dn),  # phi_dn: dotted counit -> q-1
+        reference_birth_death(True, up, big),  # psi_up: dotted cap
+        reference_birth_death(False, dn, big),  # psi_dn: plain cap
+    )
+
+
+def reference_deloop(work, oid: int) -> None:
+    """complexes._Work.deloop by cob.compose with reference_deloop_maps, the
+    SDR tracker's rows and columns included; a drop-in for the method."""
+    from spinhom import cob
+
+    up, dn, phi_up, phi_dn, psi_up, psi_dn = reference_deloop_maps(work.obj[oid])
+    id_up, id_dn = work.next_id, work.next_id + 1
+    work.next_id += 2
+    k = work.deg[oid]
+    ids = work.order[k]
+    idx = ids.index(oid)
+    outs = work.out_edges.get(oid, {})
+    ins = work.in_edges.get(oid, {})
+    work.remove_object(oid)
+    ids[idx:idx] = [id_up, id_dn]
+    work.obj[id_up], work.obj[id_dn] = up, dn
+    work.deg[id_up], work.deg[id_dn] = k, k
+    for tgt, f in outs.items():
+        work.add_edge(id_up, tgt, cob.compose(f, psi_up))
+        work.add_edge(id_dn, tgt, cob.compose(f, psi_dn))
+    for src, f in ins.items():
+        work.add_edge(src, id_up, cob.compose(phi_up, f))
+        work.add_edge(src, id_dn, cob.compose(phi_dn, f))
+    tr = work.tracker
+    if tr is None:
+        return
+    row_old = tr.r.pop(oid, {})
+    for new_id, phi in ((id_up, phi_up), (id_dn, phi_dn)):
+        composed = {orig: cob.compose(phi, f) for orig, f in row_old.items()}
+        tr.r[new_id] = {orig: g for orig, g in composed.items() if not g.is_zero()}
+    for orig in tr.orig_ids:
+        col = tr.i.get(orig, {})
+        f = col.pop(oid, None)
+        if f is None:
+            continue
+        for new_id, psi in ((id_up, psi_up), (id_dn, psi_dn)):
+            g = cob.compose(f, psi)
+            if not g.is_zero():
+                col[new_id] = g

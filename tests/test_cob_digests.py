@@ -5,10 +5,11 @@ cobordisms, that one operation gives on every tangle with at most three
 points a side and at most one closed circle (for stack and beside, every
 input and output tangle).  They were recorded from the per-operation circle
 bookkeeping that the single boundary-point rule replaced; any change to a
-structure or an answer changes a digest.  The delooping maps of
-spinhom.complexes (birth and death disks) are pinned the same way, on every
-tangle with at most four points a side, one to three circles and q-shifts
--1, 0 and 2.
+structure or an answer changes a digest.  The birth and death disks of
+delooping (helpers.reference_deloop_maps, the reference for
+spinhom.complexes' restriction on the delooped circle's dot) are pinned the
+same way, on every tangle with at most four points a side, one to three
+circles and q-shifts -1, 0 and 2.
 """
 
 import hashlib
@@ -18,10 +19,11 @@ import json
 import pytest
 
 from spinhom import cob, tl
-from spinhom import complexes as cx
 from spinhom.cob import CanonicalCobordism, FlatTangle, ShiftedObject
 from spinhom.errors import SpinhomError
 from spinhom.serialize import cobordism_to_data
+
+from helpers import reference_deloop_maps
 
 PINNED_SHA256 = {
     "beside_structure": "82afef7d54c62172cf468daf47f39c403786750af1f8764b194f65b11a4bcf87",
@@ -109,7 +111,7 @@ def _records(name: str):
             for t in tl.all_matchings(m, n):
                 for circles, q in itertools.product((1, 2, 3), (-1, 0, 2)):
                     big = ShiftedObject(FlatTangle(m, n, t.pairs, circles), q)
-                    for f in cx._deloop_maps.__wrapped__(big)[2:]:
+                    for f in reference_deloop_maps(big)[2:]:
                         yield _cobordism(f)
     elif name == "dualize_reflect":
         for ts in TANGLES.values():

@@ -1,15 +1,31 @@
 """Chain complex layer: planar composition, deloop, Gaussian elimination,
 simplify, duals, cones, Hom complexes, tautological functor, bicomplexes."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_complex, tables_equal, two_term_piece
+from helpers import (
+    random_complex,
+    reference_deloop,
+    reference_deloop_maps,
+    tables_equal,
+    two_term_piece,
+)
+from spinhom import complexes as cx
+from spinhom import expr as ex
 from spinhom import projector as pj
+from spinhom import tl
 from spinhom.cob import (
+    AlphaPoly,
+    CanonicalCobordism,
     FlatTangle,
     ShiftedObject,
+    closure_data,
+    compose,
     identity_cob,
     stack as stack_cob,
 )
@@ -434,40 +450,86 @@ def _circled_complex(rng):
             return C
 
 
-def test_deloop_maps_shared_and_pure():
-    from spinhom import complexes as cx
-
+def test_simplify_circled_deterministic_and_sdr():
     rng = random.Random(31)
     for _ in range(4):
         C = _circled_complex(rng)
-        S1, eq1 = simplify(C, want_equivalence=True)
-        info = cx._deloop_maps.cache_info()
+        S, eq = simplify(C, want_equivalence=True)
         S2, eq2 = simplify(C, want_equivalence=True)
-        after = cx._deloop_maps.cache_info()
-        # every delooping of the second call is served from the memo
-        assert after.misses == info.misses and after.hits > info.hits
-        assert S1 == S2 and eq1 == eq2
-        for S, eq in ((S1, eq1), (S2, eq2)):
-            S.validate()
-            assert compose_maps(eq.r, eq.i).mats == ChainMap.identity(S).mats
-            lhs = ChainMap.identity(C) - compose_maps(eq.i, eq.r)
-            assert lhs.mats == commutator_with_d(eq.h).mats
-            assert compose_maps(eq.r, eq.h).is_zero()
-            assert compose_maps(eq.h, eq.i).is_zero()
-            assert compose_maps(eq.h, eq.h).is_zero()
-        # no caller mutated the shared maps: they still equal a fresh build
-        todo = [o for objs in C.groups.values() for o in objs if o.tangle.circles]
-        while todo:
-            big = todo.pop()
-            up, dn, *maps = cx._deloop_maps(big)
-            fresh = [
-                cx._birth_death(False, big, up),
-                cx._birth_death(True, big, dn),
-                cx._birth_death(True, up, big),
-                cx._birth_death(False, dn, big),
-            ]
-            assert [(f.source, f.target, f.terms) for f in maps] == [
-                (f.source, f.target, f.terms) for f in fresh
-            ]
-            if up.tangle.circles:
-                todo += [up, dn]
+        assert S == S2 and eq == eq2
+        S.validate()
+        assert compose_maps(eq.r, eq.i).mats == ChainMap.identity(S).mats
+        lhs = ChainMap.identity(C) - compose_maps(eq.i, eq.r)
+        assert lhs.mats == commutator_with_d(eq.h).mats
+        assert compose_maps(eq.r, eq.h).is_zero()
+        assert compose_maps(eq.h, eq.i).is_zero()
+        assert compose_maps(eq.h, eq.h).is_zero()
+
+
+@st.composite
+def _deloop_case(draw):
+    """A circled object big with maps f: big -> other and g: other -> big,
+    where big has 1-3 circles and other 0-1, and every dot assignment gets a
+    Z[alpha] coefficient of alpha-degree 0-2 (possibly zero)."""
+    m, n = draw(st.sampled_from([(0, 0), (1, 1), (2, 0), (2, 2), (0, 4)]))
+
+    def obj(circles):
+        t = draw(st.sampled_from(tl.all_matchings(m, n)))
+        return ShiftedObject(FlatTangle(m, n, t.pairs, circles), draw(st.integers(-2, 2)))
+
+    def mor(src, tgt):
+        terms = {}
+        for assign in itertools.product((0, 1), repeat=closure_data(src.tangle, tgt.tangle).n):
+            coeffs = draw(st.dictionaries(st.integers(0, 2), st.integers(-2, 2), max_size=2))
+            terms[assign] = AlphaPoly(coeffs)
+        return CanonicalCobordism(src, tgt, terms)
+
+    big = obj(draw(st.integers(1, 3)))
+    other = obj(draw(st.integers(0, 1)))
+    return big, mor(big, other), mor(other, big)
+
+
+@given(_deloop_case())
+@settings(max_examples=80, deadline=None)
+def test_cap_equals_composition_with_birth_death(case):
+    # the restriction on the delooped circle's dot is the composite with the
+    # birth/death disks it replaces
+    big, f, g = case
+    up, dn, phi_up, phi_dn, psi_up, psi_dn = reference_deloop_maps(big)
+    assert cx._cap_source(f, up, 0) == compose(f, psi_up)
+    assert cx._cap_source(f, dn, 1) == compose(f, psi_dn)
+    assert cx._cap_target(g, up, 1) == compose(phi_up, g)
+    assert cx._cap_target(g, dn, 0) == compose(phi_dn, g)
+
+
+def _p3_sweep_product() -> ChainComplex:
+    """The last product of the second sweep of build_projector(3,
+    Window(-5, 0)), clipped as the build clips it before simplify: 108
+    objects, 35 with a circle."""
+    win = Window(-5, 0)
+    margin = Window(win.lo - pj.SWEEP_MARGIN, 0)
+    current = pj._p2_block(0, 3, win)
+    for i in (0, 1, 0, 1):
+        T = pj._clip(stack_complexes(pj._p2_block(i, 3, win), current)[0], margin)
+        current = pj._clip(simplify(T)[0], win)
+    return T
+
+
+def _theta_222() -> ChainComplex:
+    """theta(2,2,2) at window 6 before any simplify: 343 objects, each with
+    a circle."""
+    e = pj.rewrite_network(ex.theta(2, 2, 2))
+    return pj.instantiate(e, Window(-6, 0))
+
+
+@pytest.mark.parametrize("build", [_theta_222, _p3_sweep_product], ids=["theta222_w6", "p3_w5_sweep"])
+def test_deloop_matches_composition_on_workloads(build, monkeypatch):
+    # simplify with delooping by restriction against simplify with delooping
+    # by composition with the reference birth/death maps
+    C = build()
+    assert any(o.tangle.circles for objs in C.groups.values() for o in objs)
+    S, eq = simplify(C, want_equivalence=True)
+    monkeypatch.setattr(cx._Work, "deloop", reference_deloop)
+    S_ref, eq_ref = simplify(C, want_equivalence=True)
+    assert S == S_ref
+    assert eq == eq_ref
