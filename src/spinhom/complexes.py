@@ -299,11 +299,6 @@ class Equivalence:
     i: ChainMap
     h: ChainMap  # homotopy on big, hdeg -1
 
-    @staticmethod
-    def identity(C: ChainComplex) -> "Equivalence":
-        one = ChainMap.identity(C)
-        return Equivalence(C, C, one, one, ChainMap.zero(C, C, -1, 0))
-
 
 # ---------------------------------------------------------------------------
 # Reliability bookkeeping for planar composition
@@ -644,8 +639,18 @@ def reflect_y_complex(A: ChainComplex) -> ChainComplex:
 class _Work:
     """The elimination engine: a mutable id-based copy of a complex, reduced
     in place by its two steps, delooping (deloop) and Gaussian elimination
-    (eliminate).  With track=True it also keeps the running strong
-    deformation retraction from the original complex, which finish returns.
+    (eliminate).
+
+    With track=True it also keeps the strong deformation retraction (r, i,
+    h) from the original complex as edges to ghost objects.  Each original
+    object k gets two ghosts that are protected and not in `order`: g_in(k)
+    with an identity edge g_in(k) -> k and g_out(k) with an identity edge
+    k -> g_out(k).  Both steps then rewrite these edges like any other: a
+    deloop caps g_in -> k into r <- phi.r and k -> g_out into i <- i.psi,
+    and an elimination's correction -(v <- src).inv.(tgt <- u) is the r
+    update for u = g_in, the i update for v = g_out and -h for both.  So at
+    the end an edge g_in(s) -> x holds r[x, s], x -> g_out(t) holds
+    i[t, x] and g_in(s) -> g_out(t) holds -h[t, s]; finish reads them off.
     """
 
     def __init__(
@@ -653,6 +658,7 @@ class _Work:
         track: bool = False,
     ):
         self.source = C
+        self.track = track
         self.m, self.n = C.m, C.n
         self.window = C.window
         self.mode = C.mode
@@ -667,6 +673,8 @@ class _Work:
         self.in_edges: dict[int, dict[int, CanonicalCobordism]] = {}
         self.protected: set[int] = set()
         self.label: dict[int, object] = {}
+        # ghost id -> (degree, position) of its original object
+        self.ghost: dict[int, tuple[int, int]] = {}
         for k, objs in C.groups.items():
             ids = []
             for p, o in enumerate(objs):
@@ -681,11 +689,17 @@ class _Work:
             self.order[k] = ids
         for k, mat in C.diff.items():
             for (r, c), f in mat.items():
-                src = self.order[k][c]
-                tgt = self.order[k + 1][r]
-                self.out_edges.setdefault(src, {})[tgt] = f
-                self.in_edges.setdefault(tgt, {})[src] = f
-        self.tracker = _SDRTracker(self) if track else None
+                self.set_edge(self.order[k][c], self.order[k + 1][r], f)
+        if track:
+            for k, ids in self.order.items():
+                for p, oid in enumerate(ids):
+                    g_in, g_out = self.next_id, self.next_id + 1
+                    self.next_id += 2
+                    self.ghost[g_in] = self.ghost[g_out] = (k, p)
+                    self.protected.update((g_in, g_out))
+                    one = cob.identity_cob(self.obj[oid])
+                    self.set_edge(g_in, oid, one)
+                    self.set_edge(oid, g_out, one)
 
     def set_edge(self, src: int, tgt: int, f: CanonicalCobordism) -> None:
         if f.is_zero():
@@ -754,21 +768,14 @@ class _Work:
         for src, f in ins.items():
             for new_id, obj, dot in copies:
                 self.add_edge(src, new_id, _cap_target(f, obj, 1 - dot))
-        if self.tracker is not None:
-            self.tracker.deloop_step(oid, copies)
 
     def eliminate(self, src: int, tgt: int, sign: int) -> None:
         """Gaussian elimination of the isomorphism src -> tgt (sign times an
         identity): both objects go, and every path u -> tgt, src -> v
         leaves the correction -(v <- src) . inv . (tgt <- u)."""
-        inv = cob.identity_cob(self.obj[src]).scale(sign)
         ins_alpha = {u: f for u, f in self.in_edges.get(tgt, {}).items() if u != src}
         outs_beta = {v: f for v, f in self.out_edges.get(src, {}).items() if v != tgt}
         # inv is sign times an identity, so -(g . inv . f) = g . f.scale(-sign)
-        if self.tracker is not None:
-            r_corr = [(v, f.scale(-sign)) for v, f in outs_beta.items()]
-            i_corr = [(u, f.scale(-sign)) for u, f in ins_alpha.items()]
-            self.tracker.gauss_step(src, tgt, inv, r_corr, i_corr)
         for u, fu in ins_alpha.items():
             left = fu.scale(-sign)
             for v, fv in outs_beta.items():
@@ -777,9 +784,11 @@ class _Work:
         self.remove_object(tgt)
 
     def finish(self, sort_objects: bool = True) -> tuple[ChainComplex, Equivalence | None]:
-        """Rebuild an immutable complex; with tracking also the SDR to it."""
+        """Rebuild an immutable complex; with tracking also the SDR to it,
+        sorting each edge by which of its ends are ghosts: d, r, i or -h."""
         groups: dict[int, list[ShiftedObject]] = {}
-        pos: dict[int, tuple[int, int]] = {}
+        # id -> (degree, position): in the result, or for a ghost in the source
+        pos: dict[int, tuple[int, int]] = dict(self.ghost)
         for k in sorted(self.order):
             ids = self.order[k]
             if not ids:
@@ -791,11 +800,19 @@ class _Work:
             for p, i in enumerate(ids):
                 pos[i] = (k, p)
         diff: dict[int, Matrix] = {}
+        r_mats: dict[int, Matrix] = {}
+        i_mats: dict[int, Matrix] = {}
+        minus_h: dict[int, Matrix] = {}
+        # (source is a ghost, target is a ghost) -> the matrices the edge joins
+        by_ends = {
+            (False, False): diff, (True, False): r_mats,
+            (False, True): i_mats, (True, True): minus_h,
+        }
+        ghost = self.ghost
         for src, outs in self.out_edges.items():
+            k, c = pos[src]
             for tgt, f in outs.items():
-                k, c = pos[src]
-                _, r = pos[tgt]
-                diff.setdefault(k, {})[(r, c)] = f
+                by_ends[src in ghost, tgt in ghost].setdefault(k, {})[(pos[tgt][1], c)] = f
         labels = None
         if self.label:
             labels = {
@@ -807,9 +824,16 @@ class _Work:
             self.m, self.n, self.window, groups, diff, self.mode,
             self.tail_lo, self.tail_hi, self.reliable, labels,
         )
-        if self.tracker is None:
+        if not self.track:
             return C, None
-        return C, self.tracker.finish(self.source, C, pos)
+        big = self.source
+        return C, Equivalence(
+            big,
+            C,
+            ChainMap(big, C, 0, 0, r_mats),
+            ChainMap(C, big, 0, 0, i_mats),
+            -ChainMap(big, big, -1, 0, minus_h),
+        )
 
 
 def _cap_source(f: CanonicalCobordism, source: ShiftedObject, dot: int) -> CanonicalCobordism:
@@ -831,121 +855,6 @@ def _cap_target(f: CanonicalCobordism, target: ShiftedObject, dot: int) -> Canon
     return CanonicalCobordism(
         f.source, target, {a[:c] + a[c + 1:]: p for a, p in f.terms.items() if a[c] == dot}
     )
-
-
-class _SDRTracker:
-    """Running SDR maps in object-id space while a _Work is being reduced."""
-
-    def __init__(self, work: _Work):
-        self.orig_ids = list(work.obj)
-        # orig id -> (degree, position) in the original complex
-        self.orig_pos = {
-            oid: (k, p) for k, ids in work.order.items() for p, oid in enumerate(ids)
-        }
-        # r[cur][orig], i[orig][cur], h[orig_tgt][orig_src]
-        self.r: dict[int, dict[int, CanonicalCobordism]] = {
-            oid: {oid: cob.identity_cob(work.obj[oid])} for oid in work.obj
-        }
-        self.i: dict[int, dict[int, CanonicalCobordism]] = {
-            oid: {oid: cob.identity_cob(work.obj[oid])} for oid in work.obj
-        }
-        self.h: dict[int, dict[int, CanonicalCobordism]] = {}
-
-    def _r_into(self, cur: int) -> dict[int, CanonicalCobordism]:
-        return self.r.setdefault(cur, {})
-
-    def deloop_step(self, old_id: int, copies) -> None:
-        """r <- phi . r and i <- i . psi for _Work.deloop's copies."""
-        row_old = self.r.pop(old_id, {})
-        for new_id, obj, dot in copies:
-            row = {}
-            for orig, f in row_old.items():
-                g = _cap_target(f, obj, 1 - dot)
-                if not g.is_zero():
-                    row[orig] = g
-            self.r[new_id] = row
-        for orig in self.orig_ids:
-            col = self.i.get(orig, {})
-            f = col.pop(old_id, None)
-            if f is None:
-                continue
-            for new_id, obj, dot in copies:
-                g = _cap_source(f, obj, dot)
-                if not g.is_zero():
-                    col[new_id] = g
-
-    def gauss_step(self, beta: int, alpha: int, inv: CanonicalCobordism,
-                   r_corr: list[tuple[int, CanonicalCobordism]],
-                   i_corr: list[tuple[int, CanonicalCobordism]]) -> None:
-        """Eliminate edge beta -> alpha; inv is its inverse.
-
-        r_corr: pairs (kept_v, map alpha -> v); i_corr: (kept_u, map u -> beta).
-        """
-        row_alpha = self.r.pop(alpha, {})
-        self.r.pop(beta, None)
-        for v, corr in r_corr:
-            row = self._r_into(v)
-            for orig, f in row_alpha.items():
-                g = cob.compose(corr, f)
-                if g.is_zero():
-                    continue
-                row[orig] = row[orig] + g if orig in row else g
-        i_beta_cols: dict[int, CanonicalCobordism] = {}
-        for orig in self.orig_ids:
-            col = self.i.get(orig, {})
-            f = col.pop(beta, None)
-            if f is not None:
-                i_beta_cols[orig] = f
-            col.pop(alpha, None)
-        for u, corr in i_corr:
-            for orig, f in i_beta_cols.items():
-                g = cob.compose(f, corr)
-                if g.is_zero():
-                    continue
-                col = self.i[orig]
-                col[u] = col[u] + g if u in col else g
-        # h += i_old[., beta] . inv . r_old[alpha, .]
-        for orig_t, f in i_beta_cols.items():
-            left = cob.compose(f, inv)
-            for orig_s, g in row_alpha.items():
-                term = cob.compose(left, g)
-                if term.is_zero():
-                    continue
-                row = self.h.setdefault(orig_t, {})
-                row[orig_s] = row[orig_s] + term if orig_s in row else term
-
-    def finish(self, big: ChainComplex, small: ChainComplex,
-               new_pos: dict[int, tuple[int, int]]) -> Equivalence:
-        orig_pos = self.orig_pos
-        r_mats: dict[int, Matrix] = {}
-        for cur, row in self.r.items():
-            if cur not in new_pos:
-                continue
-            k2, rr = new_pos[cur]
-            for orig, f in row.items():
-                k, c = orig_pos[orig]
-                r_mats.setdefault(k, {})[(rr, c)] = f
-        i_mats: dict[int, Matrix] = {}
-        for orig, col in self.i.items():
-            k, rr = orig_pos[orig]
-            for cur, f in col.items():
-                if cur not in new_pos:
-                    continue
-                k2, c = new_pos[cur]
-                i_mats.setdefault(k2, {})[(rr, c)] = f
-        h_mats: dict[int, Matrix] = {}
-        for orig_t, row in self.h.items():
-            kt, rr = orig_pos[orig_t]
-            for orig_s, f in row.items():
-                ks, c = orig_pos[orig_s]
-                h_mats.setdefault(ks, {})[(rr, c)] = f
-        return Equivalence(
-            big,
-            small,
-            ChainMap(big, small, 0, 0, r_mats),
-            ChainMap(small, big, 0, 0, i_mats),
-            ChainMap(big, big, -1, 0, h_mats),
-        )
 
 
 def _pivot_sweep(work: _Work) -> list[tuple[int, int]]:

@@ -108,6 +108,28 @@ def random_complex(
     return out
 
 
+def first_iso_entry(C: ChainComplex) -> tuple[int, int, int] | None:
+    """The first invertible differential entry (degree, row, col) in
+    (degree, row, col) order, or None."""
+    for k in sorted(C.diff):
+        for (r, c), f in sorted(C.diff[k].items()):
+            if f.is_identity_iso() is not None:
+                return k, r, c
+    return None
+
+
+def assert_sdr(C: ChainComplex, S: ChainComplex, eq: cx.Equivalence) -> None:
+    """eq is a strong deformation retraction of C onto S: r.i = 1,
+    1 - i.r = [d, h], and the side conditions r.h = 0, h.i = 0, h.h = 0."""
+    r, i, h = eq.r, eq.i, eq.h
+    assert cx.compose_maps(r, i).mats == cx.ChainMap.identity(S).mats
+    lhs = cx.ChainMap.identity(C) - cx.compose_maps(i, r)
+    assert lhs.mats == cx.commutator_with_d(h).mats
+    assert cx.compose_maps(r, h).is_zero()
+    assert cx.compose_maps(h, i).is_zero()
+    assert cx.compose_maps(h, h).is_zero()
+
+
 def tables_equal(t1, t2, lo=float("-inf"), hi=float("inf")) -> bool:
     keys = set(t1.nonzero()) | set(t2.nonzero())
     for kq in keys:
@@ -431,7 +453,7 @@ def reference_deloop_maps(big) -> tuple:
 
 def reference_deloop(work, oid: int) -> None:
     """complexes._Work.deloop by cob.compose with reference_deloop_maps, the
-    SDR tracker's rows and columns included; a drop-in for the method."""
+    edges to the SDR's ghost objects included; a drop-in for the method."""
     from spinhom import cob
 
     up, dn, phi_up, phi_dn, psi_up, psi_dn = reference_deloop_maps(work.obj[oid])
@@ -452,19 +474,3 @@ def reference_deloop(work, oid: int) -> None:
     for src, f in ins.items():
         work.add_edge(src, id_up, cob.compose(phi_up, f))
         work.add_edge(src, id_dn, cob.compose(phi_dn, f))
-    tr = work.tracker
-    if tr is None:
-        return
-    row_old = tr.r.pop(oid, {})
-    for new_id, phi in ((id_up, phi_up), (id_dn, phi_dn)):
-        composed = {orig: cob.compose(phi, f) for orig, f in row_old.items()}
-        tr.r[new_id] = {orig: g for orig, g in composed.items() if not g.is_zero()}
-    for orig in tr.orig_ids:
-        col = tr.i.get(orig, {})
-        f = col.pop(oid, None)
-        if f is None:
-            continue
-        for new_id, psi in ((id_up, psi_up), (id_dn, psi_dn)):
-            g = cob.compose(f, psi)
-            if not g.is_zero():
-                col[new_id] = g

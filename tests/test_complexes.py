@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    assert_sdr,
+    first_iso_entry,
     random_complex,
     reference_deloop,
     reference_deloop_maps,
@@ -133,26 +135,12 @@ def test_gaussian_elimination_identities_random():
     while done < 60:
         C = random_complex(rng, 2, 2, Window(-3, 2), pieces=2)
         C, _ = simplify(C) if rng.random() < 0.3 else (C, None)
-        # find an invertible entry
-        entry = None
-        for k in sorted(C.diff):
-            for (r, c), f in sorted(C.diff[k].items()):
-                if f.is_identity_iso() is not None:
-                    entry = (k, r, c)
-                    break
-            if entry:
-                break
+        entry = first_iso_entry(C)
         if entry is None:
             continue
         small, r_map, i_map, h_map = gaussian_eliminate(C, entry)
         small.validate()
-        assert compose_maps(r_map, i_map).mats == ChainMap.identity(small).mats
-        lhs = ChainMap.identity(C) - compose_maps(i_map, r_map)
-        rhs = commutator_with_d(h_map)
-        assert lhs.mats == rhs.mats
-        assert compose_maps(r_map, h_map).is_zero()
-        assert compose_maps(h_map, i_map).is_zero()
-        assert compose_maps(h_map, h_map).is_zero()
+        assert_sdr(C, small, cx.Equivalence(C, small, r_map, i_map, h_map))
         done += 1
 
 
@@ -171,12 +159,7 @@ def test_simplify_full_sdr():
         C = random_complex(rng, 2, 2, Window(-3, 2), pieces=3)
         S, eq = simplify(C, want_equivalence=True)
         S.validate()
-        assert compose_maps(eq.r, eq.i).mats == ChainMap.identity(S).mats
-        lhs = ChainMap.identity(C) - compose_maps(eq.i, eq.r)
-        assert lhs.mats == commutator_with_d(eq.h).mats
-        assert compose_maps(eq.r, eq.h).is_zero()
-        assert compose_maps(eq.h, eq.i).is_zero()
-        assert compose_maps(eq.h, eq.h).is_zero()
+        assert_sdr(C, S, eq)
         # no circles, no invertible entries remain
         assert all(o.tangle.circles == 0 for objs in S.groups.values() for o in objs)
         assert all(
@@ -195,6 +178,72 @@ def test_simplify_leaves_protected_objects():
     assert S.labels == {0: [(0, 0), None, None]}
     assert compose_maps(eq.r, eq.i).mats == ChainMap.identity(S).mats
     assert compose_maps(eq.i, eq.r).mats == ChainMap.identity(C).mats
+
+
+def _direct_sum(A: ChainComplex, B: ChainComplex, shift: int) -> ChainComplex:
+    """A (+) B with B moved up by `shift` degrees; in a shared degree B's
+    objects follow A's."""
+    groups = {k: list(objs) for k, objs in A.groups.items()}
+    offset = {k + shift: len(groups.get(k + shift, [])) for k in B.groups}
+    for k, objs in B.groups.items():
+        groups.setdefault(k + shift, []).extend(objs)
+    diff = {k: dict(mat) for k, mat in A.diff.items()}
+    for k, mat in B.diff.items():
+        k2 = k + shift
+        for (r, c), f in mat.items():
+            diff.setdefault(k2, {})[(r + offset[k2 + 1], c + offset[k2])] = f
+    window = Window(min(A.window.lo, B.window.lo + shift), max(A.window.hi, B.window.hi + shift))
+    return ChainComplex(A.m, A.n, window, groups, diff)
+
+
+def _nonempty_random(seed: int) -> ChainComplex:
+    """random_complex over BN^2_2 for the first seed from `seed` on whose
+    complex is not empty (more than half are)."""
+    while not (C := random_complex(random.Random(seed), 2, 2, Window(-3, 2), pieces=3)).groups:
+        seed += 1
+    return C
+
+
+@st.composite
+def _protected_case(draw):
+    """A random complex over BN^2_2 made of two non-empty random complexes,
+    the second moved up by -2 to 10 degrees (so its support often leaves a
+    gap), optionally capped by e_0 above and below so that objects carry
+    circles; and one to three of its objects to protect, as (degree, pos)."""
+    A, B = (_nonempty_random(draw(st.integers(0, 10**6))) for _ in range(2))
+    C = _direct_sum(A, B, draw(st.integers(-2, 10)))
+    if draw(st.booleans()):
+        C, _ = stack_complexes(from_tangle(E), C)
+        C, _ = stack_complexes(C, from_tangle(E))
+    slots = [(k, p) for k, objs in C.groups.items() for p in range(len(objs))]
+    protected = draw(st.sets(st.sampled_from(slots), min_size=1, max_size=3))
+    return C, protected
+
+
+@given(_protected_case())
+@settings(max_examples=60, deadline=None)
+def test_simplify_sdr_property_with_protected_objects(case):
+    # the tracked SDR is exact, and the objects the caller protects survive
+    # unchanged under their labels beside the engine's own ghost objects
+    C, protected = case
+    C.validate()
+    S, eq = simplify(C, want_equivalence=True, protected=protected)
+    S.validate()
+    assert_sdr(C, S, eq)
+    labels = S.labels or {k: [None] * len(objs) for k, objs in S.groups.items()}
+    labelled = {}
+    for k, lbls in labels.items():
+        for p, lbl in enumerate(lbls):
+            if lbl is None:
+                assert S.objects(k)[p].tangle.circles == 0
+            else:
+                assert lbl not in labelled
+                labelled[lbl] = (k, S.objects(k)[p])
+    assert labelled == {(k, p): (k, C.objects(k)[p]) for k, p in protected}
+    for k, mat in S.diff.items():
+        for (r, c), f in mat.items():
+            if labels[k][c] is None and labels[k + 1][r] is None:
+                assert f.is_identity_iso() is None
 
 
 def test_simplify_preserves_closed_homology():
@@ -458,12 +507,7 @@ def test_simplify_circled_deterministic_and_sdr():
         S2, eq2 = simplify(C, want_equivalence=True)
         assert S == S2 and eq == eq2
         S.validate()
-        assert compose_maps(eq.r, eq.i).mats == ChainMap.identity(S).mats
-        lhs = ChainMap.identity(C) - compose_maps(eq.i, eq.r)
-        assert lhs.mats == commutator_with_d(eq.h).mats
-        assert compose_maps(eq.r, eq.h).is_zero()
-        assert compose_maps(eq.h, eq.i).is_zero()
-        assert compose_maps(eq.h, eq.h).is_zero()
+        assert_sdr(C, S, eq)
 
 
 @st.composite

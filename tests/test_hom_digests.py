@@ -1,28 +1,49 @@
-"""Pinned digests of the Hom complexes and the alpha = 0 homotopy witnesses.
+"""Pinned digests of the Hom complexes, the alpha = 0 homotopy witnesses
+and the strong deformation retractions (SDRs) of the elimination engine.
 
-Each digest is a SHA-256 over the q-degree lists (in basis order), the
+Each Hom digest is a SHA-256 over the q-degree lists (in basis order), the
 differential entries and the reliable band of a module complex, or over the
 witnesses homotopy_witness returns.  They were recorded from the three
 separate builders that the one Hom engine replaced (tautological,
 hom_complex_direct and homotopy_witness, each with its own basis loop and
 its own composition with the differential); any change to a basis order,
 an entry or a band changes a digest.
+
+Each SDR digest (the `sdr_` records) is a SHA-256 over a serialized complex
+with its labels (the small one, or the product that absorption_retraction
+simplifies) and over the sorted serialized entries of the chain maps r, i
+and h (or of a map built from them): tracked simplify of the unreduced
+theta(2,2,2) at window 6; absorption_retraction's phi and
+standard_equivalence for P3@-5; and deloop, gaussian_eliminate and tracked
+simplify on seeded random complexes capped by a turnback above and below.
+They were recorded when r, i and h were kept in separate maps beside the
+engine, which re-implemented both of its steps, before the engine kept them
+as edges to ghost objects; any change to an object, an entry or a sign
+changes a digest.
 """
 
 import hashlib
+import json
+import random
 
 import pytest
 
+from helpers import first_iso_entry, random_complex
 from spinhom import complexes as cx
 from spinhom import expr as ex
 from spinhom import projector as pj
+from spinhom.cob import FlatTangle
 from spinhom.complexes import ChainMap, Window
+from spinhom.serialize import cobordism_to_data, complex_to_data
 
 PINNED_SHA256 = {
     "hom_p2_w6": "4baa416219586705fa69accbeaf4dd0948bc07c0932ff09718068f6d8c3bf54a",
     "hom_p3_w5": "6cc61a2817d35e6646850576572f6157f8c95e088fa887feff997d3d7fd67169",
     "tautological_theta": "0c13547aa6540ee9a5ba1869fcac0890bc27098c990dac29d8eafae61d02c18c",
     "homotopy_witness": "9ec5a181bea2dc583acca42da6794b2890811a8588ca7725bdc04b57030d5253",
+    "sdr_absorption_p3": "cfd89d1d166bcf76ce3b71ebe202c7104601fa8dced9ff0ab59d64302299a624",
+    "sdr_random": "3d18c8c34bafbf9d6cda3f3c727cacebee0201650ea73ddddf3ef2453ffd43cd",
+    "sdr_simplify_theta": "98a3b5b60bc8d072b700e8596b2e85d76219828bc5226befca5e2e38e17603e2",
 }
 
 
@@ -32,6 +53,33 @@ def _module(M) -> str:
         for k, mat in sorted(M.diff.items())
     ]
     return repr(([(k, M.qdegs(k)) for k in M.degrees()], diff, M.reliable))
+
+
+def _complex(C) -> str:
+    return json.dumps(complex_to_data(C), sort_keys=True) + repr(C.labels)
+
+
+def _chain_map(F) -> str:
+    mats = [
+        (k, sorted((r, c, json.dumps(cobordism_to_data(f), sort_keys=True))
+                   for (r, c), f in mat.items()))
+        for k, mat in sorted(F.mats.items())
+    ]
+    return repr((F.hdeg, F.qdeg, mats))
+
+
+def _sdr(S, *maps):
+    yield _complex(S)
+    for F in maps:
+        yield _chain_map(F)
+
+
+def _capped_random(seed: int):
+    """A seeded random complex over BN^2_2, and the same complex with e_0
+    stacked above and below, so that some objects carry circles."""
+    C = random_complex(random.Random(seed), 2, 2, Window(-3, 2), pieces=3)
+    E = cx.from_tangle(FlatTangle.e(0, 2))
+    return C, cx.stack_complexes(cx.stack_complexes(E, C)[0], E)[0]
 
 
 def _records(name: str):
@@ -54,6 +102,26 @@ def _records(name: str):
         for F, G, lo in ((b1 + b2, zero, -4), (b1, zero, -4), (one, one, cx.NEG_INF)):
             w = cx.homotopy_witness(F, G, eq_lo=lo)
             yield repr(None if w is None else sorted(w.items()))
+    elif name == "sdr_simplify_theta":
+        C = pj.instantiate(pj.rewrite_network(ex.theta(2, 2, 2)), Window(-6, 0))
+        S, eq = cx.simplify(C, want_equivalence=True)
+        yield from _sdr(S, eq.r, eq.i, eq.h)
+    elif name == "sdr_absorption_p3":
+        P = pj.build_projector(3, Window(-5, 0))
+        phi, T, _layout = pj.absorption_retraction(P.complex, P.complex, 3)
+        yield from _sdr(T, phi, pj.standard_equivalence(P, P))
+    elif name == "sdr_random":
+        # the seeds whose complexes are not empty; six have an iso entry
+        for seed in (0, 5, 9, 16, 21, 24, 26, 30):
+            C, capped = _capped_random(seed)
+            D, r, i = cx.deloop(capped)
+            yield from _sdr(D, r, i)
+            S, eq = cx.simplify(capped, want_equivalence=True)
+            yield from _sdr(S, eq.r, eq.i, eq.h)
+            entry = first_iso_entry(C)
+            if entry is not None:
+                small, r, i, h = cx.gaussian_eliminate(C, entry)
+                yield from _sdr(small, r, i, h)
 
 
 def digest(name: str) -> str:
