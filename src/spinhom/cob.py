@@ -42,6 +42,8 @@ from .laurent import LaurentPoly
 AlphaPoly = LaurentPoly
 
 Arc = tuple[int, int]
+# A morphism's canonical form: {dot assignment over closure circles: coefficient}
+Terms = dict[tuple[int, ...], AlphaPoly]
 
 
 def _check_planar_pairs(m: int, n: int, pairs: tuple[int, ...]) -> bool:
@@ -497,18 +499,7 @@ class CanonicalCobordism:
     def __add__(self, other: "CanonicalCobordism") -> "CanonicalCobordism":
         if self.source != other.source or self.target != other.target:
             raise DimensionError("adding cobordisms with different endpoints")
-        acc = dict(self.terms)
-        for a, p in other.terms.items():
-            cur = acc.get(a)
-            if cur is None:
-                acc[a] = p
-                continue
-            s = cur + p
-            if s:
-                acc[a] = s
-            else:
-                del acc[a]
-        return CanonicalCobordism(self.source, self.target, acc)
+        return CanonicalCobordism(self.source, self.target, add_terms(self.terms, other.terms))
 
     def __neg__(self) -> "CanonicalCobordism":
         return CanonicalCobordism(
@@ -519,9 +510,7 @@ class CanonicalCobordism:
         return self + (-other)
 
     def scale(self, c: AlphaPoly | int) -> "CanonicalCobordism":
-        return CanonicalCobordism(
-            self.source, self.target, {a: p * c for a, p in self.terms.items()}
-        )
+        return CanonicalCobordism(self.source, self.target, scale_terms(self.terms, c))
 
     def with_shifts(self, source_shift: int, target_shift: int) -> "CanonicalCobordism":
         """Same underlying surface between reshifted endpoints."""
@@ -539,22 +528,47 @@ class CanonicalCobordism:
         )
 
     def is_identity_iso(self) -> int | None:
-        """Return +1/-1 if this is (+-1) times the undotted identity between
-        equal circle-free objects, else None.  Used as the Gaussian
-        elimination pivot test."""
-        s, t = self.source, self.target
-        if s.tangle != t.tangle or s.qshift != t.qshift or s.tangle.circles != 0:
-            return None
-        if len(self.terms) != 1:
-            return None
-        (assign, poly), = self.terms.items()
-        if any(assign):
-            return None
-        if poly.coeffs == {0: 1}:
-            return 1
-        if poly.coeffs == {0: -1}:
-            return -1
+        """iso_sign of this morphism."""
+        return iso_sign(self.source, self.target, self.terms)
+
+
+# -- term dicts: the cores the methods above and the elimination engine share
+
+
+def add_terms(x: Terms, y: Terms) -> Terms:
+    """x + y as a new dict, zero coefficients dropped."""
+    acc = dict(x)
+    for a, p in y.items():
+        cur = acc.get(a)
+        if cur is None:
+            acc[a] = p
+            continue
+        s = cur + p
+        if s:
+            acc[a] = s
+        else:
+            del acc[a]
+    return acc
+
+
+def scale_terms(terms: Terms, c: AlphaPoly | int) -> Terms:
+    return {a: p * c for a, p in terms.items()}
+
+
+def iso_sign(source: ShiftedObject, target: ShiftedObject, terms: Terms) -> int | None:
+    """+1/-1 if terms from source to target are (+-1) times the undotted
+    identity between equal circle-free objects, else None.  The Gaussian
+    elimination pivot test."""
+    if len(terms) != 1 or source.tangle.circles != 0 or source != target:
         return None
+    (assign, poly), = terms.items()
+    if any(assign):
+        return None
+    if poly.coeffs == {0: 1}:
+        return 1
+    if poly.coeffs == {0: -1}:
+        return -1
+    return None
 
 
 def degree(f: CanonicalCobordism) -> int | None:
@@ -657,13 +671,11 @@ def dot_at_point(obj: ShiftedObject, p: int, dots: int = 1) -> CanonicalCobordis
 # The four gluing operations on morphisms
 
 
-def _glue_terms(
-    f: CanonicalCobordism, g: CanonicalCobordism, st: GlueStructure
-) -> dict[tuple[int, ...], AlphaPoly]:
+def _glue_terms(f: Terms, g: Terms, st: GlueStructure) -> Terms:
     """Shared core: the pieces of st are f's disks, then g's disks."""
-    out: dict[tuple[int, ...], AlphaPoly] = {}
-    for af, pf in f.terms.items():
-        for ag, pg in g.terms.items():
+    out: Terms = {}
+    for af, pf in f.items():
+        for ag, pg in g.items():
             reduced = _reduced_terms(st, af + ag)
             if not reduced:
                 continue
@@ -701,19 +713,35 @@ def _compose_structure(a: FlatTangle, b: FlatTangle, c: FlatTangle) -> GlueStruc
     return glue_structure((1,) * (cF.n + cG.n), tuple(cells), nodes)
 
 
+def compose_terms(
+    a: ShiftedObject, b: ShiftedObject, c: ShiftedObject,
+    f: Terms, g: Terms, f_sign: int | None, g_sign: int | None,
+) -> Terms:
+    """Terms of g after f, for f: a -> b and g: b -> c with their iso_sign
+    values (a caller composing one map with many computes each once).  The
+    result may be f or g itself, so it must not be mutated."""
+    # unit fast paths: composing with (+-1) undotted identity only rescales
+    if g_sign is not None:
+        return f if g_sign == 1 else scale_terms(f, -1)
+    if f_sign is not None:
+        return g if f_sign == 1 else scale_terms(g, -1)
+    return _glue_terms(f, g, _compose_structure(a.tangle, b.tangle, c.tangle))
+
+
 def compose(g: CanonicalCobordism, f: CanonicalCobordism) -> CanonicalCobordism:
     """g after f: glue along the full middle object (arcs and circles)."""
     if f.target != g.source:
         raise DimensionError("cobordisms are not composable")
-    # unit fast paths: composing with (+-1) undotted identity only rescales
-    s = g.is_identity_iso()
-    if s is not None:
-        return f if s == 1 else f.scale(-1)
-    s = f.is_identity_iso()
-    if s is not None:
-        return g if s == 1 else g.scale(-1)
-    st = _compose_structure(f.source.tangle, f.target.tangle, g.target.tangle)
-    return CanonicalCobordism(f.source, g.target, _glue_terms(f, g, st))
+    a, b, c = f.source, f.target, g.target
+    terms = compose_terms(
+        a, b, c, f.terms, g.terms, iso_sign(a, b, f.terms), iso_sign(b, c, g.terms)
+    )
+    # a unit fast path hands back one of the inputs' terms unchanged
+    if terms is f.terms:
+        return f
+    if terms is g.terms:
+        return g
+    return CanonicalCobordism(a, c, terms)
 
 
 # -- planar stacking of objects ----------------------------------------------
@@ -829,7 +857,7 @@ def stack(f: CanonicalCobordism, g: CanonicalCobordism) -> CanonicalCobordism:
     if at.n != bt.m:
         raise DimensionError("stacking with mismatched middle boundary")
     a2t, b2t = f.target.tangle, g.target.tangle
-    terms = _glue_terms(f, g, _stack_structure(at, bt, a2t, b2t))
+    terms = _glue_terms(f.terms, g.terms, _stack_structure(at, bt, a2t, b2t))
     return CanonicalCobordism(
         ShiftedObject(stack_ob(at, bt).tangle, f.source.qshift + g.source.qshift),
         ShiftedObject(stack_ob(a2t, b2t).tangle, f.target.qshift + g.target.qshift),
@@ -880,7 +908,7 @@ def beside(f: CanonicalCobordism, g: CanonicalCobordism) -> CanonicalCobordism:
     """Horizontal juxtaposition: f to the left of g (no gluing)."""
     at, bt = f.source.tangle, g.source.tangle
     a2t, b2t = f.target.tangle, g.target.tangle
-    terms = _glue_terms(f, g, _beside_structure(at, bt, a2t, b2t))
+    terms = _glue_terms(f.terms, g.terms, _beside_structure(at, bt, a2t, b2t))
     return CanonicalCobordism(
         ShiftedObject(beside_ob(at, bt), f.source.qshift + g.source.qshift),
         ShiftedObject(beside_ob(a2t, b2t), f.target.qshift + g.target.qshift),

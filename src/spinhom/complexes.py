@@ -405,9 +405,8 @@ def _binary_planar(
             for r2, g in colsB.get(j, {}).get(pb, ()):
                 key = (i, j + 1, pa, r2)
                 if key in index:
-                    add_entry(
-                        k, index[key], cpos, mor_op(cob.identity_cob(oa), g).scale(sign)
-                    )
+                    h = mor_op(cob.identity_cob(oa), g)
+                    add_entry(k, index[key], cpos, h if sign == 1 else h.scale(-1))
 
     out = ChainComplex(
         out_mn[0],
@@ -641,6 +640,12 @@ class _Work:
     in place by its two steps, delooping (deloop) and Gaussian elimination
     (eliminate).
 
+    An edge is a bare term dict (cob.Terms); its endpoints are obj[src] and
+    obj[tgt].  The steps rewrite term dicts only, through the cores cob's
+    morphisms share (compose_terms, add_terms, scale_terms, iso_sign), and
+    finish builds each result cobordism once, through the validating
+    CanonicalCobordism constructor.
+
     With track=True it also keeps the strong deformation retraction (r, i,
     h) from the original complex as edges to ghost objects.  Each original
     object k gets two ghosts that are protected and not in `order`: g_in(k)
@@ -651,6 +656,7 @@ class _Work:
     update for u = g_in, the i update for v = g_out and -h for both.  So at
     the end an edge g_in(s) -> x holds r[x, s], x -> g_out(t) holds
     i[t, x] and g_in(s) -> g_out(t) holds -h[t, s]; finish reads them off.
+    A ghost's obj entry is its original object.
     """
 
     def __init__(
@@ -668,9 +674,9 @@ class _Work:
         self.order: dict[int, list[int]] = {}
         self.obj: dict[int, ShiftedObject] = {}
         self.deg: dict[int, int] = {}
-        # entries[(kid_target, kid_source)] with degree implied
-        self.out_edges: dict[int, dict[int, CanonicalCobordism]] = {}
-        self.in_edges: dict[int, dict[int, CanonicalCobordism]] = {}
+        # out_edges[src][tgt] and in_edges[tgt][src]: the same term dict
+        self.out_edges: dict[int, dict[int, cob.Terms]] = {}
+        self.in_edges: dict[int, dict[int, cob.Terms]] = {}
         self.protected: set[int] = set()
         self.label: dict[int, object] = {}
         # ghost id -> (degree, position) of its original object
@@ -689,29 +695,30 @@ class _Work:
             self.order[k] = ids
         for k, mat in C.diff.items():
             for (r, c), f in mat.items():
-                self.set_edge(self.order[k][c], self.order[k + 1][r], f)
+                self.set_edge(self.order[k][c], self.order[k + 1][r], f.terms)
         if track:
             for k, ids in self.order.items():
                 for p, oid in enumerate(ids):
                     g_in, g_out = self.next_id, self.next_id + 1
                     self.next_id += 2
                     self.ghost[g_in] = self.ghost[g_out] = (k, p)
+                    self.obj[g_in] = self.obj[g_out] = self.obj[oid]
                     self.protected.update((g_in, g_out))
-                    one = cob.identity_cob(self.obj[oid])
+                    one = cob.identity_cob(self.obj[oid]).terms
                     self.set_edge(g_in, oid, one)
                     self.set_edge(oid, g_out, one)
 
-    def set_edge(self, src: int, tgt: int, f: CanonicalCobordism) -> None:
-        if f.is_zero():
+    def set_edge(self, src: int, tgt: int, f: cob.Terms) -> None:
+        if not f:
             self.out_edges.get(src, {}).pop(tgt, None)
             self.in_edges.get(tgt, {}).pop(src, None)
         else:
             self.out_edges.setdefault(src, {})[tgt] = f
             self.in_edges.setdefault(tgt, {})[src] = f
 
-    def add_edge(self, src: int, tgt: int, f: CanonicalCobordism) -> None:
+    def add_edge(self, src: int, tgt: int, f: cob.Terms) -> None:
         cur = self.out_edges.get(src, {}).get(tgt)
-        self.set_edge(src, tgt, cur + f if cur is not None else f)
+        self.set_edge(src, tgt, cob.add_terms(cur, f) if cur is not None else f)
 
     def remove_object(self, oid: int) -> None:
         for tgt in list(self.out_edges.get(oid, {})):
@@ -744,15 +751,16 @@ class _Work:
         or 2 dots, which evaluates to 0, 1 or 0.  So each composite keeps the
         terms with the other dot value there and drops the circle's
         coordinate: f.psi_up keeps dot 0, f.psi_dn dot 1, phi_up.f dot 1 and
-        phi_dn.f dot 0 (_cap_source, _cap_target)."""
-        big = self.obj[oid]
+        phi_dn.f dot 0 (_cap)."""
+        obj = self.obj
+        big = obj[oid]
         base = big.tangle.drop_circle()
         up = ShiftedObject(base, big.qshift + 1)
         dn = ShiftedObject(base, big.qshift - 1)
         id_up, id_dn = self.next_id, self.next_id + 1
         self.next_id += 2
-        # (new id, object, dot f.psi keeps); phi.f keeps the other one
-        copies = ((id_up, up, 0), (id_dn, dn, 1))
+        # (new id, dot f.psi keeps); phi.f keeps the other one
+        copies = ((id_up, 0), (id_dn, 1))
         k = self.deg[oid]
         ids = self.order[k]
         idx = ids.index(oid)
@@ -760,26 +768,36 @@ class _Work:
         ins = self.in_edges.get(oid, {})
         self.remove_object(oid)
         ids[idx:idx] = [id_up, id_dn]
-        self.obj[id_up], self.obj[id_dn] = up, dn
+        obj[id_up], obj[id_dn] = up, dn
         self.deg[id_up], self.deg[id_dn] = k, k
         for tgt, f in outs.items():
-            for new_id, obj, dot in copies:
-                self.add_edge(new_id, tgt, _cap_source(f, obj, dot))
+            c = closure_data(big.tangle, obj[tgt].tangle).src_circ[-1]
+            for new_id, dot in copies:
+                self.add_edge(new_id, tgt, _cap(f, c, dot))
         for src, f in ins.items():
-            for new_id, obj, dot in copies:
-                self.add_edge(src, new_id, _cap_target(f, obj, 1 - dot))
+            c = closure_data(obj[src].tangle, big.tangle).tgt_circ[-1]
+            for new_id, dot in copies:
+                self.add_edge(src, new_id, _cap(f, c, 1 - dot))
 
     def eliminate(self, src: int, tgt: int, sign: int) -> None:
         """Gaussian elimination of the isomorphism src -> tgt (sign times an
         identity): both objects go, and every path u -> tgt, src -> v
         leaves the correction -(v <- src) . inv . (tgt <- u)."""
+        obj = self.obj
+        mid = obj[tgt]  # equal to obj[src]
         ins_alpha = {u: f for u, f in self.in_edges.get(tgt, {}).items() if u != src}
-        outs_beta = {v: f for v, f in self.out_edges.get(src, {}).items() if v != tgt}
+        outs_beta = [
+            (v, obj[v], fv, cob.iso_sign(mid, obj[v], fv))
+            for v, fv in self.out_edges.get(src, {}).items()
+            if v != tgt
+        ]
         # inv is sign times an identity, so -(g . inv . f) = g . f.scale(-sign)
         for u, fu in ins_alpha.items():
-            left = fu.scale(-sign)
-            for v, fv in outs_beta.items():
-                self.add_edge(u, v, cob.compose(fv, left))
+            a = obj[u]
+            left = cob.scale_terms(fu, -sign)
+            left_sign = cob.iso_sign(a, mid, left)
+            for v, c, fv, fv_sign in outs_beta:
+                self.add_edge(u, v, cob.compose_terms(a, mid, c, left, fv, left_sign, fv_sign))
         self.remove_object(src)
         self.remove_object(tgt)
 
@@ -808,11 +826,14 @@ class _Work:
             (False, False): diff, (True, False): r_mats,
             (False, True): i_mats, (True, True): minus_h,
         }
-        ghost = self.ghost
+        ghost, obj = self.ghost, self.obj
         for src, outs in self.out_edges.items():
             k, c = pos[src]
+            a = obj[src]
             for tgt, f in outs.items():
-                by_ends[src in ghost, tgt in ghost].setdefault(k, {})[(pos[tgt][1], c)] = f
+                by_ends[src in ghost, tgt in ghost].setdefault(k, {})[(pos[tgt][1], c)] = (
+                    CanonicalCobordism(a, obj[tgt], f)
+                )
         labels = None
         if self.label:
             labels = {
@@ -836,25 +857,12 @@ class _Work:
         )
 
 
-def _cap_source(f: CanonicalCobordism, source: ShiftedObject, dot: int) -> CanonicalCobordism:
-    """f after a birth disk with 1 - dot dots from `source` (f.source less
-    its last free circle) onto that circle: f's terms with `dot` dots on
-    the circle, its coordinate dropped and their coefficients unchanged."""
-    c = closure_data(f.source.tangle, f.target.tangle).src_circ[-1]
-    return CanonicalCobordism(
-        source, f.target, {a[:c] + a[c + 1:]: p for a, p in f.terms.items() if a[c] == dot}
-    )
-
-
-def _cap_target(f: CanonicalCobordism, target: ShiftedObject, dot: int) -> CanonicalCobordism:
-    """A death disk with 1 - dot dots on the last free circle of f.target,
-    to `target` (f.target less that circle), after f: f's terms with `dot`
-    dots on the circle, its coordinate dropped and their coefficients
-    unchanged."""
-    c = closure_data(f.source.tangle, f.target.tangle).tgt_circ[-1]
-    return CanonicalCobordism(
-        f.source, target, {a[:c] + a[c + 1:]: p for a, p in f.terms.items() if a[c] == dot}
-    )
+def _cap(f: cob.Terms, c: int, dot: int) -> cob.Terms:
+    """f capped on its closure circle c by a birth or death disk with
+    1 - dot dots, c being a free circle of one end and its own closure
+    circle: the terms with `dot` dots on c, that coordinate dropped and
+    their coefficients unchanged."""
+    return {a[:c] + a[c + 1:]: p for a, p in f.items() if a[c] == dot}
 
 
 def _pivot_sweep(work: _Work) -> list[tuple[int, int]]:
@@ -871,10 +879,11 @@ def _pivot_sweep(work: _Work) -> list[tuple[int, int]]:
             if not outs:
                 continue
             found = []
+            a = work.obj[src]
             for tgt, f in outs.items():
                 if tgt in work.protected:
                     continue
-                if f.is_identity_iso() is not None:
+                if cob.iso_sign(a, work.obj[tgt], f) is not None:
                     found.append((tgt_order[tgt], tgt))
             if found:
                 found.sort()
@@ -957,7 +966,7 @@ def simplify(
             for src, tgt in _pivot_sweep(work):
                 # an earlier elimination may have removed or changed the entry
                 f = work.out_edges.get(src, {}).get(tgt)
-                sign = None if f is None else f.is_identity_iso()
+                sign = None if f is None else cob.iso_sign(work.obj[src], work.obj[tgt], f)
                 if sign is None:
                     continue
                 work.eliminate(src, tgt, sign)

@@ -7,7 +7,9 @@ import random
 from spinhom import complexes as cx
 from spinhom import tl
 from spinhom.cob import (
+    CanonicalCobordism,
     ShiftedObject,
+    closure_data,
     degree as cob_degree,
     identity_cob,
     surgery,
@@ -119,9 +121,13 @@ def first_iso_entry(C: ChainComplex) -> tuple[int, int, int] | None:
 
 
 def assert_sdr(C: ChainComplex, S: ChainComplex, eq: cx.Equivalence) -> None:
-    """eq is a strong deformation retraction of C onto S: r.i = 1,
-    1 - i.r = [d, h], and the side conditions r.h = 0, h.i = 0, h.h = 0."""
+    """eq is a strong deformation retraction of C onto S: S and every map
+    entry have the right endpoints and q-degree, r.i = 1, 1 - i.r = [d, h],
+    and the side conditions r.h = 0, h.i = 0, h.h = 0."""
     r, i, h = eq.r, eq.i, eq.h
+    S.validate()
+    for f in (r, i, h):
+        f.validate()
     assert cx.compose_maps(r, i).mats == cx.ChainMap.identity(S).mats
     lhs = cx.ChainMap.identity(C) - cx.compose_maps(i, r)
     assert lhs.mats == cx.commutator_with_d(h).mats
@@ -451,12 +457,29 @@ def reference_deloop_maps(big) -> tuple:
     )
 
 
+def cap_source(f, source, dot: int):
+    """f after a birth disk with 1 - dot dots from `source` (f.source less
+    its last free circle) onto that circle, by complexes._cap."""
+    c = closure_data(f.source.tangle, f.target.tangle).src_circ[-1]
+    return CanonicalCobordism(source, f.target, cx._cap(f.terms, c, dot))
+
+
+def cap_target(f, target, dot: int):
+    """A death disk with 1 - dot dots on the last free circle of f.target,
+    to `target` (f.target less that circle), after f, by complexes._cap."""
+    c = closure_data(f.source.tangle, f.target.tangle).tgt_circ[-1]
+    return CanonicalCobordism(f.source, target, cx._cap(f.terms, c, dot))
+
+
 def reference_deloop(work, oid: int) -> None:
     """complexes._Work.deloop by cob.compose with reference_deloop_maps, the
-    edges to the SDR's ghost objects included; a drop-in for the method."""
+    edges to the SDR's ghost objects included; a drop-in for the method.
+    Each edge's term dict is wrapped with its endpoints from work.obj,
+    composed, and unwrapped again."""
     from spinhom import cob
 
-    up, dn, phi_up, phi_dn, psi_up, psi_dn = reference_deloop_maps(work.obj[oid])
+    big = work.obj[oid]
+    up, dn, phi_up, phi_dn, psi_up, psi_dn = reference_deloop_maps(big)
     id_up, id_dn = work.next_id, work.next_id + 1
     work.next_id += 2
     k = work.deg[oid]
@@ -468,9 +491,11 @@ def reference_deloop(work, oid: int) -> None:
     ids[idx:idx] = [id_up, id_dn]
     work.obj[id_up], work.obj[id_dn] = up, dn
     work.deg[id_up], work.deg[id_dn] = k, k
-    for tgt, f in outs.items():
-        work.add_edge(id_up, tgt, cob.compose(f, psi_up))
-        work.add_edge(id_dn, tgt, cob.compose(f, psi_dn))
-    for src, f in ins.items():
-        work.add_edge(src, id_up, cob.compose(phi_up, f))
-        work.add_edge(src, id_dn, cob.compose(phi_dn, f))
+    for tgt, terms in outs.items():
+        f = CanonicalCobordism(big, work.obj[tgt], terms)
+        work.add_edge(id_up, tgt, cob.compose(f, psi_up).terms)
+        work.add_edge(id_dn, tgt, cob.compose(f, psi_dn).terms)
+    for src, terms in ins.items():
+        f = CanonicalCobordism(work.obj[src], big, terms)
+        work.add_edge(src, id_up, cob.compose(phi_up, f).terms)
+        work.add_edge(src, id_dn, cob.compose(phi_dn, f).terms)
