@@ -333,21 +333,12 @@ def _projectors(args):
     return lambda n, w: cached_projector(n, w, args.cache_dir)
 
 
-def _closed_module(e: ex.NetworkExpr, window: Window, rewrite: bool, projector):
-    if not ex.is_closed(e):
-        raise ArityError("homology/euler need a closed network")
-    e2 = pj.rewrite_network(e) if rewrite else pj.expand_vertices(e)
-    C = pj.instantiate(e2, window, reduce=True, projector=projector)
-    S, _ = cx.simplify(C)
-    return cx.tautological(S)
-
-
 def _homology_of_query(text: str, window: Window, spec: str, rewrite: bool, projector):
     kind, args = parse_query(text)
     if kind == "hom":
         M = pj.hom_of_networks(args[0], args[1], window, rewrite, projector)
     else:
-        M = _closed_module(args[0], window, rewrite, projector)
+        M = pj.closed_module(args[0], window, rewrite, projector)
     return homology_table(M, spec), M
 
 
@@ -411,7 +402,7 @@ def cmd_euler(args) -> dict:
         M = pj.hom_of_networks(qargs[0], qargs[1], window, projector=_projectors(args))
         decat = None
     else:
-        M = _closed_module(qargs[0], window, True, _projectors(args))
+        M = pj.closed_module(qargs[0], window, True, _projectors(args))
         decat = tl.evaluate_network(qargs[0])
     chi = euler_characteristic(M)
     data = {

@@ -400,15 +400,6 @@ def reduce_structure(
     return {k: v for k, v in out.items() if v}
 
 
-def _reduced_terms(st: GlueStructure, piece_dots: tuple[int, ...]) -> dict[tuple[int, ...], AlphaPoly]:
-    """reduce_structure, memoised on the structure; callers must not mutate
-    the returned dict."""
-    out = st.reduced.get(piece_dots)
-    if out is None:
-        out = st.reduced[piece_dots] = reduce_structure(st, piece_dots)
-    return out
-
-
 def reduce_glued(
     piece_chi: list[int],
     piece_dots: list[int],
@@ -489,11 +480,6 @@ class CanonicalCobordism:
             self.source == other.source
             and self.target == other.target
             and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash(
-            (self.source, self.target, frozenset((a, p) for a, p in self.terms.items()))
         )
 
     def __add__(self, other: "CanonicalCobordism") -> "CanonicalCobordism":
@@ -672,11 +658,16 @@ def dot_at_point(obj: ShiftedObject, p: int, dots: int = 1) -> CanonicalCobordis
 
 
 def _glue_terms(f: Terms, g: Terms, st: GlueStructure) -> Terms:
-    """Shared core: the pieces of st are f's disks, then g's disks."""
+    """The one core of compose, stack, beside and trace: the pieces of st
+    are f's disks, then g's pieces (g's disks, or trace's strips)."""
     out: Terms = {}
+    memo = st.reduced
     for af, pf in f.items():
         for ag, pg in g.items():
-            reduced = _reduced_terms(st, af + ag)
+            dots = af + ag
+            reduced = memo.get(dots)
+            if reduced is None:
+                reduced = memo[dots] = reduce_structure(st, dots)
             if not reduced:
                 continue
             scalar = pf * pg
@@ -849,19 +840,17 @@ def _stack_structure(
     return glue_structure((1,) * (cF.n + cG.n), cells, nodes)
 
 
-@functools.lru_cache(maxsize=1 << 15)
 def stack(f: CanonicalCobordism, g: CanonicalCobordism) -> CanonicalCobordism:
     """Planar vertical stacking of morphisms: f over g, glued along the
     k vertical boundary lines between them."""
     at, bt = f.source.tangle, g.source.tangle
     if at.n != bt.m:
         raise DimensionError("stacking with mismatched middle boundary")
-    a2t, b2t = f.target.tangle, g.target.tangle
-    terms = _glue_terms(f.terms, g.terms, _stack_structure(at, bt, a2t, b2t))
+    st = _stack_structure(at, bt, f.target.tangle, g.target.tangle)
     return CanonicalCobordism(
-        ShiftedObject(stack_ob(at, bt).tangle, f.source.qshift + g.source.qshift),
-        ShiftedObject(stack_ob(a2t, b2t).tangle, f.target.qshift + g.target.qshift),
-        terms,
+        stack_objects(f.source, g.source),
+        stack_objects(f.target, g.target),
+        _glue_terms(f.terms, g.terms, st),
     )
 
 
@@ -880,6 +869,10 @@ def beside_ob(a: FlatTangle, b: FlatTangle) -> FlatTangle:
     for i, j in enumerate(b.pairs):
         new[remap_b(i)] = remap_b(j)
     return FlatTangle(m, n, tuple(new), a.circles + b.circles)
+
+
+def beside_objects(a: ShiftedObject, b: ShiftedObject) -> ShiftedObject:
+    return ShiftedObject(beside_ob(a.tangle, b.tangle), a.qshift + b.qshift)
 
 
 @functools.lru_cache(maxsize=1 << 15)
@@ -906,18 +899,12 @@ def _beside_structure(
 
 def beside(f: CanonicalCobordism, g: CanonicalCobordism) -> CanonicalCobordism:
     """Horizontal juxtaposition: f to the left of g (no gluing)."""
-    at, bt = f.source.tangle, g.source.tangle
-    a2t, b2t = f.target.tangle, g.target.tangle
-    terms = _glue_terms(f.terms, g.terms, _beside_structure(at, bt, a2t, b2t))
+    st = _beside_structure(f.source.tangle, g.source.tangle, f.target.tangle, g.target.tangle)
     return CanonicalCobordism(
-        ShiftedObject(beside_ob(at, bt), f.source.qshift + g.source.qshift),
-        ShiftedObject(beside_ob(a2t, b2t), f.target.qshift + g.target.qshift),
-        terms,
+        beside_objects(f.source, g.source),
+        beside_objects(f.target, g.target),
+        _glue_terms(f.terms, g.terms, st),
     )
-
-
-def beside_objects(a: ShiftedObject, b: ShiftedObject) -> ShiftedObject:
-    return ShiftedObject(beside_ob(a.tangle, b.tangle), a.qshift + b.qshift)
 
 
 # -- Markov trace ------------------------------------------------------------
@@ -978,27 +965,16 @@ def _trace_structure(at: FlatTangle, bt: FlatTangle) -> GlueStructure:
 
 def trace(f: CanonicalCobordism) -> CanonicalCobordism:
     """The Markov trace of a morphism: glue closure strips on both sides."""
-    at, bt = f.source.tangle, f.target.tangle
+    at = f.source.tangle
     if at.m != at.n:
         raise DimensionError("trace needs a square morphism")
-    st = _trace_structure(at, bt)
-    strips = (0,) * at.n
-    out: dict[tuple[int, ...], AlphaPoly] = {}
-    for af, pf in f.terms.items():
-        for assign, poly in _reduced_terms(st, af + strips).items():
-            cur = out.get(assign)
-            if cur is None:
-                out[assign] = poly * pf
-                continue
-            s = cur + poly * pf
-            if s:
-                out[assign] = s
-            else:
-                del out[assign]
+    st = _trace_structure(at, f.target.tangle)
+    # the strips carry no dots, so their one term is the unit
+    strips = {(0,) * at.n: AlphaPoly.one()}
     return CanonicalCobordism(
-        ShiftedObject(trace_ob(at).tangle, f.source.qshift),
-        ShiftedObject(trace_ob(bt).tangle, f.target.qshift),
-        out,
+        trace_object(f.source),
+        trace_object(f.target),
+        _glue_terms(f.terms, strips, st),
     )
 
 

@@ -348,39 +348,38 @@ def _combine_reliability(A: ChainComplex, B: ChainComplex) -> tuple[float, float
 # Planar composition of complexes
 
 
-def _binary_planar(
-    A: ChainComplex,
-    B: ChainComplex,
-    ob_op,
-    mor_op,
-    out_mn: tuple[int, int],
-    mode: str | None,
-) -> tuple[ChainComplex, dict[int, list[tuple[int, int, int, int]]]]:
-    """Shared engine for stack/beside of complexes, Koszul signs included.
-
-    Returns the composite and a layout: per degree, the list of summand
-    provenances (i, j, posA, posB) aligned with the object list.
-    """
+def product_layout(A: ChainComplex, B: ChainComplex) -> dict[int, list[tuple[int, int, int, int]]]:
+    """The summands of a planar product of A and B: per degree k of the
+    product's window, the provenances (i, j, pa, pb) of object pa of A^i
+    with object pb of B^j, i + j = k, in the product's object order."""
     window = A.window + B.window
-    groups: dict[int, list[ShiftedObject]] = {}
     layout: dict[int, list[tuple[int, int, int, int]]] = {}
-    index: dict[tuple[int, int, int, int], int] = {}
     for k in range(window.lo, window.hi + 1):
-        objs: list[ShiftedObject] = []
-        lay: list[tuple[int, int, int, int]] = []
-        for i in sorted(A.groups):
-            j = k - i
-            if j not in B.groups:
-                continue
-            for pa, oa in enumerate(A.groups[i]):
-                for pb, ob in enumerate(B.groups[j]):
-                    index[(i, j, pa, pb)] = len(objs)
-                    objs.append(ob_op(oa, ob))
-                    lay.append((i, j, pa, pb))
-        if objs:
-            groups[k] = objs
+        lay = [
+            (i, k - i, pa, pb)
+            for i in sorted(A.groups)
+            if k - i in B.groups
+            for pa in range(len(A.groups[i]))
+            for pb in range(len(B.groups[k - i]))
+        ]
+        if lay:
             layout[k] = lay
+    return layout
 
+
+def _binary_planar(
+    A: ChainComplex, B: ChainComplex, ob_op, mor_op, out_mn: tuple[int, int]
+) -> ChainComplex:
+    """The planar product of A and B that ob_op and mor_op glue summand by
+    summand (stacking or juxtaposition), Koszul signs included: the
+    differential is T(d_A, 1) + (-1)^i T(1, d_B) on the summands of
+    product_layout, and the mode is A's."""
+    layout = product_layout(A, B)
+    groups = {
+        k: [ob_op(A.groups[i][pa], B.groups[j][pb]) for i, j, pa, pb in lay]
+        for k, lay in layout.items()
+    }
+    index = {prov: p for lay in layout.values() for p, prov in enumerate(lay)}
     diff: dict[int, Matrix] = {}
 
     def add_entry(k: int, r: int, c: int, f: CanonicalCobordism):
@@ -408,37 +407,31 @@ def _binary_planar(
                     h = mor_op(cob.identity_cob(oa), g)
                     add_entry(k, index[key], cpos, h if sign == 1 else h.scale(-1))
 
-    out = ChainComplex(
+    return ChainComplex(
         out_mn[0],
         out_mn[1],
-        window,
+        A.window + B.window,
         groups,
         diff,
-        mode=mode or A.mode,
+        A.mode,
         tail_lo=A.tail_lo or B.tail_lo,
         tail_hi=A.tail_hi or B.tail_hi,
         reliable=_combine_reliability(A, B),
     )
-    return out, layout
 
 
-def stack_complexes(
-    A: ChainComplex, B: ChainComplex, mode: str | None = None
-) -> tuple[ChainComplex, dict]:
-    """Vertical planar composition (A over B)."""
+def stack_complexes(A: ChainComplex, B: ChainComplex) -> ChainComplex:
+    """Vertical planar composition (A over B); product_layout gives its
+    summands."""
     if A.n != B.m:
         raise DimensionError(f"cannot stack ({A.m},{A.n}) over ({B.m},{B.n})")
-    return _binary_planar(
-        A, B, cob.stack_objects, cob.stack, (A.m, B.n), mode
-    )
+    return _binary_planar(A, B, cob.stack_objects, cob.stack, (A.m, B.n))
 
 
-def beside_complexes(
-    A: ChainComplex, B: ChainComplex, mode: str | None = None
-) -> tuple[ChainComplex, dict]:
-    return _binary_planar(
-        A, B, cob.beside_objects, cob.beside, (A.m + B.m, A.n + B.n), mode
-    )
+def beside_complexes(A: ChainComplex, B: ChainComplex) -> ChainComplex:
+    """Horizontal planar composition (A left of B); product_layout gives its
+    summands."""
+    return _binary_planar(A, B, cob.beside_objects, cob.beside, (A.m + B.m, A.n + B.n))
 
 
 def trace_complex(A: ChainComplex) -> ChainComplex:
@@ -460,15 +453,16 @@ def stack_chain_maps(F: ChainMap, G: ChainMap) -> ChainMap:
     """T(F, G) on vertical stacking, Koszul sign (-1)^{i |G|} on summand i."""
     A, B = F.source, G.source
     A2, B2 = F.target, G.target
-    SRC, src_layout = stack_complexes(A, B)
-    TGT, tgt_layout = stack_complexes(A2, B2)
+    SRC = stack_complexes(A, B)
+    TGT = stack_complexes(A2, B2)
     tgt_index = {
-        k: {prov: p for p, prov in enumerate(lay)} for k, lay in tgt_layout.items()
+        k: {prov: p for p, prov in enumerate(lay)}
+        for k, lay in product_layout(A2, B2).items()
     }
     f_cols = {k: _by_column(mat) for k, mat in F.mats.items()}
     g_cols = {k: _by_column(mat) for k, mat in G.mats.items()}
     mats: dict[int, Matrix] = {}
-    for k, lay in src_layout.items():
+    for k, lay in product_layout(A, B).items():
         mat: Matrix = {}
         for cpos, (i, j, pa, pb) in enumerate(lay):
             # F (x) 1 then 1 (x) G expanded: T(F,G) = T(F,1) . T(1,G) with signs
@@ -1082,7 +1076,7 @@ def hom_complex(A: ChainComplex, B: ChainComplex) -> ModuleComplex:
     engine runs only as tautological, where there is no d_A."""
     if (A.m, A.n) != (B.m, B.n):
         raise DimensionError("hom complex needs matching boundaries")
-    T, _ = stack_complexes(B, dual_complex(A), mode="product")
+    T = replace(stack_complexes(B, dual_complex(A)), mode="product")
     M = tautological(trace_complex(T))
     return M.shift_q((A.m + A.n) // 2)
 
@@ -1380,24 +1374,3 @@ def homotopic_alpha0(F: ChainMap, G: ChainMap, lo: float = NEG_INF, hi: float = 
     equation imposed on source degrees in [lo, hi] only."""
     return homotopy_witness(F, G, eq_lo=lo, eq_hi=hi) is not None
 
-
-def planar_compose(pattern: str, *complexes: ChainComplex, mode: str | None = None) -> ChainComplex:
-    """Planar composition of chain complexes along a named pattern.
-
-    "stack" and "beside" take two or more complexes (left-associated, with
-    the Koszul sign rule); "trace" takes one.  `mode` records which
-    completion the truncation approximates.
-    """
-    if pattern == "trace":
-        (A,) = complexes
-        out = trace_complex(A)
-        return replace(out, mode=mode or out.mode)
-    if pattern not in ("stack", "beside"):
-        raise SpinhomError(f"unknown planar pattern {pattern!r}")
-    op = stack_complexes if pattern == "stack" else beside_complexes
-    if len(complexes) < 2:
-        raise SpinhomError("planar composition needs at least two complexes")
-    out = complexes[0]
-    for nxt in complexes[1:]:
-        out, _ = op(out, nxt, mode)
-    return out

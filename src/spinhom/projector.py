@@ -22,6 +22,7 @@ from . import tl
 from .cob import AlphaPoly, CanonicalCobordism, FlatTangle, ShiftedObject
 from .complexes import ChainComplex, ChainMap, Window
 from .errors import (
+    ArityError,
     DimensionError,
     DivergenceError,
     IntegrityError,
@@ -176,13 +177,11 @@ def check_projector_axioms(
     cert = Certificate(n, window, margin, _identity_exactly_in_degree_zero(C, n), {})
     for i in range(max(0, n - 1)):
         ai = cx.from_tangle(FlatTangle.turnback_above(i, n))
-        T, _ = cx.stack_complexes(ai, C)
-        S, _ = cx.simplify(T)
+        S, _ = cx.simplify(cx.stack_complexes(ai, C))
         supp = [k for k in S.support() if k >= window.lo + margin]
         cert.turnbacks[("above", i)] = (not supp, S.support())
         bj = cx.from_tangle(FlatTangle.turnback_below(i, n))
-        T, _ = cx.stack_complexes(C, bj)
-        S, _ = cx.simplify(T)
+        S, _ = cx.simplify(cx.stack_complexes(C, bj))
         supp = [k for k in S.support() if k >= window.lo + margin]
         cert.turnbacks[("below", i)] = (not supp, S.support())
     if check_euler and n >= 1:
@@ -234,9 +233,7 @@ def _p2_block(i: int, n: int, window: Window) -> ChainComplex:
     P = p2(window).complex
     left = cx.identity_complex(i)
     right = cx.identity_complex(n - i - 2)
-    B, _ = cx.beside_complexes(left, P)
-    B, _ = cx.beside_complexes(B, right)
-    return B
+    return cx.beside_complexes(cx.beside_complexes(left, P), right)
 
 
 def _canonical_form(C: ChainComplex, lo: float) -> tuple:
@@ -292,15 +289,13 @@ def build_projector(n: int, window: Window) -> ProjectorComplex:
     current = _p2_block(0, n, win)
     for i in range(2, n - 1, 2):
         blk = _p2_block(i, n, win)
-        T, _ = cx.stack_complexes(current, blk)
-        current, _ = cx.simplify(T)
+        current, _ = cx.simplify(cx.stack_complexes(current, blk))
     margin_win = Window(win.lo - SWEEP_MARGIN, 0)
     prev_form = None
     for sweep in range(MAX_SWEEPS):
         for i in range(n - 1):
             blk = _p2_block(i, n, win)
-            T, _ = cx.stack_complexes(blk, current)
-            current, _ = cx.simplify(_clip(T, margin_win))
+            current, _ = cx.simplify(_clip(cx.stack_complexes(blk, current), margin_win))
             current = _clip(current, win)
         form = _canonical_form(current, win.lo + n)
         if form == prev_form:
@@ -340,37 +335,18 @@ def _clip(C: ChainComplex, window: Window) -> ChainComplex:
 # Spin networks
 
 
-def spin_vertex(
-    a: int, b: int, c: int, window: Window, deepen: bool = False,
-    projector=build_projector,
-) -> ChainComplex:
-    """Projectors on all three edges of the trivalent vertex, glued by the
-    unique planar matching; an element of Ch(BN^a_{b+c}).  `projector(n,
-    window)` supplies each edge projector."""
-    ex.check_vertex(a, b, c)
-    core = cx.from_tangle(tl.vertex_matching(a, b, c))
-
-    def pw(n: int) -> Window:
-        return Window(window.lo - n, 0) if deepen else window
-
-    Pa = projector(a, pw(a)).complex
-    Pb = projector(b, pw(b)).complex
-    Pc = projector(c, pw(c)).complex
-    bottom, _ = cx.beside_complexes(Pb, Pc)
-    T, _ = cx.stack_complexes(core, bottom)
-    T, _ = cx.stack_complexes(Pa, T)
-    return T
-
-
 def instantiate(
     e: ex.NetworkExpr, window: Window, reduce: bool = False, deepen: bool = False,
     projector=build_projector,
 ) -> ChainComplex:
-    """Interpret a network expression as a window-truncated chain complex.
+    """Interpret a network expression as a window-truncated chain complex,
+    composing the pieces with the planar products of spinhom.complexes.
 
-    With reduce=True every Stack/Trace is simplified as soon as it is
-    formed, which keeps intermediate planar compositions small; the result
-    is homotopy equivalent to the unreduced instantiation.  With
+    A Vertex is instantiated as its decomposition P_a over (core over
+    (P_b beside P_c)), the one expand_vertices writes.  With reduce=True
+    every Stack/Trace is simplified as soon as it is formed, which keeps
+    intermediate planar compositions small; the result is homotopy
+    equivalent to the unreduced instantiation.  With
     deepen=True each projector is built n degrees deeper than the ambient
     window, compensating the q-degrees lost when closures cross the
     truncation cut (Euler tails then start at |q| >= 2 window - 4).
@@ -396,14 +372,12 @@ def instantiate(
             return projector(n, proj_window(n)).complex
         case ex.DualProj(n):
             return cx.dual_complex(projector(n, proj_window(n)).complex)
-        case ex.Vertex(a, b, c):
-            return post(spin_vertex(a, b, c, window, deepen, projector))
+        case ex.Vertex():
+            return sub(expand_vertices(e))
         case ex.Stack(top, bottom):
-            T, _ = cx.stack_complexes(sub(top), sub(bottom))
-            return post(T)
+            return post(cx.stack_complexes(sub(top), sub(bottom)))
         case ex.Beside(left, right):
-            T, _ = cx.beside_complexes(sub(left), sub(right))
-            return T
+            return cx.beside_complexes(sub(left), sub(right))
         case ex.Trace(inner):
             return post(cx.trace_complex(sub(inner)))
         case ex.Dual(inner):
@@ -420,8 +394,9 @@ def instantiate(
 
 
 def expand_vertices(e: ex.NetworkExpr) -> ex.NetworkExpr:
-    """Replace Vertex nodes by their projector decomposition so the rewrite
-    rules can reach the edge projectors."""
+    """Replace Vertex nodes by their projector decomposition, P_a over
+    (core over (P_b beside P_c)): the rewrite rules reach the edge
+    projectors through it, and instantiate builds every vertex from it."""
     match e:
         case ex.Vertex(a, b, c):
             core = ex.Diagram(a, b + c, tl.vertex_matching(a, b, c).pairs)
@@ -813,13 +788,26 @@ def _canonical_rotation(e: ex.NetworkExpr) -> ex.NetworkExpr:
 # Hom of networks
 
 
+def closed_module(
+    e: ex.NetworkExpr, window: Window, rewrite: bool = True, projector=build_projector,
+) -> ModuleComplex:
+    """The module complex of a closed network: rewrite it (or only expand
+    its vertices), instantiate with reduce=True, simplify, and apply the
+    tautological functor."""
+    if not ex.is_closed(e):
+        raise ArityError("homology/euler need a closed network")
+    e = rewrite_network(e) if rewrite else expand_vertices(e)
+    S, _ = cx.simplify(instantiate(e, window, reduce=True, projector=projector))
+    return cx.tautological(S)
+
+
 def hom_of_networks(
     M: ex.NetworkExpr, N: ex.NetworkExpr, window: Window, rewrite: bool = True,
     projector=build_projector,
 ) -> ModuleComplex:
     """Hom^*(M, N) via the duality theorem: reflect M, replace white boxes
-    by black ones, glue onto N, close up, rewrite, instantiate, simplify,
-    and apply the tautological functor with the q^{(m+n)/2} shift."""
+    by black ones, glue onto N and close up; closed_module of that network,
+    q-shifted by (m+n)/2."""
     aM, aN = ex.arity(M), ex.arity(N)
     if aM is None or aN is None:
         raise DimensionError("hom of networks needs definite arities")
@@ -827,11 +815,7 @@ def hom_of_networks(
         raise DimensionError(f"boundary mismatch {aM} vs {aN}")
     m, n = aM
     closed = ex.Trace(ex.Stack(N, ex.Dual(M)))
-    if rewrite:
-        closed = rewrite_network(closed, mode="product")
-    C = instantiate(closed, window, reduce=True, projector=projector)
-    S, _ = cx.simplify(C)
-    return cx.tautological(S).shift_q((m + n) // 2)
+    return closed_module(closed, window, rewrite, projector).shift_q((m + n) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -861,23 +845,23 @@ def _rebind(F: ChainMap, source: ChainComplex | None = None, target: ChainComple
     return ChainMap(src, tgt, F.hdeg, F.qdeg, F.mats)
 
 
-def absorption_retraction(P: ChainComplex, Q: ChainComplex, n: int) -> tuple[ChainMap, ChainComplex, dict]:
+def absorption_retraction(P: ChainComplex, Q: ChainComplex, n: int) -> tuple[ChainMap, ChainComplex]:
     """The retraction phi : P (x) Q -> Q with phi . (iota (x) 1_Q) = 1_Q,
     built by contracting everything outside the 1_n (x) Q subcomplex.
 
     The contraction leaves truncation junk in the window margin; phi drops
     it, so its chain-map property holds away from the junk degrees (which
-    is the honest finite rendering of the ideal statement).  Returns (phi,
-    the product complex, its layout).
+    is the honest finite rendering of the ideal statement).  Returns phi
+    and the product complex.
     """
-    T, layout = cx.stack_complexes(P, Q)
+    T = cx.stack_complexes(P, Q)
     deg0 = P.objects(0)
     pos0 = [i for i, o in enumerate(deg0) if o.tangle == FlatTangle.identity(n) and o.qshift == 0]
     if len(pos0) != 1:
         raise SpinhomError("P has no unique identity in degree zero")
     protected = set()
     prov_to_q: dict[tuple[int, int], int] = {}
-    for k, lay in layout.items():
+    for k, lay in cx.product_layout(P, Q).items():
         for p, (i, j, pa, pb) in enumerate(lay):
             if i == 0 and pa == pos0[0]:
                 protected.add((k, p))
@@ -896,7 +880,7 @@ def absorption_retraction(P: ChainComplex, Q: ChainComplex, n: int) -> tuple[Cha
             proj_mats.setdefault(k, {})[(pb, p)] = cob.identity_cob(objs[p])
     proj = ChainMap(small, Q, 0, 0, proj_mats)
     phi = cx.compose_maps(proj, eq.r)
-    return phi, T, layout
+    return phi, T
 
 
 def standard_equivalence(P: ProjectorComplex, Q: ProjectorComplex) -> ChainMap:
@@ -909,7 +893,7 @@ def standard_equivalence(P: ProjectorComplex, Q: ProjectorComplex) -> ChainMap:
     n = P.n
     if n == 1:
         return ChainMap.identity(P.complex)
-    phi, T, layout = absorption_retraction(P.complex, Q.complex, n)
+    phi, T = absorption_retraction(P.complex, Q.complex, n)
     iota_Q = iota_map(Q.complex, n)
     one_P = ChainMap.identity(P.complex)
     incl = cx.stack_chain_maps(one_P, iota_Q)
@@ -923,7 +907,7 @@ def pi_action(f: ChainMap, Q: ChainComplex, P: ProjectorComplex) -> ChainMap:
     """The sheet-module action pi_Q(f) = phi . (f (x) 1_Q) . (iota (x) 1_Q)
     for Q killing turnbacks from above."""
     n = P.n
-    phi, T, layout = absorption_retraction(P.complex, Q, n)
+    phi, T = absorption_retraction(P.complex, Q, n)
     iota = iota_map(P.complex, n)
     one_Q = ChainMap.identity(Q)
     incl = cx.stack_chain_maps(iota, one_Q)
@@ -969,9 +953,10 @@ def unknot_action(zeta: dict, P: ProjectorComplex) -> ChainMap:
     the standard retraction of P (x) P onto P."""
     PC = P.complex
     n = P.n
-    phi, T, layout = absorption_retraction(PC, PC, n)
+    phi, T = absorption_retraction(PC, PC, n)
     tgt_index = {
-        k: {prov: p for p, prov in enumerate(lay)} for k, lay in layout.items()
+        k: {prov: p for p, prov in enumerate(lay)}
+        for k, lay in cx.product_layout(PC, PC).items()
     }
     TrP = cx.trace_complex(PC)
     hdegs = {k0 for (k0, _, _) in zeta}

@@ -80,9 +80,9 @@ def random_complex(
             iso=rng.random() < 0.3,
         )
         if side:
-            C, _ = cx.stack_complexes(piece, C)
+            C = cx.stack_complexes(piece, C)
         else:
-            C, _ = cx.stack_complexes(C, piece)
+            C = cx.stack_complexes(C, piece)
         if rng.random() < 0.5:
             C, _ = cx.simplify(C)
     # clip to window and enforce the object cap by simplifying

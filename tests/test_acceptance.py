@@ -229,10 +229,8 @@ def test_ac07_graphical_calculus_rules():
         if not A.groups:
             continue
         P2 = pj.build_projector(2, W).complex
-        X, _ = stack_complexes(P2, A)
-        Y, _ = stack_complexes(A, P2)
-        SX, _ = simplify(X)
-        SY, _ = simplify(Y)
+        SX, _ = simplify(stack_complexes(P2, A))
+        SY, _ = simplify(stack_complexes(A, P2))
         lo = W.lo + A.min_degree() + 4
         hi = A.max_degree()
         ok, where = _equal_in_band(SX, SY, lo, hi)
@@ -247,9 +245,7 @@ def test_ac07_graphical_calculus_rules():
         Pj = pj.build_projector(j, W).complex
         Piv = cx.dual_complex(pj.build_projector(i, W).complex)
         for mid in mids:
-            T, _ = stack_complexes(Pj, cx.from_tangle(mid))
-            T, _ = stack_complexes(T, Piv)
-            S, _ = simplify(T)
+            S, _ = simplify(stack_complexes(stack_complexes(Pj, cx.from_tangle(mid)), Piv))
             lo, hi = S.window.lo, S.window.hi
             bad = [k for k in S.support() if lo + 4 <= k <= hi - 4]
             assert not bad, ("semi-orth", (i, j), mid.pairs, S.support())
@@ -270,8 +266,7 @@ def test_ac08_bi_infinite_regression_fixture():
         diff[k] = {(0, 0): (t - b if k % 2 == 0 else t + b)}
     N = cx.ChainComplex(2, 2, Window(0, K), groups, diff, tail_hi=True)
     N.validate()
-    T, _ = stack_complexes(N, P2)
-    S, _ = simplify(T)
+    S, _ = simplify(stack_complexes(N, P2))
     # 2-periodic with alternating dot-sum / dot-difference in the stable band
     kinds = []
     for k in range(-K + 2, 0):

@@ -74,15 +74,13 @@ def test_planar_stack_koszul_d_squared():
     for _ in range(20):
         A = two_term_piece(rng, 2, rng.randint(-2, 0), rng.randint(-1, 1))
         B = two_term_piece(rng, 2, rng.randint(-2, 0), rng.randint(-1, 1))
-        T, _ = stack_complexes(A, B)
-        T.validate()
-        U, _ = beside_complexes(A, B)
-        U.validate()
+        stack_complexes(A, B).validate()
+        beside_complexes(A, B).validate()
 
 
 def test_single_slot_is_identity():
     A = from_tangle(E, 2)
-    T, _ = stack_complexes(identity_complex(2), A)
+    T = stack_complexes(identity_complex(2), A)
     assert T.graded_objects() == A.graded_objects()
 
 
@@ -220,8 +218,8 @@ def _protected_case(draw):
     A, B = (_nonempty_random(draw(st.integers(0, 10**6))) for _ in range(2))
     C = _direct_sum(A, B, draw(st.integers(-2, 10)))
     if draw(st.booleans()):
-        C, _ = stack_complexes(from_tangle(E), C)
-        C, _ = stack_complexes(C, from_tangle(E))
+        C = stack_complexes(from_tangle(E), C)
+        C = stack_complexes(C, from_tangle(E))
     slots = [(k, p) for k, objs in C.groups.items() for p in range(len(objs))]
     protected = draw(st.sets(st.sampled_from(slots), min_size=1, max_size=3))
     return C, protected
@@ -474,25 +472,12 @@ def test_planar_reordering_isomorphic():
         C = random_complex(rng, 2, 2, Window(-2, 1), pieces=1)
         if not (A.groups and B.groups and C.groups):
             continue
-        (AB), _ = stack_complexes(A, B)
-        left, _ = stack_complexes(AB, C)
-        (BC), _ = stack_complexes(B, C)
-        right, _ = stack_complexes(A, BC)
+        left = stack_complexes(stack_complexes(A, B), C)
+        right = stack_complexes(A, stack_complexes(B, C))
         assert left.graded_objects() == right.graded_objects()
         t1 = homology_table(tautological(trace_complex(left)), "alpha0")
         t2 = homology_table(tautological(trace_complex(right)), "alpha0")
         assert tables_equal(t1, t2)
-
-
-def test_planar_compose_dispatcher():
-    from spinhom.complexes import planar_compose
-
-    A = from_tangle(E)
-    out = planar_compose("stack", A, identity_complex(2), mode="product")
-    assert out.mode == "product"
-    assert out.graded_objects() == A.graded_objects()
-    tr = planar_compose("trace", identity_complex(2))
-    assert tr.objects(0)[0].tangle.circles == 2
 
 
 def _circled_complex(rng):
@@ -500,8 +485,8 @@ def _circled_complex(rng):
     some of its objects carry closed circles, often several."""
     while True:
         C = random_complex(rng, 2, 2, Window(-3, 2), pieces=3)
-        C, _ = stack_complexes(from_tangle(E), C)
-        C, _ = stack_complexes(C, from_tangle(E))
+        C = stack_complexes(from_tangle(E), C)
+        C = stack_complexes(C, from_tangle(E))
         if any(o.tangle.circles for objs in C.groups.values() for o in objs):
             return C
 
@@ -561,7 +546,7 @@ def _p3_sweep_product() -> ChainComplex:
     margin = Window(win.lo - pj.SWEEP_MARGIN, 0)
     current = pj._p2_block(0, 3, win)
     for i in (0, 1, 0, 1):
-        T = pj._clip(stack_complexes(pj._p2_block(i, 3, win), current)[0], margin)
+        T = pj._clip(stack_complexes(pj._p2_block(i, 3, win), current), margin)
         current = pj._clip(simplify(T)[0], win)
     return T
 

@@ -79,7 +79,7 @@ def _capped_random(seed: int):
     stacked above and below, so that some objects carry circles."""
     C = random_complex(random.Random(seed), 2, 2, Window(-3, 2), pieces=3)
     E = cx.from_tangle(FlatTangle.e(0, 2))
-    return C, cx.stack_complexes(cx.stack_complexes(E, C)[0], E)[0]
+    return C, cx.stack_complexes(cx.stack_complexes(E, C), E)
 
 
 def _records(name: str):
@@ -108,7 +108,7 @@ def _records(name: str):
         yield from _sdr(S, eq.r, eq.i, eq.h)
     elif name == "sdr_absorption_p3":
         P = pj.build_projector(3, Window(-5, 0))
-        phi, T, _layout = pj.absorption_retraction(P.complex, P.complex, 3)
+        phi, T = pj.absorption_retraction(P.complex, P.complex, 3)
         yield from _sdr(T, phi, pj.standard_equivalence(P, P))
     elif name == "sdr_random":
         # the seeds whose complexes are not empty; six have an iso entry

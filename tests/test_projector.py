@@ -82,27 +82,26 @@ def test_projector_symmetries(p2_w8, p3_w8):
 def test_projector_idempotence(p2_w8, p3_w8):
     for P in (p2_w8, p3_w8):
         C = P.complex
-        T, _ = stack_complexes(C, C)
-        S, _ = simplify(T)
+        S, _ = simplify(stack_complexes(C, C))
         g, gs = C.graded_objects(), S.graded_objects()
         for k in range(C.window.lo + P.n, 1):
             assert gs.get(k) == g.get(k), (P.n, k)
 
 
 def test_spin_vertex_cases(w8):
-    V = pj.spin_vertex(0, 0, 0, w8)
+    V = pj.instantiate(ex.Vertex(0, 0, 0), w8)
     assert V.m == 0 and V.n == 0
-    V2 = pj.spin_vertex(1, 1, 2, w8)
+    V2 = pj.instantiate(ex.Vertex(1, 1, 2), w8)
     assert (V2.m, V2.n) == (1, 3)
     with pytest.raises(AdmissibilityError):
-        pj.spin_vertex(1, 1, 1, w8)
+        pj.instantiate(ex.Vertex(1, 1, 1), w8)
     with pytest.raises(AdmissibilityError):
-        pj.spin_vertex(1, 1, 4, w8)
+        pj.instantiate(ex.Vertex(1, 1, 4), w8)
 
 
 def test_vertex_112_is_p2_with_split_strand(w8):
     # internal counts (1, 1, 0): the vertex is P2 with the bottom doubled
-    V = pj.spin_vertex(1, 1, 2, w8)
+    V = pj.instantiate(ex.Vertex(1, 1, 2), w8)
     S, _ = simplify(V)
     # euler characteristic against the TL oracle value
     chi = pj.tl_euler_characteristic(S)
@@ -222,7 +221,7 @@ def test_pi_action(p2_w8, w8):
 def test_action_coincidence_on_double_product(p2_w8, w8):
     # left and right actions on Q = P2 (x) P2 agree up to homotopy on b1
     P = p2_w8.complex
-    Q, _ = stack_complexes(P, P)
+    Q = stack_complexes(P, P)
     Qs, eqQ = simplify(Q, want_equivalence=True)
     b1, b2 = pj.dot_maps(P)
     one_P = ChainMap.identity(P)

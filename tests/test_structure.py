@@ -106,14 +106,34 @@ def test_end_p3_matches_extrapolated_dga(w8):
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _module_names(tree: ast.Module) -> set[str]:
+    """Names the file binds to modules: `import a.b [as x]`, and
+    `from spinhom import x` or `from . import x`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "spinhom"):
+            out.update(a.asname or a.name for a in node.names)
+    return out
+
+
+_LAYOUT = {tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT, tokenize.INDENT, tokenize.DEDENT}
+
+
 def function_uses(root: Path) -> list[tuple[str, int, str, int, int]]:
     """Functions and methods defined under src/spinhom (dunders exempt), and
     module-level `name = other_name` aliases there, each with the number of
     times its name occurs as a Python name token other than at definitions:
     (path, line, name, uses in src/, uses in tests/ and perfbench/).
-    A name a file binds by `import ... as name` is that file's own, so its
-    tokens there are not uses."""
+    A token after a dot, `x.name`, is a use of a method `name`, and a use of
+    a module-level function `name` only if x is a module the file imports
+    (`cx.deloop`); so `work.deloop(...)` does not count as a use of
+    complexes.deloop.  A name a file binds by `import ... as name` is that
+    file's own, so its tokens there are not uses."""
+    # per side: all tokens of a name, and those that can name a module-level function
     names = {True: Counter(), False: Counter()}
+    bare = {True: Counter(), False: Counter()}
     defs = {True: Counter(), False: Counter()}
     defined = []
     for path in sorted(p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py")):
@@ -126,16 +146,32 @@ def function_uses(root: Path) -> list[tuple[str, int, str, int, int]]:
             for a in node.names
             if a.asname
         }
+        modules = _module_names(tree)
         is_src = path.is_relative_to(root / "src")
+        prev = [None, None]  # the two tokens before this one, layout skipped
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
             if tok.type == tokenize.NAME and tok.string not in local:
                 names[is_src][tok.string] += 1
+                dot, receiver = prev[1], prev[0]
+                if dot is None or dot.string != "." or (
+                    receiver is not None and receiver.string in modules
+                ):
+                    bare[is_src][tok.string] += 1
+            if tok.type not in _LAYOUT:
+                prev = [prev[1], tok]
         in_src = path.is_relative_to(root / "src" / "spinhom")
+        methods = {
+            id(f)
+            for c in ast.walk(tree)
+            if isinstance(c, ast.ClassDef)
+            for f in c.body
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 defs[is_src][node.name] += 1
                 if in_src:
-                    defined.append((path.relative_to(root), node.lineno, node.name))
+                    defined.append((path.relative_to(root), node.lineno, node.name, id(node) in methods))
         for node in tree.body:
             if (
                 in_src
@@ -146,10 +182,13 @@ def function_uses(root: Path) -> list[tuple[str, int, str, int, int]]:
             ):
                 name = node.targets[0].id
                 defs[is_src][name] += 1
-                defined.append((path.relative_to(root), node.lineno, name))
+                defined.append((path.relative_to(root), node.lineno, name, False))
     return [
-        (str(p), line, name, *(names[side][name] - defs[side][name] for side in (True, False)))
-        for p, line, name in defined
+        (
+            str(p), line, name,
+            *((names if method else bare)[side][name] - defs[side][name] for side in (True, False)),
+        )
+        for p, line, name, method in defined
         if not (name.startswith("__") and name.endswith("__"))
     ]
 
@@ -178,16 +217,17 @@ TEST_ONLY = {
     "complexes.bicomplex_from_stack",
     "complexes.commutator_with_d",
     "complexes.cone",
+    "complexes.deloop",
     "complexes.dual_chain_map",
     "complexes.gaussian_eliminate",
     "complexes.graded_objects",
     "complexes.hom_complex",
     "complexes.hom_complex_direct",
     "complexes.homotopic_alpha0",
-    "complexes.planar_compose",
     "complexes.reflect_x_complex",
     "complexes.reflect_y_complex",
     "complexes.shift_h",
+    "complexes.shift_q",
     "complexes.validate",
     "dga.bigraded_homology_ranks",
     "dga.two_color_unknot_dga",
