@@ -657,9 +657,17 @@ def dot_at_point(obj: ShiftedObject, p: int, dots: int = 1) -> CanonicalCobordis
 # The four gluing operations on morphisms
 
 
+# the coefficients of the unit polynomial
+_UNIT = {0: 1}
+
+
 def _glue_terms(f: Terms, g: Terms, st: GlueStructure) -> Terms:
     """The one core of compose, stack, beside and trace: the pieces of st
-    are f's disks, then g's pieces (g's disks, or trace's strips)."""
+    are f's disks, then g's pieces (g's disks, or trace's strips).
+
+    Multiplying by the unit is skipped, so the result can hold f's
+    coefficients and the memoised polynomials of st.reduced themselves;
+    that is sound because nothing mutates a LaurentPoly in place."""
     out: Terms = {}
     memo = st.reduced
     for af, pf in f.items():
@@ -670,13 +678,15 @@ def _glue_terms(f: Terms, g: Terms, st: GlueStructure) -> Terms:
                 reduced = memo[dots] = reduce_structure(st, dots)
             if not reduced:
                 continue
-            scalar = pf * pg
+            scalar = pf if pg.coeffs == _UNIT else pf * pg
+            unit = scalar.coeffs == _UNIT
             for assign, poly in reduced.items():
+                term = poly if unit else poly * scalar
                 cur = out.get(assign)
                 if cur is None:
-                    out[assign] = poly * scalar
+                    out[assign] = term
                     continue
-                s = cur + poly * scalar
+                s = cur + term
                 if s:
                     out[assign] = s
                 else:

@@ -348,13 +348,19 @@ def _combine_reliability(A: ChainComplex, B: ChainComplex) -> tuple[float, float
 # Planar composition of complexes
 
 
-def product_layout(A: ChainComplex, B: ChainComplex) -> dict[int, list[tuple[int, int, int, int]]]:
+def product_layout(
+    A: ChainComplex, B: ChainComplex, window: Window | None = None
+) -> dict[int, list[tuple[int, int, int, int]]]:
     """The summands of a planar product of A and B: per degree k of the
-    product's window, the provenances (i, j, pa, pb) of object pa of A^i
-    with object pb of B^j, i + j = k, in the product's object order."""
-    window = A.window + B.window
+    product's window (and of `window`, when given), the provenances
+    (i, j, pa, pb) of object pa of A^i with object pb of B^j, i + j = k, in
+    the product's object order."""
+    full = A.window + B.window
+    lo, hi = full.lo, full.hi
+    if window is not None:
+        lo, hi = max(lo, window.lo), min(hi, window.hi)
     layout: dict[int, list[tuple[int, int, int, int]]] = {}
-    for k in range(window.lo, window.hi + 1):
+    for k in range(lo, hi + 1):
         lay = [
             (i, k - i, pa, pb)
             for i in sorted(A.groups)
@@ -367,86 +373,138 @@ def product_layout(A: ChainComplex, B: ChainComplex) -> dict[int, list[tuple[int
     return layout
 
 
-def _binary_planar(
-    A: ChainComplex, B: ChainComplex, ob_op, mor_op, out_mn: tuple[int, int]
-) -> ChainComplex:
-    """The planar product of A and B that ob_op and mor_op glue summand by
-    summand (stacking or juxtaposition), Koszul signs included: the
-    differential is T(d_A, 1) + (-1)^i T(1, d_B) on the summands of
-    product_layout, and the mode is A's."""
-    layout = product_layout(A, B)
+# A differential with bare term dicts for entries, as the elimination engine
+# keeps it: degree -> {(row, column): terms}
+TermDiff = dict[int, dict[tuple[int, int], cob.Terms]]
+
+
+def _planar(
+    A: ChainComplex, B: ChainComplex, ob_op, structure, out_mn: tuple[int, int],
+    window: Window | None = None,
+) -> tuple[ChainComplex, TermDiff]:
+    """The one planar product of complexes, in term dicts: the summands of
+    product_layout joined by ob_op, and the differential T(d_A, 1) +
+    (-1)^i T(1, d_B), Koszul signs included.  Each entry is cob._glue_terms
+    of a differential entry's terms and an identity's terms, through
+    structure(a, b, a2, b2), the GlueStructure of a -> a2 glued to b -> b2.
+
+    Returns the product without its differential, and the differential.
+    With a window, only the summands and entries inside it are made: the
+    product clipped to the window, with tail_lo set."""
+    layout = product_layout(A, B, window)
     groups = {
         k: [ob_op(A.groups[i][pa], B.groups[j][pb]) for i, j, pa, pb in lay]
         for k, lay in layout.items()
     }
     index = {prov: p for lay in layout.values() for p, prov in enumerate(lay)}
-    diff: dict[int, Matrix] = {}
-
-    def add_entry(k: int, r: int, c: int, f: CanonicalCobordism):
-        if f.is_zero():
-            return
-        mat = diff.setdefault(k, {})
-        mat[(r, c)] = mat[(r, c)] + f if (r, c) in mat else f
-
     colsA = {deg: _by_column(mat) for deg, mat in A.diff.items()}
     colsB = {deg: _by_column(mat) for deg, mat in B.diff.items()}
+    identity = cob.identity_cob
+    glue = cob._glue_terms
+    diff: TermDiff = {}
     for k, lay in layout.items():
+        mat: dict[tuple[int, int], cob.Terms] = {}
         for cpos, (i, j, pa, pb) in enumerate(lay):
-            oa = A.groups[i][pa]
-            ob = B.groups[j][pb]
+            a = A.groups[i][pa]
+            b = B.groups[j][pb]
             # T(d_A, 1)
             for r2, f in colsA.get(i, {}).get(pa, ()):
-                key = (i + 1, j, r2, pb)
-                if key in index:
-                    add_entry(k, index[key], cpos, mor_op(f, cob.identity_cob(ob)))
+                r = index.get((i + 1, j, r2, pb))
+                if r is not None:
+                    st = structure(a.tangle, b.tangle, f.target.tangle, b.tangle)
+                    if terms := glue(f.terms, identity(b).terms, st):
+                        mat[(r, cpos)] = terms
             # (-1)^i T(1, d_B)
-            sign = -1 if i % 2 else 1
             for r2, g in colsB.get(j, {}).get(pb, ()):
-                key = (i, j + 1, pa, r2)
-                if key in index:
-                    h = mor_op(cob.identity_cob(oa), g)
-                    add_entry(k, index[key], cpos, h if sign == 1 else h.scale(-1))
-
-    return ChainComplex(
+                r = index.get((i, j + 1, pa, r2))
+                if r is not None:
+                    st = structure(a.tangle, b.tangle, a.tangle, g.target.tangle)
+                    if terms := glue(identity(a).terms, g.terms, st):
+                        mat[(r, cpos)] = cob.scale_terms(terms, -1) if i % 2 else terms
+        if mat:
+            diff[k] = mat
+    shell = ChainComplex(
         out_mn[0],
         out_mn[1],
-        A.window + B.window,
+        A.window + B.window if window is None else window,
         groups,
-        diff,
+        {},
         A.mode,
-        tail_lo=A.tail_lo or B.tail_lo,
+        tail_lo=window is not None or A.tail_lo or B.tail_lo,
         tail_hi=A.tail_hi or B.tail_hi,
         reliable=_combine_reliability(A, B),
     )
+    return shell, diff
+
+
+def _with_diff(shell: ChainComplex, diff: TermDiff) -> ChainComplex:
+    """shell with the differential diff, each entry made a cobordism."""
+    g = shell.groups
+    return replace(shell, diff={
+        k: {(r, c): CanonicalCobordism(g[k][c], g[k + 1][r], f) for (r, c), f in mat.items()}
+        for k, mat in diff.items()
+    })
+
+
+def _stack(A: ChainComplex, B: ChainComplex, window: Window | None = None) -> tuple[ChainComplex, TermDiff]:
+    if A.n != B.m:
+        raise DimensionError(f"cannot stack ({A.m},{A.n}) over ({B.m},{B.n})")
+    return _planar(A, B, cob.stack_objects, cob._stack_structure, (A.m, B.n), window)
+
+
+def _trace(A: ChainComplex) -> tuple[ChainComplex, TermDiff]:
+    """The Markov closure as the planar product with the identity complex on
+    n strands: closing A's entries glues them to closure strips, which are
+    the identity's one term.  Single slot: no signs, and A's band."""
+    if A.m != A.n:
+        raise DimensionError("trace needs a square complex")
+    shell, diff = _planar(
+        A,
+        identity_complex(A.n),
+        lambda a, _b: cob.trace_object(a),
+        lambda at, _bt, a2t, _b2t: cob._trace_structure(at, a2t),
+        (0, 0),
+    )
+    return replace(shell, reliable=A.reliable), diff
 
 
 def stack_complexes(A: ChainComplex, B: ChainComplex) -> ChainComplex:
     """Vertical planar composition (A over B); product_layout gives its
     summands."""
-    if A.n != B.m:
-        raise DimensionError(f"cannot stack ({A.m},{A.n}) over ({B.m},{B.n})")
-    return _binary_planar(A, B, cob.stack_objects, cob.stack, (A.m, B.n))
+    return _with_diff(*_stack(A, B))
 
 
 def beside_complexes(A: ChainComplex, B: ChainComplex) -> ChainComplex:
     """Horizontal planar composition (A left of B); product_layout gives its
     summands."""
-    return _binary_planar(A, B, cob.beside_objects, cob.beside, (A.m + B.m, A.n + B.n))
+    return _with_diff(*_planar(
+        A, B, cob.beside_objects, cob._beside_structure, (A.m + B.m, A.n + B.n)
+    ))
 
 
 def trace_complex(A: ChainComplex) -> ChainComplex:
     """Markov closure of a complex over Cob^n_n (single slot: no signs)."""
-    if A.m != A.n:
-        raise DimensionError("trace needs a square complex")
-    groups = {
-        k: [cob.trace_object(o) for o in objs] for k, objs in A.groups.items()
-    }
-    diff = {
-        k: {rc: cob.trace(f) for rc, f in mat.items()} for k, mat in A.diff.items()
-    }
-    return ChainComplex(
-        0, 0, A.window, groups, diff, A.mode, A.tail_lo, A.tail_hi, A.reliable
-    )
+    return _with_diff(*_trace(A))
+
+
+def simplify_stack(A: ChainComplex, B: ChainComplex, window: Window | None = None) -> ChainComplex:
+    """simplify(stack_complexes(A, B)), the product first clipped to
+    `window` when one is given, in one pass: the elimination engine takes
+    the product's term dicts, and only the result's entries become
+    cobordisms (D. Bar-Natan, Fast Khovanov homology computations: simplify
+    as you glue)."""
+    return _simplified(*_stack(A, B, window))
+
+
+def simplify_trace(A: ChainComplex) -> ChainComplex:
+    """simplify(trace_complex(A)) in one pass, as simplify_stack."""
+    return _simplified(*_trace(A))
+
+
+def _simplified(shell: ChainComplex, diff: TermDiff) -> ChainComplex:
+    """simplify of the planar product shell with differential diff, under
+    the same step cap."""
+    return _reduce(shell, lambda work: _simplify_steps(work, MAX_SIMPLIFY_STEPS), diff=diff)[0]
 
 
 def stack_chain_maps(F: ChainMap, G: ChainMap) -> ChainMap:
@@ -655,7 +713,7 @@ class _Work:
 
     def __init__(
         self, C: ChainComplex, protected: set[tuple[int, int]] | None = None,
-        track: bool = False,
+        track: bool = False, diff: TermDiff | None = None,
     ):
         self.source = C
         self.track = track
@@ -687,9 +745,11 @@ class _Work:
                     self.protected.add(oid)
                     self.label[oid] = (k, p)
             self.order[k] = ids
-        for k, mat in C.diff.items():
+        if diff is None:
+            diff = {k: {rc: f.terms for rc, f in mat.items()} for k, mat in C.diff.items()}
+        for k, mat in diff.items():
             for (r, c), f in mat.items():
-                self.set_edge(self.order[k][c], self.order[k + 1][r], f.terms)
+                self.set_edge(self.order[k][c], self.order[k + 1][r], f)
         if track:
             for k, ids in self.order.items():
                 for p, oid in enumerate(ids):
@@ -887,11 +947,13 @@ def _pivot_sweep(work: _Work) -> list[tuple[int, int]]:
 
 def _reduce(
     C: ChainComplex, run, protected: set[tuple[int, int]] | None = None,
-    track: bool = False, sort_objects: bool = True,
+    track: bool = False, sort_objects: bool = True, diff: TermDiff | None = None,
 ) -> tuple[ChainComplex, Equivalence | None]:
     """The one entry to the engine: copy C into a _Work, let run(work) take
-    its steps, and rebuild the result (and the SDR when tracked)."""
-    work = _Work(C, protected, track)
+    its steps, and rebuild the result (and the SDR when tracked).  A planar
+    product comes as its complex without differential and, in diff, its
+    differential in term dicts."""
+    work = _Work(C, protected, track, diff)
     run(work)
     return work.finish(sort_objects)
 
@@ -935,11 +997,39 @@ def gaussian_eliminate(
     return small, eq.r, eq.i, eq.h
 
 
+#: the most steps (deloops plus eliminations) one simplify may take
+MAX_SIMPLIFY_STEPS = 200000
+
+
+def _simplify_steps(work: _Work, max_steps: int) -> None:
+    """Deloop and eliminate until nothing is left to do; see simplify."""
+    steps = 0
+    while True:
+        before = steps
+        for oid in work.circled():
+            work.deloop(oid)
+            steps += 1
+            if steps > max_steps:
+                raise ResourceError("simplify exceeded the step cap")
+        for src, tgt in _pivot_sweep(work):
+            # an earlier elimination may have removed or changed the entry
+            f = work.out_edges.get(src, {}).get(tgt)
+            sign = None if f is None else cob.iso_sign(work.obj[src], work.obj[tgt], f)
+            if sign is None:
+                continue
+            work.eliminate(src, tgt, sign)
+            steps += 1
+            if steps > max_steps:
+                raise ResourceError("simplify exceeded the step cap")
+        if steps == before:
+            return
+
+
 def simplify(
     C: ChainComplex,
     want_equivalence: bool = False,
     protected: set[tuple[int, int]] | None = None,
-    max_steps: int = 200000,
+    max_steps: int = MAX_SIMPLIFY_STEPS,
 ) -> tuple[ChainComplex, Equivalence | None]:
     """Deloop and Gaussian-eliminate until no circles and no invertible
     entries remain (outside `protected` objects, given as (degree, pos)).
@@ -947,30 +1037,10 @@ def simplify(
     Deterministic: circles are removed first, then pivots are taken in
     (degree, source position, target position) order.
     """
-
-    def run(work: _Work) -> None:
-        steps = 0
-        while True:
-            before = steps
-            for oid in work.circled():
-                work.deloop(oid)
-                steps += 1
-                if steps > max_steps:
-                    raise ResourceError("simplify exceeded the step cap")
-            for src, tgt in _pivot_sweep(work):
-                # an earlier elimination may have removed or changed the entry
-                f = work.out_edges.get(src, {}).get(tgt)
-                sign = None if f is None else cob.iso_sign(work.obj[src], work.obj[tgt], f)
-                if sign is None:
-                    continue
-                work.eliminate(src, tgt, sign)
-                steps += 1
-                if steps > max_steps:
-                    raise ResourceError("simplify exceeded the step cap")
-            if steps == before:
-                return
-
-    return _reduce(C, run, protected, want_equivalence, sort_objects=protected is None)
+    return _reduce(
+        C, lambda work: _simplify_steps(work, max_steps), protected, want_equivalence,
+        sort_objects=protected is None,
+    )
 
 
 # ---------------------------------------------------------------------------

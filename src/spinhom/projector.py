@@ -177,11 +177,11 @@ def check_projector_axioms(
     cert = Certificate(n, window, margin, _identity_exactly_in_degree_zero(C, n), {})
     for i in range(max(0, n - 1)):
         ai = cx.from_tangle(FlatTangle.turnback_above(i, n))
-        S, _ = cx.simplify(cx.stack_complexes(ai, C))
+        S = cx.simplify_stack(ai, C)
         supp = [k for k in S.support() if k >= window.lo + margin]
         cert.turnbacks[("above", i)] = (not supp, S.support())
         bj = cx.from_tangle(FlatTangle.turnback_below(i, n))
-        S, _ = cx.simplify(cx.stack_complexes(C, bj))
+        S = cx.simplify_stack(C, bj)
         supp = [k for k in S.support() if k >= window.lo + margin]
         cert.turnbacks[("below", i)] = (not supp, S.support())
     if check_euler and n >= 1:
@@ -256,8 +256,11 @@ def build_projector(n: int, window: Window) -> ProjectorComplex:
     changing between sweeps.  The returned projector carries a passing
     certificate or the construction raises.
 
-    Each sweep product is clipped to [window.lo - SWEEP_MARGIN, 0] before it
-    is simplified, and to the window after.  Simplification is local in
+    Each P_2 block is built once per call.  A sweep product is generated only
+    inside [window.lo - SWEEP_MARGIN, 0] and simplified as it is glued
+    (complexes.simplify_stack); the result is clipped to the window.  The
+    seed products and the certificate's turnback products are simplified
+    the same way, unclipped.  Simplification is local in
     degree: delooping an object of degree k rewrites only the differential
     entries at that object, and cancelling an isomorphism from degree k to
     k+1 removes those two objects and corrects only d_k.  So degrees at or
@@ -286,17 +289,15 @@ def build_projector(n: int, window: Window) -> ProjectorComplex:
     if n == 2:
         return p2(win)
 
-    current = _p2_block(0, n, win)
+    blocks = {i: _p2_block(i, n, win) for i in range(n - 1)}
+    current = blocks[0]
     for i in range(2, n - 1, 2):
-        blk = _p2_block(i, n, win)
-        current, _ = cx.simplify(cx.stack_complexes(current, blk))
+        current = cx.simplify_stack(current, blocks[i])
     margin_win = Window(win.lo - SWEEP_MARGIN, 0)
     prev_form = None
     for sweep in range(MAX_SWEEPS):
         for i in range(n - 1):
-            blk = _p2_block(i, n, win)
-            current, _ = cx.simplify(_clip(cx.stack_complexes(blk, current), margin_win))
-            current = _clip(current, win)
+            current = _clip(cx.simplify_stack(blocks[i], current, margin_win), win)
         form = _canonical_form(current, win.lo + n)
         if form == prev_form:
             break
@@ -344,23 +345,20 @@ def instantiate(
 
     A Vertex is instantiated as its decomposition P_a over (core over
     (P_b beside P_c)), the one expand_vertices writes.  With reduce=True
-    every Stack/Trace is simplified as soon as it is formed, which keeps
-    intermediate planar compositions small; the result is homotopy
-    equivalent to the unreduced instantiation.  With
-    deepen=True each projector is built n degrees deeper than the ambient
-    window, compensating the q-degrees lost when closures cross the
-    truncation cut (Euler tails then start at |q| >= 2 window - 4).
+    every Stack/Trace is simplified as it is glued (simplify_stack,
+    simplify_trace): its unsimplified product exists only as the
+    elimination engine's term dicts, never as cobordisms.  A Beside is not
+    simplified.  The result is homotopy
+    equivalent to the unreduced instantiation.  With deepen=True each
+    projector is built n degrees deeper than the ambient window,
+    compensating the q-degrees lost when closures cross the truncation cut
+    (Euler tails then start at |q| >= 2 window - 4).
     `projector(n, window)` supplies each P_n: the in-process builder by
     default, the persistent cache from the CLI.
     """
 
     def proj_window(n: int) -> Window:
         return Window(window.lo - n, 0) if deepen else window
-
-    def post(C: ChainComplex) -> ChainComplex:
-        if reduce:
-            C, _ = cx.simplify(C)
-        return C
 
     def sub(inner: ex.NetworkExpr) -> ChainComplex:
         return instantiate(inner, window, reduce, deepen, projector)
@@ -375,11 +373,13 @@ def instantiate(
         case ex.Vertex():
             return sub(expand_vertices(e))
         case ex.Stack(top, bottom):
-            return post(cx.stack_complexes(sub(top), sub(bottom)))
+            stack = cx.simplify_stack if reduce else cx.stack_complexes
+            return stack(sub(top), sub(bottom))
         case ex.Beside(left, right):
             return cx.beside_complexes(sub(left), sub(right))
         case ex.Trace(inner):
-            return post(cx.trace_complex(sub(inner)))
+            trace = cx.simplify_trace if reduce else cx.trace_complex
+            return trace(sub(inner))
         case ex.Dual(inner):
             return cx.dual_complex(sub(inner))
         case ex.Zero():

@@ -499,3 +499,86 @@ def reference_deloop(work, oid: int) -> None:
         f = CanonicalCobordism(work.obj[src], big, terms)
         work.add_edge(src, id_up, cob.compose(phi_up, f).terms)
         work.add_edge(src, id_dn, cob.compose(phi_dn, f).terms)
+
+
+# ---------------------------------------------------------------------------
+# Reference planar products: the morphism-level products that
+# spinhom.complexes built before its one term-level product, gluing each
+# entry with cob.stack, cob.beside or cob.trace as a CanonicalCobordism.
+
+
+def reference_binary_planar(A: ChainComplex, B: ChainComplex, ob_op, mor_op,
+                            out_mn: tuple[int, int]) -> ChainComplex:
+    """The planar product of A and B that ob_op and mor_op glue summand by
+    summand, Koszul signs included: the differential is T(d_A, 1) +
+    (-1)^i T(1, d_B) on the summands of product_layout, the mode A's."""
+    from spinhom import cob
+
+    layout = cx.product_layout(A, B)
+    groups = {
+        k: [ob_op(A.groups[i][pa], B.groups[j][pb]) for i, j, pa, pb in lay]
+        for k, lay in layout.items()
+    }
+    index = {prov: p for lay in layout.values() for p, prov in enumerate(lay)}
+    diff: dict[int, cx.Matrix] = {}
+
+    def add_entry(k: int, r: int, c: int, f: CanonicalCobordism):
+        if f.is_zero():
+            return
+        mat = diff.setdefault(k, {})
+        mat[(r, c)] = mat[(r, c)] + f if (r, c) in mat else f
+
+    colsA = {deg: cx._by_column(mat) for deg, mat in A.diff.items()}
+    colsB = {deg: cx._by_column(mat) for deg, mat in B.diff.items()}
+    for k, lay in layout.items():
+        for cpos, (i, j, pa, pb) in enumerate(lay):
+            oa = A.groups[i][pa]
+            ob = B.groups[j][pb]
+            for r2, f in colsA.get(i, {}).get(pa, ()):
+                key = (i + 1, j, r2, pb)
+                if key in index:
+                    add_entry(k, index[key], cpos, mor_op(f, cob.identity_cob(ob)))
+            sign = -1 if i % 2 else 1
+            for r2, g in colsB.get(j, {}).get(pb, ()):
+                key = (i, j + 1, pa, r2)
+                if key in index:
+                    h = mor_op(cob.identity_cob(oa), g)
+                    add_entry(k, index[key], cpos, h if sign == 1 else h.scale(-1))
+    return ChainComplex(
+        out_mn[0], out_mn[1], A.window + B.window, groups, diff, A.mode,
+        tail_lo=A.tail_lo or B.tail_lo,
+        tail_hi=A.tail_hi or B.tail_hi,
+        reliable=cx._combine_reliability(A, B),
+    )
+
+
+def reference_stack_complexes(A: ChainComplex, B: ChainComplex) -> ChainComplex:
+    from spinhom import cob
+
+    return reference_binary_planar(A, B, cob.stack_objects, cob.stack, (A.m, B.n))
+
+
+def reference_beside_complexes(A: ChainComplex, B: ChainComplex) -> ChainComplex:
+    from spinhom import cob
+
+    return reference_binary_planar(
+        A, B, cob.beside_objects, cob.beside, (A.m + B.m, A.n + B.n)
+    )
+
+
+def reference_trace_complex(A: ChainComplex) -> ChainComplex:
+    """Markov closure entry by entry through cob.trace."""
+    from spinhom import cob
+
+    groups = {k: [cob.trace_object(o) for o in objs] for k, objs in A.groups.items()}
+    diff = {k: {rc: cob.trace(f) for rc, f in mat.items()} for k, mat in A.diff.items()}
+    return ChainComplex(0, 0, A.window, groups, diff, A.mode, A.tail_lo, A.tail_hi, A.reliable)
+
+
+def complex_bytes(C: ChainComplex) -> str:
+    """complex_to_data of C as JSON, and its reliable band."""
+    import json
+
+    from spinhom.serialize import complex_to_data
+
+    return json.dumps(complex_to_data(C), sort_keys=True) + repr(C.reliable)
