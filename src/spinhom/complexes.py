@@ -151,19 +151,16 @@ def _mat_mul(g_mat: Matrix, f_mat: Matrix) -> Matrix:
 # Constructors
 
 
-def single_object(
-    obj: ShiftedObject, m: int, n: int, degree: int = 0, window: Window | None = None
-) -> ChainComplex:
-    w = window or Window(degree, degree)
-    return ChainComplex(m, n, w, {degree: [obj]}, {})
+def single_object(obj: ShiftedObject, m: int, n: int) -> ChainComplex:
+    return ChainComplex(m, n, Window(0, 0), {0: [obj]}, {})
 
 
-def from_tangle(t: FlatTangle, qshift: int = 0, window: Window | None = None) -> ChainComplex:
-    return single_object(ShiftedObject(t, qshift), t.m, t.n, 0, window)
+def from_tangle(t: FlatTangle, qshift: int = 0) -> ChainComplex:
+    return single_object(ShiftedObject(t, qshift), t.m, t.n)
 
 
-def identity_complex(n: int, window: Window | None = None) -> ChainComplex:
-    return from_tangle(FlatTangle.identity(n), 0, window)
+def identity_complex(n: int) -> ChainComplex:
+    return from_tangle(FlatTangle.identity(n))
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +501,7 @@ def simplify_trace(A: ChainComplex) -> ChainComplex:
 def _simplified(shell: ChainComplex, diff: TermDiff) -> ChainComplex:
     """simplify of the planar product shell with differential diff, under
     the same step cap."""
-    return _reduce(shell, lambda work: _simplify_steps(work, MAX_SIMPLIFY_STEPS), diff=diff)[0]
+    return _reduce(shell, _simplify_steps, diff=diff)[0]
 
 
 def stack_chain_maps(F: ChainMap, G: ChainMap) -> ChainMap:
@@ -1001,15 +998,16 @@ def gaussian_eliminate(
 MAX_SIMPLIFY_STEPS = 200000
 
 
-def _simplify_steps(work: _Work, max_steps: int) -> None:
-    """Deloop and eliminate until nothing is left to do; see simplify."""
+def _simplify_steps(work: _Work) -> None:
+    """Deloop and eliminate until nothing is left to do, or raise
+    ResourceError after MAX_SIMPLIFY_STEPS steps; see simplify."""
     steps = 0
     while True:
         before = steps
         for oid in work.circled():
             work.deloop(oid)
             steps += 1
-            if steps > max_steps:
+            if steps > MAX_SIMPLIFY_STEPS:
                 raise ResourceError("simplify exceeded the step cap")
         for src, tgt in _pivot_sweep(work):
             # an earlier elimination may have removed or changed the entry
@@ -1019,7 +1017,7 @@ def _simplify_steps(work: _Work, max_steps: int) -> None:
                 continue
             work.eliminate(src, tgt, sign)
             steps += 1
-            if steps > max_steps:
+            if steps > MAX_SIMPLIFY_STEPS:
                 raise ResourceError("simplify exceeded the step cap")
         if steps == before:
             return
@@ -1029,7 +1027,6 @@ def simplify(
     C: ChainComplex,
     want_equivalence: bool = False,
     protected: set[tuple[int, int]] | None = None,
-    max_steps: int = MAX_SIMPLIFY_STEPS,
 ) -> tuple[ChainComplex, Equivalence | None]:
     """Deloop and Gaussian-eliminate until no circles and no invertible
     entries remain (outside `protected` objects, given as (degree, pos)).
@@ -1038,7 +1035,7 @@ def simplify(
     (degree, source position, target position) order.
     """
     return _reduce(
-        C, lambda work: _simplify_steps(work, max_steps), protected, want_equivalence,
+        C, _simplify_steps, protected, want_equivalence,
         sort_objects=protected is None,
     )
 
@@ -1152,233 +1149,53 @@ def hom_complex(A: ChainComplex, B: ChainComplex) -> ModuleComplex:
 
 
 # ---------------------------------------------------------------------------
-# Bicomplexes (appendix machinery)
+# The appendix contraction
 
 
-@dataclass
-class Bicomplex:
-    """Bigraded objects with horizontal (degree (1,0)) and vertical
-    (degree (0,1)) differentials that square to zero and anticommute."""
+def bicomplex_contraction(A: ChainComplex, B: ChainComplex, h: ChainMap, mode: str) -> ChainMap:
+    """Contraction H = sum_m (-1)^m h (d_h h)^m of the bicomplex A^i (x) B^j
+    with contractible columns, as a homotopy on its total complex
+    T = stack_complexes(A, B), whose summands are product_layout's
+    (i, j, pa, pb).
 
-    groups: dict[tuple[int, int], list[ShiftedObject]]
-    dh: dict[tuple[int, int], Matrix]
-    dv: dict[tuple[int, int], Matrix]
-    # directions in which the ideal object extends beyond the stored support
-    tails: frozenset = frozenset()
-
-    def validate(self) -> None:
-        for (i, j), mat in self.dh.items():
-            src = self.groups.get((i, j), [])
-            tgt = self.groups.get((i + 1, j), [])
-            for (r, c), f in mat.items():
-                if f.source != src[c] or f.target != tgt[r]:
-                    raise IntegrityError("dh entry endpoints mismatch")
-        for (i, j), mat in self.dv.items():
-            src = self.groups.get((i, j), [])
-            tgt = self.groups.get((i, j + 1), [])
-            for (r, c), f in mat.items():
-                if f.source != src[c] or f.target != tgt[r]:
-                    raise IntegrityError("dv entry endpoints mismatch")
-        for (i, j) in self.groups:
-            a = _mat_mul(self.dh.get((i + 1, j), {}), self.dh.get((i, j), {}))
-            if any(not f.is_zero() for f in a.values()):
-                raise IntegrityError("dh.dh != 0")
-            b = _mat_mul(self.dv.get((i, j + 1), {}), self.dv.get((i, j), {}))
-            if any(not f.is_zero() for f in b.values()):
-                raise IntegrityError("dv.dv != 0")
-            anti = _mat_mul(self.dv.get((i + 1, j), {}), self.dh.get((i, j), {}))
-            for rc, f in _mat_mul(self.dh.get((i, j + 1), {}), self.dv.get((i, j), {})).items():
-                anti[rc] = anti[rc] + f if rc in anti else f
-            if any(not f.is_zero() for f in anti.values()):
-                raise IntegrityError("dh and dv do not anticommute")
-
-    def quadrant_support(self) -> set[str]:
-        out = set()
-        for (i, j) in self.groups:
-            if i > 0 and j < 0:
-                out.add("IV")
-            if i < 0 and j > 0:
-                out.add("II")
-            if i > 0 and j > 0:
-                out.add("I")
-            if i < 0 and j < 0:
-                out.add("III")
-        if {"right", "down"} <= self.tails or (
-            "down" in self.tails and any(i > 0 for i, _ in self.groups)
-        ) or (
-            "right" in self.tails and any(j < 0 for _, j in self.groups)
-        ) or {"right", "down"} & self.tails and not self.groups:
-            out.add("IV")
-        if {"left", "up"} <= self.tails or (
-            "up" in self.tails and any(i < 0 for i, _ in self.groups)
-        ) or (
-            "left" in self.tails and any(j > 0 for _, j in self.groups)
-        ):
-            out.add("II")
-        return out
-
-
-def bicomplex_from_stack(A: ChainComplex, B: ChainComplex) -> Bicomplex:
-    """The bicomplex A^i (x) B^j with dh = stack(d_A, 1) and
-    dv = (-1)^i stack(1, d_B)."""
-    groups: dict[tuple[int, int], list[ShiftedObject]] = {}
-    for i, objs_a in A.groups.items():
-        for j, objs_b in B.groups.items():
-            groups[(i, j)] = [
-                cob.stack_objects(oa, ob) for oa in objs_a for ob in objs_b
-            ]
-    nb = {j: len(objs) for j, objs in B.groups.items()}
-    dh: dict[tuple[int, int], Matrix] = {}
-    dv: dict[tuple[int, int], Matrix] = {}
-    for (i, j), objs in groups.items():
-        na = len(A.groups[i])
-        mat_h: Matrix = {}
-        for (r, c), f in A.diff.get(i, {}).items():
-            if (i + 1, j) not in groups:
-                continue
-            for pb, ob in enumerate(B.groups[j]):
-                entry = cob.stack(f, cob.identity_cob(ob))
-                mat_h[(r * nb[j] + pb, c * nb[j] + pb)] = entry
-        if mat_h:
-            dh[(i, j)] = mat_h
-        mat_v: Matrix = {}
-        sign = -1 if i % 2 else 1
-        for (r, c), g in B.diff.get(j, {}).items():
-            if (i, j + 1) not in groups:
-                continue
-            for pa, oa in enumerate(A.groups[i]):
-                entry = cob.stack(cob.identity_cob(oa), g).scale(sign)
-                mat_v[(pa * nb[j + 1] + r, pa * nb[j] + c)] = entry
-        if mat_v:
-            dv[(i, j)] = mat_v
-    tails = set()
-    if A.tail_lo:
-        tails.add("up")
-    if A.tail_hi:
-        tails.add("down")
-    if B.tail_lo:
-        tails.add("left")
-    if B.tail_hi:
-        tails.add("right")
-    return Bicomplex(groups, dh, dv, frozenset(tails))
-
-
-def total_complex(
-    B: Bicomplex, mode: str, m: int = 0, n: int = 0
-) -> tuple[ChainComplex, dict[int, list[tuple[int, int, int]]]]:
-    """Totalization along antidiagonals; at a finite truncation sum and
-    product agree and `mode` is metadata."""
-    layout: dict[int, list[tuple[int, int, int]]] = {}
-    groups: dict[int, list[ShiftedObject]] = {}
-    index: dict[tuple[int, int, int], int] = {}
-    for (i, j) in sorted(B.groups):
-        for p, o in enumerate(B.groups[(i, j)]):
-            k = i + j
-            groups.setdefault(k, []).append(o)
-            layout.setdefault(k, []).append((i, j, p))
-            index[(i, j, p)] = len(groups[k]) - 1
-    diff: dict[int, Matrix] = {}
-    for (i, j), mat in B.dh.items():
-        for (r, c), f in mat.items():
-            k = i + j
-            rr = index.get((i + 1, j, r))
-            cc = index.get((i, j, c))
-            if rr is None or cc is None:
-                continue
-            diff.setdefault(k, {})[(rr, cc)] = f
-    for (i, j), mat in B.dv.items():
-        for (r, c), f in mat.items():
-            k = i + j
-            rr = index.get((i, j + 1, r))
-            cc = index.get((i, j, c))
-            if rr is None or cc is None:
-                continue
-            dm = diff.setdefault(k, {})
-            dm[(rr, cc)] = dm[(rr, cc)] + f if (rr, cc) in dm else f
-    if groups:
-        window = Window(min(groups), max(groups))
-    else:
-        window = Window(0, 0)
-    C = ChainComplex(m, n, window, groups, diff, mode)
-    return C, layout
-
-
-def bicomplex_contraction(
-    B: Bicomplex,
-    col_homotopies: dict[int, dict[tuple[int, int], Matrix]],
-    mode: str,
-    m: int = 0,
-    n: int = 0,
-) -> ChainMap:
-    """Contraction H = sum_m (-1)^m h (dh h)^m of a bicomplex with
-    contractible columns, as a homotopy on the total complex.
-
-    col_homotopies[i][(i, j)] holds the matrices of the column nulhomotopy
-    h_i : B^{i,j} -> B^{i,j-1} with 1 = dv h + h dv.  The quadrant
-    precondition from the appendix is enforced: sum-mode needs no support
-    in quadrant IV, product-mode none in quadrant II.
+    h is the column nulhomotopy, a ChainMap of hdeg -1 on T that keeps i,
+    with 1 = d_v h + h d_v; d_h = T(d_A, 1) is the part of T's differential
+    that raises i.  The quadrant precondition from the appendix is
+    enforced: sum-mode needs no support in quadrant IV (i > 0, j < 0),
+    product-mode none in quadrant II (i < 0, j > 0).  Tails count as
+    support: for IV, A.tail_hi together with B.tail_hi, with some i > 0 or
+    with an empty product, and B.tail_hi with some j < 0 or with an empty
+    product; for II, A.tail_lo together with B.tail_lo or with some i < 0,
+    and B.tail_lo with some j > 0.
     """
-    quads = B.quadrant_support()
-    if mode == "sum" and "IV" in quads:
+    a_pos, a_neg = any(i > 0 for i in A.groups), any(i < 0 for i in A.groups)
+    b_pos, b_neg = any(j > 0 for j in B.groups), any(j < 0 for j in B.groups)
+    full = bool(A.groups and B.groups)
+    if mode == "sum" and (
+        a_pos and b_neg
+        or A.tail_hi and (B.tail_hi or a_pos or not full)
+        or B.tail_hi and (b_neg or not full)
+    ):
         raise SpinhomError("sum-mode contraction requires no quadrant-IV support")
-    if mode == "product" and "II" in quads:
+    if mode == "product" and (
+        a_neg and b_pos
+        or A.tail_lo and (B.tail_lo or full and a_neg)
+        or B.tail_lo and full and b_pos
+    ):
         raise SpinhomError("product-mode contraction requires no quadrant-II support")
-    T, layout = total_complex(B, mode, m, n)
-    index: dict[tuple[int, int, int], int] = {}
-    for k, lay in layout.items():
-        for p, (i, j, pp) in enumerate(lay):
-            index[(i, j, pp)] = p
-
-    def h_apply(vec: dict[tuple[int, int, int], CanonicalCobordism]):
-        out: dict[tuple[int, int, int], CanonicalCobordism] = {}
-        for (i, j, p), f in vec.items():
-            hmat = col_homotopies.get(i, {}).get((i, j), {})
-            for (r, c), hval in hmat.items():
-                if c != p:
-                    continue
-                key = (i, j - 1, r)
-                term = cob.compose(hval, f)
-                if term.is_zero():
-                    continue
-                out[key] = out[key] + term if key in out else term
-        return out
-
-    def dh_apply(vec):
-        out: dict[tuple[int, int, int], CanonicalCobordism] = {}
-        for (i, j, p), f in vec.items():
-            mat = B.dh.get((i, j), {})
-            for (r, c), dval in mat.items():
-                if c != p:
-                    continue
-                key = (i + 1, j, r)
-                term = cob.compose(dval, f)
-                if term.is_zero():
-                    continue
-                out[key] = out[key] + term if key in out else term
-        return out
-
-    mats: dict[int, Matrix] = {}
-    for k, lay in layout.items():
-        for cpos, (i, j, p) in enumerate(lay):
-            src_obj = B.groups[(i, j)][p]
-            vec = {(i, j, p): cob.identity_cob(src_obj)}
-            sign = 1
-            term = h_apply(vec)
-            while term:
-                for (ii, jj, pp), f in term.items():
-                    if (ii, jj, pp) not in index:
-                        continue
-                    rr = index[(ii, jj, pp)]
-                    dm = mats.setdefault(k, {})
-                    g = f.scale(sign)
-                    dm[(rr, cpos)] = dm[(rr, cpos)] + g if (rr, cpos) in dm else g
-                sign = -sign
-                term = h_apply(dh_apply(term))
-    for k in list(mats):
-        mats[k] = {rc: f for rc, f in mats[k].items() if not f.is_zero()}
-        if not mats[k]:
-            del mats[k]
-    return ChainMap(T, T, -1, 0, mats)
+    T = stack_complexes(A, B)
+    if h.hdeg != -1 or h.source.groups != T.groups or h.target.groups != T.groups:
+        raise DimensionError("the column homotopy must be an hdeg -1 map on stack_complexes(A, B)")
+    h = ChainMap(T, T, -1, h.qdeg, h.mats)
+    layout = product_layout(A, B)
+    d_h = ChainMap(T, T, 1, 0, {
+        k: {rc: f for rc, f in mat.items() if layout[k + 1][rc[0]][0] == layout[k][rc[1]][0] + 1}
+        for k, mat in T.diff.items()
+    })
+    H = term = h
+    while not (term := -compose_maps(h, compose_maps(d_h, term))).is_zero():
+        H = H + term
+    return H
 
 
 # ---------------------------------------------------------------------------

@@ -434,7 +434,3 @@ def euler_characteristic(C: ModuleComplex) -> LaurentPoly:
         for _, q in gs:
             acc[q] = acc.get(q, 0) + s
     return LaurentPoly(acc)
-
-
-def poincare_series(T: HomologyTable) -> LaurentPoly:
-    return T.poincare()

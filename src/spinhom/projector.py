@@ -69,12 +69,10 @@ def p2(window: Window) -> "ProjectorComplex":
     return ProjectorComplex(2, window, C, cert)
 
 
-def dot_maps(P: ChainComplex | None = None, window: Window | None = None) -> tuple[ChainMap, ChainMap]:
+def dot_maps(P: ChainComplex) -> tuple[ChainMap, ChainMap]:
     """The sheet-algebra generators b_1, b_2 on P_2: dots on the left and
     right strand in degree 0, the top-arc dot in negative degrees (the
     choice that satisfies [d, v] = b_1 + b_2 on the nose)."""
-    if P is None:
-        P = p2(window or Window(-8, 0)).complex
     mats1: dict[int, cx.Matrix] = {0: {(0, 0): cob.dot_at_point(P.objects(0)[0], 0)}}
     mats2: dict[int, cx.Matrix] = {0: {(0, 0): cob.dot_at_point(P.objects(0)[0], 1)}}
     for k in range(P.window.lo, 0):
@@ -86,11 +84,9 @@ def dot_maps(P: ChainComplex | None = None, window: Window | None = None) -> tup
     return b1, b2
 
 
-def v_map(P: ChainComplex | None = None, window: Window | None = None) -> ChainMap:
+def v_map(P: ChainComplex) -> ChainMap:
     """The degree (-1, 2) map on P_2: horizontal saddle out of the identity,
     then degree-shifting identity cylinders down the turnback tail."""
-    if P is None:
-        P = p2(window or Window(-8, 0)).complex
     if P.window.hi - P.window.lo < 2:
         raise SpinhomError("v map needs window length >= 2")
     e = FlatTangle.e(0, 2)
@@ -166,23 +162,21 @@ def _identity_exactly_in_degree_zero(C: ChainComplex, n: int) -> bool:
 
 
 def check_projector_axioms(
-    C: ChainComplex, n: int, window: Window, margin: int | None = None,
-    check_euler: bool = False,
+    C: ChainComplex, n: int, window: Window, check_euler: bool = False,
 ) -> Certificate:
     """Verify the two projector axioms at the given window.
 
     Axiom (1) is exact; axiom (2) means each turnback composite simplifies
-    to support inside [window.lo, window.lo + margin)."""
-    margin = n if margin is None else margin
-    cert = Certificate(n, window, margin, _identity_exactly_in_degree_zero(C, n), {})
+    to support inside the margin [window.lo, window.lo + n)."""
+    cert = Certificate(n, window, n, _identity_exactly_in_degree_zero(C, n), {})
     for i in range(max(0, n - 1)):
         ai = cx.from_tangle(FlatTangle.turnback_above(i, n))
         S = cx.simplify_stack(ai, C)
-        supp = [k for k in S.support() if k >= window.lo + margin]
+        supp = [k for k in S.support() if k >= window.lo + n]
         cert.turnbacks[("above", i)] = (not supp, S.support())
         bj = cx.from_tangle(FlatTangle.turnback_below(i, n))
         S = cx.simplify_stack(C, bj)
-        supp = [k for k in S.support() if k >= window.lo + margin]
+        supp = [k for k in S.support() if k >= window.lo + n]
         cert.turnbacks[("below", i)] = (not supp, S.support())
     if check_euler and n >= 1:
         ok, detail = _euler_matches_jones_wenzl(C, n)
@@ -228,9 +222,8 @@ def _euler_matches_jones_wenzl(C: ChainComplex, n: int) -> tuple[bool, str]:
 # Projector construction by adjacent-block sweeps
 
 
-def _p2_block(i: int, n: int, window: Window) -> ChainComplex:
-    """p2 on strands (i, i+1) inside n strands."""
-    P = p2(window).complex
+def _p2_block(i: int, n: int, P: ChainComplex) -> ChainComplex:
+    """The P_2 complex P on strands (i, i+1) inside n strands."""
     left = cx.identity_complex(i)
     right = cx.identity_complex(n - i - 2)
     return cx.beside_complexes(cx.beside_complexes(left, P), right)
@@ -256,11 +249,11 @@ def build_projector(n: int, window: Window) -> ProjectorComplex:
     changing between sweeps.  The returned projector carries a passing
     certificate or the construction raises.
 
-    Each P_2 block is built once per call.  A sweep product is generated only
-    inside [window.lo - SWEEP_MARGIN, 0] and simplified as it is glued
-    (complexes.simplify_stack); the result is clipped to the window.  The
-    seed products and the certificate's turnback products are simplified
-    the same way, unclipped.  Simplification is local in
+    P_2 and each of its blocks are built once per call.  A sweep product is
+    generated only inside [window.lo - SWEEP_MARGIN, 0] and simplified as it
+    is glued (complexes.simplify_stack); the result is clipped to the
+    window.  The seed products and the certificate's turnback products are
+    simplified the same way, unclipped.  Simplification is local in
     degree: delooping an object of degree k rewrites only the differential
     entries at that object, and cancelling an isomorphism from degree k to
     k+1 removes those two objects and corrects only d_k.  So degrees at or
@@ -282,14 +275,15 @@ def build_projector(n: int, window: Window) -> ProjectorComplex:
         raise SpinhomError("projector window must contain degree 0")
     win = Window(window.lo, 0)
     if n <= 1:
-        C = cx.identity_complex(n, win if n else Window(0, 0))
+        C = cx.identity_complex(n)
         C = ChainComplex(n, n, Window(win.lo, 0), C.groups, C.diff)
         cert = check_projector_axioms(C, n, win)
         return ProjectorComplex(n, win, C, cert)
     if n == 2:
         return p2(win)
 
-    blocks = {i: _p2_block(i, n, win) for i in range(n - 1)}
+    P = p2(win).complex
+    blocks = {i: _p2_block(i, n, P) for i in range(n - 1)}
     current = blocks[0]
     for i in range(2, n - 1, 2):
         current = cx.simplify_stack(current, blocks[i])

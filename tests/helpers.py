@@ -12,6 +12,7 @@ from spinhom.cob import (
     closure_data,
     degree as cob_degree,
     identity_cob,
+    stack as stack_cob,
     surgery,
 )
 from spinhom.complexes import ChainComplex, Window
@@ -108,6 +109,34 @@ def random_complex(
         # truncating columns can break d.d = 0; fall back to zero differential
         out = ChainComplex(m, n, window, groups, {})
     return out
+
+
+def nonempty_complex(
+    rng: random.Random, m: int, n: int, window: Window, pieces: int = 2,
+    max_objects_per_degree: int = 3,
+) -> ChainComplex:
+    """random_complex drawn from rng until one has objects (about half of
+    the draws are empty)."""
+    while not (C := random_complex(rng, m, n, window, pieces, max_objects_per_degree)).groups:
+        pass
+    return C
+
+
+def column_homotopy(A: ChainComplex, B: ChainComplex, sgn: int) -> cx.ChainMap:
+    """The column nulhomotopy of stack_complexes(A, B) for a contractible
+    column B, o --sgn--> o in degrees j and j + 1: (-1)^i sgn times the identity
+    from summand (i, j + 1, pa, 0) to (i, j, pa, 0), placed by product_layout."""
+    j = min(B.groups)
+    o = B.objects(j)[0]
+    pos = {prov: p for lay in cx.product_layout(A, B).values() for p, prov in enumerate(lay)}
+    mats: dict[int, cx.Matrix] = {}
+    for i, objs in A.groups.items():
+        sign = -1 if i % 2 else 1
+        for pa, oa in enumerate(objs):
+            entry = stack_cob(identity_cob(oa), identity_cob(o).scale(sgn)).scale(sign)
+            mats.setdefault(i + j + 1, {})[(pos[(i, j, pa, 0)], pos[(i, j + 1, pa, 0)])] = entry
+    T = cx.stack_complexes(A, B)
+    return cx.ChainMap(T, T, -1, 0, mats)
 
 
 def first_iso_entry(C: ChainComplex) -> tuple[int, int, int] | None:

@@ -11,7 +11,14 @@ import time
 
 import pytest
 
-from helpers import assert_sdr, first_iso_entry, random_complex, tables_equal
+from helpers import (
+    assert_sdr,
+    column_homotopy,
+    first_iso_entry,
+    nonempty_complex,
+    random_complex,
+    tables_equal,
+)
 from spinhom import complexes as cx
 from spinhom import expr as ex
 from spinhom import projector as pj
@@ -34,7 +41,6 @@ from spinhom.complexes import (
     ChainMap,
     Window,
     bicomplex_contraction,
-    bicomplex_from_stack,
     commutator_with_d,
     compose_maps,
     gaussian_eliminate,
@@ -222,12 +228,8 @@ def test_ac07_graphical_calculus_rules():
                 assert not bad, ("mixed absorption column", (x, y, z), kk, Scol.support())
     # --- commuting rule: P_2 x A ~ A x P_2 in product mode, random A
     rng = random.Random(707)
-    done = 0
-    while done < 8:
-        A = random_complex(rng, 2, 2, Window(-2, 1), pieces=2,
-                           max_objects_per_degree=2)
-        if not A.groups:
-            continue
+    for done in range(8):
+        A = nonempty_complex(rng, 2, 2, Window(-2, 1), pieces=2, max_objects_per_degree=2)
         P2 = pj.build_projector(2, W).complex
         SX, _ = simplify(stack_complexes(P2, A))
         SY, _ = simplify(stack_complexes(A, P2))
@@ -235,7 +237,6 @@ def test_ac07_graphical_calculus_rules():
         hi = A.max_degree()
         ok, where = _equal_in_band(SX, SY, lo, hi)
         assert ok, ("commuting", done, where)
-        done += 1
     # --- semi-orthogonality: Proj(j) ... DualProj(i), i < j, product mode
     for (i, j) in [(0, 1), (0, 2), (1, 2), (1, 3)]:
         mids = tl.all_matchings(j, i)
@@ -305,29 +306,16 @@ def test_ac09_appendix_machinery():
         assert_sdr(C, small, cx.Equivalence(C, small, r_map, i_map, h_map))
         done += 1
     # 100 quadrant-compliant bicomplexes: contraction series is a homotopy
-    done = 0
-    while done < 100:
-        A = random_complex(rng, 1, 1, Window(-2, 1), pieces=2)
-        if not A.groups:
-            continue
+    for _ in range(100):
+        A = nonempty_complex(rng, 1, 1, Window(-2, 1), pieces=2)
         o = ShiftedObject(FlatTangle.identity(1), rng.randint(-1, 1))
         sgn = rng.choice([1, -1])
         B = cx.ChainComplex(
             1, 1, Window(0, 1), {0: [o], 1: [o]},
             {0: {(0, 0): identity_cob(o).scale(sgn)}},
         )
-        bic = bicomplex_from_stack(A, B)
-        col_h = {}
-        for i, objs in A.groups.items():
-            sign = -1 if i % 2 else 1
-            ents = {
-                (pa, pa): stack_cob(identity_cob(oa), identity_cob(o).scale(sgn)).scale(sign)
-                for pa, oa in enumerate(objs)
-            }
-            col_h[i] = {(i, 1): ents}
-        H = bicomplex_contraction(bic, col_h, mode="sum", m=1, n=1)
+        H = bicomplex_contraction(A, B, column_homotopy(A, B, sgn), "sum")
         assert commutator_with_d(H).mats == ChainMap.identity(H.source).mats
-        done += 1
     # the precondition checker rejects quadrant-violating inputs
     A = shift_h(cx.from_tangle(FlatTangle.identity(1)), 2)
     o = ShiftedObject(FlatTangle.identity(1), 0)
@@ -335,17 +323,17 @@ def test_ac09_appendix_machinery():
         1, 1, Window(-2, -1), {-2: [o], -1: [o]},
         {-2: {(0, 0): identity_cob(o)}},
     )
-    bic = bicomplex_from_stack(A, B)  # support at (2, -2), (2, -1): quadrant IV
-    with pytest.raises(SpinhomError):
-        bicomplex_contraction(bic, {}, mode="sum", m=1, n=1)
+    T = stack_complexes(A, B)  # support at (2, -2), (2, -1): quadrant IV
+    with pytest.raises(SpinhomError, match="quadrant-IV"):
+        bicomplex_contraction(A, B, ChainMap.zero(T, T, -1), "sum")
     A2 = shift_h(cx.from_tangle(FlatTangle.identity(1)), -2)
     B2 = cx.ChainComplex(
         1, 1, Window(1, 2), {1: [o], 2: [o]},
         {1: {(0, 0): identity_cob(o)}},
     )
-    bic2 = bicomplex_from_stack(A2, B2)  # support in quadrant II
-    with pytest.raises(SpinhomError):
-        bicomplex_contraction(bic2, {}, mode="product", m=1, n=1)
+    T2 = stack_complexes(A2, B2)  # support in quadrant II
+    with pytest.raises(SpinhomError, match="quadrant-II"):
+        bicomplex_contraction(A2, B2, ChainMap.zero(T2, T2, -1), "product")
     _report("AC9  Gaussian retracts (500) and bicomplex contraction (100)", t0, 60)
 
 

@@ -12,7 +12,9 @@ from helpers import (
     assert_sdr,
     cap_source,
     cap_target,
+    column_homotopy,
     first_iso_entry,
+    nonempty_complex,
     random_complex,
     reference_deloop,
     reference_deloop_maps,
@@ -31,7 +33,6 @@ from spinhom.cob import (
     closure_data,
     compose,
     identity_cob,
-    stack as stack_cob,
 )
 from spinhom.complexes import (
     ChainComplex,
@@ -39,7 +40,6 @@ from spinhom.complexes import (
     Window,
     beside_complexes,
     bicomplex_contraction,
-    bicomplex_from_stack,
     commutator_with_d,
     compose_maps,
     cone,
@@ -59,10 +59,9 @@ from spinhom.complexes import (
     stack_chain_maps,
     stack_complexes,
     tautological,
-    total_complex,
     trace_complex,
 )
-from spinhom.errors import SpinhomError
+from spinhom.errors import DimensionError, SpinhomError
 from spinhom.homology import euler_characteristic, homology_table
 
 E = FlatTangle.e(0, 2)
@@ -154,14 +153,9 @@ def test_gaussian_elimination_rejects_non_iso():
 
 
 def test_simplify_full_sdr():
-    # 15 non-empty complexes: most random_complex draws are empty
     rng = random.Random(13)
-    done = 0
-    while done < 15:
-        C = random_complex(rng, 2, 2, Window(-3, 2), pieces=3)
-        if not C.groups:
-            continue
-        done += 1
+    for _ in range(15):
+        C = nonempty_complex(rng, 2, 2, Window(-3, 2), pieces=3)
         S, eq = simplify(C, want_equivalence=True)
         S.validate()
         assert_sdr(C, S, eq)
@@ -201,21 +195,16 @@ def _direct_sum(A: ChainComplex, B: ChainComplex, shift: int) -> ChainComplex:
     return ChainComplex(A.m, A.n, window, groups, diff)
 
 
-def _nonempty_random(seed: int) -> ChainComplex:
-    """random_complex over BN^2_2 for the first seed from `seed` on whose
-    complex is not empty (more than half are)."""
-    while not (C := random_complex(random.Random(seed), 2, 2, Window(-3, 2), pieces=3)).groups:
-        seed += 1
-    return C
-
-
 @st.composite
 def _protected_case(draw):
     """A random complex over BN^2_2 made of two non-empty random complexes,
     the second moved up by -2 to 10 degrees (so its support often leaves a
     gap), optionally capped by e_0 above and below so that objects carry
     circles; and one to three of its objects to protect, as (degree, pos)."""
-    A, B = (_nonempty_random(draw(st.integers(0, 10**6))) for _ in range(2))
+    A, B = (
+        nonempty_complex(random.Random(draw(st.integers(0, 10**6))), 2, 2, Window(-3, 2), 3)
+        for _ in range(2)
+    )
     C = _direct_sum(A, B, draw(st.integers(-2, 10)))
     if draw(st.booleans()):
         C = stack_complexes(from_tangle(E), C)
@@ -387,22 +376,12 @@ def _contractible_column_complex(rng, n):
 def test_bicomplex_contraction_random():
     rng = random.Random(23)
     for _ in range(30):
-        A = random_complex(rng, 1, 1, Window(-2, 1), pieces=2)
-        if not A.groups:
-            continue
+        A = nonempty_complex(rng, 1, 1, Window(-2, 1), pieces=2)
         B, o, sgn = _contractible_column_complex(rng, 1)
-        bic = bicomplex_from_stack(A, B)
-        bic.validate()
-        col_h = {}
-        for i, objs in A.groups.items():
-            sign = -1 if i % 2 else 1
-            ents = {}
-            for pa, oa in enumerate(objs):
-                ents[(pa, pa)] = stack_cob(
-                    identity_cob(oa), identity_cob(o).scale(sgn)
-                ).scale(sign)
-            col_h[i] = {(i, 1): ents}
-        H = bicomplex_contraction(bic, col_h, mode="sum", m=1, n=1)
+        # d^2 = 0 on the total complex: d_h^2, d_v^2 and d_h d_v + d_v d_h
+        # land in different bidegrees
+        stack_complexes(A, B).validate()
+        H = bicomplex_contraction(A, B, column_homotopy(A, B, sgn), "sum")
         T = H.source
         assert commutator_with_d(H).mats == ChainMap.identity(T).mats
 
@@ -410,19 +389,10 @@ def test_bicomplex_contraction_random():
 def test_bicomplex_contraction_normalized_h():
     # h' = h d h is accepted and valid (lemma on contractible complexes)
     rng = random.Random(29)
-    A = random_complex(rng, 1, 1, Window(-1, 1), pieces=2)
+    A = nonempty_complex(rng, 1, 1, Window(-1, 1), pieces=2)
     B, o, sgn = _contractible_column_complex(rng, 1)
-    bic = bicomplex_from_stack(A, B)
-    col_h = {}
-    for i, objs in A.groups.items():
-        sign = -1 if i % 2 else 1
-        ents = {}
-        for pa, oa in enumerate(objs):
-            h0 = stack_cob(identity_cob(oa), identity_cob(o).scale(sgn)).scale(sign)
-            # normalize: h' = h . dv . h restricted to this column piece
-            ents[(pa, pa)] = h0
-        col_h[i] = {(i, 1): ents}
-    H = bicomplex_contraction(bic, col_h, mode="sum", m=1, n=1)
+    # normalize: h' = h . dv . h restricted to each column piece is h itself
+    H = bicomplex_contraction(A, B, column_homotopy(A, B, sgn), "sum")
     T = H.source
     assert commutator_with_d(H).mats == ChainMap.identity(T).mats
 
@@ -432,34 +402,19 @@ def test_bicomplex_quadrant_preconditions():
     A = random_complex(rng, 1, 1, Window(1, 2), pieces=1)  # strictly positive rows
     if not A.groups:
         A = shift_h(random_complex(rng, 1, 1, Window(-1, 0), pieces=1), 2)
-    B, o, sgn = _contractible_column_complex(rng, 1)
-    B = shift_h(B, -2)  # columns in negative degrees: support in quadrant IV
-    bic = bicomplex_from_stack(A, B)
-    col_h = {}
-    for i, objs in A.groups.items():
-        sign = -1 if i % 2 else 1
-        ents = {}
-        for pa, oa in enumerate(objs):
-            ents[(pa, pa)] = stack_cob(
-                identity_cob(oa), identity_cob(o).scale(sgn)
-            ).scale(sign)
-        col_h[i] = {(i, -1): ents}
-    with pytest.raises(SpinhomError):
-        bicomplex_contraction(bic, col_h, mode="sum", m=1, n=1)
+    B0, o, sgn = _contractible_column_complex(rng, 1)
+    B = shift_h(B0, -2)  # columns in negative degrees: support in quadrant IV
+    with pytest.raises(SpinhomError, match="quadrant-IV"):
+        bicomplex_contraction(A, B, column_homotopy(A, B, sgn), "sum")
     # product mode rejects quadrant II
     A2 = shift_h(A, -4)  # negative columns...
-    bic2 = bicomplex_from_stack(A2, shift_h(B, 4))
-    with pytest.raises(SpinhomError):
-        bicomplex_contraction(bic2, {}, mode="product", m=1, n=1)
-
-
-def test_total_complex_d_squared():
-    rng = random.Random(43)
-    A = random_complex(rng, 1, 1, Window(-2, 1), pieces=2)
-    B, o, sgn = _contractible_column_complex(rng, 1)
-    bic = bicomplex_from_stack(A, B)
-    T, _ = total_complex(bic, "sum", 1, 1)
-    T.validate()
+    B2 = shift_h(B, 4)
+    T2 = stack_complexes(A2, B2)
+    with pytest.raises(SpinhomError, match="quadrant-II"):
+        bicomplex_contraction(A2, B2, ChainMap.zero(T2, T2, -1), "product")
+    # a homotopy that is not a map on stack_complexes(A, B) is refused
+    with pytest.raises(DimensionError):
+        bicomplex_contraction(A, B0, ChainMap.zero(A, A, -1), "sum")
 
 
 def test_planar_reordering_isomorphic():
@@ -544,9 +499,10 @@ def _p3_sweep_product() -> ChainComplex:
     objects, 35 with a circle."""
     win = Window(-5, 0)
     margin = Window(win.lo - pj.SWEEP_MARGIN, 0)
-    current = pj._p2_block(0, 3, win)
+    P = pj.p2(win).complex
+    current = pj._p2_block(0, 3, P)
     for i in (0, 1, 0, 1):
-        T = pj._clip(stack_complexes(pj._p2_block(i, 3, win), current), margin)
+        T = pj._clip(stack_complexes(pj._p2_block(i, 3, P), current), margin)
         current = pj._clip(simplify(T)[0], win)
     return T
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     complex_bytes,
-    random_complex,
+    nonempty_complex,
     reference_beside_complexes,
     reference_stack_complexes,
     reference_trace_complex,
@@ -87,22 +87,20 @@ def test_theta_233_reduced_nodes_match_reference(monkeypatch):
 
 
 def test_each_p2_block_built_once(monkeypatch):
-    built = []
-    block = pj._p2_block
-    monkeypatch.setattr(pj, "_p2_block", lambda i, n, w: built.append(i) or block(i, n, w))
+    built, p2_windows = [], []
+    block, p2 = pj._p2_block, pj.p2
+    monkeypatch.setattr(pj, "_p2_block", lambda i, n, P: built.append(i) or block(i, n, P))
+    monkeypatch.setattr(pj, "p2", lambda w: p2_windows.append(w) or p2(w))
     pj.build_projector.__wrapped__(4, Window(-4, 0))
     assert sorted(built) == [0, 1, 2]
+    assert p2_windows == [Window(-4, 0)]
 
 
 def _nonempty_complex(draw, m: int, n: int, window: Window):
     """A random complex over BN^m_n with at least one object, random tails
-    and a random reliable band.  random_complex is empty for about half of
-    the seeds, so seeds are drawn until one gives objects."""
-    while True:
-        C = random_complex(random.Random(draw(st.integers(0, 10**6))), m, n, window,
-                           pieces=draw(st.integers(1, 3)))
-        if C.groups:
-            break
+    and a random reliable band."""
+    C = nonempty_complex(random.Random(draw(st.integers(0, 10**6))), m, n, window,
+                         pieces=draw(st.integers(1, 3)))
     lo = draw(st.sampled_from([float("-inf"), window.lo, window.lo + 1]))
     hi = draw(st.sampled_from([float("inf"), window.hi, window.hi - 1]))
     return replace(C, tail_lo=draw(st.booleans()), tail_hi=draw(st.booleans()), reliable=(lo, hi))
@@ -159,3 +157,5 @@ def test_step_cap_applies_to_the_fused_pass(monkeypatch):
         cx.simplify_stack(P, P)
     with pytest.raises(ResourceError, match="step cap"):
         cx.simplify_trace(cx.stack_complexes(P, P))
+    with pytest.raises(ResourceError, match="step cap"):
+        cx.simplify(cx.stack_complexes(P, P))

@@ -20,7 +20,6 @@ from spinhom.homology import (
     ModuleComplex,
     euler_characteristic,
     homology_table,
-    poincare_series,
     rank_over_q,
     smith_normal_form,
     solve_integer,
@@ -211,7 +210,7 @@ def test_euler_and_poincare():
     chi = euler_characteristic(M)
     assert chi == LaurentPoly({1: 1, -1: 1, 3: -1})
     T = homology_table(M, "alpha0")
-    assert poincare_series(T) == chi
+    assert T.poincare() == chi
 
 
 def test_dga_oracle_structure():
@@ -247,7 +246,7 @@ def test_euler_poincare_agreement_on_computed_complexes():
     M = pj.hom_of_networks(ex.Proj(2), ex.Proj(2), Window(-6, 0))
     chi = euler_characteristic(M)
     T = homology_table(M, "alpha0")
-    assert poincare_series(T) == chi
+    assert T.poincare() == chi
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ def test_p2_window_precondition():
 
 
 def test_certificate_fails_for_identity():
-    C = cx.identity_complex(2, Window(0, 0))
+    C = cx.identity_complex(2)
     C = cx.ChainComplex(2, 2, Window(-6, 0), C.groups, C.diff)
     cert = pj.check_projector_axioms(C, 2, Window(-6, 0))
     assert cert.degree_zero_ok

@@ -3,6 +3,7 @@ graded commutativity on odd classes, divergence reporting, serialization;
 and the code's own structure: no function the repository never names."""
 
 import ast
+import functools
 import io
 import tokenize
 from collections import Counter
@@ -121,21 +122,15 @@ def _module_names(tree: ast.Module) -> set[str]:
 _LAYOUT = {tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT, tokenize.INDENT, tokenize.DEDENT}
 
 
-def function_uses(root: Path) -> list[tuple[str, int, str, int, int]]:
-    """Functions and methods defined under src/spinhom (dunders exempt), and
-    module-level `name = other_name` aliases there, each with the number of
-    times its name occurs as a Python name token other than at definitions:
-    (path, line, name, uses in src/, uses in tests/ and perfbench/).
-    A token after a dot, `x.name`, is a use of a method `name`, and a use of
-    a module-level function `name` only if x is a module the file imports
-    (`cx.deloop`); so `work.deloop(...)` does not count as a use of
-    complexes.deloop.  A name a file binds by `import ... as name` is that
-    file's own, so its tokens there are not uses."""
-    # per side: all tokens of a name, and those that can name a module-level function
-    names = {True: Counter(), False: Counter()}
-    bare = {True: Counter(), False: Counter()}
-    defs = {True: Counter(), False: Counter()}
-    defined = []
+@functools.cache
+def _scan(root: Path) -> tuple[list, list, list]:
+    """One pass over src/, tests/ and perfbench/: the name tokens, as
+    (in src, path, line, name, can name a module-level function); the
+    definitions of functions everywhere and of module-level aliases in src/,
+    as (in src, path, line, name); and what function_uses reports on, the
+    definitions under src/spinhom, as (path, line, name, is a method,
+    (first, last) line of the body)."""
+    tokens, defs, defined = [], [], []
     for path in sorted(p for d in ("src", "tests", "perfbench") for p in (root / d).rglob("*.py")):
         text = path.read_text()
         tree = ast.parse(text)
@@ -148,15 +143,15 @@ def function_uses(root: Path) -> list[tuple[str, int, str, int, int]]:
         }
         modules = _module_names(tree)
         is_src = path.is_relative_to(root / "src")
+        rel = str(path.relative_to(root))
         prev = [None, None]  # the two tokens before this one, layout skipped
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
             if tok.type == tokenize.NAME and tok.string not in local:
-                names[is_src][tok.string] += 1
                 dot, receiver = prev[1], prev[0]
-                if dot is None or dot.string != "." or (
+                bare = dot is None or dot.string != "." or (
                     receiver is not None and receiver.string in modules
-                ):
-                    bare[is_src][tok.string] += 1
+                )
+                tokens.append((is_src, rel, tok.start[0], tok.string, bare))
             if tok.type not in _LAYOUT:
                 prev = [prev[1], tok]
         in_src = path.is_relative_to(root / "src" / "spinhom")
@@ -169,9 +164,10 @@ def function_uses(root: Path) -> list[tuple[str, int, str, int, int]]:
         }
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defs[is_src][node.name] += 1
+                defs.append((is_src, rel, node.lineno, node.name))
                 if in_src:
-                    defined.append((path.relative_to(root), node.lineno, node.name, id(node) in methods))
+                    body = (node.body[0].lineno, node.end_lineno)
+                    defined.append((rel, node.lineno, node.name, id(node) in methods, body))
         for node in tree.body:
             if (
                 in_src
@@ -181,14 +177,54 @@ def function_uses(root: Path) -> list[tuple[str, int, str, int, int]]:
                 and isinstance(node.value, ast.Name)
             ):
                 name = node.targets[0].id
-                defs[is_src][name] += 1
-                defined.append((path.relative_to(root), node.lineno, name, False))
+                defs.append((is_src, rel, node.lineno, name))
+                defined.append((rel, node.lineno, name, False, None))
+    return tokens, defs, defined
+
+
+def function_uses(
+    root: Path, skip: frozenset[tuple[str, int]] = frozenset()
+) -> list[tuple[str, int, str, int, int, int]]:
+    """Functions and methods defined under src/spinhom (dunders exempt), and
+    module-level `name = other_name` aliases there, each with the number of
+    times its name occurs as a Python name token other than at definitions:
+    (path, line, name, uses in src/ outside the bodies of the definitions
+    `skip` gives as (path, line), uses in src/ inside those bodies, uses in
+    tests/ and perfbench/).
+    A token after a dot, `x.name`, is a use of a method `name`, and a use of
+    a module-level function `name` only if x is a module the file imports
+    (`cx.deloop`); so `work.deloop(...)` does not count as a use of
+    complexes.deloop.  A name a file binds by `import ... as name` is that
+    file's own, so its tokens there are not uses."""
+    tokens, defs, defined = _scan(root)
+    bodies: dict[str, list[tuple[int, int]]] = {}
+    for p, line, _name, _method, body in defined:
+        if (p, line) in skip and body is not None:
+            bodies.setdefault(p, []).append(body)
+
+    def side(in_src: bool, p: str, line: int) -> str:
+        if not in_src:
+            return "other"
+        return "skipped" if any(lo <= line <= hi for lo, hi in bodies.get(p, ())) else "src"
+
+    # per side: all tokens of a name, and those that can name a module-level function
+    sides = ("src", "skipped", "other")
+    names = {at: Counter() for at in sides}
+    bare = {at: Counter() for at in sides}
+    defs_at = {at: Counter() for at in sides}
+    for in_src, p, line, name, can_be_bare in tokens:
+        at = side(in_src, p, line)
+        names[at][name] += 1
+        if can_be_bare:
+            bare[at][name] += 1
+    for in_src, p, line, name in defs:
+        defs_at[side(in_src, p, line)][name] += 1
     return [
         (
-            str(p), line, name,
-            *((names if method else bare)[side][name] - defs[side][name] for side in (True, False)),
+            p, line, name,
+            *((names if method else bare)[at][name] - defs_at[at][name] for at in sides),
         )
-        for p, line, name, method in defined
+        for p, line, name, method, _body in defined
         if not (name.startswith("__") and name.endswith("__"))
     ]
 
@@ -197,7 +233,7 @@ def unreferenced_functions(root: Path) -> list[str]:
     """Names from function_uses that occur nowhere but at definitions."""
     return [
         f"{p}:{line} {name}"
-        for p, line, name, in_src, elsewhere in function_uses(root)
+        for p, line, name, in_src, _skipped, elsewhere in function_uses(root)
         if in_src + elsewhere <= 0
     ]
 
@@ -207,15 +243,27 @@ def test_no_unreferenced_functions():
 
 
 # Functions of src/spinhom, as module.name, that only tests/ and perfbench/
-# call.  A new one fails test_test_only_functions_are_listed until it is
-# added here, so test-only code shows up in review; one that gains a caller
-# in src/ or is deleted must leave the list.
+# call, directly or through other such functions.  A new one fails
+# test_test_only_functions_are_listed until it is added here, so test-only
+# code shows up in review; one that gains a caller in src/ or is deleted
+# must leave the list.
 TEST_ONLY = {
+    "cob.beside",
+    "cob.cap_off_circles",
     "cob.eta",
+    "cob.is_identity_iso",
+    "cob.merge_trace_saddle",
+    "cob.reflect_x_cob",
+    "cob.reflect_x_ob",
+    "cob.reflect_y_cob",
+    "cob.reflect_y_ob",
     "cob.saddle_to_identity",
+    "cob.shifted",
+    "complexes._deloop_all",
+    "complexes._mat_mul",
     "complexes.bicomplex_contraction",
-    "complexes.bicomplex_from_stack",
     "complexes.commutator_with_d",
+    "complexes.compose_maps",
     "complexes.cone",
     "complexes.deloop",
     "complexes.dual_chain_map",
@@ -224,20 +272,31 @@ TEST_ONLY = {
     "complexes.hom_complex",
     "complexes.hom_complex_direct",
     "complexes.homotopic_alpha0",
+    "complexes.homotopy_witness",
     "complexes.reflect_x_complex",
     "complexes.reflect_y_complex",
     "complexes.shift_h",
     "complexes.shift_q",
+    "complexes.stack_chain_maps",
+    "complexes.trace_chain_map",
     "complexes.validate",
     "dga.bigraded_homology_ranks",
+    "dga.d_matrix",
+    "dga.d_monomial",
+    "dga.mono_bidegree",
+    "dga.monomials_in_window",
     "dga.two_color_unknot_dga",
     "homology.mul",
-    "homology.poincare_series",
+    "homology.poincare",
+    "homology.solve_integer",
     "homology.torsion",
     "homology.transpose",
     "laurent.monomial",
+    "projector._rebind",
+    "projector.absorption_retraction",
     "projector.dot_maps",
     "projector.eta_element",
+    "projector.iota_map",
     "projector.pi_action",
     "projector.standard_equivalence",
     "projector.unknot_action",
@@ -246,16 +305,27 @@ TEST_ONLY = {
     "serialize.cobordism_from_data",
     "serialize.cobordism_to_data",
     "tl.all_matchings",
+    "tl.segment",
     "tl.tl_element_of",
 }
 
 
 def functions_only_tests_call(root: Path) -> set[str]:
-    return {
-        f"{Path(p).stem}.{name}"
-        for p, _line, name, in_src, elsewhere in function_uses(root)
-        if in_src <= 0 < elsewhere
-    }
+    """Functions of src/spinhom, as module.name, that src/ uses only inside
+    the bodies of such functions, and tests/ or perfbench/ use, directly or
+    through them: the token count of function_uses iterated to a fixed
+    point, each round skipping the bodies of the definitions found so far."""
+    found: set[tuple[str, int]] = set()
+    while True:
+        rows = function_uses(root, frozenset(found))
+        now = {
+            (p, line)
+            for p, line, _name, in_src, skipped, elsewhere in rows
+            if in_src <= 0 < skipped + elsewhere
+        }
+        if now == found:
+            return {f"{Path(p).stem}.{name}" for p, line, name, *_uses in rows if (p, line) in found}
+        found = now
 
 
 def test_test_only_functions_are_listed():
