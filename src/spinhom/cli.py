@@ -6,12 +6,16 @@ use the grammar
     expr := p(INT) | dual(expr) | stack(expr, expr) | beside(expr, expr)
           | tr(expr) | vertex(INT, INT, INT) | strand(INT)
           | unknot(INT) | theta(INT, INT, INT) | zero
+          | diag(INT, INT, INT-INT-...)
 
 with hom(expr, expr) allowed at the top level of homology/euler queries.
-Reports are deterministic; JSON is the stable machine contract.
+diag(m, n, p0-p1-...) is the diagram joining boundary point i to p_i, as
+expr.to_text writes it.  Reports are deterministic; JSON is the stable
+machine contract.
 
-Exit codes: 0 ok, 2 parse error, 3 admissibility, 4 divergence,
-5 resource cap, 6 integrity/verification failure.
+Exit codes: 0 ok, 2 parse error (and a negative window or label), 3
+admissibility or arity, 4 divergence, 5 resource cap, 6
+integrity/verification failure.
 """
 
 from __future__ import annotations
@@ -22,17 +26,19 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 from . import __version__
-from . import complexes as cx
 from . import expr as ex
 from . import projector as pj
 from . import serialize as ser
 from . import tl
+from .cob import FlatTangle
 from .complexes import Window
 from .errors import (
     AdmissibilityError,
     ArityError,
+    DimensionError,
     DivergenceError,
     IntegrityError,
     ParseError,
@@ -106,6 +112,7 @@ class _Parser:
 
     def expr(self) -> ex.NetworkExpr:
         self.skip_ws()
+        start = self.pos
         name = self.word()
         if name == "p":
             (n,) = self.ints(1)
@@ -143,7 +150,33 @@ class _Parser:
             return ex.theta(a, b, c)
         if name == "zero":
             return ex.Zero()
+        if name == "diag":
+            return self.diagram(start)
         raise self.error(f"unknown operator {name!r}")
+
+    def diagram(self, start: int) -> ex.Diagram:
+        """The arguments of diag(m,n,p0-p1-...); a pairing that is not a
+        planar fixed-point-free involution is an error at `start`."""
+        self.expect("(")
+        m = self.integer()
+        self.expect(",")
+        n = self.integer()
+        self.expect(",")
+        self.skip_ws()
+        first = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789-":
+            self.pos += 1
+        text = self.text[first : self.pos]
+        self.expect(")")
+        try:
+            pairs = tuple(map(int, text.split("-"))) if text else ()
+            if min(m, n) < 0:
+                raise ValueError("negative boundary count")
+            FlatTangle(m, n, pairs)
+        except (ValueError, SpinhomError) as err:
+            self.pos = start
+            raise self.error(f"invalid diagram: {err}") from None
+        return ex.Diagram(m, n, pairs)
 
     def top(self) -> tuple[str, tuple]:
         self.skip_ws()
@@ -212,6 +245,32 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
+def _read_cached(path: str, n: int, window: Window) -> pj.ProjectorComplex | None:
+    """The projector a cache entry holds, or None for an entry that is
+    missing, unreadable, malformed or stale (other code, or a value that
+    does not match its hash); the caller rebuilds and overwrites those.  An
+    entry that matches its hash but whose certificate fails is an
+    IntegrityError."""
+    try:
+        with open(path) as fh:
+            entry = json.load(fh)
+        value = entry["value"]
+        if entry.get("code") != CODE_VERSION or entry.get("hash") != _digest(value):
+            return None
+        C = replace(ser.complex_from_data(value["complex"]), reliable=(window.lo + n, float("inf")))
+        c = value["cert"]
+        cert = pj.Certificate(
+            n, window, c["margin"], c["degree_zero_ok"],
+            {(side, int(i)): (ok, supp) for (side, i, ok, supp) in c["turnbacks"]},
+            c.get("euler_ok"), c.get("euler_detail", ""),
+        )
+    except (OSError, ValueError, LookupError, TypeError, AttributeError):
+        return None
+    if not cert.passed:
+        raise IntegrityError("cache holds an uncertified projector")
+    return pj.ProjectorComplex(n, window, C, cert)
+
+
 def cached_projector(n: int, window: Window, cdir: str | None) -> pj.ProjectorComplex:
     key = {
         "kind": "projector",
@@ -220,36 +279,10 @@ def cached_projector(n: int, window: Window, cdir: str | None) -> pj.ProjectorCo
         "construction": "adjacent-p2-sweeps",
         "code": CODE_VERSION,
     }
-    d = cache_dir(cdir)
-    path = os.path.join(d, _digest(key) + ".json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            entry = json.load(fh)
-        body = json.dumps(entry["value"], sort_keys=True, separators=(",", ":"))
-        if (
-            entry.get("code") == CODE_VERSION
-            and entry.get("hash") == hashlib.sha256(body.encode()).hexdigest()
-        ):
-            value = entry["value"]
-            C = ser.complex_from_data(value["complex"])
-            C = cx.ChainComplex(
-                C.m, C.n, C.window, C.groups, C.diff, C.mode,
-                C.tail_lo, C.tail_hi, (window.lo + n, float("inf")),
-            )
-            cert = pj.Certificate(
-                n, window, value["cert"]["margin"],
-                value["cert"]["degree_zero_ok"],
-                {
-                    (side, int(i)): (ok, supp)
-                    for (side, i, ok, supp) in value["cert"]["turnbacks"]
-                },
-                value["cert"].get("euler_ok"),
-                value["cert"].get("euler_detail", ""),
-            )
-            if not cert.passed:
-                raise IntegrityError("cache holds an uncertified projector")
-            return pj.ProjectorComplex(n, window, C, cert)
-        # stale or corrupt: fall through and rebuild
+    path = os.path.join(cache_dir(cdir), _digest(key) + ".json")
+    cached = _read_cached(path, n, window)
+    if cached is not None:
+        return cached
     P = pj.build_projector(n, window)
     value = {
         "complex": ser.complex_to_data(P.complex),
@@ -264,13 +297,7 @@ def cached_projector(n: int, window: Window, cdir: str | None) -> pj.ProjectorCo
             "euler_detail": P.certificate.euler_detail,
         },
     }
-    body = json.dumps(value, sort_keys=True, separators=(",", ":"))
-    entry = {
-        "key": key,
-        "code": CODE_VERSION,
-        "hash": hashlib.sha256(body.encode()).hexdigest(),
-        "value": value,
-    }
+    entry = {"key": key, "code": CODE_VERSION, "hash": _digest(value), "value": value}
     _atomic_write(path, json.dumps(entry, sort_keys=True, separators=(",", ":")))
     return P
 
@@ -477,10 +504,17 @@ def cmd_cache(args) -> dict:
     raise ParseError(f"unknown cache action {args.action!r}", 1, 1)
 
 
+def _natural(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--window", type=int, default=8, help="truncation depth (default 8)"
+        "--window", type=_natural, default=8, help="truncation depth (default 8)"
     )
     common.add_argument("--spec", choices=["alpha0", "alpha1"], default="alpha0")
     common.add_argument("--format", choices=["json", "text"], default="json")
@@ -493,12 +527,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("project", parents=[common], help="build and cache a projector")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_natural)
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("check", parents=[common], help="re-run certification")
     p.add_argument("what")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_natural)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser(
@@ -533,6 +567,7 @@ EXIT_CODES = [
     (ParseError, 2),
     (AdmissibilityError, 3),
     (ArityError, 3),
+    (DimensionError, 3),
     (DivergenceError, 4),
     (ResourceError, 5),
     (IntegrityError, 6),

@@ -49,15 +49,15 @@ Terms = dict[tuple[int, ...], AlphaPoly]
 def _check_planar_pairs(m: int, n: int, pairs: tuple[int, ...]) -> bool:
     order = list(range(m)) + list(range(m + n - 1, m - 1, -1))
     pos = {p: k for k, p in enumerate(order)}
-    stack: list[int] = []
+    unclosed: list[int] = []
     for p in order:
         q = pairs[p]
         if pos[q] > pos[p]:
-            stack.append(p)
+            unclosed.append(p)
         else:
-            if not stack or stack.pop() != q:
+            if not unclosed or unclosed.pop() != q:
                 return False
-    return not stack
+    return not unclosed
 
 
 @dataclass(frozen=True)

@@ -375,51 +375,69 @@ def product_layout(
 TermDiff = dict[int, dict[tuple[int, int], cob.Terms]]
 
 
+def _columns(mats: dict[int, Matrix]) -> dict[int, dict[int, list[tuple[int, CanonicalCobordism]]]]:
+    return {k: _by_column(mat) for k, mat in mats.items()}
+
+
+def _glue_maps(A: ChainComplex, B: ChainComplex, layout, target_layout, pairs, structure) -> TermDiff:
+    """The one planar product of maps, in term dicts: the sum of T(F, G) over
+    pairs (F's columns, G's columns, |F|, |G|) of maps on A and on B.  On
+    each summand (i, j, pa, pb) of `layout`, each entry f: a -> a2 of F is
+    glued to each entry g: b -> b2 of G through structure(a, b, a2, b2)
+    with sign (-1)^{i |G|}, into the row of `target_layout` that holds
+    (i + |F|, j + |G|, row of f, row of g).  The pairs of one call differ
+    in degree, so their entries never share a position."""
+    index = {prov: p for lay in target_layout.values() for p, prov in enumerate(lay)}
+    glue = cob._glue_terms
+    out: TermDiff = {}
+    for k, lay in layout.items():
+        mat: dict[tuple[int, int], cob.Terms] = {}
+        for cpos, (i, j, pa, pb) in enumerate(lay):
+            at = A.groups[i][pa].tangle
+            bt = B.groups[j][pb].tangle
+            for f_cols, g_cols, f_deg, g_deg in pairs:
+                odd = i * g_deg % 2
+                g_col = g_cols.get(j, {}).get(pb, ())
+                for r2, f in f_cols.get(i, {}).get(pa, ()):
+                    for r3, g in g_col:
+                        r = index.get((i + f_deg, j + g_deg, r2, r3))
+                        if r is None:
+                            continue
+                        st = structure(at, bt, f.target.tangle, g.target.tangle)
+                        if terms := glue(f.terms, g.terms, st):
+                            mat[(r, cpos)] = cob.scale_terms(terms, -1) if odd else terms
+        if mat:
+            out[k] = mat
+    return out
+
+
+def _cobordisms(mats: TermDiff, source: ChainComplex, target: ChainComplex, hdeg: int) -> dict[int, Matrix]:
+    """The entries of mats, maps of degree hdeg, made cobordisms."""
+    s, t = source.groups, target.groups
+    return {
+        k: {(r, c): CanonicalCobordism(s[k][c], t[k + hdeg][r], f) for (r, c), f in mat.items()}
+        for k, mat in mats.items()
+    }
+
+
 def _planar(
     A: ChainComplex, B: ChainComplex, ob_op, structure, out_mn: tuple[int, int],
     window: Window | None = None,
 ) -> tuple[ChainComplex, TermDiff]:
-    """The one planar product of complexes, in term dicts: the summands of
-    product_layout joined by ob_op, and the differential T(d_A, 1) +
-    (-1)^i T(1, d_B), Koszul signs included.  Each entry is cob._glue_terms
-    of a differential entry's terms and an identity's terms, through
-    structure(a, b, a2, b2), the GlueStructure of a -> a2 glued to b -> b2.
-
-    Returns the product without its differential, and the differential.
-    With a window, only the summands and entries inside it are made: the
-    product clipped to the window, with tail_lo set."""
+    """The planar product of complexes: the summands of product_layout
+    joined by ob_op, and in term dicts the differential T(d_A, 1) +
+    T(1, d_B) of _glue_maps.  Returns the product without its
+    differential, and the differential.  With a window, only the summands
+    and entries inside it are made: the product clipped to the window,
+    with tail_lo set."""
     layout = product_layout(A, B, window)
     groups = {
         k: [ob_op(A.groups[i][pa], B.groups[j][pb]) for i, j, pa, pb in lay]
         for k, lay in layout.items()
     }
-    index = {prov: p for lay in layout.values() for p, prov in enumerate(lay)}
-    colsA = {deg: _by_column(mat) for deg, mat in A.diff.items()}
-    colsB = {deg: _by_column(mat) for deg, mat in B.diff.items()}
-    identity = cob.identity_cob
-    glue = cob._glue_terms
-    diff: TermDiff = {}
-    for k, lay in layout.items():
-        mat: dict[tuple[int, int], cob.Terms] = {}
-        for cpos, (i, j, pa, pb) in enumerate(lay):
-            a = A.groups[i][pa]
-            b = B.groups[j][pb]
-            # T(d_A, 1)
-            for r2, f in colsA.get(i, {}).get(pa, ()):
-                r = index.get((i + 1, j, r2, pb))
-                if r is not None:
-                    st = structure(a.tangle, b.tangle, f.target.tangle, b.tangle)
-                    if terms := glue(f.terms, identity(b).terms, st):
-                        mat[(r, cpos)] = terms
-            # (-1)^i T(1, d_B)
-            for r2, g in colsB.get(j, {}).get(pb, ()):
-                r = index.get((i, j + 1, pa, r2))
-                if r is not None:
-                    st = structure(a.tangle, b.tangle, a.tangle, g.target.tangle)
-                    if terms := glue(identity(a).terms, g.terms, st):
-                        mat[(r, cpos)] = cob.scale_terms(terms, -1) if i % 2 else terms
-        if mat:
-            diff[k] = mat
+    one_A, one_B = (_columns(ChainMap.identity(C).mats) for C in (A, B))
+    pairs = ((_columns(A.diff), one_B, 1, 0), (one_A, _columns(B.diff), 0, 1))
+    diff = _glue_maps(A, B, layout, layout, pairs, structure)
     shell = ChainComplex(
         out_mn[0],
         out_mn[1],
@@ -435,12 +453,7 @@ def _planar(
 
 
 def _with_diff(shell: ChainComplex, diff: TermDiff) -> ChainComplex:
-    """shell with the differential diff, each entry made a cobordism."""
-    g = shell.groups
-    return replace(shell, diff={
-        k: {(r, c): CanonicalCobordism(g[k][c], g[k + 1][r], f) for (r, c), f in mat.items()}
-        for k, mat in diff.items()
-    })
+    return replace(shell, diff=_cobordisms(diff, shell, shell, 1))
 
 
 def _stack(A: ChainComplex, B: ChainComplex, window: Window | None = None) -> tuple[ChainComplex, TermDiff]:
@@ -449,18 +462,18 @@ def _stack(A: ChainComplex, B: ChainComplex, window: Window | None = None) -> tu
     return _planar(A, B, cob.stack_objects, cob._stack_structure, (A.m, B.n), window)
 
 
+def _trace_structure(at, _bt, a2t, _b2t) -> cob.GlueStructure:
+    """at -> a2t glued to the closure strips: the identity on the strands."""
+    return cob._trace_structure(at, a2t)
+
+
 def _trace(A: ChainComplex) -> tuple[ChainComplex, TermDiff]:
     """The Markov closure as the planar product with the identity complex on
-    n strands: closing A's entries glues them to closure strips, which are
-    the identity's one term.  Single slot: no signs, and A's band."""
+    n strands.  Single slot: no signs, and A's band."""
     if A.m != A.n:
         raise DimensionError("trace needs a square complex")
     shell, diff = _planar(
-        A,
-        identity_complex(A.n),
-        lambda a, _b: cob.trace_object(a),
-        lambda at, _bt, a2t, _b2t: cob._trace_structure(at, a2t),
-        (0, 0),
+        A, identity_complex(A.n), lambda a, _b: cob.trace_object(a), _trace_structure, (0, 0)
     )
     return replace(shell, reliable=A.reliable), diff
 
@@ -504,47 +517,28 @@ def _simplified(shell: ChainComplex, diff: TermDiff) -> ChainComplex:
     return _reduce(shell, _simplify_steps, diff=diff)[0]
 
 
+def _planar_map(F: ChainMap, G: ChainMap, SRC: ChainComplex, TGT: ChainComplex, structure) -> ChainMap:
+    """T(F, G) from SRC, the planar product of F's and G's sources, to TGT,
+    that of their targets."""
+    mats = _glue_maps(
+        F.source, G.source, product_layout(F.source, G.source), product_layout(F.target, G.target),
+        ((_columns(F.mats), _columns(G.mats), F.hdeg, G.hdeg),), structure,
+    )
+    hdeg = F.hdeg + G.hdeg
+    return ChainMap(SRC, TGT, hdeg, F.qdeg + G.qdeg, _cobordisms(mats, SRC, TGT, hdeg))
+
+
 def stack_chain_maps(F: ChainMap, G: ChainMap) -> ChainMap:
     """T(F, G) on vertical stacking, Koszul sign (-1)^{i |G|} on summand i."""
-    A, B = F.source, G.source
-    A2, B2 = F.target, G.target
-    SRC = stack_complexes(A, B)
-    TGT = stack_complexes(A2, B2)
-    tgt_index = {
-        k: {prov: p for p, prov in enumerate(lay)}
-        for k, lay in product_layout(A2, B2).items()
-    }
-    f_cols = {k: _by_column(mat) for k, mat in F.mats.items()}
-    g_cols = {k: _by_column(mat) for k, mat in G.mats.items()}
-    mats: dict[int, Matrix] = {}
-    for k, lay in product_layout(A, B).items():
-        mat: Matrix = {}
-        for cpos, (i, j, pa, pb) in enumerate(lay):
-            # F (x) 1 then 1 (x) G expanded: T(F,G) = T(F,1) . T(1,G) with signs
-            for r2, f in f_cols.get(i, {}).get(pa, ()):
-                for r3, g in g_cols.get(j, {}).get(pb, ()):
-                    key = (i + F.hdeg, j + G.hdeg, r2, r3)
-                    tk = k + F.hdeg + G.hdeg
-                    if tk in tgt_index and key in tgt_index[tk]:
-                        sign = -1 if (i * G.hdeg) % 2 else 1
-                        term = cob.stack(f, g).scale(sign)
-                        rc = (tgt_index[tk][key], cpos)
-                        mat[rc] = mat[rc] + term if rc in mat else term
-        mat = {rc: v for rc, v in mat.items() if not v.is_zero()}
-        if mat:
-            mats[k] = mat
-    out = ChainMap(SRC, TGT, F.hdeg + G.hdeg, F.qdeg + G.qdeg, mats)
-    return out
+    SRC = stack_complexes(F.source, G.source)
+    return _planar_map(F, G, SRC, stack_complexes(F.target, G.target), cob._stack_structure)
 
 
 def trace_chain_map(F: ChainMap) -> ChainMap:
-    return ChainMap(
-        trace_complex(F.source),
-        trace_complex(F.target),
-        F.hdeg,
-        F.qdeg,
-        {k: {rc: cob.trace(f) for rc, f in mat.items()} for k, mat in F.mats.items()},
-    )
+    """The Markov closure of F: T(F, 1) with the identity on the strands."""
+    one = ChainMap.identity(identity_complex(F.source.n))
+    SRC = trace_complex(F.source)
+    return _planar_map(F, one, SRC, trace_complex(F.target), _trace_structure)
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,9 @@ class Zero:
 
 @dataclass(frozen=True)
 class Diagram:
-    """A bare crossingless diagram (no projectors): internal node produced
-    when vertices are expanded for rewriting; not part of the CLI grammar."""
+    """A bare crossingless diagram (no projectors): the node produced when
+    vertices are expanded for rewriting, written diag(m,n,p0-p1-...) in
+    the CLI grammar."""
 
     m: int
     n: int
@@ -206,7 +207,10 @@ def push_duals(e: NetworkExpr) -> NetworkExpr:
 
 
 def to_text(expr: NetworkExpr) -> str:
-    """Canonical text form, parseable by the CLI grammar."""
+    """Canonical text form in the CLI grammar (a Diagram is
+    diag(m,n,p0-p1-...)).  cli.parse_network reads a dual through
+    push_duals, so it gives expr back whenever push_duals leaves expr
+    unchanged, as for every rewrite_network output."""
     match expr:
         case Strand(k):
             return f"strand({k})"

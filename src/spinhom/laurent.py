@@ -417,8 +417,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # Normal form makes this structural, but cross-multiply to be safe.
-        return self.num * o.den == o.num * self.den
+        # every constructor returns the normal form, which is unique
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))

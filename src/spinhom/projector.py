@@ -331,49 +331,42 @@ def _clip(C: ChainComplex, window: Window) -> ChainComplex:
 
 
 def instantiate(
-    e: ex.NetworkExpr, window: Window, reduce: bool = False, deepen: bool = False,
-    projector=build_projector,
+    e: ex.NetworkExpr, window: Window, projector=build_projector,
 ) -> ChainComplex:
     """Interpret a network expression as a window-truncated chain complex,
     composing the pieces with the planar products of spinhom.complexes.
 
     A Vertex is instantiated as its decomposition P_a over (core over
-    (P_b beside P_c)), the one expand_vertices writes.  With reduce=True
-    every Stack/Trace is simplified as it is glued (simplify_stack,
-    simplify_trace): its unsimplified product exists only as the
-    elimination engine's term dicts, never as cobordisms.  A Beside is not
-    simplified.  The result is homotopy
-    equivalent to the unreduced instantiation.  With deepen=True each
-    projector is built n degrees deeper than the ambient window,
-    compensating the q-degrees lost when closures cross the truncation cut
-    (Euler tails then start at |q| >= 2 window - 4).
+    (P_b beside P_c)), the one expand_vertices writes.  Every Stack/Trace
+    is simplified as it is glued (simplify_stack, simplify_trace): its
+    unsimplified product exists only as the elimination engine's term
+    dicts, never as cobordisms.  A Beside is not simplified.  The result
+    is homotopy equivalent to the product of the pieces.
     `projector(n, window)` supplies each P_n: the in-process builder by
-    default, the persistent cache from the CLI.
+    default, the persistent cache from the CLI.  A projector source that
+    builds P_n deeper than the ambient window, such as
+    `lambda n, w: build_projector(n, Window(w.lo - n, 0))`, compensates
+    the q-degrees lost when closures cross the truncation cut.
     """
 
-    def proj_window(n: int) -> Window:
-        return Window(window.lo - n, 0) if deepen else window
-
     def sub(inner: ex.NetworkExpr) -> ChainComplex:
-        return instantiate(inner, window, reduce, deepen, projector)
+        return instantiate(inner, window, projector)
 
     match e:
         case ex.Strand(k):
             return cx.identity_complex(k)
         case ex.Proj(n):
-            return projector(n, proj_window(n)).complex
+            return projector(n, window).complex
         case ex.DualProj(n):
-            return cx.dual_complex(projector(n, proj_window(n)).complex)
+            return cx.dual_complex(projector(n, window).complex)
         case ex.Vertex():
             return sub(expand_vertices(e))
         case ex.Stack(top, bottom):
-            stack = cx.simplify_stack if reduce else cx.stack_complexes
-            return stack(sub(top), sub(bottom))
+            return cx.simplify_stack(sub(top), sub(bottom))
         case ex.Beside(left, right):
             return cx.beside_complexes(sub(left), sub(right))
         case ex.Trace(inner):
-            trace = cx.simplify_trace if reduce else cx.trace_complex
-            return trace(sub(inner))
+            return cx.simplify_trace(sub(inner))
         case ex.Dual(inner):
             return cx.dual_complex(sub(inner))
         case ex.Zero():
@@ -786,12 +779,12 @@ def closed_module(
     e: ex.NetworkExpr, window: Window, rewrite: bool = True, projector=build_projector,
 ) -> ModuleComplex:
     """The module complex of a closed network: rewrite it (or only expand
-    its vertices), instantiate with reduce=True, simplify, and apply the
-    tautological functor."""
+    its vertices), instantiate it (simplifying as it glues), simplify, and
+    apply the tautological functor."""
     if not ex.is_closed(e):
         raise ArityError("homology/euler need a closed network")
     e = rewrite_network(e) if rewrite else expand_vertices(e)
-    S, _ = cx.simplify(instantiate(e, window, reduce=True, projector=projector))
+    S, _ = cx.simplify(instantiate(e, window, projector))
     return cx.tautological(S)
 
 
@@ -816,27 +809,20 @@ def hom_of_networks(
 # Standard equivalences and the sheet-module action
 
 
-def iota_map(P: ChainComplex, n: int) -> ChainMap:
-    """The inclusion of the degree-zero chain group 1_n -> P."""
-    one = cx.identity_complex(n)
-    deg0 = P.objects(0)
-    pos = [i for i, o in enumerate(deg0) if o.tangle == FlatTangle.identity(n) and o.qshift == 0]
+def _degree_zero_identity(P: ChainComplex, n: int) -> int:
+    """The position of the one 1_n in P's degree-zero chain group."""
+    pos = [i for i, o in enumerate(P.objects(0)) if o == ShiftedObject(FlatTangle.identity(n), 0)]
     if len(pos) != 1:
         raise SpinhomError("degree-zero chain group is not exactly 1_n")
-    return ChainMap(one, P, 0, 0, {0: {(pos[0], 0): cob.identity_cob(deg0[pos[0]])}})
+    return pos[0]
 
 
-def _rebind(F: ChainMap, source: ChainComplex | None = None, target: ChainComplex | None = None) -> ChainMap:
-    """Reinterpret a map between complexes with identical groups."""
-    src = source or F.source
-    tgt = target or F.target
-    for k in set(src.groups) | set(F.source.groups):
-        if src.objects(k) != F.source.objects(k):
-            raise IntegrityError("rebind: source groups differ")
-    for k in set(tgt.groups) | set(F.target.groups):
-        if tgt.objects(k) != F.target.objects(k):
-            raise IntegrityError("rebind: target groups differ")
-    return ChainMap(src, tgt, F.hdeg, F.qdeg, F.mats)
+def iota_map(P: ChainComplex, n: int) -> ChainMap:
+    """The inclusion of the degree-zero chain group 1_n -> P."""
+    p = _degree_zero_identity(P, n)
+    return ChainMap(
+        cx.identity_complex(n), P, 0, 0, {0: {(p, 0): cob.identity_cob(P.objects(0)[p])}}
+    )
 
 
 def absorption_retraction(P: ChainComplex, Q: ChainComplex, n: int) -> tuple[ChainMap, ChainComplex]:
@@ -849,15 +835,12 @@ def absorption_retraction(P: ChainComplex, Q: ChainComplex, n: int) -> tuple[Cha
     and the product complex.
     """
     T = cx.stack_complexes(P, Q)
-    deg0 = P.objects(0)
-    pos0 = [i for i, o in enumerate(deg0) if o.tangle == FlatTangle.identity(n) and o.qshift == 0]
-    if len(pos0) != 1:
-        raise SpinhomError("P has no unique identity in degree zero")
+    pos0 = _degree_zero_identity(P, n)
     protected = set()
     prov_to_q: dict[tuple[int, int], int] = {}
     for k, lay in cx.product_layout(P, Q).items():
         for p, (i, j, pa, pb) in enumerate(lay):
-            if i == 0 and pa == pos0[0]:
+            if i == 0 and pa == pos0:
                 protected.add((k, p))
                 prov_to_q[(k, p)] = pb
     small, eq = cx.simplify(T, want_equivalence=True, protected=protected)
@@ -887,13 +870,11 @@ def standard_equivalence(P: ProjectorComplex, Q: ProjectorComplex) -> ChainMap:
     n = P.n
     if n == 1:
         return ChainMap.identity(P.complex)
-    phi, T = absorption_retraction(P.complex, Q.complex, n)
+    phi, _ = absorption_retraction(P.complex, Q.complex, n)
     iota_Q = iota_map(Q.complex, n)
     one_P = ChainMap.identity(P.complex)
-    incl = cx.stack_chain_maps(one_P, iota_Q)
     # stack(P, 1_n) has the same groups as P
-    incl = _rebind(incl, source=P.complex, target=T)
-    psi = cx.compose_maps(phi, incl)
+    psi = cx.compose_maps(phi, cx.stack_chain_maps(one_P, iota_Q))
     return ChainMap(P.complex, Q.complex, 0, 0, psi.mats)
 
 
@@ -901,14 +882,13 @@ def pi_action(f: ChainMap, Q: ChainComplex, P: ProjectorComplex) -> ChainMap:
     """The sheet-module action pi_Q(f) = phi . (f (x) 1_Q) . (iota (x) 1_Q)
     for Q killing turnbacks from above."""
     n = P.n
-    phi, T = absorption_retraction(P.complex, Q, n)
-    iota = iota_map(P.complex, n)
+    phi, _ = absorption_retraction(P.complex, Q, n)
     one_Q = ChainMap.identity(Q)
-    incl = cx.stack_chain_maps(iota, one_Q)
-    incl = _rebind(incl, source=Q, target=T)
+    incl = cx.stack_chain_maps(iota_map(P.complex, n), one_Q)
     mid = cx.stack_chain_maps(f, one_Q)
-    mid = _rebind(mid, source=T, target=T)
-    return cx.compose_maps(phi, cx.compose_maps(mid, incl))
+    out = cx.compose_maps(phi, cx.compose_maps(mid, incl))
+    # stack(1_n, Q) has the same groups as Q
+    return ChainMap(Q, Q, out.hdeg, out.qdeg, out.mats)
 
 
 # ---------------------------------------------------------------------------
@@ -920,7 +900,6 @@ def unknot_pairing(F: ChainMap, P: ProjectorComplex) -> dict:
     q^n tautological(Tr(P))."""
     TrP = cx.trace_complex(P.complex)
     TrF = cx.trace_chain_map(F)
-    TrF = _rebind(TrF, source=TrP, target=TrP)
     # eta: the all-undotted generator on Tr(1_n) in degree 0
     deg0 = TrP.objects(0)
     if len(deg0) != 1:
@@ -948,10 +927,7 @@ def unknot_action(zeta: dict, P: ProjectorComplex) -> ChainMap:
     PC = P.complex
     n = P.n
     phi, T = absorption_retraction(PC, PC, n)
-    tgt_index = {
-        k: {prov: p for p, prov in enumerate(lay)}
-        for k, lay in cx.product_layout(PC, PC).items()
-    }
+    index = {prov: p for lay in cx.product_layout(PC, PC).values() for p, prov in enumerate(lay)}
     TrP = cx.trace_complex(PC)
     hdegs = {k0 for (k0, _, _) in zeta}
     if len(hdegs) != 1:
@@ -964,12 +940,9 @@ def unknot_action(zeta: dict, P: ProjectorComplex) -> ChainMap:
         tr_obj = TrP.objects(k0)[p0]
         gen = CanonicalCobordism.generator(empty, tr_obj, assign)
         for j, objs in PC.groups.items():
-            tk = k0 + j
-            if tk not in tgt_index:
-                continue
             for pb, b_obj in enumerate(objs):
                 key = (k0, j, p0, pb)
-                if key not in tgt_index[tk]:
+                if key not in index:
                     continue
                 birth = cob.beside(gen, cob.identity_cob(b_obj))
                 merge = cob.merge_trace_saddle(a_obj.tangle, b_obj.tangle)
@@ -979,19 +952,11 @@ def unknot_action(zeta: dict, P: ProjectorComplex) -> ChainMap:
                 step = cob.compose(merge, birth).scale(coeff)
                 if step.is_zero():
                     continue
-                rc = (tgt_index[tk][key], pb)
+                rc = (index[key], pb)
                 mat = mats.setdefault(j, {})
                 mat[rc] = mat[rc] + step if rc in mat else step
-    qdeg = 0
-    for mat in mats.values():
-        for f in mat.values():
-            d = cob.degree(f)
-            if d is not None:
-                qdeg = d
-                break
-        else:
-            continue
-        break
+    degrees = (cob.degree(f) for mat in mats.values() for f in mat.values())
+    qdeg = next((d for d in degrees if d is not None), 0)
     pre = ChainMap(PC, T, k0, qdeg, mats)
     out = cx.compose_maps(phi, pre)
     return ChainMap(PC, PC, out.hdeg, out.qdeg, out.mats)

@@ -604,6 +604,75 @@ def reference_trace_complex(A: ChainComplex) -> ChainComplex:
     return ChainComplex(0, 0, A.window, groups, diff, A.mode, A.tail_lo, A.tail_hi, A.reliable)
 
 
+def closed_networks_leq3() -> list:
+    """The closed networks with labels <= 3, as (name, expression): the
+    colored unknots, every admissible theta, the end closures Tr(v v-dual)
+    and two unknots side by side."""
+    from spinhom import expr as ex
+
+    nets = []
+    for n in (1, 2, 3):
+        nets.append((f"unknot({n})", ex.unknot(n)))
+    admissible = []
+    for a in range(4):
+        for b in range(a, 4):
+            for c in range(b, 4):
+                try:
+                    ex.check_vertex(a, b, c)
+                except Exception:
+                    continue
+                admissible.append((a, b, c))
+    for trip in admissible:
+        nets.append((f"theta{trip}", ex.theta(*trip)))
+    for trip in admissible:
+        if min(trip) >= 1:
+            v = ex.Vertex(*trip)
+            nets.append((f"endclosure{trip}", ex.Trace(ex.Stack(v, ex.Dual(v)))))
+    nets.append(
+        ("unknot(1)|unknot(2)",
+         ex.Beside(ex.unknot(1), ex.unknot(2)))
+    )
+    return nets
+
+
+def deep_projector(n: int, window: Window):
+    """A projector source for projector.instantiate that builds P_n n
+    degrees deeper than the ambient window, compensating the q-degrees lost
+    when closures cross the truncation cut (Euler tails then start at
+    |q| >= 2 window - 4)."""
+    from spinhom import projector as pj
+
+    return pj.build_projector(n, Window(window.lo - n, 0))
+
+
+def reference_instantiate(e, window: Window, projector=None) -> ChainComplex:
+    """The unreduced instantiation of a network expression: the product of
+    its pieces as projector.instantiate composes them, with no Stack or
+    Trace simplified.  Leaves (strands, projectors, diagrams, zero) come
+    from instantiate itself, with its default projector source unless
+    `projector` is given."""
+    from spinhom import expr as ex
+    from spinhom import projector as pj
+
+    projector = projector or pj.build_projector
+
+    def sub(inner):
+        return reference_instantiate(inner, window, projector)
+
+    match e:
+        case ex.Vertex():
+            return sub(pj.expand_vertices(e))
+        case ex.Stack(top, bottom):
+            return cx.stack_complexes(sub(top), sub(bottom))
+        case ex.Beside(left, right):
+            return cx.beside_complexes(sub(left), sub(right))
+        case ex.Trace(inner):
+            return cx.trace_complex(sub(inner))
+        case ex.Dual(inner):
+            return cx.dual_complex(sub(inner))
+    return pj.instantiate(e, window, projector)
+
+
 def complex_bytes(C: ChainComplex) -> str:
     """complex_to_data of C as JSON, and its reliable band."""
     import json

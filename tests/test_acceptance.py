@@ -13,7 +13,9 @@ import pytest
 
 from helpers import (
     assert_sdr,
+    closed_networks_leq3,
     column_homotopy,
+    deep_projector,
     first_iso_entry,
     nonempty_complex,
     random_complex,
@@ -201,7 +203,7 @@ def test_ac07_graphical_calculus_rules():
             ex.Stack(bundle, ex.Proj(a)),
             ex.Stack(ex.Proj(a), bundle),
         ):
-            C = pj.instantiate(e, W, reduce=True)
+            C = pj.instantiate(e, W)
             S, _ = simplify(C)
             ok, where = _equal_in_band(S, P_a, W.lo + a + 1, 0)
             assert ok, ("absorption", (x, y, z), e, where)
@@ -222,7 +224,7 @@ def test_ac07_graphical_calculus_rules():
                     ex.Beside(ex.Strand(x), ex.Diagram(y, y, o.tangle.pairs)),
                     ex.Strand(z),
                 )
-                colC = pj.instantiate(ex.Stack(col, ex.Proj(a)), W, reduce=True)
+                colC = pj.instantiate(ex.Stack(col, ex.Proj(a)), W)
                 Scol, _ = simplify(colC)
                 bad = [k for k in Scol.support() if k >= W.lo + a]
                 assert not bad, ("mixed absorption column", (x, y, z), kk, Scol.support())
@@ -337,40 +339,14 @@ def test_ac09_appendix_machinery():
     _report("AC9  Gaussian retracts (500) and bicomplex contraction (100)", t0, 60)
 
 
-def _all_closed_networks_leq3():
-    nets = []
-    for n in (1, 2, 3):
-        nets.append((f"unknot({n})", ex.unknot(n)))
-    admissible = []
-    for a in range(4):
-        for b in range(a, 4):
-            for c in range(b, 4):
-                try:
-                    ex.check_vertex(a, b, c)
-                except Exception:
-                    continue
-                admissible.append((a, b, c))
-    for trip in admissible:
-        nets.append((f"theta{trip}", ex.theta(*trip)))
-    for trip in admissible:
-        if min(trip) >= 1:
-            v = ex.Vertex(*trip)
-            nets.append((f"endclosure{trip}", ex.Trace(ex.Stack(v, ex.Dual(v)))))
-    nets.append(
-        ("unknot(1)|unknot(2)",
-         ex.Beside(ex.unknot(1), ex.unknot(2)))
-    )
-    return nets
-
-
 def test_ac10_oracle_closure():
     t0 = time.time()
     W = 8
     window = Window(-W, 0)
     threshold = 2 * W - 4
-    for name, net in _all_closed_networks_leq3():
+    for name, net in closed_networks_leq3():
         e = pj.rewrite_network(net)
-        C = pj.instantiate(e, window, reduce=True, deepen=True)
+        C = pj.instantiate(e, window, deep_projector)
         S, _ = simplify(C)
         chi = euler_characteristic(tautological(S))
         val = tl.evaluate_network(net)

@@ -1,15 +1,18 @@
 """CLI: grammar, commands, cache round-trip, determinism, exit codes."""
 
+import itertools
 import json
+import os
 
 import pytest
 
+from helpers import closed_networks_leq3
 from spinhom import cli
 from spinhom import expr as ex
 from spinhom import projector as pj
 from spinhom import serialize as ser
 from spinhom.complexes import Window
-from spinhom.errors import ParseError
+from spinhom.errors import AdmissibilityError, ParseError
 
 
 def test_parse_basics():
@@ -26,6 +29,23 @@ def test_parse_basics():
     assert kind == "hom" and args == (ex.Proj(2), ex.Proj(2))
 
 
+def test_rewrite_output_parses_back():
+    # to_text of a rewritten network, diag(...) included, is parsed back to it
+    vertices = []
+    for a, b, c in itertools.product(range(4), repeat=3):
+        try:
+            ex.check_vertex(a, b, c)
+        except AdmissibilityError:
+            continue
+        vertices.append(ex.Vertex(a, b, c))
+    nets = [net for _name, net in closed_networks_leq3()] + vertices
+    for e, mode in itertools.product(nets, ("product", "sum")):
+        r = pj.rewrite_network(e, mode)
+        assert cli.parse_network(ex.to_text(r)) == r, (e, mode)
+    assert cli.parse_network("diag(0,0,)") == ex.Diagram(0, 0, ())
+    assert cli.parse_network("diag(2, 2, 2-3-0-1)") == ex.Diagram(2, 2, (2, 3, 0, 1))
+
+
 def test_parse_dual_of_p_is_dualproj():
     e = cli.parse_network("dual(p(3))")
     assert pj.rewrite_network(e) == ex.DualProj(3)
@@ -39,6 +59,12 @@ def test_parse_errors_have_positions():
         cli.parse_network("frob(2)")
     with pytest.raises(ParseError):
         cli.parse_network("p(2) garbage")
+    # a pairing that is not a planar fixed-point-free involution, at the diag
+    for bad in ("diag(2,2,3-2-1-0)", "diag(2,2,1-0-3)", "diag(1,1,0-0)",
+                "diag(-1,1,)", "diag(2,2,1-0-3-5)", "diag(2,2,1-0-3--2)"):
+        with pytest.raises(ParseError) as ei:
+            cli.parse_network(f"stack(p(2), {bad})")
+        assert ei.value.col == 13, bad
 
 
 def test_admissibility_errors():
@@ -53,6 +79,18 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(["rewrite", "p(2)("]) == 2
     assert cli.main(["homology", "vertex(1,1,1)", "--cache-dir", cdir]) == 3
     assert cli.main(["homology", "p(2)", "--cache-dir", cdir]) == 3  # open boundary
+    assert cli.main(["homology", "tr(diag(2,2,3-2-1-0))", "--cache-dir", cdir]) == 2
+    # boundary mismatches are arity errors
+    assert cli.main(["homology", "stack(p(2),p(3))", "--cache-dir", cdir]) == 3
+    assert cli.main(["rewrite", "stack(p(2),p(3))"]) == 3
+    assert cli.main(["hom", "p(1)", "p(2)", "--cache-dir", cdir]) == 3
+    assert cli.main(["hom", "zero", "zero", "--cache-dir", cdir]) == 3
+    # a negative window or label is refused by the argument parser
+    for argv in (["project", "2", "--window", "-2"], ["project", "-1"],
+                 ["homology", "tr(p(2))", "--window", "-2"]):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(argv + ["--cache-dir", cdir])
+        assert ei.value.code == 2, argv
     capsys.readouterr()
 
 
@@ -83,6 +121,42 @@ def test_cache_round_trip(tmp_path):
         json.dump(entry, fh)
     P3 = cli.cached_projector(2, Window(-6, 0), cdir)
     assert ser.complex_to_data(P3.complex) == ser.complex_to_data(P1.complex)
+
+
+@pytest.mark.parametrize("corrupt", ['{"trunc', '{"code": "x"}', "[1]"])
+def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys, corrupt):
+    cdir = str(tmp_path / "cache")
+    args = ["project", "2", "--window", "4", "--cache-dir", cdir]
+    assert cli.main(args) == 0
+    report = capsys.readouterr().out
+    (name,) = os.listdir(cdir)
+    path = os.path.join(cdir, name)
+    with open(path) as fh:
+        good = fh.read()
+    with open(path, "w") as fh:
+        fh.write(corrupt)
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == report
+    assert os.listdir(cdir) == [name]
+    with open(path) as fh:
+        assert fh.read() == good
+
+
+def test_failed_certificate_in_cache_is_integrity_error(tmp_path, capsys):
+    # an entry that matches its hash but holds a failing certificate
+    cdir = str(tmp_path / "cache")
+    args = ["project", "2", "--window", "4", "--cache-dir", cdir]
+    assert cli.main(args) == 0
+    (name,) = os.listdir(cdir)
+    path = os.path.join(cdir, name)
+    with open(path) as fh:
+        entry = json.load(fh)
+    entry["value"]["cert"]["degree_zero_ok"] = False
+    entry["hash"] = cli._digest(entry["value"])
+    with open(path, "w") as fh:
+        json.dump(entry, fh)
+    assert cli.main(args) == 6
+    capsys.readouterr()
 
 
 def test_euler_command_and_determinism(tmp_path, capsys):

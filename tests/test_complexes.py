@@ -18,6 +18,7 @@ from helpers import (
     random_complex,
     reference_deloop,
     reference_deloop_maps,
+    reference_instantiate,
     tables_equal,
     two_term_piece,
 )
@@ -374,9 +375,12 @@ def _contractible_column_complex(rng, n):
 
 
 def test_bicomplex_contraction_random():
+    # thirty draws from one seed on Window(-2, 1), then one from seed 29 on
+    # Window(-1, 1)
     rng = random.Random(23)
-    for _ in range(30):
-        A = nonempty_complex(rng, 1, 1, Window(-2, 1), pieces=2)
+    draws = [(rng, Window(-2, 1))] * 30 + [(random.Random(29), Window(-1, 1))]
+    for rng, window in draws:
+        A = nonempty_complex(rng, 1, 1, window, pieces=2)
         B, o, sgn = _contractible_column_complex(rng, 1)
         # d^2 = 0 on the total complex: d_h^2, d_v^2 and d_h d_v + d_v d_h
         # land in different bidegrees
@@ -384,17 +388,6 @@ def test_bicomplex_contraction_random():
         H = bicomplex_contraction(A, B, column_homotopy(A, B, sgn), "sum")
         T = H.source
         assert commutator_with_d(H).mats == ChainMap.identity(T).mats
-
-
-def test_bicomplex_contraction_normalized_h():
-    # h' = h d h is accepted and valid (lemma on contractible complexes)
-    rng = random.Random(29)
-    A = nonempty_complex(rng, 1, 1, Window(-1, 1), pieces=2)
-    B, o, sgn = _contractible_column_complex(rng, 1)
-    # normalize: h' = h . dv . h restricted to each column piece is h itself
-    H = bicomplex_contraction(A, B, column_homotopy(A, B, sgn), "sum")
-    T = H.source
-    assert commutator_with_d(H).mats == ChainMap.identity(T).mats
 
 
 def test_bicomplex_quadrant_preconditions():
@@ -511,7 +504,7 @@ def _theta_222() -> ChainComplex:
     """theta(2,2,2) at window 6 before any simplify: 343 objects, each with
     a circle."""
     e = pj.rewrite_network(ex.theta(2, 2, 2))
-    return pj.instantiate(e, Window(-6, 0))
+    return reference_instantiate(e, Window(-6, 0))
 
 
 @pytest.mark.parametrize("build", [_theta_222, _p3_sweep_product], ids=["theta222_w6", "p3_w5_sweep"])

@@ -106,7 +106,7 @@ def test_alpha1_unknot_stability():
     tables = {}
     for N in (6, 8):
         e = pj.rewrite_network(ex.unknot(2))
-        C = pj.instantiate(e, Window(-N, 0), reduce=True)
+        C = pj.instantiate(e, Window(-N, 0))
         S, _ = simplify(C)
         M = cx.tautological(S)
         tables[N] = homology_table(M, "alpha1")

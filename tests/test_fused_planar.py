@@ -71,7 +71,7 @@ def test_theta_233_reduced_nodes_match_reference(monkeypatch):
     stacks = _record(monkeypatch, "simplify_stack")
     traces = _record(monkeypatch, "simplify_trace")
     e = pj.rewrite_network(ex.theta(2, 3, 3))
-    pj.instantiate(e, Window(-6, 0), reduce=True)
+    pj.instantiate(e, Window(-6, 0))
     monkeypatch.undo()
     assert stacks and traces
     # the projectors' own builds, when not cached yet, are among the stacks

@@ -28,7 +28,7 @@ import random
 
 import pytest
 
-from helpers import first_iso_entry, random_complex
+from helpers import first_iso_entry, random_complex, reference_instantiate
 from spinhom import complexes as cx
 from spinhom import expr as ex
 from spinhom import projector as pj
@@ -91,7 +91,7 @@ def _records(name: str):
     elif name == "tautological_theta":
         for labels in ((1, 2, 3), (2, 2, 2)):
             e = pj.rewrite_network(ex.theta(*labels))
-            S, _ = cx.simplify(pj.instantiate(e, Window(-6, 0), reduce=True))
+            S, _ = cx.simplify(pj.instantiate(e, Window(-6, 0)))
             yield _module(cx.tautological(S))
     elif name == "homotopy_witness":
         # the maps of test_complexes.test_homotopic_alpha0_basics
@@ -103,7 +103,7 @@ def _records(name: str):
             w = cx.homotopy_witness(F, G, eq_lo=lo)
             yield repr(None if w is None else sorted(w.items()))
     elif name == "sdr_simplify_theta":
-        C = pj.instantiate(pj.rewrite_network(ex.theta(2, 2, 2)), Window(-6, 0))
+        C = reference_instantiate(pj.rewrite_network(ex.theta(2, 2, 2)), Window(-6, 0))
         S, eq = cx.simplify(C, want_equivalence=True)
         yield from _sdr(S, eq.r, eq.i, eq.h)
     elif name == "sdr_absorption_p3":

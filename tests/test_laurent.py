@@ -86,6 +86,22 @@ def test_ratfunc_equality_by_cross_multiplication(n1, d1, n2, d2):
     assert (r1 == r2) == (n1 * d2 == n2 * d1)
 
 
+@given(small_poly, nonzero_poly, small_poly, nonzero_poly, nonzero_poly)
+@settings(max_examples=120, deadline=None)
+def test_ratfunc_equality_is_value_equality(n1, d1, n2, d2, k):
+    # equality compares normal forms; it must agree with x - y = 0, and
+    # equal values must hash equal.  The second y is x's value written
+    # with a common factor k.
+    x = RatFunc.from_laurent(n1) / RatFunc.from_laurent(d1)
+    for y in (
+        RatFunc.from_laurent(n2) / RatFunc.from_laurent(d2),
+        RatFunc.from_laurent(n1 * k) / RatFunc.from_laurent(d1 * k),
+    ):
+        assert (x == y) == (x - y).is_zero()
+        if x == y:
+            assert hash(x) == hash(y)
+
+
 @given(small_poly, nonzero_poly)
 @settings(max_examples=120, deadline=None)
 def test_ratfunc_self_cancellation(n, d):

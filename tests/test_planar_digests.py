@@ -17,6 +17,7 @@ import json
 
 import pytest
 
+from helpers import deep_projector, reference_instantiate
 from spinhom import complexes as cx
 from spinhom import expr as ex
 from spinhom import projector as pj
@@ -54,9 +55,9 @@ def _product(name: str, monkeypatch):
     if name == "trace_p3_w5":
         return cx.trace_complex(P3)
     if name == "vertex_112_w6":
-        return pj.instantiate(ex.Vertex(1, 1, 2), Window(-6, 0))
+        return reference_instantiate(ex.Vertex(1, 1, 2), Window(-6, 0))
     if name == "vertex_222_w4_deepen":
-        return pj.instantiate(ex.Vertex(2, 2, 2), Window(-4, 0), deepen=True)
+        return reference_instantiate(ex.Vertex(2, 2, 2), Window(-4, 0), deep_projector)
     return _hom_product(monkeypatch, P2)
 
 

@@ -289,8 +289,8 @@ def test_rewrite_soundness_homology_of_closures(w8):
     before = ex.Trace(ex.Stack(ex.Beside(ex.Strand(1), ex.Proj(2)), ex.Proj(3)))
     after = pj.rewrite_network(before)
     assert after == ex.Trace(ex.Proj(3))
-    Cb = pj.instantiate(before, w8, reduce=True)
-    Ca = pj.instantiate(after, w8, reduce=True)
+    Cb = pj.instantiate(before, w8)
+    Ca = pj.instantiate(after, w8)
     Sb, _ = simplify(Cb)
     Sa, _ = simplify(Ca)
     tb = homology_table(cx.tautological(Sb), "alpha0")

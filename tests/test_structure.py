@@ -259,8 +259,11 @@ TEST_ONLY = {
     "cob.reflect_y_ob",
     "cob.saddle_to_identity",
     "cob.shifted",
+    "cob.stack",
+    "cob.trace",
     "complexes._deloop_all",
     "complexes._mat_mul",
+    "complexes._planar_map",
     "complexes.bicomplex_contraction",
     "complexes.commutator_with_d",
     "complexes.compose_maps",
@@ -278,7 +281,9 @@ TEST_ONLY = {
     "complexes.shift_h",
     "complexes.shift_q",
     "complexes.stack_chain_maps",
+    "complexes.stack_complexes",
     "complexes.trace_chain_map",
+    "complexes.trace_complex",
     "complexes.validate",
     "dga.bigraded_homology_ranks",
     "dga.d_matrix",
@@ -292,7 +297,7 @@ TEST_ONLY = {
     "homology.torsion",
     "homology.transpose",
     "laurent.monomial",
-    "projector._rebind",
+    "projector._degree_zero_identity",
     "projector.absorption_retraction",
     "projector.dot_maps",
     "projector.eta_element",
