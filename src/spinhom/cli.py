@@ -10,23 +10,25 @@ use the grammar
 
 with hom(expr, expr) allowed at the top level of homology/euler queries.
 diag(m, n, p0-p1-...) is the diagram joining boundary point i to p_i, as
-expr.to_text writes it.  Reports are deterministic; JSON is the stable
-machine contract.
+expr.to_text writes it.  Each verb takes only the flags it reads.
+Reports are deterministic, and a cold run prints what a warm one does;
+JSON is the stable machine contract.
 
-Exit codes: 0 ok, 2 parse error (and a negative window or label), 3
-admissibility or arity, 4 divergence, 5 resource cap, 6
+Exit codes: 0 ok (also when the reader closes stdout early), 2 parse
+error (and a negative window or label, or a flag the verb does not
+take), 3 admissibility or arity, 4 divergence, 5 resource cap, 6
 integrity/verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
 
 from . import __version__
 from . import expr as ex
@@ -45,7 +47,13 @@ from .errors import (
     ResourceError,
     SpinhomError,
 )
-from .homology import HomologyTable, euler_characteristic, homology_table
+from .homology import (
+    HomologyTable,
+    ModuleComplex,
+    euler_characteristic,
+    homology_table,
+    table_mismatches,
+)
 
 CACHE_ENV = "SPINHOM_CACHE_DIR"
 DEFAULT_CACHE = ".spinhom-cache"
@@ -257,18 +265,13 @@ def _read_cached(path: str, n: int, window: Window) -> pj.ProjectorComplex | Non
         value = entry["value"]
         if entry.get("code") != CODE_VERSION or entry.get("hash") != _digest(value):
             return None
-        C = replace(ser.complex_from_data(value["complex"]), reliable=(window.lo + n, float("inf")))
-        c = value["cert"]
-        cert = pj.Certificate(
-            n, window, c["margin"], c["degree_zero_ok"],
-            {(side, int(i)): (ok, supp) for (side, i, ok, supp) in c["turnbacks"]},
-            c.get("euler_ok"), c.get("euler_detail", ""),
-        )
+        C = ser.complex_from_data(value["complex"])
+        cert = pj.Certificate.from_data(n, window, value["cert"])
     except (OSError, ValueError, LookupError, TypeError, AttributeError):
         return None
     if not cert.passed:
         raise IntegrityError("cache holds an uncertified projector")
-    return pj.ProjectorComplex(n, window, C, cert)
+    return pj.certified_projector(C, n, window, cert)
 
 
 def cached_projector(n: int, window: Window, cdir: str | None) -> pj.ProjectorComplex:
@@ -284,19 +287,7 @@ def cached_projector(n: int, window: Window, cdir: str | None) -> pj.ProjectorCo
     if cached is not None:
         return cached
     P = pj.build_projector(n, window)
-    value = {
-        "complex": ser.complex_to_data(P.complex),
-        "cert": {
-            "margin": P.certificate.margin,
-            "degree_zero_ok": P.certificate.degree_zero_ok,
-            "turnbacks": sorted(
-                [side, i, ok, supp]
-                for (side, i), (ok, supp) in P.certificate.turnbacks.items()
-            ),
-            "euler_ok": P.certificate.euler_ok,
-            "euler_detail": P.certificate.euler_detail,
-        },
-    }
+    value = {"complex": ser.complex_to_data(P.complex), "cert": P.certificate.to_data()}
     entry = {"key": key, "code": CODE_VERSION, "hash": _digest(value), "value": value}
     _atomic_write(path, json.dumps(entry, sort_keys=True, separators=(",", ":")))
     return P
@@ -355,96 +346,73 @@ def _max_label(e: ex.NetworkExpr) -> int:
     return 0
 
 
-def _projectors(args):
-    """The projector source of every pipeline: the persistent cache."""
-    return lambda n, w: cached_projector(n, w, args.cache_dir)
-
-
-def _homology_of_query(text: str, window: Window, spec: str, rewrite: bool, projector):
-    kind, args = parse_query(text)
-    if kind == "hom":
-        M = pj.hom_of_networks(args[0], args[1], window, rewrite, projector)
-    else:
-        M = pj.closed_module(args[0], window, rewrite, projector)
-    return homology_table(M, spec), M
-
-
-def cmd_homology(args) -> dict:
+def _module(query: tuple, args, rewrite: bool = True) -> ModuleComplex:
+    """The module complex of a parsed query, Hom(A, B) for ("hom", (A, B))
+    or the closed network of ("net", (e,)), at the window of `args` and
+    with the persistent cache as the projector source."""
     window = Window(-args.window, 0)
-    projector = _projectors(args)
-    T, M = _homology_of_query(args.expr, window, args.spec, True, projector)
-    data = {"query": args.expr, "window": args.window, "table": _table_data(T)}
-    if args.verify:
-        T2, M2 = _homology_of_query(args.expr, window, args.spec, False, projector)
-        lo1, hi1 = M.reliable
-        lo2, hi2 = M2.reliable
-        lo, hi = max(lo1, lo2), min(hi1, hi2)
-        mism = []
-        keys = set(T.entries) | set(T2.entries)
-        for kq in keys:
-            if kq[0] is not None and lo <= kq[0] <= hi:
-                if T.entries.get(kq, (0, ())) != T2.entries.get(kq, (0, ())):
-                    mism.append(kq)
-        chi1 = euler_characteristic(M)
-        chi2 = euler_characteristic(M2)
-        tail = chi1 - chi2
-        tail_bad = [e for e in tail.coeffs if abs(e) < 2 * args.window - 4]
+    projector = functools.partial(cached_projector, cdir=args.cache_dir)
+    kind, qargs = query
+    if kind == "hom":
+        return pj.hom_of_networks(*qargs, window, rewrite, projector)
+    return pj.closed_module(qargs[0], window, rewrite, projector)
 
-        def fin(x):
-            return None if x in (float("inf"), float("-inf")) else x
 
-        band = None if lo > hi else [fin(lo), fin(hi)]
-        data["verify"] = {
-            "compared_band": band,
-            "euler_tail_exponents": sorted(tail.coeffs),
-        }
-        if mism or tail_bad:
-            data["verify"]["mismatches"] = sorted(str(x) for x in mism)
-            data["verify"]["euler_low_order_defect"] = sorted(tail_bad)
-            raise IntegrityError(
-                "verification failed: rewritten and direct pipelines disagree: "
-                + json.dumps(data["verify"], sort_keys=True)
-            )
+def _homology_report(text: str, query: tuple, args, verify: bool = False) -> dict:
+    M = _module(query, args)
+    T = homology_table(M, args.spec)
+    data = {"query": text, "window": args.window, "table": _table_data(T)}
+    if verify:
+        data["verify"] = _verify(query, T, M, args)
     return data
 
 
-def cmd_hom(args) -> dict:
-    window = Window(-args.window, 0)
-    M = pj.hom_of_networks(
-        parse_network(args.source), parse_network(args.target), window,
-        projector=_projectors(args),
-    )
-    T = homology_table(M, args.spec)
-    return {
-        "query": f"hom({args.source},{args.target})",
-        "window": args.window,
-        "table": _table_data(T),
+def _verify(query: tuple, T: HomologyTable, M: ModuleComplex, args) -> dict:
+    """Recompute without rewriting and compare the two tables on their
+    common band and the low-order Euler terms."""
+    M2 = _module(query, args, rewrite=False)
+    (lo, hi), mism = table_mismatches(M, T, M2, homology_table(M2, args.spec))
+    tail = euler_characteristic(M) - euler_characteristic(M2)
+    tail_bad = [e for e in tail.coeffs if abs(e) < 2 * args.window - 4]
+
+    def fin(x):
+        return None if x in (float("inf"), float("-inf")) else x
+
+    out = {
+        "compared_band": None if lo > hi else [fin(lo), fin(hi)],
+        "euler_tail_exponents": sorted(tail.coeffs),
     }
+    if mism or tail_bad:
+        out["mismatches"] = sorted(str(x) for x in mism)
+        out["euler_low_order_defect"] = sorted(tail_bad)
+        raise IntegrityError(
+            "verification failed: rewritten and direct pipelines disagree: "
+            + json.dumps(out, sort_keys=True)
+        )
+    return out
+
+
+def cmd_homology(args) -> dict:
+    return _homology_report(args.expr, parse_query(args.expr), args, args.verify)
+
+
+def cmd_hom(args) -> dict:
+    """The report of `homology "hom(source,target)"`."""
+    query = ("hom", (parse_network(args.source), parse_network(args.target)))
+    return _homology_report(f"hom({args.source},{args.target})", query, args)
 
 
 def cmd_euler(args) -> dict:
-    window = Window(-args.window, 0)
-    kind, qargs = parse_query(args.expr)
-    if kind == "hom":
-        M = pj.hom_of_networks(qargs[0], qargs[1], window, projector=_projectors(args))
-        decat = None
-    else:
-        M = pj.closed_module(qargs[0], window, True, _projectors(args))
+    kind, qargs = query = parse_query(args.expr)
+    chi = euler_characteristic(_module(query, args))
+    data = {"query": args.expr, "window": args.window, "categorified": repr(chi)}
+    if kind == "net":
         decat = tl.evaluate_network(qargs[0])
-    chi = euler_characteristic(M)
-    data = {
-        "query": args.expr,
-        "window": args.window,
-        "categorified": repr(chi),
-    }
-    if decat is not None:
         data["tl_oracle"] = repr(decat)
         try:
-            exact = decat.as_laurent()
-            tail = chi - exact
+            tail = chi - decat.as_laurent()
         except ArithmeticError:
-            series = decat.series(max(chi.coeffs) if chi.coeffs else 0)
-            tail = chi - series
+            tail = chi - decat.series(max(chi.coeffs) if chi.coeffs else 0)
         data["difference"] = repr(tail)
         # tails certified per projector up to 2 (window - n) - 1
         threshold = 2 * (args.window - _max_label(qargs[0])) - 1
@@ -472,14 +440,11 @@ def cmd_project(args) -> dict:
 
 
 def cmd_check(args) -> dict:
-    if args.what != "projector":
-        raise ParseError(f"unknown check target {args.what!r}", 1, 1)
+    """Re-run the certificate on the cached projector."""
     window = Window(-args.window, 0)
     P = cached_projector(args.n, window, args.cache_dir)
-    cert = pj.check_projector_axioms(P.complex, args.n, window, check_euler=True)
-    for line in cert.lines():
-        print(line)
-    return {"n": args.n, "window": args.window, "passed": cert.passed}
+    cert = pj.check_projector_axioms(P.complex, args.n, window)
+    return {"n": args.n, "window": args.window, "certificate": cert.lines(), "passed": cert.passed}
 
 
 def cmd_rewrite(args) -> dict:
@@ -493,15 +458,13 @@ def cmd_cache(args) -> dict:
     if args.action == "ls":
         files = sorted(os.listdir(d)) if os.path.isdir(d) else []
         return {"dir": d, "entries": files}
-    if args.action == "clear":
-        removed = 0
-        if os.path.isdir(d):
-            for f in sorted(os.listdir(d)):
-                if f.endswith(".json"):
-                    os.unlink(os.path.join(d, f))
-                    removed += 1
-        return {"dir": d, "removed": removed}
-    raise ParseError(f"unknown cache action {args.action!r}", 1, 1)
+    removed = 0
+    if os.path.isdir(d):
+        for f in sorted(os.listdir(d)):
+            if f.endswith(".json"):
+                os.unlink(os.path.join(d, f))
+                removed += 1
+    return {"dir": d, "removed": removed}
 
 
 def _natural(text: str) -> int:
@@ -511,55 +474,49 @@ def _natural(text: str) -> int:
     return value
 
 
+FLAGS = {
+    "--window": dict(type=_natural, default=8, help="truncation depth (default 8)"),
+    "--spec": dict(choices=["alpha0", "alpha1"], default="alpha0"),
+    "--verify": dict(action="store_true"),
+    "--cache-dir": dict(default=None),
+}
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--window", type=_natural, default=8, help="truncation depth (default 8)"
-    )
-    common.add_argument("--spec", choices=["alpha0", "alpha1"], default="alpha0")
-    common.add_argument("--format", choices=["json", "text"], default="json")
-    common.add_argument("--verify", action="store_true")
-    common.add_argument("--cache-dir", default=None)
     ap = argparse.ArgumentParser(
         prog="spinhom",
         description="categorified spin network calculator",
     )
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("project", parents=[common], help="build and cache a projector")
-    p.add_argument("n", type=_natural)
-    p.set_defaults(func=cmd_project)
+    def verb(name: str, func, help: str, *flags: str) -> argparse.ArgumentParser:
+        """A subcommand that takes --format and exactly the given FLAGS."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--format", choices=["json", "text"], default="json")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("check", parents=[common], help="re-run certification")
-    p.add_argument("what")
+    p = verb("project", cmd_project, "build and cache a projector", "--window", "--cache-dir")
     p.add_argument("n", type=_natural)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser(
-        "homology", parents=[common], help="bigraded homology of a closed query"
-    )
+    p = verb("check", cmd_check, "re-run certification", "--window", "--cache-dir")
+    p.add_argument("what", choices=["projector"])
+    p.add_argument("n", type=_natural)
+    p = verb("homology", cmd_homology, "bigraded homology of a closed query",
+             "--window", "--spec", "--verify", "--cache-dir")
     p.add_argument("expr")
-    p.set_defaults(func=cmd_homology)
-
-    p = sub.add_parser("hom", parents=[common], help="homology of Hom(M, N)")
+    p = verb("hom", cmd_hom, "homology of Hom(M, N)", "--window", "--spec", "--cache-dir")
     p.add_argument("source")
     p.add_argument("target")
-    p.set_defaults(func=cmd_hom)
-
-    p = sub.add_parser(
-        "euler", parents=[common], help="euler characteristic vs the TL oracle"
-    )
+    p = verb("euler", cmd_euler, "euler characteristic vs the TL oracle",
+             "--window", "--cache-dir")
     p.add_argument("expr")
-    p.set_defaults(func=cmd_euler)
-
-    p = sub.add_parser("rewrite", parents=[common], help="normal form of an expression")
+    p = verb("rewrite", cmd_rewrite, "normal form of an expression")
     p.add_argument("expr")
     p.add_argument("--mode", choices=["product", "sum"], default="product")
-    p.set_defaults(func=cmd_rewrite)
-
-    p = sub.add_parser("cache", parents=[common], help="cache maintenance")
+    p = verb("cache", cmd_cache, "cache maintenance", "--cache-dir")
     p.add_argument("action", choices=["ls", "clear"])
-    p.set_defaults(func=cmd_cache)
     return ap
 
 
@@ -586,7 +543,13 @@ def main(argv: list[str] | None = None) -> int:
                 return code
         print(f"error: {err}", file=sys.stderr)
         return 1
-    _print_report(data, args.format)
+    try:
+        _print_report(data, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): the report was computed, so
+        # exit 0, with stdout on /dev/null for the interpreter's last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

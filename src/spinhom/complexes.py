@@ -535,10 +535,12 @@ def stack_chain_maps(F: ChainMap, G: ChainMap) -> ChainMap:
 
 
 def trace_chain_map(F: ChainMap) -> ChainMap:
-    """The Markov closure of F: T(F, 1) with the identity on the strands."""
+    """The Markov closure of F: T(F, 1) with the identity on the strands.
+    An endomorphism's source and target share one trace."""
     one = ChainMap.identity(identity_complex(F.source.n))
     SRC = trace_complex(F.source)
-    return _planar_map(F, one, SRC, trace_complex(F.target), _trace_structure)
+    TGT = SRC if F.target is F.source else trace_complex(F.target)
+    return _planar_map(F, one, SRC, TGT, _trace_structure)
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,19 @@ def homology_table(C: ModuleComplex, specialization: str = "alpha0") -> Homology
     return HomologyTable(specialization, out, unreliable)
 
 
+def table_mismatches(
+    M1: ModuleComplex, T1: HomologyTable, M2: ModuleComplex, T2: HomologyTable,
+) -> tuple[tuple[float, float], list]:
+    """The common reliable band of two module complexes of one question, and
+    the bidegrees inside it where their homology tables T1, T2 differ."""
+    lo, hi = max(M1.reliable[0], M2.reliable[0]), min(M1.reliable[1], M2.reliable[1])
+    return (lo, hi), [
+        kq for kq in set(T1.entries) | set(T2.entries)
+        if kq[0] is not None and lo <= kq[0] <= hi
+        and T1.entries.get(kq, (0, ())) != T2.entries.get(kq, (0, ()))
+    ]
+
+
 def euler_characteristic(C: ModuleComplex) -> LaurentPoly:
     """Alternating sum of graded ranks of the chain groups."""
     acc: dict[int, int] = {}

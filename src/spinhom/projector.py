@@ -44,7 +44,7 @@ SWEEP_MARGIN = 1
 def p2(window: Window) -> "ProjectorComplex":
     """The standard two-strand projector: 1_2 in degree 0, q^{2k-1} times
     the turnback in degree -k, saddle then alternating dot-difference and
-    dot-sum differentials."""
+    dot-sum differentials; certified by certified_projector."""
     if window.hi != 0 or window.lo > 0:
         raise SpinhomError("p2 needs a window with hi = 0")
     one2 = FlatTangle.identity(2)
@@ -61,12 +61,7 @@ def p2(window: Window) -> "ProjectorComplex":
         t = cob.dot_at_point(src, 0).with_shifts(2 * j - 1, 2 * j - 3)
         b = cob.dot_at_point(src, 2).with_shifts(2 * j - 1, 2 * j - 3)
         diff[-j] = {(0, 0): (t - b if j % 2 == 0 else t + b)}
-    C = ChainComplex(
-        2, 2, window, groups, diff,
-        tail_lo=True, reliable=(window.lo + 1, float("inf")),
-    )
-    cert = check_projector_axioms(C, 2, window, check_euler=True)
-    return ProjectorComplex(2, window, C, cert)
+    return certified_projector(ChainComplex(2, 2, window, groups, diff), 2, window)
 
 
 def dot_maps(P: ChainComplex) -> tuple[ChainMap, ChainMap]:
@@ -106,11 +101,12 @@ def v_map(P: ChainComplex) -> ChainMap:
 
 @dataclass
 class Certificate:
-    """Axiom-check report for a projector candidate."""
+    """Axiom-check report for a projector candidate.  Turnback composites
+    must die in degrees >= window.lo + n; the Euler series is compared
+    for n >= 2 only (euler_ok None below)."""
 
     n: int
     window: Window
-    margin: int
     degree_zero_ok: bool
     turnbacks: dict[tuple[str, int], tuple[bool, list[int]]]
     euler_ok: bool | None = None
@@ -139,6 +135,20 @@ class Certificate:
             )
         return out
 
+    def to_data(self) -> dict:
+        """The JSON payload a cache entry stores; n and window are its key's."""
+        turnbacks = sorted([side, i, ok, supp] for (side, i), (ok, supp) in self.turnbacks.items())
+        return {"degree_zero_ok": self.degree_zero_ok, "turnbacks": turnbacks,
+                "euler_ok": self.euler_ok, "euler_detail": self.euler_detail}
+
+    @classmethod
+    def from_data(cls, n: int, window: Window, data: dict) -> "Certificate":
+        """Inverse of to_data.  Other keys are ignored, such as the
+        `margin` (always n) that older entries carry."""
+        turnbacks = {(side, int(i)): (ok, supp) for side, i, ok, supp in data["turnbacks"]}
+        return cls(n, window, data["degree_zero_ok"], turnbacks,
+                   data.get("euler_ok"), data.get("euler_detail", ""))
+
 
 @dataclass
 class ProjectorComplex:
@@ -148,39 +158,51 @@ class ProjectorComplex:
     certificate: Certificate
 
 
+def certified_projector(
+    C: ChainComplex, n: int, window: Window, cert: Certificate | None = None,
+) -> ProjectorComplex:
+    """The one constructor of a ProjectorComplex, so that P_n@window depends
+    on (n, window) alone: C's groups and differential on n strands in the
+    window, with a truncation tail below for n >= 2 and the reliable band
+    (window.lo + n, inf), the degrees the turnback certificate vouches for.
+    Without a stored `cert` the axioms are checked here, and a failing
+    certificate raises DivergenceError."""
+    C = ChainComplex(
+        n, n, window, C.groups, C.diff,
+        tail_lo=n >= 2, reliable=(window.lo + n, float("inf")),
+    )
+    if cert is None:
+        cert = check_projector_axioms(C, n, window)
+        if not cert.passed:
+            raise DivergenceError(
+                f"projector construction for n={n} failed certification:\n"
+                + "\n".join(cert.lines())
+            )
+    return ProjectorComplex(n, window, C, cert)
+
+
 def _identity_exactly_in_degree_zero(C: ChainComplex, n: int) -> bool:
     one = FlatTangle.identity(n)
-    deg0 = C.objects(0)
-    if [o for o in deg0 if o.tangle == one and o.qshift == 0] != deg0 or len(deg0) != 1:
-        return False
-    for k, objs in C.groups.items():
-        if k == 0:
-            continue
-        if any(o.tangle == one for o in objs):
-            return False
-    return True
+    return C.objects(0) == [ShiftedObject(one, 0)] and not any(
+        o.tangle == one for k, objs in C.groups.items() if k != 0 for o in objs
+    )
 
 
-def check_projector_axioms(
-    C: ChainComplex, n: int, window: Window, check_euler: bool = False,
-) -> Certificate:
-    """Verify the two projector axioms at the given window.
+def check_projector_axioms(C: ChainComplex, n: int, window: Window) -> Certificate:
+    """Verify the two projector axioms at the given window, and for n >= 2
+    compare the Euler series with the Jones-Wenzl coefficients.
 
     Axiom (1) is exact; axiom (2) means each turnback composite simplifies
     to support inside the margin [window.lo, window.lo + n)."""
-    cert = Certificate(n, window, n, _identity_exactly_in_degree_zero(C, n), {})
+    cert = Certificate(n, window, _identity_exactly_in_degree_zero(C, n), {})
     for i in range(max(0, n - 1)):
-        ai = cx.from_tangle(FlatTangle.turnback_above(i, n))
-        S = cx.simplify_stack(ai, C)
-        supp = [k for k in S.support() if k >= window.lo + n]
-        cert.turnbacks[("above", i)] = (not supp, S.support())
-        bj = cx.from_tangle(FlatTangle.turnback_below(i, n))
-        S = cx.simplify_stack(C, bj)
-        supp = [k for k in S.support() if k >= window.lo + n]
-        cert.turnbacks[("below", i)] = (not supp, S.support())
-    if check_euler and n >= 1:
-        ok, detail = _euler_matches_jones_wenzl(C, n)
-        cert.euler_ok, cert.euler_detail = ok, detail
+        above = cx.simplify_stack(cx.from_tangle(FlatTangle.turnback_above(i, n)), C)
+        below = cx.simplify_stack(C, cx.from_tangle(FlatTangle.turnback_below(i, n)))
+        for side, S in (("above", above), ("below", below)):
+            supp = S.support()
+            cert.turnbacks[(side, i)] = (all(k < window.lo + n for k in supp), supp)
+    if n >= 2:
+        cert.euler_ok, cert.euler_detail = _euler_matches_jones_wenzl(C, n)
     return cert
 
 
@@ -246,8 +268,11 @@ def build_projector(n: int, window: Window) -> ProjectorComplex:
     Starts from non-overlapping p2 blocks, then repeatedly stacks a p2
     block at positions (0,1), (1,2), ..., (n-2,n-1), simplifying after
     each step, until the canonical form in degrees >= window.lo + n stops
-    changing between sweeps.  The returned projector carries a passing
-    certificate or the construction raises.
+    changing between sweeps.  Every branch (the identity complex for
+    n <= 1, p2 for n = 2, the sweeps for n >= 3) ends in
+    certified_projector, the one constructor: it sets the reliable band
+    (window.lo + n, inf) and raises DivergenceError unless the certificate
+    passes.
 
     P_2 and each of its blocks are built once per call.  A sweep product is
     generated only inside [window.lo - SWEEP_MARGIN, 0] and simplified as it
@@ -275,10 +300,7 @@ def build_projector(n: int, window: Window) -> ProjectorComplex:
         raise SpinhomError("projector window must contain degree 0")
     win = Window(window.lo, 0)
     if n <= 1:
-        C = cx.identity_complex(n)
-        C = ChainComplex(n, n, Window(win.lo, 0), C.groups, C.diff)
-        cert = check_projector_axioms(C, n, win)
-        return ProjectorComplex(n, win, C, cert)
+        return certified_projector(cx.identity_complex(n), n, win)
     if n == 2:
         return p2(win)
 
@@ -300,17 +322,7 @@ def build_projector(n: int, window: Window) -> ProjectorComplex:
         raise DivergenceError(
             f"projector sweeps for n={n} did not stabilize in {MAX_SWEEPS} rounds"
         )
-    current = ChainComplex(
-        n, n, win, current.groups, current.diff,
-        tail_lo=True, reliable=(win.lo + n, float("inf")),
-    )
-    cert = check_projector_axioms(current, n, win, check_euler=True)
-    if not cert.passed:
-        raise DivergenceError(
-            f"projector construction for n={n} failed certification:\n"
-            + "\n".join(cert.lines())
-        )
-    return ProjectorComplex(n, win, current, cert)
+    return certified_projector(current, n, win)
 
 
 def _clip(C: ChainComplex, window: Window) -> ChainComplex:
@@ -342,9 +354,18 @@ def instantiate(
     unsimplified product exists only as the elimination engine's term
     dicts, never as cobordisms.  A Beside is not simplified.  The result
     is homotopy equivalent to the product of the pieces.
+
+    Invariant: the result is simplified.  Every leaf is (strands,
+    diagrams and projectors hold no circle and no invertible entry), every
+    Stack and Trace is simplified as it is glued, and a Beside or a dual of
+    simplified complexes has no circle and no invertible entry either, so
+    closed_module applies no second simplify.
+
     `projector(n, window)` supplies each P_n: the in-process builder by
-    default, the persistent cache from the CLI.  A projector source that
-    builds P_n deeper than the ambient window, such as
+    default, the persistent cache from the CLI.  Either way P_n comes from
+    certified_projector, so its reliable band is (window.lo + n, inf)
+    whether it was built or loaded.  A projector source that builds P_n
+    deeper than the ambient window, such as
     `lambda n, w: build_projector(n, Window(w.lo - n, 0))`, compensates
     the q-degrees lost when closures cross the truncation cut.
     """
@@ -779,13 +800,12 @@ def closed_module(
     e: ex.NetworkExpr, window: Window, rewrite: bool = True, projector=build_projector,
 ) -> ModuleComplex:
     """The module complex of a closed network: rewrite it (or only expand
-    its vertices), instantiate it (simplifying as it glues), simplify, and
-    apply the tautological functor."""
+    its vertices), instantiate it (which leaves it simplified), and apply
+    the tautological functor."""
     if not ex.is_closed(e):
         raise ArityError("homology/euler need a closed network")
     e = rewrite_network(e) if rewrite else expand_vertices(e)
-    S, _ = cx.simplify(instantiate(e, window, projector))
-    return cx.tautological(S)
+    return cx.tautological(instantiate(e, window, projector))
 
 
 def hom_of_networks(
@@ -898,10 +918,9 @@ def pi_action(f: ChainMap, Q: ChainComplex, P: ProjectorComplex) -> ChainMap:
 def unknot_pairing(F: ChainMap, P: ProjectorComplex) -> dict:
     """phi(F) = Tr(F) . eta: coordinates of a module element of
     q^n tautological(Tr(P))."""
-    TrP = cx.trace_complex(P.complex)
     TrF = cx.trace_chain_map(F)
     # eta: the all-undotted generator on Tr(1_n) in degree 0
-    deg0 = TrP.objects(0)
+    deg0 = TrF.source.objects(0)
     if len(deg0) != 1:
         raise SpinhomError("trace of the projector should have one object in degree 0")
     circles = deg0[0].tangle.circles
@@ -928,7 +947,6 @@ def unknot_action(zeta: dict, P: ProjectorComplex) -> ChainMap:
     n = P.n
     phi, T = absorption_retraction(PC, PC, n)
     index = {prov: p for lay in cx.product_layout(PC, PC).values() for p, prov in enumerate(lay)}
-    TrP = cx.trace_complex(PC)
     hdegs = {k0 for (k0, _, _) in zeta}
     if len(hdegs) != 1:
         raise SpinhomError("zeta must be homogeneous in homological degree")
@@ -937,8 +955,7 @@ def unknot_action(zeta: dict, P: ProjectorComplex) -> ChainMap:
     empty = ShiftedObject(FlatTangle.empty(), 0)
     for (deg0, p0, assign), coeff in zeta.items():
         a_obj = PC.objects(k0)[p0]
-        tr_obj = TrP.objects(k0)[p0]
-        gen = CanonicalCobordism.generator(empty, tr_obj, assign)
+        gen = CanonicalCobordism.generator(empty, cob.trace_object(a_obj), assign)
         for j, objs in PC.groups.items():
             for pb, b_obj in enumerate(objs):
                 key = (k0, j, p0, pb)
@@ -963,8 +980,6 @@ def unknot_action(zeta: dict, P: ProjectorComplex) -> ChainMap:
 
 
 def eta_element(P: ProjectorComplex) -> dict:
-    """The unit of the unknot algebra: n undotted caps in degree 0."""
-    TrP = cx.trace_complex(P.complex)
-    deg0 = TrP.objects(0)
-    circles = deg0[0].tangle.circles
-    return {(0, 0, (0,) * circles): AlphaPoly({0: 1})}
+    """The unit of the unknot algebra: n undotted caps in degree 0, on the
+    one object of Tr(P)^0 = Tr(1_n), which has n circles."""
+    return {(0, 0, (0,) * P.n): AlphaPoly({0: 1})}

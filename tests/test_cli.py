@@ -242,3 +242,153 @@ def test_project_command_builds_p3(tmp_path, capsys):
     rc = cli.main(["project", "3", "--window", "6", "--cache-dir", cdir])
     out2 = capsys.readouterr().out
     assert json.loads(out2) == data
+
+
+def _run(argv, capsys) -> tuple[int, str]:
+    rc = cli.main(argv)
+    return rc, capsys.readouterr().out
+
+
+def test_each_verb_takes_only_its_flags(tmp_path, capsys):
+    cdir = str(tmp_path / "cache")
+    for argv in (["hom", "p(2)", "p(2)", "--verify"],
+                 ["euler", "theta(1,1,2)", "--spec", "alpha1"],
+                 ["rewrite", "p(2)", "--window", "3", "--verify"],
+                 ["rewrite", "p(2)", "--cache-dir", cdir],
+                 ["project", "2", "--spec", "alpha1"],
+                 ["check", "projector", "2", "--verify"],
+                 ["cache", "ls", "--window", "3"],
+                 ["check", "complex", "2"]):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(argv)
+        assert ei.value.code == 2, argv
+    capsys.readouterr()
+
+
+def test_benchmark_argvs_parse():
+    import importlib.util
+    import sys
+
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "run.py")
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = bench  # dataclasses look their module up there
+    try:
+        spec.loader.exec_module(bench)
+    finally:
+        del sys.modules[spec.name]
+    parser = cli.build_arg_parser()
+    argvs = []
+    for workload in bench.WORKLOADS.values():
+        argvs += [argv + ["--cache-dir", "c"] for argv in workload.setup]
+        argvs += [op.resolve("c")["argv"] for op in workload.ops if op.spec["kind"] == "cli"]
+    assert len(argvs) > 10
+    for argv in argvs:
+        parser.parse_args(argv)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_check_reports_like_project(tmp_path, capsys, n):
+    cdir = str(tmp_path / "cache")
+    args = ["projector", str(n), "--window", "4", "--cache-dir", cdir]
+    rc, out = _run(["check", *args], capsys)
+    assert rc == 0
+    checked = json.loads(out)
+    rc, out = _run(["project", *args[1:]], capsys)
+    assert rc == 0
+    projected = json.loads(out)
+    assert checked["certificate"] == projected["certificate"]
+    assert checked["passed"] is projected["passed"] is True
+    has_euler = any(line.startswith("euler") for line in checked["certificate"])
+    assert has_euler == (n >= 2)
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    import subprocess
+    import sys
+
+    r, w = os.pipe()
+    os.close(r)  # every write to stdout now fails with EPIPE
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "spinhom.cli", "check", "projector", "0",
+             "--window", "6", "--cache-dir", str(tmp_path / "cache")],
+            stdout=w, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "hom(p(2),p(2))", "--window", "6"],
+    ["homology", "theta(1,1,2)", "--window", "6"],
+    ["homology", "tr(p(2))", "--window", "4"],
+    ["hom", "p(2)", "p(2)", "--window", "6"],
+])
+def test_cold_run_equals_warm_run(tmp_path, capsys, argv):
+    # a built projector and the same projector read back from the cache
+    # carry one band, so both runs mark the same entries unreliable
+    argv = argv + ["--cache-dir", str(tmp_path / "cache")]
+    cold = _run(argv, capsys)
+    assert cold[0] == 0
+    assert _run(argv, capsys) == cold
+
+
+@pytest.mark.parametrize("spec", ["alpha0", "alpha1"])
+@pytest.mark.parametrize("a", ["p(3)", "vertex(2,1,1)"])
+def test_hom_prints_the_homology_report(tmp_path, capsys, a, spec):
+    flags = ["--window", "4", "--spec", spec, "--cache-dir", str(tmp_path / "cache")]
+    hom = _run(["hom", a, a, *flags], capsys)
+    assert hom[0] == 0
+    assert _run(["homology", f"hom({a},{a})", *flags], capsys) == hom
+
+
+def test_cache_entry_with_margin_loads(tmp_path):
+    # entries written before Certificate lost its margin (always n) load as
+    # they are: no rebuild, no rewrite
+    cdir = str(tmp_path / "cache")
+    P = cli.cached_projector(3, Window(-4, 0), cdir)
+    (name,) = os.listdir(cdir)
+    path = os.path.join(cdir, name)
+    with open(path) as fh:
+        entry = json.load(fh)
+    assert "margin" not in entry["value"]["cert"]
+    entry["value"]["cert"]["margin"] = 3
+    entry["hash"] = cli._digest(entry["value"])
+    old = json.dumps(entry)
+    with open(path, "w") as fh:
+        fh.write(old)
+    Q = cli.cached_projector(3, Window(-4, 0), cdir)
+    with open(path) as fh:
+        assert fh.read() == old
+    assert Q.certificate == P.certificate
+    assert ser.complex_to_data(Q.complex) == ser.complex_to_data(P.complex)
+    assert Q.complex.reliable == P.complex.reliable == (-1, float("inf"))
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    import shlex
+
+    path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(path) as fh:
+        text = fh.read()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv[1:] for argv in commands if argv and argv[0] == "spinhom"]
+
+
+def test_readme_cli_examples_cold_and_warm(tmp_path, capsys):
+    # each example twice against one fresh cache: exit 0, the same stdout
+    commands = _readme_cli_commands()
+    assert len(commands) >= 7
+    cdir = str(tmp_path / "cache")
+    for argv in commands:
+        if argv[0] != "rewrite":
+            argv = argv + ["--cache-dir", cdir]
+        cold = _run(argv, capsys)
+        assert cold[0] == 0, argv
+        assert _run(argv, capsys) == cold, argv

@@ -7,7 +7,11 @@ witnesses homotopy_witness returns.  They were recorded from the three
 separate builders that the one Hom engine replaced (tautological,
 hom_complex_direct and homotopy_witness, each with its own basis loop and
 its own composition with the differential); any change to a basis order,
-an entry or a band changes a digest.
+an entry or a band changes a digest.  tautological_theta was re-recorded
+when a built P_n got the band (window.lo + n, inf) that a cached one
+already had (projector.certified_projector): the theta(2,2,2) module's
+band went from (-5, inf) to (-4, inf), theta(1,2,3)'s stayed (-3, inf),
+and without the bands the records hash as before.
 
 Each SDR digest (the `sdr_` records) is a SHA-256 over a serialized complex
 with its labels (the small one, or the product that absorption_retraction
@@ -39,7 +43,7 @@ from spinhom.serialize import cobordism_to_data, complex_to_data
 PINNED_SHA256 = {
     "hom_p2_w6": "4baa416219586705fa69accbeaf4dd0948bc07c0932ff09718068f6d8c3bf54a",
     "hom_p3_w5": "6cc61a2817d35e6646850576572f6157f8c95e088fa887feff997d3d7fd67169",
-    "tautological_theta": "0c13547aa6540ee9a5ba1869fcac0890bc27098c990dac29d8eafae61d02c18c",
+    "tautological_theta": "6d02072c2737b9dd169cc27f1935eb46ada5e4856ec50dca4f2fbc8896d7d126",
     "homotopy_witness": "9ec5a181bea2dc583acca42da6794b2890811a8588ca7725bdc04b57030d5253",
     "sdr_absorption_p3": "cfd89d1d166bcf76ce3b71ebe202c7104601fa8dced9ff0ab59d64302299a624",
     "sdr_random": "3d18c8c34bafbf9d6cda3f3c727cacebee0201650ea73ddddf3ef2453ffd43cd",

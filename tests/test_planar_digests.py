@@ -10,6 +10,11 @@ summand layout and took a totalization mode, cob.stack kept a
 morphism-level cache and a vertex had its own builder beside the
 decomposition expand_vertices writes; any change to an object, its summand
 order, an entry, a sign, the mode or the band changes a digest.
+
+beside_p2_w6, vertex_112_w6 and vertex_222_w4_deepen were re-recorded when
+a built P_n got the band (window.lo + n, inf) that a cached one already had
+(projector.certified_projector); their band went from (-5, inf) to
+(-4, inf), and without it each record hashes as before.
 """
 
 import hashlib
@@ -25,12 +30,12 @@ from spinhom.complexes import Window
 from spinhom.serialize import complex_to_data
 
 PINNED_SHA256 = {
-    "beside_p2_w6": "1e85ff7e9619eb8b3993506d5257ed6140bb16f0a0a24cfa22aaf5511225c530",
+    "beside_p2_w6": "6f30be2ad1fc1e8a4cbd54cf2c06fbdc5875ad2379ec1abc4c6830fe143d7848",
     "hom_product_p2_w6": "b6625cbfca6db34949a7bc2afff8a29e5d19f099f26e2f3da0c76405447e0003",
     "stack_p3_w5": "2ce594100538a38df44a905af3bafdac7d1e9467d7b6235b21dd9a7e4e3ea8c8",
     "trace_p3_w5": "1717fd5abeb0d67c45c20fee5e9fc3c8509f6078f7019f87c3d4fde86cf21c86",
-    "vertex_112_w6": "50a62651b9b373616e9f933e38bbdb7c0484dbae61d107d91f53009f572edf81",
-    "vertex_222_w4_deepen": "2a27e3d8b444036104908d7d6a99d24569bc7d46b69f50aea64d0f27d2d93a8a",
+    "vertex_112_w6": "116a5a025004545512dd490adca67ab9257d7fb5d3879b88c363d743893c8adf",
+    "vertex_222_w4_deepen": "b5a6cac904e7cbab23d6a62c9326632f8f372e084ad93b3d65b6bae44df0d9a0",
 }
 
 

@@ -336,3 +336,46 @@ def test_hom_of_equal_colored_inets_nonzero(w8):
     module = pj.hom_of_networks(N, N, w8)
     T = homology_table(module, "alpha0")
     assert T.rank(0, 0) >= 1
+
+
+def test_unknot_maps_build_one_trace(monkeypatch):
+    # Tr(P)^0 is Tr(1_n), so eta needs no trace; the action reads the
+    # traced objects one by one; the pairing traces P once, for Tr(F)
+    P = pj.build_projector(2, Window(-6, 0))
+    v = pj.v_map(P.complex)
+    calls = []
+    trace = cx.trace_complex
+    monkeypatch.setattr(cx, "trace_complex", lambda C: calls.append(C) or trace(C))
+    eta = pj.eta_element(P)
+    assert calls == []
+    pj.unknot_action(eta, P)
+    assert calls == []
+    pj.unknot_pairing(v, P)
+    assert len(calls) == 1
+    assert eta == {(0, 0, (0, 0)): AlphaPoly({0: 1})}
+
+
+def test_instantiate_leaves_closed_networks_simplified():
+    # no circle to deloop and no invertible entry to cancel, so
+    # closed_module applies no second simplify
+    from helpers import closed_networks_leq3
+
+    from spinhom import cob
+
+    for name, e in closed_networks_leq3():
+        C = pj.instantiate(pj.rewrite_network(e), Window(-6, 0))
+        for objs in C.groups.values():
+            assert all(o.tangle.circles == 0 for o in objs), name
+        for mat in C.diff.values():
+            for f in mat.values():
+                assert cob.iso_sign(f.source, f.target, f.terms) is None, name
+
+
+def test_every_projector_has_the_band_of_its_window():
+    # built or loaded, P_n@W carries reliable = (W.lo + n, inf), a tail
+    # below for n >= 2, and an Euler comparison for n >= 2 only
+    for n in range(4):
+        P = pj.build_projector(n, Window(-5, 0))
+        assert P.complex.reliable == (-5 + n, float("inf"))
+        assert P.complex.tail_lo == (n >= 2)
+        assert (P.certificate.euler_ok is None) == (n < 2)

@@ -280,6 +280,7 @@ TEST_ONLY = {
     "complexes.reflect_y_complex",
     "complexes.shift_h",
     "complexes.shift_q",
+    "complexes.simplify",
     "complexes.stack_chain_maps",
     "complexes.stack_complexes",
     "complexes.trace_chain_map",
