@@ -308,24 +308,21 @@ def _table_data(T: HomologyTable) -> dict:
 
 
 def _print_report(data: dict, fmt: str) -> None:
+    """JSON is the contract.  Text is for reading: one `key: value` line
+    per scalar, `- value` per list item, a nested container indented under
+    its key (or a bare `-`), and an empty one as `[]` or `{}`."""
     if fmt == "json":
         print(json.dumps(data, sort_keys=True, indent=2))
         return
-    def walk(d, indent=0):
-        pad = "  " * indent
-        if isinstance(d, dict):
-            for k in sorted(d):
-                v = d[k]
-                if isinstance(v, (dict, list)):
-                    print(f"{pad}{k}:")
-                    walk(v, indent + 1)
-                else:
-                    print(f"{pad}{k}: {v}")
-        elif isinstance(d, list):
-            for v in d:
-                walk(v, indent)
-        else:
-            print(f"{pad}{d}")
+    def walk(d, pad=""):
+        items = sorted(d.items()) if isinstance(d, dict) else [(None, v) for v in d]
+        for k, v in items:
+            head = f"{pad}-" if k is None else f"{pad}{k}:"
+            if isinstance(v, (dict, list)) and v:
+                print(head)
+                walk(v, pad + "  ")
+            else:
+                print(f"{head} {json.dumps(v) if isinstance(v, (dict, list)) else v}")
     walk(data)
 
 

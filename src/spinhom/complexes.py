@@ -1157,27 +1157,16 @@ def bicomplex_contraction(A: ChainComplex, B: ChainComplex, h: ChainMap, mode: s
     h is the column nulhomotopy, a ChainMap of hdeg -1 on T that keeps i,
     with 1 = d_v h + h d_v; d_h = T(d_A, 1) is the part of T's differential
     that raises i.  The quadrant precondition from the appendix is
-    enforced: sum-mode needs no support in quadrant IV (i > 0, j < 0),
-    product-mode none in quadrant II (i < 0, j > 0).  Tails count as
-    support: for IV, A.tail_hi together with B.tail_hi, with some i > 0 or
-    with an empty product, and B.tail_hi with some j < 0 or with an empty
-    product; for II, A.tail_lo together with B.tail_lo or with some i < 0,
-    and B.tail_lo with some j > 0.
+    enforced on the supports of A (index i) and B (index j), a tail
+    counting as support out to infinity (_support_bounds): sum mode needs
+    no support in quadrant IV (i > 0, j < 0), product mode none in quadrant
+    II (i < 0, j > 0).
     """
-    a_pos, a_neg = any(i > 0 for i in A.groups), any(i < 0 for i in A.groups)
-    b_pos, b_neg = any(j > 0 for j in B.groups), any(j < 0 for j in B.groups)
-    full = bool(A.groups and B.groups)
-    if mode == "sum" and (
-        a_pos and b_neg
-        or A.tail_hi and (B.tail_hi or a_pos or not full)
-        or B.tail_hi and (b_neg or not full)
-    ):
+    lo_a, hi_a = _support_bounds(A)
+    lo_b, hi_b = _support_bounds(B)
+    if mode == "sum" and hi_a > 0 and lo_b < 0:
         raise SpinhomError("sum-mode contraction requires no quadrant-IV support")
-    if mode == "product" and (
-        a_neg and b_pos
-        or A.tail_lo and (B.tail_lo or full and a_neg)
-        or B.tail_lo and full and b_pos
-    ):
+    if mode == "product" and lo_a < 0 and hi_b > 0:
         raise SpinhomError("product-mode contraction requires no quadrant-II support")
     T = stack_complexes(A, B)
     if h.hdeg != -1 or h.source.groups != T.groups or h.target.groups != T.groups:
@@ -1198,34 +1187,31 @@ def bicomplex_contraction(A: ChainComplex, B: ChainComplex, h: ChainMap, mode: s
 # Homotopy detection at alpha = 0
 
 
-def homotopy_witness(
-    F: ChainMap, G: ChainMap, eq_lo: float = NEG_INF, eq_hi: float = POS_INF
-) -> dict | None:
-    """An integer solution H (alpha = 0) of F - G = [d, H], or None.
+def homotopic_alpha0(F: ChainMap, G: ChainMap, lo: float = NEG_INF, hi: float = POS_INF) -> bool:
+    """Whether F - G = [d, H] has an integer solution H at alpha = 0.
 
     The equation is imposed only on components whose source degree lies in
-    [eq_lo, eq_hi]; the candidate homotopy ranges over all degrees.  This
-    is the honest window-interior statement of "F and G are homotopic".
-    [d, -] is the Hom engine's, from the q-degree F.qdeg generators of
-    Hom^{h-1} to those of Hom^h, h = hdeg, at alpha^0.  The witness is
-    returned as {(degree, posA, posB, assign): coeff} for a map of
-    homological degree hdeg - 1.
+    [lo, hi]; the candidate homotopy ranges over all degrees.  This is the
+    honest window-interior statement of "F and G are homotopic".  [d, -] is
+    the Hom engine's, from the q-degree F.qdeg generators of Hom^{h-1} to
+    those of Hom^h, h = hdeg, at alpha^0; only solvability is decided
+    (homology.in_column_lattice), no H is built.
     """
-    from .homology import IntMatrix, solve_integer
+    from .homology import IntMatrix, in_column_lattice
 
     if (F.hdeg, F.qdeg) != (G.hdeg, G.qdeg):
         raise DimensionError("homotopy comparison needs equal bidegrees")
     A, B = F.source, F.target
     h = F.hdeg
 
-    def basis(t: int, lo: float, hi: float) -> list[tuple]:
+    def basis(t: int, first: float, last: float) -> list[tuple]:
         return [
             label for label, q in _hom_basis(A, B, t)
-            if q == F.qdeg and lo <= label[0][0] <= hi
+            if q == F.qdeg and first <= label[0][0] <= last
         ]
 
     src_basis = basis(h - 1, NEG_INF, POS_INF)
-    rows = {label: r for r, label in enumerate(basis(h, eq_lo, eq_hi))}
+    rows = {label: r for r, label in enumerate(basis(h, lo, hi))}
     entries = {
         rc: poly.coeffs.get(0, 0) for rc, poly in _hom_d(A, B, h - 1, src_basis, rows).items()
     }
@@ -1240,20 +1226,6 @@ def homotopy_witness(
                 label = ((k, c), (k + h, r), assign)
                 if label in rows:
                     vec[rows[label]] = v
-                elif eq_lo <= k <= eq_hi:
-                    return None
-    x = solve_integer(IntMatrix(len(rows), len(src_basis), entries), vec)
-    if x is None:
-        return None
-    return {
-        (i, pa, pb, assign): x[p]
-        for p, ((i, pa), (_j, pb), assign) in enumerate(src_basis)
-        if x[p]
-    }
-
-
-def homotopic_alpha0(F: ChainMap, G: ChainMap, lo: float = NEG_INF, hi: float = POS_INF) -> bool:
-    """Whether F - G = [d, H] is integrally solvable at alpha = 0, with the
-    equation imposed on source degrees in [lo, hi] only."""
-    return homotopy_witness(F, G, eq_lo=lo, eq_hi=hi) is not None
-
+                elif lo <= k <= hi:
+                    return False
+    return in_column_lattice(IntMatrix(len(rows), len(src_basis), entries), vec)

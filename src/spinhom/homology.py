@@ -1,13 +1,15 @@
-"""Exact homology of free Z[alpha]-module complexes via Smith normal form.
+"""Exact homology of free Z[alpha]-module complexes.
 
 ModuleComplex is the image of the tautological TQFT: free modules with a
 named basis carrying (homological degree, q-degree), and differentials
 with alpha-polynomial entries (alpha has q-degree 4, so an entry with
 alpha^e connects basis q-degrees differing by 4e).
 
-Specializations: alpha = 0 over Z keeps the bigrading and integral torsion;
-alpha = 1 over Q collapses the q-grading and reports ranks per homological
-degree only.
+Specializations: alpha = 0 over Z keeps the bigrading and integral
+torsion, read off the invariant factors of each q-block of the
+differential (smith_normal_form, a sparse elimination that keeps no
+transforms); alpha = 1 over Q collapses the q-grading and reports ranks
+per homological degree only (rank_over_q).
 """
 
 from __future__ import annotations
@@ -35,154 +37,85 @@ class IntMatrix:
     def __getitem__(self, rc: tuple[int, int]) -> int:
         return self.entries.get(rc, 0)
 
-    def dense(self) -> list[list[int]]:
-        M = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            M[r][c] = v
-        return M
-
-    @staticmethod
-    def from_dense(M: list[list[int]]) -> "IntMatrix":
-        rows = len(M)
-        cols = len(M[0]) if rows else 0
-        return IntMatrix(rows, cols, {(r, c): M[r][c] for r in range(rows) for c in range(cols)})
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise IntegrityError("matrix dimension mismatch")
-        by_row: dict[int, list[tuple[int, int]]] = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        acc: dict[tuple[int, int], int] = {}
-        for (r, k), v in self.entries.items():
-            for c, w in by_row.get(k, ()):
-                acc[(r, c)] = acc.get((r, c), 0) + v * w
-        return IntMatrix(self.rows, other.cols, acc)
 
-    def is_zero(self) -> bool:
-        return not self.entries
+def smith_normal_form(M: IntMatrix) -> list[int]:
+    """The nonzero invariant factors d_1 | d_2 | ... of M, all positive.
 
-
-def _identity_dense(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(M: IntMatrix) -> tuple[list[int], IntMatrix, IntMatrix]:
-    """Invariant factors d_1 | d_2 | ... plus unimodular U, V with U M V = D.
-
-    Fraction-free row/column reduction, pivoting on a minimal-absolute-value
-    entry to limit coefficient growth.
+    Sparse elimination on rows {col: value}, with a set of rows per column.
+    Each step pivots on an entry p of least absolute value (in the shortest
+    such row) and reduces every other row meeting its column by the
+    quotient of floor division by p.  Once that column holds p alone,
+    column operations change only the pivot row: if p divides the row, p
+    splits off as a diagonal entry; otherwise the row is reduced modulo p,
+    leaving an entry smaller than p for the next step.  The diagonal is put
+    into the divisibility chain by pairwise gcd/lcm, since diag(a, b) and
+    diag(gcd, lcm) are equivalent.  No transforms are kept.
     """
-    A = M.dense()
-    rows, cols = M.rows, M.cols
-    U = _identity_dense(rows)
-    V = _identity_dense(cols)
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        Ai, Aj = A[i], A[j]
-        for c in range(cols):
-            Ai[c] -= q * Aj[c]
-        Ui, Uj = U[i], U[j]
-        for c in range(rows):
-            Ui[c] -= q * Uj[c]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(rows):
-            A[r][i] -= q * A[r][j]
-        for r in range(cols):
-            V[r][i] -= q * V[r][j]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(cols):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        # find minimal nonzero |entry| in the remaining block
-        pivot = None
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for (r, c), v in M.entries.items():
+        rows.setdefault(r, {})[c] = v
+        cols.setdefault(c, set()).add(r)
+    diagonal = []
+    while rows:
         best = None
-        for r in range(t, rows):
-            Ar = A[r]
-            for c in range(t, cols):
-                v = Ar[c]
-                if v:
-                    a = abs(v)
-                    if best is None or a < best:
-                        best, pivot = a, (r, c)
-                        if a == 1:
-                            break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            p = A[t][t]
-            done = True
-            for r in range(t + 1, rows):
-                if A[r][t]:
-                    q = A[r][t] // p
-                    row_op(r, t, q)
-                    if A[r][t]:
-                        swap_rows(t, r)
-                        done = False
-                        p = A[t][t]
-            for c in range(t + 1, cols):
-                if A[t][c]:
-                    q = A[t][c] // p
-                    col_op(c, t, q)
-                    if A[t][c]:
-                        swap_cols(t, c)
-                        done = False
-                        p = A[t][t]
-            if done:
-                break
-        t += 1
+        for r, row in rows.items():
+            key = (min(map(abs, row.values())), len(row))
+            if best is None or key < best:
+                best, at = key, r
+                if key == (1, 1):
+                    break
+        pivot_row = rows[at]
+        c, p = next((c, v) for c, v in pivot_row.items() if abs(v) == best[0])
+        for r in cols[c] - {at}:
+            row = rows[r]
+            q = row[c] // p
+            for k, v in pivot_row.items():
+                w = row.get(k, 0) - q * v
+                if w:
+                    row[k] = w
+                    cols[k].add(r)
+                else:
+                    del row[k]
+                    cols[k].discard(r)
+            if not row:
+                del rows[r]
+        if len(cols[c]) > 1:
+            continue  # a remainder below |p| is left in column c
+        if all(v % p == 0 for v in pivot_row.values()):
+            diagonal.append(abs(p))
+            for k in pivot_row:
+                cols[k].discard(at)
+            del rows[at]
+            continue
+        for k, v in list(pivot_row.items()):
+            if k != c:
+                w = v % p
+                if w:
+                    pivot_row[k] = w
+                else:
+                    del pivot_row[k]
+                    cols[k].discard(at)
+    chain = sorted(diagonal)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            a, b = chain[i], chain[j]
+            if b % a:
+                g = gcd(a, b)
+                chain[i], chain[j] = g, a // g * b
+    return chain
 
-    # enforce divisibility chain
-    r = 0
-    while r < limit and A[r][r]:
-        r += 1
-    rank = r
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if b % a != 0:
-                # standard 2x2 fix: add col i+1 to col i, reduce
-                col_op(i, i + 1, -1)
-                while True:
-                    p = A[i][i]
-                    q = A[i + 1][i] // p if p else 0
-                    row_op(i + 1, i, q)
-                    if A[i + 1][i]:
-                        swap_rows(i, i + 1)
-                    else:
-                        break
-                for c in range(i + 1, cols):
-                    if A[i][c]:
-                        col_op(c, i, A[i][c] // A[i][i])
-                changed = True
-        for i in range(rank):
-            if A[i][i] < 0:
-                for c in range(cols):
-                    A[i][c] = -A[i][c]
-                for c in range(rows):
-                    U[i][c] = -U[i][c]
-    factors = [A[i][i] for i in range(rank)]
-    return factors, IntMatrix.from_dense(U), IntMatrix.from_dense(V)
+
+def in_column_lattice(M: IntMatrix, b: list[int]) -> bool:
+    """Whether M x = b has an integer solution x: b lies in the column
+    lattice of M exactly when adding b as a column leaves the invariant
+    factors unchanged."""
+    extended = dict(M.entries)
+    extended.update({(r, M.cols): v for r, v in enumerate(b) if v})
+    return smith_normal_form(M) == smith_normal_form(IntMatrix(M.rows, M.cols + 1, extended))
 
 
 def rank_over_q(M: IntMatrix) -> int:
@@ -237,21 +170,6 @@ def rank_over_q(M: IntMatrix) -> int:
             rest.append(row)
         active = rest
     return rank
-
-
-def solve_integer(M: IntMatrix, b: list[int]) -> list[int] | None:
-    """One integer solution x of M x = b, or None if unsolvable over Z."""
-    factors, U, V = smith_normal_form(M)
-    Ub = [sum(U[(r, c)] * b[c] for c in range(M.rows)) for r in range(M.rows)]
-    y = [0] * M.cols
-    for i in range(M.rows):
-        if i < len(factors):
-            if Ub[i] % factors[i] != 0:
-                return None
-            y[i] = Ub[i] // factors[i]
-        elif Ub[i] != 0:
-            return None
-    return [sum(V[(r, c)] * y[c] for c in range(M.cols)) for r in range(M.cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +317,7 @@ def homology_table(C: ModuleComplex, specialization: str = "alpha0") -> Homology
         # One Smith normal form per q-block of each d^k: its factors give
         # both the rank leaving C^k and the image entering C^{k+1}.
         factors = {
-            k: {q: smith_normal_form(M)[0] for q, M in C.blocks_at_alpha0(k).items()}
+            k: {q: smith_normal_form(M) for q, M in C.blocks_at_alpha0(k).items()}
             for k in C.diff
         }
         for k in degrees:

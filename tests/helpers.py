@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
+from math import gcd
 
 from spinhom import complexes as cx
 from spinhom import tl
@@ -179,9 +181,59 @@ def tables_equal(t1, t2, lo=float("-inf"), hi=float("inf")) -> bool:
 # spinhom.homology replaced, kept here as independent oracles.
 
 
+def int_matrix(rows: list[list[int]]):
+    """The IntMatrix of a dense list of rows."""
+    from spinhom.homology import IntMatrix
+
+    return IntMatrix(len(rows), len(rows[0]) if rows else 0, {
+        (r, c): v for r, row in enumerate(rows) for c, v in enumerate(row) if v
+    })
+
+
+def _dense(M) -> list[list[int]]:
+    return [[M[(r, c)] for c in range(M.cols)] for r in range(M.rows)]
+
+
+def _bareiss_det(A: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    A = [row[:] for row in A]
+    n, sign, prev = len(A), 1, 1
+    for k in range(n):
+        pr = next((i for i in range(k, n) if A[i][k]), None)
+        if pr is None:
+            return 0
+        if pr != k:
+            A[k], A[pr] = A[pr], A[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[k][k] * A[i][j] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * prev if n else 1
+
+
+def determinantal_factors(M) -> list[int]:
+    """The nonzero invariant factors of M as d_k / d_{k-1}, where d_k is the
+    gcd of the k x k minors (d_0 = 1): no elimination of M itself, so it
+    shares nothing with smith_normal_form or rank_over_q.  Exponential in
+    the size; meant for matrices of at most about 6 x 6."""
+    A = _dense(M)
+    out, prev = [], 1
+    for k in range(1, min(M.rows, M.cols) + 1):
+        d = 0
+        for rs in combinations(range(M.rows), k):
+            for cs in combinations(range(M.cols), k):
+                d = gcd(d, _bareiss_det([[A[r][c] for c in cs] for r in rs]))
+        if not d:
+            break
+        out.append(d // prev)
+        prev = d
+    return out
+
+
 def dense_rank_over_q(M) -> int:
     """Rank over Q by dense fraction-free Gaussian elimination (Bareiss)."""
-    A = [row[:] for row in M.dense()]
+    A = _dense(M)
     rows, cols = M.rows, M.cols
     rank = 0
     prev = 1
@@ -255,7 +307,7 @@ def reference_homology_table(C, specialization: str = "alpha0"):
             for q in sorted(set(C.qdegs(k))):
                 n_gens = sum(1 for qq in C.qdegs(k) if qq == q)
                 rank_out = dense_rank_over_q(reference_matrix_at_alpha0(C, k, q))
-                factors, _, _ = smith_normal_form(reference_matrix_at_alpha0(C, k - 1, q))
+                factors = smith_normal_form(reference_matrix_at_alpha0(C, k - 1, q))
                 free = n_gens - rank_out - len(factors)
                 tors = tuple(f for f in factors if f not in (0, 1))
                 if free or tors:

@@ -185,6 +185,58 @@ def test_homology_command_schema(tmp_path, capsys):
     assert data["table"]["entries"]["-2,6"]["torsion"] == [2]
 
 
+def _read_text_report(lines: list[str], pad: str = "", at: int = 0):
+    """A --format text report read back into dicts and lists of strings:
+    `key: value`, `- value` (or a bare `-`) per list item, `[]` and `{}`
+    for empty containers, nested ones indented by two spaces."""
+    out = None
+    while at < len(lines) and lines[at].startswith(pad) and lines[at][len(pad)] != " ":
+        body = lines[at][len(pad):]
+        if body == "-" or body.startswith("- "):
+            out, key, rest = out or [], None, body[2:]
+        else:
+            key, _, rest = body.partition(": " if ": " in body else ":")
+            out = out or {}
+        at += 1
+        if rest:
+            value = {"[]": [], "{}": {}}.get(rest, rest)
+        else:
+            value, at = _read_text_report(lines, pad + "  ", at)
+        if key is None:
+            out.append(value)
+        else:
+            out[key] = value
+    return out, at
+
+
+def _as_text_scalars(data):
+    if isinstance(data, dict):
+        return {k: _as_text_scalars(v) for k, v in data.items()}
+    if isinstance(data, list):
+        return [_as_text_scalars(v) for v in data]
+    return str(data)
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "tr(p(2))", "--window", "2"],
+    ["homology", "hom(p(2),p(2))", "--window", "4"],
+    ["project", "2", "--window", "2"],
+])
+def test_text_report_reads_back(tmp_path, capsys, argv):
+    cdir = ["--cache-dir", str(tmp_path / "cache")]
+    assert cli.main(argv + cdir) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert cli.main(argv + cdir + ["--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert _read_text_report(lines) == (_as_text_scalars(data), len(lines))
+    if argv[1] == "tr(p(2))":
+        assert lines[3:7] == [
+            "    -2,2:", "      rank: 1", "      torsion: []", "      unreliable: True",
+        ]
+    elif argv[1].startswith("hom"):
+        assert "      torsion:\n        - 2" in "\n".join(lines)
+
+
 def test_homology_verify_mode(tmp_path, capsys):
     cdir = str(tmp_path / "cache")
     rc = cli.main(

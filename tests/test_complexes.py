@@ -410,6 +410,35 @@ def test_bicomplex_quadrant_preconditions():
         bicomplex_contraction(A, B0, ChainMap.zero(A, A, -1), "sum")
 
 
+def test_bicomplex_quadrant_rule_matches_brute_force():
+    # Every pair of supports of size <= 2 in -2..2, under all 16 tail
+    # combinations: the rule refuses exactly when some stored degree or
+    # tail of A and of B lands in the forbidden quadrant, a tail standing
+    # for degrees beyond +-2 on its side.
+    o = ShiftedObject(FlatTangle.identity(1), 0)
+    supports = [s for size in range(3) for s in itertools.combinations(range(-2, 3), size)]
+
+    def degrees(support, tail_lo, tail_hi):
+        return set(support) | ({-3} if tail_lo else set()) | ({3} if tail_hi else set())
+
+    def refused(A, B, mode):
+        try:
+            bicomplex_contraction(A, B, ChainMap.zero(A, A, -1), mode)
+        except SpinhomError as err:
+            return "quadrant" in str(err)
+        return False
+
+    for sa, sb in itertools.product(supports, supports):
+        for tails in itertools.product((False, True), repeat=4):
+            A = ChainComplex(1, 1, Window(-2, 2), {i: [o] for i in sa}, {}, "sum", *tails[:2])
+            B = ChainComplex(1, 1, Window(-2, 2), {j: [o] for j in sb}, {}, "sum", *tails[2:])
+            da, db = degrees(sa, *tails[:2]), degrees(sb, *tails[2:])
+            quadrant_iv = any(i > 0 for i in da) and any(j < 0 for j in db)
+            quadrant_ii = any(i < 0 for i in da) and any(j > 0 for j in db)
+            assert refused(A, B, "sum") == quadrant_iv, (sa, sb, tails)
+            assert refused(A, B, "product") == quadrant_ii, (sa, sb, tails)
+
+
 def test_planar_reordering_isomorphic():
     # different association orders give complexes with equal graded ranks
     # and equal closed homology

@@ -1,17 +1,17 @@
-"""Pinned digests of the Hom complexes, the alpha = 0 homotopy witnesses
-and the strong deformation retractions (SDRs) of the elimination engine.
+"""Pinned digests of the Hom complexes and the strong deformation
+retractions (SDRs) of the elimination engine.
 
 Each Hom digest is a SHA-256 over the q-degree lists (in basis order), the
-differential entries and the reliable band of a module complex, or over the
-witnesses homotopy_witness returns.  They were recorded from the three
-separate builders that the one Hom engine replaced (tautological,
-hom_complex_direct and homotopy_witness, each with its own basis loop and
-its own composition with the differential); any change to a basis order,
-an entry or a band changes a digest.  tautological_theta was re-recorded
-when a built P_n got the band (window.lo + n, inf) that a cached one
-already had (projector.certified_projector): the theta(2,2,2) module's
-band went from (-5, inf) to (-4, inf), theta(1,2,3)'s stayed (-3, inf),
-and without the bands the records hash as before.
+differential entries and the reliable band of a module complex.  They were
+recorded from the separate builders that the one Hom engine replaced
+(tautological, hom_complex_direct and the alpha = 0 homotopy test, each
+with its own basis loop and its own composition with the differential);
+any change to a basis order, an entry or a band changes a digest.
+tautological_theta was re-recorded when a built P_n got the band
+(window.lo + n, inf) that a cached one already had
+(projector.certified_projector): the theta(2,2,2) module's band went from
+(-5, inf) to (-4, inf), theta(1,2,3)'s stayed (-3, inf), and without the
+bands the records hash as before.
 
 Each SDR digest (the `sdr_` records) is a SHA-256 over a serialized complex
 with its labels (the small one, or the product that absorption_retraction
@@ -37,14 +37,13 @@ from spinhom import complexes as cx
 from spinhom import expr as ex
 from spinhom import projector as pj
 from spinhom.cob import FlatTangle
-from spinhom.complexes import ChainMap, Window
+from spinhom.complexes import Window
 from spinhom.serialize import cobordism_to_data, complex_to_data
 
 PINNED_SHA256 = {
     "hom_p2_w6": "4baa416219586705fa69accbeaf4dd0948bc07c0932ff09718068f6d8c3bf54a",
     "hom_p3_w5": "6cc61a2817d35e6646850576572f6157f8c95e088fa887feff997d3d7fd67169",
     "tautological_theta": "6d02072c2737b9dd169cc27f1935eb46ada5e4856ec50dca4f2fbc8896d7d126",
-    "homotopy_witness": "9ec5a181bea2dc583acca42da6794b2890811a8588ca7725bdc04b57030d5253",
     "sdr_absorption_p3": "cfd89d1d166bcf76ce3b71ebe202c7104601fa8dced9ff0ab59d64302299a624",
     "sdr_random": "3d18c8c34bafbf9d6cda3f3c727cacebee0201650ea73ddddf3ef2453ffd43cd",
     "sdr_simplify_theta": "98a3b5b60bc8d072b700e8596b2e85d76219828bc5226befca5e2e38e17603e2",
@@ -97,15 +96,6 @@ def _records(name: str):
             e = pj.rewrite_network(ex.theta(*labels))
             S, _ = cx.simplify(pj.instantiate(e, Window(-6, 0)))
             yield _module(cx.tautological(S))
-    elif name == "homotopy_witness":
-        # the maps of test_complexes.test_homotopic_alpha0_basics
-        P = pj.p2(Window(-6, 0)).complex
-        b1, b2 = pj.dot_maps(P)
-        one = ChainMap.identity(P)
-        zero = ChainMap.zero(P, P, 0, 2)
-        for F, G, lo in ((b1 + b2, zero, -4), (b1, zero, -4), (one, one, cx.NEG_INF)):
-            w = cx.homotopy_witness(F, G, eq_lo=lo)
-            yield repr(None if w is None else sorted(w.items()))
     elif name == "sdr_simplify_theta":
         C = reference_instantiate(pj.rewrite_network(ex.theta(2, 2, 2)), Window(-6, 0))
         S, eq = cx.simplify(C, want_equivalence=True)
