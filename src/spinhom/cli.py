@@ -242,7 +242,7 @@ def _digest(obj) -> str:
 
 def _atomic_write(path: str, data: str) -> None:
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path))
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(path))
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
@@ -266,7 +266,7 @@ def _read_cached(path: str, n: int, window: Window) -> pj.ProjectorComplex | Non
         if entry.get("code") != CODE_VERSION or entry.get("hash") != _digest(value):
             return None
         C = ser.complex_from_data(value["complex"])
-        cert = pj.Certificate.from_data(n, window, value["cert"])
+        cert = pj.Certificate.from_data(n, value["cert"])
     except (OSError, ValueError, LookupError, TypeError, AttributeError):
         return None
     if not cert.passed:
@@ -452,16 +452,14 @@ def cmd_rewrite(args) -> dict:
 
 def cmd_cache(args) -> dict:
     d = cache_dir(args.cache_dir)
+    files = sorted(os.listdir(d)) if os.path.isdir(d) else []
     if args.action == "ls":
-        files = sorted(os.listdir(d)) if os.path.isdir(d) else []
-        return {"dir": d, "entries": files}
-    removed = 0
-    if os.path.isdir(d):
-        for f in sorted(os.listdir(d)):
-            if f.endswith(".json"):
-                os.unlink(os.path.join(d, f))
-                removed += 1
-    return {"dir": d, "removed": removed}
+        return {"dir": d, "entries": [f for f in files if f.endswith(".json")]}
+    # a .tmp file is a write that was killed before its rename
+    removed = [f for f in files if f.endswith((".json", ".tmp"))]
+    for f in removed:
+        os.unlink(os.path.join(d, f))
+    return {"dir": d, "removed": len(removed)}
 
 
 def _natural(text: str) -> int:

@@ -221,12 +221,11 @@ class ClosureData:
 
     Circles through boundary points come first, ordered by their smallest
     point; then source free circles, then target free circles, each in
-    index order.
+    index order.  An arc of either tangle lies on the circle point[p] of
+    either of its ends p.
     """
 
     n: int
-    src_arc: dict  # Arc -> circle index
-    tgt_arc: dict
     src_circ: tuple[int, ...]
     tgt_circ: tuple[int, ...]
     point: tuple[int, ...]  # boundary point -> circle index
@@ -237,8 +236,6 @@ def closure_data(a: FlatTangle, b: FlatTangle) -> ClosureData:
     if (a.m, a.n) != (b.m, b.n):
         raise DimensionError("closure requires matching boundary counts")
     point_map = [-1] * (a.m + a.n)
-    src_arc: dict = {}
-    tgt_arc: dict = {}
     n = 0
     for start in range(len(point_map)):
         if point_map[start] >= 0:
@@ -248,14 +245,10 @@ def closure_data(a: FlatTangle, b: FlatTangle) -> ClosureData:
         while point_map[p] < 0:
             q = a.pairs[p]
             point_map[p] = point_map[q] = n
-            src_arc[a.arc_at(p)] = n
-            tgt_arc[b.arc_at(q)] = n
             p = b.pairs[q]
         n += 1
     return ClosureData(
         n=n + a.circles + b.circles,
-        src_arc=src_arc,
-        tgt_arc=tgt_arc,
         src_circ=tuple(range(n, n + a.circles)),
         tgt_circ=tuple(range(n + a.circles, n + a.circles + b.circles)),
         point=tuple(point_map),
@@ -704,8 +697,8 @@ def _compose_structure(a: FlatTangle, b: FlatTangle, c: FlatTangle) -> GlueStruc
     cF = closure_data(a, b)
     cG = closure_data(b, c)
     cells: list[tuple[int, int, int]] = []
-    for arc in b.arcs():
-        cells.append((cF.tgt_arc[arc], cF.n + cG.src_arc[arc], 1))
+    for p, _q in b.arcs():
+        cells.append((cF.point[p], cF.n + cG.point[p], 1))
     for j in range(b.circles):
         cells.append((cF.tgt_circ[j], cF.n + cG.src_circ[j], 0))
     nodes = _circle_nodes(

@@ -63,11 +63,9 @@ class ChainComplex:
     window: Window
     groups: dict[int, list[ShiftedObject]]
     diff: dict[int, Matrix]
-    mode: str = "sum"
     tail_lo: bool = False
     tail_hi: bool = False
     reliable: tuple[float, float] = (NEG_INF, POS_INF)
-    labels: dict[int, list] | None = None
 
     def __post_init__(self):
         self.groups = {k: v for k, v in self.groups.items() if v}
@@ -287,11 +285,10 @@ def commutator_with_d(f: ChainMap) -> ChainMap:
 
 @dataclass
 class Equivalence:
-    """SDR data for big ~ small: r.i = 1_small, 1_big - i.r = dH + Hd,
-    with the side conditions rH = 0, Hi = 0, H^2 = 0."""
+    """SDR data for big = r.source ~ small = r.target: r.i = 1_small,
+    1_big - i.r = dH + Hd, with the side conditions rH = 0, Hi = 0,
+    H^2 = 0."""
 
-    big: ChainComplex
-    small: ChainComplex
     r: ChainMap
     i: ChainMap
     h: ChainMap  # homotopy on big, hdeg -1
@@ -444,7 +441,6 @@ def _planar(
         A.window + B.window if window is None else window,
         groups,
         {},
-        A.mode,
         tail_lo=window is not None or A.tail_lo or B.tail_lo,
         tail_hi=A.tail_hi or B.tail_hi,
         reliable=_combine_reliability(A, B),
@@ -560,7 +556,6 @@ def shift_h(A: ChainComplex, s: int) -> ChainComplex:
             for k, mat in A.diff.items()
         },
         reliable=(A.reliable[0] + s, A.reliable[1] + s),
-        labels=None,
     )
 
 
@@ -577,7 +572,6 @@ def shift_q(A: ChainComplex, s: int) -> ChainComplex:
             }
             for k, mat in A.diff.items()
         },
-        labels=None,
     )
 
 
@@ -609,15 +603,12 @@ def cone(F: ChainMap) -> ChainComplex:
         max(A.reliable[0] - 1, B.reliable[0]),
         min(A.reliable[1] - 1, B.reliable[1]),
     )
-    return ChainComplex(
-        A.m, A.n, window, groups, diff, A.mode,
-        A.tail_lo or B.tail_lo, A.tail_hi or B.tail_hi, rel,
-    )
+    return ChainComplex(A.m, A.n, window, groups, diff, A.tail_lo or B.tail_lo, A.tail_hi or B.tail_hi, rel)
 
 
 def dual_complex(A: ChainComplex) -> ChainComplex:
-    """(A^v)^k = (A^{-k})^v with differential -(d_A)^v; window and
-    totalization mode are reversed."""
+    """(A^v)^k = (A^{-k})^v with differential -(d_A)^v; window, tails and
+    reliable band are reversed."""
     groups = {-k: [cob.dualize_ob(o) for o in objs] for k, objs in A.groups.items()}
     diff: dict[int, Matrix] = {}
     for k, mat in A.diff.items():
@@ -633,7 +624,6 @@ def dual_complex(A: ChainComplex) -> ChainComplex:
         -A.window,
         groups,
         diff,
-        "product" if A.mode == "sum" else "sum",
         tail_lo=A.tail_hi,
         tail_hi=A.tail_lo,
         reliable=(-A.reliable[1], -A.reliable[0]),
@@ -664,7 +654,7 @@ def reflect_x_complex(A: ChainComplex) -> ChainComplex:
         k: {rc: cob.reflect_x_cob(f) for rc, f in mat.items()}
         for k, mat in A.diff.items()
     }
-    return replace(A, m=A.n, n=A.m, groups=groups, diff=diff, labels=None)
+    return replace(A, m=A.n, n=A.m, groups=groups, diff=diff)
 
 
 def reflect_y_complex(A: ChainComplex) -> ChainComplex:
@@ -673,7 +663,7 @@ def reflect_y_complex(A: ChainComplex) -> ChainComplex:
         k: {rc: cob.reflect_y_cob(f) for rc, f in mat.items()}
         for k, mat in A.diff.items()
     }
-    return replace(A, groups=groups, diff=diff, labels=None)
+    return replace(A, groups=groups, diff=diff)
 
 
 # ---------------------------------------------------------------------------
@@ -710,11 +700,6 @@ class _Work:
     ):
         self.source = C
         self.track = track
-        self.m, self.n = C.m, C.n
-        self.window = C.window
-        self.mode = C.mode
-        self.tail_lo, self.tail_hi = C.tail_lo, C.tail_hi
-        self.reliable = C.reliable
         self.next_id = 0
         self.order: dict[int, list[int]] = {}
         self.obj: dict[int, ShiftedObject] = {}
@@ -723,7 +708,6 @@ class _Work:
         self.out_edges: dict[int, dict[int, cob.Terms]] = {}
         self.in_edges: dict[int, dict[int, cob.Terms]] = {}
         self.protected: set[int] = set()
-        self.label: dict[int, object] = {}
         # ghost id -> (degree, position) of its original object
         self.ghost: dict[int, tuple[int, int]] = {}
         for k, objs in C.groups.items():
@@ -736,7 +720,6 @@ class _Work:
                 ids.append(oid)
                 if protected and (k, p) in protected:
                     self.protected.add(oid)
-                    self.label[oid] = (k, p)
             self.order[k] = ids
         if diff is None:
             diff = {k: {rc: f.terms for rc, f in mat.items()} for k, mat in C.diff.items()}
@@ -849,8 +832,9 @@ class _Work:
         self.remove_object(tgt)
 
     def finish(self, sort_objects: bool = True) -> tuple[ChainComplex, Equivalence | None]:
-        """Rebuild an immutable complex; with tracking also the SDR to it,
-        sorting each edge by which of its ends are ghosts: d, r, i or -h."""
+        """Rebuild an immutable complex, the source with new groups and
+        differential; with tracking also the SDR to it, sorting each edge by
+        which of its ends are ghosts: d, r, i or -h."""
         groups: dict[int, list[ShiftedObject]] = {}
         # id -> (degree, position): in the result, or for a ghost in the source
         pos: dict[int, tuple[int, int]] = dict(self.ghost)
@@ -881,23 +865,11 @@ class _Work:
                 by_ends[src in ghost, tgt in ghost].setdefault(k, {})[(pos[tgt][1], c)] = (
                     CanonicalCobordism(a, obj[tgt], f)
                 )
-        labels = None
-        if self.label:
-            labels = {
-                k: [self.label.get(i) for i in ids]
-                for k, ids in self.order.items()
-                if ids
-            }
-        C = ChainComplex(
-            self.m, self.n, self.window, groups, diff, self.mode,
-            self.tail_lo, self.tail_hi, self.reliable, labels,
-        )
+        C = replace(self.source, groups=groups, diff=diff)
         if not self.track:
             return C, None
         big = self.source
         return C, Equivalence(
-            big,
-            C,
             ChainMap(big, C, 0, 0, r_mats),
             ChainMap(C, big, 0, 0, i_mats),
             -ChainMap(big, big, -1, 0, minus_h),
@@ -1028,7 +1000,10 @@ def simplify(
     entries remain (outside `protected` objects, given as (degree, pos)).
 
     Deterministic: circles are removed first, then pivots are taken in
-    (degree, source position, target position) order.
+    (degree, source position, target position) order.  A protected object
+    is never delooped or eliminated, so with the equivalence, column
+    (k, p) of eq.r holds one entry: the identity into that object's
+    position in the result.
     """
     return _reduce(
         C, _simplify_steps, protected, want_equivalence,
@@ -1101,16 +1076,17 @@ def _hom_d(
 
 
 def _hom_module(A: ChainComplex, B: ChainComplex, reliable: tuple[float, float]) -> ModuleComplex:
-    """The Hom engine over every degree t: Hom^t(A, B) with [d, -]."""
-    gens = {}
-    for t in sorted({j - i for i in A.groups for j in B.groups}):
-        if basis := _hom_basis(A, B, t):
-            gens[t] = basis
+    """The Hom engine over every degree t: Hom^t(A, B) with [d, -].  The
+    generator labels only number the rows of [d, -]; the module keeps the
+    q-degrees."""
+    degrees = sorted({j - i for i in A.groups for j in B.groups})
+    bases = {t: basis for t in degrees if (basis := _hom_basis(A, B, t))}
     diff = {}
-    for t, basis in gens.items():
-        rows = {label: r for r, (label, _q) in enumerate(gens.get(t + 1, ()))}
+    for t, basis in bases.items():
+        rows = {label: r for r, (label, _q) in enumerate(bases.get(t + 1, ()))}
         if mat := _hom_d(A, B, t, [label for label, _q in basis], rows):
             diff[t] = mat
+    gens = {t: [q for _label, q in basis] for t, basis in bases.items()}
     return ModuleComplex(gens, diff, reliable)
 
 
@@ -1139,8 +1115,7 @@ def hom_complex(A: ChainComplex, B: ChainComplex) -> ModuleComplex:
     engine runs only as tautological, where there is no d_A."""
     if (A.m, A.n) != (B.m, B.n):
         raise DimensionError("hom complex needs matching boundaries")
-    T = replace(stack_complexes(B, dual_complex(A)), mode="product")
-    M = tautological(trace_complex(T))
+    M = tautological(trace_complex(stack_complexes(B, dual_complex(A))))
     return M.shift_q((A.m + A.n) // 2)
 
 

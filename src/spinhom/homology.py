@@ -1,7 +1,7 @@
 """Exact homology of free Z[alpha]-module complexes.
 
-ModuleComplex is the image of the tautological TQFT: free modules with a
-named basis carrying (homological degree, q-degree), and differentials
+ModuleComplex is the image of the tautological TQFT: free modules whose
+basis elements carry (homological degree, q-degree), and differentials
 with alpha-polynomial entries (alpha has q-degree 4, so an entry with
 alpha^e connects basis q-degrees differing by 4e).
 
@@ -176,12 +176,12 @@ def rank_over_q(M: IntMatrix) -> int:
 # Module complexes
 
 
-def _positions_by_q(basis: list[tuple[object, int]]) -> tuple[list[int], Counter]:
+def _positions_by_q(qdegs: list[int]) -> tuple[list[int], Counter]:
     """Position of each basis element among those of its q-degree, and the
     number of elements of each q-degree."""
     seen: Counter = Counter()
     pos = []
-    for _, q in basis:
+    for q in qdegs:
         pos.append(seen[q])
         seen[q] += 1
     return pos, seen
@@ -189,14 +189,15 @@ def _positions_by_q(basis: list[tuple[object, int]]) -> tuple[list[int], Counter
 
 @dataclass
 class ModuleComplex:
-    """Free Z[alpha]-modules with named basis and matrix differentials.
+    """Free Z[alpha]-modules with q-graded bases and matrix differentials.
 
-    gens[k] is the list of (label, qdeg) in homological degree k; diff[k]
-    holds the entries of d: C^k -> C^{k+1} as {(row, col): AlphaPoly}.
-    reliable is the h-degree band in which truncation artifacts are absent.
+    gens[k] is the list of the q-degrees of the basis elements in
+    homological degree k, in basis order; diff[k] holds the entries of
+    d: C^k -> C^{k+1} as {(row, col): AlphaPoly}.  reliable is the h-degree
+    band in which truncation artifacts are absent.
     """
 
-    gens: dict[int, list[tuple[object, int]]]
+    gens: dict[int, list[int]]
     diff: dict[int, dict[tuple[int, int], AlphaPoly]]
     reliable: tuple[float, float] = (float("-inf"), float("inf"))
 
@@ -204,11 +205,11 @@ class ModuleComplex:
         return sorted(self.gens)
 
     def qdegs(self, k: int) -> list[int]:
-        return [q for _, q in self.gens.get(k, [])]
+        return self.gens.get(k, [])
 
     def shift_q(self, s: int) -> "ModuleComplex":
         return ModuleComplex(
-            {k: [(lbl, q + s) for lbl, q in gs] for k, gs in self.gens.items()},
+            {k: [q + s for q in qs] for k, qs in self.gens.items()},
             self.diff,
             self.reliable,
         )
@@ -250,14 +251,14 @@ class ModuleComplex:
         q-degree q as columns and rows, in basis order; blocks without a
         nonzero entry are left out.  At alpha=0 a q-homogeneous d (see
         check) only connects equal q-degrees."""
-        src, tgt = self.gens.get(k, []), self.gens.get(k + 1, [])
+        src = self.qdegs(k)
         col_pos, n_cols = _positions_by_q(src)
-        row_pos, n_rows = _positions_by_q(tgt)
+        row_pos, n_rows = _positions_by_q(self.qdegs(k + 1))
         entries: dict[int, dict[tuple[int, int], int]] = {}
         for (r, c), poly in self.diff.get(k, {}).items():
             v = poly.coeffs.get(0)
             if v:
-                q = src[c][1]
+                q = src[c]
                 entries.setdefault(q, {})[(row_pos[r], col_pos[c])] = v
         return {q: IntMatrix(n_rows[q], n_cols[q], e) for q, e in entries.items()}
 
@@ -360,8 +361,8 @@ def table_mismatches(
 def euler_characteristic(C: ModuleComplex) -> LaurentPoly:
     """Alternating sum of graded ranks of the chain groups."""
     acc: dict[int, int] = {}
-    for k, gs in C.gens.items():
+    for k, qs in C.gens.items():
         s = (-1) ** (k % 2)
-        for _, q in gs:
+        for q in qs:
             acc[q] = acc.get(q, 0) + s
     return LaurentPoly(acc)

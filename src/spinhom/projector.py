@@ -106,7 +106,6 @@ class Certificate:
     for n >= 2 only (euler_ok None below)."""
 
     n: int
-    window: Window
     degree_zero_ok: bool
     turnbacks: dict[tuple[str, int], tuple[bool, list[int]]]
     euler_ok: bool | None = None
@@ -136,17 +135,17 @@ class Certificate:
         return out
 
     def to_data(self) -> dict:
-        """The JSON payload a cache entry stores; n and window are its key's."""
+        """The JSON payload a cache entry stores; n is its key's."""
         turnbacks = sorted([side, i, ok, supp] for (side, i), (ok, supp) in self.turnbacks.items())
         return {"degree_zero_ok": self.degree_zero_ok, "turnbacks": turnbacks,
                 "euler_ok": self.euler_ok, "euler_detail": self.euler_detail}
 
     @classmethod
-    def from_data(cls, n: int, window: Window, data: dict) -> "Certificate":
+    def from_data(cls, n: int, data: dict) -> "Certificate":
         """Inverse of to_data.  Other keys are ignored, such as the
         `margin` (always n) that older entries carry."""
         turnbacks = {(side, int(i)): (ok, supp) for side, i, ok, supp in data["turnbacks"]}
-        return cls(n, window, data["degree_zero_ok"], turnbacks,
+        return cls(n, data["degree_zero_ok"], turnbacks,
                    data.get("euler_ok"), data.get("euler_detail", ""))
 
 
@@ -194,7 +193,7 @@ def check_projector_axioms(C: ChainComplex, n: int, window: Window) -> Certifica
 
     Axiom (1) is exact; axiom (2) means each turnback composite simplifies
     to support inside the margin [window.lo, window.lo + n)."""
-    cert = Certificate(n, window, _identity_exactly_in_degree_zero(C, n), {})
+    cert = Certificate(n, _identity_exactly_in_degree_zero(C, n), {})
     for i in range(max(0, n - 1)):
         above = cx.simplify_stack(cx.from_tangle(FlatTangle.turnback_above(i, n)), C)
         below = cx.simplify_stack(C, cx.from_tangle(FlatTangle.turnback_below(i, n)))
@@ -251,26 +250,17 @@ def _p2_block(i: int, n: int, P: ChainComplex) -> ChainComplex:
     return cx.beside_complexes(cx.beside_complexes(left, P), right)
 
 
-def _canonical_form(C: ChainComplex, lo: float) -> tuple:
-    """Hashable description of groups and differentials in degrees >= lo."""
-    from .serialize import complex_to_data
-
-    data = complex_to_data(C)
-    groups = {k: v for k, v in data["groups"].items() if int(k) >= lo}
-    diff = {k: v for k, v in data["diff"].items() if int(k) >= lo - 1}
-    return (tuple(sorted(groups.items())), tuple(sorted(diff.items())))
-
-
 @functools.lru_cache(maxsize=64)
 def build_projector(n: int, window: Window) -> ProjectorComplex:
     """Iterated adjacent-P_2 sweeps with stabilization detection.
 
     Starts from non-overlapping p2 blocks, then repeatedly stacks a p2
     block at positions (0,1), (1,2), ..., (n-2,n-1), simplifying after
-    each step, until the canonical form in degrees >= window.lo + n stops
-    changing between sweeps.  Every branch (the identity complex for
-    n <= 1, p2 for n = 2, the sweeps for n >= 3) ends in
-    certified_projector, the one constructor: it sets the reliable band
+    each step, until two consecutive sweeps agree in degrees >= window.lo +
+    n: the same chain groups there, and the same differential entries (as
+    term dicts) from degree window.lo + n - 1 on.  Every branch (the
+    identity complex for n <= 1, p2 for n = 2, the sweeps for n >= 3) ends
+    in certified_projector, the one constructor: it sets the reliable band
     (window.lo + n, inf) and raises DivergenceError unless the certificate
     passes.
 
@@ -310,11 +300,15 @@ def build_projector(n: int, window: Window) -> ProjectorComplex:
     for i in range(2, n - 1, 2):
         current = cx.simplify_stack(current, blocks[i])
     margin_win = Window(win.lo - SWEEP_MARGIN, 0)
+    lo = win.lo + n
     prev_form = None
     for sweep in range(MAX_SWEEPS):
         for i in range(n - 1):
             current = _clip(cx.simplify_stack(blocks[i], current, margin_win), win)
-        form = _canonical_form(current, win.lo + n)
+        form = (
+            {k: objs for k, objs in current.groups.items() if k >= lo},
+            {k: {rc: f.terms for rc, f in mat.items()} for k, mat in current.diff.items() if k >= lo - 1},
+        )
         if form == prev_form:
             break
         prev_form = form
@@ -333,9 +327,7 @@ def _clip(C: ChainComplex, window: Window) -> ChainComplex:
         for k, mat in C.diff.items()
         if window.contains(k) and window.contains(k + 1)
     }
-    return ChainComplex(
-        C.m, C.n, window, groups, diff, C.mode, True, C.tail_hi, C.reliable
-    )
+    return ChainComplex(C.m, C.n, window, groups, diff, True, C.tail_hi, C.reliable)
 
 
 # ---------------------------------------------------------------------------
@@ -560,11 +552,6 @@ def _structural(e: ex.NetworkExpr) -> ex.NetworkExpr:
             if isinstance(inner, ex.Zero):
                 return ex.Zero()
             return ex.Trace(inner)
-        case ex.Dual(inner):
-            inner = _structural(inner)
-            if isinstance(inner, ex.Zero):
-                return ex.Zero()
-            return ex.Dual(inner)
     return e
 
 
@@ -700,6 +687,9 @@ def rewrite_network(e: ex.NetworkExpr, mode: str = "product") -> ex.NetworkExpr:
     un-rewritten route has an empty reliable band, so --verify fails there
     (exit 6) whatever the answer, until it compares against a one-sided
     second route instead.
+
+    push_duals leaves a Dual only around a Vertex, and expand_vertices has
+    removed every Vertex, so the rules below never meet a Dual node.
     """
     e = _structural(ex.push_duals(expand_vertices(e)))
     for _ in range(300):
@@ -747,8 +737,6 @@ def rewrite_network(e: ex.NetworkExpr, mode: str = "product") -> ex.NetworkExpr:
                 if len(items) == 1:
                     return ex.Trace(items[0])
                 return ex.Trace(_rebuild_stack(items))
-            if isinstance(node, ex.Dual):
-                return ex.Dual(walk(node.inner))
             return node
 
         e = walk(e)
@@ -787,8 +775,6 @@ def _canonical_rotation(e: ex.NetworkExpr) -> ex.NetworkExpr:
             return ex.Stack(_canonical_rotation(t), _canonical_rotation(b))
         case ex.Beside(l, r):
             return ex.Beside(_canonical_rotation(l), _canonical_rotation(r))
-        case ex.Dual(inner):
-            return ex.Dual(_canonical_rotation(inner))
     return e
 
 
@@ -851,30 +837,28 @@ def absorption_retraction(P: ChainComplex, Q: ChainComplex, n: int) -> tuple[Cha
 
     The contraction leaves truncation junk in the window margin; phi drops
     it, so its chain-map property holds away from the junk degrees (which
-    is the honest finite rendering of the ideal statement).  Returns phi
-    and the product complex.
+    is the honest finite rendering of the ideal statement).  Each protected
+    object's position in the contracted complex is the row of the one entry
+    in its column of the tracked retraction (see complexes.simplify).
+    Returns phi and the product complex.
     """
     T = cx.stack_complexes(P, Q)
     pos0 = _degree_zero_identity(P, n)
-    protected = set()
     prov_to_q: dict[tuple[int, int], int] = {}
     for k, lay in cx.product_layout(P, Q).items():
         for p, (i, j, pa, pb) in enumerate(lay):
             if i == 0 and pa == pos0:
-                protected.add((k, p))
                 prov_to_q[(k, p)] = pb
-    small, eq = cx.simplify(T, want_equivalence=True, protected=protected)
+    small, eq = cx.simplify(T, want_equivalence=True, protected=set(prov_to_q))
     # project the retraction onto the protected copy of Q, dropping margin junk
+    r_cols = {k: cx._by_column(mat) for k, mat in eq.r.mats.items()}
     proj_mats: dict[int, cx.Matrix] = {}
-    for k, objs in small.groups.items():
-        labels = (small.labels or {}).get(k, [None] * len(objs))
-        for p, lbl in enumerate(labels):
-            if lbl is None:
-                continue
-            pb = prov_to_q[lbl]
-            if Q.objects(k)[pb] != objs[p]:
-                raise IntegrityError("protected object drifted during simplify")
-            proj_mats.setdefault(k, {})[(pb, p)] = cob.identity_cob(objs[p])
+    for (k, c), pb in prov_to_q.items():
+        ((p, _one),) = r_cols[k][c]
+        obj = small.objects(k)[p]
+        if Q.objects(k)[pb] != obj:
+            raise IntegrityError("protected object drifted during simplify")
+        proj_mats.setdefault(k, {})[(pb, p)] = cob.identity_cob(obj)
     proj = ChainMap(small, Q, 0, 0, proj_mats)
     phi = cx.compose_maps(proj, eq.r)
     return phi, T

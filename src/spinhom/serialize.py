@@ -91,7 +91,6 @@ def complex_to_data(C: ChainComplex) -> dict[str, Any]:
         "m": C.m,
         "n": C.n,
         "window": [C.window.lo, C.window.hi],
-        "mode": C.mode,
         "tails": [C.tail_lo, C.tail_hi],
         "groups": groups,
         "diff": diff,
@@ -99,6 +98,8 @@ def complex_to_data(C: ChainComplex) -> dict[str, Any]:
 
 
 def complex_from_data(d: dict[str, Any]) -> ChainComplex:
+    """Inverse of complex_to_data.  Other keys are ignored, such as the
+    `mode` that older entries carry."""
     if d.get("version") != FORMAT_VERSION:
         raise IntegrityError(f"unsupported complex format version {d.get('version')}")
     groups = {
@@ -117,7 +118,6 @@ def complex_from_data(d: dict[str, Any]) -> ChainComplex:
         Window(*d["window"]),
         groups,
         diff,
-        d.get("mode", "sum"),
         tail_lo=d.get("tails", [False, False])[0],
         tail_hi=d.get("tails", [False, False])[1],
     )

@@ -167,6 +167,19 @@ def assert_sdr(C: ChainComplex, S: ChainComplex, eq: cx.Equivalence) -> None:
     assert cx.compose_maps(h, h).is_zero()
 
 
+def protected_positions(C: ChainComplex, S: ChainComplex, eq: cx.Equivalence,
+                        protected: set[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    """Where simplify(C, want_equivalence=True, protected=protected) put
+    each protected object (k, p): the row of the one entry in column p of
+    eq.r at degree k, which must be the identity of C's object there."""
+    out = {}
+    for k, p in protected:
+        ((row, f),) = [(r, f) for (r, c), f in eq.r.mats.get(k, {}).items() if c == p]
+        assert f == identity_cob(C.objects(k)[p]) == identity_cob(S.objects(k)[row])
+        out[(k, p)] = row
+    return out
+
+
 def tables_equal(t1, t2, lo=float("-inf"), hi=float("inf")) -> bool:
     keys = set(t1.nonzero()) | set(t2.nonzero())
     for kq in keys:
@@ -216,7 +229,9 @@ def determinantal_factors(M) -> list[int]:
     """The nonzero invariant factors of M as d_k / d_{k-1}, where d_k is the
     gcd of the k x k minors (d_0 = 1): no elimination of M itself, so it
     shares nothing with smith_normal_form or rank_over_q.  Exponential in
-    the size; meant for matrices of at most about 6 x 6."""
+    the size, so it refuses a matrix with both sides above 6."""
+    if min(M.rows, M.cols) > 6:
+        raise ValueError(f"{M.rows} x {M.cols} is too large for determinantal factors")
     A = _dense(M)
     out, prev = [], 1
     for k in range(1, min(M.rows, M.cols) + 1):
@@ -282,8 +297,8 @@ def reference_matrix_at_alpha0(C, k: int, q: int):
     alpha=0, built by scanning the whole differential for this q."""
     from spinhom.homology import IntMatrix
 
-    cols = [i for i, (_, qq) in enumerate(C.gens.get(k, [])) if qq == q]
-    rows = [i for i, (_, qq) in enumerate(C.gens.get(k + 1, [])) if qq == q]
+    cols = [i for i, qq in enumerate(C.gens.get(k, [])) if qq == q]
+    rows = [i for i, qq in enumerate(C.gens.get(k + 1, [])) if qq == q]
     col_pos = {i: p for p, i in enumerate(cols)}
     row_pos = {i: p for p, i in enumerate(rows)}
     entries = {}
@@ -296,8 +311,9 @@ def reference_matrix_at_alpha0(C, k: int, q: int):
 
 def reference_homology_table(C, specialization: str = "alpha0"):
     """The per-bidegree homology table: every bidegree ranks its outgoing
-    block and takes the Smith normal form of its incoming block afresh."""
-    from spinhom.homology import HomologyTable, smith_normal_form
+    block and takes the determinantal factors of its incoming block afresh,
+    so no production elimination is involved."""
+    from spinhom.homology import HomologyTable
 
     out = {}
     unreliable = set()
@@ -307,7 +323,7 @@ def reference_homology_table(C, specialization: str = "alpha0"):
             for q in sorted(set(C.qdegs(k))):
                 n_gens = sum(1 for qq in C.qdegs(k) if qq == q)
                 rank_out = dense_rank_over_q(reference_matrix_at_alpha0(C, k, q))
-                factors = smith_normal_form(reference_matrix_at_alpha0(C, k - 1, q))
+                factors = determinantal_factors(reference_matrix_at_alpha0(C, k - 1, q))
                 free = n_gens - rank_out - len(factors)
                 tors = tuple(f for f in factors if f not in (0, 1))
                 if free or tors:
@@ -337,11 +353,11 @@ def random_module_complex(rng: random.Random):
     from spinhom.homology import ModuleComplex
     from spinhom.laurent import LaurentPoly
 
-    gens: dict[int, list[list]] = {}
+    gens: dict[int, list[int]] = {}
     diff: dict[int, dict[tuple[int, int], dict[int, int]]] = {}
 
     def gen(k: int, q: int) -> int:
-        gens.setdefault(k, []).append([("g", k, len(gens.get(k, []))), q])
+        gens.setdefault(k, []).append(q)
         return len(gens[k]) - 1
 
     def entry(k: int, r: int, c: int, coeff: int, t: int) -> None:
@@ -389,7 +405,7 @@ def random_module_complex(rng: random.Random):
         if len(gens[m]) < 2:
             continue
         i, j = rng.sample(range(len(gens[m])), 2)
-        dq = gens[m][j][1] - gens[m][i][1]
+        dq = gens[m][j] - gens[m][i]
         if dq >= 0 and dq % 4 == 0:
             change_basis(m, i, j, rng.choice([1, -1, 2]), dq // 4)
 
@@ -399,7 +415,7 @@ def random_module_complex(rng: random.Random):
         order = list(range(len(gs)))
         rng.shuffle(order)
         perm[k] = {old: new for new, old in enumerate(order)}
-        out_gens[k] = [tuple(gs[old]) for old in order]
+        out_gens[k] = [gs[old] for old in order]
     out_diff = {}
     for k, mat in diff.items():
         entries = {}
@@ -592,7 +608,7 @@ def reference_binary_planar(A: ChainComplex, B: ChainComplex, ob_op, mor_op,
                             out_mn: tuple[int, int]) -> ChainComplex:
     """The planar product of A and B that ob_op and mor_op glue summand by
     summand, Koszul signs included: the differential is T(d_A, 1) +
-    (-1)^i T(1, d_B) on the summands of product_layout, the mode A's."""
+    (-1)^i T(1, d_B) on the summands of product_layout."""
     from spinhom import cob
 
     layout = cx.product_layout(A, B)
@@ -626,7 +642,7 @@ def reference_binary_planar(A: ChainComplex, B: ChainComplex, ob_op, mor_op,
                     h = mor_op(cob.identity_cob(oa), g)
                     add_entry(k, index[key], cpos, h if sign == 1 else h.scale(-1))
     return ChainComplex(
-        out_mn[0], out_mn[1], A.window + B.window, groups, diff, A.mode,
+        out_mn[0], out_mn[1], A.window + B.window, groups, diff,
         tail_lo=A.tail_lo or B.tail_lo,
         tail_hi=A.tail_hi or B.tail_hi,
         reliable=cx._combine_reliability(A, B),
@@ -653,7 +669,7 @@ def reference_trace_complex(A: ChainComplex) -> ChainComplex:
 
     groups = {k: [cob.trace_object(o) for o in objs] for k, objs in A.groups.items()}
     diff = {k: {rc: cob.trace(f) for rc, f in mat.items()} for k, mat in A.diff.items()}
-    return ChainComplex(0, 0, A.window, groups, diff, A.mode, A.tail_lo, A.tail_hi, A.reliable)
+    return ChainComplex(0, 0, A.window, groups, diff, A.tail_lo, A.tail_hi, A.reliable)
 
 
 def closed_networks_leq3() -> list:

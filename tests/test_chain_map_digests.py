@@ -11,6 +11,11 @@ trace_chain_map glued each entry pair with cob.stack and cob.trace as a
 CanonicalCobordism, with their own layout index and Koszul sign, beside the
 term-level product of complexes; any change to an object, an entry, a sign
 or a bidegree changes a digest.
+
+All but unknot_pairing_v (which serializes no complex) were re-recorded
+when ChainComplex lost its unread totalization mode: each equals the
+earlier record hashed with the "mode" key dropped from every serialized
+complex.
 """
 
 import hashlib
@@ -24,14 +29,14 @@ from spinhom.complexes import ChainMap, Window
 from spinhom.serialize import cobordism_to_data, complex_to_data, poly_to_data
 
 PINNED_SHA256 = {
-    "pi_action_b1": "f1d0ea91f1e5227cc4d62fd1dddb1eb3b6923cc7b6c4097b4d659c0ce16c07e6",
-    "stack_b1_one": "62fcdd7de77fa9256a70d3e1d01ecc26ed8ec8789c63369c12bccfabc5a8c286",
-    "stack_one_v": "f654d9264cfb6e5c667805411df4bed0266bc6ad29484b0026acd1b26eedee68",
-    "stack_v_b2": "032cf303ae7198f7239311d6012bf560fa2bb16cde3bbc61981716aace37aef6",
-    "standard_equivalence_p3": "4853dcf43f2b061f9e66976486338022ede32e89d5da8d82c8df06d7b0b52e13",
-    "trace_b1": "acf412cc10551830723e1098309a9786653f5a66b0a0f5987e111f6ad6d2f897",
-    "trace_v": "e3eb020e37b1891ba5c6054ea1e6c129b8ecf38b841781b9ac20e47141d16383",
-    "unknot_action_eta": "234f1b0362222081d7d19b44a119be24d116eaf0a3bcc3cc1d16fb38e23c478b",
+    "pi_action_b1": "13fc69bb170865206d7bc6f39a8fe8eb1cea24ce7f1df820c25c329bd6fd52b2",
+    "stack_b1_one": "40b1fbe3af1f278d5c5ef18ac05f5f39faf17dc65ebe6b8aef4c06b4799208a9",
+    "stack_one_v": "ec340dc8530ad431754afa1e3e1c5cc1d13d9c0930cfcc30a5c96e6184350a1e",
+    "stack_v_b2": "9eeee325ebec6ea61a6ba8c4d2454cc5ba8b929608c36df099f32047a1aed294",
+    "standard_equivalence_p3": "731e7e8c02a1c974dcc3f206ac38700f771829f494f0bd1223cd58987c22ac54",
+    "trace_b1": "15a2bc5833c359f2a37a5b177cef2cf698115217afb5296793fe0ef05772bb73",
+    "trace_v": "852ffd2778158e81bc56a05ebb86dafdbc7672c49880050ec868e6efcd3ba0e7",
+    "unknot_action_eta": "381e483c2c299bb9af14baea69cffb59adba855714b0789e45284fd0dd53ff99",
     "unknot_pairing_v": "51e27df7b7e1b011d92bb50c7f47e783db15a6f3e18c9dc886fa6e47a9e471a8",
 }
 

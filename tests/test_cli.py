@@ -142,6 +142,49 @@ def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys, corrupt):
         assert fh.read() == good
 
 
+def test_cache_entry_with_a_mode_key_loads_without_a_rebuild(tmp_path, capsys, monkeypatch):
+    # entries written while complexes carried a totalization mode hold a
+    # "mode" key in the serialized complex; they load as they are
+    cdir = str(tmp_path / "cache")
+    args = ["project", "3", "--window", "4", "--cache-dir", cdir]
+    assert cli.main(args) == 0
+    report = capsys.readouterr().out
+    (name,) = os.listdir(cdir)
+    path = os.path.join(cdir, name)
+    with open(path) as fh:
+        entry = json.load(fh)
+    assert "mode" not in entry["value"]["complex"]
+    entry["value"]["complex"]["mode"] = "sum"
+    entry["hash"] = cli._digest(entry["value"])
+    with open(path, "w") as fh:
+        json.dump(entry, fh, sort_keys=True, separators=(",", ":"))
+
+    def rebuild(n, window):
+        raise AssertionError("the entry was rebuilt")
+
+    monkeypatch.setattr(pj, "build_projector", rebuild)
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == report
+
+
+def test_cache_ignores_and_clears_leftover_temporary_files(tmp_path, capsys, monkeypatch):
+    cdir = str(tmp_path / "cache")
+    renamed = []
+    replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda src, dst: renamed.append(src) or replace(src, dst))
+    assert cli.main(["project", "2", "--window", "4", "--cache-dir", cdir]) == 0
+    (entry,) = os.listdir(cdir)
+    assert entry.endswith(".json") and renamed[0].endswith(".tmp")
+    # a write killed before its rename leaves its temporary file behind
+    open(os.path.join(cdir, os.path.basename(renamed[0])), "w").close()
+    capsys.readouterr()
+    assert cli.main(["cache", "ls", "--cache-dir", cdir]) == 0
+    assert json.loads(capsys.readouterr().out)["entries"] == [entry]
+    assert cli.main(["cache", "clear", "--cache-dir", cdir]) == 0
+    assert json.loads(capsys.readouterr().out)["removed"] == 2
+    assert os.listdir(cdir) == []
+
+
 def test_failed_certificate_in_cache_is_integrity_error(tmp_path, capsys):
     # an entry that matches its hash but holds a failing certificate
     cdir = str(tmp_path / "cache")

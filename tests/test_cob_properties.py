@@ -151,13 +151,13 @@ def _reference_compose(g: CanonicalCobordism, f: CanonicalCobordism) -> Canonica
     outer tangles (f's source, g's target) is an edge between its points."""
     a, b, c = f.source.tangle, f.target.tangle, g.target.tangle
     cF, cG, cOut = closure_data(a, b), closure_data(b, c), closure_data(a, c)
-    cells = [(cF.tgt_arc[arc], cF.n + cG.src_arc[arc], 1) for arc in b.arcs()]
+    cells = [(cF.point[p], cF.n + cG.point[p], 1) for p, _ in b.arcs()]
     cells += [(cF.tgt_circ[j], cF.n + cG.src_circ[j], 0) for j in range(b.circles)]
     walk = _Components()
     for arc in a.arcs():
-        walk.edge(arc[0], arc[1], cF.src_arc[arc])
+        walk.edge(arc[0], arc[1], cF.point[arc[0]])
     for arc in c.arcs():
-        walk.edge(arc[0], arc[1], cF.n + cG.tgt_arc[arc])
+        walk.edge(arc[0], arc[1], cF.n + cG.point[arc[0]])
     circle_nodes = [None] * cOut.n
     for labels, pieces in walk.circles().values():
         circle_nodes[cOut.point[min(labels)]] = sorted(pieces)
@@ -199,10 +199,10 @@ def _reference_stack(f: CanonicalCobordism, g: CanonicalCobordism) -> CanonicalC
 
     walk = _Components()
     for tangle, label, arc_piece in (
-        (at, lambda p: upper("s", p), lambda arc: cF.src_arc[arc]),
-        (a2t, lambda p: upper("t", p), lambda arc: cF.tgt_arc[arc]),
-        (bt, lambda p: lower("s", p), lambda arc: cF.n + cG.src_arc[arc]),
-        (b2t, lambda p: lower("t", p), lambda arc: cF.n + cG.tgt_arc[arc]),
+        (at, lambda p: upper("s", p), lambda arc: cF.point[arc[0]]),
+        (a2t, lambda p: upper("t", p), lambda arc: cF.point[arc[0]]),
+        (bt, lambda p: lower("s", p), lambda arc: cF.n + cG.point[arc[0]]),
+        (b2t, lambda p: lower("t", p), lambda arc: cF.n + cG.point[arc[0]]),
     ):
         for arc in tangle.arcs():
             walk.edge(label(arc[0]), label(arc[1]), arc_piece(arc))
@@ -250,10 +250,10 @@ def _reference_beside(f: CanonicalCobordism, g: CanonicalCobordism) -> Canonical
 
     walk = _Components()
     for tangle, label, arc_piece in (
-        (at, left, lambda arc: cF.src_arc[arc]),
-        (a2t, left, lambda arc: cF.tgt_arc[arc]),
-        (bt, right, lambda arc: cF.n + cG.src_arc[arc]),
-        (b2t, right, lambda arc: cF.n + cG.tgt_arc[arc]),
+        (at, left, lambda arc: cF.point[arc[0]]),
+        (a2t, left, lambda arc: cF.point[arc[0]]),
+        (bt, right, lambda arc: cF.n + cG.point[arc[0]]),
+        (b2t, right, lambda arc: cF.n + cG.point[arc[0]]),
     ):
         for arc in tangle.arcs():
             walk.edge(label(arc[0]), label(arc[1]), arc_piece(arc))
@@ -282,13 +282,13 @@ def _reference_trace(f: CanonicalCobordism) -> CanonicalCobordism:
     tgt = ShiftedObject(trace_ob(bt).tangle, f.target.qshift)
     cOut = closure_data(src.tangle, tgt.tangle)
     circle_nodes = [None] * cOut.n
-    for tangle, arc_of, circ_of, out_circ in (
-        (at, cF.src_arc, cF.src_circ, cOut.src_circ),
-        (bt, cF.tgt_arc, cF.tgt_circ, cOut.tgt_circ),
+    for tangle, circ_of, out_circ in (
+        (at, cF.src_circ, cOut.src_circ),
+        (bt, cF.tgt_circ, cOut.tgt_circ),
     ):
         walk = _Components()
         for arc in tangle.arcs():
-            walk.edge(arc[0], arc[1], arc_of[arc])
+            walk.edge(arc[0], arc[1], cF.point[arc[0]])
         for i in range(n):
             walk.edge(i, n + i, cF.n + i)
         # old circles first, then the loops in order of their smallest point

@@ -15,6 +15,7 @@ from helpers import (
     column_homotopy,
     first_iso_entry,
     nonempty_complex,
+    protected_positions,
     random_complex,
     reference_deloop,
     reference_deloop_maps,
@@ -140,7 +141,7 @@ def test_gaussian_elimination_identities_random():
             continue
         small, r_map, i_map, h_map = gaussian_eliminate(C, entry)
         small.validate()
-        assert_sdr(C, small, cx.Equivalence(C, small, r_map, i_map, h_map))
+        assert_sdr(C, small, cx.Equivalence(r_map, i_map, h_map))
         done += 1
 
 
@@ -175,7 +176,7 @@ def test_simplify_leaves_protected_objects():
     S, eq = simplify(C, want_equivalence=True, protected={(0, 0)})
     up, dn = ShiftedObject(FlatTangle.empty(), 1), ShiftedObject(FlatTangle.empty(), -1)
     assert S.objects(0) == [circ, up, dn]
-    assert S.labels == {0: [(0, 0), None, None]}
+    assert protected_positions(C, S, eq, {(0, 0)}) == {(0, 0): 0}
     assert compose_maps(eq.r, eq.i).mats == ChainMap.identity(S).mats
     assert compose_maps(eq.i, eq.r).mats == ChainMap.identity(C).mats
 
@@ -219,25 +220,22 @@ def _protected_case(draw):
 @settings(max_examples=60, deadline=None)
 def test_simplify_sdr_property_with_protected_objects(case):
     # the tracked SDR is exact, and the objects the caller protects survive
-    # unchanged under their labels beside the engine's own ghost objects
+    # unchanged beside the engine's own ghost objects, each at the one row
+    # of its column of r
     C, protected = case
     C.validate()
     S, eq = simplify(C, want_equivalence=True, protected=protected)
     S.validate()
     assert_sdr(C, S, eq)
-    labels = S.labels or {k: [None] * len(objs) for k, objs in S.groups.items()}
-    labelled = {}
-    for k, lbls in labels.items():
-        for p, lbl in enumerate(lbls):
-            if lbl is None:
-                assert S.objects(k)[p].tangle.circles == 0
-            else:
-                assert lbl not in labelled
-                labelled[lbl] = (k, S.objects(k)[p])
-    assert labelled == {(k, p): (k, C.objects(k)[p]) for k, p in protected}
+    kept = {(k, row) for (k, _), row in protected_positions(C, S, eq, protected).items()}
+    assert len(kept) == len(protected)
+    for k, objs in S.groups.items():
+        for p, o in enumerate(objs):
+            if (k, p) not in kept:
+                assert o.tangle.circles == 0
     for k, mat in S.diff.items():
         for (r, c), f in mat.items():
-            if labels[k][c] is None and labels[k + 1][r] is None:
+            if (k, c) not in kept and (k + 1, r) not in kept:
                 assert f.is_identity_iso() is None
 
 
@@ -293,10 +291,10 @@ def test_dual_chain_map_contravariant_signs():
 def test_tautological_circle():
     circ = single_object(ShiftedObject(FlatTangle.empty(1)), 0, 0)
     M = tautological(circ)
-    assert sorted(q for _, q in M.gens[0]) == [-1, 1]
+    assert sorted(M.gens[0]) == [-1, 1]
     empty = single_object(ShiftedObject(FlatTangle.empty()), 0, 0)
     Me = tautological(empty)
-    assert [q for _, q in Me.gens[0]] == [0]
+    assert Me.gens[0] == [0]
 
 
 def test_hom_direct_equals_duality_route():
@@ -312,9 +310,7 @@ def test_hom_direct_equals_duality_route():
         M1.check()
         M2.check()
         for k in set(M1.gens) | set(M2.gens):
-            assert sorted(q for _, q in M1.gens.get(k, [])) == sorted(
-                q for _, q in M2.gens.get(k, [])
-            ), k
+            assert sorted(M1.gens.get(k, [])) == sorted(M2.gens.get(k, [])), k
         t1 = homology_table(M1, "alpha0")
         t2 = homology_table(M2, "alpha0")
         assert tables_equal(t1, t2)
@@ -323,10 +319,10 @@ def test_hom_direct_equals_duality_route():
 def test_hom_examples_from_small_objects():
     arc = from_tangle(FlatTangle(0, 2, (1, 0)))
     H = hom_complex(arc, arc)
-    assert sorted(q for _, q in H.gens[0]) == [0, 2]
+    assert sorted(H.gens[0]) == [0, 2]
     empty = from_tangle(FlatTangle.empty())
     H0 = hom_complex(empty, empty)
-    assert [q for _, q in H0.gens[0]] == [0]
+    assert H0.gens[0] == [0]
 
 
 def test_stack_chain_maps_koszul_leibniz():
@@ -430,8 +426,8 @@ def test_bicomplex_quadrant_rule_matches_brute_force():
 
     for sa, sb in itertools.product(supports, supports):
         for tails in itertools.product((False, True), repeat=4):
-            A = ChainComplex(1, 1, Window(-2, 2), {i: [o] for i in sa}, {}, "sum", *tails[:2])
-            B = ChainComplex(1, 1, Window(-2, 2), {j: [o] for j in sb}, {}, "sum", *tails[2:])
+            A = ChainComplex(1, 1, Window(-2, 2), {i: [o] for i in sa}, {}, *tails[:2])
+            B = ChainComplex(1, 1, Window(-2, 2), {j: [o] for j in sb}, {}, *tails[2:])
             da, db = degrees(sa, *tails[:2]), degrees(sb, *tails[2:])
             quadrant_iv = any(i > 0 for i in da) and any(j < 0 for j in db)
             quadrant_ii = any(i < 0 for i in da) and any(j > 0 for j in db)

@@ -9,12 +9,16 @@ stack_complexes and beside_complexes returned the product with a separate
 summand layout and took a totalization mode, cob.stack kept a
 morphism-level cache and a vertex had its own builder beside the
 decomposition expand_vertices writes; any change to an object, its summand
-order, an entry, a sign, the mode or the band changes a digest.
+order, an entry, a sign or the band changes a digest.
 
 beside_p2_w6, vertex_112_w6 and vertex_222_w4_deepen were re-recorded when
 a built P_n got the band (window.lo + n, inf) that a cached one already had
 (projector.certified_projector); their band went from (-5, inf) to
 (-4, inf), and without it each record hashes as before.
+
+All six were re-recorded when ChainComplex lost its unread totalization
+mode: each equals the earlier record hashed with the "mode" key dropped
+from every serialized complex.
 """
 
 import hashlib
@@ -30,12 +34,12 @@ from spinhom.complexes import Window
 from spinhom.serialize import complex_to_data
 
 PINNED_SHA256 = {
-    "beside_p2_w6": "6f30be2ad1fc1e8a4cbd54cf2c06fbdc5875ad2379ec1abc4c6830fe143d7848",
-    "hom_product_p2_w6": "b6625cbfca6db34949a7bc2afff8a29e5d19f099f26e2f3da0c76405447e0003",
-    "stack_p3_w5": "2ce594100538a38df44a905af3bafdac7d1e9467d7b6235b21dd9a7e4e3ea8c8",
-    "trace_p3_w5": "1717fd5abeb0d67c45c20fee5e9fc3c8509f6078f7019f87c3d4fde86cf21c86",
-    "vertex_112_w6": "116a5a025004545512dd490adca67ab9257d7fb5d3879b88c363d743893c8adf",
-    "vertex_222_w4_deepen": "b5a6cac904e7cbab23d6a62c9326632f8f372e084ad93b3d65b6bae44df0d9a0",
+    "beside_p2_w6": "86c1ee8f92b2f1dd5c5a9bc82a77f9db45a8666d1f542e9ce8e641249413c901",
+    "hom_product_p2_w6": "beffc60d72d41ac5da16c4fd4ed7c508fd328624e0ff2bb1352fc6be1e478316",
+    "stack_p3_w5": "b502ed542ffc1ef17a29d5988f8b00910897cc82d9726b9cd49b0610c996ac4c",
+    "trace_p3_w5": "b30d40a9ed0ce65597e3e7557fa64e36307b50f65299e1d3f5060e7f4d077826",
+    "vertex_112_w6": "ea819dca4a6afeb81f1622a8c1210f54ff8f01a6d101afd441bfab1d18163d4a",
+    "vertex_222_w4_deepen": "1e5536342b8ff9c949deedf2da5250204679c23fbc743159ae5ac28ff7b2e4ea",
 }
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import closed_networks_leq3
 from spinhom import complexes as cx
 from spinhom import expr as ex
 from spinhom import projector as pj
@@ -158,6 +159,65 @@ def test_rewrite_zero_and_units():
     assert r(ex.Beside(ex.Strand(0), ex.Proj(2))) == ex.Proj(2)
     assert r(ex.Trace(ex.Stack(ex.Proj(2), ex.Zero()))) == ex.Zero()
     assert r(ex.Dual(ex.Dual(ex.Proj(2)))) == ex.Proj(2)
+
+
+def _has_dual(e: ex.NetworkExpr) -> bool:
+    match e:
+        case ex.Dual():
+            return True
+        case ex.Stack(a, b) | ex.Beside(a, b):
+            return _has_dual(a) or _has_dual(b)
+        case ex.Trace(inner):
+            return _has_dual(inner)
+    return False
+
+
+def test_rewrite_rules_meet_no_dual_node():
+    # rewrite_network's rules have no Dual case: push_duals leaves a Dual
+    # only around a Vertex, and expand_vertices has removed them all.
+    # Networks: the closed ones with labels <= 3 (AC10's), and the hom(M, N)
+    # closures that hom_of_networks builds for those and for the open
+    # projectors and vertices with labels <= 3.
+    closed = [net for _, net in closed_networks_leq3()]
+    triples = [(1, 1, 2), (2, 1, 1), (2, 2, 2), (3, 1, 2), (3, 2, 1), (1, 2, 3), (2, 3, 3)]
+    pieces = [ex.Proj(n) for n in (1, 2, 3)] + [ex.DualProj(n) for n in (1, 2, 3)]
+    pieces += [ex.Vertex(*t) for t in triples]
+    homs = [
+        ex.Trace(ex.Stack(N, ex.Dual(M)))
+        for group in (closed, pieces)
+        for M in group
+        for N in group
+        if ex.arity(M) == ex.arity(N)
+    ]
+    assert any(isinstance(M, ex.Vertex) for M in pieces)
+    for e in closed + homs:
+        assert not _has_dual(ex.push_duals(pj.expand_vertices(e))), ex.to_text(e)
+
+
+def test_dual_projector_closure_is_the_universal_coefficient_dual():
+    # tr(dual(p(n))) instantiates DualProj: its homology is the dual of
+    # tr(p(n))'s, free ranks at (-h, -q) and torsion at (1 - h, -q), on the
+    # degrees inside both reliable bands
+    checked = set()
+    for n in (1, 2, 3):
+        for depth in (6, 8):
+            window = Window(-depth, 0)
+            M = pj.closed_module(ex.Trace(ex.Proj(n)), window)
+            D = pj.closed_module(ex.Trace(ex.Dual(ex.Proj(n))), window)
+            T, TD = homology_table(M), homology_table(D)
+
+            def inside(h, h_dual):
+                return M.reliable[0] <= h <= M.reliable[1] and D.reliable[0] <= h_dual <= D.reliable[1]
+
+            keys = set(T.entries) | {(-h, -q) for h, q in TD.entries} | {(1 - h, -q) for h, q in TD.entries}
+            for h, q in keys:
+                if inside(h, -h):
+                    assert T.rank(h, q) == TD.rank(-h, -q), (n, depth, h, q)
+                if inside(h, 1 - h):
+                    assert T.torsion(h, q) == TD.torsion(1 - h, -q), (n, depth, h, q)
+                    if T.torsion(h, q):
+                        checked.add((n, depth, h, q))
+    assert {(2, 8, -4, 8), (2, 8, -2, 4), (2, 6, -2, 4), (3, 8, -2, 3)} <= checked
 
 
 def test_rewrite_soundness_absorption(w8):
