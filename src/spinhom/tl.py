@@ -132,33 +132,50 @@ class TLElement:
 
 
 def compose_tl(a: TLElement, b: TLElement) -> TLElement:
-    """Vertical stacking TL(m,k) x TL(k,n) -> TL(m,n); circles become q+q^-1."""
+    """Vertical stacking TL(m,k) x TL(k,n) -> TL(m,n); circles become q+q^-1.
+
+    For each output matching the products' numerators ca.num * cb.num *
+    LOOP^circles are summed as plain LaurentPolys, grouped by the
+    unnormalized denominator ca.den * cb.den.  Each group is normalized once
+    and the few groups are added as RatFuncs, so a coefficient costs one gcd
+    per group rather than one per product, loop and partial sum.  The normal
+    form of a RatFunc is unique, so the result is the same, byte for byte, as
+    adding the normalized products one at a time.
+    """
     if a.n != b.m:
         raise DimensionError(f"cannot stack ({a.m},{a.n}) over ({b.m},{b.n})")
-    acc: dict[FlatTangle, RatFunc] = {}
-    loop = RatFunc.from_laurent(LOOP)
+    sums: dict[FlatTangle, dict[LaurentPoly, LaurentPoly]] = {}
     for da, ca in a.terms.items():
         for db, cb in b.terms.items():
             d, circles = compose_matchings(da, db)
-            c = ca * cb
+            num = ca.num * cb.num
             for _ in range(circles):
-                c = c * loop
-            s = acc.get(d, RatFunc.zero()) + c
-            if s:
-                acc[d] = s
-            else:
-                acc.pop(d, None)
+                num = num * LOOP
+            _collect(sums.setdefault(d, {}), ca.den * cb.den, num)
+    acc = {d: _normalize_groups(groups) for d, groups in sums.items()}
     return TLElement(a.m, b.n, acc)
 
 
+def _collect(groups: dict[LaurentPoly, LaurentPoly], den: LaurentPoly, num: LaurentPoly) -> None:
+    """Add num to the numerator sum kept for den."""
+    groups[den] = groups[den] + num if den in groups else num
+
+
+def _normalize_groups(groups: dict[LaurentPoly, LaurentPoly]) -> RatFunc:
+    """The sum of num/den over the groups, normalizing each group once."""
+    total = RatFunc.zero()
+    for den, num in groups.items():
+        total = total + RatFunc._normalized(num, den)
+    return total
+
+
 def beside_tl(a: TLElement, b: TLElement) -> TLElement:
-    acc: dict[FlatTangle, RatFunc] = {}
-    for da, ca in a.terms.items():
-        for db, cb in b.terms.items():
-            d = beside_ob(da, db)
-            s = acc.get(d, RatFunc.zero()) + ca * cb
-            if s:
-                acc[d] = s
+    # beside_ob is injective on pairs: each output matching gets one product
+    acc = {
+        beside_ob(da, db): ca * cb
+        for da, ca in a.terms.items()
+        for db, cb in b.terms.items()
+    }
     return TLElement(a.m + b.m, a.n + b.n, acc)
 
 
@@ -170,12 +187,16 @@ def through_degree(x: TLElement) -> int:
 
 
 def markov_trace(x: TLElement) -> RatFunc:
-    """Close top point i to bottom point i around the side; circles evaluate."""
+    """Close top point i to bottom point i around the side; circles evaluate.
+
+    As in compose_tl, the numerators c.num * LOOP^circles are summed per
+    denominator and each group is normalized once; the unique normal form
+    keeps the result byte-identical to a term-by-term RatFunc sum.
+    """
     if x.m != x.n:
         raise DimensionError("markov trace needs a square element")
     n = x.n
-    total = RatFunc.zero()
-    loop = RatFunc.from_laurent(LOOP)
+    groups: dict[LaurentPoly, LaurentPoly] = {}
     for d, c in x.terms.items():
         seen = [False] * (2 * n)
         circles = 0
@@ -189,11 +210,11 @@ def markov_trace(x: TLElement) -> RatFunc:
                 w = d.pairs[v]
                 seen[w] = True
                 v = (w + n) % (2 * n)  # closure arc: top i <-> bottom i
-        val = c
+        num = c.num
         for _ in range(circles):
-            val = val * loop
-        total = total + val
-    return total
+            num = num * LOOP
+        _collect(groups, c.den, num)
+    return _normalize_groups(groups)
 
 
 @functools.cache

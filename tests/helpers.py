@@ -18,6 +18,7 @@ from spinhom.cob import (
     surgery,
 )
 from spinhom.complexes import ChainComplex, Window
+from spinhom.laurent import RatFunc
 
 
 def two_term_piece(rng: random.Random, n: int, degree: int, qshift: int,
@@ -506,6 +507,57 @@ def reference_beside_matchings(a, b) -> tuple[int, ...]:
     for i, j in enumerate(b.pairs):
         new[remap_b(i)] = remap_b(j)
     return tuple(new)
+
+
+# ---------------------------------------------------------------------------
+# Reference Temperley-Lieb products: the term-by-term loops that tl.compose_tl
+# and tl.markov_trace ran before they summed numerators per denominator.  Every
+# product, loop factor and partial sum here is a normalized RatFunc.
+
+
+def reference_compose_tl(a, b):
+    """Stack a over b, adding one normalized product at a time."""
+    assert a.n == b.m
+    acc = {}
+    loop = RatFunc.from_laurent(tl.LOOP)
+    for da, ca in a.terms.items():
+        for db, cb in b.terms.items():
+            d, circles = tl.compose_matchings(da, db)
+            c = ca * cb
+            for _ in range(circles):
+                c = c * loop
+            s = acc.get(d, RatFunc.zero()) + c
+            if s:
+                acc[d] = s
+            else:
+                acc.pop(d, None)
+    return tl.TLElement(a.m, b.n, acc)
+
+
+def reference_markov_trace(x):
+    """Close top point i to bottom point i, adding one normalized term at a time."""
+    assert x.m == x.n
+    n = x.n
+    total = RatFunc.zero()
+    loop = RatFunc.from_laurent(tl.LOOP)
+    for d, c in x.terms.items():
+        seen = [False] * (2 * n)
+        circles = 0
+        for start in range(2 * n):
+            if seen[start]:
+                continue
+            circles += 1
+            v = start
+            while not seen[v]:
+                seen[v] = True
+                w = d.pairs[v]
+                seen[w] = True
+                v = (w + n) % (2 * n)
+        val = c
+        for _ in range(circles):
+            val = val * loop
+        total = total + val
+    return total
 
 
 # ---------------------------------------------------------------------------

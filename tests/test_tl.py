@@ -1,13 +1,20 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import reference_beside_matchings, reference_compose_matchings
+from helpers import (
+    reference_beside_matchings,
+    reference_compose_matchings,
+    reference_compose_tl,
+    reference_markov_trace,
+)
 from spinhom import expr as ex
 from spinhom import tl
 from spinhom.cob import FlatTangle, beside_ob, stack_ob
 from spinhom.errors import AdmissibilityError, ArityError, DimensionError, SpinhomError
-from spinhom.laurent import RatFunc, quantum_integer
+from spinhom.laurent import LaurentPoly, RatFunc, quantum_integer
 
 LOOP = RatFunc.from_laurent(tl.LOOP)
 
@@ -97,6 +104,101 @@ def test_compose_associative_random():
         assert lhs == rhs
 
 
+# Random multi-term elements on at most 4 strands for the term-by-term
+# references: coefficients are +-q^s [i]/[j], the ratios Jones-Wenzl
+# coefficients are made of, so distinct terms carry distinct denominators.
+_QINT = [RatFunc.from_laurent(quantum_integer(i)) for i in range(6)]
+
+
+@st.composite
+def qratio(draw):
+    i, j = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    mono = LaurentPoly.monomial(draw(st.integers(-2, 2)), draw(st.sampled_from([1, -1, 2])))
+    return _QINT[i] / _QINT[j] * mono
+
+
+@st.composite
+def tl_element(draw, m, n, max_terms=4):
+    ds = draw(st.lists(st.sampled_from(tl.all_matchings(m, n)), min_size=1,
+                       max_size=max_terms, unique=True))
+    return tl.TLElement(m, n, {d: draw(qratio()) for d in ds})
+
+
+def _boundary_to(draw, k):
+    """A point count of at most 4 that can share a matching with k points."""
+    return draw(st.integers(0, 4).filter(lambda m: (m + k) % 2 == 0))
+
+
+@st.composite
+def composable_pair(draw):
+    k = draw(st.integers(0, 4))
+    m, n = _boundary_to(draw, k), _boundary_to(draw, k)
+    return draw(tl_element(m, k)), draw(tl_element(k, n)), False
+
+
+@st.composite
+def killed_pair(draw):
+    """x over p_k with x in TL(m, k), m < k: every term of x ends in a cap,
+    which p_k kills, so the nonzero products cancel exactly."""
+    k = draw(st.integers(2, 4))
+    m = draw(st.sampled_from(range(k - 2, -1, -2)))
+    return draw(tl_element(m, k)), tl.jones_wenzl(k), True
+
+
+@given(st.one_of(composable_pair(), killed_pair()))
+@settings(max_examples=200, deadline=None)
+def test_compose_tl_matches_term_by_term_reference(case):
+    a, b, cancels = case
+    got = tl.compose_tl(a, b)
+    assert got == reference_compose_tl(a, b)
+    if cancels:
+        assert got.is_zero()
+
+
+@st.composite
+def traced_element(draw):
+    """A square element, or one built as c d1 - c LOOP^(c1 - c2) d2 from two
+    matchings whose closures have c1 and c2 circles, so its trace is zero."""
+    n = draw(st.integers(0, 4))
+    if n >= 2 and draw(st.booleans()):
+        d1, d2 = draw(st.lists(st.sampled_from(tl.all_matchings(n, n)), min_size=2,
+                               max_size=2, unique=True))
+        c = draw(qratio())
+        t1 = tl.markov_trace(tl.TLElement.from_matching(d1))
+        t2 = tl.markov_trace(tl.TLElement.from_matching(d2))
+        return tl.TLElement(n, n, {d1: c, d2: -c * t1 / t2}), True
+    return draw(tl_element(n, n)), False
+
+
+@given(traced_element())
+@settings(max_examples=200, deadline=None)
+def test_markov_trace_matches_term_by_term_reference(case):
+    x, cancels = case
+    got = tl.markov_trace(x)
+    assert got == reference_markov_trace(x)
+    if cancels:
+        assert got.is_zero()
+
+
+@st.composite
+def side_by_side_pair(draw):
+    m1 = draw(st.integers(0, 4))
+    m2 = draw(st.integers(0, 4 - m1))
+    return (draw(tl_element(m1, _boundary_to(draw, m1))),
+            draw(tl_element(m2, _boundary_to(draw, m2))))
+
+
+@given(side_by_side_pair())
+@settings(max_examples=100, deadline=None)
+def test_beside_tl_keeps_every_product(pair):
+    a, b = pair
+    got = tl.beside_tl(a, b)
+    assert len(got.terms) == len(a.terms) * len(b.terms)
+    for da, ca in a.terms.items():
+        for db, cb in b.terms.items():
+            assert got.terms[beside_ob(da, db)] == ca * cb
+
+
 def test_through_degree():
     assert tl.through_degree(tl.TLElement.identity(4)) == 4
     assert tl.through_degree(tl.TLElement.e(1, 4)) == 2
@@ -117,7 +219,7 @@ def test_jones_wenzl_axioms(n):
     assert d.is_zero() or tl.through_degree(d) < n
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_markov_trace_of_projector(n):
     assert tl.markov_trace(tl.jones_wenzl(n)) == RatFunc.from_laurent(
         quantum_integer(n + 1)
