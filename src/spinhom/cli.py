@@ -255,10 +255,11 @@ def _atomic_write(path: str, data: str) -> None:
 
 def _read_cached(path: str, n: int, window: Window) -> pj.ProjectorComplex | None:
     """The projector a cache entry holds, or None for an entry that is
-    missing, unreadable, malformed or stale (other code, or a value that
-    does not match its hash); the caller rebuilds and overwrites those.  An
-    entry that matches its hash but whose certificate fails is an
-    IntegrityError."""
+    missing, unreadable, malformed (a value that does not decode, such as a
+    tangle or dot assignment that fails its check) or stale (other code, or
+    a value that does not match its hash); the caller rebuilds and
+    overwrites those.  An entry that matches its hash but whose certificate
+    fails is an IntegrityError."""
     try:
         with open(path) as fh:
             entry = json.load(fh)
@@ -267,7 +268,7 @@ def _read_cached(path: str, n: int, window: Window) -> pj.ProjectorComplex | Non
             return None
         C = ser.complex_from_data(value["complex"])
         cert = pj.Certificate.from_data(n, value["cert"])
-    except (OSError, ValueError, LookupError, TypeError, AttributeError):
+    except (OSError, ValueError, LookupError, TypeError, AttributeError, SpinhomError):
         return None
     if not cert.passed:
         raise IntegrityError("cache holds an uncertified projector")

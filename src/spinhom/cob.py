@@ -6,7 +6,10 @@ the top from left to right, indices m..m+n-1 along the bottom from left to
 right.  Walking the boundary circularly (top left to right, then bottom
 right to left) a planar matching is exactly a balanced bracket sequence,
 which is checked by a stack scan.  The Temperley-Lieb oracle (spinhom.tl)
-keys its elements by circle-free flat tangles.
+keys its elements by circle-free flat tangles.  Flat tangles are interned
+(hash-consed, see FlatTangle): one object per value, validated once, equal
+by identity and hashed by value, so the gluing caches compare their keys
+by identity while every dict and set order stays that of the value.
 Morphisms are kept in canonical form throughout: neck-cutting and the
 sphere/handle relations reduce any dotted cobordism to a Z[alpha]-linear
 combination of unions of disks, one disk per closure circle of the glued
@@ -60,45 +63,59 @@ def _check_planar_pairs(m: int, n: int, pairs: tuple[int, ...]) -> bool:
     return not unclosed
 
 
-@dataclass(frozen=True)
+def _check_tangle(m: int, n: int, pairs: tuple[int, ...], circles: int) -> None:
+    if m < 0 or n < 0:
+        raise DimensionError("negative boundary count")
+    if (m + n) % 2 != 0:
+        raise DimensionError("odd number of boundary points")
+    if len(pairs) != m + n:
+        raise DimensionError("pairing length mismatch")
+    if circles < 0:
+        raise SpinhomError("negative circle count")
+    p = pairs
+    if not all(0 <= p[i] < len(p) and p[i] != i and p[p[i]] == i for i in range(len(p))):
+        raise SpinhomError("pairing is not a fixed-point-free involution")
+    if not _check_planar_pairs(m, n, p):
+        raise SpinhomError("pairing is not planar")
+
+
+# The intern table: (m, n, pairs, circles) -> the one FlatTangle of that value.
+_interned: dict[tuple[int, int, tuple[int, ...], int], "FlatTangle"] = {}
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class FlatTangle:
-    """A crossingless 1-manifold in the square: object of Cob^m_n."""
+    """A crossingless 1-manifold in the square: object of Cob^m_n.
+
+    Tangles are interned: each value is one object.  The constructor looks
+    the value up in a module table and validates it only when it is first
+    made, so a value that fails is never stored.  Equality is therefore
+    identity; the hash is the value hash hash((m, n, pairs, circles)), the
+    one the generated dataclass hash gave, so dict and set orders do not
+    depend on interning.  Copies and pickles come back through the
+    constructor, to the same object."""
 
     m: int
     n: int
     pairs: tuple[int, ...]
     circles: int = 0
 
-    def __post_init__(self):
-        if (self.m + self.n) % 2 != 0:
-            raise DimensionError("odd number of boundary points")
-        if len(self.pairs) != self.m + self.n:
-            raise DimensionError("pairing length mismatch")
-        if self.circles < 0:
-            raise SpinhomError("negative circle count")
-        p = self.pairs
-        if not all(0 <= p[i] < len(p) and p[i] != i and p[p[i]] == i for i in range(len(p))):
-            raise SpinhomError("pairing is not a fixed-point-free involution")
-        if not _check_planar_pairs(self.m, self.n, p):
-            raise SpinhomError("pairing is not planar")
-        object.__setattr__(self, "_hash", hash((self.m, self.n, p, self.circles)))
+    def __new__(cls, m: int, n: int, pairs: tuple[int, ...], circles: int = 0) -> "FlatTangle":
+        key = (m, n, pairs, circles)
+        t = _interned.get(key)
+        if t is None:
+            _check_tangle(m, n, pairs, circles)
+            t = object.__new__(cls)
+            t.__dict__.update(m=m, n=n, pairs=pairs, circles=circles, _hash=hash(key))
+            _interned[key] = t
+        return t
 
-    # Tangles key every gluing cache, so the hash is computed once, with the
-    # value the generated dataclass hash would give.
+    # Tangles key every gluing cache, so the hash is computed once.
     def __hash__(self) -> int:
         return self._hash
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not FlatTangle:
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.pairs == other.pairs
-            and self.circles == other.circles
-            and self.m == other.m
-        )
+    def __reduce__(self):
+        return (FlatTangle, (self.m, self.n, self.pairs, self.circles))
 
     @staticmethod
     def identity(n: int) -> "FlatTangle":
@@ -197,11 +214,8 @@ class ShiftedObject:
             return True
         if other.__class__ is not ShiftedObject:
             return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.qshift == other.qshift
-            and self.tangle == other.tangle
-        )
+        # tangles are interned, so equal tangles are one object
+        return self.tangle is other.tangle and self.qshift == other.qshift
 
     def shifted(self, k: int) -> "ShiftedObject":
         return ShiftedObject(self.tangle, self.qshift + k)
@@ -531,6 +545,12 @@ def add_terms(x: Terms, y: Terms) -> Terms:
 
 
 def scale_terms(terms: Terms, c: AlphaPoly | int) -> Terms:
+    """terms times c.  Term dicts are never mutated, so c = 1 hands back
+    terms itself."""
+    if c == 1:
+        return terms
+    if c == -1:
+        return {a: -p for a, p in terms.items()}
     return {a: p * c for a, p in terms.items()}
 
 

@@ -781,7 +781,7 @@ class _Work:
         or 2 dots, which evaluates to 0, 1 or 0.  So each composite keeps the
         terms with the other dot value there and drops the circle's
         coordinate: f.psi_up keeps dot 0, f.psi_dn dot 1, phi_up.f dot 1 and
-        phi_dn.f dot 0 (_cap)."""
+        phi_dn.f dot 0 (_split_by_dot)."""
         obj = self.obj
         big = obj[oid]
         base = big.tangle.drop_circle()
@@ -801,13 +801,13 @@ class _Work:
         obj[id_up], obj[id_dn] = up, dn
         self.deg[id_up], self.deg[id_dn] = k, k
         for tgt, f in outs.items():
-            c = closure_data(big.tangle, obj[tgt].tangle).src_circ[-1]
+            by_dot = _split_by_dot(f, closure_data(big.tangle, obj[tgt].tangle).src_circ[-1])
             for new_id, dot in copies:
-                self.add_edge(new_id, tgt, _cap(f, c, dot))
+                self.add_edge(new_id, tgt, by_dot[dot])
         for src, f in ins.items():
-            c = closure_data(obj[src].tangle, big.tangle).tgt_circ[-1]
+            by_dot = _split_by_dot(f, closure_data(obj[src].tangle, big.tangle).tgt_circ[-1])
             for new_id, dot in copies:
-                self.add_edge(src, new_id, _cap(f, c, 1 - dot))
+                self.add_edge(src, new_id, by_dot[1 - dot])
 
     def eliminate(self, src: int, tgt: int, sign: int) -> None:
         """Gaussian elimination of the isomorphism src -> tgt (sign times an
@@ -876,12 +876,15 @@ class _Work:
         )
 
 
-def _cap(f: cob.Terms, c: int, dot: int) -> cob.Terms:
-    """f capped on its closure circle c by a birth or death disk with
-    1 - dot dots, c being a free circle of one end and its own closure
-    circle: the terms with `dot` dots on c, that coordinate dropped and
-    their coefficients unchanged."""
-    return {a[:c] + a[c + 1:]: p for a, p in f.items() if a[c] == dot}
+def _split_by_dot(f: cob.Terms, c: int) -> tuple[cob.Terms, cob.Terms]:
+    """f's terms with 0 and with 1 dot on its closure circle c, that
+    coordinate dropped and the coefficients unchanged: f capped on c by a
+    disk with 1 and with 0 dots, c being a free circle of one end and its
+    own closure circle."""
+    by_dot: tuple[cob.Terms, cob.Terms] = ({}, {})
+    for a, p in f.items():
+        by_dot[a[c]][a[:c] + a[c + 1:]] = p
+    return by_dot
 
 
 def _pivot_sweep(work: _Work) -> list[tuple[int, int]]:

@@ -140,18 +140,31 @@ def compose_tl(a: TLElement, b: TLElement) -> TLElement:
     and the few groups are added as RatFuncs, so a coefficient costs one gcd
     per group rather than one per product, loop and partial sum.  The normal
     form of a RatFunc is unique, so the result is the same, byte for byte, as
-    adding the normalized products one at a time.
+    adding the normalized products one at a time.  Coefficients repeat across
+    terms (a Jones-Wenzl projector has few distinct ones), so each numerator
+    is made once per (ca.num, cb.num, circles) and each denominator once per
+    (ca.den, cb.den) in the call.
     """
     if a.n != b.m:
         raise DimensionError(f"cannot stack ({a.m},{a.n}) over ({b.m},{b.n})")
     sums: dict[FlatTangle, dict[LaurentPoly, LaurentPoly]] = {}
+    nums: dict[tuple[LaurentPoly, LaurentPoly, int], LaurentPoly] = {}
+    dens: dict[tuple[LaurentPoly, LaurentPoly], LaurentPoly] = {}
     for da, ca in a.terms.items():
         for db, cb in b.terms.items():
             d, circles = compose_matchings(da, db)
-            num = ca.num * cb.num
-            for _ in range(circles):
-                num = num * LOOP
-            _collect(sums.setdefault(d, {}), ca.den * cb.den, num)
+            num_key = (ca.num, cb.num, circles)
+            num = nums.get(num_key)
+            if num is None:
+                num = ca.num * cb.num
+                for _ in range(circles):
+                    num = num * LOOP
+                nums[num_key] = num
+            den_key = (ca.den, cb.den)
+            den = dens.get(den_key)
+            if den is None:
+                den = dens[den_key] = ca.den * cb.den
+            _collect(sums.setdefault(d, {}), den, num)
     acc = {d: _normalize_groups(groups) for d, groups in sums.items()}
     return TLElement(a.m, b.n, acc)
 

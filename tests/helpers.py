@@ -606,18 +606,27 @@ def reference_deloop_maps(big) -> tuple:
     )
 
 
+def _cap(f, c: int, dot: int):
+    """Terms f capped on its closure circle c by a birth or death disk with
+    1 - dot dots, c being a free circle of one end and its own closure
+    circle: the terms with `dot` dots on c, that coordinate dropped and
+    their coefficients unchanged.  The term-by-term reference for
+    complexes._split_by_dot."""
+    return {a[:c] + a[c + 1:]: p for a, p in f.items() if a[c] == dot}
+
+
 def cap_source(f, source, dot: int):
     """f after a birth disk with 1 - dot dots from `source` (f.source less
-    its last free circle) onto that circle, by complexes._cap."""
+    its last free circle) onto that circle, by _cap."""
     c = closure_data(f.source.tangle, f.target.tangle).src_circ[-1]
-    return CanonicalCobordism(source, f.target, cx._cap(f.terms, c, dot))
+    return CanonicalCobordism(source, f.target, _cap(f.terms, c, dot))
 
 
 def cap_target(f, target, dot: int):
     """A death disk with 1 - dot dots on the last free circle of f.target,
-    to `target` (f.target less that circle), after f, by complexes._cap."""
+    to `target` (f.target less that circle), after f, by _cap."""
     c = closure_data(f.source.tangle, f.target.tangle).tgt_circ[-1]
-    return CanonicalCobordism(f.source, target, cx._cap(f.terms, c, dot))
+    return CanonicalCobordism(f.source, target, _cap(f.terms, c, dot))
 
 
 def reference_deloop(work, oid: int) -> None:

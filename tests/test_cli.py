@@ -142,6 +142,36 @@ def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys, corrupt):
         assert fh.read() == good
 
 
+@pytest.mark.parametrize(
+    "tangle",
+    [{"m": 2, "n": 2, "pairs": [3, 2, 1, 0]}, {"m": -1, "n": 1, "pairs": []}],
+    ids=["not_planar", "negative_boundary"],
+)
+def test_cache_entry_holding_an_invalid_tangle_is_rebuilt(tmp_path, capsys, tangle):
+    # an entry that matches its hash but holds a tangle that fails its check
+    # is malformed: it is rebuilt, and the query prints the cold report
+    args = ["homology", "tr(p(2))", "--window", "3"]
+    assert cli.main(args + ["--cache-dir", str(tmp_path / "cold")]) == 0
+    cold = capsys.readouterr().out
+    cdir = str(tmp_path / "cache")
+    assert cli.main(["project", "2", "--window", "3", "--cache-dir", cdir]) == 0
+    capsys.readouterr()
+    (name,) = os.listdir(cdir)
+    path = os.path.join(cdir, name)
+    with open(path) as fh:
+        good = fh.read()
+    entry = json.loads(good)
+    groups = entry["value"]["complex"]["groups"]
+    groups[min(groups, key=int)][0].update(tangle)
+    entry["hash"] = cli._digest(entry["value"])
+    with open(path, "w") as fh:
+        json.dump(entry, fh, sort_keys=True, separators=(",", ":"))
+    assert cli.main(args + ["--cache-dir", cdir]) == 0
+    assert capsys.readouterr().out == cold
+    with open(path) as fh:
+        assert fh.read() == good
+
+
 def test_cache_entry_with_a_mode_key_loads_without_a_rebuild(tmp_path, capsys, monkeypatch):
     # entries written while complexes carried a totalization mode hold a
     # "mode" key in the serialized complex; they load as they are

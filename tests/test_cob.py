@@ -1,12 +1,14 @@
 """The cobordism category: canonical forms, relations, duality, eta/saddle."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
 
-from spinhom import tl
+from spinhom import cob, serialize, tl
 from spinhom.cob import (
     AlphaPoly,
     CanonicalCobordism,
@@ -32,6 +34,7 @@ from spinhom.cob import (
     surgery,
     trace,
 )
+from spinhom.errors import DimensionError, SpinhomError
 
 ONE2 = FlatTangle.identity(2)
 E = FlatTangle.e(0, 2)
@@ -302,7 +305,7 @@ def test_tangle_and_object_hash_equality():
     assert hash(o) == hash((o.tangle, o.qshift))
     t2 = FlatTangle(t.m, t.n, tuple(list(t.pairs)), t.circles)
     o2 = ShiftedObject(t2, 2)
-    assert t2 is not t and t2 == t and not (t2 != t) and hash(t2) == hash(t)
+    assert t2 is t and t2 == t and not (t2 != t) and hash(t2) == hash(t)
     assert o2 is not o and o2 == o and hash(o2) == hash(o)
     assert {t: 1}[t2] == 1 and {o: 1}[o2] == 1
     assert FlatTangle(t.m, t.n, t.pairs, 1) != t
@@ -316,3 +319,63 @@ def test_tangle_and_object_hash_equality():
         t.circles = 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         o.qshift = 0
+
+
+def test_equal_tangles_are_one_object_through_every_maker():
+    t = FlatTangle(3, 3, (1, 0, 5, 4, 3, 2))
+    assert FlatTangle(3, 3, (1, 0, 5, 4, 3, 2), 0) is t
+    assert FlatTangle(m=3, n=3, pairs=(1, 0, 5, 4, 3, 2), circles=0) is t
+    assert FlatTangle.e(0, 3) is t
+    assert t.flip() is t and t.mirror().mirror() is t
+    assert FlatTangle(3, 3, t.pairs, 1).drop_circle() is t
+    assert serialize.tangle_from_data(serialize.tangle_to_data(t)) is t
+    assert copy.copy(t) is t and copy.deepcopy(t) is t
+    assert copy.deepcopy([t, {t: ShiftedObject(t)}])[1][t].tangle is t
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(t, protocol)) is t
+    assert FlatTangle.identity(2) is FlatTangle(2, 2, (2, 3, 0, 1))
+    assert FlatTangle.empty() is FlatTangle(0, 0, ())
+    assert FlatTangle.turnback_above(0, 2) is FlatTangle(0, 2, (1, 0))
+    assert FlatTangle.turnback_below(0, 2) is FlatTangle(2, 0, (1, 0))
+    assert FlatTangle.turnback_below(1, 4) is FlatTangle.turnback_above(1, 4).flip()
+    # every matching tl enumerates is the object the constructor gives
+    for d in tl.all_matchings(3, 3):
+        assert FlatTangle(d.m, d.n, tuple(list(d.pairs)), d.circles) is d
+    # the repr and the dataclass fields are those of the value
+    assert repr(t) == "FlatTangle(m=3, n=3, pairs=(1, 0, 5, 4, 3, 2), circles=0)"
+    assert [f.name for f in dataclasses.fields(t)] == ["m", "n", "pairs", "circles"]
+    assert dataclasses.replace(t, circles=2) is FlatTangle(3, 3, t.pairs, 2)
+
+
+def test_interned_tangles_stay_frozen():
+    t = FlatTangle.e(1, 3)
+    for name, value in (("m", 1), ("pairs", ()), ("circles", 1), ("_hash", 0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del t.n
+    assert FlatTangle(3, 3, t.pairs) is t and t.m == 3 and t.circles == 0
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        ((-1, 1, ()), DimensionError, "negative boundary count"),
+        ((2, -2, ()), DimensionError, "negative boundary count"),
+        ((1, 2, (1, 0, 2)), DimensionError, "odd number of boundary points"),
+        ((2, 2, (1, 0)), DimensionError, "pairing length mismatch"),
+        ((2, 0, (1, 0), -1), SpinhomError, "negative circle count"),
+        ((2, 2, (1, 0, 2, 3)), SpinhomError, "pairing is not a fixed-point-free involution"),
+        ((2, 2, (1, 2, 3, 0)), SpinhomError, "pairing is not a fixed-point-free involution"),
+        ((2, 2, (3, 2, 1, 0)), SpinhomError, "pairing is not planar"),
+        ((0, 4, (2, 3, 0, 1)), SpinhomError, "pairing is not planar"),
+    ],
+)
+def test_invalid_tangle_raises_each_time_and_is_never_stored(args, error, message):
+    before = len(cob._interned)
+    for _ in range(3):
+        with pytest.raises(error) as ei:
+            FlatTangle(*args)
+        assert str(ei.value) == message
+        assert len(cob._interned) == before
+    assert (*args, 0)[:4] not in cob._interned

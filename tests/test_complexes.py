@@ -509,6 +509,13 @@ def test_cap_equals_composition_with_birth_death(case):
     assert cap_source(f, dn, 1) == compose(f, psi_dn)
     assert cap_target(g, up, 1) == compose(phi_up, g)
     assert cap_target(g, dn, 0) == compose(phi_dn, g)
+    # the engine splits each edge once by that dot and keeps both parts
+    keep0, keep1 = cx._split_by_dot(f.terms, closure_data(big.tangle, f.target.tangle).src_circ[-1])
+    assert CanonicalCobordism(up, f.target, keep0) == compose(f, psi_up)
+    assert CanonicalCobordism(dn, f.target, keep1) == compose(f, psi_dn)
+    keep0, keep1 = cx._split_by_dot(g.terms, closure_data(g.source.tangle, big.tangle).tgt_circ[-1])
+    assert CanonicalCobordism(g.source, dn, keep0) == compose(phi_dn, g)
+    assert CanonicalCobordism(g.source, up, keep1) == compose(phi_up, g)
 
 
 def _p3_sweep_product() -> ChainComplex:

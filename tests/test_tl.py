@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -118,10 +118,10 @@ def qratio(draw):
 
 
 @st.composite
-def tl_element(draw, m, n, max_terms=4):
+def tl_element(draw, m, n, max_terms=4, coeffs=qratio()):
     ds = draw(st.lists(st.sampled_from(tl.all_matchings(m, n)), min_size=1,
                        max_size=max_terms, unique=True))
-    return tl.TLElement(m, n, {d: draw(qratio()) for d in ds})
+    return tl.TLElement(m, n, {d: draw(coeffs) for d in ds})
 
 
 def _boundary_to(draw, k):
@@ -145,8 +145,32 @@ def killed_pair(draw):
     return draw(tl_element(m, k)), tl.jones_wenzl(k), True
 
 
-@given(st.one_of(composable_pair(), killed_pair()))
-@settings(max_examples=200, deadline=None)
+@st.composite
+def pooled_pair(draw):
+    """Terms whose coefficients come from a pool of two or three values, so
+    one coefficient pair meets several circle counts (up to three, on six
+    middle points), and one product many output matchings; or p_k over
+    such an element, whose own coefficients repeat as well."""
+    coeffs = st.sampled_from(draw(st.lists(qratio(), min_size=2, max_size=3)))
+    k = draw(st.integers(2, 6))
+    b = draw(tl_element(k, _boundary_to(draw, k), max_terms=8, coeffs=coeffs))
+    if k <= 4 and draw(st.booleans()):
+        return tl.jones_wenzl(k), b, False
+    return draw(tl_element(_boundary_to(draw, k), k, max_terms=8, coeffs=coeffs)), b, False
+
+
+# Every cap pattern on six points over every cup pattern, all with
+# coefficient 1: one coefficient pair closes one, two and three circles.
+_CLOSE_SIX = (
+    tl.TLElement(0, 6, {d: RatFunc.one() for d in tl.all_matchings(0, 6)}),
+    tl.TLElement(6, 0, {d: RatFunc.one() for d in tl.all_matchings(6, 0)}),
+    False,
+)
+
+
+@given(st.one_of(composable_pair(), killed_pair(), pooled_pair()))
+@example(_CLOSE_SIX)
+@settings(max_examples=300, deadline=None)
 def test_compose_tl_matches_term_by_term_reference(case):
     a, b, cancels = case
     got = tl.compose_tl(a, b)
