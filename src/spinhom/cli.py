@@ -27,6 +27,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -241,8 +242,9 @@ def _digest(obj) -> str:
 
 
 def _atomic_write(path: str, data: str) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(path))
+    d, name = os.path.split(path)
+    os.makedirs(d, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=".tmp", prefix=name, dir=d)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(data)
@@ -454,13 +456,13 @@ def cmd_rewrite(args) -> dict:
 def cmd_cache(args) -> dict:
     d = cache_dir(args.cache_dir)
     files = sorted(os.listdir(d)) if os.path.isdir(d) else []
+    # only what spinhom writes: <sha256>.json entries, <entry>...tmp of killed writes
+    ours = [f for f in files if re.fullmatch(r"[0-9a-f]{64}\.json(.*\.tmp)?", f)]
     if args.action == "ls":
-        return {"dir": d, "entries": [f for f in files if f.endswith(".json")]}
-    # a .tmp file is a write that was killed before its rename
-    removed = [f for f in files if f.endswith((".json", ".tmp"))]
-    for f in removed:
+        return {"dir": d, "entries": [f for f in ours if f.endswith(".json")]}
+    for f in ours:
         os.unlink(os.path.join(d, f))
-    return {"dir": d, "removed": len(removed)}
+    return {"dir": d, "removed": len(ours)}
 
 
 def _natural(text: str) -> int:

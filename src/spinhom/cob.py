@@ -83,6 +83,16 @@ def _check_tangle(m: int, n: int, pairs: tuple[int, ...], circles: int) -> None:
 _interned: dict[tuple[int, int, tuple[int, ...], int], "FlatTangle"] = {}
 
 
+def _flip_point(t: FlatTangle) -> Callable[[int], int]:
+    """Boundary-point map of the reflection about the x-axis (FlatTangle.flip)."""
+    return lambda p: p + t.n if p < t.m else p - t.m
+
+
+def _mirror_point(t: FlatTangle) -> Callable[[int], int]:
+    """Boundary-point map of the reflection about the y-axis (FlatTangle.mirror)."""
+    return lambda p: t.m - 1 - p if p < t.m else 2 * t.m + t.n - 1 - p
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class FlatTangle:
     """A crossingless 1-manifold in the square: object of Cob^m_n.
@@ -163,25 +173,16 @@ class FlatTangle:
         return (p, q) if p < q else (q, p)
 
     def flip(self) -> "FlatTangle":
-        m, n = self.m, self.n
-
-        def remap(i: int) -> int:
-            return i + n if i < m else i - m
-
-        new = [0] * (m + n)
-        for i, j in enumerate(self.pairs):
-            new[remap(i)] = remap(j)
-        return FlatTangle(n, m, tuple(new), self.circles)
+        return self._moved(_flip_point(self), self.n, self.m)
 
     def mirror(self) -> "FlatTangle":
-        m, n = self.m, self.n
+        return self._moved(_mirror_point(self), self.m, self.n)
 
-        def remap(i: int) -> int:
-            return m - 1 - i if i < m else m + (m + n - 1 - i)
-
+    def _moved(self, point_map: Callable[[int], int], m: int, n: int) -> "FlatTangle":
+        """This tangle carried along a boundary-point bijection onto Cob^m_n."""
         new = [0] * (m + n)
         for i, j in enumerate(self.pairs):
-            new[remap(i)] = remap(j)
+            new[point_map(i)] = point_map(j)
         return FlatTangle(m, n, tuple(new), self.circles)
 
     def through_strands(self) -> int:
@@ -941,23 +942,10 @@ class TracedObject:
 
 @functools.lru_cache(maxsize=1 << 14)
 def trace_ob(a: FlatTangle) -> TracedObject:
-    """Close top point i to bottom point i around the side.  The result's
-    circles are a's, then the new loops in order of their smallest point."""
-    if a.m != a.n:
-        raise DimensionError("trace needs equal boundary counts")
-    n = a.n
-    circle_at = [-1] * (2 * n)
-    count = a.circles
-    for start in range(2 * n):
-        if circle_at[start] != -1:
-            continue
-        v = start
-        while circle_at[v] == -1:
-            w = a.pairs[v]
-            circle_at[v] = circle_at[w] = count
-            v = (w + n) % (2 * n)
-        count += 1
-    return TracedObject(FlatTangle(0, 0, (), count), tuple(circle_at))
+    """Close top point i to bottom point i: the closure of a against the identity.
+    The result's circles are a's, then the new loops by their smallest point."""
+    cd = closure_data(a, FlatTangle.identity(a.n))
+    return TracedObject(FlatTangle.empty(cd.n), tuple(a.circles + c for c in cd.point))
 
 
 def trace_object(a: ShiftedObject) -> ShiftedObject:
@@ -1033,11 +1021,6 @@ def _transport(
     return CanonicalCobordism(source, target, terms)
 
 
-def _flip_point(t: FlatTangle) -> Callable[[int], int]:
-    """Boundary-point map of FlatTangle.flip."""
-    return lambda p: p + t.n if p < t.m else p - t.m
-
-
 def dualize_ob(a: ShiftedObject) -> ShiftedObject:
     """Reflect about the x-axis and negate the q-shift."""
     return ShiftedObject(a.tangle.flip(), -a.qshift)
@@ -1070,13 +1053,8 @@ def reflect_y_ob(a: ShiftedObject) -> ShiftedObject:
 
 
 def reflect_y_cob(f: CanonicalCobordism) -> CanonicalCobordism:
-    m, n = f.source.tangle.m, f.source.tangle.n
     return _transport(
-        f,
-        reflect_y_ob(f.source),
-        reflect_y_ob(f.target),
-        lambda p: m - 1 - p if p < m else m + (m + n - 1 - p),
-        False,
+        f, reflect_y_ob(f.source), reflect_y_ob(f.target), _mirror_point(f.source.tangle), False
     )
 
 

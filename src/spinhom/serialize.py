@@ -28,8 +28,16 @@ def tangle_to_data(t: FlatTangle) -> dict[str, Any]:
     return {"m": t.m, "n": t.n, "pairs": list(t.pairs), "circles": t.circles}
 
 
+def _check_ints(*values: Any) -> None:
+    """Reject non-ints, bools and floats too: interning by == finds 2 for 2.0."""
+    if not all(type(x) is int for x in values):
+        raise IntegrityError(f"not all integers: {values!r}")
+
+
 def tangle_from_data(d: dict[str, Any]) -> FlatTangle:
-    return FlatTangle(d["m"], d["n"], tuple(d["pairs"]), d["circles"])
+    pairs = tuple(d["pairs"])
+    _check_ints(d["m"], d["n"], d["circles"], *pairs)
+    return FlatTangle(d["m"], d["n"], pairs, d["circles"])
 
 
 def object_to_data(o: ShiftedObject) -> dict[str, Any]:
@@ -39,6 +47,7 @@ def object_to_data(o: ShiftedObject) -> dict[str, Any]:
 
 
 def object_from_data(d: dict[str, Any]) -> ShiftedObject:
+    _check_ints(d["q"])
     return ShiftedObject(tangle_from_data(d), d["q"])
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from . import expr as ex
-from .cob import FlatTangle, beside_ob, stack_walk
+from .cob import FlatTangle, beside_ob, stack_walk, trace_ob
 from .errors import ArityError, DimensionError, ResourceError, SpinhomError
 from .laurent import LaurentPoly, RatFunc, quantum_integer
 
@@ -202,29 +202,16 @@ def through_degree(x: TLElement) -> int:
 def markov_trace(x: TLElement) -> RatFunc:
     """Close top point i to bottom point i around the side; circles evaluate.
 
-    As in compose_tl, the numerators c.num * LOOP^circles are summed per
-    denominator and each group is normalized once; the unique normal form
-    keeps the result byte-identical to a term-by-term RatFunc sum.
+    cob.trace_ob counts each matching's circles.  As in compose_tl, the
+    numerators c.num * LOOP^circles are summed per denominator and each group
+    is normalized once, so the result is byte-identical to a term-by-term sum.
     """
     if x.m != x.n:
         raise DimensionError("markov trace needs a square element")
-    n = x.n
     groups: dict[LaurentPoly, LaurentPoly] = {}
     for d, c in x.terms.items():
-        seen = [False] * (2 * n)
-        circles = 0
-        for start in range(2 * n):
-            if seen[start]:
-                continue
-            circles += 1
-            v = start
-            while not seen[v]:
-                seen[v] = True
-                w = d.pairs[v]
-                seen[w] = True
-                v = (w + n) % (2 * n)  # closure arc: top i <-> bottom i
         num = c.num
-        for _ in range(circles):
+        for _ in range(trace_ob(d).tangle.circles):
             num = num * LOOP
         _collect(groups, c.den, num)
     return _normalize_groups(groups)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .homology import IntMatrix, rank_over_q
+from spinhom.homology import IntMatrix, rank_over_q
 
 # A monomial is (even exponents tuple, odd subset as sorted tuple of indices).
 Monomial = tuple[tuple[int, ...], tuple[int, ...]]

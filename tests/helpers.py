@@ -229,7 +229,8 @@ def _bareiss_det(A: list[list[int]]) -> int:
 def determinantal_factors(M) -> list[int]:
     """The nonzero invariant factors of M as d_k / d_{k-1}, where d_k is the
     gcd of the k x k minors (d_0 = 1): no elimination of M itself, so it
-    shares nothing with smith_normal_form or rank_over_q.  Exponential in
+    shares nothing with smith_normal_form, or with rank_over_q, which counts
+    smith_normal_form's factors.  Exponential in
     the size, so it refuses a matrix with both sides above 6."""
     if min(M.rows, M.cols) > 6:
         raise ValueError(f"{M.rows} x {M.cols} is too large for determinantal factors")
@@ -512,7 +513,9 @@ def reference_beside_matchings(a, b) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Reference Temperley-Lieb products: the term-by-term loops that tl.compose_tl
 # and tl.markov_trace ran before they summed numerators per denominator.  Every
-# product, loop factor and partial sum here is a normalized RatFunc.
+# product, loop factor and partial sum here is a normalized RatFunc.  The trace
+# counts its circles by the hand walk both cob.trace_ob and tl.markov_trace
+# ran before they read closure_data against the identity.
 
 
 def reference_compose_tl(a, b):
@@ -534,27 +537,34 @@ def reference_compose_tl(a, b):
     return tl.TLElement(a.m, b.n, acc)
 
 
+def reference_trace_walk(a) -> tuple[tuple[int, ...], int]:
+    """The Markov closure of a square flat tangle walked by hand: the traced
+    circle through each boundary point (a's circles first, then the new
+    loops in order of their smallest point) and the circle count."""
+    assert a.m == a.n
+    n = a.n
+    circle_at = [-1] * (2 * n)
+    count = a.circles
+    for start in range(2 * n):
+        if circle_at[start] != -1:
+            continue
+        v = start
+        while circle_at[v] == -1:
+            w = a.pairs[v]
+            circle_at[v] = circle_at[w] = count
+            v = (w + n) % (2 * n)  # closure arc: top i <-> bottom i
+        count += 1
+    return tuple(circle_at), count
+
+
 def reference_markov_trace(x):
     """Close top point i to bottom point i, adding one normalized term at a time."""
     assert x.m == x.n
-    n = x.n
     total = RatFunc.zero()
     loop = RatFunc.from_laurent(tl.LOOP)
     for d, c in x.terms.items():
-        seen = [False] * (2 * n)
-        circles = 0
-        for start in range(2 * n):
-            if seen[start]:
-                continue
-            circles += 1
-            v = start
-            while not seen[v]:
-                seen[v] = True
-                w = d.pairs[v]
-                seen[w] = True
-                v = (w + n) % (2 * n)
         val = c
-        for _ in range(circles):
+        for _ in range(reference_trace_walk(d)[1]):
             val = val * loop
         total = total + val
     return total

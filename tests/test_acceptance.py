@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from dga import two_color_unknot_dga
 from helpers import (
     assert_sdr,
     closed_networks_leq3,
@@ -55,7 +56,6 @@ from spinhom.complexes import (
     tautological,
     trace_complex,
 )
-from spinhom.dga import two_color_unknot_dga
 from spinhom.errors import SpinhomError
 from spinhom.homology import euler_characteristic, homology_table
 from spinhom.laurent import LaurentPoly, RatFunc, quantum_integer

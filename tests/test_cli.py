@@ -11,8 +11,9 @@ from spinhom import cli
 from spinhom import expr as ex
 from spinhom import projector as pj
 from spinhom import serialize as ser
+from spinhom.cob import FlatTangle, ShiftedObject
 from spinhom.complexes import Window
-from spinhom.errors import AdmissibilityError, ParseError
+from spinhom.errors import AdmissibilityError, IntegrityError, ParseError
 
 
 def test_parse_basics():
@@ -172,6 +173,44 @@ def test_cache_entry_holding_an_invalid_tangle_is_rebuilt(tmp_path, capsys, tang
         assert fh.read() == good
 
 
+@pytest.mark.parametrize(
+    "field, retype",
+    [
+        ("q", float),
+        ("m", float),
+        ("n", float),
+        ("circles", bool),
+        ("pairs", lambda pairs: [float(p) for p in pairs]),
+        ("pairs", lambda pairs: [p if p > 1 else bool(p) for p in pairs]),
+    ],
+    ids=["float_q", "float_m", "float_n", "bool_circles", "float_pairs", "bool_pairs"],
+)
+def test_cache_entry_with_non_int_fields_is_rebuilt(tmp_path, capsys, field, retype):
+    # 2.0 == 2 and True == 1, so such a tangle could be found among the
+    # interned ones; decoding rejects it whatever the process has made
+    args = ["homology", "tr(p(2))", "--window", "4"]
+    assert cli.main(args + ["--cache-dir", str(tmp_path / "cold")]) == 0
+    cold = capsys.readouterr().out
+    cdir = str(tmp_path / "cache")
+    assert cli.main(["project", "2", "--window", "4", "--cache-dir", cdir]) == 0
+    capsys.readouterr()
+    (name,) = os.listdir(cdir)
+    path = os.path.join(cdir, name)
+    with open(path) as fh:
+        good = fh.read()
+    entry = json.loads(good)
+    for objs in entry["value"]["complex"]["groups"].values():
+        for o in objs:
+            o[field] = retype(o[field])
+    entry["hash"] = cli._digest(entry["value"])
+    with open(path, "w") as fh:
+        json.dump(entry, fh, sort_keys=True, separators=(",", ":"))
+    assert cli.main(args + ["--cache-dir", cdir]) == 0
+    assert capsys.readouterr().out == cold
+    with open(path) as fh:
+        assert fh.read() == good
+
+
 def test_cache_entry_with_a_mode_key_loads_without_a_rebuild(tmp_path, capsys, monkeypatch):
     # entries written while complexes carried a totalization mode hold a
     # "mode" key in the serialized complex; they load as they are
@@ -213,6 +252,25 @@ def test_cache_ignores_and_clears_leftover_temporary_files(tmp_path, capsys, mon
     assert cli.main(["cache", "clear", "--cache-dir", cdir]) == 0
     assert json.loads(capsys.readouterr().out)["removed"] == 2
     assert os.listdir(cdir) == []
+
+
+def test_cache_lists_and_clears_only_its_own_files(tmp_path, capsys):
+    cdir = tmp_path / "cache"
+    cdir.mkdir()
+    foreign = ["BENCHMARK.json", "notes.tmp", "tmpab12cd34.tmp", "0" * 63 + ".json",
+               "0" * 64 + ".json.bak", "0" * 64 + ".JSON"]
+    for f in foreign:
+        (cdir / f).write_text("{}")
+    assert cli.main(["project", "2", "--window", "4", "--cache-dir", str(cdir)]) == 0
+    (entry,) = set(os.listdir(cdir)) - set(foreign)
+    leftover = entry + "k3j_x9q0.tmp"
+    (cdir / leftover).write_text("")
+    capsys.readouterr()
+    assert cli.main(["cache", "ls", "--cache-dir", str(cdir)]) == 0
+    assert json.loads(capsys.readouterr().out)["entries"] == [entry]
+    assert cli.main(["cache", "clear", "--cache-dir", str(cdir)]) == 0
+    assert json.loads(capsys.readouterr().out)["removed"] == 2
+    assert sorted(os.listdir(cdir)) == sorted(foreign)
 
 
 def test_failed_certificate_in_cache_is_integrity_error(tmp_path, capsys):
@@ -338,6 +396,19 @@ def test_cache_commands(tmp_path, capsys):
     assert cli.main(["cache", "clear", "--cache-dir", cdir]) == 0
     cleared = json.loads(capsys.readouterr().out)
     assert cleared["removed"] == 1
+
+
+def test_tangle_decoding_takes_only_ints():
+    t = FlatTangle(2, 2, (1, 0, 3, 2))  # interned whatever ran before
+    good = {"m": 2, "n": 2, "pairs": [1, 0, 3, 2], "circles": 0, "q": 0}
+    assert ser.object_from_data(good) == ShiftedObject(t, 0)
+    for field, bad in [("m", 2.0), ("n", True), ("circles", False), ("circles", 0.0),
+                       ("q", 0.0), ("q", False), ("pairs", [1.0, 0, 3, 2]),
+                       ("pairs", [True, 0, 3, 2]), ("m", "2")]:
+        for _ in range(2):
+            with pytest.raises(IntegrityError):
+                ser.object_from_data({**good, field: bad})
+    assert ser.object_from_data(good).tangle is t
 
 
 def test_serialize_round_trip(p2_w8):

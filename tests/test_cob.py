@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from helpers import reference_trace_walk
 from spinhom import cob, serialize, tl
 from spinhom.cob import (
     AlphaPoly,
@@ -28,11 +29,15 @@ from spinhom.cob import (
     merge_trace_saddle,
     reduce_component,
     reflect_x_cob,
+    reflect_x_ob,
+    reflect_y_cob,
+    reflect_y_ob,
     saddle_to_identity,
     stack,
     stack_ob,
     surgery,
     trace,
+    trace_ob,
 )
 from spinhom.errors import DimensionError, SpinhomError
 
@@ -184,6 +189,37 @@ def test_trace_functor():
     trt = trace(t)
     assert trt.source.tangle.circles == 1
     assert trt == dotted_identity(ShiftedObject(FlatTangle.empty(1)), {("circ", 0): 1})
+
+
+def test_trace_ob_matches_the_hand_walk():
+    # every square matching on up to 4 strands, with 0-2 circles
+    for n in range(5):
+        for d in tl.all_matchings(n, n):
+            for circles in range(3):
+                a = FlatTangle(n, n, d.pairs, circles)
+                tr = trace_ob(a)
+                assert (tr.circle_at, tr.tangle.circles) == reference_trace_walk(a)
+    with pytest.raises(DimensionError):
+        trace_ob(FlatTangle(0, 2, (1, 0)))
+
+
+def test_reflections_move_points_and_dots_alike():
+    # the x-reflection swaps top i with bottom i; the y-reflection reverses
+    # the top and the bottom row
+    for m, n in [(0, 2), (2, 0), (1, 3), (2, 2), (3, 1), (2, 4)]:
+        for t in tl.all_matchings(m, n):
+            o = ShiftedObject(FlatTangle(m, n, t.pairs, 1), 2)
+            flip = [n + p if p < m else p - m for p in range(m + n)]
+            mirror = [m - 1 - p if p < m else m + (n - 1 - (p - m)) for p in range(m + n)]
+            for ref_ob, ref_cob, point in [
+                (reflect_x_ob, reflect_x_cob, flip),
+                (reflect_y_ob, reflect_y_cob, mirror),
+            ]:
+                image = ref_ob(o)
+                assert image.qshift == 2 and image.tangle.circles == 1
+                for p in range(m + n):
+                    assert image.tangle.pairs[point[p]] == point[t.pairs[p]]
+                    assert ref_cob(dot_at_point(o, p)) == dot_at_point(image, point[p])
 
 
 def test_trace_respects_composition():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dga import two_color_unknot_dga
 from helpers import (
     dense_rank_over_q,
     determinantal_factors,
@@ -16,7 +17,6 @@ from helpers import (
     reference_homology_table,
 )
 from spinhom.cob import AlphaPoly
-from spinhom.dga import two_color_unknot_dga
 from spinhom.errors import IntegrityError
 from spinhom.homology import (
     IntMatrix,
@@ -70,7 +70,7 @@ def test_snf_random_properties():
         assert all(d > 0 for d in f)
         for i in range(len(f) - 1):
             assert f[i + 1] % f[i] == 0
-        assert len(f) == rank_over_q(M)
+        assert len(f) == dense_rank_over_q(M)
 
 
 def test_solve_integer():

@@ -86,7 +86,7 @@ def test_end_p3_matches_extrapolated_dga(w8):
     # dg-algebra presentation (x_k even at (-2k, 2k+2), y_k odd at
     # (-2k-1, 2k+4), d(y_k) = sum_{i+j=k} x_i x_j), in free ranks on the
     # reliable window.  Frozen as a regression guard.
-    from spinhom.dga import FreeDGA
+    from dga import FreeDGA
 
     N = 8
     M = pj.hom_of_networks(ex.Proj(3), ex.Proj(3), Window(-N, 0))
@@ -288,12 +288,6 @@ TEST_ONLY = {
     "complexes.trace_chain_map",
     "complexes.trace_complex",
     "complexes.validate",
-    "dga.bigraded_homology_ranks",
-    "dga.d_matrix",
-    "dga.d_monomial",
-    "dga.mono_bidegree",
-    "dga.monomials_in_window",
-    "dga.two_color_unknot_dga",
     "homology.in_column_lattice",
     "homology.poincare",
     "homology.torsion",
