@@ -35,10 +35,10 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 
 from .errors import DimensionError, IntegrityError, SpinhomError
 from .laurent import LaurentPoly
+from .record import dataclass, field
 
 # Alpha-polynomials share the sparse-dict implementation; the variable is
 # alpha (q-degree 4), not q.

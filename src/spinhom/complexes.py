@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
 
 from . import cob
 from .cob import (
@@ -29,6 +28,7 @@ from .cob import (
 )
 from .errors import DimensionError, IntegrityError, ResourceError, SpinhomError
 from .homology import ModuleComplex
+from .record import dataclass, replace
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")

@@ -12,9 +12,8 @@ the left of y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AdmissibilityError, ArityError, DimensionError
+from .record import dataclass
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,11 @@ factors of the whole differential).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import IntegrityError
 from .laurent import LaurentPoly
+from .record import dataclass, field
 
 AlphaPoly = LaurentPoly
 

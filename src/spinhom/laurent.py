@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
+
+from .record import dataclass
 
 
 class LaurentPoly:
@@ -440,6 +440,8 @@ class RatFunc:
         coefficients must stay integral (they do for quantum-integer ratios
         arising from Jones-Wenzl projectors).
         """
+        from fractions import Fraction  # only this method needs it
+
         if self.num.is_zero():
             return LaurentPoly.zero()
         pd, vd = _laurent_to_poly(self.den)

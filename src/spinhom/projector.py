@@ -13,7 +13,6 @@ construction.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from . import cob
 from . import complexes as cx
@@ -30,6 +29,7 @@ from .errors import (
 )
 from .homology import ModuleComplex
 from .laurent import LaurentPoly
+from .record import dataclass
 
 MAX_SWEEPS = 64
 

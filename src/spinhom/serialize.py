@@ -21,7 +21,9 @@ def poly_to_data(p: AlphaPoly) -> list[list[int]]:
 
 
 def poly_from_data(d: list[list[int]]) -> AlphaPoly:
-    return AlphaPoly({e: c for e, c in d})
+    coeffs = {e: c for e, c in d}
+    _check_ints(*coeffs, *coeffs.values())
+    return AlphaPoly(coeffs)
 
 
 def tangle_to_data(t: FlatTangle) -> dict[str, Any]:
@@ -69,6 +71,10 @@ def _terms_to_data(f: CanonicalCobordism) -> list:
 
 def _terms_from_data(src: ShiftedObject, tgt: ShiftedObject, terms: list) -> CanonicalCobordism:
     width = closure_data(src.tangle, tgt.tangle).n
+    masks = [mask for mask, _p in terms]
+    _check_ints(*masks)
+    if not all(0 <= mask < 1 << width for mask in masks):
+        raise IntegrityError(f"dot mask outside {width} closure circles: {masks!r}")
     return CanonicalCobordism(
         src, tgt, {_unmask(mask, width): poly_from_data(p) for mask, p in terms}
     )

@@ -211,6 +211,53 @@ def test_cache_entry_with_non_int_fields_is_rebuilt(tmp_path, capsys, field, ret
         assert fh.read() == good
 
 
+def _retype_terms(entry, mask=lambda m: m, exponent=lambda e: e, coefficient=lambda c: c):
+    for entries in entry["value"]["complex"]["diff"].values():
+        for _r, _c, terms in entries:
+            for term in terms:
+                term[0] = mask(term[0])
+                term[1] = [[exponent(e), coefficient(c)] for e, c in term[1]]
+
+
+@pytest.mark.parametrize(
+    "retype",
+    [
+        {"exponent": float},
+        {"coefficient": float},
+        {"mask": float},
+        {"mask": bool},
+        {"mask": lambda m: m - (1 << 40)},
+        {"mask": lambda m: m + (1 << 40)},
+    ],
+    ids=["float_exponent", "float_coefficient", "float_mask", "bool_mask",
+         "negative_mask", "wide_mask"],
+)
+def test_cache_entry_with_non_int_terms_is_rebuilt(tmp_path, capsys, retype):
+    # a differential entry whose dot mask or polynomial is not made of ints
+    # in range decodes strictly as malformed, though the arithmetic on 2.0
+    # or True could give the same report
+    args = ["homology", "tr(p(2))", "--window", "4"]
+    assert cli.main(args + ["--cache-dir", str(tmp_path / "cold")]) == 0
+    cold = capsys.readouterr().out
+    cdir = str(tmp_path / "cache")
+    assert cli.main(["project", "2", "--window", "4", "--cache-dir", cdir]) == 0
+    capsys.readouterr()
+    (name,) = os.listdir(cdir)
+    path = os.path.join(cdir, name)
+    with open(path) as fh:
+        good = fh.read()
+    entry = json.loads(good)
+    _retype_terms(entry, **retype)
+    assert cli._digest(entry["value"]) != entry["hash"]  # 2.0 == 2, but "2.0" != "2"
+    entry["hash"] = cli._digest(entry["value"])
+    with open(path, "w") as fh:
+        json.dump(entry, fh, sort_keys=True, separators=(",", ":"))
+    assert cli.main(args + ["--cache-dir", cdir]) == 0
+    assert capsys.readouterr().out == cold
+    with open(path) as fh:
+        assert fh.read() == good
+
+
 def test_cache_entry_with_a_mode_key_loads_without_a_rebuild(tmp_path, capsys, monkeypatch):
     # entries written while complexes carried a totalization mode hold a
     # "mode" key in the serialized complex; they load as they are

@@ -1,7 +1,6 @@
 """The cobordism category: canonical forms, relations, duality, eta/saddle."""
 
 import copy
-import dataclasses
 import itertools
 import pickle
 import random
@@ -9,7 +8,7 @@ import random
 import pytest
 
 from helpers import reference_trace_walk
-from spinhom import cob, serialize, tl
+from spinhom import cob, record, serialize, tl
 from spinhom.cob import (
     AlphaPoly,
     CanonicalCobordism,
@@ -336,7 +335,7 @@ def test_is_identity_iso():
 def test_tangle_and_object_hash_equality():
     t = FlatTangle.e(0, 3)
     o = ShiftedObject(t, 2)
-    # the cached hash is the one the generated dataclass hash gave
+    # the cached hash is the one a frozen record's generated hash gives
     assert hash(t) == hash((t.m, t.n, t.pairs, t.circles))
     assert hash(o) == hash((o.tangle, o.qshift))
     t2 = FlatTangle(t.m, t.n, tuple(list(t.pairs)), t.circles)
@@ -351,9 +350,9 @@ def test_tangle_and_object_hash_equality():
     assert t != (t.m, t.n, t.pairs, t.circles)
     assert (t.m, t.n, t.pairs, t.circles) != t
     assert o != t and t != o
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(record.FrozenInstanceError):
         t.circles = 1
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(record.FrozenInstanceError):
         o.qshift = 0
 
 
@@ -377,18 +376,18 @@ def test_equal_tangles_are_one_object_through_every_maker():
     # every matching tl enumerates is the object the constructor gives
     for d in tl.all_matchings(3, 3):
         assert FlatTangle(d.m, d.n, tuple(list(d.pairs)), d.circles) is d
-    # the repr and the dataclass fields are those of the value
+    # the repr and the record fields are those of the value
     assert repr(t) == "FlatTangle(m=3, n=3, pairs=(1, 0, 5, 4, 3, 2), circles=0)"
-    assert [f.name for f in dataclasses.fields(t)] == ["m", "n", "pairs", "circles"]
-    assert dataclasses.replace(t, circles=2) is FlatTangle(3, 3, t.pairs, 2)
+    assert t._fields == FlatTangle.__match_args__ == ("m", "n", "pairs", "circles")
+    assert record.replace(t, circles=2) is FlatTangle(3, 3, t.pairs, 2)
 
 
 def test_interned_tangles_stay_frozen():
     t = FlatTangle.e(1, 3)
     for name, value in (("m", 1), ("pairs", ()), ("circles", 1), ("_hash", 0)):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(record.FrozenInstanceError):
             setattr(t, name, value)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(record.FrozenInstanceError):
         del t.n
     assert FlatTangle(3, 3, t.pairs) is t and t.m == 3 and t.circles == 0
 

@@ -11,7 +11,6 @@ P3@-6 and P4@-4, the reduced Stack and Trace nodes of theta(2,3,3) at window
 """
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +28,7 @@ from spinhom import expr as ex
 from spinhom import projector as pj
 from spinhom.complexes import Window, simplify
 from spinhom.errors import ResourceError
+from spinhom.record import replace
 
 
 def _expected_stack(A, B, window):

@@ -344,3 +344,19 @@ def test_benchmark_tracer_instruments_the_package():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_package_builds_records_without_dataclasses_or_exec():
+    # spinhom.record makes the record classes; dataclasses (which imports
+    # inspect) and exec'd method source cost more than the rest of the
+    # package's import, paid again by every CLI call.  -S keeps site-packages
+    # .pth files from preloading modules, so this sees what spinhom loads.
+    tokens, _defs, _defined = _scan(ROOT)
+    assert [(p, line, name) for in_src, p, line, name, _bare in tokens
+            if in_src and name in ("dataclasses", "exec", "eval")] == []
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import spinhom.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
