@@ -23,6 +23,9 @@ def poly_to_data(p: AlphaPoly) -> list[list[int]]:
 def poly_from_data(d: list[list[int]]) -> AlphaPoly:
     coeffs = {e: c for e, c in d}
     _check_ints(*coeffs, *coeffs.values())
+    # poly_to_data writes each exponent once, with a nonzero coefficient
+    if len(coeffs) != len(d) or 0 in coeffs.values():
+        raise IntegrityError(f"repeated exponent or zero coefficient: {d!r}")
     return AlphaPoly(coeffs)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from itertools import combinations
 from math import gcd
 
@@ -810,6 +811,27 @@ def reference_instantiate(e, window: Window, projector=None) -> ChainComplex:
         case ex.Dual(inner):
             return cx.dual_complex(sub(inner))
     return pj.instantiate(e, window, projector)
+
+
+@contextmanager
+def engine_inputs():
+    """Record the object count of every complex the elimination engine
+    (complexes._Work) takes in, in order: a list that fills while the block
+    runs.  The fused passes (simplify_stack, simplify_trace) enter the
+    engine only there, so this counts what their products hold."""
+    sizes: list[int] = []
+    engine = cx._Work
+
+    class Recording(engine):
+        def __init__(self, C, *args, **kwargs):
+            sizes.append(sum(len(objs) for objs in C.groups.values()))
+            super().__init__(C, *args, **kwargs)
+
+    cx._Work = Recording
+    try:
+        yield sizes
+    finally:
+        cx._Work = engine
 
 
 def complex_bytes(C: ChainComplex) -> str:

@@ -236,6 +236,31 @@ def test_cache_entry_with_non_int_terms_is_rebuilt(tmp_path, capsys, retype):
     # a differential entry whose dot mask or polynomial is not made of ints
     # in range decodes strictly as malformed, though the arithmetic on 2.0
     # or True could give the same report
+    _assert_tampered_terms_are_rebuilt(tmp_path, capsys, lambda entry: _retype_terms(entry, **retype))
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [lambda p: p + p[-1:], lambda p: p + [[p[-1][0] + 1, 0]]],
+    ids=["repeated_exponent", "zero_coefficient"],
+)
+def test_cache_entry_with_a_non_canonical_polynomial_is_rebuilt(tmp_path, capsys, tamper):
+    # poly_to_data writes each exponent once and no zero coefficient; a
+    # polynomial that repeats an exponent (the last pair would win) or holds
+    # a zero term decodes as malformed
+    def edit(entry):
+        for entries in entry["value"]["complex"]["diff"].values():
+            for _r, _c, terms in entries:
+                for term in terms:
+                    term[1] = tamper(term[1])
+
+    _assert_tampered_terms_are_rebuilt(tmp_path, capsys, edit)
+
+
+def _assert_tampered_terms_are_rebuilt(tmp_path, capsys, edit):
+    """Edit the differential terms of a cached P_2@-4 entry with edit(entry),
+    re-hash it, and check that `homology "tr(p(2))"` exits 0, prints the
+    cold bytes and rewrites the entry."""
     args = ["homology", "tr(p(2))", "--window", "4"]
     assert cli.main(args + ["--cache-dir", str(tmp_path / "cold")]) == 0
     cold = capsys.readouterr().out
@@ -247,7 +272,7 @@ def test_cache_entry_with_non_int_terms_is_rebuilt(tmp_path, capsys, retype):
     with open(path) as fh:
         good = fh.read()
     entry = json.loads(good)
-    _retype_terms(entry, **retype)
+    edit(entry)
     assert cli._digest(entry["value"]) != entry["hash"]  # 2.0 == 2, but "2.0" != "2"
     entry["hash"] = cli._digest(entry["value"])
     with open(path, "w") as fh:

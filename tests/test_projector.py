@@ -417,18 +417,20 @@ def test_unknot_maps_build_one_trace(monkeypatch):
 
 def test_instantiate_leaves_closed_networks_simplified():
     # no circle to deloop and no invertible entry to cancel, so
-    # closed_module applies no second simplify
+    # closed_module applies no second simplify, planned or not
     from helpers import closed_networks_leq3
 
     from spinhom import cob
 
     for name, e in closed_networks_leq3():
-        C = pj.instantiate(pj.rewrite_network(e), Window(-6, 0))
-        for objs in C.groups.values():
-            assert all(o.tangle.circles == 0 for o in objs), name
-        for mat in C.diff.values():
-            for f in mat.values():
-                assert cob.iso_sign(f.source, f.target, f.terms) is None, name
+        rewritten = pj.rewrite_network(e)
+        for form in {rewritten, pj.plan_gluing(rewritten)}:
+            C = pj.instantiate(form, Window(-6, 0))
+            for objs in C.groups.values():
+                assert all(o.tangle.circles == 0 for o in objs), name
+            for mat in C.diff.values():
+                for f in mat.values():
+                    assert cob.iso_sign(f.source, f.target, f.terms) is None, name
 
 
 def test_every_projector_has_the_band_of_its_window():
