@@ -32,6 +32,8 @@ from .record import dataclass, replace
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+# the coefficient of a Hom generator
+_ONE = AlphaPoly({0: 1})
 
 
 @dataclass(frozen=True)
@@ -1050,16 +1052,24 @@ def _hom_d(
     from the generators `basis` of Hom^t(A, B) into the generators of
     Hom^{t+1} that `rows` numbers (label -> row); images on other generators
     are dropped.  Each generator meets only its own column of d_B and its
-    own row of d_A."""
-    col_b = functools.cache(lambda j: _by_column(B.diff.get(j, {})))
+    own row of d_A, composed as term dicts (cob.compose_terms) with the
+    iso_sign of each generator and each entry taken once."""
+
+    def signed(mat: Matrix) -> dict[int, list[tuple[int, cob.Terms, int | None]]]:
+        return {
+            c: [(r, f.terms, cob.iso_sign(f.source, f.target, f.terms)) for r, f in col]
+            for c, col in _by_column(mat).items()
+        }
+
+    col_b = functools.cache(lambda j: signed(B.diff.get(j, {})))
     row_a = functools.cache(
-        lambda i: _by_column({(c, r): f for (r, c), f in A.diff.get(i, {}).items()})
+        lambda i: signed({(c, r): f for (r, c), f in A.diff.get(i, {}).items()})
     )
     negate = t % 2 == 0
     out: dict[tuple[int, int], AlphaPoly] = {}
 
-    def add(label: tuple, c: int, img: CanonicalCobordism, neg: bool) -> None:
-        for t_assign, poly in img.terms.items():
+    def add(label: tuple, c: int, img: cob.Terms, neg: bool) -> None:
+        for t_assign, poly in img.items():
             r = rows.get((*label, t_assign))
             if r is None:
                 continue
@@ -1070,11 +1080,15 @@ def _hom_d(
         col, row = col_b(j).get(pb, ()), row_a(i - 1).get(pa, ())
         if not (col or row):
             continue
-        gen = CanonicalCobordism.generator(A.groups[i][pa], B.groups[j][pb], assign)
-        for r2, g in col:
-            add(((i, pa), (j + 1, r2)), c, cob.compose(g, gen), False)
-        for c2, g in row:
-            add(((i - 1, c2), (j, pb)), c, cob.compose(gen, g), negate)
+        oa, ob = A.groups[i][pa], B.groups[j][pb]
+        gen = {assign: _ONE}
+        gen_sign = cob.iso_sign(oa, ob, gen)
+        for r2, g, g_sign in col:
+            img = cob.compose_terms(oa, ob, B.groups[j + 1][r2], gen, g, gen_sign, g_sign)
+            add(((i, pa), (j + 1, r2)), c, img, False)
+        for c2, g, g_sign in row:
+            img = cob.compose_terms(A.groups[i - 1][c2], oa, ob, g, gen, g_sign, gen_sign)
+            add(((i - 1, c2), (j, pb)), c, img, negate)
     return {rc: v for rc, v in out.items() if v}
 
 
@@ -1093,20 +1107,63 @@ def _hom_module(A: ChainComplex, B: ChainComplex, reliable: tuple[float, float])
     return ModuleComplex(gens, diff, reliable)
 
 
+def _dot_index(bits) -> int:
+    """Position of a dot assignment among itertools.product((0, 1), ...)."""
+    index = 0
+    for b in bits:
+        index = 2 * index + b
+    return index
+
+
 def tautological(C: ChainComplex) -> ModuleComplex:
-    """Hom(empty, -) applied to a closed complex: free Z[alpha]-modules on
-    dot assignments, differential transported by composition.  This is the
-    Hom engine with the empty object in degree 0 as source."""
+    """Hom(empty, -) applied to a closed complex: in degree k the free
+    Z[alpha]-module on the dotted births of C^k's objects, one generator per
+    dot assignment on an object's circles (_basis_generators order).
+
+    The differential is transported by restriction, without gluing.  For an
+    entry g: o -> o' and cd = closure_data(o, o'), the birth with dots d on
+    o's circles, glued onto a term a of g, closes circle j of o into a
+    sphere with a[cd.src_circ[j]] + d_j dots, which evaluates to 1 when
+    that sum is 1 and to 0 otherwise (cob.reduce_component with k = 0).  So
+    the generator's image is the sum of the terms a with a = 1 - d on o's
+    circles, each adding its coefficient to the generator of o' whose dots
+    are a read on cd.tgt_circ."""
     if C.m or C.n:
         raise DimensionError("tautological functor needs a closed complex")
-    point = single_object(ShiftedObject(FlatTangle.empty(), 0), 0, 0)
-    return _hom_module(point, C, C.reliable)
+    empty = ShiftedObject(FlatTangle.empty(), 0)
+    gens: dict[int, list[int]] = {}
+    # degree -> the index of each object's first generator
+    starts: dict[int, list[int]] = {}
+    for k in sorted(C.groups):
+        qs: list[int] = []
+        firsts = []
+        for o in C.groups[k]:
+            firsts.append(len(qs))
+            qs.extend(q for _assign, q in _basis_generators(empty, o))
+        if qs:
+            gens[k], starts[k] = qs, firsts
+    diff = {}
+    for k, firsts in starts.items():
+        if k + 1 not in starts:
+            continue
+        src, tgt, rows = C.groups[k], C.groups[k + 1], starts[k + 1]
+        out: dict[tuple[int, int], AlphaPoly] = {}
+        for (r, c), g in C.diff.get(k, {}).items():
+            cd = closure_data(src[c].tangle, tgt[r].tangle)
+            for a, poly in g.terms.items():
+                row = rows[r] + _dot_index(a[ci] for ci in cd.tgt_circ)
+                col = firsts[c] + _dot_index(1 - a[ci] for ci in cd.src_circ)
+                out[(row, col)] = poly
+        if out:
+            diff[k] = out
+    return ModuleComplex(gens, diff, C.reliable)
 
 
 def hom_complex_direct(A: ChainComplex, B: ChainComplex) -> ModuleComplex:
     """Hom-complex built from the definition: generators are canonical
     cobordisms A^i -> B^{i+t}, differential the supercommutator
-    [d, f] = d_B . f - (-1)^t f . d_A, both from the one Hom engine."""
+    [d, f] = d_B . f - (-1)^t f . d_A, both from the Hom engine (_hom_module),
+    which composes cobordisms (cob.compose_terms); hom_complex does not."""
     if (A.m, A.n) != (B.m, B.n):
         raise DimensionError("hom complex needs matching boundaries")
     return _hom_module(A, B, _combine_reliability(B, dual_complex(A)))
@@ -1114,8 +1171,10 @@ def hom_complex_direct(A: ChainComplex, B: ChainComplex) -> ModuleComplex:
 
 def hom_complex(A: ChainComplex, B: ChainComplex) -> ModuleComplex:
     """Hom-complex via the duality theorem: q^{(m+n)/2} <Tr(B stacked over
-    A-dual)>, built with no reference to the supercommutator: the Hom
-    engine runs only as tautological, where there is no d_A."""
+    A-dual)>, built with no reference to the supercommutator: the closed
+    complex is glued by planar products only, and tautological reads the
+    module off it by restriction, with no Hom engine and no composition
+    of cobordisms along a middle object."""
     if (A.m, A.n) != (B.m, B.n):
         raise DimensionError("hom complex needs matching boundaries")
     M = tautological(trace_complex(stack_complexes(B, dual_complex(A))))

@@ -167,32 +167,39 @@ class ModuleComplex:
         )
 
     def check(self) -> None:
-        """Assert d is q-homogeneous of degree 0 and d.d = 0 over Z[alpha]."""
+        """Assert d is q-homogeneous of degree 0 and d.d = 0 over Z[alpha].
+
+        A q-homogeneous entry (r, c) of d^k is one monomial, alpha to the
+        (q_k[c] - q_{k+1}[r]) / 4.  So every product that d.d adds up at
+        (r2, c) carries alpha to the same (q_k[c] - q_{k+2}[r2]) / 4, and
+        d.d = 0 is decided on the integer coefficients alone."""
+        # degree -> (row, col) -> the integer coefficient of the entry
+        ints: dict[int, dict[tuple[int, int], int]] = {}
         for k, mat in self.diff.items():
             qs_src = self.qdegs(k)
             qs_tgt = self.qdegs(k + 1)
+            coeffs = ints[k] = {}
             for (r, c), poly in mat.items():
-                for aexp in poly.coeffs:
+                for aexp, v in poly.coeffs.items():
                     if qs_tgt[r] + 4 * aexp != qs_src[c]:
                         raise IntegrityError(
                             f"differential entry not q-homogeneous at degree {k}"
                         )
-        for k in sorted(self.diff):
-            if k + 1 not in self.diff:
+                    coeffs[(r, c)] = v
+        for k in sorted(ints):
+            if k + 1 not in ints:
                 continue
-            d0, d1 = self.diff[k], self.diff[k + 1]
-            by_col: dict[int, list[tuple[int, dict[int, int]]]] = {}
-            for (r, c), v in d1.items():
-                by_col.setdefault(c, []).append((r, v.coeffs))
-            # (row, col, alpha exponent) -> integer coefficient of d1.d0
-            acc: dict[tuple[int, int, int], int] = {}
-            for (r, c), v in d0.items():
-                terms = v.coeffs.items()
+            by_col: dict[int, list[tuple[int, int]]] = {}
+            for (r, c), v in ints[k + 1].items():
+                by_col.setdefault(c, []).append((r, v))
+            # r2 * cols + c -> integer coefficient of d1.d0 at (r2, c)
+            cols = len(self.qdegs(k))
+            acc: dict[int, int] = {}
+            get = acc.get
+            for (r, c), v in ints[k].items():
                 for r2, w in by_col.get(r, ()):
-                    for e1, c1 in w.items():
-                        for e2, c2 in terms:
-                            key = (r2, c, e1 + e2)
-                            acc[key] = acc.get(key, 0) + c1 * c2
+                    key = r2 * cols + c
+                    acc[key] = get(key, 0) + w * v
             if any(acc.values()):
                 raise IntegrityError(f"d.d != 0 between degrees {k} and {k + 2}")
 

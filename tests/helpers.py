@@ -571,6 +571,17 @@ def reference_markov_trace(x):
     return total
 
 
+def reference_tautological(C: ChainComplex):
+    """The tautological functor by gluing: the general Hom engine with the
+    empty object in degree 0 as source, which composes a dotted birth onto
+    every entry (cob.compose_terms).  The slow path complexes.tautological's
+    restriction must equal, gens list for list and diff dict for dict."""
+    from spinhom.cob import FlatTangle
+
+    point = cx.single_object(ShiftedObject(FlatTangle.empty(), 0), 0, 0)
+    return cx._hom_module(point, C, C.reliable)
+
+
 # ---------------------------------------------------------------------------
 # Reference delooping: the birth and death cobordisms that
 # spinhom.complexes._Work.deloop composed with before it restricted on the

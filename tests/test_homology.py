@@ -191,6 +191,49 @@ def test_check_rejects_non_homogeneous_entry():
         C.check()
 
 
+def test_check_rejects_a_two_exponent_entry():
+    C = _square(-1)
+    C.diff[4][(0, 1)] = AlphaPoly({2: -1, 1: 1})  # only alpha^2 is homogeneous there
+    with pytest.raises(IntegrityError, match=r"^differential entry not q-homogeneous at degree 4$"):
+        C.check()
+
+
+def test_check_skips_zero_entries():
+    # a stored zero has no exponent: it is homogeneous and adds nothing to d.d
+    C = ModuleComplex(
+        {3: [8], 4: [4, 8, 0], 5: [0]},
+        {
+            3: {(0, 0): AlphaPoly({1: 1}), (1, 0): AlphaPoly({0: 1}), (2, 0): LaurentPoly()},
+            4: {(0, 0): AlphaPoly({1: 1}), (0, 1): AlphaPoly({2: -1}), (0, 2): LaurentPoly()},
+        },
+    )
+    C.check()
+    nonzero = {k: {rc: p for rc, p in mat.items() if p} for k, mat in C.diff.items()}
+    assert homology_table(C).entries == homology_table(ModuleComplex(C.gens, nonzero)).entries
+
+
+def _fan(coeffs: list[int]) -> ModuleComplex:
+    """x(q=8) -> y_i(q=8-4i) -> z(q=0), i = 0, 1, 2: each path through y_i
+    is alpha^2 times coeffs[i], so d.d = 0 exactly when they sum to 0."""
+    return ModuleComplex(
+        {0: [8], 1: [8, 4, 0], 2: [0]},
+        {
+            0: {(i, 0): AlphaPoly({i: 1}) for i in range(3)},
+            1: {(0, i): AlphaPoly({2 - i: c}) for i, c in enumerate(coeffs)},
+        },
+    )
+
+
+@pytest.mark.parametrize("coeffs", [[1, 1, -2], [3, -5, 2], [0, 1, -1], [1, 1, -1], [2, -1, 0]])
+def test_check_sums_the_products_of_each_entry(coeffs):
+    # the three paths carry alpha^i . alpha^(2-i): one exponent, summed as integers
+    if sum(coeffs):
+        with pytest.raises(IntegrityError, match=r"^d\.d != 0 between degrees 0 and 2$"):
+            _fan(coeffs).check()
+    else:
+        _fan(coeffs).check()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.randoms(use_true_random=False), st.sampled_from([1, -1, 2, 3]))
 def test_check_matches_reference_on_perturbed_complexes(rng, factor):
