@@ -679,9 +679,10 @@ def _glue_terms(f: Terms, g: Terms, st: GlueStructure) -> Terms:
     """The one core of compose, stack, beside and trace: the pieces of st
     are f's disks, then g's pieces (g's disks, or trace's strips).
 
-    Multiplying by the unit is skipped, so the result can hold f's
-    coefficients and the memoised polynomials of st.reduced themselves;
-    that is sound because nothing mutates a LaurentPoly in place."""
+    Multiplying by the unit is skipped on either side, so the result can
+    hold the coefficients of f and g and the memoised polynomials of
+    st.reduced themselves; that is sound because nothing mutates a
+    LaurentPoly in place."""
     out: Terms = {}
     memo = st.reduced
     for af, pf in f.items():
@@ -692,10 +693,20 @@ def _glue_terms(f: Terms, g: Terms, st: GlueStructure) -> Terms:
                 reduced = memo[dots] = reduce_structure(st, dots)
             if not reduced:
                 continue
-            scalar = pf if pg.coeffs == _UNIT else pf * pg
+            if pf.coeffs == _UNIT:
+                scalar = pg
+            elif pg.coeffs == _UNIT:
+                scalar = pf
+            else:
+                scalar = pf * pg
             unit = scalar.coeffs == _UNIT
             for assign, poly in reduced.items():
-                term = poly if unit else poly * scalar
+                if unit:
+                    term = poly
+                elif poly.coeffs == _UNIT:
+                    term = scalar
+                else:
+                    term = poly * scalar
                 cur = out.get(assign)
                 if cur is None:
                     out[assign] = term

@@ -11,6 +11,14 @@ differential (smith_normal_form, a sparse elimination that keeps no
 transforms); alpha = 1 over Q collapses the q-grading and reports ranks
 per homological degree only (rank_over_q, the number of invariant
 factors of the whole differential).
+
+smith_normal_form runs in two phases.  Almost every pivot of these
+differentials is +-1, and a unit pivot needs no search: the unit phase
+splits off a 1 for each +-1 it finds, row by row, choosing the entry
+whose column meets the fewest rows.  Only what it leaves (in practice a
+few entries +-2) goes to the remainder, which pivots on an entry of least
+absolute value.  The invariant factors of a matrix are unique, so the
+order of the pivots cannot change them.
 """
 
 from __future__ import annotations
@@ -45,21 +53,70 @@ class IntMatrix:
 def smith_normal_form(M: IntMatrix) -> list[int]:
     """The nonzero invariant factors d_1 | d_2 | ... of M, all positive.
 
-    Sparse elimination on rows {col: value}, with a set of rows per column.
-    Each step pivots on an entry p of least absolute value (in the shortest
-    such row) and reduces every other row meeting its column by the
-    quotient of floor division by p.  Once that column holds p alone,
-    column operations change only the pivot row: if p divides the row, p
-    splits off as a diagonal entry; otherwise the row is reduced modulo p,
-    leaving an entry smaller than p for the next step.  The diagonal is put
-    into the divisibility chain by pairwise gcd/lcm, since diag(a, b) and
-    diag(gcd, lcm) are equivalent.  No transforms are kept.
+    Sparse elimination on rows {col: value}, with a set of rows per column,
+    in two phases; no transforms are kept.
+
+    Unit phase: a pass walks the rows, and in a row holding a +-1 entry
+    pivots on the one whose column meets the fewest rows, which bounds the
+    fill-in.  Every other row meeting that column loses it exactly (the
+    multiplier is row[c] * p, as p * p = 1); column operations then change
+    only the pivot row, so it splits off a 1 and leaves with its column.
+    Fill-in can make a unit in a row the pass has already walked, so passes
+    repeat until one finds no unit.  No search over all rows per pivot.
+
+    Remainder: each step pivots on an entry p of least absolute value (in
+    the shortest such row) and reduces every other row meeting its column
+    by the quotient of floor division by p.  Once that column holds p
+    alone, column operations change only the pivot row: if p divides the
+    row, p splits off as a diagonal entry; otherwise the row is reduced
+    modulo p, leaving an entry smaller than p for the next step.  The
+    diagonal is put into the divisibility chain by pairwise gcd/lcm, since
+    diag(a, b) and diag(gcd, lcm) are equivalent.
+
+    The units lead the chain, since 1 divides everything.  Invariant
+    factors are unique (d_1 ... d_k is the gcd of the k x k minors), so
+    the order of the pivots cannot change the list.
     """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
     for (r, c), v in M.entries.items():
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
+    units = 0
+    found = True
+    while found:
+        found = False
+        for at in list(rows):
+            pivot_row = rows.get(at)
+            if pivot_row is None:
+                continue
+            c = None
+            for k, v in pivot_row.items():
+                if (v == 1 or v == -1) and (c is None or len(cols[k]) < len(cols[c])):
+                    c = k
+            if c is None:
+                continue
+            found = True
+            units += 1
+            p = pivot_row.pop(c)
+            del rows[at]
+            for k in pivot_row:
+                cols[k].discard(at)
+            column = cols.pop(c)
+            column.discard(at)
+            for r in column:
+                row = rows[r]
+                m = row.pop(c) * p
+                for k, v in pivot_row.items():
+                    w = row.get(k, 0) - m * v
+                    if w:
+                        row[k] = w
+                        cols[k].add(r)
+                    else:
+                        del row[k]
+                        cols[k].discard(r)
+                if not row:
+                    del rows[r]
     diagonal = []
     while rows:
         best = None
@@ -107,7 +164,7 @@ def smith_normal_form(M: IntMatrix) -> list[int]:
             if b % a:
                 g = gcd(a, b)
                 chain[i], chain[j] = g, a // g * b
-    return chain
+    return [1] * units + chain
 
 
 def in_column_lattice(M: IntMatrix, b: list[int]) -> bool:

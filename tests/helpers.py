@@ -227,6 +227,69 @@ def _bareiss_det(A: list[list[int]]) -> int:
     return sign * prev if n else 1
 
 
+def reference_smith_normal_form(M) -> list[int]:
+    """The invariant factors by least-|entry| pivoting alone: before each
+    pivot every remaining row is scanned for an entry of least absolute
+    value (in the shortest such row); every other row meeting its column is
+    reduced by floor division; a pivot dividing its row splits off,
+    otherwise the row is reduced modulo the pivot.  The diagonal is put
+    into a divisibility chain by pairwise gcd/lcm.  Quadratic in the rows,
+    but with no unit phase, so it checks smith_normal_form's."""
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for (r, c), v in M.entries.items():
+        rows.setdefault(r, {})[c] = v
+        cols.setdefault(c, set()).add(r)
+    diagonal = []
+    while rows:
+        best = None
+        for r, row in rows.items():
+            key = (min(map(abs, row.values())), len(row))
+            if best is None or key < best:
+                best, at = key, r
+                if key == (1, 1):
+                    break
+        pivot_row = rows[at]
+        c, p = next((c, v) for c, v in pivot_row.items() if abs(v) == best[0])
+        for r in cols[c] - {at}:
+            row = rows[r]
+            q = row[c] // p
+            for k, v in pivot_row.items():
+                w = row.get(k, 0) - q * v
+                if w:
+                    row[k] = w
+                    cols[k].add(r)
+                else:
+                    del row[k]
+                    cols[k].discard(r)
+            if not row:
+                del rows[r]
+        if len(cols[c]) > 1:
+            continue  # a remainder below |p| is left in column c
+        if all(v % p == 0 for v in pivot_row.values()):
+            diagonal.append(abs(p))
+            for k in pivot_row:
+                cols[k].discard(at)
+            del rows[at]
+            continue
+        for k, v in list(pivot_row.items()):
+            if k != c:
+                w = v % p
+                if w:
+                    pivot_row[k] = w
+                else:
+                    del pivot_row[k]
+                    cols[k].discard(at)
+    chain = sorted(diagonal)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            a, b = chain[i], chain[j]
+            if b % a:
+                g = gcd(a, b)
+                chain[i], chain[j] = g, a // g * b
+    return chain
+
+
 def determinantal_factors(M) -> list[int]:
     """The nonzero invariant factors of M as d_k / d_{k-1}, where d_k is the
     gcd of the k x k minors (d_0 = 1): no elimination of M itself, so it

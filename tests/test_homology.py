@@ -15,6 +15,7 @@ from helpers import (
     random_module_complex,
     reference_dd_is_zero,
     reference_homology_table,
+    reference_smith_normal_form,
 )
 from spinhom.cob import AlphaPoly
 from spinhom.errors import IntegrityError
@@ -71,6 +72,22 @@ def test_snf_random_properties():
         for i in range(len(f) - 1):
             assert f[i + 1] % f[i] == 0
         assert len(f) == dense_rank_over_q(M)
+
+
+@pytest.mark.parametrize("rows, factors", [
+    # no unit until fill-in: clearing row 1's unit leaves a -1 in row 0,
+    # which the pass has walked already, so a second pass pivots on it
+    ([[3, 2], [1, 1]], [1, 1]),
+    ([[1, 1], [1, -1]], [1, 2]),
+    # a -1 pivot: the multiplier that clears its column carries its sign
+    ([[-1, 1], [1, 1]], [1, 2]),
+    # torsion survives the unit phase
+    ([[1, 0, 0], [0, 2, 0], [0, 0, 4]], [1, 2, 4]),
+    ([[0, 0], [0, 0]], []),
+    ([], []),
+])
+def test_snf_unit_phase_edges(rows, factors):
+    assert smith_normal_form(int_matrix(rows)) == factors
 
 
 def test_solve_integer():
@@ -304,10 +321,10 @@ ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -2, 3, -3, 6])
 
 
 @st.composite
-def int_matrices(draw, max_dim: int = 8) -> IntMatrix:
+def int_matrices(draw, max_dim: int = 8, entries=ENTRIES) -> IntMatrix:
     rows = draw(st.integers(0, max_dim))
     cols = draw(st.integers(0, max_dim))
-    vals = draw(st.lists(ENTRIES, min_size=rows * cols, max_size=rows * cols))
+    vals = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
     dead_rows = draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=2))
     dead_cols = draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2))
     return IntMatrix(rows, cols, {
@@ -350,6 +367,38 @@ def test_rank_matches_dense_bareiss(M):
 @given(int_matrices(max_dim=6))
 def test_snf_matches_determinantal_divisors(M):
     assert smith_normal_form(M) == determinantal_factors(M)
+
+
+# mostly +-1, dense enough that clearing a unit column fills other rows
+UNIT_HEAVY = st.sampled_from([0, 0, 0, 1, -1, 1, -1, 1, -1, 2, -2, 3])
+NO_UNIT = st.sampled_from([0, 0, 0, 2, -2, 3, -3, 4, -4, 6, -6])
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices(24, UNIT_HEAVY))
+def test_snf_matches_reference_on_unit_heavy_matrices(M):
+    assert smith_normal_form(M) == reference_smith_normal_form(M)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices(10, NO_UNIT))
+def test_snf_matches_reference_without_units(M):
+    assert smith_normal_form(M) == reference_smith_normal_form(M)
+
+
+@pytest.mark.parametrize("n,depth", [(2, 8), (3, 5)])
+def test_snf_matches_reference_on_hom_complexes(n, depth):
+    from spinhom import complexes as cx
+    from spinhom import projector as pj
+    from spinhom.complexes import Window
+
+    P = pj.build_projector(n, Window(-depth, 0)).complex
+    C = cx.hom_complex(P, P)
+    matrices = [M for k in C.diff for M in C.blocks_at_alpha0(k).values()]
+    matrices += [C.matrix_at_alpha1(k) for k in C.diff]
+    assert sum(len(M.entries) for M in matrices) > 1000
+    for M in matrices:
+        assert smith_normal_form(M) == reference_smith_normal_form(M)
 
 
 @settings(max_examples=200, deadline=None)
