@@ -244,6 +244,23 @@ def _pgcd(a: list[int], b: list[int]) -> list[int]:
     return list(_pgcd_cached(tuple(a), tuple(b)))
 
 
+def _plcm(a: list[int], b: list[int]) -> list[int]:
+    """Least common multiple of nonzero integer polynomials, content included:
+    a * b / gcd(a, b), with a positive leading coefficient."""
+    ca, cb = _pcontent(a), _pcontent(b)
+    pa, pb = [x // ca for x in a], [x // cb for x in b]
+    g = _pgcd(pa, pb)
+    if len(g) > 1:
+        pa = _pdiv_exact(pa, g)
+    out = [0] * (len(pa) + len(pb) - 1)
+    for i, x in enumerate(pa):
+        if x:
+            for j, y in enumerate(pb):
+                out[i + j] += x * y
+    c = math.lcm(ca, cb) if out[-1] > 0 else -math.lcm(ca, cb)
+    return [x * c for x in out]
+
+
 def _pdiv_exact(a: list[int], b: list[int]) -> list[int]:
     """Exact division of integer polynomials (raises if not exact)."""
     a = _trim(list(a))
@@ -280,6 +297,21 @@ def _laurent_to_poly(p: LaurentPoly) -> tuple[list[int], int]:
 
 def _poly_to_laurent(p: list[int], v: int = 0) -> LaurentPoly:
     return LaurentPoly({i + v: c for i, c in enumerate(p) if c})
+
+
+def common_denominator(
+    dens: Iterable[LaurentPoly],
+) -> tuple[LaurentPoly, dict[LaurentPoly, LaurentPoly]]:
+    """The lcm of normalized RatFunc denominators, and each one's cofactor.
+
+    Returns (L, {den: L / den}) for the distinct dens given; L is 1 when
+    there are none.  Like the dens, L is an ordinary polynomial with a
+    nonzero constant term and a positive leading coefficient.
+    """
+    polys = {d: _laurent_to_poly(d)[0] for d in dens}
+    lcm = functools.reduce(_plcm, polys.values(), [1])
+    cofactors = {d: _poly_to_laurent(_pdiv_exact(lcm, p)) for d, p in polys.items()}
+    return _poly_to_laurent(lcm), cofactors
 
 
 _add_cache: dict = {}

@@ -4,7 +4,16 @@ This is the exact decategorified layer: every categorified computation in
 the package is checked against it through graded Euler characteristics.
 Its elements are Q(q)-linear combinations of circle-free flat tangles
 (spinhom.cob.FlatTangle, which fixes the point convention); the oracle's
-independence lies in its exact RatFunc algebra, not in the matchings.
+independence lies in its exact RatFunc algebra, not in the matchings, and
+it uses no rewrite rule of spinhom.projector.
+
+Products and traces work over common denominators: each operand's
+coefficients are brought to the lcm of their denominators, numerators are
+summed as plain Laurent polynomials, and each nonzero output coefficient is
+normalized (one gcd) once.  The Jones-Wenzl projectors come from the
+single-clasp expansion (Frenkel-Khovanov 1997; Morrison 2015), certified
+by the two defining axioms, which are checked exactly for every n; the
+Wenzl recursion it replaced is the tests' reference.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import functools
 from . import expr as ex
 from .cob import FlatTangle, beside_ob, stack_walk, trace_ob
 from .errors import ArityError, DimensionError, ResourceError, SpinhomError
-from .laurent import LaurentPoly, RatFunc, quantum_integer
+from .laurent import LaurentPoly, RatFunc, common_denominator, quantum_integer
 
 #: circle value q + q^-1
 LOOP = LaurentPoly({1: 1, -1: 1})
@@ -134,51 +143,67 @@ class TLElement:
 def compose_tl(a: TLElement, b: TLElement) -> TLElement:
     """Vertical stacking TL(m,k) x TL(k,n) -> TL(m,n); circles become q+q^-1.
 
-    For each output matching the products' numerators ca.num * cb.num *
-    LOOP^circles are summed as plain LaurentPolys, grouped by the
-    unnormalized denominator ca.den * cb.den.  Each group is normalized once
-    and the few groups are added as RatFuncs, so a coefficient costs one gcd
-    per group rather than one per product, loop and partial sum.  The normal
-    form of a RatFunc is unique, so the result is the same, byte for byte, as
-    adding the normalized products one at a time.  Coefficients repeat across
-    terms (a Jones-Wenzl projector has few distinct ones), so each numerator
-    is made once per (ca.num, cb.num, circles) and each denominator once per
-    (ca.den, cb.den) in the call.
+    Each operand is first written over one common denominator, the lcm of
+    its coefficients' denominators (laurent.common_denominator), with its
+    distinct numerators indexed: a Jones-Wenzl projector has few distinct
+    coefficients.  The matching products are only counted, per output
+    matching, circle count and pair of numerators.  Then b's numerators are
+    summed for each (matching, circles, numerator of a) and multiplied by
+    that numerator once, the circle factors are applied once per output
+    matching, and each nonzero output coefficient is normalized once over
+    the product of the two lcms.  Sums that cancel to zero, as every
+    turnback against a Jones-Wenzl projector does, cost no gcd.  The normal
+    form of a RatFunc is unique, so the result is the same, byte for byte,
+    as adding the normalized products one at a time (the tests' reference).
     """
     if a.n != b.m:
         raise DimensionError(f"cannot stack ({a.m},{a.n}) over ({b.m},{b.n})")
-    sums: dict[FlatTangle, dict[LaurentPoly, LaurentPoly]] = {}
-    nums: dict[tuple[LaurentPoly, LaurentPoly, int], LaurentPoly] = {}
-    dens: dict[tuple[LaurentPoly, LaurentPoly], LaurentPoly] = {}
-    for da, ca in a.terms.items():
-        for db, cb in b.terms.items():
+    terms_a, nums_a, den_a = _over_common_den(a)
+    terms_b, nums_b, den_b = _over_common_den(b)
+    pairs: dict[tuple[FlatTangle, int, int, int], int] = {}
+    for da, i in terms_a:
+        for db, j in terms_b:
             d, circles = compose_matchings(da, db)
-            num_key = (ca.num, cb.num, circles)
-            num = nums.get(num_key)
-            if num is None:
-                num = ca.num * cb.num
-                for _ in range(circles):
-                    num = num * LOOP
-                nums[num_key] = num
-            den_key = (ca.den, cb.den)
-            den = dens.get(den_key)
-            if den is None:
-                den = dens[den_key] = ca.den * cb.den
-            _collect(sums.setdefault(d, {}), den, num)
-    acc = {d: _normalize_groups(groups) for d, groups in sums.items()}
+            key = (d, circles, i, j)
+            pairs[key] = pairs.get(key, 0) + 1
+    rows: dict[tuple[FlatTangle, int, int], LaurentPoly] = {}
+    for (d, circles, i, j), k in pairs.items():
+        _collect(rows, (d, circles, i), nums_b[j] * k if k > 1 else nums_b[j])
+    sums: dict[FlatTangle, dict[int, LaurentPoly]] = {}
+    for (d, circles, i), y in rows.items():
+        _collect(sums.setdefault(d, {}), circles, nums_a[i] * y)
+    den = den_a * den_b
+    acc = {}
+    for d, by_circles in sums.items():
+        num = _close_circles(by_circles)
+        if num:
+            acc[d] = RatFunc._normalized(num, den)
     return TLElement(a.m, b.n, acc)
 
 
-def _collect(groups: dict[LaurentPoly, LaurentPoly], den: LaurentPoly, num: LaurentPoly) -> None:
-    """Add num to the numerator sum kept for den."""
-    groups[den] = groups[den] + num if den in groups else num
+def _over_common_den(
+    x: TLElement,
+) -> tuple[list[tuple[FlatTangle, int]], list[LaurentPoly], LaurentPoly]:
+    """x over one common denominator: (matching, numerator index) per term,
+    the distinct numerators, and the denominator."""
+    den, cofactors = common_denominator({c.den for c in x.terms.values()})
+    index: dict[RatFunc, int] = {}
+    terms = [(d, index.setdefault(c, len(index))) for d, c in x.terms.items()]
+    return terms, [c.num * cofactors[c.den] for c in index], den
 
 
-def _normalize_groups(groups: dict[LaurentPoly, LaurentPoly]) -> RatFunc:
-    """The sum of num/den over the groups, normalizing each group once."""
-    total = RatFunc.zero()
-    for den, num in groups.items():
-        total = total + RatFunc._normalized(num, den)
+def _collect(sums: dict, key, num: LaurentPoly) -> None:
+    """Add num to the numerator sum kept under key."""
+    sums[key] = sums[key] + num if key in sums else num
+
+
+def _close_circles(by_circles: dict[int, LaurentPoly]) -> LaurentPoly:
+    """The sum of num * LOOP^circles over the groups, by Horner's rule."""
+    total = LaurentPoly.zero()
+    for circles in range(max(by_circles, default=-1), -1, -1):
+        total = total * LOOP
+        if circles in by_circles:
+            total = total + by_circles[circles]
     return total
 
 
@@ -203,55 +228,75 @@ def markov_trace(x: TLElement) -> RatFunc:
     """Close top point i to bottom point i around the side; circles evaluate.
 
     cob.trace_ob counts each matching's circles.  As in compose_tl, the
-    numerators c.num * LOOP^circles are summed per denominator and each group
-    is normalized once, so the result is byte-identical to a term-by-term sum.
+    terms are written over one common denominator, their numerators summed
+    per circle count, and the total normalized once, so the result is
+    byte-identical to a term-by-term sum.
     """
     if x.m != x.n:
         raise DimensionError("markov trace needs a square element")
-    groups: dict[LaurentPoly, LaurentPoly] = {}
-    for d, c in x.terms.items():
-        num = c.num
-        for _ in range(trace_ob(d).tangle.circles):
-            num = num * LOOP
-        _collect(groups, c.den, num)
-    return _normalize_groups(groups)
+    terms, nums, den = _over_common_den(x)
+    by_circles: dict[int, LaurentPoly] = {}
+    for d, i in terms:
+        _collect(by_circles, trace_ob(d).tangle.circles, nums[i])
+    return RatFunc._normalized(_close_circles(by_circles), den)
 
 
 @functools.cache
 def jones_wenzl(n: int) -> TLElement:
-    """The Jones-Wenzl projector p_n, by the Wenzl recursion.
+    """The Jones-Wenzl projector p_n, by the single-clasp expansion.
 
-    p_1 = 1_1 and p_{k+1} = p_k - ([k]/[k+1]) p_k e_k p_k, with p_k included
-    in TL_{k+1} by a strand on the right.  Both defining axioms (kills all
-    turnbacks; p_n - 1_n has through degree < n) are verified exactly before
-    the result is returned.
+    p_1 = 1_1 and, with p_{n-1} included in TL_n by a strand on the right,
+
+        p_n = (p_{n-1} (x) 1) (1 + sum_{i=1}^{n-1} (-1)^(n-i) [i]/[n] e_{n-1} ... e_i),
+
+    e_j joining strands j and j+1 (1-indexed) and a circle worth [2]
+    (I. B. Frenkel and M. Khovanov, Canonical bases in tensor products and
+    graphical calculus for U_q(sl_2), Duke Math. J. 87 (1997); S. Morrison,
+    A formula for the Jones-Wenzl projections, 2015).  The bracket has n
+    terms, so level n costs |p_{n-1}| n matching products, where the Wenzl
+    recursion p_n = p_{n-1} - ([n-1]/[n]) p_{n-1} e_{n-1} p_{n-1} costs
+    about |p_{n-1}|^2; that recursion is the tests' reference.  Both defining
+    axioms (p_n kills every turnback, from above and from below; p_n - 1_n
+    has through degree < n) are verified exactly before the result is
+    returned, and they determine p_n, so they certify the expansion.
     """
     if n < 0:
         raise SpinhomError("jones_wenzl needs n >= 0")
     if n <= 1:
         return TLElement.identity(n)
-    prev = jones_wenzl(n - 1)
-    strand = TLElement.identity(1)
-    pk = beside_tl(prev, strand)
-    ek = TLElement.e(n - 2, n)
-    coeff = RatFunc.from_laurent(quantum_integer(n - 1)) / RatFunc.from_laurent(
-        quantum_integer(n)
-    )
-    p = pk - compose_tl(compose_tl(pk, ek), pk).scale(coeff)
+    strand = FlatTangle.identity(1)
+    # beside_tl would multiply every coefficient by the strand's 1
+    prev = TLElement(n, n, {beside_ob(d, strand): c for d, c in jones_wenzl(n - 1).terms.items()})
+    word = FlatTangle.identity(n)
+    clasp = {word: RatFunc.one()}
+    for i in range(n - 1, 0, -1):
+        word, _ = compose_matchings(word, FlatTangle.e(i - 1, n))  # e_{n-1} ... e_i
+        clasp[word] = RatFunc._normalized(quantum_integer(i) * (-1) ** (n - i), quantum_integer(n))
+    p = compose_tl(prev, TLElement(n, n, clasp))
     for i in range(n - 1):
         ei = TLElement.e(i, n)
         if not compose_tl(ei, p).is_zero() or not compose_tl(p, ei).is_zero():
-            raise SpinhomError(f"Wenzl recursion failed turnback axiom at e_{i}")
+            raise SpinhomError(f"single-clasp expansion failed turnback axiom at e_{i}")
     defect = p - TLElement.identity(n)
     if not defect.is_zero() and through_degree(defect) >= n:
-        raise SpinhomError("Wenzl recursion failed the through-degree axiom")
+        raise SpinhomError("single-clasp expansion failed the through-degree axiom")
     return p
 
 
 _ZERO_SENTINEL = object()
 
 
-def _evaluate(e: ex.NetworkExpr):
+def _evaluate(e: ex.NetworkExpr, memo: dict):
+    """e's TL element, or _ZERO_SENTINEL; memo holds the values of the
+    subexpressions met so far, so each distinct one is evaluated once (a
+    theta's Dual(v) reuses its vertex v)."""
+    v = memo.get(e)
+    if v is None:
+        v = memo[e] = _evaluate_node(e, memo)
+    return v
+
+
+def _evaluate_node(e: ex.NetworkExpr, memo: dict):
     match e:
         case ex.Strand(k):
             return TLElement.identity(k)
@@ -264,22 +309,22 @@ def _evaluate(e: ex.NetworkExpr):
             bottom = beside_tl(jones_wenzl(b), jones_wenzl(c))
             return compose_tl(jones_wenzl(a), compose_tl(core, bottom))
         case ex.Stack(top, bottom):
-            t, b = _evaluate(top), _evaluate(bottom)
+            t, b = _evaluate(top, memo), _evaluate(bottom, memo)
             if t is _ZERO_SENTINEL or b is _ZERO_SENTINEL:
                 return _ZERO_SENTINEL
             return compose_tl(t, b)
         case ex.Beside(left, right):
-            l, r = _evaluate(left), _evaluate(right)
+            l, r = _evaluate(left, memo), _evaluate(right, memo)
             if l is _ZERO_SENTINEL or r is _ZERO_SENTINEL:
                 return _ZERO_SENTINEL
             return beside_tl(l, r)
         case ex.Trace(inner):
-            v = _evaluate(inner)
+            v = _evaluate(inner, memo)
             if v is _ZERO_SENTINEL:
                 return _ZERO_SENTINEL
             return TLElement(0, 0, {FlatTangle.empty(): markov_trace(v)})
         case ex.Dual(inner):
-            v = _evaluate(inner)
+            v = _evaluate(inner, memo)
             if v is _ZERO_SENTINEL:
                 return _ZERO_SENTINEL
             return v.dual()
@@ -294,7 +339,7 @@ def evaluate_network(net: ex.NetworkExpr) -> RatFunc:
     """Exact evaluation of a closed network, substituting p_n on every edge."""
     if not ex.is_closed(net):
         raise ArityError(f"network has free boundary: arity {ex.arity(net)}")
-    v = _evaluate(net)
+    v = _evaluate(net, {})
     if v is _ZERO_SENTINEL or v.is_zero():
         return RatFunc.zero()
     return v.terms.get(FlatTangle.empty(), RatFunc.zero())
@@ -302,7 +347,7 @@ def evaluate_network(net: ex.NetworkExpr) -> RatFunc:
 
 def tl_element_of(e: ex.NetworkExpr) -> TLElement:
     """Evaluate an open expression to its TL element (Zero not allowed)."""
-    v = _evaluate(e)
+    v = _evaluate(e, {})
     if v is _ZERO_SENTINEL:
         raise ArityError("cannot evaluate Zero without boundary context")
     return v

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from contextlib import contextmanager
 from itertools import combinations
@@ -19,7 +20,7 @@ from spinhom.cob import (
     surgery,
 )
 from spinhom.complexes import ChainComplex, Window
-from spinhom.laurent import RatFunc
+from spinhom.laurent import RatFunc, quantum_integer
 
 
 def two_term_piece(rng: random.Random, n: int, degree: int, qshift: int,
@@ -576,10 +577,12 @@ def reference_beside_matchings(a, b) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # Reference Temperley-Lieb products: the term-by-term loops that tl.compose_tl
-# and tl.markov_trace ran before they summed numerators per denominator.  Every
-# product, loop factor and partial sum here is a normalized RatFunc.  The trace
-# counts its circles by the hand walk both cob.trace_ob and tl.markov_trace
-# ran before they read closure_data against the identity.
+# and tl.markov_trace ran before they summed numerators over a common
+# denominator, and the Wenzl recursion tl.jones_wenzl ran before the
+# single-clasp expansion.  Every product, loop factor and partial sum here is
+# a normalized RatFunc.  The trace counts its circles by the hand walk both
+# cob.trace_ob and tl.markov_trace ran before they read closure_data against
+# the identity.
 
 
 def reference_compose_tl(a, b):
@@ -632,6 +635,18 @@ def reference_markov_trace(x):
             val = val * loop
         total = total + val
     return total
+
+
+@functools.cache
+def reference_jones_wenzl(n: int):
+    """p_n by the Wenzl recursion over reference_compose_tl:
+    p_1 = 1_1, p_n = p' - ([n-1]/[n]) p' e_{n-1} p' with p' = p_{n-1} (x) 1."""
+    if n <= 1:
+        return tl.TLElement.identity(n)
+    prev = tl.beside_tl(reference_jones_wenzl(n - 1), tl.TLElement.identity(1))
+    coeff = RatFunc.from_laurent(quantum_integer(n - 1)) / RatFunc.from_laurent(quantum_integer(n))
+    middle = reference_compose_tl(reference_compose_tl(prev, tl.TLElement.e(n - 2, n)), prev)
+    return prev - middle.scale(coeff)
 
 
 def reference_tautological(C: ChainComplex):

@@ -1,10 +1,20 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinhom.laurent import LaurentPoly, RatFunc, quantum_integer
+from spinhom.laurent import (
+    LaurentPoly,
+    RatFunc,
+    _pcontent,
+    _pdiv_exact,
+    _pgcd,
+    _plcm,
+    common_denominator,
+    quantum_integer,
+)
 
 
 def lp(d):
@@ -109,6 +119,52 @@ def test_ratfunc_self_cancellation(n, d):
     assert (r - r).is_zero()
     if not r.is_zero():
         assert r / r == RatFunc.one()
+
+
+# Ordinary integer polynomials as coefficient lists (index = exponent) with
+# a nonzero leading coefficient; pairs share a random factor, content
+# included, so their gcd is often nontrivial.
+int_poly = st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(lambda p: p[-1] != 0)
+
+
+def _pmul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@given(int_poly, int_poly, int_poly)
+@settings(max_examples=200, deadline=None)
+def test_plcm_is_product_over_gcd(a, b, shared):
+    a, b = _pmul(a, shared), _pmul(b, shared)
+    lcm = _plcm(a, b)
+    assert lcm[-1] > 0
+    # divisible by each input over Z, content included
+    _pdiv_exact(lcm, a)
+    _pdiv_exact(lcm, b)
+    # and equal, up to sign, to a * b over the full gcd
+    gcd = [math.gcd(_pcontent(a), _pcontent(b)) * x for x in _pgcd(a, b)]
+    product = _pmul(a, b)
+    assert _pmul(lcm, gcd) in (product, [-x for x in product])
+
+
+def test_plcm_content():
+    assert _plcm([2], [3]) == [6]
+    assert _plcm([4, 2], [6]) == [12, 6]  # lcm(2(x+2), 6) = 6(x+2)
+    assert _plcm([-1, 1], [1, -1]) == [-1, 1]  # unit multiples: positive leading coefficient
+    assert _plcm([-1, 0, 1], [2, 2]) == [-2, 0, 2]  # (x^2-1) and 2(x+1)
+
+
+def test_common_denominator_cofactors():
+    q2, q3 = quantum_integer(2).shift(1), quantum_integer(3).shift(2)
+    dens = {q2, q3 * q2 * 2, LaurentPoly.one() * 3, q3}
+    lcm, cofactors = common_denominator(dens)
+    assert lcm == q3 * q2 * 6
+    assert set(cofactors) == dens
+    assert all(cofactors[d] * d == lcm for d in dens)
+    assert common_denominator(()) == (LaurentPoly.one(), {})
 
 
 def test_ratfunc_normal_form_is_structural():

@@ -8,6 +8,7 @@ from helpers import (
     reference_beside_matchings,
     reference_compose_matchings,
     reference_compose_tl,
+    reference_jones_wenzl,
     reference_markov_trace,
 )
 from spinhom import expr as ex
@@ -106,7 +107,9 @@ def test_compose_associative_random():
 
 # Random multi-term elements on at most 4 strands for the term-by-term
 # references: coefficients are +-q^s [i]/[j], the ratios Jones-Wenzl
-# coefficients are made of, so distinct terms carry distinct denominators.
+# coefficients are made of, so distinct terms carry distinct denominators;
+# some are divided by 2 or 3, so the common denominator's integer content
+# (the lcm of 2, 3 and 6 in laurent.common_denominator) is exercised too.
 _QINT = [RatFunc.from_laurent(quantum_integer(i)) for i in range(6)]
 
 
@@ -114,7 +117,7 @@ _QINT = [RatFunc.from_laurent(quantum_integer(i)) for i in range(6)]
 def qratio(draw):
     i, j = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     mono = LaurentPoly.monomial(draw(st.integers(-2, 2)), draw(st.sampled_from([1, -1, 2])))
-    return _QINT[i] / _QINT[j] * mono
+    return _QINT[i] / _QINT[j] * mono / draw(st.sampled_from([1, 1, 2, 3]))
 
 
 @st.composite
@@ -244,6 +247,37 @@ def test_jones_wenzl_axioms(n):
 
 
 @pytest.mark.parametrize("n", range(1, 8))
+def test_jones_wenzl_matches_wenzl_recursion(n):
+    assert tl.jones_wenzl(n).terms == reference_jones_wenzl(n).terms
+
+
+def _count_calls(monkeypatch, owner, names) -> dict[str, int]:
+    """Wrap owner's functions `names` to count their calls while patched."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(owner, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, staticmethod(counted) if isinstance(owner, type) else counted)
+    return calls
+
+
+def test_jones_wenzl_cost(monkeypatch):
+    # The single-clasp expansion makes |p_{n-1}| n matching products per
+    # level and normalizes each output coefficient once; the Wenzl recursion
+    # it replaced made 3,818 products and 1,936 normalizations for p_6.
+    products = _count_calls(monkeypatch, tl, ["compose_matchings"])
+    normalized = _count_calls(monkeypatch, RatFunc, ["_normalized"])
+    tl.jones_wenzl.cache_clear()
+    tl.jones_wenzl(6)
+    assert products["compose_matchings"] <= 2_200  # 2,129 at the time of writing
+    assert normalized["_normalized"] <= 260  # 232
+
+
+@pytest.mark.parametrize("n", range(1, 8))
 def test_markov_trace_of_projector(n):
     assert tl.markov_trace(tl.jones_wenzl(n)) == RatFunc.from_laurent(
         quantum_integer(n + 1)
@@ -289,6 +323,16 @@ def test_theta_golden_values():
     assert tl.evaluate_network(ex.theta(1, 2, 3)) == RatFunc.from_laurent(
         quantum_integer(4)
     )
+
+
+def test_network_evaluates_each_subexpression_once(monkeypatch):
+    # theta = Trace(Stack(v, Dual(v))): the dual reuses the vertex, so the
+    # vertex's two compositions and the stack's one are all there are.
+    for k in (3, 4):
+        tl.jones_wenzl(k)
+    calls = _count_calls(monkeypatch, tl, ["compose_tl", "vertex_matching"])
+    tl.evaluate_network(ex.theta(3, 3, 4))
+    assert calls == {"compose_tl": 3, "vertex_matching": 1}
 
 
 def test_network_errors():
