@@ -314,11 +314,6 @@ def common_denominator(
     return _poly_to_laurent(lcm), cofactors
 
 
-_add_cache: dict = {}
-_mul_cache: dict = {}
-_CACHE_LIMIT = 1 << 17
-
-
 @dataclass(frozen=True)
 class RatFunc:
     """A normalized element of Q(q), stored as num/den of LaurentPolys.
@@ -389,19 +384,9 @@ class RatFunc:
             return o
         if o.num.is_zero():
             return self
-        key = (self, o)
-        hit = _add_cache.get(key)
-        if hit is None:
-            if self.den == o.den:
-                hit = RatFunc._normalized(self.num + o.num, self.den)
-            else:
-                hit = RatFunc._normalized(
-                    self.num * o.den + o.num * self.den, self.den * o.den
-                )
-            if len(_add_cache) > _CACHE_LIMIT:
-                _add_cache.clear()
-            _add_cache[key] = hit
-        return hit
+        if self.den == o.den:
+            return RatFunc._normalized(self.num + o.num, self.den)
+        return RatFunc._normalized(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
@@ -423,14 +408,7 @@ class RatFunc:
             return NotImplemented
         if self.num.is_zero() or o.num.is_zero():
             return RatFunc.zero()
-        key = (self, o)
-        hit = _mul_cache.get(key)
-        if hit is None:
-            hit = RatFunc._normalized(self.num * o.num, self.den * o.den)
-            if len(_mul_cache) > _CACHE_LIMIT:
-                _mul_cache.clear()
-            _mul_cache[key] = hit
-        return hit
+        return RatFunc._normalized(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -456,8 +434,17 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def bar(self) -> "RatFunc":
-        """The involution q -> q^-1."""
-        return RatFunc._normalized(self.num.bar(), self.den.bar())
+        """The involution q -> q^-1, with no gcd: reversing the coefficient
+        lists of a normal form keeps them coprime with the same contents,
+        so only a power of q and the sign of the denominator's constant
+        term (its new leading coefficient) remain to fix."""
+        pn, vn = _laurent_to_poly(self.num)
+        pd, _ = _laurent_to_poly(self.den)
+        sign = 1 if pd[0] > 0 else -1
+        return RatFunc(
+            _poly_to_laurent([sign * c for c in reversed(pn)], len(pd) - len(pn) - vn),
+            _poly_to_laurent([sign * c for c in reversed(pd)]),
+        )
 
     def as_laurent(self) -> LaurentPoly:
         """Return the numerator if the denominator is 1, else raise."""

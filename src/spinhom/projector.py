@@ -13,6 +13,7 @@ construction.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 from . import cob
@@ -26,6 +27,7 @@ from .errors import (
     DimensionError,
     DivergenceError,
     IntegrityError,
+    ResourceError,
     SpinhomError,
 )
 from .homology import ModuleComplex
@@ -422,10 +424,17 @@ def _flatten_beside(e: ex.NetworkExpr) -> list[ex.NetworkExpr]:
 
 
 def _rebuild_beside(items: list[ex.NetworkExpr]) -> ex.NetworkExpr:
-    out = items[0]
-    for item in items[1:]:
-        out = ex.Beside(out, item)
-    return out
+    return functools.reduce(ex.Beside, items)
+
+
+def _colours(mode: str) -> tuple[type, type]:
+    """The colour rule, as (survivor, other): where a white box (Proj) and a
+    black box (DualProj) meet, the white one survives in product mode and
+    the black one in sum mode.  A survivor box absorbs bundles of either
+    colour, kills a narrower box of the other colour below it, commutes
+    past square pieces, and dies in a trace too narrow for it that holds
+    no box of the other colour."""
+    return {"product": (ex.Proj, ex.DualProj), "sum": (ex.DualProj, ex.Proj)}[mode]
 
 
 def _interchange(a: ex.NetworkExpr, b: ex.NetworkExpr, mode: str) -> ex.NetworkExpr | None:
@@ -434,80 +443,40 @@ def _interchange(a: ex.NetworkExpr, b: ex.NetworkExpr, mode: str) -> ex.NetworkE
     la, lb = _flatten_beside(a), _flatten_beside(b)
     if len(la) < 2 and len(lb) < 2:
         return None
-
-    def widths(items):
-        out = []
-        for it in items:
-            ar = ex.arity(it)
-            if ar is None:
-                return None
-            out.append(ar)
-        return out
-
-    wa, wb = widths(la), widths(lb)
-    if wa is None or wb is None:
+    wa, wb = [ex.arity(x) for x in la], [ex.arity(x) for x in lb]
+    if None in wa or None in wb:
         return None
-    cuts_a = {sum(x[1] for x in wa[:i]) for i in range(1, len(wa))}
-    cuts_b = {sum(x[0] for x in wb[:i]) for i in range(1, len(wb))}
-    cuts = sorted(cuts_a & cuts_b)
+    # the accumulated widths where a's bottom and b's top can be cut
+    ends_a = list(itertools.accumulate(w[1] for w in wa))
+    ends_b = list(itertools.accumulate(w[0] for w in wb))
+    cuts = sorted(set(ends_a[:-1]) & set(ends_b[:-1]))
     if not cuts:
         return None
 
-    def split(items, ws, which):
-        groups = []
-        cur = []
-        acc = 0
-        cut_iter = list(cuts) + [None]
-        ci = 0
-        for it, w in zip(items, ws):
-            cur.append(it)
-            acc += w[which]
-            if cut_iter[ci] is not None and acc == cut_iter[ci]:
-                groups.append(cur)
-                cur = []
-                ci += 1
-        groups.append(cur)
-        return groups
+    def split(items, ends):
+        bounds = [0] + [ends.index(cut) + 1 for cut in cuts] + [len(items)]
+        return [_rebuild_beside(items[i:j]) for i, j in zip(bounds, bounds[1:])]
 
-    ga = split(la, wa, 1)
-    gb = split(lb, wb, 0)
-    if len(ga) != len(gb) or len(ga) < 2:
-        return None
-    pieces = []
-    useful = False
-    for seg_a, seg_b in zip(ga, gb):
-        top = _rebuild_beside(seg_a)
-        bot = _rebuild_beside(seg_b)
-        stacked = _structural(ex.Stack(top, bot))
-        if isinstance(stacked, ex.Stack):
-            fired = _apply_stack_rules(_flatten_stack(stacked), mode)
-            if fired is not None:
-                useful = True
-        else:
-            useful = True
-        pieces.append(stacked)
-    if not useful:
+    pieces = [
+        _structural(ex.Stack(top, bottom))
+        for top, bottom in zip(split(la, ends_a), split(lb, ends_b))
+    ]
+    if all(
+        isinstance(p, ex.Stack) and _apply_stack_rules(_flatten_stack(p), mode) is None
+        for p in pieces
+    ):
         return None
     return _rebuild_beside(pieces)
 
 
-def _is_bundle(e: ex.NetworkExpr) -> tuple[int, bool, bool] | None:
-    """If e is a Beside-chain of strands and projectors, return
-    (total strands, has white boxes, has black boxes)."""
-    match e:
-        case ex.Strand(k):
-            return (k, False, False)
-        case ex.Proj(n):
-            return (n, True, False)
-        case ex.DualProj(n):
-            return (n, False, True)
-        case ex.Beside(l, r):
-            a = _is_bundle(l)
-            b = _is_bundle(r)
-            if a is None or b is None:
-                return None
-            return (a[0] + b[0], a[1] or b[1], a[2] or b[2])
-    return None
+def _is_bundle(e: ex.NetworkExpr) -> tuple[int, set[type]] | None:
+    """If e is a Beside-chain of strands and boxes (a lone box included),
+    return (total strands, the types of its boxes)."""
+    parts = _flatten_beside(e)
+    kinds = {type(p) for p in parts}
+    if not kinds <= {ex.Strand, ex.Proj, ex.DualProj}:
+        return None
+    return sum(p.k if isinstance(p, ex.Strand) else p.n for p in parts), kinds - {ex.Strand}
 
 
 def _flatten_stack(e: ex.NetworkExpr) -> list[ex.NetworkExpr]:
@@ -517,12 +486,7 @@ def _flatten_stack(e: ex.NetworkExpr) -> list[ex.NetworkExpr]:
 
 
 def _rebuild_stack(items: list[ex.NetworkExpr]) -> ex.NetworkExpr:
-    if not items:
-        raise SpinhomError("empty stack")
-    out = items[-1]
-    for item in reversed(items[:-1]):
-        out = ex.Stack(item, out)
-    return out
+    return functools.reduce(lambda below, item: ex.Stack(item, below), reversed(items))
 
 
 def _structural(e: ex.NetworkExpr) -> ex.NetworkExpr:
@@ -559,91 +523,46 @@ def _structural(e: ex.NetworkExpr) -> ex.NetworkExpr:
 def _apply_stack_rules(items: list[ex.NetworkExpr], mode: str) -> list[ex.NetworkExpr] | None:
     """One rewriting step on a flattened Stack chain; None if no rule fires.
 
-    Absorption: a bundle carrying projectors next to a full-width projector
-    collapses into the projector (white/white and black/black always;
-    black-into-white needs product mode, white-into-black sum mode).
-    Semi-orthogonality: Proj(j) above ... above DualProj(i) with i < j is
-    zero in product mode; DualProj(j) ... Proj(i) in sum mode.
+    Absorption: a bundle next to a box of its full width is absorbed into
+    the box when the bundle's boxes all have the box's colour or the box's
+    colour is the survivor (_colours).  Semi-orthogonality: a survivor box
+    above a narrower box of the other colour makes the chain zero.
     """
+    survivor, other = _colours(mode)
     for idx, item in enumerate(items):
-        info = _is_bundle(item)
-        if info is None or isinstance(item, (ex.Proj, ex.DualProj, ex.Strand)):
+        bundle = _is_bundle(item)
+        if bundle is None:
             continue
-        total, has_white, has_black = info
-        for other in (idx - 1, idx + 1):
-            if not 0 <= other < len(items):
-                continue
-            tgt = items[other]
-            if isinstance(tgt, ex.Proj) and tgt.n == total:
-                if has_black and mode != "product":
-                    continue
-                return items[:idx] + items[idx + 1 :]
-            if isinstance(tgt, ex.DualProj) and tgt.n == total:
-                if has_white and mode != "sum":
-                    continue
-                return items[:idx] + items[idx + 1 :]
-    # adjacent equal-width projectors: one box absorbs the other; in mixed
-    # pairs the white box survives in product mode, the black one in sum
-    for idx in range(len(items) - 1):
-        a, b = items[idx], items[idx + 1]
-        if not isinstance(a, (ex.Proj, ex.DualProj)):
-            continue
-        if not isinstance(b, (ex.Proj, ex.DualProj)):
-            continue
-        if a.n != b.n:
-            continue
-        kinds = (isinstance(a, ex.Proj), isinstance(b, ex.Proj))
-        if kinds[0] == kinds[1]:
+        width, boxes = bundle
+        if any(
+            isinstance(box, (ex.Proj, ex.DualProj))
+            and box.n == width
+            and (boxes <= {type(box)} or type(box) is survivor)
+            for box in items[max(idx - 1, 0) : idx] + items[idx + 1 : idx + 2]
+        ):
             return items[:idx] + items[idx + 1 :]
-        if mode == "product":
-            keep = a if kinds[0] else b
-            return items[:idx] + [keep] + items[idx + 2 :]
-        if mode == "sum":
-            keep = a if not kinds[0] else b
-            return items[:idx] + [keep] + items[idx + 2 :]
-    # semi-orthogonality
-    for i1 in range(len(items)):
-        for i2 in range(i1 + 1, len(items)):
-            a, b = items[i1], items[i2]
-            if (
-                mode == "product"
-                and isinstance(a, ex.Proj)
-                and isinstance(b, ex.DualProj)
-                and b.n < a.n
-            ):
-                return [ex.Zero()]
-            if (
-                mode == "sum"
-                and isinstance(a, ex.DualProj)
-                and isinstance(b, ex.Proj)
-                and b.n < a.n
-            ):
-                return [ex.Zero()]
+    widest = -1
+    for item in items:
+        if isinstance(item, survivor):
+            widest = max(widest, item.n)
+        elif isinstance(item, other) and item.n < widest:
+            return [ex.Zero()]
     return None
 
 
 def _commute_projectors(items: list[ex.NetworkExpr], mode: str) -> list[ex.NetworkExpr] | None:
-    """Move a square-arity projector past its neighbor when that enables an
-    absorption later: Proj commutes in product mode, DualProj in sum mode."""
-    def arity_of(e):
-        try:
-            return ex.arity(e)
-        except Exception:
-            return None
-
+    """Move a survivor box past a square neighbour of its width when that
+    lets a stack rule fire: down in product mode, up in sum mode."""
+    survivor, _ = _colours(mode)
     for idx in range(len(items) - 1):
-        a, b = items[idx], items[idx + 1]
-        swap = None
-        if isinstance(a, ex.Proj) and mode == "product":
-            ab = arity_of(b)
-            if ab is not None and ab == (a.n, a.n) and not isinstance(b, (ex.Proj, ex.DualProj)):
-                swap = (b, a)
-        if isinstance(b, ex.DualProj) and mode == "sum":
-            aa = arity_of(a)
-            if aa is not None and aa == (b.n, b.n) and not isinstance(a, (ex.Proj, ex.DualProj)):
-                swap = (b, a)
-        if swap is not None:
-            candidate = items[:idx] + list(swap) + items[idx + 2 :]
+        pair = items[idx : idx + 2]
+        box, neighbour = pair if survivor is ex.Proj else pair[::-1]
+        if (
+            isinstance(box, survivor)
+            and not isinstance(neighbour, (ex.Proj, ex.DualProj))
+            and ex.arity(neighbour) == (box.n, box.n)
+        ):
+            candidate = items[:idx] + pair[::-1] + items[idx + 2 :]
             if _apply_stack_rules(candidate, mode) is not None:
                 return candidate
     return None
@@ -652,31 +571,40 @@ def _commute_projectors(items: list[ex.NetworkExpr], mode: str) -> list[ex.Netwo
 def _trace_kills_projector(items: list[ex.NetworkExpr], mode: str) -> bool:
     """Inside a trace, a projector whose strands must cross an interface
     narrower than its label dies: the cyclic word contains P_j composed
-    with a through-degree < j segment (white boxes in product mode, black
-    in sum mode; the all-one-color chain is bounded on the needed side)."""
+    with a through-degree < j segment (survivor boxes only; a chain with a
+    box of the other colour is bounded on the needed side)."""
     if len(items) < 2:
         return False
-    arities = []
-    for item in items:
-        a = ex.arity(item)
-        if a is None:
-            return False
-        arities.append(a)
-    interfaces = [a[0] for a in arities]  # top boundary of each item
-    box = ex.Proj if mode == "product" else ex.DualProj
-    other = ex.DualProj if mode == "product" else ex.Proj
-    if any(isinstance(it, other) for it in items):
+    arities = [ex.arity(item) for item in items]
+    survivor, other = _colours(mode)
+    if None in arities or any(isinstance(it, other) for it in items):
         return False
-    labels = [it.n for it in items if isinstance(it, box)]
-    if not labels:
-        return False
-    return max(labels) > min(interfaces)
+    labels = [it.n for it in items if isinstance(it, survivor)]
+    return bool(labels) and max(labels) > min(a[0] for a in arities)
+
+
+def _rotations(items: list[ex.NetworkExpr]):
+    """The cyclic rotations of a traced chain that stack to a square
+    diagram (or to zero)."""
+    for i in range(len(items)):
+        rot = items[i:] + items[:i]
+        try:
+            a = ex.arity(_rebuild_stack(rot))
+        except SpinhomError:
+            continue
+        if a is None or a[0] == a[1]:
+            yield rot
 
 
 def rewrite_network(e: ex.NetworkExpr, mode: str = "product") -> ex.NetworkExpr:
     """Normal form under isotopy normalization (vertex expansion, the
     interchange law, spherical rotation under a trace), absorption,
-    commuting, and semi-orthogonality.
+    commuting, and semi-orthogonality: the passes repeat until no rule
+    fires.  mode is "product" or "sum", and picks the colour that survives
+    (_colours).  Raises ResourceError rather than return a form that is not
+    normal if the passes would outnumber the characters of the expanded
+    expression's text (the small networks of tests/rewrite_corpus.py need
+    at most 12 passes; 302 stacked boxes need 302).
 
     A homotopy-equivalence-preserving preprocessor: the instantiated
     complexes before and after agree in the window interior (checked by the
@@ -693,7 +621,8 @@ def rewrite_network(e: ex.NetworkExpr, mode: str = "product") -> ex.NetworkExpr:
     removed every Vertex, so the rules below never meet a Dual node.
     """
     e = _structural(ex.push_duals(expand_vertices(e)))
-    for _ in range(300):
+    limit = len(ex.to_text(e))
+    for _ in range(limit):
         changed = False
 
         def try_chain(items: list[ex.NetworkExpr]) -> list[ex.NetworkExpr] | None:
@@ -714,45 +643,28 @@ def rewrite_network(e: ex.NetworkExpr, mode: str = "product") -> ex.NetworkExpr:
                 if step is not None:
                     changed = True
                     items = step
-                if len(items) == 1:
-                    return items[0]
                 return _rebuild_stack(items)
             if isinstance(node, ex.Beside):
                 return ex.Beside(walk(node.left), walk(node.right))
             if isinstance(node, ex.Trace):
-                inner = walk(node.inner)
-                items = _flatten_stack(inner)
+                items = _flatten_stack(walk(node.inner))
                 if _trace_kills_projector(items, mode):
                     changed = True
                     return ex.Zero()
                 if len(items) > 1 and not changed:
-                    for i in range(len(items)):
-                        rot = items[i:] + items[:i]
-                        if not _stackable_cyclic(rot):
-                            continue
+                    for rot in _rotations(items):
                         step = try_chain(rot)
                         if step is not None:
                             changed = True
                             items = step
                             break
-                if len(items) == 1:
-                    return ex.Trace(items[0])
                 return ex.Trace(_rebuild_stack(items))
             return node
 
-        e = walk(e)
-        e = _structural(e)
+        e = _structural(walk(e))
         if not changed:
-            break
-    return _canonical_rotation(e)
-
-
-def _stackable_cyclic(rot: list[ex.NetworkExpr]) -> bool:
-    try:
-        a = ex.arity(_rebuild_stack(rot))
-    except Exception:
-        return False
-    return a is None or a[0] == a[1]
+            return _canonical_rotation(e)
+    raise ResourceError(f"rewrite found no normal form within {limit} passes")
 
 
 def _canonical_rotation(e: ex.NetworkExpr) -> ex.NetworkExpr:
@@ -760,18 +672,10 @@ def _canonical_rotation(e: ex.NetworkExpr) -> ex.NetworkExpr:
     match e:
         case ex.Trace(inner):
             items = _flatten_stack(_canonical_rotation(inner))
-            if len(items) > 1:
-                best = None
-                for i in range(len(items)):
-                    rot = items[i:] + items[:i]
-                    if not _stackable_cyclic(rot):
-                        continue
-                    txt = ex.to_text(_rebuild_stack(rot))
-                    if best is None or txt < best[0]:
-                        best = (txt, rot)
-                if best is not None:
-                    items = best[1]
-            return ex.Trace(_rebuild_stack(items))
+            best = min(
+                _rotations(items), key=lambda rot: ex.to_text(_rebuild_stack(rot)), default=items
+            )
+            return ex.Trace(_rebuild_stack(best))
         case ex.Stack(t, b):
             return ex.Stack(_canonical_rotation(t), _canonical_rotation(b))
         case ex.Beside(l, r):

@@ -5,10 +5,11 @@ from __future__ import annotations
 import functools
 import random
 from contextlib import contextmanager
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 
 from spinhom import complexes as cx
+from spinhom import expr as ex
 from spinhom import tl
 from spinhom.cob import (
     CanonicalCobordism,
@@ -20,7 +21,9 @@ from spinhom.cob import (
     surgery,
 )
 from spinhom.complexes import ChainComplex, Window
+from spinhom.errors import SpinhomError
 from spinhom.laurent import RatFunc, quantum_integer
+from spinhom.projector import expand_vertices
 
 
 def two_term_piece(rng: random.Random, n: int, degree: int, qshift: int,
@@ -930,3 +933,455 @@ def complex_bytes(C: ChainComplex) -> str:
     from spinhom.serialize import complex_to_data
 
     return json.dumps(complex_to_data(C), sort_keys=True) + repr(C.reliable)
+
+# ---------------------------------------------------------------------------
+# Reference rewrite engine: projector.rewrite_network's rule engine as it was
+# before each decision moved into one place (one absorption rule, one colour
+# helper, one rotation generator), kept verbatim as the oracle the new engine
+# must equal on rewrite_corpus().  It stops after 300 passes, as it did.
+
+
+def _flatten_beside(e: ex.NetworkExpr) -> list[ex.NetworkExpr]:
+    if isinstance(e, ex.Beside):
+        return _flatten_beside(e.left) + _flatten_beside(e.right)
+    return [e]
+
+
+def _rebuild_beside(items: list[ex.NetworkExpr]) -> ex.NetworkExpr:
+    out = items[0]
+    for item in items[1:]:
+        out = ex.Beside(out, item)
+    return out
+
+
+def _interchange(a: ex.NetworkExpr, b: ex.NetworkExpr, mode: str) -> ex.NetworkExpr | None:
+    """Stack of two Beside-chains with aligned cut points -> Beside of
+    Stacks, applied when some component pair can then rewrite."""
+    la, lb = _flatten_beside(a), _flatten_beside(b)
+    if len(la) < 2 and len(lb) < 2:
+        return None
+
+    def widths(items):
+        out = []
+        for it in items:
+            ar = ex.arity(it)
+            if ar is None:
+                return None
+            out.append(ar)
+        return out
+
+    wa, wb = widths(la), widths(lb)
+    if wa is None or wb is None:
+        return None
+    cuts_a = {sum(x[1] for x in wa[:i]) for i in range(1, len(wa))}
+    cuts_b = {sum(x[0] for x in wb[:i]) for i in range(1, len(wb))}
+    cuts = sorted(cuts_a & cuts_b)
+    if not cuts:
+        return None
+
+    def split(items, ws, which):
+        groups = []
+        cur = []
+        acc = 0
+        cut_iter = list(cuts) + [None]
+        ci = 0
+        for it, w in zip(items, ws):
+            cur.append(it)
+            acc += w[which]
+            if cut_iter[ci] is not None and acc == cut_iter[ci]:
+                groups.append(cur)
+                cur = []
+                ci += 1
+        groups.append(cur)
+        return groups
+
+    ga = split(la, wa, 1)
+    gb = split(lb, wb, 0)
+    if len(ga) != len(gb) or len(ga) < 2:
+        return None
+    pieces = []
+    useful = False
+    for seg_a, seg_b in zip(ga, gb):
+        top = _rebuild_beside(seg_a)
+        bot = _rebuild_beside(seg_b)
+        stacked = _structural(ex.Stack(top, bot))
+        if isinstance(stacked, ex.Stack):
+            fired = _apply_stack_rules(_flatten_stack(stacked), mode)
+            if fired is not None:
+                useful = True
+        else:
+            useful = True
+        pieces.append(stacked)
+    if not useful:
+        return None
+    return _rebuild_beside(pieces)
+
+
+def _is_bundle(e: ex.NetworkExpr) -> tuple[int, bool, bool] | None:
+    """If e is a Beside-chain of strands and projectors, return
+    (total strands, has white boxes, has black boxes)."""
+    match e:
+        case ex.Strand(k):
+            return (k, False, False)
+        case ex.Proj(n):
+            return (n, True, False)
+        case ex.DualProj(n):
+            return (n, False, True)
+        case ex.Beside(l, r):
+            a = _is_bundle(l)
+            b = _is_bundle(r)
+            if a is None or b is None:
+                return None
+            return (a[0] + b[0], a[1] or b[1], a[2] or b[2])
+    return None
+
+
+def _flatten_stack(e: ex.NetworkExpr) -> list[ex.NetworkExpr]:
+    if isinstance(e, ex.Stack):
+        return _flatten_stack(e.top) + _flatten_stack(e.bottom)
+    return [e]
+
+
+def _rebuild_stack(items: list[ex.NetworkExpr]) -> ex.NetworkExpr:
+    if not items:
+        raise SpinhomError("empty stack")
+    out = items[-1]
+    for item in reversed(items[:-1]):
+        out = ex.Stack(item, out)
+    return out
+
+
+def _structural(e: ex.NetworkExpr) -> ex.NetworkExpr:
+    """Zero absorption, unit strands, strand merging."""
+    match e:
+        case ex.Stack(t, b):
+            t, b = _structural(t), _structural(b)
+            if isinstance(t, ex.Zero) or isinstance(b, ex.Zero):
+                return ex.Zero()
+            if isinstance(t, ex.Strand):
+                return b
+            if isinstance(b, ex.Strand):
+                return t
+            return ex.Stack(t, b)
+        case ex.Beside(l, r):
+            l, r = _structural(l), _structural(r)
+            if isinstance(l, ex.Zero) or isinstance(r, ex.Zero):
+                return ex.Zero()
+            if isinstance(l, ex.Strand) and l.k == 0:
+                return r
+            if isinstance(r, ex.Strand) and r.k == 0:
+                return l
+            if isinstance(l, ex.Strand) and isinstance(r, ex.Strand):
+                return ex.Strand(l.k + r.k)
+            return ex.Beside(l, r)
+        case ex.Trace(inner):
+            inner = _structural(inner)
+            if isinstance(inner, ex.Zero):
+                return ex.Zero()
+            return ex.Trace(inner)
+    return e
+
+
+def _apply_stack_rules(items: list[ex.NetworkExpr], mode: str) -> list[ex.NetworkExpr] | None:
+    """One rewriting step on a flattened Stack chain; None if no rule fires.
+
+    Absorption: a bundle carrying projectors next to a full-width projector
+    collapses into the projector (white/white and black/black always;
+    black-into-white needs product mode, white-into-black sum mode).
+    Semi-orthogonality: Proj(j) above ... above DualProj(i) with i < j is
+    zero in product mode; DualProj(j) ... Proj(i) in sum mode.
+    """
+    for idx, item in enumerate(items):
+        info = _is_bundle(item)
+        if info is None or isinstance(item, (ex.Proj, ex.DualProj, ex.Strand)):
+            continue
+        total, has_white, has_black = info
+        for other in (idx - 1, idx + 1):
+            if not 0 <= other < len(items):
+                continue
+            tgt = items[other]
+            if isinstance(tgt, ex.Proj) and tgt.n == total:
+                if has_black and mode != "product":
+                    continue
+                return items[:idx] + items[idx + 1 :]
+            if isinstance(tgt, ex.DualProj) and tgt.n == total:
+                if has_white and mode != "sum":
+                    continue
+                return items[:idx] + items[idx + 1 :]
+    # adjacent equal-width projectors: one box absorbs the other; in mixed
+    # pairs the white box survives in product mode, the black one in sum
+    for idx in range(len(items) - 1):
+        a, b = items[idx], items[idx + 1]
+        if not isinstance(a, (ex.Proj, ex.DualProj)):
+            continue
+        if not isinstance(b, (ex.Proj, ex.DualProj)):
+            continue
+        if a.n != b.n:
+            continue
+        kinds = (isinstance(a, ex.Proj), isinstance(b, ex.Proj))
+        if kinds[0] == kinds[1]:
+            return items[:idx] + items[idx + 1 :]
+        if mode == "product":
+            keep = a if kinds[0] else b
+            return items[:idx] + [keep] + items[idx + 2 :]
+        if mode == "sum":
+            keep = a if not kinds[0] else b
+            return items[:idx] + [keep] + items[idx + 2 :]
+    # semi-orthogonality
+    for i1 in range(len(items)):
+        for i2 in range(i1 + 1, len(items)):
+            a, b = items[i1], items[i2]
+            if (
+                mode == "product"
+                and isinstance(a, ex.Proj)
+                and isinstance(b, ex.DualProj)
+                and b.n < a.n
+            ):
+                return [ex.Zero()]
+            if (
+                mode == "sum"
+                and isinstance(a, ex.DualProj)
+                and isinstance(b, ex.Proj)
+                and b.n < a.n
+            ):
+                return [ex.Zero()]
+    return None
+
+
+def _commute_projectors(items: list[ex.NetworkExpr], mode: str) -> list[ex.NetworkExpr] | None:
+    """Move a square-arity projector past its neighbor when that enables an
+    absorption later: Proj commutes in product mode, DualProj in sum mode."""
+    def arity_of(e):
+        try:
+            return ex.arity(e)
+        except Exception:
+            return None
+
+    for idx in range(len(items) - 1):
+        a, b = items[idx], items[idx + 1]
+        swap = None
+        if isinstance(a, ex.Proj) and mode == "product":
+            ab = arity_of(b)
+            if ab is not None and ab == (a.n, a.n) and not isinstance(b, (ex.Proj, ex.DualProj)):
+                swap = (b, a)
+        if isinstance(b, ex.DualProj) and mode == "sum":
+            aa = arity_of(a)
+            if aa is not None and aa == (b.n, b.n) and not isinstance(a, (ex.Proj, ex.DualProj)):
+                swap = (b, a)
+        if swap is not None:
+            candidate = items[:idx] + list(swap) + items[idx + 2 :]
+            if _apply_stack_rules(candidate, mode) is not None:
+                return candidate
+    return None
+
+
+def _trace_kills_projector(items: list[ex.NetworkExpr], mode: str) -> bool:
+    """Inside a trace, a projector whose strands must cross an interface
+    narrower than its label dies: the cyclic word contains P_j composed
+    with a through-degree < j segment (white boxes in product mode, black
+    in sum mode; the all-one-color chain is bounded on the needed side)."""
+    if len(items) < 2:
+        return False
+    arities = []
+    for item in items:
+        a = ex.arity(item)
+        if a is None:
+            return False
+        arities.append(a)
+    interfaces = [a[0] for a in arities]  # top boundary of each item
+    box = ex.Proj if mode == "product" else ex.DualProj
+    other = ex.DualProj if mode == "product" else ex.Proj
+    if any(isinstance(it, other) for it in items):
+        return False
+    labels = [it.n for it in items if isinstance(it, box)]
+    if not labels:
+        return False
+    return max(labels) > min(interfaces)
+
+
+def reference_rewrite_network(e: ex.NetworkExpr, mode: str = "product") -> ex.NetworkExpr:
+    """Normal form under isotopy normalization (vertex expansion, the
+    interchange law, spherical rotation under a trace), absorption,
+    commuting, and semi-orthogonality.
+
+    A homotopy-equivalence-preserving preprocessor: the instantiated
+    complexes before and after agree in the window interior (checked by the
+    test suite).  The CLI `homology --verify` flag recomputes the query
+    without rewriting and compares the two homology tables on their common
+    reliable band and the low-order terms of the two Euler series.  On a
+    two-sided network (a projector against a dual projector, as in a
+    hom(...) query between networks with projectors, or any theta) the
+    un-rewritten route has an empty reliable band, so --verify fails there
+    (exit 6) whatever the answer, until it compares against a one-sided
+    second route instead.
+
+    push_duals leaves a Dual only around a Vertex, and expand_vertices has
+    removed every Vertex, so the rules below never meet a Dual node.
+    """
+    e = _structural(ex.push_duals(expand_vertices(e)))
+    for _ in range(300):
+        changed = False
+
+        def try_chain(items: list[ex.NetworkExpr]) -> list[ex.NetworkExpr] | None:
+            step = _apply_stack_rules(items, mode)
+            if step is not None:
+                return step
+            for idx in range(len(items) - 1):
+                inter = _interchange(items[idx], items[idx + 1], mode)
+                if inter is not None:
+                    return items[:idx] + [inter] + items[idx + 2 :]
+            return _commute_projectors(items, mode)
+
+        def walk(node: ex.NetworkExpr) -> ex.NetworkExpr:
+            nonlocal changed
+            if isinstance(node, ex.Stack):
+                items = [walk(x) for x in _flatten_stack(node)]
+                step = try_chain(items)
+                if step is not None:
+                    changed = True
+                    items = step
+                if len(items) == 1:
+                    return items[0]
+                return _rebuild_stack(items)
+            if isinstance(node, ex.Beside):
+                return ex.Beside(walk(node.left), walk(node.right))
+            if isinstance(node, ex.Trace):
+                inner = walk(node.inner)
+                items = _flatten_stack(inner)
+                if _trace_kills_projector(items, mode):
+                    changed = True
+                    return ex.Zero()
+                if len(items) > 1 and not changed:
+                    for i in range(len(items)):
+                        rot = items[i:] + items[:i]
+                        if not _stackable_cyclic(rot):
+                            continue
+                        step = try_chain(rot)
+                        if step is not None:
+                            changed = True
+                            items = step
+                            break
+                if len(items) == 1:
+                    return ex.Trace(items[0])
+                return ex.Trace(_rebuild_stack(items))
+            return node
+
+        e = walk(e)
+        e = _structural(e)
+        if not changed:
+            break
+    return _canonical_rotation(e)
+
+
+def _stackable_cyclic(rot: list[ex.NetworkExpr]) -> bool:
+    try:
+        a = ex.arity(_rebuild_stack(rot))
+    except Exception:
+        return False
+    return a is None or a[0] == a[1]
+
+
+def _canonical_rotation(e: ex.NetworkExpr) -> ex.NetworkExpr:
+    """Pick the lexicographically smallest cyclic rotation under traces."""
+    match e:
+        case ex.Trace(inner):
+            items = _flatten_stack(_canonical_rotation(inner))
+            if len(items) > 1:
+                best = None
+                for i in range(len(items)):
+                    rot = items[i:] + items[:i]
+                    if not _stackable_cyclic(rot):
+                        continue
+                    txt = ex.to_text(_rebuild_stack(rot))
+                    if best is None or txt < best[0]:
+                        best = (txt, rot)
+                if best is not None:
+                    items = best[1]
+            return ex.Trace(_rebuild_stack(items))
+        case ex.Stack(t, b):
+            return ex.Stack(_canonical_rotation(t), _canonical_rotation(b))
+        case ex.Beside(l, r):
+            return ex.Beside(_canonical_rotation(l), _canonical_rotation(r))
+    return e
+
+
+# ---------------------------------------------------------------------------
+# The rewrite corpus: every small network the differential between
+# rewrite_network and reference_rewrite_network runs on.
+
+
+def _arity_ok(e) -> bool:
+    try:
+        ex.arity(e)
+    except SpinhomError:
+        return False
+    return True
+
+
+def _corpus_bases() -> tuple[list, list, list]:
+    """The leaves (strand(0..3), p(0..3), dual(p(0..3)), every admissible
+    vertex with labels <= 3 and a + b + c <= 6, and zero), the level-2
+    expressions (dual and tr of a leaf, stack and beside of two leaves:
+    the distinct ones whose arity does not raise), and the level-2
+    expressions whose arities are at most 4 (or None)."""
+    leaves = [ex.Strand(k) for k in range(4)] + [ex.Proj(n) for n in range(4)]
+    leaves += [ex.Dual(ex.Proj(n)) for n in range(4)]
+    for a, b, c in product(range(4), repeat=3):
+        if a + b + c <= 6 and _arity_ok(ex.Vertex(a, b, c)):
+            leaves.append(ex.Vertex(a, b, c))
+    leaves.append(ex.Zero())
+    level2 = [op(x) for x in leaves for op in (ex.Dual, ex.Trace)]
+    level2 += [op(a, b) for a in leaves for b in leaves for op in (ex.Stack, ex.Beside)]
+    level2 = list(dict.fromkeys(e for e in level2 if _arity_ok(e)))
+    small = [m for m in level2 if ex.arity(m) is None or max(ex.arity(m)) <= 4]
+    return leaves, level2, small
+
+
+def _level3(m, leaf) -> list:
+    return [ex.Stack(m, leaf), ex.Stack(leaf, m), ex.Beside(m, leaf)]
+
+
+def rewrite_corpus():
+    """Every expression of the enumeration once, in a fixed order: the
+    leaves and level 2 (_corpus_bases); level 3, tr and dual of a level-2
+    expression, and stack (both orders) and beside of one with a leaf;
+    level 4, stack of two level-2 expressions whose arities are at most 4
+    (or None), and its tr.  Only expressions whose arity does not raise;
+    630,491 in all."""
+    leaves, level2, small = _corpus_bases()
+
+    def candidates():
+        yield from leaves
+        yield from level2
+        for m in level2:
+            yield ex.Trace(m)
+            yield ex.Dual(m)
+            for leaf in leaves:
+                yield from _level3(m, leaf)
+        for m1 in small:
+            for m2 in small:
+                yield ex.Stack(m1, m2)
+                yield ex.Trace(ex.Stack(m1, m2))
+
+    seen = set()
+    for e in candidates():
+        if e not in seen and _arity_ok(e):
+            seen.add(e)
+            yield e
+
+
+def rewrite_corpus_sample(seed: int, draws: int) -> list:
+    """A deterministic sample of rewrite_corpus(), drawn without generating
+    the whole: every leaf and every level-2 expression, tr and dual of
+    `draws` level-2 expressions, `draws` level-3 compositions and `draws`
+    level-4 stacks with their traces, each drawn at random and kept when
+    its arity does not raise."""
+    rng = random.Random(seed)
+    leaves, level2, small = _corpus_bases()
+    out = leaves + level2
+    for _ in range(draws):
+        m = rng.choice(level2)
+        out += [ex.Trace(m), ex.Dual(m), rng.choice(_level3(m, rng.choice(leaves)))]
+        s = ex.Stack(rng.choice(small), rng.choice(small))
+        out += [s, ex.Trace(s)]
+    return [e for e in dict.fromkeys(out) if _arity_ok(e)]

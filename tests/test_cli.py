@@ -47,6 +47,14 @@ def test_rewrite_output_parses_back():
     assert cli.parse_network("diag(2, 2, 2-3-0-1)") == ex.Diagram(2, 2, (2, 3, 0, 1))
 
 
+def test_rewrite_runs_to_a_fixpoint(capsys):
+    # a pass absorbs one box per chain: 302 stacked boxes need 301 passes
+    text = "stack(p(2)," * 301 + "p(2)" + ")" * 301
+    for mode in ("product", "sum"):
+        assert cli.main(["rewrite", text, "--mode", mode]) == 0
+        assert json.loads(capsys.readouterr().out)["normal_form"] == "p(2)"
+
+
 def test_parse_dual_of_p_is_dualproj():
     e = cli.parse_network("dual(p(3))")
     assert pj.rewrite_network(e) == ex.DualProj(3)

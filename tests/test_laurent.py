@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinhom import tl
 from spinhom.laurent import (
     LaurentPoly,
     RatFunc,
@@ -172,6 +173,32 @@ def test_ratfunc_normal_form_is_structural():
     a = RatFunc.from_laurent(lp({1: 2, -1: 2})) / RatFunc.from_laurent(lp({0: 4}))
     b = RatFunc.from_laurent(lp({1: 1, -1: 1})) / RatFunc.from_laurent(lp({0: 2}))
     assert a.num == b.num and a.den == b.den
+
+
+def _same_form(a: RatFunc, b: RatFunc) -> bool:
+    # equal, and with the coefficients in the same order
+    return all(list(x.coeffs.items()) == list(y.coeffs.items())
+               for x, y in ((a.num, b.num), (a.den, b.den)))
+
+
+def _bar_by_gcd(x: RatFunc) -> RatFunc:
+    return RatFunc._normalized(x.num.bar(), x.den.bar())
+
+
+@given(small_poly, nonzero_poly, small_poly)
+@settings(max_examples=200, deadline=None)
+def test_bar_needs_no_gcd(n, d, k):
+    # a common factor k and the integer content 2 exercise the normal form
+    x = RatFunc._normalized(n * (k or 1) * 2, d * (k or 1))
+    assert _same_form(x.bar(), _bar_by_gcd(x))
+    assert x.bar().bar() == x
+
+
+def test_bar_needs_no_gcd_on_jones_wenzl():
+    for n in range(1, 7):
+        for c in tl.jones_wenzl(n).terms.values():
+            assert _same_form(c.bar(), _bar_by_gcd(c)), (n, c)
+    assert RatFunc.zero().bar() == RatFunc.zero()
 
 
 def test_series_expansion():

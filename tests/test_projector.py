@@ -1,8 +1,10 @@
 """Projectors, certificates, the rewrite calculus, sheet-algebra maps."""
 
+import itertools
+
 import pytest
 
-from helpers import closed_networks_leq3
+from helpers import closed_networks_leq3, reference_rewrite_network, rewrite_corpus_sample
 from spinhom import complexes as cx
 from spinhom import expr as ex
 from spinhom import projector as pj
@@ -18,7 +20,7 @@ from spinhom.complexes import (
     simplify,
     stack_complexes,
 )
-from spinhom.errors import AdmissibilityError, SpinhomError
+from spinhom.errors import AdmissibilityError, ResourceError, SpinhomError
 from spinhom.homology import homology_table
 
 
@@ -159,6 +161,34 @@ def test_rewrite_zero_and_units():
     assert r(ex.Beside(ex.Strand(0), ex.Proj(2))) == ex.Proj(2)
     assert r(ex.Trace(ex.Stack(ex.Proj(2), ex.Zero()))) == ex.Zero()
     assert r(ex.Dual(ex.Dual(ex.Proj(2)))) == ex.Proj(2)
+
+
+def test_rewrite_matches_reference_engine():
+    # a deterministic sample of the enumeration tests/rewrite_corpus.py runs
+    # in full: 5,676 expressions, every leaf and level-2 expression among them
+    sample = rewrite_corpus_sample(seed=0, draws=2000)
+    assert len(sample) > 5000
+    for e, mode in itertools.product(sample, ("product", "sum")):
+        out = ex.to_text(pj.rewrite_network(e, mode))
+        assert out == ex.to_text(reference_rewrite_network(e, mode)), (ex.to_text(e), mode)
+
+
+def test_rotations_skip_only_what_does_not_stack():
+    cap = ex.Diagram(2, 0, (1, 0))
+    assert list(pj._rotations([ex.Proj(2), cap])) == []  # (2, 0), then a mismatch
+    cup = ex.Dual(cap)
+    assert list(pj._rotations([cap, cup])) == [[cap, cup], [cup, cap]]
+    # a malformed node is an error, not a chain that does not stack
+    with pytest.raises(TypeError):
+        list(pj._rotations([ex.Proj("2"), ex.Proj(2)]))
+
+
+def test_rewrite_guard_raises_instead_of_returning_a_form_that_is_not_normal(monkeypatch):
+    # a rule that always fires never reaches a fixpoint
+    monkeypatch.setattr(pj, "_commute_projectors", lambda items, mode: items[::-1])
+    cap = ex.Diagram(2, 0, (1, 0))
+    with pytest.raises(ResourceError):
+        pj.rewrite_network(ex.Stack(ex.Dual(cap), cap))
 
 
 def _has_dual(e: ex.NetworkExpr) -> bool:
