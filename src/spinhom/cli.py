@@ -282,7 +282,7 @@ def cached_projector(n: int, window: Window, cdir: str | None) -> pj.ProjectorCo
         "kind": "projector",
         "n": n,
         "window": [window.lo, window.hi],
-        "construction": "adjacent-p2-sweeps",
+        "construction": pj.CONSTRUCTION,
         "code": CODE_VERSION,
     }
     path = os.path.join(cache_dir(cdir), _digest(key) + ".json")
@@ -346,12 +346,19 @@ def _max_label(e: ex.NetworkExpr) -> int:
     return 0
 
 
-def _module(query: tuple, args, rewrite: bool = True) -> ModuleComplex:
+def _projector_source(args):
+    """The projector source of one command: cached_projector in the cache
+    of `args`, each (n, window) read once however many boxes and routes ask
+    for it.  A new source per command, never a module-level one, so a cache
+    entry changed between two commands is read (and rebuilt) again."""
+    return functools.cache(functools.partial(cached_projector, cdir=args.cache_dir))
+
+
+def _module(query: tuple, args, projector, rewrite: bool = True) -> ModuleComplex:
     """The module complex of a parsed query, Hom(A, B) for ("hom", (A, B))
     or the closed network of ("net", (e,)), at the window of `args` and
-    with the persistent cache as the projector source."""
+    with `projector` (a _projector_source) as the projector source."""
     window = Window(-args.window, 0)
-    projector = functools.partial(cached_projector, cdir=args.cache_dir)
     kind, qargs = query
     if kind == "hom":
         return pj.hom_of_networks(*qargs, window, rewrite, projector)
@@ -359,18 +366,19 @@ def _module(query: tuple, args, rewrite: bool = True) -> ModuleComplex:
 
 
 def _homology_report(text: str, query: tuple, args, verify: bool = False) -> dict:
-    M = _module(query, args)
+    projector = _projector_source(args)
+    M = _module(query, args, projector)
     T = homology_table(M, args.spec)
     data = {"query": text, "window": args.window, "table": _table_data(T)}
     if verify:
-        data["verify"] = _verify(query, T, M, args)
+        data["verify"] = _verify(query, T, M, args, projector)
     return data
 
 
-def _verify(query: tuple, T: HomologyTable, M: ModuleComplex, args) -> dict:
+def _verify(query: tuple, T: HomologyTable, M: ModuleComplex, args, projector) -> dict:
     """Recompute without rewriting and compare the two tables on their
     common band and the low-order Euler terms."""
-    M2 = _module(query, args, rewrite=False)
+    M2 = _module(query, args, projector, rewrite=False)
     (lo, hi), mism = table_mismatches(M, T, M2, homology_table(M2, args.spec))
     tail = euler_characteristic(M) - euler_characteristic(M2)
     tail_bad = [e for e in tail.coeffs if abs(e) < 2 * args.window - 4]
@@ -404,7 +412,7 @@ def cmd_hom(args) -> dict:
 
 def cmd_euler(args) -> dict:
     kind, qargs = query = parse_query(args.expr)
-    chi = euler_characteristic(_module(query, args))
+    chi = euler_characteristic(_module(query, args, _projector_source(args)))
     data = {"query": args.expr, "window": args.window, "categorified": repr(chi)}
     if kind == "net":
         decat = tl.evaluate_network(qargs[0])

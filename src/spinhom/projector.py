@@ -253,6 +253,12 @@ def _p2_block(i: int, n: int, P: ChainComplex) -> ChainComplex:
     return cx.beside_complexes(cx.beside_complexes(left, P), right)
 
 
+#: names the construction build_projector runs, in the key of every cached
+#: projector (cli.cached_projector); a change that alters the bytes of a
+#: built projector must change it, so that no cache serves the old bytes
+CONSTRUCTION = "adjacent-p2-sweeps"
+
+
 @functools.lru_cache(maxsize=64)
 def build_projector(n: int, window: Window) -> ProjectorComplex:
     """Iterated adjacent-P_2 sweeps with stabilization detection.
@@ -683,59 +689,208 @@ def _canonical_rotation(e: ex.NetworkExpr) -> ex.NetworkExpr:
     return e
 
 
-def _weight(e: ex.NetworkExpr) -> int:
-    """The planner's size estimate of a piece: 2n + 1 for P_n with n >= 2,
-    multiplied through Stack and Beside; 1 for P_0 and P_1 (identity
-    complexes), strands and diagrams, which are one object each."""
+def _labels(e: ex.NetworkExpr) -> list[int]:
+    """The labels n >= 2 of the boxes in e: its pieces of more than one
+    object (P_0 and P_1 are identity complexes)."""
     match e:
-        case ex.Proj(n) | ex.DualProj(n) if n >= 2:
-            return 2 * n + 1
-        case ex.Stack(a, b) | ex.Beside(a, b):
-            return _weight(a) * _weight(b)
-    return 1
+        case ex.Proj(n) | ex.DualProj(n):
+            return [n] if n >= 2 else []
+        case ex.Vertex(a, b, c):
+            return [n for n in (a, b, c) if n >= 2]
+        case ex.Stack(x, y) | ex.Beside(x, y):
+            return _labels(x) + _labels(y)
+        case ex.Trace(x) | ex.Dual(x):
+            return _labels(x)
+    return []
 
 
-def plan_gluing(e: ex.NetworkExpr) -> ex.NetworkExpr:
-    """Re-nest the chain of Stacks under each Trace, which trace cyclicity
-    lets rotate, so that instantiate (innermost Stack first) glues the
-    heaviest piece first to a neighbour that narrows its boundary, and the
-    chain grows away from that neighbour (D. Bar-Natan, Fast Khovanov
-    homology computations).  Of a narrowing neighbour below and above, the
-    narrower merged boundary wins, then the one below.  A chain is kept as
-    it is unless the rest of it weighs more than one object and the
-    neighbour's far side is at most a third as wide as the side it meets:
-    theta(2,2,2)'s 4 -> 2 neighbour does not shrink P_2 beside P_2, and
-    gluing it first is slower.  The choice depends only on the cyclic
-    chain, so the pass is idempotent.
+def _split_beside(e: ex.NetworkExpr) -> list[ex.NetworkExpr]:
+    """A Beside of k >= 2 parts with boxes as a chain of k layers, top to
+    bottom, each with one of those parts and identity strands around it:
+    beside(A, B) = stack(beside(A, 1), beside(1, B)) by the interchange
+    law.  The first layer also holds the parts without boxes.  Any other
+    piece is its own chain."""
+    parts = _flatten_beside(e)
+    boxed = [i for i, x in enumerate(parts) if _labels(x)]
+    if len(boxed) < 2:
+        return [e]
+    widths = [ex.arity(x) for x in parts]
+    later = boxed[1:]
+    layers = []
+    for j in [None, *later]:
+        row = []
+        for i, x in enumerate(parts):
+            if i == j or (j is None and i not in later):
+                row.append(x)
+            elif j is not None and (i not in later or i < j):
+                row.append(ex.Strand(widths[i][1]))  # glued in an earlier layer
+            else:
+                row.append(ex.Strand(widths[i][0]))
+        merged: list[ex.NetworkExpr] = []
+        for x in row:
+            if isinstance(x, ex.Strand) and merged and isinstance(merged[-1], ex.Strand):
+                merged[-1] = ex.Strand(merged[-1].k + x.k)
+            elif x != ex.Strand(0):
+                merged.append(x)
+        layers.append(_rebuild_beside(merged))
+    return layers
 
-    Homotopy invariance: only the order of the planar products changes, and
-    instantiate clips none of them (simplify_stack and simplify_trace run
-    without a window), so the planned complex is homotopy equivalent to the
-    unplanned one, and every homology entry and Euler series is unchanged."""
+
+def _estimate(pieces: list[ex.NetworkExpr], objects, closed: bool = False) -> tuple[float, int]:
+    """The planner's view of a Stack chain: the size estimate of its
+    simplified product, and its circles.
+
+    The size estimate is the product over its boxes of P_n's object count
+    `objects(n)` to the power of the share of the box's boundary points
+    that are not joined, through strands and diagrams, to another box: a
+    box whose points all meet other boxes is absorbed by them and counts 1,
+    and one that meets none counts in full.  The circles are those of the
+    chain with every box replaced by identity strands, its degree-zero
+    object, and with the chain's bottom glued to its top when `closed`.  A
+    part of a piece that is not a strand, a diagram or a box (a nested
+    trace, say) is one box of its boundary, counting the product of its
+    boxes."""
+    parent: dict = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def join(a, b):
+        parent[find(a)] = find(b)
+
+    ends = []  # (boundary point, box)
+    boxes = []  # (count, number of boundary points)
+    through = []  # the points a box joins as an identity
+    for level, piece in enumerate(pieces):
+        top = bottom = 0
+        for part in _flatten_beside(piece):
+            m, n = ex.arity(part)
+            points = [(level, top + i) for i in range(m)] + [(level + 1, bottom + i) for i in range(n)]
+            if isinstance(part, ex.Diagram):
+                for i, j in enumerate(part.pairs):
+                    join(points[i], points[j])
+            elif isinstance(part, (ex.Strand, ex.Proj, ex.DualProj)) and not _labels(part):
+                for i in range(m):
+                    join(points[i], points[m + i])
+            else:
+                ends += [(point, len(boxes)) for point in points]
+                boxes.append((math.prod(map(objects, _labels(part))), m + n))
+                through += zip(points[:min(m, n)], points[m:m + min(m, n)])
+            top, bottom = top + m, bottom + n
+    meets: dict = {}
+    for point, box in ends:
+        meets.setdefault(find(point), []).append(box)
+    joined = [0] * len(boxes)
+    for found in meets.values():
+        if len(found) == 2 and found[0] != found[1]:
+            for box in found:
+                joined[box] += 1
+    size = math.prod(
+        count ** (1 - joined[b] / points) if points else count
+        for b, (count, points) in enumerate(boxes)
+    )
+    for a, b in through:
+        join(a, b)
+    top, bottom = ex.arity(pieces[0])[0], ex.arity(pieces[-1])[1]
+    if closed:
+        for i in range(top):
+            join((0, i), (len(pieces), i))
+    ends_open = {find((0, i)) for i in range(top)} | {find((len(pieces), i)) for i in range(bottom)}
+    components = {find(x) for x in list(parent)}
+    return size, len(components) if closed else len(components - ends_open)
+
+
+#: the planner's growth of a planar product per circle it closes.  Fitted
+#: on the theta chains at window 6 (CHANGES.md): at 1 the planner closes
+#: both circles of theta(1,2,3) in its largest product, which delooping
+#: makes slow; from 1.1 on it trades more engine input on theta(2,3,3) for
+#: fewer circles, and is slower there
+CIRCLE_COST = 1.05
+
+
+def _cheapest_order(items: list[ex.NetworkExpr], objects) -> ex.NetworkExpr:
+    """The rotation and nesting of a traced Stack chain that minimise the
+    estimated input of the elimination engine: the sum, over the planar
+    products, of the product of the two factors' size estimates, times
+    CIRCLE_COST for every circle the product closes (_estimate), plus the
+    estimate of the whole chain times CIRCLE_COST for every circle the
+    trace closes.  Dynamic programming over the cyclic intervals of the
+    chain, the matrix-chain order made cyclic.  Ties go to the shorter
+    upper factor; at the top, where the two rotations of one product cost
+    the same, to the larger upper factor, then to the smaller text, so the
+    choice depends only on the cyclic chain."""
+    n = len(items)
+    est = {}
+    best = {}  # (start, length) -> (cost, plan)
+    for length in range(1, n + 1):
+        for s in range(n):
+            est[s, length] = _estimate([items[(s + i) % n] for i in range(length)], objects)
+            if length == 1:
+                best[s, 1] = (0.0, items[s])
+            elif length < n:
+                best[s, length] = min(
+                    (_glued(best, est, s, k, length - k, n) for k in range(1, length)),
+                    key=lambda found: found[0],
+                )
+    circles = _estimate(items, objects, closed=True)[1]
+    tops = [
+        (cost + est[s, n][0] * CIRCLE_COST ** (circles - est[s, n][1]), -est[s, k][0], plan)
+        for s in range(n) for k in range(1, n)
+        for cost, plan in [_glued(best, est, s, k, n - k, n)]
+    ]
+    first = min(top[:2] for top in tops)
+    return min((top[2] for top in tops if top[:2] == first), key=ex.to_text)
+
+
+def _glued(best, est, s, k, rest, n):
+    """The cost and plan of gluing the best plan of the interval (s, k) of a
+    chain of n over that of the next `rest` pieces."""
+    (cost_a, a), (cost_b, b) = best[s, k], best[(s + k) % n, rest]
+    (size_a, circles_a), (size_b, circles_b) = est[s, k], est[(s + k) % n, rest]
+    closed = est[s, k + rest][1] - circles_a - circles_b
+    return cost_a + cost_b + size_a * size_b * CIRCLE_COST ** closed, ex.Stack(a, b)
+
+
+def plan_gluing(e: ex.NetworkExpr, objects=None) -> ex.NetworkExpr:
+    """Choose the order of the planar products under each Trace (D.
+    Bar-Natan, Fast Khovanov homology computations).  The chain of Stacks
+    under a trace is flattened, and each Beside in it of two or more parts
+    with boxes is split into a stack of one-box layers (_split_beside), so
+    that a box is glued to its neighbours one at a time rather than as a
+    whole P_a beside P_b.  Trace cyclicity lets the chain rotate, and when
+    it holds two boxes or more, _cheapest_order picks the rotation and
+    nesting by the cost model of _estimate, which reads the pieces'
+    boundaries and `objects(n)`, the object count of P_n in the window (R.
+    N. C. Pfeifer, J. Haegeman and F. Verstraete, Faster identification of
+    optimal contraction sequences for tensor networks); a chain with fewer
+    boxes is kept in its order.  Without `objects`, each box counts its
+    label.  The choice depends only on the cyclic chain, and its layers are
+    not split again, so the pass is idempotent.
+
+    Homotopy invariance: the split is an isomorphism of complexes (the same
+    objects and differential), only the order of the planar products
+    changes, and instantiate clips none of them (simplify_stack and
+    simplify_trace run without a window), so the planned complex is
+    homotopy equivalent to the unplanned one, and every homology entry and
+    Euler series is unchanged."""
+    if objects is None:
+        return plan_gluing(e, lambda n: n)
     match e:
         case ex.Stack(t, b):
-            return ex.Stack(plan_gluing(t), plan_gluing(b))
+            return ex.Stack(plan_gluing(t, objects), plan_gluing(b, objects))
         case ex.Beside(l, r):
-            return ex.Beside(plan_gluing(l), plan_gluing(r))
+            return ex.Beside(plan_gluing(l, objects), plan_gluing(r, objects))
         case ex.Trace(inner):
-            items = [plan_gluing(x) for x in _flatten_stack(inner)]
-            weights = [_weight(x) for x in items]
-            heavy, total = max(weights), math.prod(weights)
-            candidates = []
-            for i, h in enumerate(items):
-                if len(items) < 3 or weights[i] < heavy or weights[i] == total:
-                    continue
-                (top, bottom), rot = ex.arity(h), items[i:] + items[:i]
-                below, above = ex.arity(rot[1])[1], ex.arity(rot[-1])[0]
-                if 3 * below <= bottom:
-                    plan = _rebuild_stack(rot[2:] + rot[:2])
-                    candidates.append((top + below, 0, ex.to_text(plan), plan))
-                if 3 * above <= top:
-                    plan = functools.reduce(ex.Stack, rot[-1:] + rot[:-1])
-                    candidates.append((above + bottom, 1, ex.to_text(plan), plan))
-            if candidates:
-                return ex.Trace(min(candidates)[3])
-            return ex.Trace(plan_gluing(inner))
+            items = [
+                layer
+                for x in _flatten_stack(inner)
+                for layer in _split_beside(plan_gluing(x, objects))
+            ]
+            if sum(1 for x in items if _labels(x)) < 2 or None in map(ex.arity, items):
+                return ex.Trace(_rebuild_stack(items))
+            return ex.Trace(_cheapest_order(items, objects))
     return e
 
 
@@ -749,11 +904,19 @@ def closed_module(
     """The module complex of a closed network: rewrite it and plan its
     gluing order (or, for homology --verify's second route, only expand its
     vertices), instantiate it (which leaves it simplified), and apply the
-    tautological functor.  instantiate clips no product, so every gluing
-    order gives a homotopy equivalent complex: the plan changes no answer."""
+    tautological functor.  The plan's cost model counts each P_n by its
+    objects in the window, read from `projector`, the source instantiate
+    then glues.  instantiate clips no product, so every gluing order gives
+    a homotopy equivalent complex: the plan changes no answer."""
     if not ex.is_closed(e):
         raise ArityError("homology/euler need a closed network")
-    e = plan_gluing(rewrite_network(e)) if rewrite else expand_vertices(e)
+    if rewrite:
+        def objects(n: int) -> int:
+            return sum(map(len, projector(n, window).complex.groups.values()))
+
+        e = plan_gluing(rewrite_network(e), objects)
+    else:
+        e = expand_vertices(e)
     return cx.tautological(instantiate(e, window, projector))
 
 

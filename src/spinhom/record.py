@@ -8,10 +8,11 @@ between instances of one class, `__hash__` as hash((f1, ..., fn)) for a
 frozen record and None for a mutable one, unless the class defines its
 own, `__match_args__`, and for a frozen record a `__setattr__` and
 `__delattr__` that raise FrozenInstanceError.  The methods are closures,
-with `operator.attrgetter` reading the field tuples, so making a class
-compiles nothing; the standard decorator execs source text for each
-method and imports inspect, which together cost more than the rest of the
-package's import, paid again by every CLI call.  The field names, in
+with `operator.attrgetter` reading the field tuples and, for up to four
+fields, an `__init__` with one fixed positional parameter per field, so
+making a class compiles nothing; the standard decorator execs source text
+for each method and imports inspect, which together cost more than the
+rest of the package's import, paid again by every CLI call.  The field names, in
 order, are the class attribute `_fields`.
 """
 
@@ -92,7 +93,7 @@ def _record(cls, init, eq, frozen):
     set_field = object.__setattr__ if frozen else setattr
     values = _tuple_of(compared)
 
-    def __init__(self, *args, **kwargs):
+    def fill(self, args, kwargs):
         k = len(args)
         if kwargs or not first_default <= k <= n:
             args = _bind(names, defaults, factories, args, kwargs)
@@ -102,6 +103,12 @@ def _record(cls, init, eq, frozen):
             set_field(self, name, value)
         if post_init:
             self.__post_init__()
+
+    if n in _FIXED_INIT:
+        __init__ = _FIXED_INIT[n](names, set_field, post_init, fill)
+    else:
+        def __init__(self, *args, **kwargs):
+            fill(self, args, kwargs)
 
     def __repr__(self):
         body = ", ".join(f"{f}={getattr(self, f)!r}" for f in shown)
@@ -143,6 +150,75 @@ def _record(cls, init, eq, frozen):
     if "__match_args__" not in cls.__dict__:
         cls.__match_args__ = names
     return cls
+
+
+# Per arity, an __init__ with fixed positional-only parameters: a call that
+# passes every field positionally sets them without packing or binding.  A
+# call with keywords or with fields left out (defaults, default_factory)
+# goes to `fill`, the general binding, with the arguments it was given.
+# Positional arguments fill from the left, so the last one is _MISSING
+# exactly when some field was left out, and the given ones are those before
+# the first _MISSING.
+
+
+def _init_1(names, set_field, post_init, fill):
+    (n0,) = names
+
+    def __init__(self, a=_MISSING, /, **kwargs):
+        if kwargs or a is _MISSING:
+            return fill(self, () if a is _MISSING else (a,), kwargs)
+        set_field(self, n0, a)
+        if post_init:
+            self.__post_init__()
+    return __init__
+
+
+def _init_2(names, set_field, post_init, fill):
+    n0, n1 = names
+
+    def __init__(self, a=_MISSING, b=_MISSING, /, **kwargs):
+        if kwargs or b is _MISSING:
+            return fill(self, (a,)[:(a is not _MISSING)], kwargs)
+        set_field(self, n0, a)
+        set_field(self, n1, b)
+        if post_init:
+            self.__post_init__()
+    return __init__
+
+
+def _init_3(names, set_field, post_init, fill):
+    n0, n1, n2 = names
+
+    def __init__(self, a=_MISSING, b=_MISSING, c=_MISSING, /, **kwargs):
+        if kwargs or c is _MISSING:
+            return fill(self, (a, b)[:(a is not _MISSING) + (b is not _MISSING)], kwargs)
+        set_field(self, n0, a)
+        set_field(self, n1, b)
+        set_field(self, n2, c)
+        if post_init:
+            self.__post_init__()
+    return __init__
+
+
+def _init_4(names, set_field, post_init, fill):
+    n0, n1, n2, n3 = names
+
+    def __init__(self, a=_MISSING, b=_MISSING, c=_MISSING, d=_MISSING, /, **kwargs):
+        if kwargs or d is _MISSING:
+            return fill(self, (a, b, c)[:(a is not _MISSING) + (b is not _MISSING)
+                                          + (c is not _MISSING)], kwargs)
+        set_field(self, n0, a)
+        set_field(self, n1, b)
+        set_field(self, n2, c)
+        set_field(self, n3, d)
+        if post_init:
+            self.__post_init__()
+    return __init__
+
+
+# Zero and the records with more fields (ChainComplex, ChainMap) are built
+# rarely enough to take the general __init__
+_FIXED_INIT = {1: _init_1, 2: _init_2, 3: _init_3, 4: _init_4}
 
 
 def _add(cls, fn):

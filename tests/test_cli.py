@@ -151,6 +151,62 @@ def test_corrupt_cache_entry_is_rebuilt(tmp_path, capsys, corrupt):
         assert fh.read() == good
 
 
+def test_construction_fingerprint_keys_the_cache(tmp_path, monkeypatch):
+    # today's fingerprint names today's files; a changed one is another key,
+    # so an entry of the old construction is never served: P_2 is built again
+    cdir = str(tmp_path / "cache")
+    window = Window(-4, 0)
+    cli.cached_projector(2, window, cdir)
+    key = {"kind": "projector", "n": 2, "window": [-4, 0],
+           "construction": "adjacent-p2-sweeps", "code": cli.CODE_VERSION}
+    assert pj.CONSTRUCTION == "adjacent-p2-sweeps"
+    assert os.listdir(cdir) == [cli._digest(key) + ".json"]
+    builds = []
+    build = pj.build_projector
+    monkeypatch.setattr(pj, "build_projector", lambda n, w: builds.append(n) or build(n, w))
+    cli.cached_projector(2, window, cdir)
+    assert builds == []
+    monkeypatch.setattr(pj, "CONSTRUCTION", "another-construction")
+    P = cli.cached_projector(2, window, cdir)
+    assert builds == [2] and len(os.listdir(cdir)) == 2
+    assert ser.complex_to_data(P.complex) == ser.complex_to_data(build(2, window).complex)
+
+
+def test_a_command_reads_each_cached_projector_once(tmp_path, monkeypatch, capsys):
+    # both routes of --verify, the planner's counts and every box of the
+    # network share one read of each entry
+    cdir = str(tmp_path / "cache")
+    args = ["homology", "theta(1,2,3)", "--verify", "--window", "4", "--cache-dir", cdir]
+    cli.main(args)  # exits 6: the unplanned route's band is empty
+    reads = []
+    read = cli._read_cached
+    monkeypatch.setattr(cli, "_read_cached", lambda path, n, w: reads.append(n) or read(path, n, w))
+    cli.main(args)
+    capsys.readouterr()
+    assert sorted(reads) == [1, 2, 3]
+
+
+def test_entry_corrupted_between_two_commands_is_rebuilt(tmp_path, capsys):
+    # the projector source lives for one command: the second command reads
+    # the entry again, finds it corrupt and rebuilds it
+    cdir = str(tmp_path / "cache")
+    assert cli.main(["project", "3", "--window", "4", "--cache-dir", cdir]) == 0
+    (name,) = os.listdir(cdir)
+    path = os.path.join(cdir, name)
+    with open(path) as fh:
+        good = fh.read()
+    args = ["homology", "theta(2,3,3)", "--window", "4", "--cache-dir", cdir]
+    capsys.readouterr()
+    assert cli.main(args) == 0
+    report = capsys.readouterr().out
+    with open(path, "w") as fh:
+        fh.write('{"trunc')
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == report
+    with open(path) as fh:
+        assert fh.read() == good
+
+
 @pytest.mark.parametrize(
     "tangle",
     [{"m": 2, "n": 2, "pairs": [3, 2, 1, 0]}, {"m": -1, "n": 1, "pairs": []}],

@@ -47,6 +47,11 @@ def projector():
     return source
 
 
+def _objects(projector, window):
+    """The count source closed_module gives the planner: objects of P_n."""
+    return lambda n: sum(map(len, projector(n, window).complex.groups.values()))
+
+
 def _answers(M):
     a0, a1 = homology_table(M, "alpha0"), homology_table(M, "alpha1")
     return (M.reliable, a0.entries, a0.unreliable, a1.entries, a1.unreliable,
@@ -67,6 +72,15 @@ def test_planned_route_gives_the_unplanned_answers(projector, depth):
     assert planned >= 3  # theta(2,3,3), endclosure(2,3,3) and the query
 
 
+@pytest.mark.parametrize("trip,depth", [((3, 3, 4), 6), ((4, 4, 4), 2)], ids=["334@6", "444@2"])
+def test_planned_heavy_thetas_give_the_unplanned_answers(projector, trip, depth):
+    # the deepest windows at which the unplanned route takes a few seconds;
+    # it glues the whole P_a beside P_b at once
+    window = Window(-depth, 0)
+    plain = cx.tautological(pj.instantiate(pj.rewrite_network(ex.theta(*trip)), window, projector))
+    assert _answers(pj.closed_module(ex.theta(*trip), window, projector=projector)) == _answers(plain)
+
+
 @pytest.mark.parametrize("name,e", NETWORKS, ids=[name for name, _ in NETWORKS])
 def test_plan_preserves_the_network(name, e):
     rewritten = pj.rewrite_network(e)
@@ -76,28 +90,137 @@ def test_plan_preserves_the_network(name, e):
     assert pj.plan_gluing(planned) == planned
 
 
-def test_plan_glues_the_widest_product_to_its_narrowing_neighbour():
-    # theta(2,3,3): P3 beside P3 meets its 6 -> 2 neighbour first, and the
-    # chain grows upwards from there
-    planned = pj.plan_gluing(pj.rewrite_network(ex.theta(2, 3, 3)))
+def test_plan_splits_a_beside_of_boxes_into_one_box_layers(projector):
+    # theta(2,3,3) at window 6: P3 beside P3 is glued one P3 at a time
+    objects = _objects(projector, Window(-6, 0))
+    planned = pj.plan_gluing(pj.rewrite_network(ex.theta(2, 3, 3)), objects)
     items = pj._flatten_stack(planned.inner)
-    assert items[-2] == ex.Beside(ex.Proj(3), ex.Proj(3))
-    assert ex.arity(items[-1]) == (6, 2)
-    assert planned.inner.bottom == ex.Stack(items[-3], ex.Stack(items[-2], items[-1]))
-    # a narrowing neighbour only above: the chain grows downwards from it
-    cap, cup = ex.Diagram(6, 2, (6, 4, 3, 2, 1, 7, 0, 5)), ex.Diagram(2, 6, (2, 7, 0, 6, 5, 4, 3, 1))
-    wide = ex.Beside(ex.Proj(3), ex.Proj(3))
-    e = ex.Trace(pj._rebuild_stack([cap, ex.Proj(2), cup, wide, ex.Strand(6)]))
-    planned = ex.Stack(ex.Stack(ex.Stack(ex.Stack(cup, wide), ex.Strand(6)), cap), ex.Proj(2))
-    assert pj.plan_gluing(e) == ex.Trace(planned)
+    assert ex.Beside(ex.Proj(3), ex.Strand(3)) in items
+    assert ex.Beside(ex.Strand(3), ex.Proj(3)) in items
+    assert ex.Beside(ex.Proj(3), ex.Proj(3)) not in items
+    # three boxes and a diagram: one layer per box, the diagram in the first
+    cap = ex.Diagram(2, 0, (1, 0))
+    e = pj._rebuild_beside([ex.Proj(2), cap, ex.Proj(3), ex.Strand(1), ex.DualProj(2)])
+    layers = pj._split_beside(e)
+    assert layers == [
+        pj._rebuild_beside([ex.Proj(2), cap, ex.Strand(6)]),
+        pj._rebuild_beside([ex.Strand(2), ex.Proj(3), ex.Strand(3)]),
+        pj._rebuild_beside([ex.Strand(6), ex.DualProj(2)]),
+    ]
+    assert tl.tl_element_of(pj._rebuild_stack(layers)) == tl.tl_element_of(e)
+    # one box, or boxes of one object (P_0, P_1), stay as they are
+    for e in [ex.Beside(ex.Proj(3), cap), ex.Beside(ex.Proj(1), ex.Proj(2))]:
+        assert pj._split_beside(e) == [e]
 
 
-def test_the_plan_keeps_the_narrow_and_the_light_chains():
-    # theta(2,2,2)'s 4 -> 2 neighbour narrows by less than 3; the others
-    # meet only one-object pieces (diagrams, P_0, P_1) whatever the order
-    for trip in [(2, 2, 2), (1, 1, 2), (1, 2, 3), (0, 3, 3)]:
-        rewritten = pj.rewrite_network(ex.theta(*trip))
-        assert pj.plan_gluing(rewritten) == rewritten, trip
+def test_estimate_counts_unjoined_boundary_points():
+    # a lone box counts its objects; stacked boxes meet on half their points
+    # and count as one box, as absorption says; boxes side by side meet
+    # nowhere; a turnback joins a box only to itself, which counts nothing
+    objects = {2: 7, 3: 13}.get
+    assert pj._estimate([ex.Proj(3)], objects) == (13, 0)
+    size, circles = pj._estimate([ex.Proj(2), ex.Proj(2)], objects)
+    assert (size, circles) == (pytest.approx(7), 0)
+    wide = [ex.Beside(ex.Proj(2), ex.Strand(3)), ex.Beside(ex.Strand(2), ex.Proj(3))]
+    assert pj._estimate(wide, objects) == (91, 0)
+    cup, cap = ex.Diagram(0, 2, (1, 0)), ex.Diagram(2, 0, (1, 0))
+    assert pj._estimate([ex.Diagram(2, 2, (1, 0, 3, 2)), ex.Proj(2)], objects) == (7, 0)
+    # circles: boxes close like their identity strands, the trace adds its own
+    assert pj._estimate([cup, ex.Proj(2), cap], objects) == (7, 1)
+    assert pj._estimate([ex.Proj(2)], objects, closed=True) == (7, 2)
+
+
+def _trees(items):
+    if len(items) == 1:
+        yield items[0]
+        return
+    for k in range(1, len(items)):
+        for a in _trees(items[:k]):
+            for b in _trees(items[k:]):
+                yield ex.Stack(a, b)
+
+
+def _model_cost(inner, objects):
+    """The cost _cheapest_order gives a nesting of a traced chain: per
+    Stack, the product of its factors' size estimates times CIRCLE_COST per
+    circle it closes; then the whole chain's estimate times CIRCLE_COST per
+    circle the trace closes."""
+    def walk(t):
+        if not isinstance(t, ex.Stack):
+            return 0.0, [t]
+        (cost_a, a), (cost_b, b) = walk(t.top), walk(t.bottom)
+        (size_a, circles_a), (size_b, circles_b) = (pj._estimate(x, objects) for x in (a, b))
+        closed = pj._estimate(a + b, objects)[1] - circles_a - circles_b
+        return cost_a + cost_b + size_a * size_b * pj.CIRCLE_COST ** closed, a + b
+
+    cost, chain = walk(inner)
+    size, circles = pj._estimate(chain, objects)
+    return cost + size * pj.CIRCLE_COST ** (pj._estimate(chain, objects, closed=True)[1] - circles)
+
+
+@pytest.mark.parametrize("trip,depth", [((2, 3, 3), 6), ((2, 2, 2), 6), ((1, 2, 3), 6),
+                                        ((3, 3, 4), 4)], ids=["233@6", "222@6", "123@6", "334@4"])
+def test_plan_is_the_cheapest_order_of_its_cost_model(projector, trip, depth):
+    # against every rotation and nesting of the split chain
+    objects = _objects(projector, Window(-depth, 0))
+    rewritten = pj.rewrite_network(ex.theta(*trip))
+    planned = pj.plan_gluing(rewritten, objects)
+    items = [y for x in pj._flatten_stack(rewritten.inner) for y in pj._split_beside(x)]
+    cheapest = min(
+        _model_cost(t, objects) for r in range(len(items)) for t in _trees(items[r:] + items[:r])
+    )
+    assert _model_cost(planned.inner, objects) == pytest.approx(cheapest)
+
+
+def test_the_plan_keeps_one_box_chains():
+    # a trace of one box, or of a chain whose Besides hold one box each
+    for e in [ex.Trace(ex.Proj(3)), ex.Trace(ex.Beside(ex.Proj(1), ex.Proj(2)))]:
+        assert pj.plan_gluing(e) == e
+    planned = pj.plan_gluing(pj.rewrite_network(ex.theta(1, 1, 2)))
+    assert ex.Beside(ex.Proj(1), ex.Proj(2)) in pj._flatten_stack(planned.inner)
+
+
+# (max, sum) of the engine's inputs on the planned route at windows 4 and 6,
+# as recorded when the cost model was fitted: a model that picks a worse
+# order for any of them fails here
+ENGINE_INPUTS = {
+    "unknot(1)": ((1, 1), (1, 1)),
+    "unknot(2)": ((5, 5), (7, 7)),
+    "unknot(3)": ((9, 9), (13, 13)),
+    "theta(0, 0, 0)": ((1, 3), (1, 3)),
+    "theta(0, 1, 1)": ((1, 4), (1, 4)),
+    "theta(0, 2, 2)": ((25, 56), (49, 94)),
+    "theta(0, 3, 3)": ((81, 109), (169, 209)),
+    "theta(1, 1, 2)": ((5, 12), (7, 16)),
+    "theta(1, 2, 3)": ((45, 65), (91, 119)),
+    "theta(2, 2, 2)": ((120, 211), (336, 519)),
+    "theta(2, 3, 3)": ((90, 247), (252, 555)),
+    "endclosure(1, 1, 2)": ((5, 12), (7, 16)),
+    "endclosure(1, 2, 3)": ((45, 65), (91, 119)),
+    "endclosure(2, 2, 2)": ((120, 211), (336, 519)),
+    "endclosure(2, 3, 3)": ((90, 247), (252, 555)),
+    "unknot(1)|unknot(2)": ((5, 6), (7, 8)),
+    "hom(p(2),p(2))": ((5, 5), (7, 7)),
+    "tr(p(2))": ((5, 5), (7, 7)),
+    "theta(1,2,3)": ((45, 65), (91, 119)),
+    "theta(2,3,3)": ((90, 247), (252, 555)),
+    "theta(2,2,2)": ((120, 211), (336, 519)),
+    "hom(p(3),p(3))": ((9, 9), (13, 13)),
+    "tr(stack(vertex(3,1,2),dual(vertex(3,1,2))))": ((9, 27), (13, 39)),
+}
+
+
+@pytest.mark.parametrize("depth", [4, 6])
+def test_planned_networks_feed_the_engine_small_products(projector, depth):
+    window = Window(-depth, 0)
+    assert set(ENGINE_INPUTS) == {name for name, _ in NETWORKS}
+    for n in range(4):
+        projector(n, window)
+    for name, e in NETWORKS:
+        with engine_inputs() as sizes:
+            pj.closed_module(e, window, projector=projector)
+        top, total = ENGINE_INPUTS[name][depth == 6]
+        assert max(sizes, default=0) <= top and sum(sizes) <= total, name
 
 
 def test_rewrite_prints_the_unplanned_normal_form(capsys):
@@ -112,7 +235,7 @@ def test_verify_second_route_is_not_planned(monkeypatch, tmp_path, capsys):
     # instantiates the network with its vertices expanded, as it was
     planned, glued = [], []
     plan, instantiate = pj.plan_gluing, pj.instantiate
-    monkeypatch.setattr(pj, "plan_gluing", lambda e: planned.append(e) or plan(e))
+    monkeypatch.setattr(pj, "plan_gluing", lambda e, *a: planned.append(e) or plan(e, *a))
     monkeypatch.setattr(pj, "instantiate", lambda e, *a: glued.append(e) or instantiate(e, *a))
     args = ["homology", "theta(1,2,3)", "--verify", "--window", "4", "--cache-dir", str(tmp_path)]
     cli.main(args)  # exits 6: the unplanned route's band is empty (ROADMAP item 1)
