@@ -6,7 +6,7 @@ rotation and nesting of it, and records the sum of the elimination engine's
 inputs (helpers.engine_inputs) of each order; unlike wall time, the sum is
 deterministic.  Prints the best, the worst and the planner's sum per
 network.  Exits 0 when the planner's order is within 1.5x of the best on
-every network, and 1 otherwise.  Takes a minute or two:
+every network, and 1 otherwise.  Takes under a minute:
 
     PYTHONPATH=src python tests/plan_orders.py
 """
