@@ -691,15 +691,14 @@ def _canonical_rotation(e: ex.NetworkExpr) -> ex.NetworkExpr:
 
 def _labels(e: ex.NetworkExpr) -> list[int]:
     """The labels n >= 2 of the boxes in e: its pieces of more than one
-    object (P_0 and P_1 are identity complexes)."""
+    object (P_0 and P_1 are identity complexes).  e is a part of a
+    rewritten network, which holds no Vertex and no Dual."""
     match e:
         case ex.Proj(n) | ex.DualProj(n):
             return [n] if n >= 2 else []
-        case ex.Vertex(a, b, c):
-            return [n for n in (a, b, c) if n >= 2]
         case ex.Stack(x, y) | ex.Beside(x, y):
             return _labels(x) + _labels(y)
-        case ex.Trace(x) | ex.Dual(x):
+        case ex.Trace(x):
             return _labels(x)
     return []
 
@@ -736,9 +735,51 @@ def _split_beside(e: ex.NetworkExpr) -> list[ex.NetworkExpr]:
     return layers
 
 
-def _estimate(pieces: list[ex.NetworkExpr], objects, closed: bool = False) -> tuple[float, int]:
-    """The planner's view of a Stack chain: the size estimate of its
-    simplified product, and its circles.
+def _layout(piece: ex.NetworkExpr, objects) -> tuple:
+    """A piece of a Stack chain as _prefixes reads it: its widths m and n,
+    the pairs of its boundary points (the top ones numbered 0..m-1, the
+    bottom ones m..m+n-1) that its strands and diagrams join, and its
+    boxes, each with its count, its points and the pairs of points it joins
+    as an identity.  A part of a piece that is not a strand, a diagram or a
+    box (a nested trace, say) is one box of its boundary, counting the
+    product of its boxes."""
+    m_all, _ = ex.arity(piece)
+    joins, boxes = [], []
+    top = bottom = 0
+    for part in _flatten_beside(piece):
+        m, n = ex.arity(part)
+        points = [top + i for i in range(m)] + [m_all + bottom + i for i in range(n)]
+        if isinstance(part, ex.Diagram):
+            joins += [(points[i], points[j]) for i, j in enumerate(part.pairs) if i < j]
+        elif isinstance(part, (ex.Strand, ex.Proj, ex.DualProj)) and not _labels(part):
+            joins += [(points[i], points[m + i]) for i in range(m)]
+        else:
+            k = min(m, n)
+            count = math.prod(map(objects, _labels(part)))
+            boxes.append((count, points, list(zip(points[:k], points[m:m + k]))))
+        top, bottom = top + m, bottom + n
+    return m_all, bottom, joins, boxes
+
+
+def _find(parent: list[int], x: int) -> int:
+    """The class of x in the union-find forest `parent`, halving its path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _union(parent: list[int], a: int, b: int) -> bool:
+    """Join the classes of a and b; whether they were apart."""
+    a, b = _find(parent, a), _find(parent, b)
+    parent[a] = b
+    return a != b
+
+
+def _prefixes(layouts: list[tuple]) -> tuple[list[tuple[float, int]], int | None]:
+    """The planner's view of each prefix of a Stack chain of _layouts: the
+    size estimate of its simplified product, and its circles; and the
+    circles of the whole chain with its bottom glued to its top (None when
+    its bottom is not as wide as its top).
 
     The size estimate is the product over its boxes of P_n's object count
     `objects(n)` to the power of the share of the box's boundary points
@@ -746,60 +787,51 @@ def _estimate(pieces: list[ex.NetworkExpr], objects, closed: bool = False) -> tu
     box whose points all meet other boxes is absorbed by them and counts 1,
     and one that meets none counts in full.  The circles are those of the
     chain with every box replaced by identity strands, its degree-zero
-    object, and with the chain's bottom glued to its top when `closed`.  A
-    part of a piece that is not a strand, a diagram or a box (a nested
-    trace, say) is one box of its boundary, counting the product of its
-    boxes."""
-    parent: dict = {}
-
-    def find(x):
-        while parent.setdefault(x, x) != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    def join(a, b):
-        parent[find(a)] = find(b)
-
-    ends = []  # (boundary point, box)
-    boxes = []  # (count, number of boundary points)
-    through = []  # the points a box joins as an identity
-    for level, piece in enumerate(pieces):
-        top = bottom = 0
-        for part in _flatten_beside(piece):
-            m, n = ex.arity(part)
-            points = [(level, top + i) for i in range(m)] + [(level + 1, bottom + i) for i in range(n)]
-            if isinstance(part, ex.Diagram):
-                for i, j in enumerate(part.pairs):
-                    join(points[i], points[j])
-            elif isinstance(part, (ex.Strand, ex.Proj, ex.DualProj)) and not _labels(part):
-                for i in range(m):
-                    join(points[i], points[m + i])
-            else:
-                ends += [(point, len(boxes)) for point in points]
-                boxes.append((math.prod(map(objects, _labels(part))), m + n))
-                through += zip(points[:min(m, n)], points[m:m + min(m, n)])
-            top, bottom = top + m, bottom + n
-    meets: dict = {}
-    for point, box in ends:
-        meets.setdefault(find(point), []).append(box)
-    joined = [0] * len(boxes)
-    for found in meets.values():
-        if len(found) == 2 and found[0] != found[1]:
-            for box in found:
-                joined[box] += 1
-    size = math.prod(
-        count ** (1 - joined[b] / points) if points else count
-        for b, (count, points) in enumerate(boxes)
-    )
-    for a, b in through:
-        join(a, b)
-    top, bottom = ex.arity(pieces[0])[0], ex.arity(pieces[-1])[1]
-    if closed:
-        for i in range(top):
-            join((0, i), (len(pieces), i))
-    ends_open = {find((0, i)) for i in range(top)} | {find((len(pieces), i)) for i in range(bottom)}
-    components = {find(x) for x in list(parent)}
-    return size, len(components) if closed else len(components - ends_open)
+    object.  The pieces are glued one at a time into two union-find
+    forests of their boundary points, one without the boxes' identity
+    joins (for the sizes) and one with them (for the circles)."""
+    width = layouts[0][0]
+    apart = list(range(width))  # joined by strands and diagrams
+    circles = list(range(width))  # boxes joined as identities too
+    unions = 0
+    ends, owners = [], []  # the boxes' points, and the box of each
+    boxes = []  # (count, number of points)
+    found = []
+    top = 0  # the first point of the current piece's top row
+    for m, n, joins, parts in layouts:
+        bottom = len(apart)
+        apart += range(bottom, bottom + n)
+        circles += range(bottom, bottom + n)
+        at = [*range(top, top + m), *range(bottom, bottom + n)]
+        for a, b in joins:
+            _union(apart, at[a], at[b])
+            unions += _union(circles, at[a], at[b])
+        for count, points, through in parts:
+            ends += [at[p] for p in points]
+            owners += [len(boxes)] * len(points)
+            boxes.append((count, len(points)))
+            for a, b in through:
+                unions += _union(circles, at[a], at[b])
+        top = bottom
+        meets: dict = {}
+        for point, box in zip(ends, owners):
+            meets.setdefault(_find(apart, point), []).append(box)
+        joined = [0] * len(boxes)
+        for met in meets.values():
+            if len(met) == 2 and met[0] != met[1]:
+                joined[met[0]] += 1
+                joined[met[1]] += 1
+        size = math.prod(
+            count ** (1 - joined[b] / points) if points else count
+            for b, (count, points) in enumerate(boxes)
+        )
+        rims = {_find(circles, x) for x in [*range(width), *range(bottom, bottom + n)]}
+        found.append((size, len(circles) - unions - len(rims)))
+    if len(circles) - top != width:
+        return found, None
+    for i in range(width):
+        unions += _union(circles, i, top + i)
+    return found, len(circles) - unions
 
 
 #: the planner's growth of a planar product per circle it closes.  Fitted
@@ -814,60 +846,69 @@ def _cheapest_order(items: list[ex.NetworkExpr], objects) -> ex.NetworkExpr:
     """The rotation and nesting of a traced Stack chain that minimise the
     estimated input of the elimination engine: the sum, over the planar
     products, of the product of the two factors' size estimates, times
-    CIRCLE_COST for every circle the product closes (_estimate), plus the
+    CIRCLE_COST for every circle the product closes (_prefixes), plus the
     estimate of the whole chain times CIRCLE_COST for every circle the
     trace closes.  Dynamic programming over the cyclic intervals of the
-    chain, the matrix-chain order made cyclic.  Ties go to the shorter
-    upper factor; at the top, where the two rotations of one product cost
-    the same, to the larger upper factor, then to the smaller text, so the
-    choice depends only on the cyclic chain."""
+    chain, the matrix-chain order made cyclic; the estimates of the
+    intervals from one start come from one pass of _prefixes.  Ties go to
+    the shorter upper factor; at the top, where the two rotations of one
+    product cost the same, to the larger upper factor, then to the smaller
+    text, so the choice depends only on the cyclic chain."""
     n = len(items)
+    layouts = [_layout(x, objects) for x in items]
     est = {}
-    best = {}  # (start, length) -> (cost, plan)
-    for length in range(1, n + 1):
+    for s in range(n):
+        # every rotation closes into the same network, with the same circles
+        found, circles = _prefixes(layouts[s:] + layouts[:s])
+        est.update(((s, length), x) for length, x in enumerate(found, 1))
+    best = {(s, 1): (0.0, 0) for s in range(n)}  # (start, length) -> (cost, split)
+    for length in range(2, n):
         for s in range(n):
-            est[s, length] = _estimate([items[(s + i) % n] for i in range(length)], objects)
-            if length == 1:
-                best[s, 1] = (0.0, items[s])
-            elif length < n:
-                best[s, length] = min(
-                    (_glued(best, est, s, k, length - k, n) for k in range(1, length)),
-                    key=lambda found: found[0],
-                )
-    circles = _estimate(items, objects, closed=True)[1]
-    tops = [
-        (cost + est[s, n][0] * CIRCLE_COST ** (circles - est[s, n][1]), -est[s, k][0], plan)
+            best[s, length] = min(
+                (_glued(best, est, s, k, length - k, n), k) for k in range(1, length)
+            )
+
+    def plan(s: int, length: int) -> ex.NetworkExpr:
+        k = best[s, length][1]
+        return items[s] if length == 1 else ex.Stack(plan(s, k), plan((s + k) % n, length - k))
+
+    tops = {
+        (s, k): (_glued(best, est, s, k, n - k, n)
+                 + est[s, n][0] * CIRCLE_COST ** (circles - est[s, n][1]), -est[s, k][0])
         for s in range(n) for k in range(1, n)
-        for cost, plan in [_glued(best, est, s, k, n - k, n)]
-    ]
-    first = min(top[:2] for top in tops)
-    return min((top[2] for top in tops if top[:2] == first), key=ex.to_text)
+    }
+    first = min(tops.values())
+    cheapest = [split for split, top in tops.items() if top == first]
+    return min(
+        (ex.Stack(plan(s, k), plan((s + k) % n, n - k)) for s, k in cheapest), key=ex.to_text
+    )
 
 
-def _glued(best, est, s, k, rest, n):
-    """The cost and plan of gluing the best plan of the interval (s, k) of a
-    chain of n over that of the next `rest` pieces."""
-    (cost_a, a), (cost_b, b) = best[s, k], best[(s + k) % n, rest]
+def _glued(best, est, s, k, rest, n) -> float:
+    """The cost of gluing the best plan of the interval (s, k) of a chain
+    of n over that of the next `rest` pieces."""
+    (cost_a, _), (cost_b, _) = best[s, k], best[(s + k) % n, rest]
     (size_a, circles_a), (size_b, circles_b) = est[s, k], est[(s + k) % n, rest]
     closed = est[s, k + rest][1] - circles_a - circles_b
-    return cost_a + cost_b + size_a * size_b * CIRCLE_COST ** closed, ex.Stack(a, b)
+    return cost_a + cost_b + size_a * size_b * CIRCLE_COST ** closed
 
 
-def plan_gluing(e: ex.NetworkExpr, objects=None) -> ex.NetworkExpr:
-    """Choose the order of the planar products under each Trace (D.
-    Bar-Natan, Fast Khovanov homology computations).  The chain of Stacks
-    under a trace is flattened, and each Beside in it of two or more parts
-    with boxes is split into a stack of one-box layers (_split_beside), so
-    that a box is glued to its neighbours one at a time rather than as a
-    whole P_a beside P_b.  Trace cyclicity lets the chain rotate, and when
-    it holds two boxes or more, _cheapest_order picks the rotation and
-    nesting by the cost model of _estimate, which reads the pieces'
-    boundaries and `objects(n)`, the object count of P_n in the window (R.
-    N. C. Pfeifer, J. Haegeman and F. Verstraete, Faster identification of
-    optimal contraction sequences for tensor networks); a chain with fewer
-    boxes is kept in its order.  Without `objects`, each box counts its
-    label.  The choice depends only on the cyclic chain, and its layers are
-    not split again, so the pass is idempotent.
+def plan_gluing(e: ex.NetworkExpr, objects) -> ex.NetworkExpr:
+    """Choose the order of the planar products under each Trace of the
+    rewritten network e (D. Bar-Natan, Fast Khovanov homology
+    computations).  The chain of Stacks under a trace is flattened, and
+    each Beside in it of two or more parts with boxes is split into a
+    stack of one-box layers (_split_beside), so that a box is glued to its
+    neighbours one at a time rather than as a whole P_a beside P_b.
+    Trace cyclicity lets the chain rotate, and when it holds two boxes or
+    more, _cheapest_order picks the rotation and nesting by the cost model
+    of _prefixes, which reads the pieces' boundaries and `objects(n)`, the
+    object count of P_n in the window (object_counts, as closed_module
+    passes it; R. N. C. Pfeifer, J. Haegeman and F. Verstraete, Faster
+    identification of optimal contraction sequences for tensor networks);
+    a chain with fewer boxes is kept in its order.  The choice depends only
+    on the cyclic chain, and its layers are not split again, so the pass is
+    idempotent.
 
     Homotopy invariance: the split is an isomorphism of complexes (the same
     objects and differential), only the order of the planar products
@@ -875,8 +916,6 @@ def plan_gluing(e: ex.NetworkExpr, objects=None) -> ex.NetworkExpr:
     simplify_trace run without a window), so the planned complex is
     homotopy equivalent to the unplanned one, and every homology entry and
     Euler series is unchanged."""
-    if objects is None:
-        return plan_gluing(e, lambda n: n)
     match e:
         case ex.Stack(t, b):
             return ex.Stack(plan_gluing(t, objects), plan_gluing(b, objects))
@@ -892,6 +931,12 @@ def plan_gluing(e: ex.NetworkExpr, objects=None) -> ex.NetworkExpr:
                 return ex.Trace(_rebuild_stack(items))
             return ex.Trace(_cheapest_order(items, objects))
     return e
+
+
+def object_counts(window: Window, projector=build_projector):
+    """The count source of plan_gluing: n -> the number of objects of P_n
+    in `window`, read from `projector`, the source instantiate glues."""
+    return lambda n: sum(map(len, projector(n, window).complex.groups.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -911,10 +956,7 @@ def closed_module(
     if not ex.is_closed(e):
         raise ArityError("homology/euler need a closed network")
     if rewrite:
-        def objects(n: int) -> int:
-            return sum(map(len, projector(n, window).complex.groups.values()))
-
-        e = plan_gluing(rewrite_network(e), objects)
+        e = plan_gluing(rewrite_network(e), object_counts(window, projector))
     else:
         e = expand_vertices(e)
     return cx.tautological(instantiate(e, window, projector))

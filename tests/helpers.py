@@ -6,7 +6,7 @@ import functools
 import random
 from contextlib import contextmanager
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
 from spinhom import complexes as cx
 from spinhom import expr as ex
@@ -903,6 +903,66 @@ def reference_instantiate(e, window: Window, projector=None) -> ChainComplex:
         case ex.Dual(inner):
             return cx.dual_complex(sub(inner))
     return pj.instantiate(e, window, projector)
+
+
+def reference_estimate(pieces, objects, closed: bool = False) -> tuple[float, int]:
+    """The gluing planner's size estimate and circles of a Stack chain
+    (projector._prefixes's last prefix, or its closure when `closed`),
+    written out on (level, position) points with one union-find per call,
+    as the planner first computed it: the reference for the incremental
+    _prefixes."""
+    from spinhom import projector as pj
+
+    parent: dict = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def join(a, b):
+        parent[find(a)] = find(b)
+
+    ends = []  # (boundary point, box)
+    boxes = []  # (count, number of boundary points)
+    through = []  # the points a box joins as an identity
+    for level, piece in enumerate(pieces):
+        top = bottom = 0
+        for part in pj._flatten_beside(piece):
+            m, n = ex.arity(part)
+            points = [(level, top + i) for i in range(m)] + [(level + 1, bottom + i) for i in range(n)]
+            if isinstance(part, ex.Diagram):
+                for i, j in enumerate(part.pairs):
+                    join(points[i], points[j])
+            elif isinstance(part, (ex.Strand, ex.Proj, ex.DualProj)) and not pj._labels(part):
+                for i in range(m):
+                    join(points[i], points[m + i])
+            else:
+                ends += [(point, len(boxes)) for point in points]
+                boxes.append((prod(map(objects, pj._labels(part))), m + n))
+                through += zip(points[:min(m, n)], points[m:m + min(m, n)])
+            top, bottom = top + m, bottom + n
+    meets: dict = {}
+    for point, box in ends:
+        meets.setdefault(find(point), []).append(box)
+    joined = [0] * len(boxes)
+    for found in meets.values():
+        if len(found) == 2 and found[0] != found[1]:
+            for box in found:
+                joined[box] += 1
+    size = prod(
+        count ** (1 - joined[b] / points) if points else count
+        for b, (count, points) in enumerate(boxes)
+    )
+    for a, b in through:
+        join(a, b)
+    top, bottom = ex.arity(pieces[0])[0], ex.arity(pieces[-1])[1]
+    if closed:
+        for i in range(top):
+            join((0, i), (len(pieces), i))
+    ends_open = {find((0, i)) for i in range(top)} | {find((len(pieces), i)) for i in range(bottom)}
+    components = {find(x) for x in list(parent)}
+    return size, len(components) if closed else len(components - ends_open)
 
 
 @contextmanager

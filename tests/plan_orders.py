@@ -48,9 +48,6 @@ def main() -> int:
     for n in range(4):
         pj.build_projector(n, WINDOW)
 
-    def objects(n: int) -> int:
-        return sum(map(len, pj.build_projector(n, WINDOW).complex.groups.values()))
-
     failed = False
     for trip in THETAS:
         rewritten = pj.rewrite_network(ex.theta(*trip))
@@ -60,7 +57,7 @@ def main() -> int:
             for r in range(len(items))
             for e in nestings(items[r:] + items[:r])
         ]
-        planned = inputs(pj.plan_gluing(rewritten, objects))
+        planned = inputs(pj.plan_gluing(rewritten, pj.object_counts(WINDOW)))
         best = min(sums)
         near = sum(s <= BOUND * best for s in sums)
         print(f"theta{trip}: {len(sums)} orders, best {best}, worst {max(sums)}, "

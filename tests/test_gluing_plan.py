@@ -3,10 +3,11 @@ plans gives the answers of the unplanned instantiation, preserves the
 network, and keeps the engine's inputs small."""
 
 import json
+import random
 
 import pytest
 
-from helpers import closed_networks_leq3, engine_inputs
+from helpers import closed_networks_leq3, engine_inputs, reference_estimate
 from spinhom import cli
 from spinhom import complexes as cx
 from spinhom import expr as ex
@@ -47,11 +48,6 @@ def projector():
     return source
 
 
-def _objects(projector, window):
-    """The count source closed_module gives the planner: objects of P_n."""
-    return lambda n: sum(map(len, projector(n, window).complex.groups.values()))
-
-
 def _answers(M):
     a0, a1 = homology_table(M, "alpha0"), homology_table(M, "alpha1")
     return (M.reliable, a0.entries, a0.unreliable, a1.entries, a1.unreliable,
@@ -63,10 +59,11 @@ def test_planned_route_gives_the_unplanned_answers(projector, depth):
     # equal band, alpha0 and alpha1 tables with their unreliable marks, and
     # Euler series: instantiate never clips, so the order cannot matter
     window = Window(-depth, 0)
+    objects = pj.object_counts(window, projector)
     planned = 0
     for name, e in NETWORKS:
         rewritten = pj.rewrite_network(e)
-        planned += pj.plan_gluing(rewritten) != rewritten
+        planned += pj.plan_gluing(rewritten, objects) != rewritten
         plain = cx.tautological(pj.instantiate(rewritten, window, projector))
         assert _answers(pj.closed_module(e, window, projector=projector)) == _answers(plain), name
     assert planned >= 3  # theta(2,3,3), endclosure(2,3,3) and the query
@@ -82,17 +79,21 @@ def test_planned_heavy_thetas_give_the_unplanned_answers(projector, trip, depth)
 
 
 @pytest.mark.parametrize("name,e", NETWORKS, ids=[name for name, _ in NETWORKS])
-def test_plan_preserves_the_network(name, e):
+def test_plan_preserves_the_network(projector, name, e):
+    # the plans closed_module makes at windows 4 and 6
     rewritten = pj.rewrite_network(e)
-    planned = pj.plan_gluing(rewritten)
-    assert ex.arity(planned) == ex.arity(rewritten)
-    assert tl.evaluate_network(planned) == tl.evaluate_network(rewritten)
-    assert pj.plan_gluing(planned) == planned
+    value = tl.evaluate_network(rewritten)
+    for depth in (4, 6):
+        objects = pj.object_counts(Window(-depth, 0), projector)
+        planned = pj.plan_gluing(rewritten, objects)
+        assert ex.arity(planned) == ex.arity(rewritten)
+        assert tl.evaluate_network(planned) == value
+        assert pj.plan_gluing(planned, objects) == planned
 
 
 def test_plan_splits_a_beside_of_boxes_into_one_box_layers(projector):
     # theta(2,3,3) at window 6: P3 beside P3 is glued one P3 at a time
-    objects = _objects(projector, Window(-6, 0))
+    objects = pj.object_counts(Window(-6, 0), projector)
     planned = pj.plan_gluing(pj.rewrite_network(ex.theta(2, 3, 3)), objects)
     items = pj._flatten_stack(planned.inner)
     assert ex.Beside(ex.Proj(3), ex.Strand(3)) in items
@@ -113,21 +114,84 @@ def test_plan_splits_a_beside_of_boxes_into_one_box_layers(projector):
         assert pj._split_beside(e) == [e]
 
 
+def _estimate(chain, objects, closed=False):
+    """The size estimate and circles that _cheapest_order reads for a chain
+    (projector._prefixes); `closed` glues its bottom to its top."""
+    found, circles = pj._prefixes([pj._layout(x, objects) for x in chain])
+    return found[-1][0], circles if closed else found[-1][1]
+
+
 def test_estimate_counts_unjoined_boundary_points():
     # a lone box counts its objects; stacked boxes meet on half their points
     # and count as one box, as absorption says; boxes side by side meet
     # nowhere; a turnback joins a box only to itself, which counts nothing
     objects = {2: 7, 3: 13}.get
-    assert pj._estimate([ex.Proj(3)], objects) == (13, 0)
-    size, circles = pj._estimate([ex.Proj(2), ex.Proj(2)], objects)
+    assert _estimate([ex.Proj(3)], objects) == (13, 0)
+    size, circles = _estimate([ex.Proj(2), ex.Proj(2)], objects)
     assert (size, circles) == (pytest.approx(7), 0)
     wide = [ex.Beside(ex.Proj(2), ex.Strand(3)), ex.Beside(ex.Strand(2), ex.Proj(3))]
-    assert pj._estimate(wide, objects) == (91, 0)
+    assert _estimate(wide, objects) == (91, 0)
     cup, cap = ex.Diagram(0, 2, (1, 0)), ex.Diagram(2, 0, (1, 0))
-    assert pj._estimate([ex.Diagram(2, 2, (1, 0, 3, 2)), ex.Proj(2)], objects) == (7, 0)
+    assert _estimate([ex.Diagram(2, 2, (1, 0, 3, 2)), ex.Proj(2)], objects) == (7, 0)
     # circles: boxes close like their identity strands, the trace adds its own
-    assert pj._estimate([cup, ex.Proj(2), cap], objects) == (7, 1)
-    assert pj._estimate([ex.Proj(2)], objects, closed=True) == (7, 2)
+    assert _estimate([cup, ex.Proj(2), cap], objects) == (7, 1)
+    assert _estimate([ex.Proj(2)], objects, closed=True) == (7, 2)
+    caps, cups = ex.Beside(cap, cap), ex.Beside(cup, cup)
+    assert _estimate([caps, cups], objects) == (1, 0)
+    assert _estimate([caps, cups], objects, closed=True) == (1, 2)
+
+
+THETAS = [ex.theta(a, b, c) for a in range(5) for b in range(a, 5) for c in range(b, 5)
+          if (a + b + c) % 2 == 0 and c <= a + b]
+
+
+def _random_piece(rng, m, n):
+    """A random Stack piece m -> n: boxes, strands and diagrams side by
+    side when m == n, else a diagram beside strands."""
+    if m != n:
+        k = rng.randint(0, min(m, n) // 2) * 2
+        tangle = rng.choice(tl.all_matchings(m - k, n - k))
+        return pj._rebuild_beside([ex.Diagram(m - k, n - k, tangle.pairs), ex.Strand(k)])
+    parts, left = [], m
+    while left:
+        k = rng.randint(1, left)
+        parts.append(rng.choice([ex.Proj(k), ex.DualProj(k), ex.Strand(k)] + [
+            ex.Diagram(k, k, t.pairs) for t in tl.all_matchings(k, k)]))
+        left -= k
+    return pj._rebuild_beside(parts) if parts else ex.Strand(0)
+
+
+def test_estimate_matches_the_reference():
+    # every interval of every rotation of the split chains of NETWORKS and
+    # the thetas with labels <= 4, and 300 random chains of widths 0-6,
+    # open, and closed when square, under two count tables; the planner
+    # reads the same numbers from _prefixes
+    rng = random.Random(7)
+    chains = []
+    for _ in range(300):
+        widths = [rng.choice([0, 2, 4, 6]) for _ in range(rng.randint(1, 6))]
+        widths.append(rng.choice([widths[0], widths[0], 2]))
+        chains.append([_random_piece(rng, a, b) for a, b in zip(widths, widths[1:])])
+    checked = 0
+    for objects in [{2: 7, 3: 13, 4: 25, 5: 3, 6: 2}.get, {2: 5, 3: 81, 4: 2, 5: 9, 6: 4}.get]:
+        for chain in chains:
+            assert _estimate(chain, objects) == reference_estimate(chain, objects)
+            if ex.arity(chain[0])[0] == ex.arity(chain[-1])[1]:
+                closed = _estimate(chain, objects, closed=True)
+                assert closed == reference_estimate(chain, objects, closed=True)
+        for e in [e for _, e in NETWORKS] + THETAS:
+            rewritten = pj.rewrite_network(e)
+            if not isinstance(rewritten, ex.Trace):
+                continue
+            items = [y for x in pj._flatten_stack(rewritten.inner) for y in pj._split_beside(x)]
+            for r in range(len(items)):
+                chain = items[r:] + items[:r]
+                for j in range(1, len(chain) + 1):
+                    assert _estimate(chain[:j], objects) == reference_estimate(chain[:j], objects)
+                    checked += 1
+                closed = _estimate(chain, objects, closed=True)
+                assert closed == reference_estimate(chain, objects, closed=True)
+    assert checked > 1000
 
 
 def _trees(items):
@@ -149,20 +213,20 @@ def _model_cost(inner, objects):
         if not isinstance(t, ex.Stack):
             return 0.0, [t]
         (cost_a, a), (cost_b, b) = walk(t.top), walk(t.bottom)
-        (size_a, circles_a), (size_b, circles_b) = (pj._estimate(x, objects) for x in (a, b))
-        closed = pj._estimate(a + b, objects)[1] - circles_a - circles_b
+        (size_a, circles_a), (size_b, circles_b) = (_estimate(x, objects) for x in (a, b))
+        closed = _estimate(a + b, objects)[1] - circles_a - circles_b
         return cost_a + cost_b + size_a * size_b * pj.CIRCLE_COST ** closed, a + b
 
     cost, chain = walk(inner)
-    size, circles = pj._estimate(chain, objects)
-    return cost + size * pj.CIRCLE_COST ** (pj._estimate(chain, objects, closed=True)[1] - circles)
+    size, circles = _estimate(chain, objects)
+    return cost + size * pj.CIRCLE_COST ** (_estimate(chain, objects, closed=True)[1] - circles)
 
 
 @pytest.mark.parametrize("trip,depth", [((2, 3, 3), 6), ((2, 2, 2), 6), ((1, 2, 3), 6),
                                         ((3, 3, 4), 4)], ids=["233@6", "222@6", "123@6", "334@4"])
 def test_plan_is_the_cheapest_order_of_its_cost_model(projector, trip, depth):
     # against every rotation and nesting of the split chain
-    objects = _objects(projector, Window(-depth, 0))
+    objects = pj.object_counts(Window(-depth, 0), projector)
     rewritten = pj.rewrite_network(ex.theta(*trip))
     planned = pj.plan_gluing(rewritten, objects)
     items = [y for x in pj._flatten_stack(rewritten.inner) for y in pj._split_beside(x)]
@@ -172,11 +236,12 @@ def test_plan_is_the_cheapest_order_of_its_cost_model(projector, trip, depth):
     assert _model_cost(planned.inner, objects) == pytest.approx(cheapest)
 
 
-def test_the_plan_keeps_one_box_chains():
+def test_the_plan_keeps_one_box_chains(projector):
     # a trace of one box, or of a chain whose Besides hold one box each
+    objects = pj.object_counts(Window(-6, 0), projector)
     for e in [ex.Trace(ex.Proj(3)), ex.Trace(ex.Beside(ex.Proj(1), ex.Proj(2)))]:
-        assert pj.plan_gluing(e) == e
-    planned = pj.plan_gluing(pj.rewrite_network(ex.theta(1, 1, 2)))
+        assert pj.plan_gluing(e, objects) == e
+    planned = pj.plan_gluing(pj.rewrite_network(ex.theta(1, 1, 2)), objects)
     assert ex.Beside(ex.Proj(1), ex.Proj(2)) in pj._flatten_stack(planned.inner)
 
 
@@ -227,7 +292,8 @@ def test_rewrite_prints_the_unplanned_normal_form(capsys):
     assert cli.main(["rewrite", "theta(2,3,3)"]) == 0
     form = json.loads(capsys.readouterr().out)["normal_form"]
     rewritten = pj.rewrite_network(ex.theta(2, 3, 3))
-    assert form == ex.to_text(rewritten) != ex.to_text(pj.plan_gluing(rewritten))
+    planned = pj.plan_gluing(rewritten, pj.object_counts(Window(-6, 0)))
+    assert form == ex.to_text(rewritten) != ex.to_text(planned)
 
 
 def test_verify_second_route_is_not_planned(monkeypatch, tmp_path, capsys):

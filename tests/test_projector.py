@@ -454,7 +454,7 @@ def test_instantiate_leaves_closed_networks_simplified():
 
     for name, e in closed_networks_leq3():
         rewritten = pj.rewrite_network(e)
-        for form in {rewritten, pj.plan_gluing(rewritten)}:
+        for form in {rewritten, pj.plan_gluing(rewritten, pj.object_counts(Window(-6, 0)))}:
             C = pj.instantiate(form, Window(-6, 0))
             for objs in C.groups.values():
                 assert all(o.tangle.circles == 0 for o in objs), name

@@ -49,7 +49,7 @@ def projector():
 def test_planned_closed_networks(projector, depth):
     window = Window(-depth, 0)
     for name, e in closed_networks_leq3():
-        planned = pj.plan_gluing(pj.rewrite_network(e))
+        planned = pj.plan_gluing(pj.rewrite_network(e), pj.object_counts(window, projector))
         assert_same_module(pj.instantiate(planned, window, projector), name)
 
 
