@@ -309,23 +309,19 @@ def reduce_component(k: int, genus: int, dots: int) -> tuple[tuple[tuple[int, ..
     return tuple((assign, ae, coeff) for assign, ae in states)
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
+def _find(parent: list[int], x: int) -> int:
+    """The class of x in the union-find forest `parent`, halving its path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
 
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
+def _union(parent: list[int], a: int, b: int) -> bool:
+    """Join the class of b to that of a, whose root survives; whether they
+    were apart."""
+    a, b = _find(parent, a), _find(parent, b)
+    parent[b] = a
+    return a != b
 
 
 @dataclass(frozen=True)
@@ -348,20 +344,20 @@ def glue_structure(
     circle_nodes: tuple[tuple[int, ...], ...],
 ) -> GlueStructure:
     n_pieces = len(piece_chi)
-    uf = _UnionFind(n_pieces)
+    parent = list(range(n_pieces))
     for u, v, _ in cells:
-        uf.union(u, v)
+        _union(parent, u, v)
     comp_chi: dict[int, int] = {}
     comp_pieces: dict[int, list[int]] = {}
     for i in range(n_pieces):
-        r = uf.find(i)
+        r = _find(parent, i)
         comp_chi[r] = comp_chi.get(r, 0) + piece_chi[i]
         comp_pieces.setdefault(r, []).append(i)
     for u, v, chi_cell in cells:
-        comp_chi[uf.find(u)] -= chi_cell
+        comp_chi[_find(parent, u)] -= chi_cell
     comp_circles: dict[int, list[int]] = {r: [] for r in comp_chi}
     for ci, nodes in enumerate(circle_nodes):
-        roots = {uf.find(x) for x in nodes}
+        roots = {_find(parent, x) for x in nodes}
         if len(roots) != 1:
             raise IntegrityError("output circle spans several surface components")
         comp_circles[roots.pop()].append(ci)

@@ -1,11 +1,16 @@
 """Window-truncated chain complexes over the Bar-Natan categories.
 
 A ChainComplex stores, per homological degree inside a finite window, a
-list of shifted flat tangles and a sparse matrix differential of canonical
-cobordisms.  Everything held is an honest finite complex (d*d = 0 on the
-nose); `tail_lo`/`tail_hi` record that the complex is a truncation of an
-ideal semi-infinite object, and `reliable` is the advisory band of degrees
-free of truncation artifacts.
+list of shifted flat tangles and a sparse matrix differential whose
+entries are term dicts (cob.Terms), the canonical form of a cobordism
+without its endpoints: entry (r, c) of degree k runs from object c of
+degree k to object r of degree k + 1.  The planar products, the
+elimination engine, the Hom engine and serialization all read and write
+that one format; ChainComplex.cobordisms makes a degree's entries
+cobordisms for the code that composes whole maps.  Everything held is an
+honest finite complex (d*d = 0 on the nose); `tail_lo`/`tail_hi` record
+that the complex is a truncation of an ideal semi-infinite object, and
+`reliable` is the advisory band of degrees free of truncation artifacts.
 
 Planar composition uses the Koszul sign rule with signs attached to the
 left argument's homological degree; cone and shift signs follow the
@@ -55,7 +60,10 @@ class Window:
         return self.lo <= k <= self.hi
 
 
+# A matrix of cobordisms, as chain maps keep them
 Matrix = dict[tuple[int, int], CanonicalCobordism]
+# A matrix of term dicts, as a complex's differential keeps them
+TermMatrix = dict[tuple[int, int], cob.Terms]
 
 
 @dataclass
@@ -64,7 +72,7 @@ class ChainComplex:
     n: int
     window: Window
     groups: dict[int, list[ShiftedObject]]
-    diff: dict[int, Matrix]
+    diff: dict[int, TermMatrix]
     tail_lo: bool = False
     tail_hi: bool = False
     reliable: tuple[float, float] = (NEG_INF, POS_INF)
@@ -72,18 +80,19 @@ class ChainComplex:
     def __post_init__(self):
         self.groups = {k: v for k, v in self.groups.items() if v}
         self.diff = {
-            k: {rc: f for rc, f in mat.items() if not f.is_zero()}
-            for k, mat in self.diff.items()
+            k: kept for k, mat in self.diff.items()
+            if (kept := {rc: f for rc, f in mat.items() if f})
         }
-        self.diff = {k: mat for k, mat in self.diff.items() if mat}
 
     # -- basic inspection ----------------------------------------------------
 
     def objects(self, k: int) -> list[ShiftedObject]:
         return self.groups.get(k, [])
 
-    def entry(self, k: int, r: int, c: int) -> CanonicalCobordism | None:
-        return self.diff.get(k, {}).get((r, c))
+    def cobordisms(self, k: int) -> Matrix:
+        """d^k with each entry made a cobordism between its objects, built
+        on demand through the validating constructor."""
+        return _cobordisms(self.diff.get(k, {}), self.objects(k), self.objects(k + 1))
 
     def support(self) -> list[int]:
         return sorted(self.groups)
@@ -101,26 +110,33 @@ class ChainComplex:
         }
 
     def validate(self) -> None:
-        """Check consistency: endpoints, q-degree-0 homogeneity, d.d = 0."""
+        """Check consistency: entries in range with well-formed dot
+        assignments, q-degree-0 homogeneity, d.d = 0."""
+        d: dict[int, Matrix] = {}
         for k, mat in self.diff.items():
-            src = self.objects(k)
-            tgt = self.objects(k + 1)
-            for (r, c), f in mat.items():
-                if c >= len(src) or r >= len(tgt):
-                    raise IntegrityError("differential entry out of range")
-                if f.source != src[c] or f.target != tgt[r]:
-                    raise IntegrityError("differential entry endpoints mismatch")
+            if any(c >= len(self.objects(k)) or r >= len(self.objects(k + 1)) for r, c in mat):
+                raise IntegrityError("differential entry out of range")
+            try:
+                d[k] = self.cobordisms(k)
+            except SpinhomError as err:
+                raise IntegrityError(f"differential entry at {k}: {err}") from err
+            for f in d[k].values():
                 if cob_degree(f) != 0:
                     raise IntegrityError(
                         f"differential entry of q-degree {cob_degree(f)} at {k}"
                     )
-        for k in sorted(self.diff):
-            if k + 1 not in self.diff:
+        for k in sorted(d):
+            if k + 1 not in d:
                 continue
-            prod = _mat_mul(self.diff[k + 1], self.diff[k])
+            prod = _mat_mul(d[k + 1], d[k])
             for rc, f in prod.items():
                 if not f.is_zero():
                     raise IntegrityError(f"d.d != 0 at degree {k}, entry {rc}")
+
+
+def _cobordisms(mat: TermMatrix, src: list[ShiftedObject], tgt: list[ShiftedObject]) -> Matrix:
+    """The entries of mat, from objects src to objects tgt, made cobordisms."""
+    return {(r, c): CanonicalCobordism(src[c], tgt[r], f) for (r, c), f in mat.items()}
 
 
 def _by_column(mat: Matrix) -> dict[int, list[tuple[int, CanonicalCobordism]]]:
@@ -265,11 +281,11 @@ def commutator_with_d(f: ChainMap) -> ChainMap:
         acc: Matrix = {}
         fmat = f.mats.get(k)
         if fmat:
-            dmat = B.diff.get(k + f.hdeg)
+            dmat = B.cobordisms(k + f.hdeg)
             if dmat:
                 for rc, v in _mat_mul(dmat, fmat).items():
                     acc[rc] = acc[rc] + v if rc in acc else v
-        da = A.diff.get(k)
+        da = A.cobordisms(k)
         fmat2 = f.mats.get(k + 1)
         if da and fmat2:
             for rc, v in _mat_mul(fmat2, da).items():
@@ -369,18 +385,25 @@ def product_layout(
     return layout
 
 
-# A differential with bare term dicts for entries, as the elimination engine
-# keeps it: degree -> {(row, column): terms}
-TermDiff = dict[int, dict[tuple[int, int], cob.Terms]]
+# The entries of a map as _glue_maps reads them, each with the tangle of its
+# target: degree -> column -> [(row, target tangle, terms)]
+Columns = dict[int, dict[int, list[tuple[int, FlatTangle, cob.Terms]]]]
 
 
-def _columns(mats: dict[int, Matrix]) -> dict[int, dict[int, list[tuple[int, CanonicalCobordism]]]]:
-    return {k: _by_column(mat) for k, mat in mats.items()}
+def _columns(entries) -> Columns:
+    """Columns of (degree, row, column, target tangle, terms) entries, each
+    list in the entries' order."""
+    out: Columns = {}
+    for k, r, c, t, f in entries:
+        out.setdefault(k, {}).setdefault(c, []).append((r, t, f))
+    return out
 
 
-def _glue_maps(A: ChainComplex, B: ChainComplex, layout, target_layout, pairs, structure) -> TermDiff:
+def _glue_maps(
+    A: ChainComplex, B: ChainComplex, layout, target_layout, pairs, structure,
+) -> dict[int, TermMatrix]:
     """The one planar product of maps, in term dicts: the sum of T(F, G) over
-    pairs (F's columns, G's columns, |F|, |G|) of maps on A and on B.  On
+    pairs (F's Columns, G's Columns, |F|, |G|) of maps on A and on B.  On
     each summand (i, j, pa, pb) of `layout`, each entry f: a -> a2 of F is
     glued to each entry g: b -> b2 of G through structure(a, b, a2, b2)
     with sign (-1)^{i |G|}, into the row of `target_layout` that holds
@@ -388,76 +411,82 @@ def _glue_maps(A: ChainComplex, B: ChainComplex, layout, target_layout, pairs, s
     in degree, so their entries never share a position."""
     index = {prov: p for lay in target_layout.values() for p, prov in enumerate(lay)}
     glue = cob._glue_terms
-    out: TermDiff = {}
+    out: dict[int, TermMatrix] = {}
     for k, lay in layout.items():
-        mat: dict[tuple[int, int], cob.Terms] = {}
+        mat: TermMatrix = {}
         for cpos, (i, j, pa, pb) in enumerate(lay):
             at = A.groups[i][pa].tangle
             bt = B.groups[j][pb].tangle
             for f_cols, g_cols, f_deg, g_deg in pairs:
                 odd = i * g_deg % 2
                 g_col = g_cols.get(j, {}).get(pb, ())
-                for r2, f in f_cols.get(i, {}).get(pa, ()):
-                    for r3, g in g_col:
+                for r2, a2t, f in f_cols.get(i, {}).get(pa, ()):
+                    for r3, b2t, g in g_col:
                         r = index.get((i + f_deg, j + g_deg, r2, r3))
                         if r is None:
                             continue
-                        st = structure(at, bt, f.target.tangle, g.target.tangle)
-                        if terms := glue(f.terms, g.terms, st):
+                        if terms := glue(f, g, structure(at, bt, a2t, b2t)):
                             mat[(r, cpos)] = cob.scale_terms(terms, -1) if odd else terms
         if mat:
             out[k] = mat
     return out
 
 
-def _cobordisms(mats: TermDiff, source: ChainComplex, target: ChainComplex, hdeg: int) -> dict[int, Matrix]:
-    """The entries of mats, maps of degree hdeg, made cobordisms."""
-    s, t = source.groups, target.groups
-    return {
-        k: {(r, c): CanonicalCobordism(s[k][c], t[k + hdeg][r], f) for (r, c), f in mat.items()}
-        for k, mat in mats.items()
-    }
-
-
 def _planar(
     A: ChainComplex, B: ChainComplex, ob_op, structure, out_mn: tuple[int, int],
-    window: Window | None = None,
-) -> tuple[ChainComplex, TermDiff]:
+    reliable: tuple[float, float], window: Window | None = None,
+) -> ChainComplex:
     """The planar product of complexes: the summands of product_layout
-    joined by ob_op, and in term dicts the differential T(d_A, 1) +
-    T(1, d_B) of _glue_maps.  Returns the product without its
-    differential, and the differential.  With a window, only the summands
-    and entries inside it are made: the product clipped to the window,
-    with tail_lo set."""
+    joined by ob_op, and the differential T(d_A, 1) + T(1, d_B) of
+    _glue_maps.  With a window, only the summands and entries inside it are
+    made: the product clipped to the window, with tail_lo set."""
     layout = product_layout(A, B, window)
     groups = {
         k: [ob_op(A.groups[i][pa], B.groups[j][pb]) for i, j, pa, pb in lay]
         for k, lay in layout.items()
     }
-    one_A, one_B = (_columns(ChainMap.identity(C).mats) for C in (A, B))
-    pairs = ((_columns(A.diff), one_B, 1, 0), (one_A, _columns(B.diff), 0, 1))
-    diff = _glue_maps(A, B, layout, layout, pairs, structure)
-    shell = ChainComplex(
+    d_A, d_B = (_columns(
+        (k, r, c, C.groups[k + 1][r].tangle, f)
+        for k, mat in C.diff.items() for (r, c), f in mat.items()
+    ) for C in (A, B))
+    one_A, one_B = (_columns(
+        (k, i, i, o.tangle, cob.identity_cob(o).terms)
+        for k, objs in C.groups.items() for i, o in enumerate(objs)
+    ) for C in (A, B))
+    pairs = ((d_A, one_B, 1, 0), (one_A, d_B, 0, 1))
+    return ChainComplex(
         out_mn[0],
         out_mn[1],
         A.window + B.window if window is None else window,
         groups,
-        {},
+        _glue_maps(A, B, layout, layout, pairs, structure),
         tail_lo=window is not None or A.tail_lo or B.tail_lo,
         tail_hi=A.tail_hi or B.tail_hi,
-        reliable=_combine_reliability(A, B),
+        reliable=reliable,
     )
-    return shell, diff
 
 
-def _with_diff(shell: ChainComplex, diff: TermDiff) -> ChainComplex:
-    return replace(shell, diff=_cobordisms(diff, shell, shell, 1))
-
-
-def _stack(A: ChainComplex, B: ChainComplex, window: Window | None = None) -> tuple[ChainComplex, TermDiff]:
+def stack_complexes(A: ChainComplex, B: ChainComplex, window: Window | None = None) -> ChainComplex:
+    """Vertical planar composition (A over B), clipped to `window` when one
+    is given; product_layout gives its summands.  simplify(stack_complexes(
+    A, B, window)) simplifies as it glues (D. Bar-Natan, Fast Khovanov
+    homology computations): the engine takes the product's entries as they
+    are made, and only inside the window."""
     if A.n != B.m:
         raise DimensionError(f"cannot stack ({A.m},{A.n}) over ({B.m},{B.n})")
-    return _planar(A, B, cob.stack_objects, cob._stack_structure, (A.m, B.n), window)
+    return _planar(
+        A, B, cob.stack_objects, cob._stack_structure, (A.m, B.n), _combine_reliability(A, B),
+        window,
+    )
+
+
+def beside_complexes(A: ChainComplex, B: ChainComplex) -> ChainComplex:
+    """Horizontal planar composition (A left of B); product_layout gives its
+    summands."""
+    return _planar(
+        A, B, cob.beside_objects, cob._beside_structure, (A.m + B.m, A.n + B.n),
+        _combine_reliability(A, B),
+    )
 
 
 def _trace_structure(at, _bt, a2t, _b2t) -> cob.GlueStructure:
@@ -465,65 +494,35 @@ def _trace_structure(at, _bt, a2t, _b2t) -> cob.GlueStructure:
     return cob._trace_structure(at, a2t)
 
 
-def _trace(A: ChainComplex) -> tuple[ChainComplex, TermDiff]:
-    """The Markov closure as the planar product with the identity complex on
-    n strands.  Single slot: no signs, and A's band."""
+def trace_complex(A: ChainComplex) -> ChainComplex:
+    """Markov closure of a complex over Cob^n_n: the planar product with the
+    identity complex on n strands.  Single slot: no signs, and A's band."""
     if A.m != A.n:
         raise DimensionError("trace needs a square complex")
-    shell, diff = _planar(
-        A, identity_complex(A.n), lambda a, _b: cob.trace_object(a), _trace_structure, (0, 0)
+    return _planar(
+        A, identity_complex(A.n), lambda a, _b: cob.trace_object(a), _trace_structure, (0, 0),
+        A.reliable,
     )
-    return replace(shell, reliable=A.reliable), diff
-
-
-def stack_complexes(A: ChainComplex, B: ChainComplex) -> ChainComplex:
-    """Vertical planar composition (A over B); product_layout gives its
-    summands."""
-    return _with_diff(*_stack(A, B))
-
-
-def beside_complexes(A: ChainComplex, B: ChainComplex) -> ChainComplex:
-    """Horizontal planar composition (A left of B); product_layout gives its
-    summands."""
-    return _with_diff(*_planar(
-        A, B, cob.beside_objects, cob._beside_structure, (A.m + B.m, A.n + B.n)
-    ))
-
-
-def trace_complex(A: ChainComplex) -> ChainComplex:
-    """Markov closure of a complex over Cob^n_n (single slot: no signs)."""
-    return _with_diff(*_trace(A))
-
-
-def simplify_stack(A: ChainComplex, B: ChainComplex, window: Window | None = None) -> ChainComplex:
-    """simplify(stack_complexes(A, B)), the product first clipped to
-    `window` when one is given, in one pass: the elimination engine takes
-    the product's term dicts, and only the result's entries become
-    cobordisms (D. Bar-Natan, Fast Khovanov homology computations: simplify
-    as you glue)."""
-    return _simplified(*_stack(A, B, window))
-
-
-def simplify_trace(A: ChainComplex) -> ChainComplex:
-    """simplify(trace_complex(A)) in one pass, as simplify_stack."""
-    return _simplified(*_trace(A))
-
-
-def _simplified(shell: ChainComplex, diff: TermDiff) -> ChainComplex:
-    """simplify of the planar product shell with differential diff, under
-    the same step cap."""
-    return _reduce(shell, _simplify_steps, diff=diff)[0]
 
 
 def _planar_map(F: ChainMap, G: ChainMap, SRC: ChainComplex, TGT: ChainComplex, structure) -> ChainMap:
     """T(F, G) from SRC, the planar product of F's and G's sources, to TGT,
     that of their targets."""
+
+    def columns(H: ChainMap) -> Columns:
+        return _columns(
+            (k, r, c, f.target.tangle, f.terms)
+            for k, mat in H.mats.items() for (r, c), f in mat.items()
+        )
+
     mats = _glue_maps(
         F.source, G.source, product_layout(F.source, G.source), product_layout(F.target, G.target),
-        ((_columns(F.mats), _columns(G.mats), F.hdeg, G.hdeg),), structure,
+        ((columns(F), columns(G), F.hdeg, G.hdeg),), structure,
     )
     hdeg = F.hdeg + G.hdeg
-    return ChainMap(SRC, TGT, hdeg, F.qdeg + G.qdeg, _cobordisms(mats, SRC, TGT, hdeg))
+    return ChainMap(SRC, TGT, hdeg, F.qdeg + G.qdeg, {
+        k: _cobordisms(mat, SRC.objects(k), TGT.objects(k + hdeg)) for k, mat in mats.items()
+    })
 
 
 def stack_chain_maps(F: ChainMap, G: ChainMap) -> ChainMap:
@@ -554,7 +553,7 @@ def shift_h(A: ChainComplex, s: int) -> ChainComplex:
         window=Window(A.window.lo + s, A.window.hi + s),
         groups={k + s: v for k, v in A.groups.items()},
         diff={
-            k + s: {rc: f.scale(sign) for rc, f in mat.items()}
+            k + s: {rc: cob.scale_terms(f, sign) for rc, f in mat.items()}
             for k, mat in A.diff.items()
         },
         reliable=(A.reliable[0] + s, A.reliable[1] + s),
@@ -562,18 +561,10 @@ def shift_h(A: ChainComplex, s: int) -> ChainComplex:
 
 
 def shift_q(A: ChainComplex, s: int) -> ChainComplex:
+    """The q^s shift: every object shifted, the differential's terms as
+    they are (they do not depend on the objects' q-shifts)."""
     return replace(
-        A,
-        groups={
-            k: [o.shifted(s) for o in objs] for k, objs in A.groups.items()
-        },
-        diff={
-            k: {
-                rc: f.with_shifts(f.source.qshift + s, f.target.qshift + s)
-                for rc, f in mat.items()
-            }
-            for k, mat in A.diff.items()
-        },
+        A, groups={k: [o.shifted(s) for o in objs] for k, objs in A.groups.items()}
     )
 
 
@@ -588,15 +579,15 @@ def cone(F: ChainMap) -> ChainComplex:
         objs = list(A.groups.get(k + 1, [])) + list(B.groups.get(k, []))
         if objs:
             groups[k] = objs
-    diff: dict[int, Matrix] = {}
+    diff: dict[int, TermMatrix] = {}
     for k in range(window.lo, window.hi + 1):
         na_src = len(A.groups.get(k + 1, []))
         na_tgt = len(A.groups.get(k + 2, []))
-        mat: Matrix = {}
+        mat: TermMatrix = {}
         for (r, c), f in A.diff.get(k + 1, {}).items():
-            mat[(r, c)] = f.scale(-1)
+            mat[(r, c)] = cob.scale_terms(f, -1)
         for (r, c), f in F.mats.get(k + 1, {}).items():
-            mat[(na_tgt + r, c)] = f
+            mat[(na_tgt + r, c)] = f.terms
         for (r, c), f in B.diff.get(k, {}).items():
             mat[(na_tgt + r, na_src + c)] = f
         if mat:
@@ -612,14 +603,13 @@ def dual_complex(A: ChainComplex) -> ChainComplex:
     """(A^v)^k = (A^{-k})^v with differential -(d_A)^v; window, tails and
     reliable band are reversed."""
     groups = {-k: [cob.dualize_ob(o) for o in objs] for k, objs in A.groups.items()}
-    diff: dict[int, Matrix] = {}
-    for k, mat in A.diff.items():
+    diff: dict[int, TermMatrix] = {}
+    for k in A.diff:
         # d_A^k : A^k -> A^{k+1} dualizes to (A^v)^{-k-1} -> (A^v)^{-k}
-        newmat: Matrix = {}
-        for (r, c), f in mat.items():
-            newmat[(c, r)] = cob.dualize_cob(f).scale(-1)
-        if newmat:
-            diff[-k - 1] = newmat
+        diff[-k - 1] = {
+            (c, r): cob.scale_terms(cob.dualize_cob(f).terms, -1)
+            for (r, c), f in A.cobordisms(k).items()
+        }
     return ChainComplex(
         A.n,
         A.m,
@@ -653,8 +643,8 @@ def dual_chain_map(F: ChainMap) -> ChainMap:
 def reflect_x_complex(A: ChainComplex) -> ChainComplex:
     groups = {k: [cob.reflect_x_ob(o) for o in objs] for k, objs in A.groups.items()}
     diff = {
-        k: {rc: cob.reflect_x_cob(f) for rc, f in mat.items()}
-        for k, mat in A.diff.items()
+        k: {rc: cob.reflect_x_cob(f).terms for rc, f in A.cobordisms(k).items()}
+        for k in A.diff
     }
     return replace(A, m=A.n, n=A.m, groups=groups, diff=diff)
 
@@ -662,8 +652,8 @@ def reflect_x_complex(A: ChainComplex) -> ChainComplex:
 def reflect_y_complex(A: ChainComplex) -> ChainComplex:
     groups = {k: [cob.reflect_y_ob(o) for o in objs] for k, objs in A.groups.items()}
     diff = {
-        k: {rc: cob.reflect_y_cob(f) for rc, f in mat.items()}
-        for k, mat in A.diff.items()
+        k: {rc: cob.reflect_y_cob(f).terms for rc, f in A.cobordisms(k).items()}
+        for k in A.diff
     }
     return replace(A, groups=groups, diff=diff)
 
@@ -677,11 +667,12 @@ class _Work:
     in place by its two steps, delooping (deloop) and Gaussian elimination
     (eliminate).
 
-    An edge is a bare term dict (cob.Terms); its endpoints are obj[src] and
-    obj[tgt].  The steps rewrite term dicts only, through the cores cob's
-    morphisms share (compose_terms, add_terms, scale_terms, iso_sign), and
-    finish builds each result cobordism once, through the validating
-    CanonicalCobordism constructor.
+    An edge is a term dict (cob.Terms), the format of a complex's
+    differential; its endpoints are obj[src] and obj[tgt].  The steps
+    rewrite term dicts only, through the cores cob's morphisms share
+    (compose_terms, add_terms, scale_terms, iso_sign).  finish hands the
+    edges of d back as they are, and builds each entry of the SDR's maps
+    once, through the validating CanonicalCobordism constructor.
 
     With track=True it also keeps the strong deformation retraction (r, i,
     h) from the original complex as edges to ghost objects.  Each original
@@ -698,7 +689,7 @@ class _Work:
 
     def __init__(
         self, C: ChainComplex, protected: set[tuple[int, int]] | None = None,
-        track: bool = False, diff: TermDiff | None = None,
+        track: bool = False,
     ):
         self.source = C
         self.track = track
@@ -723,9 +714,7 @@ class _Work:
                 if protected and (k, p) in protected:
                     self.protected.add(oid)
             self.order[k] = ids
-        if diff is None:
-            diff = {k: {rc: f.terms for rc, f in mat.items()} for k, mat in C.diff.items()}
-        for k, mat in diff.items():
+        for k, mat in C.diff.items():
             for (r, c), f in mat.items():
                 self.set_edge(self.order[k][c], self.order[k + 1][r], f)
         if track:
@@ -850,7 +839,7 @@ class _Work:
             groups[k] = [self.obj[i] for i in ids]
             for p, i in enumerate(ids):
                 pos[i] = (k, p)
-        diff: dict[int, Matrix] = {}
+        diff: dict[int, TermMatrix] = {}
         r_mats: dict[int, Matrix] = {}
         i_mats: dict[int, Matrix] = {}
         minus_h: dict[int, Matrix] = {}
@@ -862,11 +851,11 @@ class _Work:
         ghost, obj = self.ghost, self.obj
         for src, outs in self.out_edges.items():
             k, c = pos[src]
-            a = obj[src]
             for tgt, f in outs.items():
-                by_ends[src in ghost, tgt in ghost].setdefault(k, {})[(pos[tgt][1], c)] = (
-                    CanonicalCobordism(a, obj[tgt], f)
-                )
+                ends = src in ghost, tgt in ghost
+                if ends != (False, False):
+                    f = CanonicalCobordism(obj[src], obj[tgt], f)
+                by_ends[ends].setdefault(k, {})[(pos[tgt][1], c)] = f
         C = replace(self.source, groups=groups, diff=diff)
         if not self.track:
             return C, None
@@ -917,13 +906,11 @@ def _pivot_sweep(work: _Work) -> list[tuple[int, int]]:
 
 def _reduce(
     C: ChainComplex, run, protected: set[tuple[int, int]] | None = None,
-    track: bool = False, sort_objects: bool = True, diff: TermDiff | None = None,
+    track: bool = False, sort_objects: bool = True,
 ) -> tuple[ChainComplex, Equivalence | None]:
     """The one entry to the engine: copy C into a _Work, let run(work) take
-    its steps, and rebuild the result (and the SDR when tracked).  A planar
-    product comes as its complex without differential and, in diff, its
-    differential in term dicts."""
-    work = _Work(C, protected, track, diff)
+    its steps, and rebuild the result (and the SDR when tracked)."""
+    work = _Work(C, protected, track)
     run(work)
     return work.finish(sort_objects)
 
@@ -953,10 +940,10 @@ def gaussian_eliminate(
     r.i = 1, 1 - i.r = dH + Hd, r.H = 0, H.i = 0, H.H = 0.
     """
     k, r, c = entry
-    f = C.entry(k, r, c)
+    f = C.diff.get(k, {}).get((r, c))
     if f is None:
         raise SpinhomError(f"no differential entry at {entry}")
-    sign = f.is_identity_iso()
+    sign = cob.iso_sign(C.objects(k)[c], C.objects(k + 1)[r], f)
     if sign is None:
         raise SpinhomError(f"entry at {entry} is not an isomorphism")
 
@@ -1009,6 +996,10 @@ def simplify(
     is never delooped or eliminated, so with the equivalence, column
     (k, p) of eq.r holds one entry: the identity into that object's
     position in the result.
+
+    The engine takes C's term dicts as they are, so simplify(
+    stack_complexes(A, B, window)) and simplify(trace_complex(A)) glue
+    then simplify with no conversion between the two steps.
     """
     return _reduce(
         C, _simplify_steps, protected, want_equivalence,
@@ -1055,16 +1046,18 @@ def _hom_d(
     own row of d_A, composed as term dicts (cob.compose_terms) with the
     iso_sign of each generator and each entry taken once."""
 
-    def signed(mat: Matrix) -> dict[int, list[tuple[int, cob.Terms, int | None]]]:
-        return {
-            c: [(r, f.terms, cob.iso_sign(f.source, f.target, f.terms)) for r, f in col]
-            for c, col in _by_column(mat).items()
-        }
+    def signed(C: ChainComplex, k: int, by_row: bool) -> dict[int, list[tuple]]:
+        """d^k of C by column, or by row: [(row or column, terms, iso_sign)],
+        each list in the matrix's order."""
+        src, tgt = C.objects(k), C.objects(k + 1)
+        out: dict[int, list[tuple[int, cob.Terms, int | None]]] = {}
+        for (r, c), f in C.diff.get(k, {}).items():
+            key, other = (r, c) if by_row else (c, r)
+            out.setdefault(key, []).append((other, f, cob.iso_sign(src[c], tgt[r], f)))
+        return out
 
-    col_b = functools.cache(lambda j: signed(B.diff.get(j, {})))
-    row_a = functools.cache(
-        lambda i: signed({(c, r): f for (r, c), f in A.diff.get(i, {}).items()})
-    )
+    col_b = functools.cache(lambda j: signed(B, j, False))
+    row_a = functools.cache(lambda i: signed(A, i, True))
     negate = t % 2 == 0
     out: dict[tuple[int, int], AlphaPoly] = {}
 
@@ -1150,7 +1143,7 @@ def tautological(C: ChainComplex) -> ModuleComplex:
         out: dict[tuple[int, int], AlphaPoly] = {}
         for (r, c), g in C.diff.get(k, {}).items():
             cd = closure_data(src[c].tangle, tgt[r].tangle)
-            for a, poly in g.terms.items():
+            for a, poly in g.items():
                 row = rows[r] + _dot_index(a[ci] for ci in cd.tgt_circ)
                 col = firsts[c] + _dot_index(1 - a[ci] for ci in cd.src_circ)
                 out[(row, col)] = poly
@@ -1211,8 +1204,11 @@ def bicomplex_contraction(A: ChainComplex, B: ChainComplex, h: ChainMap, mode: s
     h = ChainMap(T, T, -1, h.qdeg, h.mats)
     layout = product_layout(A, B)
     d_h = ChainMap(T, T, 1, 0, {
-        k: {rc: f for rc, f in mat.items() if layout[k + 1][rc[0]][0] == layout[k][rc[1]][0] + 1}
-        for k, mat in T.diff.items()
+        k: {
+            rc: f for rc, f in T.cobordisms(k).items()
+            if layout[k + 1][rc[0]][0] == layout[k][rc[1]][0] + 1
+        }
+        for k in T.diff
     })
     H = term = h
     while not (term := -compose_maps(h, compose_maps(d_h, term))).is_zero():

@@ -56,14 +56,13 @@ def p2(window: Window) -> "ProjectorComplex":
     groups = {0: [ShiftedObject(one2, 0)]}
     for k in range(1, N + 1):
         groups[-k] = [ShiftedObject(e, 2 * k - 1)]
-    diff: dict[int, cx.Matrix] = {}
+    diff: dict[int, cx.TermMatrix] = {}
     if N >= 1:
-        diff[-1] = {(0, 0): cob.surgery(ShiftedObject(e, 1), 0, 2, target_shift=0)}
+        diff[-1] = {(0, 0): cob.surgery(ShiftedObject(e), 0, 2).terms}
     for j in range(2, N + 1):
-        src = ShiftedObject(e, 2 * j - 1)
-        t = cob.dot_at_point(src, 0).with_shifts(2 * j - 1, 2 * j - 3)
-        b = cob.dot_at_point(src, 2).with_shifts(2 * j - 1, 2 * j - 3)
-        diff[-j] = {(0, 0): (t - b if j % 2 == 0 else t + b)}
+        t = cob.dot_at_point(ShiftedObject(e), 0)
+        b = cob.dot_at_point(ShiftedObject(e), 2)
+        diff[-j] = {(0, 0): (t - b if j % 2 == 0 else t + b).terms}
     return certified_projector(ChainComplex(2, 2, window, groups, diff), 2, window)
 
 
@@ -198,8 +197,10 @@ def check_projector_axioms(C: ChainComplex, n: int, window: Window) -> Certifica
     to support inside the margin [window.lo, window.lo + n)."""
     cert = Certificate(n, _identity_exactly_in_degree_zero(C, n), {})
     for i in range(max(0, n - 1)):
-        above = cx.simplify_stack(cx.from_tangle(FlatTangle.turnback_above(i, n)), C)
-        below = cx.simplify_stack(C, cx.from_tangle(FlatTangle.turnback_below(i, n)))
+        cap = cx.from_tangle(FlatTangle.turnback_above(i, n))
+        cup = cx.from_tangle(FlatTangle.turnback_below(i, n))
+        above = cx.simplify(cx.stack_complexes(cap, C))[0]
+        below = cx.simplify(cx.stack_complexes(C, cup))[0]
         for side, S in (("above", above), ("below", below)):
             supp = S.support()
             cert.turnbacks[(side, i)] = (all(k < window.lo + n for k in supp), supp)
@@ -275,23 +276,24 @@ def build_projector(n: int, window: Window) -> ProjectorComplex:
 
     P_2 and each of its blocks are built once per call.  A sweep product is
     generated only inside [window.lo - SWEEP_MARGIN, 0] and simplified as it
-    is glued (complexes.simplify_stack); the result is clipped to the
-    window.  The seed products and the certificate's turnback products are
-    simplified the same way, unclipped.  Simplification is local in
-    degree: delooping an object of degree k rewrites only the differential
-    entries at that object, and cancelling an isomorphism from degree k to
-    k+1 removes those two objects and corrects only d_k.  So degrees at or
-    above window.lo change only through cancellations from degree
-    window.lo - 1 into window.lo, and with SWEEP_MARGIN = 1 every such
-    pivot is still present.  What degree window.lo - 2 could still decide
-    is whether a degree-(window.lo - 1) object is cancelled downward first,
-    so the argument is not a proof: byte-identity with the unclipped build
-    (simplify everything, then clip) is checked by a differential test on
-    P3 at depths 4-8, P4 at 3-5 and P5 at 3, not assumed.  Margin 0 drops
-    those pivots and changes the answer: the certificate rejects it at
-    P3@-8 (the Euler series no longer matches Jones-Wenzl), but P3@-7 and
-    shallower still pass, and at P3@-6 the change sits in degree window.lo,
-    below the reliable band, where only the differential test sees it.
+    is glued (simplify of stack_complexes with that window); the result is
+    clipped to the window.  The seed products and the certificate's
+    turnback products are simplified the same way, unclipped.
+    Simplification is local in degree: delooping an object of degree k
+    rewrites only the differential entries at that object, and cancelling
+    an isomorphism from degree k to k+1 removes those two objects and
+    corrects only d_k.  So degrees at or above window.lo change only
+    through cancellations from degree window.lo - 1 into window.lo, and
+    with SWEEP_MARGIN = 1 every such pivot is still present.  What degree
+    window.lo - 2 could still decide is whether a degree-(window.lo - 1)
+    object is cancelled downward first, so the argument is not a proof:
+    byte-identity with the unclipped build (simplify everything, then clip)
+    is checked by a differential test on P3 at depths 4-8, P4 at 3-5 and P5
+    at 3, not assumed.  Margin 0 drops those pivots and changes the answer:
+    the certificate rejects it at P3@-8 (the Euler series no longer matches
+    Jones-Wenzl), but P3@-7 and shallower still pass, and at P3@-6 the
+    change sits in degree window.lo, below the reliable band, where only the
+    differential test sees it.
     """
     if n < 0:
         raise SpinhomError("projector label must be non-negative")
@@ -307,16 +309,16 @@ def build_projector(n: int, window: Window) -> ProjectorComplex:
     blocks = {i: _p2_block(i, n, P) for i in range(n - 1)}
     current = blocks[0]
     for i in range(2, n - 1, 2):
-        current = cx.simplify_stack(current, blocks[i])
+        current = cx.simplify(cx.stack_complexes(current, blocks[i]))[0]
     margin_win = Window(win.lo - SWEEP_MARGIN, 0)
     lo = win.lo + n
     prev_form = None
     for sweep in range(MAX_SWEEPS):
         for i in range(n - 1):
-            current = _clip(cx.simplify_stack(blocks[i], current, margin_win), win)
+            current = _clip(cx.simplify(cx.stack_complexes(blocks[i], current, margin_win))[0], win)
         form = (
             {k: objs for k, objs in current.groups.items() if k >= lo},
-            {k: {rc: f.terms for rc, f in mat.items()} for k, mat in current.diff.items() if k >= lo - 1},
+            {k: mat for k, mat in current.diff.items() if k >= lo - 1},
         )
         if form == prev_form:
             break
@@ -350,11 +352,12 @@ def instantiate(
     composing the pieces with the planar products of spinhom.complexes.
 
     A Vertex is instantiated as its decomposition P_a over (core over
-    (P_b beside P_c)), the one expand_vertices writes.  Every Stack/Trace
-    is simplified as it is glued (simplify_stack, simplify_trace): its
-    unsimplified product exists only as the elimination engine's term
-    dicts, never as cobordisms.  A Beside is not simplified.  The result
-    is homotopy equivalent to the product of the pieces.
+    (P_b beside P_c)), the one expand_vertices writes, a Vertex under a
+    Dual included.  Every Stack/Trace is simplified as it is glued:
+    simplify(stack_complexes(...)) and simplify(trace_complex(...)), the
+    engine taking the product's term dicts as they are made.  A Beside is
+    not simplified.  The result is homotopy equivalent to the product of
+    the pieces.
 
     Invariant: the result is simplified.  Every leaf is (strands,
     diagrams and projectors hold no circle and no invertible entry), every
@@ -384,11 +387,11 @@ def instantiate(
         case ex.Vertex():
             return sub(expand_vertices(e))
         case ex.Stack(top, bottom):
-            return cx.simplify_stack(sub(top), sub(bottom))
+            return cx.simplify(cx.stack_complexes(sub(top), sub(bottom)))[0]
         case ex.Beside(left, right):
             return cx.beside_complexes(sub(left), sub(right))
         case ex.Trace(inner):
-            return cx.simplify_trace(sub(inner))
+            return cx.simplify(cx.trace_complex(sub(inner)))[0]
         case ex.Dual(inner):
             return cx.dual_complex(sub(inner))
         case ex.Zero():
@@ -761,20 +764,6 @@ def _layout(piece: ex.NetworkExpr, objects) -> tuple:
     return m_all, bottom, joins, boxes
 
 
-def _find(parent: list[int], x: int) -> int:
-    """The class of x in the union-find forest `parent`, halving its path."""
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
-
-
-def _union(parent: list[int], a: int, b: int) -> bool:
-    """Join the classes of a and b; whether they were apart."""
-    a, b = _find(parent, a), _find(parent, b)
-    parent[a] = b
-    return a != b
-
-
 def _prefixes(layouts: list[tuple]) -> tuple[list[tuple[float, int]], int | None]:
     """The planner's view of each prefix of a Stack chain of _layouts: the
     size estimate of its simplified product, and its circles; and the
@@ -804,18 +793,18 @@ def _prefixes(layouts: list[tuple]) -> tuple[list[tuple[float, int]], int | None
         circles += range(bottom, bottom + n)
         at = [*range(top, top + m), *range(bottom, bottom + n)]
         for a, b in joins:
-            _union(apart, at[a], at[b])
-            unions += _union(circles, at[a], at[b])
+            cob._union(apart, at[a], at[b])
+            unions += cob._union(circles, at[a], at[b])
         for count, points, through in parts:
             ends += [at[p] for p in points]
             owners += [len(boxes)] * len(points)
             boxes.append((count, len(points)))
             for a, b in through:
-                unions += _union(circles, at[a], at[b])
+                unions += cob._union(circles, at[a], at[b])
         top = bottom
         meets: dict = {}
         for point, box in zip(ends, owners):
-            meets.setdefault(_find(apart, point), []).append(box)
+            meets.setdefault(cob._find(apart, point), []).append(box)
         joined = [0] * len(boxes)
         for met in meets.values():
             if len(met) == 2 and met[0] != met[1]:
@@ -825,12 +814,12 @@ def _prefixes(layouts: list[tuple]) -> tuple[list[tuple[float, int]], int | None
             count ** (1 - joined[b] / points) if points else count
             for b, (count, points) in enumerate(boxes)
         )
-        rims = {_find(circles, x) for x in [*range(width), *range(bottom, bottom + n)]}
+        rims = {cob._find(circles, x) for x in [*range(width), *range(bottom, bottom + n)]}
         found.append((size, len(circles) - unions - len(rims)))
     if len(circles) - top != width:
         return found, None
     for i in range(width):
-        unions += _union(circles, i, top + i)
+        unions += cob._union(circles, i, top + i)
     return found, len(circles) - unions
 
 
@@ -912,8 +901,8 @@ def plan_gluing(e: ex.NetworkExpr, objects) -> ex.NetworkExpr:
 
     Homotopy invariance: the split is an isomorphism of complexes (the same
     objects and differential), only the order of the planar products
-    changes, and instantiate clips none of them (simplify_stack and
-    simplify_trace run without a window), so the planned complex is
+    changes, and instantiate clips none of them (its stack_complexes and
+    trace_complex run without a window), so the planned complex is
     homotopy equivalent to the unplanned one, and every homology entry and
     Euler series is unchanged."""
     match e:
@@ -947,18 +936,17 @@ def closed_module(
     e: ex.NetworkExpr, window: Window, rewrite: bool = True, projector=build_projector,
 ) -> ModuleComplex:
     """The module complex of a closed network: rewrite it and plan its
-    gluing order (or, for homology --verify's second route, only expand its
-    vertices), instantiate it (which leaves it simplified), and apply the
-    tautological functor.  The plan's cost model counts each P_n by its
-    objects in the window, read from `projector`, the source instantiate
-    then glues.  instantiate clips no product, so every gluing order gives
-    a homotopy equivalent complex: the plan changes no answer."""
+    gluing order (or, for homology --verify's second route, take it as it
+    is: instantiate expands its vertices), instantiate it (which leaves it
+    simplified), and apply the tautological functor.  The plan's cost
+    model counts each P_n by its objects in the window, read from
+    `projector`, the source instantiate then glues.  instantiate clips no
+    product, so every gluing order gives a homotopy equivalent complex: the
+    plan changes no answer."""
     if not ex.is_closed(e):
         raise ArityError("homology/euler need a closed network")
     if rewrite:
         e = plan_gluing(rewrite_network(e), object_counts(window, projector))
-    else:
-        e = expand_vertices(e)
     return cx.tautological(instantiate(e, window, projector))
 
 

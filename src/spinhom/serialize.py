@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .cob import AlphaPoly, CanonicalCobordism, FlatTangle, ShiftedObject, closure_data
+from .cob import AlphaPoly, CanonicalCobordism, FlatTangle, ShiftedObject, Terms, closure_data
 from .complexes import ChainComplex, Window
 from .errors import IntegrityError
 
@@ -68,31 +68,33 @@ def _unmask(mask: int, width: int) -> tuple[int, ...]:
     return tuple((mask >> i) & 1 for i in range(width))
 
 
-def _terms_to_data(f: CanonicalCobordism) -> list:
-    return sorted([[_mask(a), poly_to_data(p)] for a, p in f.terms.items()])
+def _terms_to_data(terms: Terms) -> list:
+    return sorted([[_mask(a), poly_to_data(p)] for a, p in terms.items()])
 
 
-def _terms_from_data(src: ShiftedObject, tgt: ShiftedObject, terms: list) -> CanonicalCobordism:
+def _terms_from_data(src: ShiftedObject, tgt: ShiftedObject, terms: list) -> Terms:
+    """The term dict of a cobordism src -> tgt, without zero
+    coefficients."""
     width = closure_data(src.tangle, tgt.tangle).n
     masks = [mask for mask, _p in terms]
     _check_ints(*masks)
     if not all(0 <= mask < 1 << width for mask in masks):
         raise IntegrityError(f"dot mask outside {width} closure circles: {masks!r}")
-    return CanonicalCobordism(
-        src, tgt, {_unmask(mask, width): poly_from_data(p) for mask, p in terms}
-    )
+    polys = {_unmask(mask, width): poly_from_data(p) for mask, p in terms}
+    return {a: p for a, p in polys.items() if p}
 
 
 def cobordism_to_data(f: CanonicalCobordism) -> dict[str, Any]:
     return {
         "src": object_to_data(f.source),
         "tgt": object_to_data(f.target),
-        "terms": _terms_to_data(f),
+        "terms": _terms_to_data(f.terms),
     }
 
 
 def cobordism_from_data(d: dict[str, Any]) -> CanonicalCobordism:
-    return _terms_from_data(object_from_data(d["src"]), object_from_data(d["tgt"]), d["terms"])
+    src, tgt = object_from_data(d["src"]), object_from_data(d["tgt"])
+    return CanonicalCobordism(src, tgt, _terms_from_data(src, tgt, d["terms"]))
 
 
 def complex_to_data(C: ChainComplex) -> dict[str, Any]:

@@ -58,9 +58,8 @@ def two_term_piece(rng: random.Random, n: int, degree: int, qshift: int,
             f = identity_cob(src).scale(rng.choice([1, -1]))
         d0 = cob_degree(f)
         tgt_obj = ShiftedObject(f.target.tangle, qshift - d0)
-        f = f.with_shifts(qshift, qshift - d0)
     groups = {degree: [src], degree + 1: [tgt_obj]}
-    diff = {degree: {(0, 0): f}}
+    diff = {degree: {(0, 0): f.terms}}
     return ChainComplex(n, n, Window(degree, degree + 1), groups, diff)
 
 
@@ -151,7 +150,7 @@ def first_iso_entry(C: ChainComplex) -> tuple[int, int, int] | None:
     """The first invertible differential entry (degree, row, col) in
     (degree, row, col) order, or None."""
     for k in sorted(C.diff):
-        for (r, c), f in sorted(C.diff[k].items()):
+        for (r, c), f in sorted(C.cobordisms(k).items()):
             if f.is_identity_iso() is not None:
                 return k, r, c
     return None
@@ -789,8 +788,8 @@ def reference_binary_planar(A: ChainComplex, B: ChainComplex, ob_op, mor_op,
         mat = diff.setdefault(k, {})
         mat[(r, c)] = mat[(r, c)] + f if (r, c) in mat else f
 
-    colsA = {deg: cx._by_column(mat) for deg, mat in A.diff.items()}
-    colsB = {deg: cx._by_column(mat) for deg, mat in B.diff.items()}
+    colsA = {deg: cx._by_column(A.cobordisms(deg)) for deg in A.diff}
+    colsB = {deg: cx._by_column(B.cobordisms(deg)) for deg in B.diff}
     for k, lay in layout.items():
         for cpos, (i, j, pa, pb) in enumerate(lay):
             oa = A.groups[i][pa]
@@ -806,7 +805,8 @@ def reference_binary_planar(A: ChainComplex, B: ChainComplex, ob_op, mor_op,
                     h = mor_op(cob.identity_cob(oa), g)
                     add_entry(k, index[key], cpos, h if sign == 1 else h.scale(-1))
     return ChainComplex(
-        out_mn[0], out_mn[1], A.window + B.window, groups, diff,
+        out_mn[0], out_mn[1], A.window + B.window, groups,
+        {k: {rc: f.terms for rc, f in mat.items()} for k, mat in diff.items()},
         tail_lo=A.tail_lo or B.tail_lo,
         tail_hi=A.tail_hi or B.tail_hi,
         reliable=cx._combine_reliability(A, B),
@@ -832,7 +832,7 @@ def reference_trace_complex(A: ChainComplex) -> ChainComplex:
     from spinhom import cob
 
     groups = {k: [cob.trace_object(o) for o in objs] for k, objs in A.groups.items()}
-    diff = {k: {rc: cob.trace(f) for rc, f in mat.items()} for k, mat in A.diff.items()}
+    diff = {k: {rc: cob.trace(f).terms for rc, f in A.cobordisms(k).items()} for k in A.diff}
     return ChainComplex(0, 0, A.window, groups, diff, A.tail_lo, A.tail_hi, A.reliable)
 
 
@@ -969,8 +969,8 @@ def reference_estimate(pieces, objects, closed: bool = False) -> tuple[float, in
 def engine_inputs():
     """Record the object count of every complex the elimination engine
     (complexes._Work) takes in, in order: a list that fills while the block
-    runs.  The fused passes (simplify_stack, simplify_trace) enter the
-    engine only there, so this counts what their products hold."""
+    runs.  Every simplify enters the engine there, so this counts what the
+    planar products it simplifies hold."""
     sizes: list[int] = []
     engine = cx._Work
 

@@ -92,14 +92,14 @@ def test_ac02_p2_fidelity():
         assert C.objects(-k) == [ShiftedObject(e, 2 * k - 1)]
     # stated differentials: saddle into degree 0, then alternating
     # dot-difference / dot-sum
-    sad = C.entry(-1, 0, 0)
+    sad = C.cobordisms(-1)[(0, 0)]
     assert sad.terms == {(0,): AlphaPoly({0: 1})}
     for j in range(2, 11):
         src = C.objects(-j)[0]
         t = dot_at_point(src, 0).with_shifts(src.qshift, src.qshift - 2)
         b = dot_at_point(src, 2).with_shifts(src.qshift, src.qshift - 2)
         expect = t - b if j % 2 == 0 else t + b
-        assert C.entry(-j, 0, 0) == expect, j
+        assert C.cobordisms(-j) == {(0, 0): expect}, j
     assert P.certificate.passed
     _report("AC2  P2 fidelity (window -10..0)", t0, 1)
 
@@ -264,7 +264,7 @@ def test_ac08_bi_infinite_regression_fixture():
         src = ShiftedObject(e, -1 - 2 * k)
         t = dot_at_point(src, 0).with_shifts(-1 - 2 * k, -3 - 2 * k)
         b = dot_at_point(src, 2).with_shifts(-1 - 2 * k, -3 - 2 * k)
-        diff[k] = {(0, 0): (t - b if k % 2 == 0 else t + b)}
+        diff[k] = {(0, 0): (t - b if k % 2 == 0 else t + b).terms}
     N = cx.ChainComplex(2, 2, Window(0, K), groups, diff, tail_hi=True)
     N.validate()
     S, _ = simplify(stack_complexes(N, P2))
@@ -275,8 +275,8 @@ def test_ac08_bi_infinite_regression_fixture():
         assert len(objs) == 1
         assert objs[0].tangle == e and objs[0].qshift == -2 * k - 1, (k, objs)
     for k in range(-K + 2, -1):
-        f = S.entry(k, 0, 0)
-        vals = {(a, p.coeffs.get(0)) for a, p in f.terms.items()}
+        f = S.diff[k][(0, 0)]
+        vals = {(a, p.coeffs.get(0)) for a, p in f.items()}
         is_sum = vals in ({((0, 1), 1), ((1, 0), 1)}, {((0, 1), -1), ((1, 0), -1)})
         is_diff = vals in ({((0, 1), 1), ((1, 0), -1)}, {((0, 1), -1), ((1, 0), 1)})
         assert is_sum or is_diff, (k, vals)
@@ -312,7 +312,7 @@ def test_ac09_appendix_machinery():
         sgn = rng.choice([1, -1])
         B = cx.ChainComplex(
             1, 1, Window(0, 1), {0: [o], 1: [o]},
-            {0: {(0, 0): identity_cob(o).scale(sgn)}},
+            {0: {(0, 0): identity_cob(o).scale(sgn).terms}},
         )
         H = bicomplex_contraction(A, B, column_homotopy(A, B, sgn), "sum")
         assert commutator_with_d(H).mats == ChainMap.identity(H.source).mats
@@ -321,7 +321,7 @@ def test_ac09_appendix_machinery():
     o = ShiftedObject(FlatTangle.identity(1), 0)
     B = cx.ChainComplex(
         1, 1, Window(-2, -1), {-2: [o], -1: [o]},
-        {-2: {(0, 0): identity_cob(o)}},
+        {-2: {(0, 0): identity_cob(o).terms}},
     )
     T = stack_complexes(A, B)  # support at (2, -2), (2, -1): quadrant IV
     with pytest.raises(SpinhomError, match="quadrant-IV"):
@@ -329,7 +329,7 @@ def test_ac09_appendix_machinery():
     A2 = shift_h(cx.from_tangle(FlatTangle.identity(1)), -2)
     B2 = cx.ChainComplex(
         1, 1, Window(1, 2), {1: [o], 2: [o]},
-        {1: {(0, 0): identity_cob(o)}},
+        {1: {(0, 0): identity_cob(o).terms}},
     )
     T2 = stack_complexes(A2, B2)  # support in quadrant II
     with pytest.raises(SpinhomError, match="quadrant-II"):

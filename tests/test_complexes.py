@@ -63,8 +63,9 @@ from spinhom.complexes import (
     tautological,
     trace_complex,
 )
-from spinhom.errors import DimensionError, SpinhomError
+from spinhom.errors import DimensionError, IntegrityError, SpinhomError
 from spinhom.homology import euler_characteristic, homology_table
+from spinhom.record import replace
 
 E = FlatTangle.e(0, 2)
 ONE2 = FlatTangle.identity(2)
@@ -85,6 +86,32 @@ def test_single_slot_is_identity():
     assert T.graded_objects() == A.graded_objects()
 
 
+def test_validate_rejects_malformed_term_dicts():
+    # the planar products and the engine write term dicts without the
+    # validating CanonicalCobordism constructor, so validate must see a
+    # dot assignment of the wrong width or a non-bit, and an entry of
+    # nonzero q-degree
+    P = pj.p2(Window(-2, 0)).complex
+    P.validate()
+    ((rc, terms),) = P.diff[-1].items()
+
+    def with_entry(f):
+        return replace(P, diff={**P.diff, -1: {rc: f}})
+
+    for bad in (
+        {a + (0,): p for a, p in terms.items()},
+        {a[:-1]: p for a, p in terms.items()},
+        {(2,) * len(a): p for a, p in terms.items()},
+    ):
+        with pytest.raises(IntegrityError, match="bad dot assignment"):
+            with_entry(bad).validate()
+    alpha = AlphaPoly({1: 1})
+    with pytest.raises(IntegrityError, match="q-degree 4"):
+        with_entry({a: p * alpha for a, p in terms.items()}).validate()
+    with pytest.raises(IntegrityError, match="out of range"):
+        replace(P, diff={**P.diff, -1: {(1, 0): terms}}).validate()
+
+
 def test_shift_conventions():
     A = from_tangle(E, 1)
     assert shift_h(shift_h(A, 1), 1).graded_objects() == shift_h(A, 2).graded_objects()
@@ -94,7 +121,7 @@ def test_shift_conventions():
     S = shift_h(P, 1)
     S.validate()
     # t-shift negates the differential
-    assert S.entry(1, 0, 0) == P.entry(0, 0, 0).scale(-1)
+    assert S.cobordisms(1) == {(0, 0): P.cobordisms(0)[(0, 0)].scale(-1)}
 
 
 def test_cone_of_identity_contracts():
@@ -148,7 +175,7 @@ def test_gaussian_elimination_identities_random():
 def test_gaussian_elimination_rejects_non_iso():
     rng = random.Random(2)
     C = two_term_piece(rng, 2, 0, 0)  # saddle entry, not invertible
-    f = C.entry(0, 0, 0)
+    f = C.cobordisms(0)[(0, 0)]
     if f.is_identity_iso() is None:
         with pytest.raises(SpinhomError):
             gaussian_eliminate(C, (0, 0, 0))
@@ -165,8 +192,8 @@ def test_simplify_full_sdr():
         assert all(o.tangle.circles == 0 for objs in S.groups.values() for o in objs)
         assert all(
             f.is_identity_iso() is None
-            for mat in S.diff.values()
-            for f in mat.values()
+            for k in S.diff
+            for f in S.cobordisms(k).values()
         )
 
 
@@ -233,8 +260,8 @@ def test_simplify_sdr_property_with_protected_objects(case):
         for p, o in enumerate(objs):
             if (k, p) not in kept:
                 assert o.tangle.circles == 0
-    for k, mat in S.diff.items():
-        for (r, c), f in mat.items():
+    for k in S.diff:
+        for (r, c), f in S.cobordisms(k).items():
             if (k, c) not in kept and (k + 1, r) not in kept:
                 assert f.is_identity_iso() is None
 
@@ -365,7 +392,7 @@ def _contractible_column_complex(rng, n):
     sgn = rng.choice([1, -1])
     B = ChainComplex(
         n, n, Window(0, 1), {0: [o], 1: [o]},
-        {0: {(0, 0): identity_cob(o).scale(sgn)}},
+        {0: {(0, 0): identity_cob(o).scale(sgn).terms}},
     )
     return B, o, sgn
 

@@ -1,13 +1,13 @@
-"""Differential tests for the term-level planar product and the fused
-glue-then-simplify pass.
+"""Differential tests for the term-level planar product and glue-then-simplify.
 
-simplify_stack(A, B, window) must give, byte for byte, what the morphism-level
-reference product of tests/helpers.py gives after _clip to the window and
-simplify; simplify_trace likewise for the trace, and stack_complexes,
-beside_complexes and trace_complex must equal the reference products.  Checked
-on the products real builds make (every sweep and certification stack of
-P3@-6 and P4@-4, the reduced Stack and Trace nodes of theta(2,3,3) at window
-6) and on random complexes and windows.
+simplify(stack_complexes(A, B, window)) must give, byte for byte, what the
+morphism-level reference product of tests/helpers.py gives after _clip to
+the window and simplify; simplify(trace_complex(A)) likewise for the trace,
+and stack_complexes (clipped or not), beside_complexes and trace_complex
+must equal the reference products.  Checked on the products real builds
+make (every sweep and certification stack of P3@-6 and P4@-4, the reduced
+Stack and Trace nodes of theta(2,3,3) at window 6) and on random complexes
+and windows.
 """
 
 import random
@@ -31,11 +31,10 @@ from spinhom.errors import ResourceError
 from spinhom.record import replace
 
 
-def _expected_stack(A, B, window):
+def _reference_stack(A, B, window):
+    """The reference product of A over B, clipped to window when given."""
     T = reference_stack_complexes(A, B)
-    if window is not None:
-        T = pj._clip(T, window)
-    return simplify(T)[0]
+    return T if window is None else pj._clip(T, window)
 
 
 def _record(monkeypatch, name: str) -> list:
@@ -43,8 +42,8 @@ def _record(monkeypatch, name: str) -> list:
     calls = []
     fn = getattr(cx, name)
 
-    def recorder(*args):
-        out = fn(*args)
+    def recorder(*args, **kwargs):
+        out = fn(*args, **kwargs)
         calls.append((args, out))
         return out
 
@@ -52,24 +51,36 @@ def _record(monkeypatch, name: str) -> list:
     return calls
 
 
+def _simplify_of(simplified: list, product) -> cx.ChainComplex:
+    """What production's simplify made of `product`: each product is
+    simplified once, as it was glued."""
+    (out,) = [out for (C, *_), out in simplified if C is product]
+    return out[0]
+
+
 @pytest.mark.parametrize("n,depth", [(3, 6), (4, 4)])
 def test_build_products_match_reference(n, depth, monkeypatch):
-    calls = _record(monkeypatch, "simplify_stack")
+    stacks = _record(monkeypatch, "stack_complexes")
+    simplified = _record(monkeypatch, "simplify")
     pj.build_projector.__wrapped__(n, Window(-depth, 0))
     monkeypatch.undo()
-    sweeps = [args for args, _ in calls if len(args) == 3]
+    sweeps = [args for args, _ in stacks if len(args) == 3]
     # every sweep step passes the margin window
     assert sweeps and all(w == Window(-depth - pj.SWEEP_MARGIN, 0) for _, _, w in sweeps)
     # the turnback certification stacks have no window
-    assert len(calls) - len(sweeps) >= 2 * (n - 1)
-    for args, out in calls:
+    assert len(stacks) - len(sweeps) >= 2 * (n - 1)
+    assert len(simplified) == len(stacks)
+    for args, out in stacks:
         A, B, window = (*args, None)[:3]
-        assert complex_bytes(out) == complex_bytes(_expected_stack(A, B, window))
+        expected = _reference_stack(A, B, window)
+        assert complex_bytes(out) == complex_bytes(expected)
+        assert complex_bytes(_simplify_of(simplified, out)) == complex_bytes(simplify(expected)[0])
 
 
 def test_theta_233_reduced_nodes_match_reference(monkeypatch):
-    stacks = _record(monkeypatch, "simplify_stack")
-    traces = _record(monkeypatch, "simplify_trace")
+    stacks = _record(monkeypatch, "stack_complexes")
+    traces = _record(monkeypatch, "trace_complex")
+    simplified = _record(monkeypatch, "simplify")
     e = pj.rewrite_network(ex.theta(2, 3, 3))
     pj.instantiate(e, Window(-6, 0))
     monkeypatch.undo()
@@ -77,13 +88,13 @@ def test_theta_233_reduced_nodes_match_reference(monkeypatch):
     # the projectors' own builds, when not cached yet, are among the stacks
     for args, out in stacks:
         A, B, window = (*args, None)[:3]
-        assert complex_bytes(out) == complex_bytes(_expected_stack(A, B, window))
-        assert complex_bytes(cx.stack_complexes(A, B)) == complex_bytes(
-            reference_stack_complexes(A, B)
-        )
+        expected = _reference_stack(A, B, window)
+        assert complex_bytes(out) == complex_bytes(expected)
+        assert complex_bytes(_simplify_of(simplified, out)) == complex_bytes(simplify(expected)[0])
     for (A,), out in traces:
-        assert complex_bytes(out) == complex_bytes(simplify(reference_trace_complex(A))[0])
-        assert complex_bytes(cx.trace_complex(A)) == complex_bytes(reference_trace_complex(A))
+        expected = reference_trace_complex(A)
+        assert complex_bytes(out) == complex_bytes(expected)
+        assert complex_bytes(_simplify_of(simplified, out)) == complex_bytes(simplify(expected)[0])
 
 
 def test_each_p2_block_built_once(monkeypatch):
@@ -124,13 +135,12 @@ def stackable_complexes(draw):
 @settings(max_examples=40, deadline=None)
 def test_fused_stack_matches_clip_then_simplify(case):
     A, B, window = case
-    assert complex_bytes(cx.simplify_stack(A, B, window)) == complex_bytes(
-        _expected_stack(A, B, window)
-    )
-    assert complex_bytes(cx.simplify_stack(A, B)) == complex_bytes(_expected_stack(A, B, None))
-    assert complex_bytes(cx.stack_complexes(A, B)) == complex_bytes(
-        reference_stack_complexes(A, B)
-    )
+    for w in (window, None):
+        product = cx.stack_complexes(A, B, w)
+        assert complex_bytes(product) == complex_bytes(_reference_stack(A, B, w))
+        assert complex_bytes(simplify(product)[0]) == complex_bytes(
+            simplify(_reference_stack(A, B, w))[0]
+        )
     assert complex_bytes(cx.beside_complexes(A, B)) == complex_bytes(
         reference_beside_complexes(A, B)
     )
@@ -146,16 +156,17 @@ def square_complex(draw):
 @settings(max_examples=40, deadline=None)
 def test_fused_trace_matches_trace_then_simplify(C):
     expected = reference_trace_complex(C)
-    assert complex_bytes(cx.trace_complex(C)) == complex_bytes(expected)
-    assert complex_bytes(cx.simplify_trace(C)) == complex_bytes(simplify(expected)[0])
+    product = cx.trace_complex(C)
+    assert complex_bytes(product) == complex_bytes(expected)
+    assert complex_bytes(simplify(product)[0]) == complex_bytes(simplify(expected)[0])
 
 
 def test_step_cap_applies_to_the_fused_pass(monkeypatch):
     P = pj.build_projector(2, Window(-3, 0)).complex
     monkeypatch.setattr(cx, "MAX_SIMPLIFY_STEPS", 1)
     with pytest.raises(ResourceError, match="step cap"):
-        cx.simplify_stack(P, P)
+        cx.simplify(cx.stack_complexes(P, P, Window(-4, 0)))
     with pytest.raises(ResourceError, match="step cap"):
-        cx.simplify_trace(cx.stack_complexes(P, P))
+        cx.simplify(cx.trace_complex(cx.stack_complexes(P, P)))
     with pytest.raises(ResourceError, match="step cap"):
         cx.simplify(cx.stack_complexes(P, P))

@@ -458,9 +458,9 @@ def test_instantiate_leaves_closed_networks_simplified():
             C = pj.instantiate(form, Window(-6, 0))
             for objs in C.groups.values():
                 assert all(o.tangle.circles == 0 for o in objs), name
-            for mat in C.diff.values():
-                for f in mat.values():
-                    assert cob.iso_sign(f.source, f.target, f.terms) is None, name
+            for k, mat in C.diff.items():
+                for (r, c), f in mat.items():
+                    assert cob.iso_sign(C.objects(k)[c], C.objects(k + 1)[r], f) is None, name
 
 
 def test_every_projector_has_the_band_of_its_window():

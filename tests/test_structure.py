@@ -5,6 +5,7 @@ and the code's own structure: no function the repository never names."""
 import ast
 import functools
 import io
+import json
 import os
 import subprocess
 import sys
@@ -266,6 +267,8 @@ TEST_ONLY = {
     "cob.shifted",
     "cob.stack",
     "cob.trace",
+    "cob.with_shifts",
+    "complexes._by_column",
     "complexes._deloop_all",
     # the general Hom engine (with _hom_d's nested add and signed), kept for
     # hom_complex_direct, the planned second route of homology --verify
@@ -276,6 +279,7 @@ TEST_ONLY = {
     "complexes._planar_map",
     "complexes.add",
     "complexes.bicomplex_contraction",
+    "complexes.columns",
     "complexes.commutator_with_d",
     "complexes.compose_maps",
     "complexes.cone",
@@ -291,11 +295,8 @@ TEST_ONLY = {
     "complexes.shift_h",
     "complexes.shift_q",
     "complexes.signed",
-    "complexes.simplify",
     "complexes.stack_chain_maps",
-    "complexes.stack_complexes",
     "complexes.trace_chain_map",
-    "complexes.trace_complex",
     "complexes.validate",
     "homology.in_column_lattice",
     "homology.poincare",
@@ -353,6 +354,34 @@ def test_benchmark_tracer_instruments_the_package():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_tracer_sees_the_elimination_engine():
+    # production glues then simplifies through the names perfbench/tracer.py
+    # wraps (complexes.simplify of complexes.stack_complexes), so a fused
+    # path that bypasses them, and sends the traced engine counters back to
+    # 0, fails here.  A fresh process, so the P3 build is cold.
+    code = (
+        "import json, tracer\n"
+        "from spinhom import expr, projector\n"
+        "from spinhom.complexes import Window\n"
+        "t = tracer.Tracer()\n"
+        "tracer.instrument(t)\n"
+        "def calls():\n"
+        "    return t.report()['spans'].get('complexes.simplify', {}).get('calls', 0)\n"
+        "projector.build_projector(3, Window(-4, 0))\n"
+        "built = calls()\n"
+        "projector.closed_module(expr.theta(2, 2, 2), Window(-4, 0))\n"
+        "print(json.dumps([built, calls(), t.report()['counts'].get('projector.sweep_stacks', 0)]))\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    built, closed, sweeps = json.loads(done.stdout)
+    assert built > 0 and closed > built and sweeps > 0, (built, closed, sweeps)
 
 
 def test_package_builds_records_without_dataclasses_or_exec():
