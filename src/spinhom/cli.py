@@ -258,10 +258,12 @@ def _atomic_write(path: str, data: str) -> None:
 def _read_cached(path: str, n: int, window: Window) -> pj.ProjectorComplex | None:
     """The projector a cache entry holds, or None for an entry that is
     missing, unreadable, malformed (a value that does not decode, such as a
-    tangle or dot assignment that fails its check) or stale (other code, or
-    a value that does not match its hash); the caller rebuilds and
-    overwrites those.  An entry that matches its hash but whose certificate
-    fails is an IntegrityError."""
+    tangle or dot assignment that fails its check, or a complex that fails
+    ChainComplex.validate: d.d = 0, entries in range, well-formed dot
+    assignments, q-degree 0) or stale (other code, or a value that does not
+    match its hash); the caller rebuilds and overwrites those.  An entry
+    that matches its hash but whose certificate fails is an
+    IntegrityError."""
     try:
         with open(path) as fh:
             entry = json.load(fh)
@@ -269,6 +271,7 @@ def _read_cached(path: str, n: int, window: Window) -> pj.ProjectorComplex | Non
         if entry.get("code") != CODE_VERSION or entry.get("hash") != _digest(value):
             return None
         C = ser.complex_from_data(value["complex"])
+        C.validate()
         cert = pj.Certificate.from_data(n, value["cert"])
     except (OSError, ValueError, LookupError, TypeError, AttributeError, SpinhomError):
         return None

@@ -442,18 +442,11 @@ class CanonicalCobordism:
         target: ShiftedObject,
         terms: dict[tuple[int, ...], AlphaPoly] | None = None,
     ):
-        st, tt = source.tangle, target.tangle
-        if (st.m, st.n) != (tt.m, tt.n):
-            raise DimensionError("cobordism endpoints have different boundaries")
+        terms = terms or {}
+        check_terms(source, target, terms)
         self.source = source
         self.target = target
-        nc = closure_data(st, tt).n
-        self.terms: dict[tuple[int, ...], AlphaPoly] = {}
-        for assign, poly in (terms or {}).items():
-            if len(assign) != nc or not _BITS.issuperset(assign):
-                raise SpinhomError("bad dot assignment")
-            if poly:
-                self.terms[assign] = poly
+        self.terms: dict[tuple[int, ...], AlphaPoly] = {a: p for a, p in terms.items() if p}
 
     # -- constructors ------------------------------------------------------
 
@@ -502,14 +495,6 @@ class CanonicalCobordism:
     def scale(self, c: AlphaPoly | int) -> "CanonicalCobordism":
         return CanonicalCobordism(self.source, self.target, scale_terms(self.terms, c))
 
-    def with_shifts(self, source_shift: int, target_shift: int) -> "CanonicalCobordism":
-        """Same underlying surface between reshifted endpoints."""
-        return CanonicalCobordism(
-            ShiftedObject(self.source.tangle, source_shift),
-            ShiftedObject(self.target.tangle, target_shift),
-            dict(self.terms),
-        )
-
     def __repr__(self) -> str:
         return (
             f"Cob({self.source.tangle.pairs}+{self.source.tangle.circles}o"
@@ -523,6 +508,18 @@ class CanonicalCobordism:
 
 
 # -- term dicts: the cores the methods above and the elimination engine share
+
+
+def check_terms(source: ShiftedObject, target: ShiftedObject, terms: Terms) -> None:
+    """Raise unless source and target share a boundary and every dot
+    assignment of terms has one bit per closure circle of source -> target."""
+    st, tt = source.tangle, target.tangle
+    if (st.m, st.n) != (tt.m, tt.n):
+        raise DimensionError("cobordism endpoints have different boundaries")
+    nc = closure_data(st, tt).n
+    for assign in terms:
+        if len(assign) != nc or not _BITS.issuperset(assign):
+            raise SpinhomError("bad dot assignment")
 
 
 def add_terms(x: Terms, y: Terms) -> Terms:
@@ -567,22 +564,23 @@ def iso_sign(source: ShiftedObject, target: ShiftedObject, terms: Terms) -> int 
     return None
 
 
-def degree(f: CanonicalCobordism) -> int | None:
-    """q-degree of a homogeneous canonical cobordism, or None if mixed.
+def degree(source: ShiftedObject, target: ShiftedObject, terms: Terms) -> int | None:
+    """q-degree of homogeneous terms from source to target, or None if
+    mixed.
 
     Per generator: (target shift) - (source shift) - (#closure circles)
     + (m+n)/2 + 2 (#dots) + 4 (alpha exponent).  The zero morphism reports
     degree None as well.
     """
-    st, tt = f.source.tangle, f.target.tangle
+    st, tt = source.tangle, target.tangle
     base = (
-        f.target.qshift
-        - f.source.qshift
+        target.qshift
+        - source.qshift
         - closure_data(st, tt).n
         + (st.m + st.n) // 2
     )
     degs = set()
-    for assign, poly in f.terms.items():
+    for assign, poly in terms.items():
         for aexp in poly.coeffs:
             degs.add(base + 2 * sum(assign) + 4 * aexp)
     if len(degs) == 1:
@@ -1000,17 +998,20 @@ def trace(f: CanonicalCobordism) -> CanonicalCobordism:
 
 
 def _transport(
-    f: CanonicalCobordism,
     source: ShiftedObject,
     target: ShiftedObject,
+    terms: Terms,
+    new_source: FlatTangle,
+    new_target: FlatTangle,
     point_map: Callable[[int], int],
     swap: bool,
-) -> CanonicalCobordism:
-    """f carried to source -> target along the boundary-point bijection
-    point_map.  Each closure circle goes where one of its points goes; free
-    circles keep their index, on the other side when swap is set."""
-    old = closure_data(f.source.tangle, f.target.tangle)
-    new = closure_data(source.tangle, target.tangle)
+) -> Terms:
+    """The terms of source -> target carried to new_source -> new_target
+    along the boundary-point bijection point_map.  Each closure circle goes
+    where one of its points goes; free circles keep their index, on the
+    other side when swap is set."""
+    old = closure_data(source.tangle, target.tangle)
+    new = closure_data(new_source, new_target)
     circle_map = [0] * old.n
     for p, ci in enumerate(old.point):
         circle_map[ci] = new.point[point_map(p)]
@@ -1019,13 +1020,13 @@ def _transport(
         circle_map[ci] = cj
     for ci, cj in zip(old.tgt_circ, tgt_circ, strict=True):
         circle_map[ci] = cj
-    terms = {}
-    for assign, poly in f.terms.items():
+    out = {}
+    for assign, poly in terms.items():
         new_assign = [0] * new.n
         for i, v in enumerate(assign):
             new_assign[circle_map[i]] = v
-        terms[tuple(new_assign)] = poly
-    return CanonicalCobordism(source, target, terms)
+        out[tuple(new_assign)] = poly
+    return out
 
 
 def dualize_ob(a: ShiftedObject) -> ShiftedObject:
@@ -1033,14 +1034,19 @@ def dualize_ob(a: ShiftedObject) -> ShiftedObject:
     return ShiftedObject(a.tangle.flip(), -a.qshift)
 
 
-def dualize_cob(f: CanonicalCobordism) -> CanonicalCobordism:
-    """The contravariant duality functor on a single canonical morphism.
+def dualize_terms(source: ShiftedObject, target: ShiftedObject, terms: Terms) -> Terms:
+    """The contravariant duality functor on the terms of a morphism source
+    -> target: the terms of dualize_ob(target) -> dualize_ob(source), every
+    generator reflected and the coefficients kept.  Complex-level signs are
+    applied by the caller (spinhom.complexes)."""
+    st, tt = source.tangle, target.tangle
+    return _transport(source, target, terms, tt.flip(), st.flip(), _flip_point(st), True)
 
-    Swaps source and target, reflects every generator, keeps coefficients.
-    Complex-level signs are applied by the caller (spinhom.complexes).
-    """
-    return _transport(
-        f, dualize_ob(f.target), dualize_ob(f.source), _flip_point(f.source.tangle), True
+
+def dualize_cob(f: CanonicalCobordism) -> CanonicalCobordism:
+    """dualize_terms of a single canonical morphism, with its ends."""
+    return CanonicalCobordism(
+        dualize_ob(f.target), dualize_ob(f.source), dualize_terms(f.source, f.target, f.terms)
     )
 
 
@@ -1049,20 +1055,20 @@ def reflect_x_ob(a: ShiftedObject) -> ShiftedObject:
     return ShiftedObject(a.tangle.flip(), a.qshift)
 
 
-def reflect_x_cob(f: CanonicalCobordism) -> CanonicalCobordism:
-    return _transport(
-        f, reflect_x_ob(f.source), reflect_x_ob(f.target), _flip_point(f.source.tangle), False
-    )
+def reflect_x_terms(source: ShiftedObject, target: ShiftedObject, terms: Terms) -> Terms:
+    """The terms of reflect_x_ob(source) -> reflect_x_ob(target)."""
+    st, tt = source.tangle, target.tangle
+    return _transport(source, target, terms, st.flip(), tt.flip(), _flip_point(st), False)
 
 
 def reflect_y_ob(a: ShiftedObject) -> ShiftedObject:
     return ShiftedObject(a.tangle.mirror(), a.qshift)
 
 
-def reflect_y_cob(f: CanonicalCobordism) -> CanonicalCobordism:
-    return _transport(
-        f, reflect_y_ob(f.source), reflect_y_ob(f.target), _mirror_point(f.source.tangle), False
-    )
+def reflect_y_terms(source: ShiftedObject, target: ShiftedObject, terms: Terms) -> Terms:
+    """The terms of reflect_y_ob(source) -> reflect_y_ob(target)."""
+    st, tt = source.tangle, target.tangle
+    return _transport(source, target, terms, st.mirror(), tt.mirror(), _mirror_point(st), False)
 
 
 # -- surgery (elementary saddle) ----------------------------------------------

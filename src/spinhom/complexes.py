@@ -4,13 +4,15 @@ A ChainComplex stores, per homological degree inside a finite window, a
 list of shifted flat tangles and a sparse matrix differential whose
 entries are term dicts (cob.Terms), the canonical form of a cobordism
 without its endpoints: entry (r, c) of degree k runs from object c of
-degree k to object r of degree k + 1.  The planar products, the
-elimination engine, the Hom engine and serialization all read and write
-that one format; ChainComplex.cobordisms makes a degree's entries
-cobordisms for the code that composes whole maps.  Everything held is an
-honest finite complex (d*d = 0 on the nose); `tail_lo`/`tail_hi` record
-that the complex is a truncation of an ideal semi-infinite object, and
-`reliable` is the advisory band of degrees free of truncation artifacts.
+degree k to object r of degree k + 1.  A ChainMap's matrices hold the
+same entries, read against its source's and target's objects, and the
+differential is itself a chain map (differential), so complexes and maps
+share one algebra.  The planar products, the elimination engine, the Hom
+engine and serialization all read and write that one format.  Everything
+held is an honest finite complex (d*d = 0 on the nose); `tail_lo`/
+`tail_hi` record that the complex is a truncation of an ideal
+semi-infinite object, and `reliable` is the advisory band of degrees free
+of truncation artifacts.
 
 Planar composition uses the Koszul sign rule with signs attached to the
 left argument's homological degree; cone and shift signs follow the
@@ -23,14 +25,7 @@ import functools
 import itertools
 
 from . import cob
-from .cob import (
-    AlphaPoly,
-    CanonicalCobordism,
-    FlatTangle,
-    ShiftedObject,
-    closure_data,
-    degree as cob_degree,
-)
+from .cob import AlphaPoly, FlatTangle, ShiftedObject, closure_data
 from .errors import DimensionError, IntegrityError, ResourceError, SpinhomError
 from .homology import ModuleComplex
 from .record import dataclass, replace
@@ -60,10 +55,8 @@ class Window:
         return self.lo <= k <= self.hi
 
 
-# A matrix of cobordisms, as chain maps keep them
-Matrix = dict[tuple[int, int], CanonicalCobordism]
-# A matrix of term dicts, as a complex's differential keeps them
-TermMatrix = dict[tuple[int, int], cob.Terms]
+# A matrix of term dicts, as differentials and chain maps keep them
+Matrix = dict[tuple[int, int], cob.Terms]
 
 
 @dataclass
@@ -72,7 +65,7 @@ class ChainComplex:
     n: int
     window: Window
     groups: dict[int, list[ShiftedObject]]
-    diff: dict[int, TermMatrix]
+    diff: dict[int, Matrix]
     tail_lo: bool = False
     tail_hi: bool = False
     reliable: tuple[float, float] = (NEG_INF, POS_INF)
@@ -88,11 +81,6 @@ class ChainComplex:
 
     def objects(self, k: int) -> list[ShiftedObject]:
         return self.groups.get(k, [])
-
-    def cobordisms(self, k: int) -> Matrix:
-        """d^k with each entry made a cobordism between its objects, built
-        on demand through the validating constructor."""
-        return _cobordisms(self.diff.get(k, {}), self.objects(k), self.objects(k + 1))
 
     def support(self) -> list[int]:
         return sorted(self.groups)
@@ -110,57 +98,46 @@ class ChainComplex:
         }
 
     def validate(self) -> None:
-        """Check consistency: entries in range with well-formed dot
-        assignments, q-degree-0 homogeneity, d.d = 0."""
-        d: dict[int, Matrix] = {}
-        for k, mat in self.diff.items():
-            if any(c >= len(self.objects(k)) or r >= len(self.objects(k + 1)) for r, c in mat):
-                raise IntegrityError("differential entry out of range")
-            try:
-                d[k] = self.cobordisms(k)
-            except SpinhomError as err:
-                raise IntegrityError(f"differential entry at {k}: {err}") from err
-            for f in d[k].values():
-                if cob_degree(f) != 0:
-                    raise IntegrityError(
-                        f"differential entry of q-degree {cob_degree(f)} at {k}"
-                    )
-        for k in sorted(d):
-            if k + 1 not in d:
-                continue
-            prod = _mat_mul(d[k + 1], d[k])
-            for rc, f in prod.items():
-                if not f.is_zero():
-                    raise IntegrityError(f"d.d != 0 at degree {k}, entry {rc}")
+        """Check consistency: the differential is a valid chain map (entries
+        in range with well-formed dot assignments, q-degree 0) and d.d = 0."""
+        d = differential(self)
+        d.validate()
+        if dd := compose_maps(d, d).mats:
+            k = min(dd)
+            raise IntegrityError(f"d.d != 0 at degree {k}, entry {next(iter(dd[k]))}")
 
 
-def _cobordisms(mat: TermMatrix, src: list[ShiftedObject], tgt: list[ShiftedObject]) -> Matrix:
-    """The entries of mat, from objects src to objects tgt, made cobordisms."""
-    return {(r, c): CanonicalCobordism(src[c], tgt[r], f) for (r, c), f in mat.items()}
-
-
-def _by_column(mat: Matrix) -> dict[int, list[tuple[int, CanonicalCobordism]]]:
-    """Column -> [(row, entry)] of a matrix, each list in the matrix's order."""
-    cols: dict[int, list[tuple[int, CanonicalCobordism]]] = {}
+def _signed(
+    mat: Matrix, src: list[ShiftedObject], tgt: list[ShiftedObject], by_row: bool = False
+) -> dict[int, list[tuple[int, cob.Terms, int | None]]]:
+    """A matrix from objects src to objects tgt by column, or by row:
+    column (or row) -> [(row (or column), terms, iso_sign)], each list in
+    the matrix's order."""
+    out: dict[int, list[tuple[int, cob.Terms, int | None]]] = {}
     for (r, c), f in mat.items():
-        cols.setdefault(c, []).append((r, f))
-    return cols
+        key, other = (r, c) if by_row else (c, r)
+        out.setdefault(key, []).append((other, f, cob.iso_sign(src[c], tgt[r], f)))
+    return out
 
 
-def _mat_mul(g_mat: Matrix, f_mat: Matrix) -> Matrix:
-    """(g.f)[r, c] = sum_j g[r, j] f[j, c], f applied first."""
+def _mat_mul(
+    g_mat: Matrix, f_mat: Matrix,
+    a: list[ShiftedObject], b: list[ShiftedObject], c: list[ShiftedObject],
+) -> Matrix:
+    """(g.f)[r, col] = sum_j g[r, j] f[j, col], f from objects a to objects
+    b applied first, then g from b to c."""
     acc: Matrix = {}
-    g_by_col = _by_column(g_mat)
-    for (j, c), f in f_mat.items():
-        for r, g in g_by_col.get(j, ()):
-            term = cob.compose(g, f)
-            if term.is_zero():
-                continue
-            if (r, c) in acc:
-                acc[(r, c)] = acc[(r, c)] + term
-            else:
-                acc[(r, c)] = term
-    return {rc: v for rc, v in acc.items() if not v.is_zero()}
+    g_by_col = _signed(g_mat, b, c)
+    for (j, col), f in f_mat.items():
+        g_col = g_by_col.get(j)
+        if not g_col:
+            continue
+        f_sign = cob.iso_sign(a[col], b[j], f)
+        for r, g, g_sign in g_col:
+            term = cob.compose_terms(a[col], b[j], c[r], f, g, f_sign, g_sign)
+            if term:
+                acc[(r, col)] = cob.add_terms(acc[(r, col)], term) if (r, col) in acc else term
+    return {rc: v for rc, v in acc.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +162,9 @@ def identity_complex(n: int) -> ChainComplex:
 
 @dataclass
 class ChainMap:
-    """Degree-(hdeg, qdeg) collection of matrices source^k -> target^{k+hdeg}."""
+    """Degree-(hdeg, qdeg) collection of matrices source^k -> target^{k+hdeg}:
+    entry (r, c) of mats[k] runs from source.objects(k)[c] to
+    target.objects(k + hdeg)[r]."""
 
     source: ChainComplex
     target: ChainComplex
@@ -194,32 +173,32 @@ class ChainMap:
     mats: dict[int, Matrix]
 
     def __post_init__(self):
-        dirty = any(
-            f.is_zero() for mat in self.mats.values() for f in mat.values()
-        ) or any(not mat for mat in self.mats.values())
-        if dirty:
+        if not all(mat and all(mat.values()) for mat in self.mats.values()):
             self.mats = {
-                k: {rc: f for rc, f in mat.items() if not f.is_zero()}
-                for k, mat in self.mats.items()
+                k: kept for k, mat in self.mats.items()
+                if (kept := {rc: f for rc, f in mat.items() if f})
             }
-            self.mats = {k: mat for k, mat in self.mats.items() if mat}
 
     def validate(self) -> None:
+        """Check every entry: in range, with well-formed dot assignments,
+        and of q-degree qdeg."""
         for k, mat in self.mats.items():
             src = self.source.objects(k)
             tgt = self.target.objects(k + self.hdeg)
             for (r, c), f in mat.items():
-                if f.source != src[c] or f.target != tgt[r]:
-                    raise IntegrityError("chain map entry endpoints mismatch")
-                if cob_degree(f) != self.qdeg:
-                    raise IntegrityError(
-                        f"chain map entry q-degree {cob_degree(f)} != {self.qdeg}"
-                    )
+                if not (0 <= c < len(src) and 0 <= r < len(tgt)):
+                    raise IntegrityError(f"chain map entry {(r, c)} at {k} out of range")
+                try:
+                    cob.check_terms(src[c], tgt[r], f)
+                except SpinhomError as err:
+                    raise IntegrityError(f"chain map entry at {k}: {err}") from err
+                if (q := cob.degree(src[c], tgt[r], f)) != self.qdeg:
+                    raise IntegrityError(f"chain map entry q-degree {q} != {self.qdeg} at {k}")
 
     @staticmethod
     def identity(C: ChainComplex) -> "ChainMap":
         mats = {
-            k: {(i, i): cob.identity_cob(o) for i, o in enumerate(objs)}
+            k: {(i, i): cob.identity_cob(o).terms for i, o in enumerate(objs)}
             for k, objs in C.groups.items()
         }
         return ChainMap(C, C, 0, 0, mats)
@@ -234,11 +213,14 @@ class ChainMap:
     def __add__(self, other: "ChainMap") -> "ChainMap":
         if (self.hdeg, self.qdeg) != (other.hdeg, other.qdeg):
             raise DimensionError("adding chain maps of different bidegree")
+        if not (_same_groups(self.source, other.source)
+                and _same_groups(self.target, other.target)):
+            raise DimensionError("adding chain maps between different chain groups")
         mats: dict[int, Matrix] = {}
         for k in set(self.mats) | set(other.mats):
             acc = dict(self.mats.get(k, {}))
             for rc, f in other.mats.get(k, {}).items():
-                acc[rc] = acc[rc] + f if rc in acc else f
+                acc[rc] = cob.add_terms(acc[rc], f) if rc in acc else f
             mats[k] = acc
         return ChainMap(self.source, self.target, self.hdeg, self.qdeg, mats)
 
@@ -254,18 +236,32 @@ class ChainMap:
             self.target,
             self.hdeg,
             self.qdeg,
-            {k: {rc: f.scale(c) for rc, f in mat.items()} for k, mat in self.mats.items()},
+            {k: {rc: cob.scale_terms(f, c) for rc, f in mat.items()} for k, mat in self.mats.items()},
         )
+
+
+def _same_groups(A: ChainComplex, B: ChainComplex) -> bool:
+    return A is B or A.groups == B.groups
+
+
+def differential(C: ChainComplex) -> ChainMap:
+    """The differential of C as a chain map C -> C of bidegree (1, 0)."""
+    return ChainMap(C, C, 1, 0, C.diff)
 
 
 def compose_maps(g: ChainMap, f: ChainMap) -> ChainMap:
     """Plain composition g.f (no Koszul sign)."""
+    if not _same_groups(f.target, g.source):
+        raise DimensionError("composing chain maps through different chain groups")
     mats: dict[int, Matrix] = {}
     for k, fmat in f.mats.items():
-        gmat = g.mats.get(k + f.hdeg)
+        mid = k + f.hdeg
+        gmat = g.mats.get(mid)
         if not gmat:
             continue
-        prod = _mat_mul(gmat, fmat)
+        prod = _mat_mul(
+            gmat, fmat, f.source.objects(k), f.target.objects(mid), g.target.objects(mid + g.hdeg)
+        )
         if prod:
             mats[k] = prod
     return ChainMap(f.source, g.target, f.hdeg + g.hdeg, f.qdeg + g.qdeg, mats)
@@ -273,28 +269,9 @@ def compose_maps(g: ChainMap, f: ChainMap) -> ChainMap:
 
 def commutator_with_d(f: ChainMap) -> ChainMap:
     """[d, f] = d_B . f - (-1)^{|f|} f . d_A."""
-    A, B = f.source, f.target
-    sign = -1 if f.hdeg % 2 == 0 else 1
-    # (-1)^{|f|}: |f| = hdeg; for even hdeg subtract, for odd add.
-    mats: dict[int, Matrix] = {}
-    for k in set(f.mats) | set(A.diff):
-        acc: Matrix = {}
-        fmat = f.mats.get(k)
-        if fmat:
-            dmat = B.cobordisms(k + f.hdeg)
-            if dmat:
-                for rc, v in _mat_mul(dmat, fmat).items():
-                    acc[rc] = acc[rc] + v if rc in acc else v
-        da = A.cobordisms(k)
-        fmat2 = f.mats.get(k + 1)
-        if da and fmat2:
-            for rc, v in _mat_mul(fmat2, da).items():
-                w = v.scale(sign)
-                acc[rc] = acc[rc] + w if rc in acc else w
-        acc = {rc: v for rc, v in acc.items() if not v.is_zero()}
-        if acc:
-            mats[k] = acc
-    return ChainMap(A, B, f.hdeg + 1, f.qdeg, mats)
+    left = compose_maps(differential(f.target), f)
+    right = compose_maps(f, differential(f.source))
+    return left - right if f.hdeg % 2 == 0 else left + right
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +378,7 @@ def _columns(entries) -> Columns:
 
 def _glue_maps(
     A: ChainComplex, B: ChainComplex, layout, target_layout, pairs, structure,
-) -> dict[int, TermMatrix]:
+) -> dict[int, Matrix]:
     """The one planar product of maps, in term dicts: the sum of T(F, G) over
     pairs (F's Columns, G's Columns, |F|, |G|) of maps on A and on B.  On
     each summand (i, j, pa, pb) of `layout`, each entry f: a -> a2 of F is
@@ -411,9 +388,9 @@ def _glue_maps(
     in degree, so their entries never share a position."""
     index = {prov: p for lay in target_layout.values() for p, prov in enumerate(lay)}
     glue = cob._glue_terms
-    out: dict[int, TermMatrix] = {}
+    out: dict[int, Matrix] = {}
     for k, lay in layout.items():
-        mat: TermMatrix = {}
+        mat: Matrix = {}
         for cpos, (i, j, pa, pb) in enumerate(lay):
             at = A.groups[i][pa].tangle
             bt = B.groups[j][pb].tangle
@@ -511,7 +488,7 @@ def _planar_map(F: ChainMap, G: ChainMap, SRC: ChainComplex, TGT: ChainComplex, 
 
     def columns(H: ChainMap) -> Columns:
         return _columns(
-            (k, r, c, f.target.tangle, f.terms)
+            (k, r, c, H.target.objects(k + H.hdeg)[r].tangle, f)
             for k, mat in H.mats.items() for (r, c), f in mat.items()
         )
 
@@ -519,10 +496,7 @@ def _planar_map(F: ChainMap, G: ChainMap, SRC: ChainComplex, TGT: ChainComplex, 
         F.source, G.source, product_layout(F.source, G.source), product_layout(F.target, G.target),
         ((columns(F), columns(G), F.hdeg, G.hdeg),), structure,
     )
-    hdeg = F.hdeg + G.hdeg
-    return ChainMap(SRC, TGT, hdeg, F.qdeg + G.qdeg, {
-        k: _cobordisms(mat, SRC.objects(k), TGT.objects(k + hdeg)) for k, mat in mats.items()
-    })
+    return ChainMap(SRC, TGT, F.hdeg + G.hdeg, F.qdeg + G.qdeg, mats)
 
 
 def stack_chain_maps(F: ChainMap, G: ChainMap) -> ChainMap:
@@ -579,15 +553,15 @@ def cone(F: ChainMap) -> ChainComplex:
         objs = list(A.groups.get(k + 1, [])) + list(B.groups.get(k, []))
         if objs:
             groups[k] = objs
-    diff: dict[int, TermMatrix] = {}
+    diff: dict[int, Matrix] = {}
     for k in range(window.lo, window.hi + 1):
         na_src = len(A.groups.get(k + 1, []))
         na_tgt = len(A.groups.get(k + 2, []))
-        mat: TermMatrix = {}
+        mat: Matrix = {}
         for (r, c), f in A.diff.get(k + 1, {}).items():
             mat[(r, c)] = cob.scale_terms(f, -1)
         for (r, c), f in F.mats.get(k + 1, {}).items():
-            mat[(na_tgt + r, c)] = f.terms
+            mat[(na_tgt + r, c)] = f
         for (r, c), f in B.diff.get(k, {}).items():
             mat[(na_tgt + r, na_src + c)] = f
         if mat:
@@ -603,13 +577,10 @@ def dual_complex(A: ChainComplex) -> ChainComplex:
     """(A^v)^k = (A^{-k})^v with differential -(d_A)^v; window, tails and
     reliable band are reversed."""
     groups = {-k: [cob.dualize_ob(o) for o in objs] for k, objs in A.groups.items()}
-    diff: dict[int, TermMatrix] = {}
-    for k in A.diff:
-        # d_A^k : A^k -> A^{k+1} dualizes to (A^v)^{-k-1} -> (A^v)^{-k}
-        diff[-k - 1] = {
-            (c, r): cob.scale_terms(cob.dualize_cob(f).terms, -1)
-            for (r, c), f in A.cobordisms(k).items()
-        }
+    # d_A^k : A^k -> A^{k+1} dualizes to (A^v)^{-k-1} -> (A^v)^{-k}
+    diff = {
+        -k - 1: _dual_matrix(mat, A.objects(k), A.objects(k + 1), -1) for k, mat in A.diff.items()
+    }
     return ChainComplex(
         A.n,
         A.m,
@@ -622,39 +593,49 @@ def dual_complex(A: ChainComplex) -> ChainComplex:
     )
 
 
+def _dual_matrix(
+    mat: Matrix, src: list[ShiftedObject], tgt: list[ShiftedObject], sign: int
+) -> Matrix:
+    """The transpose of mat, from objects src to objects tgt, with every
+    entry dualized and scaled by sign."""
+    return {
+        (c, r): cob.scale_terms(cob.dualize_terms(src[c], tgt[r], f), sign)
+        for (r, c), f in mat.items()
+    }
+
+
 def dual_chain_map(F: ChainMap) -> ChainMap:
     """F^v with the sign (-1)^{ik} on the component out of (B^v)^i."""
     k = F.hdeg
-    mats: dict[int, Matrix] = {}
-    for deg, mat in F.mats.items():
-        # F_deg : A^deg -> B^{deg+k}; (F^v)_i : (B^v)^i -> (A^v)^{i+k} with
-        # i = -deg - k, entry (-1)^{ik} (F_deg)^v
-        i = -deg - k
-        sign = -1 if (i * k) % 2 else 1
-        newmat: Matrix = {}
-        for (r, c), f in mat.items():
-            newmat[(c, r)] = cob.dualize_cob(f).scale(sign)
-        if newmat:
-            mats[i] = newmat
+    # F_deg : A^deg -> B^{deg+k}; (F^v)_i : (B^v)^i -> (A^v)^{i+k} with
+    # i = -deg - k, entry (-1)^{ik} (F_deg)^v
+    mats = {
+        -deg - k: _dual_matrix(
+            mat, F.source.objects(deg), F.target.objects(deg + k), -1 if (deg + k) * k % 2 else 1
+        )
+        for deg, mat in F.mats.items()
+    }
     # the underlying cobordisms keep their q-degree: both endpoint shifts negate
     return ChainMap(dual_complex(F.target), dual_complex(F.source), k, F.qdeg, mats)
 
 
-def reflect_x_complex(A: ChainComplex) -> ChainComplex:
-    groups = {k: [cob.reflect_x_ob(o) for o in objs] for k, objs in A.groups.items()}
+def _reflect(A: ChainComplex, ob_op, terms_op) -> tuple[dict, dict]:
+    """A's groups and differential carried by a covariant reflection."""
+    groups = {k: [ob_op(o) for o in objs] for k, objs in A.groups.items()}
     diff = {
-        k: {rc: cob.reflect_x_cob(f).terms for rc, f in A.cobordisms(k).items()}
-        for k in A.diff
+        k: {(r, c): terms_op(A.objects(k)[c], A.objects(k + 1)[r], f) for (r, c), f in mat.items()}
+        for k, mat in A.diff.items()
     }
+    return groups, diff
+
+
+def reflect_x_complex(A: ChainComplex) -> ChainComplex:
+    groups, diff = _reflect(A, cob.reflect_x_ob, cob.reflect_x_terms)
     return replace(A, m=A.n, n=A.m, groups=groups, diff=diff)
 
 
 def reflect_y_complex(A: ChainComplex) -> ChainComplex:
-    groups = {k: [cob.reflect_y_ob(o) for o in objs] for k, objs in A.groups.items()}
-    diff = {
-        k: {rc: cob.reflect_y_cob(f).terms for rc, f in A.cobordisms(k).items()}
-        for k in A.diff
-    }
+    groups, diff = _reflect(A, cob.reflect_y_ob, cob.reflect_y_terms)
     return replace(A, groups=groups, diff=diff)
 
 
@@ -668,11 +649,11 @@ class _Work:
     (eliminate).
 
     An edge is a term dict (cob.Terms), the format of a complex's
-    differential; its endpoints are obj[src] and obj[tgt].  The steps
-    rewrite term dicts only, through the cores cob's morphisms share
-    (compose_terms, add_terms, scale_terms, iso_sign).  finish hands the
-    edges of d back as they are, and builds each entry of the SDR's maps
-    once, through the validating CanonicalCobordism constructor.
+    differential and of a chain map's entries; its endpoints are obj[src]
+    and obj[tgt].  The steps rewrite term dicts only, through the cores
+    cob's morphisms share (compose_terms, add_terms, scale_terms,
+    iso_sign), and finish hands every edge back as it is, in d or in one of
+    the SDR's maps.
 
     With track=True it also keeps the strong deformation retraction (r, i,
     h) from the original complex as edges to ghost objects.  Each original
@@ -839,7 +820,7 @@ class _Work:
             groups[k] = [self.obj[i] for i in ids]
             for p, i in enumerate(ids):
                 pos[i] = (k, p)
-        diff: dict[int, TermMatrix] = {}
+        diff: dict[int, Matrix] = {}
         r_mats: dict[int, Matrix] = {}
         i_mats: dict[int, Matrix] = {}
         minus_h: dict[int, Matrix] = {}
@@ -848,14 +829,11 @@ class _Work:
             (False, False): diff, (True, False): r_mats,
             (False, True): i_mats, (True, True): minus_h,
         }
-        ghost, obj = self.ghost, self.obj
+        ghost = self.ghost
         for src, outs in self.out_edges.items():
             k, c = pos[src]
             for tgt, f in outs.items():
-                ends = src in ghost, tgt in ghost
-                if ends != (False, False):
-                    f = CanonicalCobordism(obj[src], obj[tgt], f)
-                by_ends[ends].setdefault(k, {})[(pos[tgt][1], c)] = f
+                by_ends[src in ghost, tgt in ghost].setdefault(k, {})[(pos[tgt][1], c)] = f
         C = replace(self.source, groups=groups, diff=diff)
         if not self.track:
             return C, None
@@ -1046,18 +1024,10 @@ def _hom_d(
     own row of d_A, composed as term dicts (cob.compose_terms) with the
     iso_sign of each generator and each entry taken once."""
 
-    def signed(C: ChainComplex, k: int, by_row: bool) -> dict[int, list[tuple]]:
-        """d^k of C by column, or by row: [(row or column, terms, iso_sign)],
-        each list in the matrix's order."""
-        src, tgt = C.objects(k), C.objects(k + 1)
-        out: dict[int, list[tuple[int, cob.Terms, int | None]]] = {}
-        for (r, c), f in C.diff.get(k, {}).items():
-            key, other = (r, c) if by_row else (c, r)
-            out.setdefault(key, []).append((other, f, cob.iso_sign(src[c], tgt[r], f)))
-        return out
-
-    col_b = functools.cache(lambda j: signed(B, j, False))
-    row_a = functools.cache(lambda i: signed(A, i, True))
+    col_b = functools.cache(lambda j: _signed(B.diff.get(j, {}), B.objects(j), B.objects(j + 1)))
+    row_a = functools.cache(
+        lambda i: _signed(A.diff.get(i, {}), A.objects(i), A.objects(i + 1), by_row=True)
+    )
     negate = t % 2 == 0
     out: dict[tuple[int, int], AlphaPoly] = {}
 
@@ -1204,11 +1174,8 @@ def bicomplex_contraction(A: ChainComplex, B: ChainComplex, h: ChainMap, mode: s
     h = ChainMap(T, T, -1, h.qdeg, h.mats)
     layout = product_layout(A, B)
     d_h = ChainMap(T, T, 1, 0, {
-        k: {
-            rc: f for rc, f in T.cobordisms(k).items()
-            if layout[k + 1][rc[0]][0] == layout[k][rc[1]][0] + 1
-        }
-        for k in T.diff
+        k: {rc: f for rc, f in mat.items() if layout[k + 1][rc[0]][0] == layout[k][rc[1]][0] + 1}
+        for k, mat in T.diff.items()
     })
     H = term = h
     while not (term := -compose_maps(h, compose_maps(d_h, term))).is_zero():
@@ -1252,7 +1219,7 @@ def homotopic_alpha0(F: ChainMap, G: ChainMap, lo: float = NEG_INF, hi: float = 
     vec = [0] * len(rows)
     for k, mat in (F - G).mats.items():
         for (r, c), f in mat.items():
-            for assign, poly in f.terms.items():
+            for assign, poly in f.items():
                 v = poly.coeffs.get(0, 0)
                 if not v:
                     continue

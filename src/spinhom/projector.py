@@ -56,7 +56,7 @@ def p2(window: Window) -> "ProjectorComplex":
     groups = {0: [ShiftedObject(one2, 0)]}
     for k in range(1, N + 1):
         groups[-k] = [ShiftedObject(e, 2 * k - 1)]
-    diff: dict[int, cx.TermMatrix] = {}
+    diff: dict[int, cx.Matrix] = {}
     if N >= 1:
         diff[-1] = {(0, 0): cob.surgery(ShiftedObject(e), 0, 2).terms}
     for j in range(2, N + 1):
@@ -70,12 +70,12 @@ def dot_maps(P: ChainComplex) -> tuple[ChainMap, ChainMap]:
     """The sheet-algebra generators b_1, b_2 on P_2: dots on the left and
     right strand in degree 0, the top-arc dot in negative degrees (the
     choice that satisfies [d, v] = b_1 + b_2 on the nose)."""
-    mats1: dict[int, cx.Matrix] = {0: {(0, 0): cob.dot_at_point(P.objects(0)[0], 0)}}
-    mats2: dict[int, cx.Matrix] = {0: {(0, 0): cob.dot_at_point(P.objects(0)[0], 1)}}
+    mats1: dict[int, cx.Matrix] = {0: {(0, 0): cob.dot_at_point(P.objects(0)[0], 0).terms}}
+    mats2: dict[int, cx.Matrix] = {0: {(0, 0): cob.dot_at_point(P.objects(0)[0], 1).terms}}
     for k in range(P.window.lo, 0):
-        o = P.objects(k)[0]
-        mats1[k] = {(0, 0): cob.dot_at_point(o, 0)}
-        mats2[k] = {(0, 0): cob.dot_at_point(o, 0)}
+        dot = cob.dot_at_point(P.objects(k)[0], 0).terms
+        mats1[k] = {(0, 0): dot}
+        mats2[k] = {(0, 0): dot}
     b1 = ChainMap(P, P, 0, 2, mats1)
     b2 = ChainMap(P, P, 0, 2, mats2)
     return b1, b2
@@ -86,14 +86,9 @@ def v_map(P: ChainComplex) -> ChainMap:
     then degree-shifting identity cylinders down the turnback tail."""
     if P.window.hi - P.window.lo < 2:
         raise SpinhomError("v map needs window length >= 2")
-    e = FlatTangle.e(0, 2)
-    mats: dict[int, cx.Matrix] = {}
-    hs = cob.surgery(P.objects(0)[0], 0, 1, target_shift=1)
-    mats[0] = {(0, 0): hs}
+    mats: dict[int, cx.Matrix] = {0: {(0, 0): cob.surgery(P.objects(0)[0], 0, 1).terms}}
     for k in range(P.window.lo + 1, 0):
-        src = P.objects(k)[0]
-        tgt = P.objects(k - 1)[0]
-        mats[k] = {(0, 0): cob.identity_cob(src).with_shifts(src.qshift, tgt.qshift)}
+        mats[k] = {(0, 0): cob.identity_cob(P.objects(k)[0]).terms}
     return ChainMap(P, P, -1, 2, mats)
 
 
@@ -983,7 +978,7 @@ def iota_map(P: ChainComplex, n: int) -> ChainMap:
     """The inclusion of the degree-zero chain group 1_n -> P."""
     p = _degree_zero_identity(P, n)
     return ChainMap(
-        cx.identity_complex(n), P, 0, 0, {0: {(p, 0): cob.identity_cob(P.objects(0)[p])}}
+        cx.identity_complex(n), P, 0, 0, {0: {(p, 0): cob.identity_cob(P.objects(0)[p]).terms}}
     )
 
 
@@ -1007,14 +1002,17 @@ def absorption_retraction(P: ChainComplex, Q: ChainComplex, n: int) -> tuple[Cha
                 prov_to_q[(k, p)] = pb
     small, eq = cx.simplify(T, want_equivalence=True, protected=set(prov_to_q))
     # project the retraction onto the protected copy of Q, dropping margin junk
-    r_cols = {k: cx._by_column(mat) for k, mat in eq.r.mats.items()}
+    r_rows: dict[tuple[int, int], list[int]] = {}
+    for k, mat in eq.r.mats.items():
+        for r, c in mat:
+            r_rows.setdefault((k, c), []).append(r)
     proj_mats: dict[int, cx.Matrix] = {}
     for (k, c), pb in prov_to_q.items():
-        ((p, _one),) = r_cols[k][c]
+        (p,) = r_rows[(k, c)]
         obj = small.objects(k)[p]
         if Q.objects(k)[pb] != obj:
             raise IntegrityError("protected object drifted during simplify")
-        proj_mats.setdefault(k, {})[(pb, p)] = cob.identity_cob(obj)
+        proj_mats.setdefault(k, {})[(pb, p)] = cob.identity_cob(obj).terms
     proj = ChainMap(small, Q, 0, 0, proj_mats)
     phi = cx.compose_maps(proj, eq.r)
     return phi, T
@@ -1068,10 +1066,11 @@ def unknot_pairing(F: ChainMap, P: ProjectorComplex) -> dict:
     out: dict[tuple, AlphaPoly] = {}
     empty = ShiftedObject(FlatTangle.empty(), 0)
     gen = CanonicalCobordism.generator(empty, deg0[0], eta_assign)
+    targets = TrF.target.objects(F.hdeg)
     for (r, c), entry in TrF.mats.get(0, {}).items():
         if c != 0:
             continue
-        img = cob.compose(entry, gen)
+        img = cob.compose(CanonicalCobordism(deg0[0], targets[r], entry), gen)
         for assign, poly in img.terms.items():
             key = (F.hdeg, r, assign)
             out[key] = out.get(key, AlphaPoly()) + poly
@@ -1103,16 +1102,17 @@ def unknot_action(zeta: dict, P: ProjectorComplex) -> ChainMap:
                     continue
                 birth = cob.beside(gen, cob.identity_cob(b_obj))
                 merge = cob.merge_trace_saddle(a_obj.tangle, b_obj.tangle)
-                merge = merge.with_shifts(
-                    a_obj.qshift + b_obj.qshift, a_obj.qshift + b_obj.qshift
-                )
-                step = cob.compose(merge, birth).scale(coeff)
-                if step.is_zero():
+                merge = CanonicalCobordism(birth.target, T.objects(j + k0)[index[key]], merge.terms)
+                step = cob.compose(merge, birth).scale(coeff).terms
+                if not step:
                     continue
                 rc = (index[key], pb)
                 mat = mats.setdefault(j, {})
-                mat[rc] = mat[rc] + step if rc in mat else step
-    degrees = (cob.degree(f) for mat in mats.values() for f in mat.values())
+                mat[rc] = cob.add_terms(mat[rc], step) if rc in mat else step
+    degrees = (
+        cob.degree(PC.objects(j)[c], T.objects(j + k0)[r], f)
+        for j, mat in mats.items() for (r, c), f in mat.items()
+    )
     qdeg = next((d for d in degrees if d is not None), 0)
     pre = ChainMap(PC, T, k0, qdeg, mats)
     out = cx.compose_maps(phi, pre)

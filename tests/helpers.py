@@ -8,6 +8,7 @@ from contextlib import contextmanager
 from itertools import combinations, product
 from math import gcd, prod
 
+from spinhom import cob
 from spinhom import complexes as cx
 from spinhom import expr as ex
 from spinhom import tl
@@ -15,7 +16,6 @@ from spinhom.cob import (
     CanonicalCobordism,
     ShiftedObject,
     closure_data,
-    degree as cob_degree,
     identity_cob,
     stack as stack_cob,
     surgery,
@@ -24,6 +24,66 @@ from spinhom.complexes import ChainComplex, Window
 from spinhom.errors import SpinhomError
 from spinhom.laurent import RatFunc, quantum_integer
 from spinhom.projector import expand_vertices
+
+
+# ---------------------------------------------------------------------------
+# Cobordisms with their ends: the entries of complexes and maps, and the
+# cob operations, wrapped for comparison with the morphism-level code
+
+
+def cobordisms(F: cx.ChainMap | ChainComplex, k: int) -> dict[tuple[int, int], CanonicalCobordism]:
+    """The entries of degree k of a chain map, or of a complex's
+    differential, each made a cobordism between its ends."""
+    if isinstance(F, ChainComplex):
+        F = cx.differential(F)
+    src, tgt = F.source.objects(k), F.target.objects(k + F.hdeg)
+    return {
+        (r, c): CanonicalCobordism(src[c], tgt[r], f) for (r, c), f in F.mats.get(k, {}).items()
+    }
+
+
+def cob_degree(f: CanonicalCobordism) -> int | None:
+    return cob.degree(f.source, f.target, f.terms)
+
+
+def reflect_x_cob(f: CanonicalCobordism) -> CanonicalCobordism:
+    return CanonicalCobordism(
+        cob.reflect_x_ob(f.source), cob.reflect_x_ob(f.target),
+        cob.reflect_x_terms(f.source, f.target, f.terms),
+    )
+
+
+def reflect_y_cob(f: CanonicalCobordism) -> CanonicalCobordism:
+    return CanonicalCobordism(
+        cob.reflect_y_ob(f.source), cob.reflect_y_ob(f.target),
+        cob.reflect_y_terms(f.source, f.target, f.terms),
+    )
+
+
+def _by_column(mat: dict) -> dict[int, list[tuple[int, CanonicalCobordism]]]:
+    """Column -> [(row, entry)] of a matrix, each list in the matrix's order."""
+    cols: dict[int, list[tuple[int, CanonicalCobordism]]] = {}
+    for (r, c), f in mat.items():
+        cols.setdefault(c, []).append((r, f))
+    return cols
+
+
+def reference_mat_mul(g_mat: dict, f_mat: dict) -> dict:
+    """The cobordism-level product that complexes used before its matrices
+    held term dicts: (g.f)[r, c] = sum_j g[r, j] f[j, c], f applied first,
+    each entry pair composed with cob.compose and added with +."""
+    acc: dict = {}
+    g_by_col = _by_column(g_mat)
+    for (j, c), f in f_mat.items():
+        for r, g in g_by_col.get(j, ()):
+            term = cob.compose(g, f)
+            if term.is_zero():
+                continue
+            if (r, c) in acc:
+                acc[(r, c)] = acc[(r, c)] + term
+            else:
+                acc[(r, c)] = term
+    return {rc: v for rc, v in acc.items() if not v.is_zero()}
 
 
 def two_term_piece(rng: random.Random, n: int, degree: int, qshift: int,
@@ -140,7 +200,7 @@ def column_homotopy(A: ChainComplex, B: ChainComplex, sgn: int) -> cx.ChainMap:
     for i, objs in A.groups.items():
         sign = -1 if i % 2 else 1
         for pa, oa in enumerate(objs):
-            entry = stack_cob(identity_cob(oa), identity_cob(o).scale(sgn)).scale(sign)
+            entry = stack_cob(identity_cob(oa), identity_cob(o).scale(sgn)).scale(sign).terms
             mats.setdefault(i + j + 1, {})[(pos[(i, j, pa, 0)], pos[(i, j + 1, pa, 0)])] = entry
     T = cx.stack_complexes(A, B)
     return cx.ChainMap(T, T, -1, 0, mats)
@@ -150,7 +210,7 @@ def first_iso_entry(C: ChainComplex) -> tuple[int, int, int] | None:
     """The first invertible differential entry (degree, row, col) in
     (degree, row, col) order, or None."""
     for k in sorted(C.diff):
-        for (r, c), f in sorted(C.cobordisms(k).items()):
+        for (r, c), f in sorted(cobordisms(C, k).items()):
             if f.is_identity_iso() is not None:
                 return k, r, c
     return None
@@ -179,7 +239,7 @@ def protected_positions(C: ChainComplex, S: ChainComplex, eq: cx.Equivalence,
     eq.r at degree k, which must be the identity of C's object there."""
     out = {}
     for k, p in protected:
-        ((row, f),) = [(r, f) for (r, c), f in eq.r.mats.get(k, {}).items() if c == p]
+        ((row, f),) = [(r, f) for (r, c), f in cobordisms(eq.r, k).items() if c == p]
         assert f == identity_cob(C.objects(k)[p]) == identity_cob(S.objects(k)[row])
         out[(k, p)] = row
     return out
@@ -674,8 +734,6 @@ def reference_birth_death(dotted: bool, src_obj, tgt_obj):
 
     Pieces: a disk per arc, an annulus per shared circle, then the disk;
     output circles are named by cob's boundary-point rule."""
-    from spinhom import cob
-
     s_t, t_t = src_obj.tangle, tgt_obj.tangle
     arcs = s_t.arcs()
     kept = min(s_t.circles, t_t.circles)
@@ -736,8 +794,6 @@ def reference_deloop(work, oid: int) -> None:
     edges to the SDR's ghost objects included; a drop-in for the method.
     Each edge's term dict is wrapped with its endpoints from work.obj,
     composed, and unwrapped again."""
-    from spinhom import cob
-
     big = work.obj[oid]
     up, dn, phi_up, phi_dn, psi_up, psi_dn = reference_deloop_maps(big)
     id_up, id_dn = work.next_id, work.next_id + 1
@@ -772,8 +828,6 @@ def reference_binary_planar(A: ChainComplex, B: ChainComplex, ob_op, mor_op,
     """The planar product of A and B that ob_op and mor_op glue summand by
     summand, Koszul signs included: the differential is T(d_A, 1) +
     (-1)^i T(1, d_B) on the summands of product_layout."""
-    from spinhom import cob
-
     layout = cx.product_layout(A, B)
     groups = {
         k: [ob_op(A.groups[i][pa], B.groups[j][pb]) for i, j, pa, pb in lay]
@@ -788,8 +842,8 @@ def reference_binary_planar(A: ChainComplex, B: ChainComplex, ob_op, mor_op,
         mat = diff.setdefault(k, {})
         mat[(r, c)] = mat[(r, c)] + f if (r, c) in mat else f
 
-    colsA = {deg: cx._by_column(A.cobordisms(deg)) for deg in A.diff}
-    colsB = {deg: cx._by_column(B.cobordisms(deg)) for deg in B.diff}
+    colsA = {deg: _by_column(cobordisms(A, deg)) for deg in A.diff}
+    colsB = {deg: _by_column(cobordisms(B, deg)) for deg in B.diff}
     for k, lay in layout.items():
         for cpos, (i, j, pa, pb) in enumerate(lay):
             oa = A.groups[i][pa]
@@ -814,14 +868,10 @@ def reference_binary_planar(A: ChainComplex, B: ChainComplex, ob_op, mor_op,
 
 
 def reference_stack_complexes(A: ChainComplex, B: ChainComplex) -> ChainComplex:
-    from spinhom import cob
-
     return reference_binary_planar(A, B, cob.stack_objects, cob.stack, (A.m, B.n))
 
 
 def reference_beside_complexes(A: ChainComplex, B: ChainComplex) -> ChainComplex:
-    from spinhom import cob
-
     return reference_binary_planar(
         A, B, cob.beside_objects, cob.beside, (A.m + B.m, A.n + B.n)
     )
@@ -829,10 +879,8 @@ def reference_beside_complexes(A: ChainComplex, B: ChainComplex) -> ChainComplex
 
 def reference_trace_complex(A: ChainComplex) -> ChainComplex:
     """Markov closure entry by entry through cob.trace."""
-    from spinhom import cob
-
     groups = {k: [cob.trace_object(o) for o in objs] for k, objs in A.groups.items()}
-    diff = {k: {rc: cob.trace(f).terms for rc, f in A.cobordisms(k).items()} for k in A.diff}
+    diff = {k: {rc: cob.trace(f).terms for rc, f in cobordisms(A, k).items()} for k in A.diff}
     return ChainComplex(0, 0, A.window, groups, diff, A.tail_lo, A.tail_hi, A.reliable)
 
 

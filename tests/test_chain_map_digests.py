@@ -2,8 +2,9 @@
 colored-unknot module maps built from them.
 
 Each digest is a SHA-256 over a chain map's source and target complexes
-(complex_to_data), its bidegree and its entries, sorted and serialized with
-cobordism_to_data: stack_chain_maps of b1 (x) 1, 1 (x) v and v (x) b2 on
+(complex_to_data), its bidegree and its entries, each made a cobordism
+between its ends (a map's entries are term dicts), sorted and serialized
+with cobordism_to_data: stack_chain_maps of b1 (x) 1, 1 (x) v and v (x) b2 on
 P2@-6, trace_chain_map of v and of b1, standard_equivalence(P3@-5, P3@-6),
 pi_action(b1, P2, P2@-6), unknot_action(eta_element(P2@-6)) and
 unknot_pairing(v, P2@-6).  They were recorded when stack_chain_maps and
@@ -23,6 +24,7 @@ import json
 
 import pytest
 
+from helpers import cobordisms
 from spinhom import complexes as cx
 from spinhom import projector as pj
 from spinhom.complexes import ChainMap, Window
@@ -44,8 +46,8 @@ PINNED_SHA256 = {
 def _chain_map(F: ChainMap) -> str:
     mats = [
         (k, sorted((r, c, json.dumps(cobordism_to_data(f), sort_keys=True))
-                   for (r, c), f in mat.items()))
-        for k, mat in sorted(F.mats.items())
+                   for (r, c), f in cobordisms(F, k).items()))
+        for k in sorted(F.mats)
     ]
     return (
         json.dumps([complex_to_data(F.source), complex_to_data(F.target)], sort_keys=True)

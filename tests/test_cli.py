@@ -347,6 +347,26 @@ def _assert_tampered_terms_are_rebuilt(tmp_path, capsys, edit):
         assert fh.read() == good
 
 
+@pytest.mark.parametrize("case", ["alpha_coefficient", "negative_row", "d_squared"])
+def test_cache_entry_that_fails_validate_is_rebuilt(tmp_path, capsys, case):
+    # each edit decodes, so only ChainComplex.validate on load sees it: the
+    # saddle's coefficient set to alpha^1 (q-degree 4), the saddle's row set
+    # to -1 (which Python's indexing reads as the last object of its group),
+    # and one sign of the dot sum out of degree -3 flipped, which keeps
+    # q-degree 0 but makes d.d != 0
+    def edit(entry):
+        diff = entry["value"]["complex"]["diff"]
+        if case == "alpha_coefficient":
+            diff["-1"][0][2][0][1] = [[1, 1]]
+        elif case == "negative_row":
+            diff["-1"][0][0] = -1
+        else:
+            poly = diff["-3"][0][2][1][1]
+            poly[0][1] = -poly[0][1]
+
+    _assert_tampered_terms_are_rebuilt(tmp_path, capsys, edit)
+
+
 def test_cache_entry_with_a_mode_key_loads_without_a_rebuild(tmp_path, capsys, monkeypatch):
     # entries written while complexes carried a totalization mode hold a
     # "mode" key in the serialized complex; they load as they are

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from helpers import reference_trace_walk
+from helpers import cob_degree as degree
+from helpers import reference_trace_walk, reflect_x_cob, reflect_y_cob
 from spinhom import cob, record, serialize, tl
 from spinhom.cob import (
     AlphaPoly,
@@ -18,7 +19,6 @@ from spinhom.cob import (
     cap_off_circles,
     closure_data,
     compose,
-    degree,
     dot_at_point,
     dotted_identity,
     dualize_cob,
@@ -27,9 +27,7 @@ from spinhom.cob import (
     identity_cob,
     merge_trace_saddle,
     reduce_component,
-    reflect_x_cob,
     reflect_x_ob,
-    reflect_y_cob,
     reflect_y_ob,
     saddle_to_identity,
     stack,

@@ -23,7 +23,7 @@ from spinhom.cob import CanonicalCobordism, FlatTangle, ShiftedObject
 from spinhom.errors import SpinhomError
 from spinhom.serialize import cobordism_to_data
 
-from helpers import reference_deloop_maps
+from helpers import reference_deloop_maps, reflect_x_cob, reflect_y_cob
 
 PINNED_SHA256 = {
     "beside_structure": "82afef7d54c62172cf468daf47f39c403786750af1f8764b194f65b11a4bcf87",
@@ -117,7 +117,7 @@ def _records(name: str):
         for ts in TANGLES.values():
             for a, b in itertools.product(ts, repeat=2):
                 for f in _generators(a, b):
-                    for op in (cob.dualize_cob, cob.reflect_x_cob, cob.reflect_y_cob):
+                    for op in (cob.dualize_cob, reflect_x_cob, reflect_y_cob):
                         yield _cobordism(op(f))
 
 

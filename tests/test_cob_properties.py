@@ -5,6 +5,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import cob_degree as degree
 from spinhom import tl
 from spinhom.cob import (
     AlphaPoly,
@@ -15,7 +16,6 @@ from spinhom.cob import (
     beside_ob,
     closure_data,
     compose,
-    degree,
     identity_cob,
     reduce_glued,
     stack,

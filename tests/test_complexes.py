@@ -12,6 +12,7 @@ from helpers import (
     assert_sdr,
     cap_source,
     cap_target,
+    cobordisms,
     column_homotopy,
     first_iso_entry,
     nonempty_complex,
@@ -20,6 +21,7 @@ from helpers import (
     reference_deloop,
     reference_deloop_maps,
     reference_instantiate,
+    reference_mat_mul,
     tables_equal,
     two_term_piece,
 )
@@ -112,6 +114,101 @@ def test_validate_rejects_malformed_term_dicts():
         replace(P, diff={**P.diff, -1: {(1, 0): terms}}).validate()
 
 
+@pytest.mark.parametrize("case", ["out_of_range", "dot_width", "q_degree"])
+def test_chain_map_validate_rejects_malformed_entries(case):
+    # an entry carries no ends: validate reads entry (r, c) of degree k from
+    # source.objects(k)[c] to target.objects(k + hdeg)[r].  v has hdeg -1,
+    # and its degree-0 saddle has the width of 1_2 -> e, not of 1_2 -> 1_2
+    P = pj.p2(Window(-4, 0)).complex
+    v = pj.v_map(P)
+    v.validate()
+    ((rc, terms),) = v.mats[-2].items()
+    bad = {
+        "out_of_range": {(1, 0): terms},
+        "dot_width": {rc: {a + (0,): p for a, p in terms.items()}},
+        "q_degree": {rc: {a: p * AlphaPoly({1: 1}) for a, p in terms.items()}},
+    }[case]
+    match = {"out_of_range": "out of range", "dot_width": "bad dot assignment",
+             "q_degree": "q-degree 6 != 2"}[case]
+    with pytest.raises(IntegrityError, match=match):
+        ChainMap(P, P, -1, 2, {**v.mats, -2: bad}).validate()
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "compose"])
+def test_chain_map_algebra_rejects_different_chain_groups(op):
+    # entries carry no ends, so the map checks the chain groups it joins
+    # where cob.compose and CanonicalCobordism.__add__ checked each entry's
+    b4 = pj.dot_maps(pj.p2(Window(-4, 0)).complex)[0]
+    b6 = pj.dot_maps(pj.p2(Window(-6, 0)).complex)[0]
+    run = {
+        "add": lambda f, g: f + g, "sub": lambda f, g: f - g, "compose": compose_maps,
+    }[op]
+    run(b4, pj.dot_maps(pj.p2(Window(-4, 0)).complex)[0])  # equal groups, other complexes
+    with pytest.raises(DimensionError, match="different chain groups"):
+        run(b4, b6)
+
+
+def _wrapped(F: ChainMap) -> dict:
+    return {k: cobordisms(F, k) for k in F.mats}
+
+
+def _reference_commutator(f: ChainMap) -> dict:
+    """[d, f] = d_B . f - (-1)^{|f|} f . d_A on cobordisms with their ends,
+    as complexes computed it before its matrices held term dicts."""
+    A, B = f.source, f.target
+    sign = -1 if f.hdeg % 2 == 0 else 1
+    out = {}
+    for k in set(f.mats) | set(A.diff):
+        acc = reference_mat_mul(cobordisms(B, k + f.hdeg), cobordisms(f, k))
+        for rc, v in reference_mat_mul(cobordisms(f, k + 1), cobordisms(A, k)).items():
+            acc[rc] = acc[rc] + v.scale(sign) if rc in acc else v.scale(sign)
+        if acc := {rc: v for rc, v in acc.items() if not v.is_zero()}:
+            out[k] = acc
+    return out
+
+
+def _assert_map_algebra_matches_reference(maps: list[ChainMap]) -> int:
+    """compose_maps of every composable pair and commutator_with_d of each
+    map against the cobordism-level reference; the number of nonzero
+    entries compared."""
+    seen = 0
+    for g, f in itertools.product(maps, repeat=2):
+        if f.target.groups != g.source.groups:
+            continue
+        want = {}
+        for k in f.mats:
+            if prod := reference_mat_mul(cobordisms(g, k + f.hdeg), cobordisms(f, k)):
+                want[k] = prod
+        assert _wrapped(compose_maps(g, f)) == want
+        seen += sum(map(len, want.values()))
+    for f in maps:
+        want = _reference_commutator(f)
+        assert _wrapped(commutator_with_d(f)) == want
+        seen += sum(map(len, want.values()))
+    return seen
+
+
+def test_map_algebra_matches_the_cobordism_level_reference_on_sdrs():
+    # the tracked SDRs of seeded random complexes, half of them capped by
+    # e_0 above and below so that objects carry circles; empty draws skipped
+    seen = 0
+    for seed in range(40):
+        C = random_complex(random.Random(seed), 2, 2, Window(-3, 2), pieces=3)
+        if not C.groups:
+            continue
+        if seed % 2:
+            C = stack_complexes(stack_complexes(from_tangle(E), C), from_tangle(E))
+        S, eq = simplify(C, want_equivalence=True)
+        seen += _assert_map_algebra_matches_reference([eq.r, eq.i, eq.h])
+    assert seen > 150
+
+
+def test_map_algebra_matches_the_cobordism_level_reference_on_dot_maps():
+    P = pj.p2(Window(-6, 0)).complex
+    b1, b2 = pj.dot_maps(P)
+    assert _assert_map_algebra_matches_reference([b1, b2, pj.v_map(P)]) > 30
+
+
 def test_shift_conventions():
     A = from_tangle(E, 1)
     assert shift_h(shift_h(A, 1), 1).graded_objects() == shift_h(A, 2).graded_objects()
@@ -121,7 +218,7 @@ def test_shift_conventions():
     S = shift_h(P, 1)
     S.validate()
     # t-shift negates the differential
-    assert S.cobordisms(1) == {(0, 0): P.cobordisms(0)[(0, 0)].scale(-1)}
+    assert cobordisms(S, 1) == {(0, 0): cobordisms(P, 0)[(0, 0)].scale(-1)}
 
 
 def test_cone_of_identity_contracts():
@@ -175,7 +272,7 @@ def test_gaussian_elimination_identities_random():
 def test_gaussian_elimination_rejects_non_iso():
     rng = random.Random(2)
     C = two_term_piece(rng, 2, 0, 0)  # saddle entry, not invertible
-    f = C.cobordisms(0)[(0, 0)]
+    f = cobordisms(C, 0)[(0, 0)]
     if f.is_identity_iso() is None:
         with pytest.raises(SpinhomError):
             gaussian_eliminate(C, (0, 0, 0))
@@ -193,7 +290,7 @@ def test_simplify_full_sdr():
         assert all(
             f.is_identity_iso() is None
             for k in S.diff
-            for f in S.cobordisms(k).values()
+            for f in cobordisms(S, k).values()
         )
 
 
@@ -261,7 +358,7 @@ def test_simplify_sdr_property_with_protected_objects(case):
             if (k, p) not in kept:
                 assert o.tangle.circles == 0
     for k in S.diff:
-        for (r, c), f in S.cobordisms(k).items():
+        for (r, c), f in cobordisms(S, k).items():
             if (k, c) not in kept and (k + 1, r) not in kept:
                 assert f.is_identity_iso() is None
 

@@ -3,6 +3,7 @@ alpha=1 (Lee-type) specialization, and both directions of ordinary duality."""
 
 import itertools
 
+from helpers import cob_degree as degree
 from spinhom import complexes as cx
 from spinhom import expr as ex
 from spinhom import projector as pj
@@ -14,7 +15,6 @@ from spinhom.cob import (
     ShiftedObject,
     closure_data,
     compose,
-    degree,
     dotted_identity,
     dualize_cob,
     dualize_ob,

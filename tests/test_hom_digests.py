@@ -15,7 +15,8 @@ bands the records hash as before.
 
 Each SDR digest (the `sdr_` records) is a SHA-256 over a serialized complex
 (the small one, or the product that absorption_retraction simplifies) and over the sorted serialized entries of the chain maps r, i
-and h (or of a map built from them): tracked simplify of the unreduced
+and h (or of a map built from them), each entry made a cobordism between
+its ends first, since a map's entries are term dicts: tracked simplify of the unreduced
 theta(2,2,2) at window 6; absorption_retraction's phi and
 standard_equivalence for P3@-5; and deloop, gaussian_eliminate and tracked
 simplify on seeded random complexes capped by a turnback above and below.
@@ -34,7 +35,7 @@ import random
 
 import pytest
 
-from helpers import first_iso_entry, random_complex, reference_instantiate
+from helpers import cobordisms, first_iso_entry, random_complex, reference_instantiate
 from spinhom import complexes as cx
 from spinhom import expr as ex
 from spinhom import projector as pj
@@ -67,8 +68,8 @@ def _complex(C) -> str:
 def _chain_map(F) -> str:
     mats = [
         (k, sorted((r, c, json.dumps(cobordism_to_data(f), sort_keys=True))
-                   for (r, c), f in mat.items()))
-        for k, mat in sorted(F.mats.items())
+                   for (r, c), f in cobordisms(F, k).items()))
+        for k in sorted(F.mats)
     ]
     return repr((F.hdeg, F.qdeg, mats))
 

@@ -64,7 +64,7 @@ W = Window(-2, 0)
 C = ChainComplex(2, 2, W, {0: [O], -1: []}, {})
 C2 = ChainComplex(2, 2, W, {-1: [O], 0: [O]}, {-1: {(0, 0): identity_cob(O).terms, (1, 1): {}}},
                   tail_lo=True, reliable=(-1, float("inf")))
-M = ChainMap(C, C, 0, 0, {0: {(0, 0): identity_cob(O)}, 1: {}})
+M = ChainMap(C, C, 0, 0, {0: {(0, 0): identity_cob(O).terms}, 1: {}})
 CERT = projector.Certificate(2, True, {("above", 0): (True, [])})
 ONE = LaurentPoly({0: 1})
 
@@ -83,7 +83,7 @@ SAMPLES = {
     "Window": [((-3, 0), {}), ((0, 0), {}), ((), {"hi": 2, "lo": -1})],
     "ChainComplex": [((2, 2, W, {0: [O]}, {}), {}), ((2, 2, W, {0: [O], 1: []}, {}), {"tail_hi": True}),
                      ((2, 2, W, {-1: [O], 0: [O]}, C2.diff, True, False, (0, 1.5)), {})],
-    "ChainMap": [((C, C, 0, 0, {}), {}), ((C, C, 1, 2, {0: {(0, 0): identity_cob(O).scale(0)}}), {}),
+    "ChainMap": [((C, C, 0, 0, {}), {}), ((C, C, 1, 2, {0: {(0, 0): {}}}), {}),
                  ((), {"source": C, "target": C, "hdeg": 0, "qdeg": 0, "mats": M.mats})],
     "Equivalence": [((M, M, M), {}), ((), {"r": M, "i": M, "h": ChainMap(C, C, -1, 0, {})})],
     "Strand": [((1,), {}), ((2,), {}), ((), {"k": 3})],
