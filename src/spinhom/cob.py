@@ -13,8 +13,10 @@ by identity while every dict and set order stays that of the value.
 Morphisms are kept in canonical form throughout: neck-cutting and the
 sphere/handle relations reduce any dotted cobordism to a Z[alpha]-linear
 combination of unions of disks, one disk per closure circle of the glued
-pair (source, target), each disk carrying 0 or 1 dots.  A morphism is a
-map {dot assignment -> alpha-polynomial}.
+pair (source, target), each disk carrying 0 or 1 dots.  A morphism is its
+term dict (Terms), {dot assignment -> alpha-polynomial}, the one morphism
+format of the package; its source and target are carried by the caller (a
+complex's chain groups), and the functions here take them as arguments.
 
 All geometric operations (composition, planar stacking, juxtaposition,
 Markov trace, surgery saddles, dotted identities) funnel through one
@@ -426,88 +428,9 @@ def reduce_glued(
 
 
 # ---------------------------------------------------------------------------
-# Canonical morphisms
+# Morphisms as term dicts
 
 _BITS = frozenset((0, 1))
-
-
-class CanonicalCobordism:
-    """A morphism in canonical dotted-disk form with Z[alpha] coefficients."""
-
-    __slots__ = ("source", "target", "terms")
-
-    def __init__(
-        self,
-        source: ShiftedObject,
-        target: ShiftedObject,
-        terms: dict[tuple[int, ...], AlphaPoly] | None = None,
-    ):
-        terms = terms or {}
-        check_terms(source, target, terms)
-        self.source = source
-        self.target = target
-        self.terms: dict[tuple[int, ...], AlphaPoly] = {a: p for a, p in terms.items() if p}
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(source: ShiftedObject, target: ShiftedObject) -> "CanonicalCobordism":
-        return CanonicalCobordism(source, target, {})
-
-    @staticmethod
-    def generator(
-        source: ShiftedObject,
-        target: ShiftedObject,
-        assign: tuple[int, ...],
-        coeff: AlphaPoly | int = 1,
-    ) -> "CanonicalCobordism":
-        if isinstance(coeff, int):
-            coeff = AlphaPoly({0: coeff})
-        return CanonicalCobordism(source, target, {assign: coeff})
-
-    # -- structure ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CanonicalCobordism):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "CanonicalCobordism") -> "CanonicalCobordism":
-        if self.source != other.source or self.target != other.target:
-            raise DimensionError("adding cobordisms with different endpoints")
-        return CanonicalCobordism(self.source, self.target, add_terms(self.terms, other.terms))
-
-    def __neg__(self) -> "CanonicalCobordism":
-        return CanonicalCobordism(
-            self.source, self.target, {a: -p for a, p in self.terms.items()}
-        )
-
-    def __sub__(self, other: "CanonicalCobordism") -> "CanonicalCobordism":
-        return self + (-other)
-
-    def scale(self, c: AlphaPoly | int) -> "CanonicalCobordism":
-        return CanonicalCobordism(self.source, self.target, scale_terms(self.terms, c))
-
-    def __repr__(self) -> str:
-        return (
-            f"Cob({self.source.tangle.pairs}+{self.source.tangle.circles}o"
-            f" q^{self.source.qshift} -> {self.target.tangle.pairs}"
-            f"+{self.target.tangle.circles}o q^{self.target.qshift}: {self.terms})"
-        )
-
-    def is_identity_iso(self) -> int | None:
-        """iso_sign of this morphism."""
-        return iso_sign(self.source, self.target, self.terms)
-
-
-# -- term dicts: the cores the methods above and the elimination engine share
 
 
 def check_terms(source: ShiftedObject, target: ShiftedObject, terms: Terms) -> None:
@@ -626,14 +549,15 @@ def _circle_nodes(
 
 
 @functools.lru_cache(maxsize=1 << 14)
-def identity_cob(obj: ShiftedObject) -> "CanonicalCobordism":
+def identity_terms(obj: ShiftedObject) -> Terms:
+    """The terms of the identity of obj.  Cached: term dicts are never
+    mutated."""
     return dotted_identity(obj, {})
 
 
-def dotted_identity(
-    obj: ShiftedObject, dots: dict[tuple[str, object], int]
-) -> CanonicalCobordism:
-    """Identity cylinder on obj with dots on selected components.
+def dotted_identity(obj: ShiftedObject, dots: dict[tuple[str, object], int]) -> Terms:
+    """The terms of the identity cylinder on obj with dots on selected
+    components.
 
     Keys of `dots`: ("arc", (p, q)) or ("circ", j); values: dot counts.
     Arc cylinders are disks on their closure circle; circle cylinders are
@@ -652,17 +576,16 @@ def dotted_identity(
         piece_dots[owner[key]] += d
     point_piece = [owner[("arc", t.arc_at(p))] for p in range(t.m + t.n)]
     nodes = _circle_nodes(t, t, point_piece, point_piece, circs, circs)
-    terms = reduce_glued(pieces, piece_dots, [], nodes)
-    return CanonicalCobordism(obj, obj, terms)
+    return reduce_glued(pieces, piece_dots, [], nodes)
 
 
-def dot_at_point(obj: ShiftedObject, p: int, dots: int = 1) -> CanonicalCobordism:
+def dot_at_point(obj: ShiftedObject, p: int, dots: int = 1) -> Terms:
     """Dotted identity with the dots on the component through boundary point p."""
     return dotted_identity(obj, {("arc", obj.tangle.arc_at(p)): dots})
 
 
 # ---------------------------------------------------------------------------
-# The four gluing operations on morphisms
+# Gluing morphisms: composition, and the planar gluings of the complexes
 
 
 # the coefficients of the unit polynomial
@@ -670,8 +593,10 @@ _UNIT = {0: 1}
 
 
 def _glue_terms(f: Terms, g: Terms, st: GlueStructure) -> Terms:
-    """The one core of compose, stack, beside and trace: the pieces of st
-    are f's disks, then g's pieces (g's disks, or trace's strips).
+    """The one gluing core of compose and of the planar products
+    (complexes._planar, through _stack_structure, _beside_structure and
+    _trace_structure): the pieces of st are f's disks, then g's pieces
+    (g's disks, or trace's strips).
 
     Multiplying by the unit is skipped on either side, so the result can
     hold the coefficients of f and g and the memoised polynomials of
@@ -733,35 +658,20 @@ def _compose_structure(a: FlatTangle, b: FlatTangle, c: FlatTangle) -> GlueStruc
     return glue_structure((1,) * (cF.n + cG.n), tuple(cells), nodes)
 
 
-def compose_terms(
+def compose(
     a: ShiftedObject, b: ShiftedObject, c: ShiftedObject,
     f: Terms, g: Terms, f_sign: int | None, g_sign: int | None,
 ) -> Terms:
-    """Terms of g after f, for f: a -> b and g: b -> c with their iso_sign
-    values (a caller composing one map with many computes each once).  The
-    result may be f or g itself, so it must not be mutated."""
+    """Terms of g after f, glued along the full middle object (arcs and
+    circles), for f: a -> b and g: b -> c with their iso_sign values (a
+    caller composing one map with many computes each once).  The result
+    may be f or g itself, so it must not be mutated."""
     # unit fast paths: composing with (+-1) undotted identity only rescales
     if g_sign is not None:
         return f if g_sign == 1 else scale_terms(f, -1)
     if f_sign is not None:
         return g if f_sign == 1 else scale_terms(g, -1)
     return _glue_terms(f, g, _compose_structure(a.tangle, b.tangle, c.tangle))
-
-
-def compose(g: CanonicalCobordism, f: CanonicalCobordism) -> CanonicalCobordism:
-    """g after f: glue along the full middle object (arcs and circles)."""
-    if f.target != g.source:
-        raise DimensionError("cobordisms are not composable")
-    a, b, c = f.source, f.target, g.target
-    terms = compose_terms(
-        a, b, c, f.terms, g.terms, iso_sign(a, b, f.terms), iso_sign(b, c, g.terms)
-    )
-    # a unit fast path hands back one of the inputs' terms unchanged
-    if terms is f.terms:
-        return f
-    if terms is g.terms:
-        return g
-    return CanonicalCobordism(a, c, terms)
 
 
 # -- planar stacking of objects ----------------------------------------------
@@ -869,20 +779,6 @@ def _stack_structure(
     return glue_structure((1,) * (cF.n + cG.n), cells, nodes)
 
 
-def stack(f: CanonicalCobordism, g: CanonicalCobordism) -> CanonicalCobordism:
-    """Planar vertical stacking of morphisms: f over g, glued along the
-    k vertical boundary lines between them."""
-    at, bt = f.source.tangle, g.source.tangle
-    if at.n != bt.m:
-        raise DimensionError("stacking with mismatched middle boundary")
-    st = _stack_structure(at, bt, f.target.tangle, g.target.tangle)
-    return CanonicalCobordism(
-        stack_objects(f.source, g.source),
-        stack_objects(f.target, g.target),
-        _glue_terms(f.terms, g.terms, st),
-    )
-
-
 def beside_ob(a: FlatTangle, b: FlatTangle) -> FlatTangle:
     m, n = a.m + b.m, a.n + b.n
 
@@ -926,16 +822,6 @@ def _beside_structure(
     return glue_structure((1,) * (cF.n + cG.n), (), nodes)
 
 
-def beside(f: CanonicalCobordism, g: CanonicalCobordism) -> CanonicalCobordism:
-    """Horizontal juxtaposition: f to the left of g (no gluing)."""
-    st = _beside_structure(f.source.tangle, g.source.tangle, f.target.tangle, g.target.tangle)
-    return CanonicalCobordism(
-        beside_objects(f.source, g.source),
-        beside_objects(f.target, g.target),
-        _glue_terms(f.terms, g.terms, st),
-    )
-
-
 # -- Markov trace ------------------------------------------------------------
 
 
@@ -977,21 +863,6 @@ def _trace_structure(at: FlatTangle, bt: FlatTangle) -> GlueStructure:
     ta, tb = trace_ob(at), trace_ob(bt)
     nodes = _circle_nodes(ta.tangle, tb.tangle, (), (), free(ta, cF.src_circ), free(tb, cF.tgt_circ))
     return glue_structure((1,) * (cF.n + n), tuple(cells), nodes)
-
-
-def trace(f: CanonicalCobordism) -> CanonicalCobordism:
-    """The Markov trace of a morphism: glue closure strips on both sides."""
-    at = f.source.tangle
-    if at.m != at.n:
-        raise DimensionError("trace needs a square morphism")
-    st = _trace_structure(at, f.target.tangle)
-    # the strips carry no dots, so their one term is the unit
-    strips = {(0,) * at.n: AlphaPoly.one()}
-    return CanonicalCobordism(
-        trace_object(f.source),
-        trace_object(f.target),
-        _glue_terms(f.terms, strips, st),
-    )
 
 
 # -- duality and reflections -------------------------------------------------
@@ -1043,13 +914,6 @@ def dualize_terms(source: ShiftedObject, target: ShiftedObject, terms: Terms) ->
     return _transport(source, target, terms, tt.flip(), st.flip(), _flip_point(st), True)
 
 
-def dualize_cob(f: CanonicalCobordism) -> CanonicalCobordism:
-    """dualize_terms of a single canonical morphism, with its ends."""
-    return CanonicalCobordism(
-        dualize_ob(f.target), dualize_ob(f.source), dualize_terms(f.source, f.target, f.terms)
-    )
-
-
 def reflect_x_ob(a: ShiftedObject) -> ShiftedObject:
     """Covariant reflection about the x-axis: no degree reversal."""
     return ShiftedObject(a.tangle.flip(), a.qshift)
@@ -1074,12 +938,10 @@ def reflect_y_terms(source: ShiftedObject, target: ShiftedObject, terms: Terms) 
 # -- surgery (elementary saddle) ----------------------------------------------
 
 
-def surgery(source: ShiftedObject, x: int, y: int, target_shift: int | None = None) -> CanonicalCobordism:
+def surgery(source: ShiftedObject, x: int, y: int) -> tuple[ShiftedObject, Terms]:
     """One-handle attachment reconnecting the strands at boundary points
-    x and y: arcs x-p(x), y-p(y) become x-y, p(x)-p(y).
-
-    The target shift defaults to source shift (callers adjust afterwards).
-    """
+    x and y: arcs x-p(x), y-p(y) become x-y, p(x)-p(y).  Returns the
+    target, with the source's q-shift, and the terms."""
     t = source.tangle
     px, py = t.pairs[x], t.pairs[y]
     if x == y:
@@ -1093,7 +955,7 @@ def surgery(source: ShiftedObject, x: int, y: int, target_shift: int | None = No
         new_pairs[x], new_pairs[y] = y, x
         new_pairs[px], new_pairs[py] = py, px
     tgt_tangle = FlatTangle(t.m, t.n, tuple(new_pairs), t.circles + extra_circle)
-    tgt = ShiftedObject(tgt_tangle, source.qshift if target_shift is None else target_shift)
+    tgt = ShiftedObject(tgt_tangle, source.qshift)
 
     # pieces: one strip per source arc, one annulus per source circle, one
     # handle square.  Target arcs share their boundary points with source
@@ -1113,19 +975,17 @@ def surgery(source: ShiftedObject, x: int, y: int, target_shift: int | None = No
     nodes = _circle_nodes(
         t, tgt_tangle, point_piece, point_piece, circs, circs + [handle] * extra_circle
     )
-    terms = reduce_glued(piece_chi, piece_dots, cells, nodes)
-    return CanonicalCobordism(source, tgt, terms)
+    return tgt, reduce_glued(piece_chi, piece_dots, cells, nodes)
 
 
 # -- caps, cups, eta and the n-fold saddle ------------------------------------
 
 
-def cap_off_circles(tgt: ShiftedObject, dots_per_circle: tuple[int, ...] | None = None) -> CanonicalCobordism:
+def cap_off_circles(tgt: ShiftedObject, dots_per_circle: tuple[int, ...] | None = None) -> Terms:
     """The disk-filling generator from the empty diagram into a closed object."""
     t = tgt.tangle
     if t.m or t.n:
         raise DimensionError("can only cap into a closed object")
-    src = ShiftedObject(FlatTangle.empty(), 0)
     cd = closure_data(FlatTangle.empty(), t)
     assign = [0] * cd.n
     if dots_per_circle:
@@ -1134,10 +994,10 @@ def cap_off_circles(tgt: ShiftedObject, dots_per_circle: tuple[int, ...] | None 
             if aexp:
                 raise SpinhomError("cap constructor takes 0/1 dots")
             assign[cd.tgt_circ[j]] = eps
-    return CanonicalCobordism.generator(src, tgt, tuple(assign))
+    return {tuple(assign): AlphaPoly.one()}
 
 
-def eta(a: FlatTangle) -> CanonicalCobordism:
+def eta(a: FlatTangle) -> Terms:
     """eta_a : empty -> a (x) a_dual, the n disjoint capping disks.
 
     a must be an indecomposable diagram in Cob^0_{2n} (no circles).
@@ -1148,26 +1008,27 @@ def eta(a: FlatTangle) -> CanonicalCobordism:
     return cap_off_circles(target)
 
 
-def saddle_to_identity(a: FlatTangle) -> CanonicalCobordism:
+def saddle_to_identity(a: FlatTangle) -> Terms:
     """s_a : a_dual (x) a -> 1_{2n}, built as a chain of elementary surgeries."""
     if a.m != 0 or a.circles != 0:
         raise SpinhomError("saddle needs a circle-free diagram with boundary below")
     n2 = a.n
     src = stack_objects(dualize_ob(ShiftedObject(a)), ShiftedObject(a))
-    result = identity_cob(src)
+    terms = identity_terms(src)
     current = src
     for p, _q in a.arcs():
-        pt_top = p
-        pt_bot = n2 + p
-        step = surgery(current, pt_top, pt_bot)
-        result = compose(step, result)
-        current = step.target
+        step_target, step = surgery(current, p, n2 + p)
+        terms = compose(
+            src, current, step_target, terms, step,
+            iso_sign(src, current, terms), iso_sign(current, step_target, step),
+        )
+        current = step_target
     if current.tangle != FlatTangle.identity(n2):
         raise IntegrityError("saddle chain did not reach the identity tangle")
-    return result
+    return terms
 
 
-def merge_trace_saddle(a: FlatTangle, b: FlatTangle) -> CanonicalCobordism:
+def merge_trace_saddle(a: FlatTangle, b: FlatTangle) -> Terms:
     """The n-handle merge Tr(a) | b  ->  a (x) b.
 
     One handle per strand position joins the Markov closure of a, sitting
@@ -1203,5 +1064,4 @@ def merge_trace_saddle(a: FlatTangle, b: FlatTangle) -> CanonicalCobordism:
     tgt_circ = src_circ[: a.circles] + src_circ[ta.tangle.circles :]
     tgt_circ += [point_piece[i] for i in sd.loops]
     nodes = _circle_nodes(source, sd.tangle, point_piece, point_piece, src_circ, tgt_circ)
-    terms = reduce_glued(piece_chi, piece_dots, cells, nodes)
-    return CanonicalCobordism(ShiftedObject(source), ShiftedObject(sd.tangle), terms)
+    return reduce_glued(piece_chi, piece_dots, cells, nodes)

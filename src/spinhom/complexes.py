@@ -134,7 +134,7 @@ def _mat_mul(
             continue
         f_sign = cob.iso_sign(a[col], b[j], f)
         for r, g, g_sign in g_col:
-            term = cob.compose_terms(a[col], b[j], c[r], f, g, f_sign, g_sign)
+            term = cob.compose(a[col], b[j], c[r], f, g, f_sign, g_sign)
             if term:
                 acc[(r, col)] = cob.add_terms(acc[(r, col)], term) if (r, col) in acc else term
     return {rc: v for rc, v in acc.items() if v}
@@ -198,7 +198,7 @@ class ChainMap:
     @staticmethod
     def identity(C: ChainComplex) -> "ChainMap":
         mats = {
-            k: {(i, i): cob.identity_cob(o).terms for i, o in enumerate(objs)}
+            k: {(i, i): cob.identity_terms(o) for i, o in enumerate(objs)}
             for k, objs in C.groups.items()
         }
         return ChainMap(C, C, 0, 0, mats)
@@ -427,7 +427,7 @@ def _planar(
         for k, mat in C.diff.items() for (r, c), f in mat.items()
     ) for C in (A, B))
     one_A, one_B = (_columns(
-        (k, i, i, o.tangle, cob.identity_cob(o).terms)
+        (k, i, i, o.tangle, cob.identity_terms(o))
         for k, objs in C.groups.items() for i, o in enumerate(objs)
     ) for C in (A, B))
     pairs = ((d_A, one_B, 1, 0), (one_A, d_B, 0, 1))
@@ -651,7 +651,7 @@ class _Work:
     An edge is a term dict (cob.Terms), the format of a complex's
     differential and of a chain map's entries; its endpoints are obj[src]
     and obj[tgt].  The steps rewrite term dicts only, through the cores
-    cob's morphisms share (compose_terms, add_terms, scale_terms,
+    cob's morphisms share (compose, add_terms, scale_terms,
     iso_sign), and finish hands every edge back as it is, in d or in one of
     the SDR's maps.
 
@@ -706,7 +706,7 @@ class _Work:
                     self.ghost[g_in] = self.ghost[g_out] = (k, p)
                     self.obj[g_in] = self.obj[g_out] = self.obj[oid]
                     self.protected.update((g_in, g_out))
-                    one = cob.identity_cob(self.obj[oid]).terms
+                    one = cob.identity_terms(self.obj[oid])
                     self.set_edge(g_in, oid, one)
                     self.set_edge(oid, g_out, one)
 
@@ -799,7 +799,7 @@ class _Work:
             left = cob.scale_terms(fu, -sign)
             left_sign = cob.iso_sign(a, mid, left)
             for v, c, fv, fv_sign in outs_beta:
-                self.add_edge(u, v, cob.compose_terms(a, mid, c, left, fv, left_sign, fv_sign))
+                self.add_edge(u, v, cob.compose(a, mid, c, left, fv, left_sign, fv_sign))
         self.remove_object(src)
         self.remove_object(tgt)
 
@@ -1021,7 +1021,7 @@ def _hom_d(
     from the generators `basis` of Hom^t(A, B) into the generators of
     Hom^{t+1} that `rows` numbers (label -> row); images on other generators
     are dropped.  Each generator meets only its own column of d_B and its
-    own row of d_A, composed as term dicts (cob.compose_terms) with the
+    own row of d_A, composed as term dicts (cob.compose) with the
     iso_sign of each generator and each entry taken once."""
 
     col_b = functools.cache(lambda j: _signed(B.diff.get(j, {}), B.objects(j), B.objects(j + 1)))
@@ -1047,10 +1047,10 @@ def _hom_d(
         gen = {assign: _ONE}
         gen_sign = cob.iso_sign(oa, ob, gen)
         for r2, g, g_sign in col:
-            img = cob.compose_terms(oa, ob, B.groups[j + 1][r2], gen, g, gen_sign, g_sign)
+            img = cob.compose(oa, ob, B.groups[j + 1][r2], gen, g, gen_sign, g_sign)
             add(((i, pa), (j + 1, r2)), c, img, False)
         for c2, g, g_sign in row:
-            img = cob.compose_terms(A.groups[i - 1][c2], oa, ob, g, gen, g_sign, gen_sign)
+            img = cob.compose(A.groups[i - 1][c2], oa, ob, g, gen, g_sign, gen_sign)
             add(((i - 1, c2), (j, pb)), c, img, negate)
     return {rc: v for rc, v in out.items() if v}
 
@@ -1126,7 +1126,7 @@ def hom_complex_direct(A: ChainComplex, B: ChainComplex) -> ModuleComplex:
     """Hom-complex built from the definition: generators are canonical
     cobordisms A^i -> B^{i+t}, differential the supercommutator
     [d, f] = d_B . f - (-1)^t f . d_A, both from the Hom engine (_hom_module),
-    which composes cobordisms (cob.compose_terms); hom_complex does not."""
+    which composes cobordisms (cob.compose); hom_complex does not."""
     if (A.m, A.n) != (B.m, B.n):
         raise DimensionError("hom complex needs matching boundaries")
     return _hom_module(A, B, _combine_reliability(B, dual_complex(A)))

@@ -20,7 +20,7 @@ from . import cob
 from . import complexes as cx
 from . import expr as ex
 from . import tl
-from .cob import AlphaPoly, CanonicalCobordism, FlatTangle, ShiftedObject
+from .cob import AlphaPoly, FlatTangle, ShiftedObject
 from .complexes import ChainComplex, ChainMap, Window
 from .errors import (
     ArityError,
@@ -58,11 +58,12 @@ def p2(window: Window) -> "ProjectorComplex":
         groups[-k] = [ShiftedObject(e, 2 * k - 1)]
     diff: dict[int, cx.Matrix] = {}
     if N >= 1:
-        diff[-1] = {(0, 0): cob.surgery(ShiftedObject(e), 0, 2).terms}
+        diff[-1] = {(0, 0): cob.surgery(ShiftedObject(e), 0, 2)[1]}
+    t = cob.dot_at_point(ShiftedObject(e), 0)
+    b = cob.dot_at_point(ShiftedObject(e), 2)
+    dot_diff, dot_sum = cob.add_terms(t, cob.scale_terms(b, -1)), cob.add_terms(t, b)
     for j in range(2, N + 1):
-        t = cob.dot_at_point(ShiftedObject(e), 0)
-        b = cob.dot_at_point(ShiftedObject(e), 2)
-        diff[-j] = {(0, 0): (t - b if j % 2 == 0 else t + b).terms}
+        diff[-j] = {(0, 0): dot_diff if j % 2 == 0 else dot_sum}
     return certified_projector(ChainComplex(2, 2, window, groups, diff), 2, window)
 
 
@@ -70,10 +71,10 @@ def dot_maps(P: ChainComplex) -> tuple[ChainMap, ChainMap]:
     """The sheet-algebra generators b_1, b_2 on P_2: dots on the left and
     right strand in degree 0, the top-arc dot in negative degrees (the
     choice that satisfies [d, v] = b_1 + b_2 on the nose)."""
-    mats1: dict[int, cx.Matrix] = {0: {(0, 0): cob.dot_at_point(P.objects(0)[0], 0).terms}}
-    mats2: dict[int, cx.Matrix] = {0: {(0, 0): cob.dot_at_point(P.objects(0)[0], 1).terms}}
+    mats1: dict[int, cx.Matrix] = {0: {(0, 0): cob.dot_at_point(P.objects(0)[0], 0)}}
+    mats2: dict[int, cx.Matrix] = {0: {(0, 0): cob.dot_at_point(P.objects(0)[0], 1)}}
     for k in range(P.window.lo, 0):
-        dot = cob.dot_at_point(P.objects(k)[0], 0).terms
+        dot = cob.dot_at_point(P.objects(k)[0], 0)
         mats1[k] = {(0, 0): dot}
         mats2[k] = {(0, 0): dot}
     b1 = ChainMap(P, P, 0, 2, mats1)
@@ -86,9 +87,9 @@ def v_map(P: ChainComplex) -> ChainMap:
     then degree-shifting identity cylinders down the turnback tail."""
     if P.window.hi - P.window.lo < 2:
         raise SpinhomError("v map needs window length >= 2")
-    mats: dict[int, cx.Matrix] = {0: {(0, 0): cob.surgery(P.objects(0)[0], 0, 1).terms}}
+    mats: dict[int, cx.Matrix] = {0: {(0, 0): cob.surgery(P.objects(0)[0], 0, 1)[1]}}
     for k in range(P.window.lo + 1, 0):
-        mats[k] = {(0, 0): cob.identity_cob(P.objects(k)[0]).terms}
+        mats[k] = {(0, 0): cob.identity_terms(P.objects(k)[0])}
     return ChainMap(P, P, -1, 2, mats)
 
 
@@ -161,13 +162,15 @@ def certified_projector(
     on (n, window) alone: C's groups and differential on n strands in the
     window, with a truncation tail below for n >= 2 and the reliable band
     (window.lo + n, inf), the degrees the turnback certificate vouches for.
-    Without a stored `cert` the axioms are checked here, and a failing
-    certificate raises DivergenceError."""
+    Without a stored `cert` C is a fresh build: it is validated
+    (ChainComplex.validate, an IntegrityError if it fails), the axioms are
+    checked here, and a failing certificate raises DivergenceError."""
     C = ChainComplex(
         n, n, window, C.groups, C.diff,
         tail_lo=n >= 2, reliable=(window.lo + n, float("inf")),
     )
     if cert is None:
+        C.validate()
         cert = check_projector_axioms(C, n, window)
         if not cert.passed:
             raise DivergenceError(
@@ -978,7 +981,7 @@ def iota_map(P: ChainComplex, n: int) -> ChainMap:
     """The inclusion of the degree-zero chain group 1_n -> P."""
     p = _degree_zero_identity(P, n)
     return ChainMap(
-        cx.identity_complex(n), P, 0, 0, {0: {(p, 0): cob.identity_cob(P.objects(0)[p]).terms}}
+        cx.identity_complex(n), P, 0, 0, {0: {(p, 0): cob.identity_terms(P.objects(0)[p])}}
     )
 
 
@@ -1012,7 +1015,7 @@ def absorption_retraction(P: ChainComplex, Q: ChainComplex, n: int) -> tuple[Cha
         obj = small.objects(k)[p]
         if Q.objects(k)[pb] != obj:
             raise IntegrityError("protected object drifted during simplify")
-        proj_mats.setdefault(k, {})[(pb, p)] = cob.identity_cob(obj).terms
+        proj_mats.setdefault(k, {})[(pb, p)] = cob.identity_terms(obj)
     proj = ChainMap(small, Q, 0, 0, proj_mats)
     phi = cx.compose_maps(proj, eq.r)
     return phi, T
@@ -1065,13 +1068,15 @@ def unknot_pairing(F: ChainMap, P: ProjectorComplex) -> dict:
     eta_assign = (0,) * circles
     out: dict[tuple, AlphaPoly] = {}
     empty = ShiftedObject(FlatTangle.empty(), 0)
-    gen = CanonicalCobordism.generator(empty, deg0[0], eta_assign)
+    gen = {eta_assign: AlphaPoly.one()}
+    gen_sign = cob.iso_sign(empty, deg0[0], gen)
     targets = TrF.target.objects(F.hdeg)
     for (r, c), entry in TrF.mats.get(0, {}).items():
         if c != 0:
             continue
-        img = cob.compose(CanonicalCobordism(deg0[0], targets[r], entry), gen)
-        for assign, poly in img.terms.items():
+        entry_sign = cob.iso_sign(deg0[0], targets[r], entry)
+        img = cob.compose(empty, deg0[0], targets[r], gen, entry, gen_sign, entry_sign)
+        for assign, poly in img.items():
             key = (F.hdeg, r, assign)
             out[key] = out.get(key, AlphaPoly()) + poly
     return {k: v for k, v in out.items() if v}
@@ -1094,16 +1099,24 @@ def unknot_action(zeta: dict, P: ProjectorComplex) -> ChainMap:
     empty = ShiftedObject(FlatTangle.empty(), 0)
     for (deg0, p0, assign), coeff in zeta.items():
         a_obj = PC.objects(k0)[p0]
-        gen = CanonicalCobordism.generator(empty, cob.trace_object(a_obj), assign)
+        tr_a = cob.trace_object(a_obj)
+        gen = {assign: AlphaPoly.one()}
         for j, objs in PC.groups.items():
             for pb, b_obj in enumerate(objs):
                 key = (k0, j, p0, pb)
                 if key not in index:
                     continue
-                birth = cob.beside(gen, cob.identity_cob(b_obj))
+                # the birth of the cycle beside 1_b, then the merge into a (x) b
+                src, mid = cob.beside_objects(empty, b_obj), cob.beside_objects(tr_a, b_obj)
+                tgt = T.objects(j + k0)[index[key]]
+                st = cob._beside_structure(empty.tangle, b_obj.tangle, tr_a.tangle, b_obj.tangle)
+                birth = cob._glue_terms(gen, cob.identity_terms(b_obj), st)
                 merge = cob.merge_trace_saddle(a_obj.tangle, b_obj.tangle)
-                merge = CanonicalCobordism(birth.target, T.objects(j + k0)[index[key]], merge.terms)
-                step = cob.compose(merge, birth).scale(coeff).terms
+                step = cob.compose(
+                    src, mid, tgt, birth, merge,
+                    cob.iso_sign(src, mid, birth), cob.iso_sign(mid, tgt, merge),
+                )
+                step = cob.scale_terms(step, coeff)
                 if not step:
                     continue
                 rc = (index[key], pb)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .cob import AlphaPoly, CanonicalCobordism, FlatTangle, ShiftedObject, Terms, closure_data
+from .cob import AlphaPoly, FlatTangle, ShiftedObject, Terms, closure_data
 from .complexes import ChainComplex, Window
 from .errors import IntegrityError
 
@@ -82,19 +82,6 @@ def _terms_from_data(src: ShiftedObject, tgt: ShiftedObject, terms: list) -> Ter
         raise IntegrityError(f"dot mask outside {width} closure circles: {masks!r}")
     polys = {_unmask(mask, width): poly_from_data(p) for mask, p in terms}
     return {a: p for a, p in polys.items() if p}
-
-
-def cobordism_to_data(f: CanonicalCobordism) -> dict[str, Any]:
-    return {
-        "src": object_to_data(f.source),
-        "tgt": object_to_data(f.target),
-        "terms": _terms_to_data(f.terms),
-    }
-
-
-def cobordism_from_data(d: dict[str, Any]) -> CanonicalCobordism:
-    src, tgt = object_from_data(d["src"]), object_from_data(d["tgt"])
-    return CanonicalCobordism(src, tgt, _terms_from_data(src, tgt, d["terms"]))
 
 
 def complex_to_data(C: ChainComplex) -> dict[str, Any]:

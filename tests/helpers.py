@@ -5,21 +5,16 @@ from __future__ import annotations
 import functools
 import random
 from contextlib import contextmanager
+from typing import NamedTuple
 from itertools import combinations, product
 from math import gcd, prod
 
 from spinhom import cob
 from spinhom import complexes as cx
 from spinhom import expr as ex
+from spinhom import serialize as ser
 from spinhom import tl
-from spinhom.cob import (
-    CanonicalCobordism,
-    ShiftedObject,
-    closure_data,
-    identity_cob,
-    stack as stack_cob,
-    surgery,
-)
+from spinhom.cob import AlphaPoly, FlatTangle, ShiftedObject, closure_data
 from spinhom.complexes import ChainComplex, Window
 from spinhom.errors import SpinhomError
 from spinhom.laurent import RatFunc, quantum_integer
@@ -27,42 +22,144 @@ from spinhom.projector import expand_vertices
 
 
 # ---------------------------------------------------------------------------
-# Cobordisms with their ends: the entries of complexes and maps, and the
-# cob operations, wrapped for comparison with the morphism-level code
+# Morphisms with their ends.  spinhom keeps a morphism as its term dict
+# (cob.Terms), its ends being the chain groups' objects; tests pair the two
+# so that the paper's identities read as they are written.  Every operation
+# is a spinhom.cob core on the terms: cob.compose, cob._glue_terms with the
+# planar glue structures, the transports and add_terms/scale_terms.
 
 
-def cobordisms(F: cx.ChainMap | ChainComplex, k: int) -> dict[tuple[int, int], CanonicalCobordism]:
-    """The entries of degree k of a chain map, or of a complex's
-    differential, each made a cobordism between its ends."""
-    if isinstance(F, ChainComplex):
-        F = cx.differential(F)
-    src, tgt = F.source.objects(k), F.target.objects(k + F.hdeg)
+class Cob(NamedTuple):
+    """A morphism source -> target: equal when source, target and terms are."""
+
+    source: ShiftedObject
+    target: ShiftedObject
+    terms: cob.Terms
+
+    def __add__(self, other: Cob) -> Cob:
+        return Cob(self.source, self.target, cob.add_terms(self.terms, other.terms))
+
+    def __sub__(self, other: Cob) -> Cob:
+        return self + other.scale(-1)
+
+    def scale(self, c: AlphaPoly | int) -> Cob:
+        return Cob(self.source, self.target, cob.scale_terms(self.terms, c) if c else {})
+
+
+EMPTY = ShiftedObject(FlatTangle.empty())
+
+
+def identity_cob(o: ShiftedObject) -> Cob:
+    return Cob(o, o, cob.identity_terms(o))
+
+
+def dotted_identity(o: ShiftedObject, dots: dict) -> Cob:
+    return Cob(o, o, cob.dotted_identity(o, dots))
+
+
+def dot_at_point(o: ShiftedObject, p: int) -> Cob:
+    return Cob(o, o, cob.dot_at_point(o, p))
+
+
+def surgery(o: ShiftedObject, x: int, y: int) -> Cob:
+    return Cob(o, *cob.surgery(o, x, y))
+
+
+def generator(source: ShiftedObject, target: ShiftedObject, assign: tuple[int, ...],
+              coeff: AlphaPoly = AlphaPoly.one()) -> Cob:
+    """The one dotted-disk generator `assign` times coeff."""
+    return Cob(source, target, {assign: coeff})
+
+
+def cap_off_circles(target: ShiftedObject, dots: tuple[int, ...] | None = None) -> Cob:
+    return Cob(EMPTY, target, cob.cap_off_circles(target, dots))
+
+
+def eta(t: FlatTangle) -> Cob:
+    """eta_t : empty -> t (x) t_dual."""
+    a = ShiftedObject(t)
+    return Cob(EMPTY, cob.stack_objects(a, cob.dualize_ob(a)), cob.eta(t))
+
+
+def saddle_to_identity(t: FlatTangle) -> Cob:
+    """s_t : t_dual (x) t -> 1_{2n}."""
+    a = ShiftedObject(t)
+    one = ShiftedObject(FlatTangle.identity(t.n))
+    return Cob(cob.stack_objects(cob.dualize_ob(a), a), one, cob.saddle_to_identity(t))
+
+
+def merge_trace_saddle(a: FlatTangle, b: FlatTangle) -> Cob:
+    """Tr(a) | b -> a (x) b."""
+    source = cob.beside_ob(cob.trace_ob(a).tangle, b)
+    return Cob(ShiftedObject(source), ShiftedObject(cob.stack_ob(a, b).tangle),
+               cob.merge_trace_saddle(a, b))
+
+
+def compose(g: Cob, f: Cob) -> Cob:
+    """g after f."""
+    a, b, c = f.source, f.target, g.target
+    return Cob(a, c, cob.compose(a, b, c, f.terms, g.terms, cob.iso_sign(*f), cob.iso_sign(*g)))
+
+
+def stack(f: Cob, g: Cob) -> Cob:
+    """f over g, glued along the boundary points between them."""
+    st = cob._stack_structure(f.source.tangle, g.source.tangle, f.target.tangle, g.target.tangle)
+    return Cob(cob.stack_objects(f.source, g.source), cob.stack_objects(f.target, g.target),
+               cob._glue_terms(f.terms, g.terms, st))
+
+
+def beside(f: Cob, g: Cob) -> Cob:
+    """f to the left of g."""
+    st = cob._beside_structure(f.source.tangle, g.source.tangle, f.target.tangle, g.target.tangle)
+    return Cob(cob.beside_objects(f.source, g.source), cob.beside_objects(f.target, g.target),
+               cob._glue_terms(f.terms, g.terms, st))
+
+
+def trace(f: Cob) -> Cob:
+    """The Markov trace: f glued to one undotted closure strip per strand."""
+    st = cob._trace_structure(f.source.tangle, f.target.tangle)
+    strips = {(0,) * f.source.tangle.n: AlphaPoly.one()}
+    return Cob(cob.trace_object(f.source), cob.trace_object(f.target),
+               cob._glue_terms(f.terms, strips, st))
+
+
+def dualize_cob(f: Cob) -> Cob:
+    return Cob(cob.dualize_ob(f.target), cob.dualize_ob(f.source), cob.dualize_terms(*f))
+
+
+def reflect_x_cob(f: Cob) -> Cob:
+    return Cob(cob.reflect_x_ob(f.source), cob.reflect_x_ob(f.target), cob.reflect_x_terms(*f))
+
+
+def reflect_y_cob(f: Cob) -> Cob:
+    return Cob(cob.reflect_y_ob(f.source), cob.reflect_y_ob(f.target), cob.reflect_y_terms(*f))
+
+
+def cob_degree(f: Cob) -> int | None:
+    return cob.degree(*f)
+
+
+def cobordism_data(f: Cob) -> dict:
+    """The JSON form {"src", "tgt", "terms"} the pinned digests hash."""
     return {
-        (r, c): CanonicalCobordism(src[c], tgt[r], f) for (r, c), f in F.mats.get(k, {}).items()
+        "src": ser.object_to_data(f.source),
+        "tgt": ser.object_to_data(f.target),
+        "terms": ser._terms_to_data(f.terms),
     }
 
 
-def cob_degree(f: CanonicalCobordism) -> int | None:
-    return cob.degree(f.source, f.target, f.terms)
+def cobordisms(F: cx.ChainMap | ChainComplex, k: int) -> dict[tuple[int, int], Cob]:
+    """The entries of degree k of a chain map, or of a complex's
+    differential, each paired with its ends."""
+    if isinstance(F, ChainComplex):
+        F = cx.differential(F)
+    src, tgt = F.source.objects(k), F.target.objects(k + F.hdeg)
+    return {(r, c): Cob(src[c], tgt[r], f) for (r, c), f in F.mats.get(k, {}).items()}
 
 
-def reflect_x_cob(f: CanonicalCobordism) -> CanonicalCobordism:
-    return CanonicalCobordism(
-        cob.reflect_x_ob(f.source), cob.reflect_x_ob(f.target),
-        cob.reflect_x_terms(f.source, f.target, f.terms),
-    )
-
-
-def reflect_y_cob(f: CanonicalCobordism) -> CanonicalCobordism:
-    return CanonicalCobordism(
-        cob.reflect_y_ob(f.source), cob.reflect_y_ob(f.target),
-        cob.reflect_y_terms(f.source, f.target, f.terms),
-    )
-
-
-def _by_column(mat: dict) -> dict[int, list[tuple[int, CanonicalCobordism]]]:
+def _by_column(mat: dict) -> dict[int, list[tuple[int, Cob]]]:
     """Column -> [(row, entry)] of a matrix, each list in the matrix's order."""
-    cols: dict[int, list[tuple[int, CanonicalCobordism]]] = {}
+    cols: dict[int, list[tuple[int, Cob]]] = {}
     for (r, c), f in mat.items():
         cols.setdefault(c, []).append((r, f))
     return cols
@@ -71,19 +168,19 @@ def _by_column(mat: dict) -> dict[int, list[tuple[int, CanonicalCobordism]]]:
 def reference_mat_mul(g_mat: dict, f_mat: dict) -> dict:
     """The cobordism-level product that complexes used before its matrices
     held term dicts: (g.f)[r, c] = sum_j g[r, j] f[j, c], f applied first,
-    each entry pair composed with cob.compose and added with +."""
+    each entry pair composed with compose and added with +."""
     acc: dict = {}
     g_by_col = _by_column(g_mat)
     for (j, c), f in f_mat.items():
         for r, g in g_by_col.get(j, ()):
-            term = cob.compose(g, f)
-            if term.is_zero():
+            term = compose(g, f)
+            if not term.terms:
                 continue
             if (r, c) in acc:
                 acc[(r, c)] = acc[(r, c)] + term
             else:
                 acc[(r, c)] = term
-    return {rc: v for rc, v in acc.items() if not v.is_zero()}
+    return {rc: v for rc, v in acc.items() if v.terms}
 
 
 def two_term_piece(rng: random.Random, n: int, degree: int, qshift: int,
@@ -200,7 +297,7 @@ def column_homotopy(A: ChainComplex, B: ChainComplex, sgn: int) -> cx.ChainMap:
     for i, objs in A.groups.items():
         sign = -1 if i % 2 else 1
         for pa, oa in enumerate(objs):
-            entry = stack_cob(identity_cob(oa), identity_cob(o).scale(sgn)).scale(sign).terms
+            entry = stack(identity_cob(oa), identity_cob(o).scale(sgn)).scale(sign).terms
             mats.setdefault(i + j + 1, {})[(pos[(i, j, pa, 0)], pos[(i, j + 1, pa, 0)])] = entry
     T = cx.stack_complexes(A, B)
     return cx.ChainMap(T, T, -1, 0, mats)
@@ -211,7 +308,7 @@ def first_iso_entry(C: ChainComplex) -> tuple[int, int, int] | None:
     (degree, row, col) order, or None."""
     for k in sorted(C.diff):
         for (r, c), f in sorted(cobordisms(C, k).items()):
-            if f.is_identity_iso() is not None:
+            if cob.iso_sign(*f) is not None:
                 return k, r, c
     return None
 
@@ -714,10 +811,8 @@ def reference_jones_wenzl(n: int):
 def reference_tautological(C: ChainComplex):
     """The tautological functor by gluing: the general Hom engine with the
     empty object in degree 0 as source, which composes a dotted birth onto
-    every entry (cob.compose_terms).  The slow path complexes.tautological's
+    every entry (cob.compose).  The slow path complexes.tautological's
     restriction must equal, gens list for list and diff dict for dict."""
-    from spinhom.cob import FlatTangle
-
     point = cx.single_object(ShiftedObject(FlatTangle.empty(), 0), 0, 0)
     return cx._hom_module(point, C, C.reliable)
 
@@ -747,7 +842,7 @@ def reference_birth_death(dotted: bool, src_obj, tgt_obj):
     nodes = cob._circle_nodes(s_t, t_t, at, at, circ(s_t.circles), circ(t_t.circles))
     pieces = [1] * len(arcs) + [0] * kept + [1]
     dots = [0] * disk + [1 if dotted else 0]
-    return cob.CanonicalCobordism(src_obj, tgt_obj, cob.reduce_glued(pieces, dots, [], nodes))
+    return Cob(src_obj, tgt_obj, cob.reduce_glued(pieces, dots, [], nodes))
 
 
 def reference_deloop_maps(big) -> tuple:
@@ -779,18 +874,18 @@ def cap_source(f, source, dot: int):
     """f after a birth disk with 1 - dot dots from `source` (f.source less
     its last free circle) onto that circle, by _cap."""
     c = closure_data(f.source.tangle, f.target.tangle).src_circ[-1]
-    return CanonicalCobordism(source, f.target, _cap(f.terms, c, dot))
+    return Cob(source, f.target, _cap(f.terms, c, dot))
 
 
 def cap_target(f, target, dot: int):
     """A death disk with 1 - dot dots on the last free circle of f.target,
     to `target` (f.target less that circle), after f, by _cap."""
     c = closure_data(f.source.tangle, f.target.tangle).tgt_circ[-1]
-    return CanonicalCobordism(f.source, target, _cap(f.terms, c, dot))
+    return Cob(f.source, target, _cap(f.terms, c, dot))
 
 
 def reference_deloop(work, oid: int) -> None:
-    """complexes._Work.deloop by cob.compose with reference_deloop_maps, the
+    """complexes._Work.deloop by compose with reference_deloop_maps, the
     edges to the SDR's ghost objects included; a drop-in for the method.
     Each edge's term dict is wrapped with its endpoints from work.obj,
     composed, and unwrapped again."""
@@ -808,19 +903,19 @@ def reference_deloop(work, oid: int) -> None:
     work.obj[id_up], work.obj[id_dn] = up, dn
     work.deg[id_up], work.deg[id_dn] = k, k
     for tgt, terms in outs.items():
-        f = CanonicalCobordism(big, work.obj[tgt], terms)
-        work.add_edge(id_up, tgt, cob.compose(f, psi_up).terms)
-        work.add_edge(id_dn, tgt, cob.compose(f, psi_dn).terms)
+        f = Cob(big, work.obj[tgt], terms)
+        work.add_edge(id_up, tgt, compose(f, psi_up).terms)
+        work.add_edge(id_dn, tgt, compose(f, psi_dn).terms)
     for src, terms in ins.items():
-        f = CanonicalCobordism(work.obj[src], big, terms)
-        work.add_edge(src, id_up, cob.compose(phi_up, f).terms)
-        work.add_edge(src, id_dn, cob.compose(phi_dn, f).terms)
+        f = Cob(work.obj[src], big, terms)
+        work.add_edge(src, id_up, compose(phi_up, f).terms)
+        work.add_edge(src, id_dn, compose(phi_dn, f).terms)
 
 
 # ---------------------------------------------------------------------------
 # Reference planar products: the morphism-level products that
 # spinhom.complexes built before its one term-level product, gluing each
-# entry with cob.stack, cob.beside or cob.trace as a CanonicalCobordism.
+# entry with stack, beside or trace above as a Cob.
 
 
 def reference_binary_planar(A: ChainComplex, B: ChainComplex, ob_op, mor_op,
@@ -836,8 +931,8 @@ def reference_binary_planar(A: ChainComplex, B: ChainComplex, ob_op, mor_op,
     index = {prov: p for lay in layout.values() for p, prov in enumerate(lay)}
     diff: dict[int, cx.Matrix] = {}
 
-    def add_entry(k: int, r: int, c: int, f: CanonicalCobordism):
-        if f.is_zero():
+    def add_entry(k: int, r: int, c: int, f: Cob):
+        if not f.terms:
             return
         mat = diff.setdefault(k, {})
         mat[(r, c)] = mat[(r, c)] + f if (r, c) in mat else f
@@ -851,12 +946,12 @@ def reference_binary_planar(A: ChainComplex, B: ChainComplex, ob_op, mor_op,
             for r2, f in colsA.get(i, {}).get(pa, ()):
                 key = (i + 1, j, r2, pb)
                 if key in index:
-                    add_entry(k, index[key], cpos, mor_op(f, cob.identity_cob(ob)))
+                    add_entry(k, index[key], cpos, mor_op(f, identity_cob(ob)))
             sign = -1 if i % 2 else 1
             for r2, g in colsB.get(j, {}).get(pb, ()):
                 key = (i, j + 1, pa, r2)
                 if key in index:
-                    h = mor_op(cob.identity_cob(oa), g)
+                    h = mor_op(identity_cob(oa), g)
                     add_entry(k, index[key], cpos, h if sign == 1 else h.scale(-1))
     return ChainComplex(
         out_mn[0], out_mn[1], A.window + B.window, groups,
@@ -868,19 +963,19 @@ def reference_binary_planar(A: ChainComplex, B: ChainComplex, ob_op, mor_op,
 
 
 def reference_stack_complexes(A: ChainComplex, B: ChainComplex) -> ChainComplex:
-    return reference_binary_planar(A, B, cob.stack_objects, cob.stack, (A.m, B.n))
+    return reference_binary_planar(A, B, cob.stack_objects, stack, (A.m, B.n))
 
 
 def reference_beside_complexes(A: ChainComplex, B: ChainComplex) -> ChainComplex:
     return reference_binary_planar(
-        A, B, cob.beside_objects, cob.beside, (A.m + B.m, A.n + B.n)
+        A, B, cob.beside_objects, beside, (A.m + B.m, A.n + B.n)
     )
 
 
 def reference_trace_complex(A: ChainComplex) -> ChainComplex:
-    """Markov closure entry by entry through cob.trace."""
+    """Markov closure entry by entry through trace."""
     groups = {k: [cob.trace_object(o) for o in objs] for k, objs in A.groups.items()}
-    diff = {k: {rc: cob.trace(f).terms for rc, f in cobordisms(A, k).items()} for k in A.diff}
+    diff = {k: {rc: trace(f).terms for rc, f in cobordisms(A, k).items()} for k in A.diff}
     return ChainComplex(0, 0, A.window, groups, diff, A.tail_lo, A.tail_hi, A.reliable)
 
 

@@ -13,33 +13,29 @@ import pytest
 
 from dga import two_color_unknot_dga
 from helpers import (
+    Cob,
     assert_sdr,
     closed_networks_leq3,
     column_homotopy,
     deep_projector,
+    dot_at_point,
+    dualize_cob,
+    eta,
     first_iso_entry,
+    identity_cob,
     nonempty_complex,
     random_complex,
+    saddle_to_identity,
+    surgery,
     tables_equal,
 )
+from helpers import compose as ccompose
+from helpers import stack as stack_cob
 from spinhom import complexes as cx
 from spinhom import expr as ex
 from spinhom import projector as pj
 from spinhom import tl
-from spinhom.cob import (
-    AlphaPoly,
-    CanonicalCobordism,
-    FlatTangle,
-    ShiftedObject,
-    dot_at_point,
-    dualize_cob,
-    dualize_ob,
-    eta,
-    identity_cob,
-    saddle_to_identity,
-    stack as stack_cob,
-    surgery,
-)
+from spinhom.cob import AlphaPoly, FlatTangle, ShiftedObject, dualize_ob
 from spinhom.complexes import (
     ChainMap,
     Window,
@@ -366,8 +362,6 @@ def test_ac11_eta_saddle_layer(p2_w8):
             et, sa = eta(t), saddle_to_identity(t)
             ia, iav = identity_cob(a), identity_cob(av)
             assert compose_maps is not None
-            from spinhom.cob import compose as ccompose
-
             assert ccompose(stack_cob(ia, sa), stack_cob(et, ia)) == ia
             assert ccompose(stack_cob(sa, iav), stack_cob(iav, et)) == iav
             fs = [dot_at_point(a, p) for p in range(n2)]
@@ -380,7 +374,7 @@ def test_ac11_eta_saddle_layer(p2_w8):
                     fs.append(s)
             for f in fs:
                 b = ShiftedObject(f.target.tangle)
-                f = CanonicalCobordism(a, b, f.terms)
+                f = Cob(a, b, f.terms)
                 sb = saddle_to_identity(b.tangle)
                 ibv, ib = identity_cob(dualize_ob(b)), identity_cob(b)
                 assert ccompose(sb, stack_cob(ibv, f)) == ccompose(

@@ -4,12 +4,12 @@ colored-unknot module maps built from them.
 Each digest is a SHA-256 over a chain map's source and target complexes
 (complex_to_data), its bidegree and its entries, each made a cobordism
 between its ends (a map's entries are term dicts), sorted and serialized
-with cobordism_to_data: stack_chain_maps of b1 (x) 1, 1 (x) v and v (x) b2 on
+as {"src", "tgt", "terms"} (helpers.cobordism_data): stack_chain_maps of b1 (x) 1, 1 (x) v and v (x) b2 on
 P2@-6, trace_chain_map of v and of b1, standard_equivalence(P3@-5, P3@-6),
 pi_action(b1, P2, P2@-6), unknot_action(eta_element(P2@-6)) and
 unknot_pairing(v, P2@-6).  They were recorded when stack_chain_maps and
-trace_chain_map glued each entry pair with cob.stack and cob.trace as a
-CanonicalCobordism, with their own layout index and Koszul sign, beside the
+trace_chain_map glued each entry pair as a cobordism with its ends
+(through stack and trace functions of spinhom.cob), with their own layout index and Koszul sign, beside the
 term-level product of complexes; any change to an object, an entry, a sign
 or a bidegree changes a digest.
 
@@ -24,11 +24,11 @@ import json
 
 import pytest
 
-from helpers import cobordisms
+from helpers import cobordism_data, cobordisms
 from spinhom import complexes as cx
 from spinhom import projector as pj
 from spinhom.complexes import ChainMap, Window
-from spinhom.serialize import cobordism_to_data, complex_to_data, poly_to_data
+from spinhom.serialize import complex_to_data, poly_to_data
 
 PINNED_SHA256 = {
     "pi_action_b1": "13fc69bb170865206d7bc6f39a8fe8eb1cea24ce7f1df820c25c329bd6fd52b2",
@@ -45,7 +45,7 @@ PINNED_SHA256 = {
 
 def _chain_map(F: ChainMap) -> str:
     mats = [
-        (k, sorted((r, c, json.dumps(cobordism_to_data(f), sort_keys=True))
+        (k, sorted((r, c, json.dumps(cobordism_data(f), sort_keys=True))
                    for (r, c), f in cobordisms(F, k).items()))
         for k in sorted(F.mats)
     ]

@@ -19,11 +19,21 @@ import json
 import pytest
 
 from spinhom import cob, tl
-from spinhom.cob import CanonicalCobordism, FlatTangle, ShiftedObject
+from spinhom.cob import FlatTangle, ShiftedObject
 from spinhom.errors import SpinhomError
-from spinhom.serialize import cobordism_to_data
 
-from helpers import reference_deloop_maps, reflect_x_cob, reflect_y_cob
+from helpers import (
+    Cob,
+    cobordism_data,
+    dotted_identity,
+    dualize_cob,
+    generator,
+    merge_trace_saddle,
+    reference_deloop_maps,
+    reflect_x_cob,
+    reflect_y_cob,
+    surgery,
+)
 
 PINNED_SHA256 = {
     "beside_structure": "82afef7d54c62172cf468daf47f39c403786750af1f8764b194f65b11a4bcf87",
@@ -54,14 +64,14 @@ def _structure(st: cob.GlueStructure) -> str:
     return repr((st.components, st.n_out))
 
 
-def _cobordism(f: CanonicalCobordism) -> str:
-    return json.dumps(cobordism_to_data(f), sort_keys=True)
+def _cobordism(f: Cob) -> str:
+    return json.dumps(cobordism_data(f), sort_keys=True)
 
 
 def _generators(a: FlatTangle, b: FlatTangle):
     src, tgt = ShiftedObject(a, 1), ShiftedObject(b, -2)
     for assign in itertools.product((0, 1), repeat=cob.closure_data(a, b).n):
-        yield CanonicalCobordism.generator(src, tgt, assign, cob.AlphaPoly({0: 2, 1: -1}))
+        yield generator(src, tgt, assign, cob.AlphaPoly({0: 2, 1: -1}))
 
 
 def _records(name: str):
@@ -91,19 +101,19 @@ def _records(name: str):
             for t in ts:
                 for x, y in itertools.permutations(range(t.m + t.n), 2):
                     try:
-                        yield _cobordism(cob.surgery(ShiftedObject(t, 3), x, y))
+                        yield _cobordism(surgery(ShiftedObject(t, 3), x, y))
                     except SpinhomError as e:
                         yield f"{type(e).__name__}: {e}"
     elif name == "merge_trace_saddle":
         for n in range(1, 4):
             for a, b in itertools.product(TANGLES[n, n], repeat=2):
-                yield _cobordism(cob.merge_trace_saddle(a, b))
+                yield _cobordism(merge_trace_saddle(a, b))
     elif name == "dotted_identity":
         for ts in TANGLES.values():
             for t in ts:
                 keys = [("arc", arc) for arc in t.arcs()] + [("circ", j) for j in range(t.circles)]
                 for key in keys:
-                    yield _cobordism(cob.dotted_identity(ShiftedObject(t, 1), {key: 1}))
+                    yield _cobordism(dotted_identity(ShiftedObject(t, 1), {key: 1}))
     elif name == "deloop_maps":
         for m, n in itertools.product(range(5), repeat=2):
             if (m + n) % 2:
@@ -117,7 +127,7 @@ def _records(name: str):
         for ts in TANGLES.values():
             for a, b in itertools.product(ts, repeat=2):
                 for f in _generators(a, b):
-                    for op in (cob.dualize_cob, reflect_x_cob, reflect_y_cob):
+                    for op in (dualize_cob, reflect_x_cob, reflect_y_cob):
                         yield _cobordism(op(f))
 
 

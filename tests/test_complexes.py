@@ -9,12 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    Cob,
     assert_sdr,
     cap_source,
     cap_target,
     cobordisms,
+    compose,
     column_homotopy,
     first_iso_entry,
+    identity_cob,
     nonempty_complex,
     protected_positions,
     random_complex,
@@ -29,15 +32,7 @@ from spinhom import complexes as cx
 from spinhom import expr as ex
 from spinhom import projector as pj
 from spinhom import tl
-from spinhom.cob import (
-    AlphaPoly,
-    CanonicalCobordism,
-    FlatTangle,
-    ShiftedObject,
-    closure_data,
-    compose,
-    identity_cob,
-)
+from spinhom.cob import AlphaPoly, FlatTangle, ShiftedObject, closure_data, iso_sign
 from spinhom.complexes import (
     ChainComplex,
     ChainMap,
@@ -89,8 +84,8 @@ def test_single_slot_is_identity():
 
 
 def test_validate_rejects_malformed_term_dicts():
-    # the planar products and the engine write term dicts without the
-    # validating CanonicalCobordism constructor, so validate must see a
+    # the planar products and the engine write term dicts, which no
+    # constructor checks, so validate must see a
     # dot assignment of the wrong width or a non-bit, and an entry of
     # nonzero q-degree
     P = pj.p2(Window(-2, 0)).complex
@@ -137,7 +132,7 @@ def test_chain_map_validate_rejects_malformed_entries(case):
 @pytest.mark.parametrize("op", ["add", "sub", "compose"])
 def test_chain_map_algebra_rejects_different_chain_groups(op):
     # entries carry no ends, so the map checks the chain groups it joins
-    # where cob.compose and CanonicalCobordism.__add__ checked each entry's
+    # where the cobordism-level compose and + once checked each entry's
     b4 = pj.dot_maps(pj.p2(Window(-4, 0)).complex)[0]
     b6 = pj.dot_maps(pj.p2(Window(-6, 0)).complex)[0]
     run = {
@@ -162,7 +157,7 @@ def _reference_commutator(f: ChainMap) -> dict:
         acc = reference_mat_mul(cobordisms(B, k + f.hdeg), cobordisms(f, k))
         for rc, v in reference_mat_mul(cobordisms(f, k + 1), cobordisms(A, k)).items():
             acc[rc] = acc[rc] + v.scale(sign) if rc in acc else v.scale(sign)
-        if acc := {rc: v for rc, v in acc.items() if not v.is_zero()}:
+        if acc := {rc: v for rc, v in acc.items() if v.terms}:
             out[k] = acc
     return out
 
@@ -273,7 +268,7 @@ def test_gaussian_elimination_rejects_non_iso():
     rng = random.Random(2)
     C = two_term_piece(rng, 2, 0, 0)  # saddle entry, not invertible
     f = cobordisms(C, 0)[(0, 0)]
-    if f.is_identity_iso() is None:
+    if iso_sign(*f) is None:
         with pytest.raises(SpinhomError):
             gaussian_eliminate(C, (0, 0, 0))
 
@@ -288,7 +283,7 @@ def test_simplify_full_sdr():
         # no circles, no invertible entries remain
         assert all(o.tangle.circles == 0 for objs in S.groups.values() for o in objs)
         assert all(
-            f.is_identity_iso() is None
+            iso_sign(*f) is None
             for k in S.diff
             for f in cobordisms(S, k).values()
         )
@@ -360,7 +355,7 @@ def test_simplify_sdr_property_with_protected_objects(case):
     for k in S.diff:
         for (r, c), f in cobordisms(S, k).items():
             if (k, c) not in kept and (k + 1, r) not in kept:
-                assert f.is_identity_iso() is None
+                assert iso_sign(*f) is None
 
 
 def test_simplify_preserves_closed_homology():
@@ -614,8 +609,9 @@ def _deloop_case(draw):
         terms = {}
         for assign in itertools.product((0, 1), repeat=closure_data(src.tangle, tgt.tangle).n):
             coeffs = draw(st.dictionaries(st.integers(0, 2), st.integers(-2, 2), max_size=2))
-            terms[assign] = AlphaPoly(coeffs)
-        return CanonicalCobordism(src, tgt, terms)
+            if p := AlphaPoly(coeffs):
+                terms[assign] = p
+        return Cob(src, tgt, terms)
 
     big = obj(draw(st.integers(1, 3)))
     other = obj(draw(st.integers(0, 1)))
@@ -635,11 +631,11 @@ def test_cap_equals_composition_with_birth_death(case):
     assert cap_target(g, dn, 0) == compose(phi_dn, g)
     # the engine splits each edge once by that dot and keeps both parts
     keep0, keep1 = cx._split_by_dot(f.terms, closure_data(big.tangle, f.target.tangle).src_circ[-1])
-    assert CanonicalCobordism(up, f.target, keep0) == compose(f, psi_up)
-    assert CanonicalCobordism(dn, f.target, keep1) == compose(f, psi_dn)
+    assert Cob(up, f.target, keep0) == compose(f, psi_up)
+    assert Cob(dn, f.target, keep1) == compose(f, psi_dn)
     keep0, keep1 = cx._split_by_dot(g.terms, closure_data(g.source.tangle, big.tangle).tgt_circ[-1])
-    assert CanonicalCobordism(g.source, dn, keep0) == compose(phi_dn, g)
-    assert CanonicalCobordism(g.source, up, keep1) == compose(phi_up, g)
+    assert Cob(g.source, dn, keep0) == compose(phi_dn, g)
+    assert Cob(g.source, up, keep1) == compose(phi_up, g)
 
 
 def _p3_sweep_product() -> ChainComplex:

@@ -3,27 +3,23 @@ alpha=1 (Lee-type) specialization, and both directions of ordinary duality."""
 
 import itertools
 
-from helpers import cob_degree as degree
-from spinhom import complexes as cx
-from spinhom import expr as ex
-from spinhom import projector as pj
-from spinhom import tl
-from spinhom.cob import (
-    AlphaPoly,
-    CanonicalCobordism,
-    FlatTangle,
-    ShiftedObject,
-    closure_data,
+from helpers import (
     compose,
     dotted_identity,
     dualize_cob,
-    dualize_ob,
     eta,
+    generator,
     identity_cob,
     saddle_to_identity,
     stack,
     surgery,
 )
+from helpers import cob_degree as degree
+from spinhom import complexes as cx
+from spinhom import expr as ex
+from spinhom import projector as pj
+from spinhom import tl
+from spinhom.cob import AlphaPoly, FlatTangle, ShiftedObject, closure_data, dualize_ob
 from spinhom.complexes import Window, deloop, simplify, single_object
 from spinhom.homology import homology_table
 
@@ -92,9 +88,7 @@ def test_ordinary_duality_phi_of_psi():
                 tgt = stack(ib, iav).source  # b (x) a-dual object
                 cd = closure_data(FlatTangle.empty(), tgt.tangle)
                 for assign in itertools.product((0, 1), repeat=cd.n):
-                    zeta = CanonicalCobordism.generator(
-                        ShiftedObject(FlatTangle.empty()), tgt, assign
-                    )
+                    zeta = generator(ShiftedObject(FlatTangle.empty()), tgt, assign)
                     f = compose(stack(ib, sa), stack(zeta, ia))  # psi(zeta)
                     back = compose(stack(f, iav), et)  # phi(psi(zeta))
                     assert back == zeta, (ta.pairs, tb.pairs, assign)

@@ -35,13 +35,19 @@ import random
 
 import pytest
 
-from helpers import cobordisms, first_iso_entry, random_complex, reference_instantiate
+from helpers import (
+    cobordism_data,
+    cobordisms,
+    first_iso_entry,
+    random_complex,
+    reference_instantiate,
+)
 from spinhom import complexes as cx
 from spinhom import expr as ex
 from spinhom import projector as pj
 from spinhom.cob import FlatTangle
 from spinhom.complexes import Window
-from spinhom.serialize import cobordism_to_data, complex_to_data
+from spinhom.serialize import complex_to_data
 
 PINNED_SHA256 = {
     "hom_p2_w6": "4baa416219586705fa69accbeaf4dd0948bc07c0932ff09718068f6d8c3bf54a",
@@ -67,7 +73,7 @@ def _complex(C) -> str:
 
 def _chain_map(F) -> str:
     mats = [
-        (k, sorted((r, c, json.dumps(cobordism_to_data(f), sort_keys=True))
+        (k, sorted((r, c, json.dumps(cobordism_data(f), sort_keys=True))
                    for (r, c), f in cobordisms(F, k).items()))
         for k in sorted(F.mats)
     ]

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from helpers import closed_networks_leq3, reference_rewrite_network, rewrite_corpus_sample
+from spinhom import cli, cob
 from spinhom import complexes as cx
 from spinhom import expr as ex
 from spinhom import projector as pj
@@ -20,7 +21,7 @@ from spinhom.complexes import (
     simplify,
     stack_complexes,
 )
-from spinhom.errors import AdmissibilityError, ResourceError, SpinhomError
+from spinhom.errors import AdmissibilityError, IntegrityError, ResourceError, SpinhomError
 from spinhom.homology import homology_table
 
 
@@ -54,6 +55,34 @@ def test_certificate_fails_for_misplaced_dual(p2_w8):
     D2 = cx.shift_h(D, -D.window.hi)
     cert = pj.check_projector_axioms(D2, 2, D2.window)
     assert not cert.degree_zero_ok
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("dot_width", "bad dot assignment"),
+    ("q_degree", "q-degree 4 != 0"),
+])
+def test_fresh_build_is_validated(fault, message, monkeypatch, tmp_path):
+    # certified_projector validates every fresh build before it certifies
+    # it, so a malformed entry (here in P_2's dot differentials, which
+    # every build of n >= 2 starts from) is an IntegrityError, and
+    # `project` exits 6.  The uncached builder, so no cached projector is
+    # served.
+    dot_at_point = cob.dot_at_point
+    alpha = AlphaPoly({1: 1})
+
+    def corrupt(obj, p, dots=1):
+        terms = dot_at_point(obj, p, dots)
+        if fault == "dot_width":
+            return {a + (0,): c for a, c in terms.items()}
+        return {a: c * alpha for a, c in terms.items()}
+
+    monkeypatch.setattr(cob, "dot_at_point", corrupt)
+    monkeypatch.setattr(pj, "build_projector", pj.build_projector.__wrapped__)
+    for n in (2, 3):
+        with pytest.raises(IntegrityError, match=message):
+            pj.build_projector(n, Window(-4, 0))
+    cdir = str(tmp_path / "cache")
+    assert cli.main(["project", "3", "--window", "4", "--cache-dir", cdir]) == 6
 
 
 def test_build_projector_small(w8, p2_w8, p3_w8):

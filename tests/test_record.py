@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from spinhom import cli, cob, complexes, expr, homology, laurent, projector, record
-from spinhom.cob import FlatTangle, ShiftedObject, identity_cob
+from spinhom.cob import FlatTangle, ShiftedObject, identity_terms
 from spinhom.complexes import ChainComplex, ChainMap, Window
 from spinhom.errors import SpinhomError
 from spinhom.laurent import LaurentPoly
@@ -62,9 +62,9 @@ E2 = FlatTangle(2, 2, (1, 0, 3, 2), 1)
 O = ShiftedObject(T2, 1)
 W = Window(-2, 0)
 C = ChainComplex(2, 2, W, {0: [O], -1: []}, {})
-C2 = ChainComplex(2, 2, W, {-1: [O], 0: [O]}, {-1: {(0, 0): identity_cob(O).terms, (1, 1): {}}},
+C2 = ChainComplex(2, 2, W, {-1: [O], 0: [O]}, {-1: {(0, 0): identity_terms(O), (1, 1): {}}},
                   tail_lo=True, reliable=(-1, float("inf")))
-M = ChainMap(C, C, 0, 0, {0: {(0, 0): identity_cob(O).terms}, 1: {}})
+M = ChainMap(C, C, 0, 0, {0: {(0, 0): identity_terms(O)}, 1: {}})
 CERT = projector.Certificate(2, True, {("above", 0): (True, [])})
 ONE = LaurentPoly({0: 1})
 

@@ -18,7 +18,7 @@ import pytest
 from spinhom import expr as ex
 from spinhom import projector as pj
 from spinhom import serialize as ser
-from spinhom.cob import FlatTangle, ShiftedObject, dot_at_point
+from spinhom.cob import FlatTangle, ShiftedObject, dot_at_point, scale_terms
 from spinhom.complexes import ChainMap, Window, compose_maps, homotopic_alpha0
 from spinhom.errors import DivergenceError
 from spinhom.homology import homology_table
@@ -62,12 +62,16 @@ def test_divergence_error_reported(monkeypatch):
 
 
 def test_cobordism_serialization_round_trip():
+    # a cobordism is serialized as its ends and its terms, the entry format
+    # of the cache
     o = ShiftedObject(FlatTangle(1, 1, (1, 0), circles=1), 2)
-    f = dot_at_point(o, 0).scale(3)
-    data = ser.cobordism_to_data(f)
-    g = ser.cobordism_from_data(data)
-    assert g == f
-    assert ser.cobordism_to_data(g) == data
+    f = scale_terms(dot_at_point(o, 0), 3)
+    data = {"src": ser.object_to_data(o), "tgt": ser.object_to_data(o),
+            "terms": ser._terms_to_data(f)}
+    src, tgt = ser.object_from_data(data["src"]), ser.object_from_data(data["tgt"])
+    g = ser._terms_from_data(src, tgt, data["terms"])
+    assert (src, tgt, g) == (o, o, f)
+    assert ser._terms_to_data(g) == data["terms"]
 
 
 def test_certificate_cache_payload_faithful(tmp_path):
@@ -252,13 +256,8 @@ def test_no_unreferenced_functions():
 # code shows up in review; one that gains a caller in src/ or is deleted
 # must leave the list.
 TEST_ONLY = {
-    "cob.beside",
     "cob.cap_off_circles",
-    "cob.compose",
-    "cob.dualize_cob",
     "cob.eta",
-    "cob.generator",
-    "cob.is_identity_iso",
     "cob.merge_trace_saddle",
     "cob.reflect_x_ob",
     "cob.reflect_x_terms",
@@ -266,8 +265,6 @@ TEST_ONLY = {
     "cob.reflect_y_terms",
     "cob.saddle_to_identity",
     "cob.shifted",
-    "cob.stack",
-    "cob.trace",
     "complexes._deloop_all",
     # the general Hom engine (with _hom_d's nested add), kept for
     # hom_complex_direct, the planned second route of homology --verify
@@ -309,8 +306,6 @@ TEST_ONLY = {
     "projector.unknot_action",
     "projector.unknot_pairing",
     "projector.v_map",
-    "serialize.cobordism_from_data",
-    "serialize.cobordism_to_data",
     "tl.all_matchings",
     "tl.segment",
     "tl.tl_element_of",
@@ -354,21 +349,25 @@ def test_benchmark_tracer_instruments_the_package():
 
 def test_benchmark_tracer_sees_the_elimination_engine():
     # production glues then simplifies through the names perfbench/tracer.py
-    # wraps (complexes.simplify of complexes.stack_complexes), so a fused
-    # path that bypasses them, and sends the traced engine counters back to
-    # 0, fails here.  A fresh process, so the P3 build is cold.
+    # wraps (complexes.simplify of complexes.stack_complexes), and composes
+    # through cob.compose, so a fused path that bypasses them, and sends the
+    # traced engine or composition counters back to 0, fails here.  A fresh
+    # process, so the P3 build is cold.
     code = (
         "import json, tracer\n"
         "from spinhom import expr, projector\n"
         "from spinhom.complexes import Window\n"
         "t = tracer.Tracer()\n"
         "tracer.instrument(t)\n"
-        "def calls():\n"
-        "    return t.report()['spans'].get('complexes.simplify', {}).get('calls', 0)\n"
+        "def calls(span):\n"
+        "    return t.report()['spans'].get(span, {}).get('calls', 0)\n"
         "projector.build_projector(3, Window(-4, 0))\n"
-        "built = calls()\n"
+        "built = calls('complexes.simplify')\n"
+        "built_compose = calls('cob.compose')\n"
         "projector.closed_module(expr.theta(2, 2, 2), Window(-4, 0))\n"
-        "print(json.dumps([built, calls(), t.report()['counts'].get('projector.sweep_stacks', 0)]))\n"
+        "print(json.dumps([built, calls('complexes.simplify'),\n"
+        "                  t.report()['counts'].get('projector.sweep_stacks', 0),\n"
+        "                  built_compose, calls('cob.compose') - built_compose]))\n"
     )
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
     done = subprocess.run(
@@ -376,19 +375,22 @@ def test_benchmark_tracer_sees_the_elimination_engine():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    built, closed, sweeps = json.loads(done.stdout)
+    built, closed, sweeps, built_compose, closed_compose = json.loads(done.stdout)
     assert built > 0 and closed > built and sweeps > 0, (built, closed, sweeps)
+    assert built_compose > 0 and closed_compose > 0, (built_compose, closed_compose)
 
 
 def test_complexes_keeps_one_entry_format():
-    # differentials and chain maps both hold term dicts (cob.Terms); a
-    # CanonicalCobordism in complexes would bring back a second matrix
-    # format and the converters between the two
+    # a morphism is its term dict (cob.Terms) throughout the package, and
+    # cob.compose is its one composition; a CanonicalCobordism, or a second
+    # composition beside compose, would bring back a second morphism format
+    # and the converters between the two
     tokens, _defs, _defined = _scan(ROOT)
-    path = "src/spinhom/complexes.py"
-    names = [(line, name) for _in_src, p, line, name, _bare in tokens if p == path]
-    assert names
-    assert [line for line, name in names if name == "CanonicalCobordism"] == []
+    names = [(p, line, name) for in_src, p, line, name, _bare in tokens
+             if in_src and p.startswith("src/spinhom/")]
+    assert {p for p, _line, _name in names} >= {"src/spinhom/cob.py", "src/spinhom/complexes.py"}
+    assert [(p, line, name) for p, line, name in names
+            if name in ("CanonicalCobordism", "compose_terms")] == []
 
 
 def test_package_builds_records_without_dataclasses_or_exec():
