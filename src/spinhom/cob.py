@@ -248,22 +248,36 @@ class ClosureData:
     point: tuple[int, ...]  # boundary point -> circle index
 
 
-@functools.lru_cache(maxsize=1 << 14)
-def closure_data(a: FlatTangle, b: FlatTangle) -> ClosureData:
-    if (a.m, a.n) != (b.m, b.n):
-        raise DimensionError("closure requires matching boundary counts")
-    point_map = [-1] * (a.m + a.n)
+def closure_walk(a: FlatTangle, b: FlatTangle) -> tuple[list[int], int]:
+    """The circles through boundary points of the closure of a against b:
+    the circle through each boundary point, numbered in order of their
+    smallest points, and their count; free circles are not counted.
+
+    Uncached and unchecked (a and b must have the same boundary): the
+    oracle's trace pairing (spinhom.tl.trace_pairing) walks thousands of
+    distinct pairs once each.
+    """
+    ap, bp = a.pairs, b.pairs
+    point_map = [-1] * len(ap)
     n = 0
-    for start in range(len(point_map)):
+    for start in range(len(ap)):
         if point_map[start] >= 0:
             continue
         p = start
         # alternate: source arc, then target arc, until back at start
         while point_map[p] < 0:
-            q = a.pairs[p]
+            q = ap[p]
             point_map[p] = point_map[q] = n
-            p = b.pairs[q]
+            p = bp[q]
         n += 1
+    return point_map, n
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def closure_data(a: FlatTangle, b: FlatTangle) -> ClosureData:
+    if (a.m, a.n) != (b.m, b.n):
+        raise DimensionError("closure requires matching boundary counts")
+    point_map, n = closure_walk(a, b)
     return ClosureData(
         n=n + a.circles + b.circles,
         src_circ=tuple(range(n, n + a.circles)),
@@ -548,11 +562,17 @@ def _circle_nodes(
 # Identity-like constructors
 
 
-@functools.lru_cache(maxsize=1 << 14)
 def identity_terms(obj: ShiftedObject) -> Terms:
-    """The terms of the identity of obj.  Cached: term dicts are never
+    """The terms of the identity of obj.  They do not depend on obj's
+    q-shift, so they are cached by its tangle."""
+    return _tangle_identity(obj.tangle)
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _tangle_identity(t: FlatTangle) -> Terms:
+    """identity_terms of t at any shift.  Cached: term dicts are never
     mutated."""
-    return dotted_identity(obj, {})
+    return dotted_identity(ShiftedObject(t), {})
 
 
 def dotted_identity(obj: ShiftedObject, dots: dict[tuple[str, object], int]) -> Terms:

@@ -10,17 +10,27 @@ it uses no rewrite rule of spinhom.projector.
 Products and traces work over common denominators: each operand's
 coefficients are brought to the lcm of their denominators, numerators are
 summed as plain Laurent polynomials, and each nonzero output coefficient is
-normalized (one gcd) once.  The Jones-Wenzl projectors come from the
-single-clasp expansion (Frenkel-Khovanov 1997; Morrison 2015), certified
-by the two defining axioms, which are checked exactly for every n; the
-Wenzl recursion it replaced is the tests' reference.
+normalized (one gcd) once.  A closed trace of a product, tr(a b), is
+evaluated as a pairing (trace_pairing): the loops of each pair of terms
+are the closure circles of a's matching against the reflection of b's, so
+the product a b is never formed and only its one trace is normalized;
+markov_trace is the pairing with the identity.
+
+The Jones-Wenzl projectors come from the single-clasp expansion
+(Frenkel-Khovanov 1997; Morrison 2015), certified by the two defining
+axioms, which are checked exactly for every n; the Wenzl recursion it
+replaced is the tests' reference.  The turnback axiom is checked once per
+reflection orbit: p_n is checked, exactly, to be fixed by flip (an
+anti-automorphism fixing each e_i) and mirror (an automorphism sending e_i
+to e_{n-2-i}), and then e_i p_n = 0 for i < n // 2 implies all 2(n - 1)
+turnback equations.
 """
 
 from __future__ import annotations
 
 import functools
 from . import expr as ex
-from .cob import FlatTangle, beside_ob, stack_walk, trace_ob
+from .cob import FlatTangle, beside_ob, closure_walk, stack_walk
 from .errors import ArityError, DimensionError, ResourceError, SpinhomError
 from .laurent import LaurentPoly, RatFunc, common_denominator, quantum_integer
 
@@ -166,19 +176,41 @@ def compose_tl(a: TLElement, b: TLElement) -> TLElement:
             d, circles = compose_matchings(da, db)
             key = (d, circles, i, j)
             pairs[key] = pairs.get(key, 0) + 1
-    rows: dict[tuple[FlatTangle, int, int], LaurentPoly] = {}
-    for (d, circles, i, j), k in pairs.items():
-        _collect(rows, (d, circles, i), nums_b[j] * k if k > 1 else nums_b[j])
-    sums: dict[FlatTangle, dict[int, LaurentPoly]] = {}
-    for (d, circles, i), y in rows.items():
-        _collect(sums.setdefault(d, {}), circles, nums_a[i] * y)
     den = den_a * den_b
     acc = {}
-    for d, by_circles in sums.items():
+    for d, by_circles in _pair_sums(pairs, nums_a, nums_b).items():
         num = _close_circles(by_circles)
         if num:
             acc[d] = RatFunc._normalized(num, den)
     return TLElement(a.m, b.n, acc)
+
+
+def trace_pairing(a: TLElement, b: TLElement) -> RatFunc:
+    """markov_trace(compose_tl(a, b)) for a in TL(m, k) and b in TL(k, m),
+    without forming the product.
+
+    The loops of tr(da db) are the closure circles of da against db.flip():
+    the middle gluing joins a's bottom to b's top, the trace joins a's top
+    to b's bottom.  cob.closure_walk counts them, uncached.  As in
+    compose_tl, the operands are written over their common denominators
+    and the pairs only counted, per (loops, numerator of a, numerator of
+    b); the numerators are then summed, the circles closed and the total
+    normalized once, so the result is byte-identical to tracing the
+    product.
+    """
+    if a.n != b.m or a.m != b.n:
+        raise DimensionError(f"cannot trace ({a.m},{a.n}) over ({b.m},{b.n})")
+    terms_a, nums_a, den_a = _over_common_den(a)
+    terms_b, nums_b, den_b = _over_common_den(b)
+    flipped = [(db.flip(), j) for db, j in terms_b]
+    # one output, the closed diagram, keyed None in _pair_sums
+    pairs: dict[tuple[None, int, int, int], int] = {}
+    for da, i in terms_a:
+        for db, j in flipped:
+            key = (None, closure_walk(da, db)[1], i, j)
+            pairs[key] = pairs.get(key, 0) + 1
+    by_loops = _pair_sums(pairs, nums_a, nums_b).get(None, {})
+    return RatFunc._normalized(_close_circles(by_loops), den_a * den_b)
 
 
 def _over_common_den(
@@ -190,6 +222,21 @@ def _over_common_den(
     index: dict[RatFunc, int] = {}
     terms = [(d, index.setdefault(c, len(index))) for d, c in x.terms.items()]
     return terms, [c.num * cofactors[c.den] for c in index], den
+
+
+def _pair_sums(
+    pairs: dict[tuple, int], nums_a: list[LaurentPoly], nums_b: list[LaurentPoly]
+) -> dict:
+    """From pair counts {(out, circles, i, j): count} to {out: {circles:
+    sum of nums_a[i] * nums_b[j] over the pairs}}: b's numerators are summed
+    for each (out, circles, i) and multiplied by nums_a[i] once."""
+    rows: dict[tuple, LaurentPoly] = {}
+    for (out, circles, i, j), k in pairs.items():
+        _collect(rows, (out, circles, i), nums_b[j] * k if k > 1 else nums_b[j])
+    sums: dict = {}
+    for (out, circles, i), y in rows.items():
+        _collect(sums.setdefault(out, {}), circles, nums_a[i] * y)
+    return sums
 
 
 def _collect(sums: dict, key, num: LaurentPoly) -> None:
@@ -227,18 +274,11 @@ def through_degree(x: TLElement) -> int:
 def markov_trace(x: TLElement) -> RatFunc:
     """Close top point i to bottom point i around the side; circles evaluate.
 
-    cob.trace_ob counts each matching's circles.  As in compose_tl, the
-    terms are written over one common denominator, their numerators summed
-    per circle count, and the total normalized once, so the result is
-    byte-identical to a term-by-term sum.
+    The trace pairing with the identity, so the oracle has one trace route.
     """
     if x.m != x.n:
         raise DimensionError("markov trace needs a square element")
-    terms, nums, den = _over_common_den(x)
-    by_circles: dict[int, LaurentPoly] = {}
-    for d, i in terms:
-        _collect(by_circles, trace_ob(d).tangle.circles, nums[i])
-    return RatFunc._normalized(_close_circles(by_circles), den)
+    return trace_pairing(x, TLElement.identity(x.n))
 
 
 @functools.cache
@@ -258,7 +298,11 @@ def jones_wenzl(n: int) -> TLElement:
     about |p_{n-1}|^2; that recursion is the tests' reference.  Both defining
     axioms (p_n kills every turnback, from above and from below; p_n - 1_n
     has through degree < n) are verified exactly before the result is
-    returned, and they determine p_n, so they certify the expansion.
+    returned, and they determine p_n, so they certify the expansion
+    (_check_axioms).  The turnbacks are checked once per reflection orbit:
+    once p_n is known to be fixed by flip and mirror, the n // 2 products
+    e_i p_n with i < n // 2 stand for all 2(n - 1), at |p_n| matching
+    products each.
     """
     if n < 0:
         raise SpinhomError("jones_wenzl needs n >= 0")
@@ -273,14 +317,32 @@ def jones_wenzl(n: int) -> TLElement:
         word, _ = compose_matchings(word, FlatTangle.e(i - 1, n))  # e_{n-1} ... e_i
         clasp[word] = RatFunc._normalized(quantum_integer(i) * (-1) ** (n - i), quantum_integer(n))
     p = compose_tl(prev, TLElement(n, n, clasp))
-    for i in range(n - 1):
-        ei = TLElement.e(i, n)
-        if not compose_tl(ei, p).is_zero() or not compose_tl(p, ei).is_zero():
+    _check_axioms(p)
+    return p
+
+
+def _check_axioms(p: TLElement) -> None:
+    """Raise SpinhomError unless p in TL_n satisfies both Jones-Wenzl
+    axioms exactly: e_i p = p e_i = 0 for every i, and p - 1_n has through
+    degree < n.
+
+    The turnbacks are checked once per reflection orbit.  p is first
+    checked, exactly, to be fixed by flip (the reflection about the x-axis)
+    and by mirror (about the y-axis).  flip is an anti-automorphism of TL_n
+    fixing each e_i, so p e_i = flip(e_i p); mirror is an automorphism
+    sending e_i to e_{n-2-i}, so e_{n-2-i} p = mirror(e_i p).  Hence
+    e_i p = 0 for i < n // 2 gives all 2(n - 1) turnback products: n // 2
+    products instead of 2(n - 1).
+    """
+    n = p.m
+    if p.flip() != p or p.mirror() != p:
+        raise SpinhomError("single-clasp expansion is not reflection symmetric")
+    for i in range(n // 2):
+        if not compose_tl(TLElement.e(i, n), p).is_zero():
             raise SpinhomError(f"single-clasp expansion failed turnback axiom at e_{i}")
     defect = p - TLElement.identity(n)
     if not defect.is_zero() and through_degree(defect) >= n:
         raise SpinhomError("single-clasp expansion failed the through-degree axiom")
-    return p
 
 
 _ZERO_SENTINEL = object()
@@ -318,6 +380,11 @@ def _evaluate_node(e: ex.NetworkExpr, memo: dict):
             if l is _ZERO_SENTINEL or r is _ZERO_SENTINEL:
                 return _ZERO_SENTINEL
             return beside_tl(l, r)
+        case ex.Trace(ex.Stack(top, bottom)):
+            t, b = _evaluate(top, memo), _evaluate(bottom, memo)
+            if t is _ZERO_SENTINEL or b is _ZERO_SENTINEL:
+                return _ZERO_SENTINEL
+            return TLElement(0, 0, {FlatTangle.empty(): trace_pairing(t, b)})
         case ex.Trace(inner):
             v = _evaluate(inner, memo)
             if v is _ZERO_SENTINEL:

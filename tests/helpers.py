@@ -740,8 +740,8 @@ def reference_beside_matchings(a, b) -> tuple[int, ...]:
 # denominator, and the Wenzl recursion tl.jones_wenzl ran before the
 # single-clasp expansion.  Every product, loop factor and partial sum here is
 # a normalized RatFunc.  The trace counts its circles by the hand walk both
-# cob.trace_ob and tl.markov_trace ran before they read closure_data against
-# the identity.
+# cob.trace_ob and tl.markov_trace ran before they closed each matching
+# against the identity (closure_data, and the trace pairing's closure_walk).
 
 
 def reference_compose_tl(a, b):

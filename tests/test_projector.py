@@ -500,3 +500,24 @@ def test_every_projector_has_the_band_of_its_window():
         assert P.complex.reliable == (-5 + n, float("inf"))
         assert P.complex.tail_lo == (n >= 2)
         assert (P.certificate.euler_ok is None) == (n < 2)
+
+
+def test_identity_terms_computed_once_per_tangle(monkeypatch):
+    # identity terms do not depend on the q-shift, so the cache is keyed by
+    # the tangle: a cold build and a closed query, which meet tangles at
+    # many shifts, compute each tangle's identity once
+    computed = []
+    real = cob.dotted_identity
+
+    def counted(obj, dots):
+        if not dots:
+            computed.append(obj.tangle)
+        return real(obj, dots)
+
+    monkeypatch.setattr(cob, "dotted_identity", counted)
+    cob._tangle_identity.cache_clear()
+    pj.build_projector.__wrapped__(4, Window(-4, 0))
+    pj.closed_module(ex.theta(2, 3, 3), Window(-6, 0))
+    assert len(computed) > 1
+    assert len(computed) == len(set(computed))
+    assert cob._tangle_identity.cache_info().misses == len(computed)

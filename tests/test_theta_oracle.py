@@ -9,6 +9,7 @@ and the Markov trace.
 
 import pytest
 
+from helpers import reference_compose_tl, reference_markov_trace
 from spinhom import expr as ex
 from spinhom import tl
 from spinhom.laurent import RatFunc, quantum_integer
@@ -47,6 +48,19 @@ def test_theta_matches_closed_formula(trip):
     a, b, c = trip
     diagrammatic = tl.evaluate_network(ex.theta(a, b, c))
     assert diagrammatic == theta_formula(a, b, c), trip
+
+
+@pytest.mark.parametrize("trip", admissible_triples(4))
+def test_theta_pairing_matches_reference_trace(trip):
+    # evaluate_network closes theta = Trace(Stack(v, Dual(v))) as the trace
+    # pairing of v with its dual; the reference forms the product term by
+    # term and traces it
+    v = tl.tl_element_of(ex.Vertex(*trip))
+    w = v.dual()
+    product = reference_compose_tl(v, w)
+    expect = reference_markov_trace(product)
+    assert tl.trace_pairing(v, w) == expect, trip
+    assert tl.markov_trace(product) == expect, trip
 
 
 def test_unknot_is_degenerate_theta():

@@ -208,6 +208,52 @@ def test_markov_trace_matches_term_by_term_reference(case):
 
 
 @st.composite
+def paired_elements(draw):
+    """a in TL(m, k) and b in TL(k, m) with m + k <= 6, each term drawn from
+    all matchings on its boundary."""
+    m = draw(st.integers(0, 6))
+    k = draw(st.integers(0, 6 - m).filter(lambda k: (m + k) % 2 == 0))
+    return draw(tl_element(m, k, max_terms=5)), draw(tl_element(k, m, max_terms=5))
+
+
+@given(paired_elements())
+@settings(max_examples=200, deadline=None)
+def test_trace_pairing_matches_trace_of_reference_product(pair):
+    a, b = pair
+    expect = reference_markov_trace(reference_compose_tl(a, b))
+    assert tl.trace_pairing(a, b) == expect
+    assert tl.trace_pairing(b, a) == expect
+
+
+def test_trace_pairing_on_every_matching_pair():
+    # coefficient 1 on both sides: the pairing is LOOP to the number of
+    # closure circles of the two matchings
+    checked = 0
+    for m in range(7):
+        for k in range(m % 2, 7 - m, 2):
+            for da in tl.all_matchings(m, k):
+                for db in tl.all_matchings(k, m):
+                    a, b = tl.TLElement.from_matching(da), tl.TLElement.from_matching(db)
+                    expect = reference_markov_trace(reference_compose_tl(a, b))
+                    assert tl.trace_pairing(a, b) == expect, (da, db)
+                    checked += 1
+    assert checked == 199
+
+
+def test_trace_pairing_boundary():
+    one = tl.TLElement.identity(2)
+    cap = tl.TLElement.from_matching(FlatTangle.turnback_above(0, 2))  # in TL(0, 2)
+    cup = tl.TLElement.from_matching(FlatTangle.turnback_below(0, 2))  # in TL(2, 0)
+    assert tl.trace_pairing(cap, cup) == LOOP
+    with pytest.raises(DimensionError):
+        tl.trace_pairing(one, cap)  # not stackable
+    with pytest.raises(DimensionError):
+        tl.trace_pairing(one, cup)  # stackable, but the product is not square
+    with pytest.raises(DimensionError):
+        tl.markov_trace(cap)
+
+
+@st.composite
 def side_by_side_pair(draw):
     m1 = draw(st.integers(0, 4))
     m2 = draw(st.integers(0, 4 - m1))
@@ -235,7 +281,7 @@ def test_through_degree():
         tl.through_degree(tl.TLElement.zero(2, 2))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_jones_wenzl_axioms(n):
     p = tl.jones_wenzl(n)
     assert tl.compose_tl(p, p) == p
@@ -267,14 +313,46 @@ def _count_calls(monkeypatch, owner, names) -> dict[str, int]:
 
 def test_jones_wenzl_cost(monkeypatch):
     # The single-clasp expansion makes |p_{n-1}| n matching products per
-    # level and normalizes each output coefficient once; the Wenzl recursion
-    # it replaced made 3,818 products and 1,936 normalizations for p_6.
+    # level and normalizes each output coefficient once, and the turnback
+    # axiom costs |p_n| products for each of the n // 2 reflection orbits of
+    # the e_i; the Wenzl recursion made 3,818 products and 1,936
+    # normalizations for p_6, and checking all 2(n - 1) turnbacks took the
+    # expansion to 2,129 products.
     products = _count_calls(monkeypatch, tl, ["compose_matchings"])
     normalized = _count_calls(monkeypatch, RatFunc, ["_normalized"])
     tl.jones_wenzl.cache_clear()
     tl.jones_wenzl(6)
-    assert products["compose_matchings"] <= 2_200  # 2,129 at the time of writing
-    assert normalized["_normalized"] <= 260  # 232
+    assert products["compose_matchings"] <= 900  # 880 at the time of writing
+    assert normalized["_normalized"] <= 240  # 230
+
+
+def _reflection_orbit(d: FlatTangle) -> set[FlatTangle]:
+    return {d, d.flip(), d.mirror(), d.flip().mirror()}
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_axiom_check_rejects_an_asymmetric_coefficient(n):
+    p = tl.jones_wenzl(n)
+    d = next(d for d in sorted(p.terms, key=FlatTangle.sort_key) if len(_reflection_orbit(d)) > 1)
+    wrong = p + tl.TLElement.from_matching(d, quantum_integer(2))
+    with pytest.raises(SpinhomError, match="reflection symmetric"):
+        tl._check_axioms(wrong)
+    tl._check_axioms(p)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_axiom_check_rejects_a_symmetric_wrong_projector(n):
+    # flip- and mirror-symmetric, with through degree in order: only the
+    # turnbacks tell these from p_n, and the orbit representatives suffice
+    with pytest.raises(SpinhomError, match="turnback axiom"):
+        tl._check_axioms(tl.TLElement.identity(n))
+    p = tl.jones_wenzl(n)
+    for d in sorted(p.terms, key=FlatTangle.sort_key):
+        if d != FlatTangle.identity(n):
+            orbit = sorted(_reflection_orbit(d), key=FlatTangle.sort_key)
+            nudge = tl.TLElement(n, n, {e: RatFunc.one() for e in orbit})
+            with pytest.raises(SpinhomError, match="turnback axiom"):
+                tl._check_axioms(p + nudge)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -327,12 +405,13 @@ def test_theta_golden_values():
 
 def test_network_evaluates_each_subexpression_once(monkeypatch):
     # theta = Trace(Stack(v, Dual(v))): the dual reuses the vertex, so the
-    # vertex's two compositions and the stack's one are all there are.
+    # vertex's two compositions are all there are, and the traced stack is
+    # one pairing, its product never formed.
     for k in (3, 4):
         tl.jones_wenzl(k)
-    calls = _count_calls(monkeypatch, tl, ["compose_tl", "vertex_matching"])
+    calls = _count_calls(monkeypatch, tl, ["compose_tl", "trace_pairing", "vertex_matching"])
     tl.evaluate_network(ex.theta(3, 3, 4))
-    assert calls == {"compose_tl": 3, "vertex_matching": 1}
+    assert calls == {"compose_tl": 2, "trace_pairing": 1, "vertex_matching": 1}
 
 
 def test_network_errors():
