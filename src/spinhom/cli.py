@@ -17,7 +17,8 @@ JSON is the stable machine contract.
 Exit codes: 0 ok (also when the reader closes stdout early), 2 parse
 error (and a negative window or label, or a flag the verb does not
 take), 3 admissibility or arity, 4 divergence, 5 resource cap, 6
-integrity/verification failure.
+integrity/verification failure: each error class carries its own
+(spinhom.errors).
 """
 
 from __future__ import annotations
@@ -38,16 +39,7 @@ from . import serialize as ser
 from . import tl
 from .cob import FlatTangle
 from .complexes import Window
-from .errors import (
-    AdmissibilityError,
-    ArityError,
-    DimensionError,
-    DivergenceError,
-    IntegrityError,
-    ParseError,
-    ResourceError,
-    SpinhomError,
-)
+from .errors import IntegrityError, ParseError, SpinhomError
 from .homology import (
     HomologyTable,
     ModuleComplex,
@@ -336,19 +328,6 @@ def _print_report(data: dict, fmt: str) -> None:
 # Pipelines
 
 
-def _max_label(e: ex.NetworkExpr) -> int:
-    match e:
-        case ex.Proj(n) | ex.DualProj(n):
-            return n
-        case ex.Vertex(a, b, c):
-            return max(a, b, c)
-        case ex.Stack(t, b) | ex.Beside(t, b):
-            return max(_max_label(t), _max_label(b))
-        case ex.Trace(inner) | ex.Dual(inner):
-            return _max_label(inner)
-    return 0
-
-
 def _projector_source(args):
     """The projector source of one command: cached_projector in the cache
     of `args`, each (n, window) read once however many boxes and routes ask
@@ -425,8 +404,7 @@ def cmd_euler(args) -> dict:
         except ArithmeticError:
             tail = chi - decat.series(max(chi.coeffs) if chi.coeffs else 0)
         data["difference"] = repr(tail)
-        # tails certified per projector up to 2 (window - n) - 1
-        threshold = 2 * (args.window - _max_label(qargs[0])) - 1
+        threshold = pj.euler_tail_bound(args.window, max(ex.labels(qargs[0]), default=0))
         low = [e for e in tail.coeffs if abs(e) < threshold]
         data["tail_only"] = not low
         if low:
@@ -529,29 +507,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return ap
 
 
-EXIT_CODES = [
-    (ParseError, 2),
-    (AdmissibilityError, 3),
-    (ArityError, 3),
-    (DimensionError, 3),
-    (DivergenceError, 4),
-    (ResourceError, 5),
-    (IntegrityError, 6),
-]
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = build_arg_parser()
     args = ap.parse_args(argv)
     try:
         data = args.func(args)
     except SpinhomError as err:
-        for klass, code in EXIT_CODES:
-            if isinstance(err, klass):
-                print(f"error: {err}", file=sys.stderr)
-                return code
         print(f"error: {err}", file=sys.stderr)
-        return 1
+        return err.exit_code
     try:
         _print_report(data, args.format)
         sys.stdout.flush()

@@ -102,7 +102,9 @@ def vertex_internal_counts(a: int, b: int, c: int) -> tuple[int, int, int]:
 
 
 def arity(expr: NetworkExpr) -> tuple[int, int] | None:
-    """Boundary counts (top, bottom) of the diagram, or None for Zero.
+    """Boundary counts (top, bottom) of the diagram, or None when expr
+    contains Zero: such a network is the zero network, and every consumer
+    (the TL oracle, the categorified pipeline) reads its zero from here.
 
     Raises DimensionError on internal mismatches and AdmissibilityError on
     bad vertex labels.
@@ -150,6 +152,22 @@ def arity(expr: NetworkExpr) -> tuple[int, int] | None:
         case Diagram(m, n, _):
             return (m, n)
     raise TypeError(f"not a network expression: {expr!r}")
+
+
+def labels(expr: NetworkExpr) -> list[int]:
+    """The labels of the boxes in expr, left to right: n for a p(n) or its
+    dual, and a, b, c for a Vertex(a, b, c), whose three edges carry
+    projectors."""
+    match expr:
+        case Proj(n) | DualProj(n):
+            return [n]
+        case Vertex(a, b, c):
+            return [a, b, c]
+        case Stack(x, y) | Beside(x, y):
+            return labels(x) + labels(y)
+        case Trace(x) | Dual(x):
+            return labels(x)
+    return []
 
 
 def is_closed(expr: NetworkExpr) -> bool:

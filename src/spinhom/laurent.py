@@ -146,14 +146,9 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no maximal exponent")
         return max(self.coeffs)
 
-    def truncate(self, below: int | None = None, above: int | None = None) -> "LaurentPoly":
-        """Keep only exponents e with below <= e <= above (bounds optional)."""
-        out = {
-            e: c
-            for e, c in self.coeffs.items()
-            if (below is None or e >= below) and (above is None or e <= above)
-        }
-        return LaurentPoly(out)
+    def truncate(self, above: int) -> "LaurentPoly":
+        """Keep only exponents e <= above."""
+        return LaurentPoly({e: c for e, c in self.coeffs.items() if e <= above})
 
     def __repr__(self) -> str:
         if not self.coeffs:

@@ -223,11 +223,18 @@ def tl_euler_characteristic(C: ChainComplex) -> dict[FlatTangle, LaurentPoly]:
     return {d: v for d, v in acc.items() if v}
 
 
+def euler_tail_bound(depth: int, n: int) -> int:
+    """The q-exponent below which the Euler series of P_n built to `depth`
+    (window (-depth, 0)), and of a network whose boxes have labels <= n,
+    is certified to agree with the Jones-Wenzl evaluation: 2 (depth - n) - 1.
+    Above it lies the truncation tail."""
+    return 2 * (depth - n) - 1
+
+
 def _euler_matches_jones_wenzl(C: ChainComplex, n: int) -> tuple[bool, str]:
     """Compare window Euler characteristic against the ascending-q series
     of the Jones-Wenzl coefficients, below the truncation tail threshold."""
-    depth = -C.window.lo
-    threshold = 2 * (depth - n) - 1
+    threshold = euler_tail_bound(-C.window.lo, n)
     if threshold <= 0:
         return True, "window too shallow to compare"
     chi = tl_euler_characteristic(C)
@@ -355,7 +362,9 @@ def instantiate(
     simplify(stack_complexes(...)) and simplify(trace_complex(...)), the
     engine taking the product's term dicts as they are made.  A Beside is
     not simplified.  The result is homotopy equivalent to the product of
-    the pieces.
+    the pieces.  An expression that contains Zero is refused (TypeError):
+    its zero has no boundary to glue, and closed_module answers it with
+    the empty module.
 
     Invariant: the result is simplified.  Every leaf is (strands,
     diagrams and projectors hold no circle and no invertible entry), every
@@ -392,8 +401,6 @@ def instantiate(
             return cx.simplify(cx.trace_complex(sub(inner)))[0]
         case ex.Dual(inner):
             return cx.dual_complex(sub(inner))
-        case ex.Zero():
-            return ChainComplex(0, 0, Window(0, 0), {}, {})
         case ex.Diagram(m, n, pairs):
             return cx.from_tangle(FlatTangle(m, n, pairs))
     raise TypeError(f"not a network expression: {e!r}")
@@ -692,16 +699,8 @@ def _canonical_rotation(e: ex.NetworkExpr) -> ex.NetworkExpr:
 
 def _labels(e: ex.NetworkExpr) -> list[int]:
     """The labels n >= 2 of the boxes in e: its pieces of more than one
-    object (P_0 and P_1 are identity complexes).  e is a part of a
-    rewritten network, which holds no Vertex and no Dual."""
-    match e:
-        case ex.Proj(n) | ex.DualProj(n):
-            return [n] if n >= 2 else []
-        case ex.Stack(x, y) | ex.Beside(x, y):
-            return _labels(x) + _labels(y)
-        case ex.Trace(x):
-            return _labels(x)
-    return []
+    object (P_0 and P_1 are identity complexes)."""
+    return [n for n in ex.labels(e) if n >= 2]
 
 
 def _split_beside(e: ex.NetworkExpr) -> list[ex.NetworkExpr]:
@@ -940,11 +939,15 @@ def closed_module(
     model counts each P_n by its objects in the window, read from
     `projector`, the source instantiate then glues.  instantiate clips no
     product, so every gluing order gives a homotopy equivalent complex: the
-    plan changes no answer."""
+    plan changes no answer.  A network that contains Zero (ex.arity None),
+    as given or as the rewriter leaves it, is the zero network: its module
+    is empty on either route."""
     if not ex.is_closed(e):
         raise ArityError("homology/euler need a closed network")
     if rewrite:
         e = plan_gluing(rewrite_network(e), object_counts(window, projector))
+    if ex.arity(e) is None:
+        return ModuleComplex({}, {})
     return cx.tautological(instantiate(e, window, projector))
 
 

@@ -345,20 +345,17 @@ def _check_axioms(p: TLElement) -> None:
         raise SpinhomError("single-clasp expansion failed the through-degree axiom")
 
 
-_ZERO_SENTINEL = object()
-
-
-def _evaluate(e: ex.NetworkExpr, memo: dict):
-    """e's TL element, or _ZERO_SENTINEL; memo holds the values of the
-    subexpressions met so far, so each distinct one is evaluated once (a
-    theta's Dual(v) reuses its vertex v)."""
+def _evaluate(e: ex.NetworkExpr, memo: dict) -> TLElement:
+    """The TL element of e, which contains no Zero; memo holds the values
+    of the subexpressions met so far, so each distinct one is evaluated
+    once (a theta's Dual(v) reuses its vertex v)."""
     v = memo.get(e)
     if v is None:
         v = memo[e] = _evaluate_node(e, memo)
     return v
 
 
-def _evaluate_node(e: ex.NetworkExpr, memo: dict):
+def _evaluate_node(e: ex.NetworkExpr, memo: dict) -> TLElement:
     match e:
         case ex.Strand(k):
             return TLElement.identity(k)
@@ -371,53 +368,38 @@ def _evaluate_node(e: ex.NetworkExpr, memo: dict):
             bottom = beside_tl(jones_wenzl(b), jones_wenzl(c))
             return compose_tl(jones_wenzl(a), compose_tl(core, bottom))
         case ex.Stack(top, bottom):
-            t, b = _evaluate(top, memo), _evaluate(bottom, memo)
-            if t is _ZERO_SENTINEL or b is _ZERO_SENTINEL:
-                return _ZERO_SENTINEL
-            return compose_tl(t, b)
+            return compose_tl(_evaluate(top, memo), _evaluate(bottom, memo))
         case ex.Beside(left, right):
-            l, r = _evaluate(left, memo), _evaluate(right, memo)
-            if l is _ZERO_SENTINEL or r is _ZERO_SENTINEL:
-                return _ZERO_SENTINEL
-            return beside_tl(l, r)
+            return beside_tl(_evaluate(left, memo), _evaluate(right, memo))
         case ex.Trace(ex.Stack(top, bottom)):
-            t, b = _evaluate(top, memo), _evaluate(bottom, memo)
-            if t is _ZERO_SENTINEL or b is _ZERO_SENTINEL:
-                return _ZERO_SENTINEL
-            return TLElement(0, 0, {FlatTangle.empty(): trace_pairing(t, b)})
+            value = trace_pairing(_evaluate(top, memo), _evaluate(bottom, memo))
+            return TLElement(0, 0, {FlatTangle.empty(): value})
         case ex.Trace(inner):
-            v = _evaluate(inner, memo)
-            if v is _ZERO_SENTINEL:
-                return _ZERO_SENTINEL
-            return TLElement(0, 0, {FlatTangle.empty(): markov_trace(v)})
+            return TLElement(0, 0, {FlatTangle.empty(): markov_trace(_evaluate(inner, memo))})
         case ex.Dual(inner):
-            v = _evaluate(inner, memo)
-            if v is _ZERO_SENTINEL:
-                return _ZERO_SENTINEL
-            return v.dual()
-        case ex.Zero():
-            return _ZERO_SENTINEL
+            return _evaluate(inner, memo).dual()
         case ex.Diagram(m, n, pairs):
             return TLElement.from_matching(FlatTangle(m, n, pairs))
     raise TypeError(f"not a network expression: {e!r}")
 
 
 def evaluate_network(net: ex.NetworkExpr) -> RatFunc:
-    """Exact evaluation of a closed network, substituting p_n on every edge."""
-    if not ex.is_closed(net):
-        raise ArityError(f"network has free boundary: arity {ex.arity(net)}")
-    v = _evaluate(net, {})
-    if v is _ZERO_SENTINEL or v.is_zero():
+    """Exact evaluation of a closed network, substituting p_n on every edge;
+    0 for a network that contains Zero (arity None)."""
+    a = ex.arity(net)
+    if a is None:
         return RatFunc.zero()
-    return v.terms.get(FlatTangle.empty(), RatFunc.zero())
+    if a != (0, 0):
+        raise ArityError(f"network has free boundary: arity {a}")
+    return _evaluate(net, {}).terms.get(FlatTangle.empty(), RatFunc.zero())
 
 
 def tl_element_of(e: ex.NetworkExpr) -> TLElement:
-    """Evaluate an open expression to its TL element (Zero not allowed)."""
-    v = _evaluate(e, {})
-    if v is _ZERO_SENTINEL:
+    """Evaluate an open expression to its TL element; one that contains
+    Zero has no boundary to give its zero element, so it is refused."""
+    if ex.arity(e) is None:
         raise ArityError("cannot evaluate Zero without boundary context")
-    return v
+    return _evaluate(e, {})
 
 
 def all_matchings(m: int, n: int) -> list[FlatTangle]:

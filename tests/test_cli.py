@@ -11,6 +11,7 @@ from spinhom import cli
 from spinhom import expr as ex
 from spinhom import projector as pj
 from spinhom import serialize as ser
+from spinhom import tl
 from spinhom.cob import FlatTangle, ShiftedObject
 from spinhom.complexes import Window
 from spinhom.errors import AdmissibilityError, IntegrityError, ParseError
@@ -533,6 +534,48 @@ def test_homology_verify_mode(tmp_path, capsys):
     assert rc == 0
     data = json.loads(out)
     assert "verify" in data
+
+
+def test_verify_on_a_zero_network_compares_empty_modules(tmp_path, capsys):
+    # the zero network is the empty module on both routes of --verify;
+    # the un-rewritten route used to glue a 0x0 complex onto P_2 (exit 3)
+    cdir = str(tmp_path / "cache")
+    rc = cli.main(["homology", "tr(stack(zero,p(2)))", "--window", "4", "--verify",
+                   "--cache-dir", cdir])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert data["table"]["entries"] == {}
+    assert data["verify"]["compared_band"] == [None, None]
+
+
+def _with_one_zero(e):
+    """Every expression made from e by replacing one subexpression (e
+    itself included) with zero."""
+    yield ex.Zero()
+    match e:
+        case ex.Stack(x, y) | ex.Beside(x, y):
+            yield from (type(e)(z, y) for z in _with_one_zero(x))
+            yield from (type(e)(x, z) for z in _with_one_zero(y))
+        case ex.Trace(x) | ex.Dual(x):
+            yield from (type(e)(z) for z in _with_one_zero(x))
+
+
+def test_a_network_containing_zero_is_zero_everywhere(tmp_path, capsys):
+    # the oracle, both routes of --verify and euler all read the zero from
+    # ex.arity: the oracle gives 0, the table is empty, both Euler series 0
+    cdir = str(tmp_path / "cache")
+    closed = [e for _name, e in closed_networks_leq3()]
+    nets = {z for e in closed for z in _with_one_zero(e)}
+    assert len(nets) > len(closed)
+    for e in sorted(nets, key=ex.to_text):
+        text = ex.to_text(e)
+        assert tl.evaluate_network(e).is_zero(), text
+        common = ["--window", "4", "--cache-dir", cdir]
+        assert cli.main(["homology", text, "--verify", *common]) == 0, text
+        assert json.loads(capsys.readouterr().out)["table"]["entries"] == {}, text
+        assert cli.main(["euler", text, *common]) == 0, text
+        data = json.loads(capsys.readouterr().out)
+        assert data["categorified"] == data["tl_oracle"] == "0", text
 
 
 def test_rewrite_command(tmp_path, capsys):

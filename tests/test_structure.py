@@ -380,6 +380,37 @@ def test_benchmark_tracer_sees_the_elimination_engine():
     assert built_compose > 0 and closed_compose > 0, (built_compose, closed_compose)
 
 
+def _package_imports(module: str) -> set[str]:
+    """The spinhom modules that spinhom.<module> imports, at any depth of
+    its source: `from . import x`, `from .x import y`, `import spinhom.x`."""
+    tree = ast.parse((ROOT / "src" / "spinhom" / f"{module}.py").read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.name.split(".")[1] for a in node.names if a.name.startswith("spinhom."))
+        # node.module is None only in a relative `from . import x`
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("spinhom")):
+            if node.module in (None, "spinhom"):
+                out.update(a.name for a in node.names)
+            else:
+                out.add(node.module.removeprefix("spinhom."))
+    return out - {"__version__"}
+
+
+def test_expression_and_oracle_layers_are_independent_of_the_pipeline():
+    # ex.arity decides that a network is zero and ex.labels reads its boxes
+    # for the oracle and the pipeline alike, so expr stands on the errors
+    # and records alone; and the TL oracle checks the categorified pipeline,
+    # so nothing it loads, directly or through another module, is part of it
+    assert _package_imports("expr") == {"errors", "record"}
+    loaded, todo = set(), ["tl"]
+    while todo:
+        for name in _package_imports(todo.pop()) - loaded:
+            loaded.add(name)
+            todo.append(name)
+    assert loaded.isdisjoint({"projector", "complexes", "homology", "cli"}), loaded
+
+
 def test_complexes_keeps_one_entry_format():
     # a morphism is its term dict (cob.Terms) throughout the package, and
     # cob.compose is its one composition; a CanonicalCobordism, or a second

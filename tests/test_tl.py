@@ -430,6 +430,14 @@ def test_zero_propagation():
     assert tl.evaluate_network(z).is_zero()
 
 
+def test_open_expression_containing_zero_has_no_tl_element():
+    # the zero of an open expression has no boundary to take its TL_(m,n) from
+    for e in (ex.Zero(), ex.Stack(ex.Proj(2), ex.Zero()),
+              ex.Beside(ex.Strand(1), ex.Dual(ex.Zero()))):
+        with pytest.raises(ArityError):
+            tl.tl_element_of(e)
+
+
 def test_dual_evaluation_invariance():
     v = tl.evaluate_network(ex.Trace(ex.Dual(ex.Proj(3))))
     assert v == RatFunc.from_laurent(quantum_integer(4))
